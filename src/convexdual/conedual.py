@@ -156,12 +156,16 @@ def build_section_frame(normal, offset) -> SectionFrame:
 # section transfer
 # ---------------------------------------------------------------------------
 
-def _section_query_delta(bx: float, eps: float, b_norm: float) -> float:
+def _section_query_delta(bx, eps: float, b_norm: float) -> float:
     # midpoint of the workable interval ((bx)^2 eps / (8|b|), (bx)^2 eps / (4|b|)),
     # clamped under the ray-perturbation bound bx / (2|b|) that keeps perturbed
-    # points above the hyperplane at infinity; any smaller delta stays sound
+    # points above the hyperplane at infinity; any smaller delta stays sound,
+    # so for an array of bx the row minimum is sound for every row
     mid = 3.0 * bx * bx * eps / (16.0 * b_norm)
-    return min(mid, 0.45 * bx / (2.0 * b_norm))
+    dq = float(np.min(np.minimum(mid, 0.45 * bx / (2.0 * b_norm))))
+    if not (dq > 0.0 and math.isfinite(dq)):
+        raise ValueError("query too close to the hyperplane at infinity")
+    return dq
 
 
 def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
@@ -182,10 +186,7 @@ def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
     ny = float(np.linalg.norm(v))
     x = 0.75 * v / ny
     bx = 0.75 / ny  # = b . x since b . y = 1
-    dq = _section_query_delta(bx, eps, float(np.linalg.norm(desc.b)))
-    if not (dq > 0.0 and math.isfinite(dq)):
-        raise ValueError("query too close to the hyperplane at infinity")
-    return cone_oracle.query(x, dq)
+    return cone_oracle.query(x, _section_query_delta(bx, eps, float(np.linalg.norm(desc.b))))
 
 
 def section_wmem_to_cone_wmem(section_oracle: RelativeWeakMembershipOracle,
@@ -255,13 +256,7 @@ class DualConeOracle(WeakMembershipOracle):
         Y = self.desc.a + U @ self._frame_b.basis.T
         ny = np.linalg.norm(Y, axis=1)
         X = 0.75 * Y / ny[:, None]
-        bx = 0.75 / ny
-        bn = float(np.linalg.norm(self.desc.b))
-        dq = np.min(3.0 * bx * bx * t / (16.0 * bn))
-        dq = min(float(dq), float(np.min(0.45 * bx / (2.0 * bn))))
-        if not (dq > 0.0 and math.isfinite(dq)):
-            raise ValueError("query too close to the hyperplane at infinity")
-        # a shared slack must be the row minimum to stay sound for every row
+        dq = _section_query_delta(0.75 / ny, t, float(np.linalg.norm(self.desc.b)))
         return self.cone_oracle.query_batch(X, dq)
 
     def _dual_slice_verdict(self, c, eps_sec):

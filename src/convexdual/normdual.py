@@ -28,7 +28,9 @@ from .core import (
     as_vector,
     scale_into_annulus,
 )
-from .cutting import WvalQuery, WvalVerdict, gauge_batch, wval_from_wmem
+from .cutting import WvalQuery, WvalVerdict, wval_batch, wval_from_wmem
+# not called here; kept because perfbench's layer trace patches normdual.gauge_batch
+from .cutting import gauge_batch  # noqa: F401
 from .oracles import NormApproxOracle, WeakMembershipOracle
 
 
@@ -113,14 +115,14 @@ class DualBallOracle(WeakMembershipOracle):
     k_lo >= 2, run a validity query over the (scaled) primal ball, map the
     verdict through the k >= 2 lemma. query_batch answers the same contract
     with the sandwich screen (|x| <= k_lo is inside, |x| >= k_hi is outside)
-    plus a lockstep-vectorized copy of the validity loop, which is what makes
-    million-point volume sampling feasible.
+    plus one lockstep validity run over the rows it leaves, which is what
+    makes million-point volume sampling feasible.
     """
 
     def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor,
                  cfg: ToleranceConfig = DEFAULT_CONFIG, label: str = "dual-ball"):
         body = CenteredBody(np.zeros(desc.n), desc.k_lo, desc.k_hi)
-        super().__init__(self._verdict, body, label=label)
+        super().__init__(self._verdict, body, label=label, batch_fn=self._screen)
         self.primal = primal
         self.primal_descriptor = desc
         self.cfg = cfg
@@ -130,141 +132,29 @@ class DualBallOracle(WeakMembershipOracle):
         self._scaled_oracle, scaled_desc = rescale_norm(primal, desc, 1.0 / self.r)
         self._scaled_body = scaled_desc.ball()
         self._mu_desc = desc.dual().rescaled(self.r)
-        self.stragglers = 0  # batch points decided at the iteration cap
+        self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
 
-    # -- scalar path (the literal reduction chain) --------------------------
+    def _slack(self, delta: float) -> float:
+        return min(delta / self.r, 0.49)
 
     def _verdict(self, x, delta):
-        d_l = min(delta / self.r, 0.49)
-
         def run(query: WvalQuery) -> WvalVerdict:
             return wval_from_wmem(self._scaled_oracle, self._scaled_body, query, self.cfg)
 
-        return wmem_ball_from_dual_wval(run, self._mu_desc, x / self.r, d_l)
+        return wmem_ball_from_dual_wval(run, self._mu_desc, x / self.r, self._slack(delta))
 
-    # -- batched path --------------------------------------------------------
-
-    def query_batch(self, X, delta: float) -> np.ndarray:
-        if delta <= 0.0 or not math.isfinite(delta):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
-        pts = np.atleast_2d(np.asarray(X, dtype=float))
-        if pts.shape[1] != self.body.n:
-            raise ValueError(f"expected points of dimension {self.body.n}")
-        self.calls.add(pts.shape[0])
+    def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
         nrm = np.linalg.norm(pts, axis=1)
         out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
         if np.any(work):
-            out[work] = self._lockstep(pts[work], float(delta))
+            out[work] = self._lockstep(pts[work], delta)
         return out
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        """Run the validity loop on many query points in lockstep.
-
-        Same cut rules as the scalar path: per-point ellipsoid localizer,
-        objective cut at asserted-feasible centers, finite-difference
-        separator cut at asserted-infeasible ones, early exit per point once
-        its verdict is certified.
-        """
-        cfg = self.cfg
-        m, n = pts.shape
-        eps = min(delta / self.r, 0.49)
-        gamma = 1.0
-        body = self._scaled_body
-        oracle = self._scaled_oracle
-        dq = min(eps / 8.0, body.inner_radius / 4.0)
-        step = cfg.fd_step_for(body)
-        gtol = min(cfg.gauge_tol_for(body), 1e-3 * step)
-
-        C = pts / self.r
-        Z = np.zeros((m, n))
-        P = np.broadcast_to(np.eye(n) * body.outer_radius ** 2, (m, n, n)).copy()
-        best = np.zeros(m)  # value of c at the center, which is feasible
-        ub = np.full(m, np.inf)
-        done = np.zeros(m, dtype=bool)
-        res = np.zeros(m, dtype=bool)
-
-        for _ in range(cfg.max_cut_iterations):
-            act = np.flatnonzero(~done)
-            if act.size == 0:
-                break
-            Ca, Za, Pa = C[act], Z[act], P[act]
-            quad = np.einsum("bi,bij,bj->b", Ca, Pa, Ca)
-            ub_now = np.einsum("bi,bi->b", Ca, Za) + np.sqrt(np.maximum(quad, 0.0))
-            ub[act] = np.minimum(ub[act], ub_now)
-
-            large = best[act] >= gamma - eps / 2.0
-            upper = ~large & (ub[act] <= gamma + eps / 2.0)
-            res[act[upper]] = True
-            done[act[large | upper]] = True
-
-            live = act[~(large | upper)]
-            if live.size == 0:
-                continue
-            feas = oracle.query_batch(Z[live], dq)
-
-            vals = np.einsum("bi,bi->b", C[live], Z[live])
-            gain = feas & (vals > best[live])
-            best[live[gain]] = vals[gain]
-            crossed = live[best[live] >= gamma - eps / 2.0]
-            done[crossed] = True  # large value certified; res stays False
-            live2 = live[~done[live]]
-            if live2.size == 0:
-                continue
-            feas2 = feas[~done[live]]
-
-            G = np.empty((live2.size, n))
-            G[feas2] = -C[live2][feas2]
-            inf_rows = live2[~feas2]
-            if inf_rows.size:
-                G[~feas2] = self._separators(oracle, body, Z[inf_rows], step, gtol)
-
-            self._cut_batch(Z, P, live2, G)
-
-        left = np.flatnonzero(~done)
-        if left.size:
-            # undecided at the cap: both verdicts are legal only inside the
-            # ambiguity band, so fall back to the incumbent threshold and
-            # count the event for diagnostics
-            self.stragglers += int(left.size)
-            res[left] = best[left] < gamma - eps / 2.0
-        return res
-
-    def _separators(self, oracle, body, Zrows, step, gtol):
-        m, n = Zrows.shape
-        probes = np.repeat(Zrows[:, None, :], 2 * n, axis=1)
-        idx = np.arange(n)
-        probes[:, 2 * idx, idx] += step
-        probes[:, 2 * idx + 1, idx] -= step
-        g = gauge_batch(oracle, body, probes.reshape(-1, n), gtol).reshape(m, 2 * n)
-        H = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
-        nrm = np.linalg.norm(H, axis=1, keepdims=True)
-        flat = nrm[:, 0] <= 4.0 * gtol / step
-        if np.any(flat):
-            # degenerate probe (center landed on a kink); push outward instead
-            zn = np.linalg.norm(Zrows[flat], axis=1, keepdims=True)
-            H[flat] = Zrows[flat] / np.where(zn > 0.0, zn, 1.0)
-            nrm[flat] = 1.0
-        return H / nrm
-
-    @staticmethod
-    def _cut_batch(Z, P, rows, G):
-        n = Z.shape[1]
-        Pr = P[rows]
-        s = np.einsum("bij,bj->bi", Pr, G)
-        den = np.einsum("bi,bi->b", G, s)
-        den = np.maximum(den, 1e-300)
-        u = s / np.sqrt(den)[:, None]
-        if n == 1:
-            w = np.sqrt(np.maximum(Pr[:, 0, 0], 0.0))
-            Z[rows, 0] -= np.sign(G[:, 0]) * (w / 2.0)
-            P[rows, 0, 0] = w * w / 4.0
-            return
-        Znew = Z[rows] - u / (n + 1.0)
-        outer = u[:, :, None] * u[:, None, :]
-        Pnew = (n * n / (n * n - 1.0)) * (Pr - (2.0 / (n + 1.0)) * outer)
-        P[rows] = 0.5 * (Pnew + np.transpose(Pnew, (0, 2, 1)))
-        Z[rows] = Znew
+        """The scalar chain's validity query for many points in one engine run."""
+        return wval_batch(self._scaled_oracle, self._scaled_body, pts / self.r,
+                          1.0, self._slack(delta), self.cfg)
 
 
 def dual_ball_wmem(primal: WeakMembershipOracle, desc: NormDescriptor,

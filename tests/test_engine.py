@@ -1,0 +1,98 @@
+"""The batched cutting-plane engine: batch/scalar parity, the cap policy, and
+band-adversarial primal oracles on the dual ball's batched path."""
+
+import math
+
+import numpy as np
+import pytest
+
+from convexdual.core import ToleranceConfig, WeakVerdict, rng_stream
+from convexdual.cutting import (
+    IterationCapError,
+    WvalQuery,
+    WvalVerdict,
+    wval_batch,
+    wval_from_wmem,
+)
+from convexdual.normdual import DualBallOracle
+from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
+
+PARITY_CASES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("p,n", PARITY_CASES,
+                         ids=[f"l{p:g}-r{n}" for p, n in PARITY_CASES])
+def test_wval_batch_matches_scalar_verdicts(p, n):
+    """One lockstep run gives the verdicts of one scalar run per row on
+    objectives whose support is clear of the threshold."""
+    eps = 0.02
+    norm = ReferenceNorm.lp(p, n)
+    oracle, body = norm.oracle(), norm.ball()
+    rng = rng_stream(41, n)
+    U = rng.normal(size=(12, n))
+    support = np.tile([0.75, 0.9, 1.1, 1.25], 3)  # clear of gamma = 1 by 5 * eps
+    C = U * (support / norm.dual().eval_batch(U))[:, None]
+    got = wval_batch(oracle, body, C, 1.0, eps)
+    scalar = [wval_from_wmem(oracle, body, WvalQuery(c=c, gamma=1.0, eps=eps))
+              is WvalVerdict.UPPER_BOUND_HOLDS for c in C]
+    np.testing.assert_array_equal(got, scalar)
+    np.testing.assert_array_equal(got, support < 1.0)
+
+
+def test_iteration_cap_raises_on_scalar_and_batched_paths():
+    """An undecided row raises with its incumbent; no verdict is guessed."""
+    cfg = ToleranceConfig(max_cut_iterations=3)
+    norm = ReferenceNorm.lp(1.0, 2)
+    query = WvalQuery(c=[1.0, 1.0], gamma=1.0, eps=0.01)  # support is exactly 1
+    with pytest.raises(IterationCapError) as err:
+        wval_from_wmem(norm.oracle(), norm.ball(), query, cfg)
+    assert err.value.witness is not None
+    # |y| sits between the sandwich radii, so the screen leaves it to the engine
+    oracle = DualBallOracle(norm.oracle(), norm.descriptor, cfg)
+    with pytest.raises(IterationCapError) as err:
+        oracle.query_batch([[1.0, 0.5]], 0.01)
+    assert err.value.witness is not None
+
+
+def _band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
+    """Primal oracle answering IN iff nu(x) <= 1 + side * k_lo * delta.
+
+    Legal for |side| < 1 by ball_scaling_bounds: (1 + k_lo*delta) B lies in
+    the delta-thickening, and the delta-shrinking lies in (1 - k_lo*delta) B.
+    """
+    k_lo = norm.descriptor.k_lo
+
+    def fn(x, delta):
+        if norm.eval(x) <= 1.0 + side * k_lo * delta:
+            return WeakVerdict.IN_THICKENED
+        return WeakVerdict.NOT_IN_SHRUNK
+
+    def batch(X, delta):
+        return norm.eval_batch(X) <= 1.0 + side * k_lo * delta
+
+    return WeakMembershipOracle(fn, norm.ball(), label="adversary", batch_fn=batch)
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+def test_dual_ball_tolerates_band_adversaries(side):
+    """Scalar and batched dual-ball verdicts over an adversarial primal agree
+    with the closed-form dual norm outside the 2*delta band, on a kinked norm
+    whose points the sandwich screen does not settle."""
+    delta = 0.02
+    norm = ReferenceNorm.lp(1.0, 2)
+    desc = norm.descriptor
+    oracle = DualBallOracle(_band_adversary(norm, side), desc)
+    rng = rng_stream(42, 0)
+    U = rng.normal(size=(200, 2))
+    # dual-norm values on the edges of the 2*delta band, where the slack
+    # accounting has no room to spare
+    vals = np.where(np.arange(200) % 2 == 0, 1.0 - 2.02 * delta, 1.0 + 2.02 * delta)
+    pts = U * (vals / norm.dual().eval_batch(U))[:, None]
+    nrm = np.linalg.norm(pts, axis=1)
+    engine = np.flatnonzero((nrm > desc.k_lo) & (nrm < desc.k_hi))[:24]
+    assert engine.size == 24
+    pts, want = pts[engine], vals[engine] < 1.0
+    np.testing.assert_array_equal(oracle.query_batch(pts, delta), want)
+    for x, inside in zip(pts[:8], want[:8]):
+        verdict = oracle.query(x, delta)
+        assert (verdict is WeakVerdict.IN_THICKENED) == inside
