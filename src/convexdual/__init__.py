@@ -24,12 +24,8 @@ from .oracles import (
     NormApproxOracle,
     ReferenceCone,
     ReferenceNorm,
-    RelativeWeakMembershipOracle,
     WeakMembershipOracle,
     exact_to_weak,
-    reference_cone_member,
-    reference_dual_norm,
-    reference_norm_eval,
     smat,
     svec,
 )
@@ -57,7 +53,6 @@ from .normdual import (
     dual_ball_wmem,
     dual_norm_eval,
     rescale_norm,
-    wmem_ball_from_dual_wval,
     wmem_from_approx,
 )
 from .conedual import (
@@ -97,29 +92,3 @@ from .mahler import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BisectionTrace", "BracketError", "CallCounter", "CenteredBody",
-    "CertificateError", "ConeDescriptor", "ConjugateEstimate",
-    "DEFAULT_CONFIG", "DualBallOracle", "DualConeOracle", "DualNormResult",
-    "EpigraphBody", "FlatGaugeError", "FunctionApproxOracle",
-    "GrowthCertificate", "InteriorMinCertificate", "Interval",
-    "IterationCapError", "MahlerEstimate", "MinimizationResult",
-    "NormApproxOracle", "NormDescriptor", "REFERENCE_FUNCTIONS",
-    "ReferenceCone", "ReferenceFunction", "ReferenceNorm",
-    "RelativeWeakMembershipOracle", "ScalingBounds", "SectionFrame",
-    "ToleranceConfig", "VolumeEstimate", "WeakMembershipOracle",
-    "WeakVerdict", "WoptResult", "WvalQuery", "WvalVerdict",
-    "approx_from_wmem", "approx_separator", "as_vector",
-    "ball_scaling_bounds", "bisection_step_count", "build_section_frame",
-    "cone_wmem_to_section_wmem", "descriptor_from_reference",
-    "dual_ball_wmem", "dual_cone_wmem", "dual_growth_constants",
-    "dual_norm_eval", "epigraph_wmem", "exact_to_weak", "fenchel_brute",
-    "fenchel_eval", "gauge_batch", "gauge_from_wmem", "interior_bound_check",
-    "linear_image", "mahler_volume", "make_reference_function",
-    "min_via_wopt", "normalize_cone", "reference_cone_member",
-    "reference_dual_norm", "reference_norm_eval", "rescale_norm",
-    "rng_stream", "scale_into_annulus", "section_wmem_to_cone_wmem", "smat",
-    "svec", "volume_mc", "wmem_ball_from_dual_wval", "wmem_from_approx",
-    "wopt_from_wmem", "wval_from_wmem",
-]

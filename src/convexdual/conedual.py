@@ -25,11 +25,7 @@ from .core import (
     as_vector,
 )
 from .cutting import WvalQuery, WvalVerdict, wval_from_wmem
-from .oracles import (
-    ReferenceCone,
-    RelativeWeakMembershipOracle,
-    WeakMembershipOracle,
-)
+from .oracles import ReferenceCone, WeakMembershipOracle
 
 
 @dataclass(frozen=True)
@@ -169,33 +165,37 @@ def _section_query_delta(bx, eps: float, b_norm: float) -> float:
 
 
 def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
-                              desc: ConeDescriptor, frame: SectionFrame, y,
-                              eps: float) -> WeakVerdict:
-    """Decide y against the slice P_b, relative to the hyperplane, from one
-    cone query.
+                              desc: ConeDescriptor, Y, eps: float) -> np.ndarray:
+    """Decide every row y of Y against the slice P_b, relative to the
+    hyperplane, from one batch of cone queries; True = IN_THICKENED.
 
-    y must lie in {b . z = 1}. The query point is the ray representative at
-    radius 3/4 (inside the cone oracle's working annulus); its slack comes
-    from the quadratic ray-to-slice distance transfer.
+    Each y must lie in {b . z = 1}. Its query point is the ray representative
+    at radius 3/4 (inside the cone oracle's working annulus); the slack comes
+    from the quadratic ray-to-slice distance transfer, at the row minimum.
     """
     if eps <= 0.0 or not math.isfinite(eps):
         raise ValueError("eps must be positive and finite")
-    v = as_vector(y, desc.n)
-    if abs(float(desc.b @ v) - 1.0) > 1e-7 * (1.0 + float(np.linalg.norm(v))):
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != desc.n:
+        raise ValueError(f"expected an (m, {desc.n}) array of points")
+    ny = np.linalg.norm(Y, axis=1)
+    if np.any(np.abs(Y @ desc.b - 1.0) > 1e-7 * (1.0 + ny)):
         raise ValueError("query point is not on the section hyperplane; project first")
-    ny = float(np.linalg.norm(v))
-    x = 0.75 * v / ny
-    bx = 0.75 / ny  # = b . x since b . y = 1
-    return cone_oracle.query(x, _section_query_delta(bx, eps, float(np.linalg.norm(desc.b))))
+    X = 0.75 * Y / ny[:, None]
+    # b . x = 0.75 / |y|, since b . y = 1
+    dq = _section_query_delta(0.75 / ny, eps, float(np.linalg.norm(desc.b)))
+    return cone_oracle.query_batch(X, dq)
 
 
-def section_wmem_to_cone_wmem(section_oracle: RelativeWeakMembershipOracle,
-                              desc: ConeDescriptor, x, delta: float) -> WeakVerdict:
-    """Decide x against the cone from one relative slice query.
+def section_wmem_to_cone_wmem(section_verdict, desc: ConeDescriptor, x,
+                              delta: float) -> WeakVerdict:
+    """Decide x against the cone from one relative slice verdict.
 
-    x must lie in the working annulus 1/2 < |x| < 1. Points on or below the
-    hyperplane at infinity (b . x <= 0) are rejected without a query; others
-    map to their slice representative x / (b . x) at slack delta / (b . x).
+    section_verdict(y, eps) decides y, a point of the hyperplane, against the
+    slice, with slack eps taken inside the hyperplane. x must lie in the
+    working annulus 1/2 < |x| < 1. Points on or below the hyperplane at
+    infinity (b . x <= 0) are rejected without a query; others map to their
+    slice representative x / (b . x) at slack delta / (b . x).
     """
     if delta <= 0.0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
@@ -206,8 +206,7 @@ def section_wmem_to_cone_wmem(section_oracle: RelativeWeakMembershipOracle,
     bx = float(desc.b @ v)
     if bx <= 0.0:
         return WeakVerdict.NOT_IN_SHRUNK  # outside {b . z > 0}, hence outside K
-    y = v / bx
-    return section_oracle.query(y, delta / bx)
+    return section_verdict(v / bx, delta / bx)
 
 
 # ---------------------------------------------------------------------------
@@ -228,36 +227,20 @@ class DualConeOracle(WeakMembershipOracle):
                  cfg: ToleranceConfig = DEFAULT_CONFIG, label: str = "dual-cone"):
         desc = normalize_cone(desc)
         body = CenteredBody(desc.b, desc.eps_b, math.inf)
-        super().__init__(self._verdict, body, label=label)
+        super().__init__(self._verdicts, body, label=label)
         self.cone_oracle = cone_oracle
         self.desc = desc
         self.cfg = cfg
         self._frame_b = build_section_frame(desc.b, desc.a)
-        self._frame_a = build_section_frame(desc.a, desc.b)
         self._kb_body = CenteredBody(np.zeros(desc.n - 1), desc.eps_a,
                                      desc.section_outer)
+        # membership in the slice body K_b, asked in frame coordinates
+        basis = self._frame_b.basis
         self._kb_oracle = WeakMembershipOracle(
-            self._kb_query, self._kb_body, label=f"{label}/slice",
-            batch_fn=self._kb_query_batch,
-        )
+            lambda U, t: cone_wmem_to_section_wmem(cone_oracle, desc,
+                                                   desc.a + U @ basis.T, t),
+            self._kb_body, label=f"{label}/slice")
         self._swapped = self.desc.swapped()
-        self._dual_section = RelativeWeakMembershipOracle(
-            self._dual_slice_verdict, self.desc.b, self._frame_a.basis,
-            label=f"{label}/dual-slice",
-        )
-
-    # membership in the slice body K_b, asked in frame coordinates
-    def _kb_query(self, u, t):
-        y = self._frame_b.to_ambient(u)
-        return cone_wmem_to_section_wmem(self.cone_oracle, self.desc,
-                                         self._frame_b, y, t)
-
-    def _kb_query_batch(self, U, t):
-        Y = self.desc.a + U @ self._frame_b.basis.T
-        ny = np.linalg.norm(Y, axis=1)
-        X = 0.75 * Y / ny[:, None]
-        dq = _section_query_delta(0.75 / ny, t, float(np.linalg.norm(self.desc.b)))
-        return self.cone_oracle.query_batch(X, dq)
 
     def _dual_slice_verdict(self, c, eps_sec):
         """Membership of c (on {a . c = 1}) in the dual slice P_a*."""
@@ -282,6 +265,10 @@ class DualConeOracle(WeakMembershipOracle):
             return WeakVerdict.IN_THICKENED
         return WeakVerdict.NOT_IN_SHRUNK
 
+    def _verdicts(self, C, delta):
+        return np.array([self._verdict(c, delta) is WeakVerdict.IN_THICKENED
+                         for c in C], dtype=bool)
+
     def _verdict(self, c_raw, delta):
         nc = float(np.linalg.norm(c_raw))
         if nc == 0.0:
@@ -294,7 +281,7 @@ class DualConeOracle(WeakMembershipOracle):
         # which the linear-validity slack below depends on
         if float(self.desc.a @ c0) < 0.75 * self.desc.eps_a:
             return WeakVerdict.NOT_IN_SHRUNK
-        return section_wmem_to_cone_wmem(self._dual_section, self._swapped,
+        return section_wmem_to_cone_wmem(self._dual_slice_verdict, self._swapped,
                                          c0, dd)
 
 

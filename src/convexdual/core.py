@@ -203,17 +203,6 @@ def scale_into_annulus(x) -> tuple[np.ndarray, float]:
     return v / r, r
 
 
-def complexify(re, im) -> np.ndarray:
-    """Embed a complex vector (re, im) as the real vector of doubled dimension.
-
-    The embedding is a Euclidean isometry, so norm sandwich constants carry
-    over unchanged.
-    """
-    re_v = as_vector(re)
-    im_v = as_vector(im, re_v.size)
-    return np.concatenate([re_v, im_v])
-
-
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based random stream: Philox keyed by (seed, stream).
 

@@ -108,7 +108,10 @@ class EpigraphBody:
         return CenteredBody(center, inner, outer)
 
     def oracle(self, label: str = "epigraph") -> WeakMembershipOracle:
-        return WeakMembershipOracle(self._verdict, self.body(), label=label)
+        return WeakMembershipOracle(
+            lambda Z, eps: np.array([self._verdict(z, eps) is WeakVerdict.IN_THICKENED
+                                     for z in Z], dtype=bool),
+            self.body(), label=label)
 
     def _verdict(self, z, eps):
         if eps >= 0.5 * self.cap:

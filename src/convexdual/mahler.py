@@ -127,12 +127,8 @@ def linear_image(oracle: WeakMembershipOracle, desc: NormDescriptor,
     inv = np.linalg.inv(A)
     image_desc = NormDescriptor(n, desc.k_lo / s_max, desc.k_hi / s_min)
 
-    def fn(x, delta):
-        return oracle.query(inv @ x, delta / s_max)
-
-    def batch_fn(X, delta):
+    def fn(X, delta):
         return oracle.query_batch(X @ inv.T, delta / s_max)
 
-    body = image_desc.ball()
-    return (WeakMembershipOracle(fn, body, label=f"{oracle.calls.label}@image",
-                                 batch_fn=batch_fn), image_desc)
+    return (WeakMembershipOracle(fn, image_desc.ball(), label=f"{oracle.calls.label}@image"),
+            image_desc)

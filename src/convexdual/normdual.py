@@ -4,7 +4,9 @@ The chain: membership for the primal ball gives weak validity of linear
 functionals over it (cutting plane), validity over the primal ball decides
 weak membership in the dual ball (the k >= 2 lemma, after rescaling), and an
 interval bisection turns dual-ball membership into an additive-error dual
-norm value. Each stage is also exposed on its own.
+norm value. The stages exposed on their own are rescale_norm, the
+DualBallOracle (whose validity stage is cutting.wval_batch), and
+approx_from_wmem.
 
 Scaling conventions: nu_r(x) = r * nu(x) has unit ball B_nu / r and sandwich
 constants (r * k, r * K); membership of x in B_nu is membership of x/r in
@@ -28,9 +30,9 @@ from .core import (
     as_vector,
     scale_into_annulus,
 )
-from .cutting import WvalQuery, WvalVerdict, wval_batch, wval_from_wmem
-# not called here; kept because perfbench's layer trace patches normdual.gauge_batch
-from .cutting import gauge_batch  # noqa: F401
+from .cutting import wval_batch
+# not called here; kept because perfbench's layer trace patches these names
+from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
 from .oracles import NormApproxOracle, WeakMembershipOracle
 
 
@@ -74,74 +76,46 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
         raise ValueError("scale must be positive and finite")
     desc_r = desc.rescaled(r)
 
-    def fn(x, delta):
-        return oracle.query(r * x, r * delta)
-
-    def batch(X, delta):
+    def fn(X, delta):
         return oracle.query_batch(r * X, r * delta)
 
-    scaled = WeakMembershipOracle(fn, desc_r.ball(),
-                                  label=f"{oracle.calls.label}*{r:.3g}",
-                                  batch_fn=batch)
-    return scaled, desc_r
-
-
-def wmem_ball_from_dual_wval(dual_wval, desc: NormDescriptor, x,
-                             delta: float) -> WeakVerdict:
-    """Decide weak membership in the unit ball of nu from validity queries
-    over the dual ball.
-
-    dual_wval is a callable WvalQuery -> WvalVerdict for the ball of nu*.
-    Requires k_lo >= 2 (rescale first) and 0 < delta < 1/2: then an upper
-    bound max <= 1 + delta over the shrunk dual ball forces
-    nu(x) <= 1 + k_lo * delta (inside the thickening), and a large value
-    forces nu(x) > 1 - k_lo * delta (outside the shrinking).
-    """
-    if desc.k_lo < 2.0:
-        raise ValueError(f"lemma needs k_lo >= 2, got {desc.k_lo:.3g}; rescale first")
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"lemma needs 0 < delta < 1/2, got {delta}")
-    v = as_vector(x, desc.n)
-    verdict = dual_wval(WvalQuery(c=v, gamma=1.0, eps=delta))
-    if verdict is WvalVerdict.UPPER_BOUND_HOLDS:
-        return WeakVerdict.IN_THICKENED
-    return WeakVerdict.NOT_IN_SHRUNK
+    return WeakMembershipOracle(fn, desc_r.ball(),
+                                label=f"{oracle.calls.label}*{r:.3g}"), desc_r
 
 
 class DualBallOracle(WeakMembershipOracle):
     """Weak membership oracle for the dual unit ball, derived from the primal.
 
-    query follows the three-stage chain: rescale so the decided norm has
-    k_lo >= 2, run a validity query over the (scaled) primal ball, map the
-    verdict through the k >= 2 lemma. query_batch answers the same contract
-    with the sandwich screen (|x| <= k_lo is inside, |x| >= k_hi is outside)
-    plus one lockstep validity run over the rows it leaves, which is what
-    makes million-point volume sampling feasible.
+    Every query, one point or many, runs one path. The sandwich screen
+    settles the rows it can for free: |x| <= k_lo is inside the dual ball,
+    |x| >= k_hi outside it. The rows it leaves go to one lockstep validity
+    run over the primal ball, which is what makes million-point volume
+    sampling feasible.
+
+    The validity run decides the rescaled norm mu = r * nu* with
+    r = max(1, 2 k_hi), so that mu's sandwich constant k_lo = r / k_hi is at
+    least 2; x is in B_(nu*) iff x / r is in B_mu, and the run is over
+    B_(mu*) = r B_nu at slack delta / r, clamped below 1/2. With k_lo >= 2
+    and 0 < delta < 1/2 (the k >= 2 lemma), an upper bound max <= 1 + delta
+    over the shrunk body forces mu(x / r) <= 1 + k_lo * delta, inside the
+    thickening, and a large value forces mu(x / r) > 1 - k_lo * delta,
+    outside the shrinking.
     """
 
     def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor,
                  cfg: ToleranceConfig = DEFAULT_CONFIG, label: str = "dual-ball"):
         body = CenteredBody(np.zeros(desc.n), desc.k_lo, desc.k_hi)
-        super().__init__(self._verdict, body, label=label, batch_fn=self._screen)
+        super().__init__(self._screen, body, label=label)
         self.primal = primal
         self.primal_descriptor = desc
         self.cfg = cfg
-        # decide mu = r * nu(*): k_mu = r / k_hi must reach 2
         self.r = max(1.0, 2.0 * desc.k_hi)
-        # validity queries run over B_(mu*) = r * B_nu
         self._scaled_oracle, scaled_desc = rescale_norm(primal, desc, 1.0 / self.r)
         self._scaled_body = scaled_desc.ball()
-        self._mu_desc = desc.dual().rescaled(self.r)
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
-
-    def _verdict(self, x, delta):
-        def run(query: WvalQuery) -> WvalVerdict:
-            return wval_from_wmem(self._scaled_oracle, self._scaled_body, query, self.cfg)
-
-        return wmem_ball_from_dual_wval(run, self._mu_desc, x / self.r, self._slack(delta))
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
         nrm = np.linalg.norm(pts, axis=1)
@@ -152,7 +126,9 @@ class DualBallOracle(WeakMembershipOracle):
         return out
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        """The scalar chain's validity query for many points in one engine run."""
+        """Verdicts of the rows the screen leaves, True = IN_THICKENED: one
+        validity run of c = x / r against gamma = 1 over r B_nu, all rows in
+        lockstep."""
         return wval_batch(self._scaled_oracle, self._scaled_body, pts / self.r,
                           1.0, self._slack(delta), self.cfg)
 

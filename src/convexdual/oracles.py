@@ -38,73 +38,54 @@ class WeakMembershipOracle:
 
     Parameters
     ----------
-    fn : callable (x, delta) -> WeakVerdict
-        The verdict function. Must honor the weak contract for the body.
+    fn : callable (X, delta) -> bool array
+        The row-wise verdict function: maps an (m, n) array of points and a
+        slack to m booleans, True meaning IN_THICKENED. Must honor the weak
+        contract for the body on every row.
     body : CenteredBody
         Centering data B(center, inner) <= K <= B(center, outer); cones use
         outer = inf.
     label : str
         Counter label for call accounting.
-    batch_fn : callable (X, delta) -> bool ndarray, optional
-        Vectorized form; True means IN_THICKENED. Falls back to a scalar loop.
+
+    query_batch validates, counts and calls fn; query is the same call on
+    one row. Both count one call per point and raise ValueError, before
+    counting, on a bad slack or on points that are not finite rows of
+    dimension n.
     """
 
-    def __init__(self, fn, body: CenteredBody, label: str = "wmem", batch_fn=None,
-                 counter: CallCounter | None = None):
+    def __init__(self, fn, body: CenteredBody, label: str = "wmem"):
         self._fn = fn
-        self._batch_fn = batch_fn
         self.body = body
-        self.calls = counter if counter is not None else CallCounter(label)
+        self.calls = CallCounter(label)
 
     def query(self, x, delta: float) -> WeakVerdict:
-        if delta <= 0.0 or not math.isfinite(delta):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+        delta = _check_slack(delta)
         v = as_vector(x, self.body.n)
         self.calls.add(1)
-        return self._fn(v, float(delta))
+        # fn itself, not self.query_batch: a tracer that wraps both entry
+        # points would otherwise see this point twice
+        if self._fn(v[None, :], delta)[0]:
+            return WeakVerdict.IN_THICKENED
+        return WeakVerdict.NOT_IN_SHRUNK
 
     def query_batch(self, X, delta: float) -> np.ndarray:
         """Vectorized query; returns a bool array, True = IN_THICKENED."""
-        if delta <= 0.0 or not math.isfinite(delta):
-            raise ValueError(f"delta must be positive and finite, got {delta}")
-        pts = np.atleast_2d(np.asarray(X, dtype=float))
-        if pts.shape[1] != self.body.n:
-            raise ValueError(f"expected points of dimension {self.body.n}")
+        delta = _check_slack(delta)
+        pts = np.asarray(X, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.body.n:
+            raise ValueError(f"expected an (m, {self.body.n}) array of points, "
+                             f"got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points have non-finite coordinates")
         self.calls.add(pts.shape[0])
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(pts, float(delta)), dtype=bool)
-        return np.array(
-            [self._fn(p, float(delta)) is WeakVerdict.IN_THICKENED for p in pts],
-            dtype=bool,
-        )
+        return np.asarray(self._fn(pts, delta), dtype=bool)
 
 
-class RelativeWeakMembershipOracle:
-    """Weak membership oracle relative to an affine hull.
-
-    Thickenings and shrinkings are taken inside the hull offset + span(basis);
-    queries are only meaningful for points in the hull, so callers project
-    first. basis columns must be orthonormal.
-    """
-
-    def __init__(self, fn, offset, basis, label: str = "rel-wmem",
-                 counter: CallCounter | None = None):
-        self.offset = as_vector(offset)
-        self.basis = np.asarray(basis, dtype=float)
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.offset.size:
-            raise ValueError("basis must be (ambient dim) x (hull dim)")
-        gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(self.basis.shape[1]), atol=1e-10):
-            raise ValueError("basis columns are not orthonormal")
-        self._fn = fn
-        self.calls = counter if counter is not None else CallCounter(label)
-
-    def query(self, y, eps: float) -> WeakVerdict:
-        if eps <= 0.0 or not math.isfinite(eps):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
-        v = as_vector(y, self.offset.size)
-        self.calls.add(1)
-        return self._fn(v, float(eps))
+def _check_slack(delta) -> float:
+    if delta <= 0.0 or not math.isfinite(delta):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    return float(delta)
 
 
 class NormApproxOracle:
@@ -115,11 +96,10 @@ class NormApproxOracle:
     argument onto the unit sphere first.
     """
 
-    def __init__(self, fn, descriptor: NormDescriptor, label: str = "approx",
-                 counter: CallCounter | None = None):
+    def __init__(self, fn, descriptor: NormDescriptor, label: str = "approx"):
         self._fn = fn
         self.descriptor = descriptor
-        self.calls = counter if counter is not None else CallCounter(label)
+        self.calls = CallCounter(label)
 
     def eval(self, x, eps: float) -> float:
         if eps <= 0.0 or not math.isfinite(eps):
@@ -135,12 +115,12 @@ class NormApproxOracle:
 class FunctionApproxOracle:
     """Additive-error evaluator of a convex function on R^n."""
 
-    def __init__(self, fn, n: int, label: str = "func", counter: CallCounter | None = None):
+    def __init__(self, fn, n: int, label: str = "func"):
         if n < 1:
             raise ValueError("dimension must be positive")
         self._fn = fn
         self.n = n
-        self.calls = counter if counter is not None else CallCounter(label)
+        self.calls = CallCounter(label)
 
     def eval(self, x, eps: float) -> float:
         if eps <= 0.0 or not math.isfinite(eps):
@@ -153,24 +133,15 @@ class FunctionApproxOracle:
         return out
 
 
-def exact_to_weak(member, body: CenteredBody, label: str = "wmem",
-                  batch_member=None) -> WeakMembershipOracle:
-    """Wrap an exact membership predicate as a weak oracle that ignores slack.
+def exact_to_weak(member, body: CenteredBody, label: str = "wmem") -> WeakMembershipOracle:
+    """Wrap a row-wise exact membership predicate as a weak oracle that
+    ignores slack.
 
-    Answering IN_THICKENED exactly when member(x) holds is always a legal
-    weak answer: members are inside every thickening, non-members are outside
-    every shrinking.
+    member maps an (m, n) array to m booleans. Answering IN_THICKENED exactly
+    when member holds is always a legal weak answer: members are inside every
+    thickening, non-members are outside every shrinking.
     """
-
-    def fn(x, delta):
-        return WeakVerdict.IN_THICKENED if member(x) else WeakVerdict.NOT_IN_SHRUNK
-
-    batch = None
-    if batch_member is not None:
-        def batch(X, delta):
-            return np.asarray(batch_member(X), dtype=bool)
-
-    return WeakMembershipOracle(fn, body, label=label, batch_fn=batch)
+    return WeakMembershipOracle(lambda X, delta: member(X), body, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +297,13 @@ class ReferenceNorm:
     def oracle(self, label: str | None = None) -> WeakMembershipOracle:
         """Exact-membership weak oracle for the unit ball."""
         label = label or f"{self.kind}-ball"
-        return exact_to_weak(
-            lambda x: self.eval(x) <= 1.0,
-            self.ball(),
-            label=label,
-            batch_member=lambda X: self.eval_batch(X) <= 1.0,
-        )
+        return exact_to_weak(lambda X: self.eval_batch(X) <= 1.0, self.ball(),
+                             label=label)
 
     def approx_oracle(self, label: str | None = None) -> NormApproxOracle:
         """Norm evaluator that ignores its slack (exact closed form)."""
         return NormApproxOracle(lambda x, eps: self.eval(x), self.descriptor,
                                 label=label or f"{self.kind}-approx")
-
-
-def reference_norm_eval(norm: ReferenceNorm, x) -> float:
-    return norm.eval(x)
-
-
-def reference_dual_norm(norm: ReferenceNorm) -> ReferenceNorm:
-    return norm.dual()
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +435,4 @@ class ReferenceCone:
 
     def oracle(self, label: str | None = None) -> WeakMembershipOracle:
         body = CenteredBody(self.a, self.eps_a, math.inf)
-        return exact_to_weak(self.member, body,
-                             label=label or f"{self.kind}-cone",
-                             batch_member=self.member_batch)
-
-
-def reference_cone_member(cone: ReferenceCone, x) -> bool:
-    return cone.member(x)
+        return exact_to_weak(self.member_batch, body, label=label or f"{self.kind}-cone")

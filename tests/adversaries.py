@@ -1,0 +1,18 @@
+"""Test-only weak membership oracles that answer adversarially inside the
+ambiguity band, where the weak contract allows either verdict."""
+
+from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
+
+
+def band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
+    """Unit-ball oracle answering IN iff nu(x) <= 1 + side * k_lo * delta.
+
+    Legal for |side| < 1 by ball_scaling_bounds: (1 + k_lo*delta) B lies in
+    the delta-thickening, and the delta-shrinking lies in (1 - k_lo*delta) B.
+    side > 0 admits points outside the ball (generous), side < 0 refutes
+    points inside it (stingy).
+    """
+    k_lo = norm.descriptor.k_lo
+    return WeakMembershipOracle(
+        lambda X, delta: norm.eval_batch(X) <= 1.0 + side * k_lo * delta,
+        norm.ball(), label="adversary")

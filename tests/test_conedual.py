@@ -5,6 +5,7 @@ import pytest
 
 from convexdual.conedual import (
     ConeDescriptor,
+    SectionFrame,
     build_section_frame,
     cone_wmem_to_section_wmem,
     descriptor_from_reference,
@@ -14,11 +15,7 @@ from convexdual.conedual import (
     section_wmem_to_cone_wmem,
 )
 from convexdual.core import WeakVerdict, rng_stream
-from convexdual.oracles import (
-    ReferenceCone,
-    RelativeWeakMembershipOracle,
-    WeakMembershipOracle,
-)
+from convexdual.oracles import ReferenceCone
 
 
 def _orthant_desc(n=3):
@@ -95,6 +92,12 @@ def test_build_frame_rejects_zero_normal():
         build_section_frame([0.0, 0.0], [1.0, 0.0])
 
 
+def test_section_frame_rejects_non_orthonormal_basis():
+    with pytest.raises(ValueError):
+        SectionFrame(np.zeros(3), np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+                     [0.0, 0.0, 1.0])
+
+
 def test_cone_to_section_transfer_verdicts():
     """Slice verdicts derived from the cone oracle agree with exact slice
     membership away from the boundary."""
@@ -104,16 +107,14 @@ def test_cone_to_section_transfer_verdicts():
     oracle = cone.oracle()
     rng = rng_stream(43, 0)
     eps = 0.05
-    for _ in range(60):
-        u = rng.normal(size=2) * 0.8
-        y = frame.to_ambient(u)
-        margin = cone.boundary_margin(y)
-        if abs(margin) < 2.0 * eps * np.linalg.norm(y):
-            continue
-        got = cone_wmem_to_section_wmem(oracle, desc, frame, y, eps)
-        want = (WeakVerdict.IN_THICKENED if margin > 0
-                else WeakVerdict.NOT_IN_SHRUNK)
-        assert got is want
+    Y = np.array([frame.to_ambient(u) for u in rng.normal(size=(60, 2)) * 0.8])
+    margin = np.array([cone.boundary_margin(y) for y in Y])
+    clear = np.abs(margin) >= 2.0 * eps * np.linalg.norm(Y, axis=1)
+    # one batch answers row by row: the shared slack is the row minimum,
+    # which is sound for every row
+    got = cone_wmem_to_section_wmem(oracle, desc, Y, eps)
+    np.testing.assert_array_equal(got[clear], margin[clear] > 0)
+    assert oracle.calls.count == len(Y)
 
 
 def test_cone_to_section_rejects_points_off_hyperplane():
@@ -122,7 +123,8 @@ def test_cone_to_section_rejects_points_off_hyperplane():
     frame = build_section_frame(desc.b, desc.a)
     y = frame.to_ambient([0.1, 0.1]) + desc.b  # push off the hyperplane
     with pytest.raises(ValueError):
-        cone_wmem_to_section_wmem(cone.oracle(), desc, frame, y, 0.05)
+        cone_wmem_to_section_wmem(cone.oracle(), desc, [frame.to_ambient([0.0, 0.2]), y],
+                                  0.05)
 
 
 def test_section_to_cone_annulus_and_fast_reject():
@@ -133,18 +135,15 @@ def test_section_to_cone_annulus_and_fast_reject():
         calls.append((y, eps))
         return WeakVerdict.IN_THICKENED
 
-    frame = build_section_frame(desc.b, desc.a)
-    section = RelativeWeakMembershipOracle(fake, desc.a, frame.basis)
-
     with pytest.raises(ValueError):
-        section_wmem_to_cone_wmem(section, desc, [2.0, 0.0, 0.0], 0.05)
+        section_wmem_to_cone_wmem(fake, desc, [2.0, 0.0, 0.0], 0.05)
     # negative pairing with b cannot be in the cone: no query spent
-    v = section_wmem_to_cone_wmem(section, desc, [-0.4, -0.4, -0.4], 0.05)
+    v = section_wmem_to_cone_wmem(fake, desc, [-0.4, -0.4, -0.4], 0.05)
     assert v is WeakVerdict.NOT_IN_SHRUNK
     assert calls == []
     # positive pairing transfers with the ray-scaled slack
     x = np.array([0.5, 0.3, 0.4])
-    v = section_wmem_to_cone_wmem(section, desc, x, 0.05)
+    v = section_wmem_to_cone_wmem(fake, desc, x, 0.05)
     assert v is WeakVerdict.IN_THICKENED
     (y, eps), = calls
     bx = float(desc.b @ x)

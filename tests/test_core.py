@@ -12,7 +12,6 @@ from convexdual.core import (
     NormDescriptor,
     ToleranceConfig,
     as_vector,
-    complexify,
     rng_stream,
     scale_into_annulus,
 )
@@ -108,16 +107,6 @@ def test_scale_into_annulus():
     np.testing.assert_allclose(unit, [0.6, 0.8])
     with pytest.raises(ValueError):
         scale_into_annulus([0.0, 0.0])
-
-
-def test_complexify_is_isometric():
-    rng = rng_stream(3, 0)
-    for _ in range(20):
-        re, im = rng.normal(size=4), rng.normal(size=4)
-        v = complexify(re, im)
-        assert v.shape == (8,)
-        assert np.linalg.norm(v) == pytest.approx(
-            math.sqrt(float(re @ re + im @ im)))
 
 
 def test_rng_stream_reproducible_and_disjoint():

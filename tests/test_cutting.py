@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from convexdual.core import (
-    CenteredBody,
-    ToleranceConfig,
-    WeakVerdict,
-    rng_stream,
-)
+from adversaries import band_adversary
+from convexdual.core import CenteredBody, ToleranceConfig, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
@@ -19,7 +15,7 @@ from convexdual.cutting import (
     wopt_from_wmem,
     wval_from_wmem,
 )
-from convexdual.oracles import ReferenceNorm, WeakMembershipOracle, exact_to_weak
+from convexdual.oracles import ReferenceNorm, exact_to_weak
 
 
 def _ball_oracle(p, n):
@@ -38,7 +34,7 @@ def test_gauge_matches_norm_on_rays():
 def test_gauge_handles_shifted_center():
     center = np.array([1.0, -2.0])
     body = CenteredBody(center, 0.9, 1.1)  # loose sandwich forces bisection
-    oracle = exact_to_weak(lambda x: float(np.linalg.norm(x - center)) <= 1.0, body)
+    oracle = exact_to_weak(lambda X: np.linalg.norm(X - center, axis=1) <= 1.0, body)
     assert oracle.calls.count == 0
     assert gauge_from_wmem(oracle, body, center + [3.0, 0.0]) == pytest.approx(
         3.0, abs=1e-6)
@@ -48,7 +44,7 @@ def test_gauge_handles_shifted_center():
 def test_gauge_skips_queries_when_sandwich_is_tight():
     center = np.zeros(2)
     body = CenteredBody(center, 1.0, 1.0)
-    oracle = exact_to_weak(lambda x: float(np.linalg.norm(x)) <= 1.0, body)
+    oracle = exact_to_weak(lambda X: np.linalg.norm(X, axis=1) <= 1.0, body)
     assert gauge_from_wmem(oracle, body, [3.0, 0.0]) == pytest.approx(3.0)
     assert oracle.calls.count == 0
 
@@ -177,26 +173,11 @@ def test_wval_query_validation():
         WvalQuery(c=[1.0], gamma=math.nan, eps=0.1)
 
 
-def _band_adversary(side: float) -> WeakMembershipOracle:
-    """Legal weak oracle that stretches every answer to its slack limit."""
-    body = CenteredBody(np.zeros(2), 1.0, 1.0)
-
-    def fn(x, delta):
-        if float(np.linalg.norm(x)) <= 1.0 + side * delta:
-            return WeakVerdict.IN_THICKENED
-        return WeakVerdict.NOT_IN_SHRUNK
-
-    def batch(X, delta):
-        return np.linalg.norm(X, axis=1) <= 1.0 + side * delta
-
-    return WeakMembershipOracle(fn, body, label="adversary", batch_fn=batch)
-
-
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
 def test_wopt_tolerates_band_adversaries(side):
     """Answers anywhere inside the ambiguity band keep the optimizer honest."""
     eps = 0.02
-    oracle = _band_adversary(side)
+    oracle = band_adversary(ReferenceNorm.lp(2.0, 2), side)
     body = oracle.body
     rng = rng_stream(24, 0)
     for _ in range(5):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adversaries import band_adversary
 from convexdual.core import ToleranceConfig, WeakVerdict, rng_stream
 from convexdual.cutting import (
     IterationCapError,
@@ -15,7 +16,7 @@ from convexdual.cutting import (
     wval_from_wmem,
 )
 from convexdual.normdual import DualBallOracle
-from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
+from convexdual.oracles import ReferenceNorm
 
 PARITY_CASES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
 
@@ -54,25 +55,6 @@ def test_iteration_cap_raises_on_scalar_and_batched_paths():
     assert err.value.witness is not None
 
 
-def _band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
-    """Primal oracle answering IN iff nu(x) <= 1 + side * k_lo * delta.
-
-    Legal for |side| < 1 by ball_scaling_bounds: (1 + k_lo*delta) B lies in
-    the delta-thickening, and the delta-shrinking lies in (1 - k_lo*delta) B.
-    """
-    k_lo = norm.descriptor.k_lo
-
-    def fn(x, delta):
-        if norm.eval(x) <= 1.0 + side * k_lo * delta:
-            return WeakVerdict.IN_THICKENED
-        return WeakVerdict.NOT_IN_SHRUNK
-
-    def batch(X, delta):
-        return norm.eval_batch(X) <= 1.0 + side * k_lo * delta
-
-    return WeakMembershipOracle(fn, norm.ball(), label="adversary", batch_fn=batch)
-
-
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
 def test_dual_ball_tolerates_band_adversaries(side):
     """Scalar and batched dual-ball verdicts over an adversarial primal agree
@@ -81,7 +63,7 @@ def test_dual_ball_tolerates_band_adversaries(side):
     delta = 0.02
     norm = ReferenceNorm.lp(1.0, 2)
     desc = norm.descriptor
-    oracle = DualBallOracle(_band_adversary(norm, side), desc)
+    oracle = DualBallOracle(band_adversary(norm, side), desc)
     rng = rng_stream(42, 0)
     U = rng.normal(size=(200, 2))
     # dual-norm values on the edges of the 2*delta band, where the slack

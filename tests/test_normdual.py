@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from convexdual.core import NormDescriptor, WeakVerdict, rng_stream
-from convexdual.cutting import WvalVerdict
 from convexdual.normdual import (
     approx_from_wmem,
     ball_scaling_bounds,
@@ -12,7 +11,6 @@ from convexdual.normdual import (
     dual_ball_wmem,
     dual_norm_eval,
     rescale_norm,
-    wmem_ball_from_dual_wval,
     wmem_from_approx,
 )
 from convexdual.oracles import ReferenceNorm
@@ -58,30 +56,6 @@ def test_rescale_norm_round_trip_verdicts():
     assert scaled.query([0.51, 0.0], 1e-4) is WeakVerdict.NOT_IN_SHRUNK
     with pytest.raises(ValueError):
         rescale_norm(norm.oracle(), norm.descriptor, 0.0)
-
-
-def test_lemma_wrapper_validates_and_maps():
-    desc = NormDescriptor(2, 2.0, 3.0)
-    log = []
-
-    def fake_wval(query):
-        log.append(query)
-        return WvalVerdict.UPPER_BOUND_HOLDS
-
-    v = wmem_ball_from_dual_wval(fake_wval, desc, [0.3, 0.1], 0.1)
-    assert v is WeakVerdict.IN_THICKENED
-    assert log[0].gamma == 1.0 and log[0].eps == 0.1
-    np.testing.assert_allclose(log[0].c, [0.3, 0.1])
-
-    v = wmem_ball_from_dual_wval(lambda q: WvalVerdict.LARGE_VALUE_EXISTS,
-                                 desc, [0.3, 0.1], 0.1)
-    assert v is WeakVerdict.NOT_IN_SHRUNK
-
-    with pytest.raises(ValueError):
-        wmem_ball_from_dual_wval(fake_wval, NormDescriptor(2, 1.0, 3.0),
-                                 [0.3, 0.1], 0.1)
-    with pytest.raises(ValueError):
-        wmem_ball_from_dual_wval(fake_wval, desc, [0.3, 0.1], 0.7)
 
 
 DUAL_PAIRS = [
@@ -140,9 +114,14 @@ def test_dual_ball_counts_queries():
     assert oracle.query([0.5, 0.4], 0.02) is WeakVerdict.IN_THICKENED
     assert oracle.calls.count == 1
     assert primal.calls.count == 0
-    # near-boundary exterior point: the validity run must consult the primal
+    # |x| = 1.70 >= k_hi = sqrt(2): the sandwich screen refutes it for free
     assert oracle.query([1.2, 1.2], 0.02) is WeakVerdict.NOT_IN_SHRUNK
     assert oracle.calls.count == 2
+    assert primal.calls.count == 0
+    # |x| = 1.14 lies between the sandwich radii and nu*(x) = 1.1: the
+    # validity run must consult the primal
+    assert oracle.query([1.1, 0.3], 0.02) is WeakVerdict.NOT_IN_SHRUNK
+    assert oracle.calls.count == 3
     assert primal.calls.count > 0
 
 

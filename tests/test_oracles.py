@@ -9,12 +9,7 @@ from convexdual.oracles import (
     NormApproxOracle,
     ReferenceCone,
     ReferenceNorm,
-    RelativeWeakMembershipOracle,
-    WeakMembershipOracle,
     exact_to_weak,
-    reference_cone_member,
-    reference_dual_norm,
-    reference_norm_eval,
     smat,
     svec,
 )
@@ -35,7 +30,7 @@ FROZEN_NORMS = [
 @pytest.mark.parametrize("norm,x,want", FROZEN_NORMS,
                          ids=[f"{n.kind}-{i}" for i, (n, _, _) in enumerate(FROZEN_NORMS)])
 def test_reference_norm_frozen_values(norm, x, want):
-    assert reference_norm_eval(norm, x) == pytest.approx(want, rel=1e-12)
+    assert norm.eval(x) == pytest.approx(want, rel=1e-12)
 
 
 def test_lp_rejects_bad_p():
@@ -110,7 +105,7 @@ def test_generic_polyhedral_has_no_closed_dual():
 
 
 def test_reference_dual_norm_helper():
-    dual = reference_dual_norm(ReferenceNorm.lp(2.0, 2))
+    dual = ReferenceNorm.lp(2.0, 2).dual()
     assert dual.eval([3.0, 4.0]) == pytest.approx(5.0)
 
 
@@ -147,23 +142,29 @@ def test_weak_oracle_batch_matches_scalar_loop():
 
 def test_exact_to_weak_is_a_legal_weak_oracle():
     body = CenteredBody(np.zeros(2), 1.0, 1.0)
-    oracle = exact_to_weak(lambda x: float(np.linalg.norm(x)) <= 1.0, body)
+    oracle = exact_to_weak(lambda X: np.linalg.norm(X, axis=1) <= 1.0, body)
     # members stay IN under any slack, non-members stay NOT under any slack
     for delta in (1e-6, 0.1, 0.4):
         assert oracle.query([0.99, 0.0], delta) is WeakVerdict.IN_THICKENED
         assert oracle.query([1.01, 0.0], delta) is WeakVerdict.NOT_IN_SHRUNK
 
 
-def test_relative_oracle_validates_basis():
-    with pytest.raises(ValueError):
-        RelativeWeakMembershipOracle(lambda y, e: WeakVerdict.IN_THICKENED,
-                                     np.zeros(3),
-                                     np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    oracle = RelativeWeakMembershipOracle(
-        lambda y, e: WeakVerdict.IN_THICKENED, np.zeros(3), basis)
-    assert oracle.query([0.1, 0.2, 0.0], 0.05) is WeakVerdict.IN_THICKENED
-    assert oracle.calls.count == 1
+def test_weak_oracle_rejects_bad_points_before_counting():
+    """Both entry points share one input check: non-finite coordinates and
+    arrays of the wrong shape raise, and no call is charged."""
+    oracle = ReferenceNorm.lp(2.0, 2).oracle()
+    for bad in ([[math.nan, 0.0]], [[0.0, math.inf]], [[1.0, 0.0], [-math.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            oracle.query_batch(bad, 0.01)
+        with pytest.raises(ValueError):
+            oracle.query(bad[-1], 0.01)
+    for bad in (np.zeros((2, 2, 2)), np.zeros(2), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            oracle.query_batch(bad, 0.01)
+    for bad in (np.zeros((2, 2, 2)), np.zeros((1, 2)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            oracle.query(bad, 0.01)
+    assert oracle.calls.count == 0
 
 
 def test_norm_approx_oracle_enforces_annulus():
@@ -204,8 +205,8 @@ def test_smat_rejects_bad_length():
 
 def test_orthant_membership_and_margin():
     cone = ReferenceCone("orthant", 3)
-    assert reference_cone_member(cone, [1.0, 2.0, 0.0])
-    assert not reference_cone_member(cone, [1.0, -0.1, 2.0])
+    assert cone.member([1.0, 2.0, 0.0])
+    assert not cone.member([1.0, -0.1, 2.0])
     assert cone.boundary_margin([1.0, 2.0, 3.0]) == pytest.approx(1.0)
     assert cone.boundary_margin([1.0, -0.3, 3.0]) == pytest.approx(-0.3)
 
