@@ -65,7 +65,6 @@ from .conedual import (
     dual_cone_wmem,
     interior_bound_check,
     normalize_cone,
-    section_wmem_to_cone_wmem,
 )
 from .fenchel import (
     CertificateError,

@@ -21,10 +21,12 @@ from .core import (
     DEFAULT_CONFIG,
     CenteredBody,
     ToleranceConfig,
-    WeakVerdict,
     as_vector,
+    positive_finite,
 )
-from .cutting import WvalQuery, WvalVerdict, wval_from_wmem
+from .cutting import wval_batch
+# not called here; kept because perfbench's layer trace patches this name
+from .cutting import wval_from_wmem  # noqa: F401
 from .oracles import ReferenceCone, WeakMembershipOracle
 
 
@@ -59,12 +61,6 @@ class ConeDescriptor:
     @property
     def normalized(self) -> bool:
         return abs(float(self.b @ self.a) - 1.0) <= 1e-9
-
-    def swapped(self) -> "ConeDescriptor":
-        """Descriptor of the dual cone, roles of (a, b) exchanged."""
-        return ConeDescriptor(self.n, self.b.copy(), self.a.copy(),
-                              self.eps_b, self.eps_a,
-                              self.dual_section_outer, self.section_outer)
 
 
 def normalize_cone(desc: ConeDescriptor) -> ConeDescriptor:
@@ -172,12 +168,14 @@ def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
     Each y must lie in {b . z = 1}. Its query point is the ray representative
     at radius 3/4 (inside the cone oracle's working annulus); the slack comes
     from the quadratic ray-to-slice distance transfer, at the row minimum.
+    An empty Y costs no cone query.
     """
-    if eps <= 0.0 or not math.isfinite(eps):
-        raise ValueError("eps must be positive and finite")
+    positive_finite(eps, "eps")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != desc.n:
         raise ValueError(f"expected an (m, {desc.n}) array of points")
+    if Y.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
     ny = np.linalg.norm(Y, axis=1)
     if np.any(np.abs(Y @ desc.b - 1.0) > 1e-7 * (1.0 + ny)):
         raise ValueError("query point is not on the section hyperplane; project first")
@@ -187,28 +185,6 @@ def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
     return cone_oracle.query_batch(X, dq)
 
 
-def section_wmem_to_cone_wmem(section_verdict, desc: ConeDescriptor, x,
-                              delta: float) -> WeakVerdict:
-    """Decide x against the cone from one relative slice verdict.
-
-    section_verdict(y, eps) decides y, a point of the hyperplane, against the
-    slice, with slack eps taken inside the hyperplane. x must lie in the
-    working annulus 1/2 < |x| < 1. Points on or below the hyperplane at
-    infinity (b . x <= 0) are rejected without a query; others map to their
-    slice representative x / (b . x) at slack delta / (b . x).
-    """
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
-    v = as_vector(x, desc.n)
-    nx = float(np.linalg.norm(v))
-    if not (0.5 < nx < 1.0):
-        raise ValueError(f"cone queries live on 1/2 < |x| < 1, got |x| = {nx}")
-    bx = float(desc.b @ v)
-    if bx <= 0.0:
-        return WeakVerdict.NOT_IN_SHRUNK  # outside {b . z > 0}, hence outside K
-    return section_verdict(v / bx, delta / bx)
-
-
 # ---------------------------------------------------------------------------
 # the dual-cone oracle
 # ---------------------------------------------------------------------------
@@ -216,11 +192,21 @@ def section_wmem_to_cone_wmem(section_verdict, desc: ConeDescriptor, x,
 class DualConeOracle(WeakMembershipOracle):
     """Weak membership oracle for the dual cone, derived from the cone's.
 
-    A query scales onto the working annulus, lifts to the dual slice
-    {a . c = 1}, and decides slice membership by one linear validity run over
-    the primal slice body K_b = P_b - a: an upper bound certifies membership
-    through the shift (c + tau*b) / (1 + tau), a large value refutes it
-    through (c - 2*tau*b) / (1 - 2*tau).
+    Every query, one point or many, runs one pass over its rows, in order:
+    the apex is IN; the pairing screen refutes a . c < eps_a |c| with no
+    primal call (dual points obey a . c >= eps_a |c|, the mirror of
+    interior_bound_check, which also bounds the slice representative below
+    by 1 / eps_a); the rest are scaled onto |c0| = 3/4, at slack
+    delta * min(1, 3/(4|c|)), and lifted to the dual slice {a . c = 1} as
+    S = c0 / (a . c0), at that slack over a . c0; rows on the ray of b,
+    interior to the dual cone, are IN. The rows left go to one lockstep
+    validity run of -S against gamma = 1 (a . S = 1 by construction) over
+    the primal slice body K_b = P_b - a, in the frame of {b . z = 1}: an
+    upper bound certifies membership through the shift
+    (c + tau*b) / (1 + tau), a large value refutes it through
+    (c - 2*tau*b) / (1 - 2*tau). The run takes the row minimum of the
+    per-row validity slacks: a verdict at a smaller slack is legal at a
+    larger one.
     """
 
     def __init__(self, cone_oracle: WeakMembershipOracle, desc: ConeDescriptor,
@@ -231,58 +217,42 @@ class DualConeOracle(WeakMembershipOracle):
         self.cone_oracle = cone_oracle
         self.desc = desc
         self.cfg = cfg
-        self._frame_b = build_section_frame(desc.b, desc.a)
         self._kb_body = CenteredBody(np.zeros(desc.n - 1), desc.eps_a,
                                      desc.section_outer)
         # membership in the slice body K_b, asked in frame coordinates
-        basis = self._frame_b.basis
+        self._basis = basis = build_section_frame(desc.b, desc.a).basis
         self._kb_oracle = WeakMembershipOracle(
             lambda U, t: cone_wmem_to_section_wmem(cone_oracle, desc,
                                                    desc.a + U @ basis.T, t),
             self._kb_body, label=f"{label}/slice")
-        self._swapped = self.desc.swapped()
 
-    def _dual_slice_verdict(self, c, eps_sec):
-        """Membership of c (on {a . c = 1}) in the dual slice P_a*."""
+    def _verdicts(self, C: np.ndarray, delta: float) -> np.ndarray:
         desc = self.desc
-        eps_use = min(eps_sec, 0.49)
-        nc = float(np.linalg.norm(c))
-        bc = float(np.linalg.norm(desc.b - c))
-        bound = 1.0 / (4.0 * (1.0 + nc))
-        if bc > 0.0:
-            bound = min(bound, eps_use / (4.0 * (1.0 + nc) * bc))
-        eps_w = 0.5 * bound
-        c_frame = self._frame_b.basis.T @ c
-        if float(np.linalg.norm(c_frame)) <= 1e-13 * max(nc, 1.0):
-            # c is (numerically) a positive multiple of b, which is interior
-            # to the dual cone
-            return WeakVerdict.IN_THICKENED
-        gamma = float(c @ desc.a)
-        verdict = wval_from_wmem(self._kb_oracle, self._kb_body,
-                                 WvalQuery(c=-c_frame, gamma=gamma, eps=eps_w),
-                                 self.cfg)
-        if verdict is WvalVerdict.UPPER_BOUND_HOLDS:
-            return WeakVerdict.IN_THICKENED
-        return WeakVerdict.NOT_IN_SHRUNK
-
-    def _verdicts(self, C, delta):
-        return np.array([self._verdict(c, delta) is WeakVerdict.IN_THICKENED
-                         for c in C], dtype=bool)
-
-    def _verdict(self, c_raw, delta):
-        nc = float(np.linalg.norm(c_raw))
-        if nc == 0.0:
-            return WeakVerdict.IN_THICKENED  # the apex is in every dual cone
-        c0 = 0.75 * c_raw / nc
-        dd = delta * min(1.0, 0.75 / nc)  # ray scaling of the slack
-        # dual points obey a . c >= eps_a |c| (mirror of interior_bound_check),
-        # so a small pairing already refutes membership outright; this also
-        # keeps the slice representative c0 / (a . c0) bounded by 1 / eps_a,
-        # which the linear-validity slack below depends on
-        if float(self.desc.a @ c0) < 0.75 * self.desc.eps_a:
-            return WeakVerdict.NOT_IN_SHRUNK
-        return section_wmem_to_cone_wmem(self._dual_slice_verdict, self._swapped,
-                                         c0, dd)
+        nc = np.linalg.norm(C, axis=1)
+        out = nc == 0.0  # the apex
+        rows = np.flatnonzero(~out)
+        # the pairing screen, on the rows scaled onto |c0| = 3/4
+        C0 = 0.75 * C[rows] / nc[rows, None]
+        ac = C0 @ desc.a
+        paired = ac >= 0.75 * desc.eps_a
+        rows, C0, ac = rows[paired], C0[paired], ac[paired]
+        # the dual slice representatives and their slice slacks
+        S = C0 / ac[:, None]
+        eps_sec = np.minimum(delta * np.minimum(1.0, 0.75 / nc[rows]) / ac, 0.49)
+        # the ray of b
+        U = S @ self._basis
+        nS = np.linalg.norm(S, axis=1)
+        on_ray = np.linalg.norm(U, axis=1) <= 1e-13 * np.maximum(nS, 1.0)
+        out[rows[on_ray]] = True
+        # one validity run for the rest; |b - S| >= |U| > 0 off the ray
+        work = ~on_ray
+        if np.any(work):
+            q = 4.0 * (1.0 + nS[work])
+            bc = np.linalg.norm(desc.b - S[work], axis=1)
+            eps_w = 0.5 * float(np.min(np.minimum(1.0 / q, eps_sec[work] / (q * bc))))
+            out[rows[work]] = wval_batch(self._kb_oracle, self._kb_body, -U[work],
+                                         1.0, eps_w, self.cfg)
+        return out
 
 
 def dual_cone_wmem(cone_oracle: WeakMembershipOracle, desc: ConeDescriptor,

@@ -29,6 +29,13 @@ class WeakVerdict(enum.Enum):
     NOT_IN_SHRUNK = "not-in-shrunk"
 
 
+def positive_finite(x, name: str) -> float:
+    """Return x as a float; raise ValueError unless it is positive and finite."""
+    if x <= 0.0 or not math.isfinite(x):
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return float(x)
+
+
 def as_vector(x, n: int | None = None) -> np.ndarray:
     """Validate and return x as a 1-D float64 array.
 

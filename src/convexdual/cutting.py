@@ -6,9 +6,10 @@ finite differences), and the separator drives an ellipsoid-localizer loop
 that maximizes a linear objective with a certified optimality gap.
 
 There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
-centers and (m, n, n) shape matrices. wopt_from_wmem and wval_from_wmem are
-that engine on a batch of one; wval_batch is the same validity query over
-many objectives at once.
+centers and (m, n, n) shape matrices. wopt_from_wmem is that engine on a
+batch of one. wval_batch is the validity query over many objectives at
+once, and wval_from_wmem is wval_batch on one row, so the gamma -/+ eps/2
+exits, the eps/2 slack and the tie rule live in wval_batch alone.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; the central-cut update through an
@@ -45,8 +46,8 @@ from .core import (
     DEFAULT_CONFIG,
     CenteredBody,
     ToleranceConfig,
-    WeakVerdict,
     as_vector,
+    positive_finite,
 )
 from .oracles import WeakMembershipOracle
 
@@ -139,16 +140,15 @@ def gauge_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, x,
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
-                     step: float | None = None,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Approximate outward normals from central differences of the gauge.
 
     x is one point or an (m, n) stack of points, and the result has its
     shape: per point a unit vector h with h . (y - x) <= sigma for all y in
     the body, sigma as documented in the module header. The 2n probes of
-    every point share one gauge_batch call. Raises FlatGaugeError when the
-    differences at any point vanish below the gauge noise floor (step too
-    small or a point at the center).
+    every point share one gauge_batch call, at the step cfg.fd_step_for(body).
+    Raises FlatGaugeError when the differences at any point vanish below the
+    gauge noise floor (step too small or a point at the center).
     """
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
@@ -156,7 +156,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
         X = as_vector(X, body.n)[None, :]
     elif X.ndim != 2 or X.shape[1] != body.n:
         raise ValueError(f"expected points of dimension {body.n}")
-    step = step if step is not None else cfg.fd_step_for(body)
+    step = cfg.fd_step_for(body)
     # gauge noise must sit below both the difference quotient and the
     # smallest credible gradient norm (about 1/outer_radius)
     tol = min(cfg.gauge_tol_for(body), 1e-3 * step)
@@ -191,8 +191,7 @@ class WvalQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_vector(self.c))
-        if self.eps <= 0.0 or not math.isfinite(self.eps):
-            raise ValueError("eps must be positive and finite")
+        positive_finite(self.eps, "eps")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
 
@@ -258,8 +257,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
     any row is undecided after cfg.max_cut_iterations cuts.
     """
     _bounded(body)
-    if eps <= 0.0 or not math.isfinite(eps):
-        raise ValueError("eps must be positive and finite")
+    positive_finite(eps, "eps")
     if np.any(np.linalg.norm(C, axis=1) == 0.0):
         raise ValueError("objective must be nonzero")
     lo = math.inf if stop_above is None else stop_above
@@ -342,36 +340,34 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: flo
 def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody,
                    query: WvalQuery,
                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> WvalVerdict:
-    """Weak validity of c . x <= gamma over the body.
+    """Weak validity of c . x <= gamma over the body: wval_batch on one row.
 
     UPPER_BOUND_HOLDS asserts c . x <= gamma + eps on the eps-shrunk body;
     LARGE_VALUE_EXISTS asserts a point of the eps-thickened body with
-    c . x >= gamma - eps. Internally this is the wopt loop run at slack eps/2
-    with early exit at the two thresholds; ties at gamma prefer
-    LARGE_VALUE_EXISTS.
+    c . x >= gamma - eps.
     """
-    res = wopt_from_wmem(
-        oracle, body, query.c, query.eps / 2.0, cfg,
-        stop_above=query.gamma - query.eps / 2.0,
-        stop_ub_below=query.gamma + query.eps / 2.0,
-    )
-    if res.value >= query.gamma - query.eps / 2.0:
-        return WvalVerdict.LARGE_VALUE_EXISTS
-    return WvalVerdict.UPPER_BOUND_HOLDS
+    if wval_batch(oracle, body, query.c[None, :], query.gamma, query.eps, cfg)[0]:
+        return WvalVerdict.UPPER_BOUND_HOLDS
+    return WvalVerdict.LARGE_VALUE_EXISTS
 
 
 def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float,
                eps: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Weak validity of c . x <= gamma over the body for every row c of C.
 
-    Returns a bool array, True where UPPER_BOUND_HOLDS: the verdicts
-    wval_from_wmem gives row by row, from one lockstep run of the engine.
+    Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
+    of the engine at slack eps/2 that exits early at the two thresholds
+    gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. An
+    empty C costs no oracle call.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[1] != body.n or not np.all(np.isfinite(C)):
         raise ValueError(f"expected finite objectives of dimension {body.n}")
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
+    positive_finite(eps, "eps")
+    if C.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
     value = _cut_loop(oracle, body, C, eps / 2.0, cfg,
                       stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)[0]
     return value < gamma - eps / 2.0

@@ -22,6 +22,7 @@ from .core import (
     ToleranceConfig,
     WeakVerdict,
     as_vector,
+    positive_finite,
 )
 from .cutting import wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
@@ -133,9 +134,8 @@ class EpigraphBody:
 def epigraph_wmem(epi: EpigraphBody, point, eps: float) -> WeakVerdict:
     """One weak membership verdict for the truncated epigraph (one function
     evaluation, or none when the point misses the ball or the cap)."""
-    if eps <= 0.0 or not math.isfinite(eps):
-        raise ValueError("eps must be positive and finite")
-    return epi._verdict(as_vector(point, epi.n), float(eps))
+    eps = positive_finite(eps, "eps")
+    return epi._verdict(as_vector(point, epi.n), eps)
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     the max of f on the boundary) with the midpoint bound
     f(x) >= 2 f(0) - f(-x) from below.
     """
-    if eps <= 0.0 or not math.isfinite(eps):
-        raise ValueError("eps must be positive and finite")
+    positive_finite(eps, "eps")
     y = as_vector(y, values.n)
     ny = float(np.linalg.norm(y))
     e0 = min(0.25, 0.25 * eps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, rng_stream
+from .core import DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, positive_finite, rng_stream
 from .normdual import dual_ball_wmem
 from .oracles import WeakMembershipOracle
 
@@ -58,8 +58,7 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
         raise ValueError(f"box sampling is limited to dimension {_MAX_DIM}")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if box_radius <= 0.0 or not math.isfinite(box_radius):
-        raise ValueError("box radius must be positive and finite")
+    positive_finite(box_radius, "box radius")
     delta = box_radius * 1e-6
     hits = 0
     done = 0

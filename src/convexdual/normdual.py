@@ -28,6 +28,7 @@ from .core import (
     ToleranceConfig,
     WeakVerdict,
     as_vector,
+    positive_finite,
     scale_into_annulus,
 )
 from .cutting import wval_batch
@@ -51,8 +52,7 @@ class ScalingBounds:
 
 
 def ball_scaling_bounds(desc: NormDescriptor, delta: float) -> ScalingBounds:
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
+    positive_finite(delta, "delta")
     if desc.k_hi * delta >= 1.0:
         raise ValueError(
             f"shrink bound needs k_hi * delta < 1, got {desc.k_hi * delta:.3g}"
@@ -72,8 +72,7 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
     The rescaled ball is B_nu / r; distances scale linearly, so a query at
     slack delta maps to a base query at slack r * delta.
     """
-    if r <= 0.0 or not math.isfinite(r):
-        raise ValueError("scale must be positive and finite")
+    positive_finite(r, "scale")
     desc_r = desc.rescaled(r)
 
     def fn(X, delta):
@@ -148,8 +147,7 @@ def wmem_from_approx(approx: NormApproxOracle, desc: NormDescriptor, x,
     unit sphere and one evaluation at slack k_lo^2 * delta / 4 decides via
     the threshold 1 + k_lo * delta / 2.
     """
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
+    positive_finite(delta, "delta")
     v = as_vector(x, desc.n)
     nx = float(np.linalg.norm(v))
     if nx <= 1.0 / desc.k_hi:
@@ -200,8 +198,7 @@ def approx_from_wmem(oracle: WeakMembershipOracle, desc: NormDescriptor, x,
     (b - a) / (2 * k_hi * (b + a)), and keeps the quarter-shifted endpoint
     dictated by the verdict, so each verdict certifies the new interval.
     """
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
+    positive_finite(delta, "delta")
     v = as_vector(x, desc.n)
     nx = float(np.linalg.norm(v))
     if not (0.5 < nx < 1.5):
@@ -246,8 +243,7 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     membership oracle, bisect it down to delta/3, and scale back.
     nu*(0) = 0 is answered directly.
     """
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
+    positive_finite(delta, "delta")
     v = as_vector(y, desc.n)
     if float(np.linalg.norm(v)) == 0.0:
         return DualNormResult(0.0, 0.0, None)

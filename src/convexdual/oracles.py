@@ -20,6 +20,7 @@ from .core import (
     NormDescriptor,
     WeakVerdict,
     as_vector,
+    positive_finite,
 )
 
 _OUTWARD = 1e-12  # relative rounding applied to sandwich constants
@@ -60,7 +61,7 @@ class WeakMembershipOracle:
         self.calls = CallCounter(label)
 
     def query(self, x, delta: float) -> WeakVerdict:
-        delta = _check_slack(delta)
+        delta = positive_finite(delta, "delta")
         v = as_vector(x, self.body.n)
         self.calls.add(1)
         # fn itself, not self.query_batch: a tracer that wraps both entry
@@ -71,7 +72,7 @@ class WeakMembershipOracle:
 
     def query_batch(self, X, delta: float) -> np.ndarray:
         """Vectorized query; returns a bool array, True = IN_THICKENED."""
-        delta = _check_slack(delta)
+        delta = positive_finite(delta, "delta")
         pts = np.asarray(X, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.body.n:
             raise ValueError(f"expected an (m, {self.body.n}) array of points, "
@@ -80,12 +81,6 @@ class WeakMembershipOracle:
             raise ValueError("points have non-finite coordinates")
         self.calls.add(pts.shape[0])
         return np.asarray(self._fn(pts, delta), dtype=bool)
-
-
-def _check_slack(delta) -> float:
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    return float(delta)
 
 
 class NormApproxOracle:
@@ -102,8 +97,7 @@ class NormApproxOracle:
         self.calls = CallCounter(label)
 
     def eval(self, x, eps: float) -> float:
-        if eps <= 0.0 or not math.isfinite(eps):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        positive_finite(eps, "eps")
         v = as_vector(x, self.descriptor.n)
         r = float(np.linalg.norm(v))
         if not (0.5 < r < 1.5):
@@ -123,8 +117,7 @@ class FunctionApproxOracle:
         self.calls = CallCounter(label)
 
     def eval(self, x, eps: float) -> float:
-        if eps <= 0.0 or not math.isfinite(eps):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        positive_finite(eps, "eps")
         v = as_vector(x, self.n)
         self.calls.add(1)
         out = float(self._fn(v, float(eps)))

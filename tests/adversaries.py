@@ -1,7 +1,9 @@
 """Test-only weak membership oracles that answer adversarially inside the
 ambiguity band, where the weak contract allows either verdict."""
 
-from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
+import numpy as np
+
+from convexdual.oracles import ReferenceCone, ReferenceNorm, WeakMembershipOracle
 
 
 def band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
@@ -16,3 +18,18 @@ def band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
     return WeakMembershipOracle(
         lambda X, delta: norm.eval_batch(X) <= 1.0 + side * k_lo * delta,
         norm.ball(), label="adversary")
+
+
+def cone_band_adversary(cone: ReferenceCone, side: float) -> WeakMembershipOracle:
+    """Cone oracle answering IN iff boundary_margin(x) >= -side * delta.
+
+    Legal for |side| < 1, because boundary_margin is the signed Euclidean
+    distance to the boundary (for psd, through the svec isometry): a point
+    of the delta-shrinking has margin >= delta, and a point outside the
+    delta-thickening has margin < -delta. side > 0 admits points outside
+    the cone (generous), side < 0 refutes points inside it (stingy).
+    """
+    return WeakMembershipOracle(
+        lambda X, delta: np.array([cone.boundary_margin(x) >= -side * delta
+                                   for x in X], dtype=bool),
+        cone.oracle().body, label="cone-adversary")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adversaries import cone_band_adversary
 from convexdual.conedual import (
     ConeDescriptor,
     SectionFrame,
@@ -12,7 +13,6 @@ from convexdual.conedual import (
     dual_cone_wmem,
     interior_bound_check,
     normalize_cone,
-    section_wmem_to_cone_wmem,
 )
 from convexdual.core import WeakVerdict, rng_stream
 from convexdual.oracles import ReferenceCone
@@ -41,15 +41,6 @@ def test_normalize_cone_rescales_a():
     # already-normalized data passes through unchanged
     again = normalize_cone(out)
     np.testing.assert_array_equal(again.a, out.a)
-
-
-def test_swapped_descriptor_exchanges_roles():
-    desc = _orthant_desc(4)
-    sw = desc.swapped()
-    np.testing.assert_array_equal(sw.a, desc.b)
-    np.testing.assert_array_equal(sw.b, desc.a)
-    assert sw.eps_a == desc.eps_b
-    assert sw.section_outer == desc.dual_section_outer
 
 
 def test_interior_bound_check():
@@ -127,30 +118,6 @@ def test_cone_to_section_rejects_points_off_hyperplane():
                                   0.05)
 
 
-def test_section_to_cone_annulus_and_fast_reject():
-    desc = _orthant_desc(3)
-    calls = []
-
-    def fake(y, eps):
-        calls.append((y, eps))
-        return WeakVerdict.IN_THICKENED
-
-    with pytest.raises(ValueError):
-        section_wmem_to_cone_wmem(fake, desc, [2.0, 0.0, 0.0], 0.05)
-    # negative pairing with b cannot be in the cone: no query spent
-    v = section_wmem_to_cone_wmem(fake, desc, [-0.4, -0.4, -0.4], 0.05)
-    assert v is WeakVerdict.NOT_IN_SHRUNK
-    assert calls == []
-    # positive pairing transfers with the ray-scaled slack
-    x = np.array([0.5, 0.3, 0.4])
-    v = section_wmem_to_cone_wmem(fake, desc, x, 0.05)
-    assert v is WeakVerdict.IN_THICKENED
-    (y, eps), = calls
-    bx = float(desc.b @ x)
-    np.testing.assert_allclose(y, x / bx, atol=1e-12)
-    assert eps == pytest.approx(0.05 / bx)
-
-
 CONES = [("orthant", 4), ("soc", 4), ("psd", 3)]
 
 
@@ -213,3 +180,52 @@ def test_dual_cone_on_ray_of_b_is_in():
     desc = descriptor_from_reference(cone)
     dual = dual_cone_wmem(cone.oracle(), desc)
     assert dual.query(3.0 * desc.b, 0.02) is WeakVerdict.IN_THICKENED
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("kind,n", CONES, ids=[k for k, _ in CONES])
+def test_dual_cone_tolerates_band_adversaries(kind, n, side):
+    """Batched and per-point dual-cone verdicts over a band-adversarial cone
+    oracle match the self-dual reference on points at margin 2.02 * delta,
+    and the free screens charge no primal call inside a mixed batch."""
+    delta = 0.02
+    cone = ReferenceCone(kind, n)
+    desc = descriptor_from_reference(cone)
+    primal = cone_band_adversary(cone, side)
+    dual = dual_cone_wmem(primal, desc)
+    rng = rng_stream(46, cone.n)
+    # 45 directions that pass the pairing screen (a . u > eps_a, |a| = 1)
+    # and 15 unrestricted ones, each kept only if clear of the boundary
+    dirs = []
+    while len(dirs) < 60:
+        w = rng.normal(size=cone.n)
+        if len(dirs) < 45:
+            w -= (w @ desc.a) * desc.a
+            cos = rng.uniform(1.02 * desc.eps_a, 1.0)
+            w = cos * desc.a + math.sqrt(1.0 - cos * cos) * w / np.linalg.norm(w)
+        u = w / np.linalg.norm(w)
+        if abs(cone.boundary_margin(u)) >= 0.05:
+            dirs.append(u)
+    # scale each point onto the edge of the 2 * delta band
+    pts = np.array([u * 2.02 * delta / abs(cone.boundary_margin(u)) for u in dirs])
+    want = np.array([cone.boundary_margin(p) > 0 for p in pts])
+    np.testing.assert_array_equal(dual.query_batch(pts, delta), want)
+    for p, inside in zip(pts, want):
+        assert (dual.query(p, delta) is WeakVerdict.IN_THICKENED) == inside
+
+    # a mixed batch: apex, a row the pairing screen refutes, the b-ray, and
+    # four rows past the screen; the first three cost what they cost alone,
+    # nothing
+    engine = pts[:4]
+    screened = np.array([np.zeros(cone.n), -desc.a, 3.0 * desc.b])
+    before = primal.calls.count
+    np.testing.assert_array_equal(dual.query_batch(screened, delta), [True, False, True])
+    assert primal.calls.count == before
+    alone = dual.query_batch(engine, delta)
+    cost = primal.calls.count - before
+    # on soc the engine's first upper bound settles every row the pairing
+    # screen leaves, so only the other cones consult the primal
+    assert (cost > 0) == (kind != "soc")
+    mixed = dual.query_batch(np.vstack([screened, engine]), delta)
+    np.testing.assert_array_equal(mixed, np.concatenate([[True, False, True], alone]))
+    assert primal.calls.count - before == 2 * cost

@@ -1,5 +1,6 @@
-"""The batched cutting-plane engine: batch/scalar parity, the cap policy, and
-band-adversarial primal oracles on the dual ball's batched path."""
+"""The batched cutting-plane engine: batch/scalar parity, the cap policy,
+empty batches, and band-adversarial primal oracles on the dual ball's
+batched path."""
 
 import math
 
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual.core import ToleranceConfig, WeakVerdict, rng_stream
+from convexdual.conedual import (
+    cone_wmem_to_section_wmem,
+    descriptor_from_reference,
+    dual_cone_wmem,
+)
+from convexdual.core import CenteredBody, ToleranceConfig, WeakVerdict, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
@@ -15,8 +21,10 @@ from convexdual.cutting import (
     wval_batch,
     wval_from_wmem,
 )
-from convexdual.normdual import DualBallOracle
-from convexdual.oracles import ReferenceNorm
+from convexdual.fenchel import EpigraphBody, make_reference_function
+from convexdual.mahler import linear_image
+from convexdual.normdual import DualBallOracle, rescale_norm
+from convexdual.oracles import ReferenceCone, ReferenceNorm
 
 PARITY_CASES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
 
@@ -78,3 +86,30 @@ def test_dual_ball_tolerates_band_adversaries(side):
     for x, inside in zip(pts[:8], want[:8]):
         verdict = oracle.query(x, delta)
         assert (verdict is WeakVerdict.IN_THICKENED) == inside
+
+
+def test_empty_batches_cost_nothing():
+    """A (0, n) stack gets an empty verdict array and charges no call, on
+    the engine, the section transfer and every kind of oracle."""
+    norm = ReferenceNorm.lp(3.0, 2)
+    primal, desc = norm.oracle(), norm.descriptor
+    cone = ReferenceCone("psd", 2)
+    cone_oracle = cone.oracle()
+    dual_cone = dual_cone_wmem(cone_oracle, descriptor_from_reference(cone))
+    values = make_reference_function("half_square_norm", 2).approx_oracle()
+    epigraph = EpigraphBody(CenteredBody(np.zeros(2), 1.0, 1.0), 4.0, values).oracle()
+    oracles = [primal, rescale_norm(primal, desc, 2.0)[0],
+               linear_image(primal, desc, np.diag([2.0, 1.0]))[0],
+               DualBallOracle(primal, desc), cone_oracle, dual_cone,
+               dual_cone._kb_oracle, epigraph]
+    for oracle in oracles:
+        got = oracle.query_batch(np.empty((0, oracle.body.n)), 0.01)
+        assert got.shape == (0,) and got.dtype == bool
+    empty = np.zeros(0, dtype=bool)
+    np.testing.assert_array_equal(
+        wval_batch(primal, norm.ball(), np.empty((0, 2)), 1.0, 0.01), empty)
+    np.testing.assert_array_equal(
+        cone_wmem_to_section_wmem(cone_oracle, descriptor_from_reference(cone),
+                                  np.empty((0, cone.n)), 0.05), empty)
+    assert values.calls.count == 0
+    assert all(oracle.calls.count == 0 for oracle in oracles)
