@@ -176,10 +176,10 @@ class ToleranceConfig:
     rng_seed: int = 20260819
 
     def __post_init__(self):
-        if self.gauge_tol is not None and self.gauge_tol <= 0.0:
-            raise ValueError("gauge_tol must be positive")
-        if self.fd_step is not None and self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
+        if self.gauge_tol is not None:
+            positive_finite(self.gauge_tol, "gauge_tol")
+        if self.fd_step is not None:
+            positive_finite(self.fd_step, "fd_step")
         if self.max_cut_iterations < 1:
             raise ValueError("iteration cap must be positive")
 

@@ -25,6 +25,14 @@ Policy where a row is not decided cleanly, the same for every caller:
   min(eps/8, inner_radius/4) of the optimization slack eps. A validity
   query at slack eps optimizes at eps/2, so its centers are queried at
   eps/16.
+- Anchored gauge window: the gauge g about the center is 1/inner-Lipschitz,
+  since B(center, inner) lies in K. So a probe p near an anchor Z with
+  gauge bracket [lo_Z, hi_Z] has g(p) in
+  [lo_Z - L/2 - |p - Z|/inner, hi_Z + L/2 + |p - Z|/inner], where L/2 is
+  the band slop of the coarse search at its own slack: an IN verdict at
+  trial t shows g(Z) <= t + t dq/inner <= t + L/2, an OUT verdict
+  g(Z) >= t - L/2. gauge_batch bisects each probe from that window
+  intersected with [d/outer, d/inner]; no verification query is made.
 - Flat gauge: a separator whose differences vanish below the gauge noise
   floor raises FlatGaugeError. No direction is guessed.
 - Iteration cap: a row still undecided after cfg.max_cut_iterations cuts
@@ -78,47 +86,99 @@ def _bounded(body: CenteredBody) -> None:
         raise ValueError("this operation needs a bounded body (finite outer radius)")
 
 
+def _ray_search(oracle: WeakMembershipOracle, a: np.ndarray, rays: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, tol: float, dq: float, k: int,
+                buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-section of the gauge brackets [lo, hi] of the rays a + rays/t, all
+    rows in lockstep, until every bracket is at most tol wide; k = 1 is
+    bisection.
+
+    Each round queries the k points a + ray/t_j at the interior trials
+    t_j = lo + j w, w = (hi - lo)/(k + 1), all rows in one query_batch at
+    slack dq. The new bracket runs from the trial just below the first
+    trial answered IN (hi if none is) to that trial: each end is certified
+    by its own verdict, so a non-monotone answer pattern inside the band
+    cannot corrupt the bracket. Every bracket shrinks by exactly k + 1 per
+    round, so the round count is fixed up front. buf, a C-contiguous array
+    of at least rows * k rows, holds the trial points.
+    """
+    width = float(np.max(hi - lo))
+    if width <= tol:
+        return lo, hi
+    rows, n = rays.shape
+    steps = (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))  # t_j - lo
+    trial = buf[:rows * k].reshape(rows, k, n)
+    verdicts = np.ones((rows, k + 1), dtype=bool)  # the upper end counts as IN
+    rays = rays[:, None, :]
+    for _ in range(math.ceil(math.log(width / tol, k + 1))):
+        np.divide(rays, (lo[:, None] + steps)[:, :, None], out=trial)
+        trial += a
+        verdicts[:, :k] = oracle.query_batch(trial.reshape(-1, n), dq).reshape(rows, k)
+        lo = lo + verdicts.argmax(axis=1) * steps[:, 0]
+        steps /= k + 1
+    return lo, lo + (k + 1) * steps[:, 0]
+
+
 def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
-                tol: float) -> np.ndarray:
+                tol: float, anchors=None) -> np.ndarray:
     """Gauges of several points in lockstep via bisection on their rays.
 
-    Returns gauge values g with a + (p - a)/g on the boundary, accurate to
-    about tol each. Rows equal to the center get gauge 0.
+    Returns gauge values g with a + (p - a)/g on the boundary, each within
+    tol of the gauge of the body for any legal weak oracle: half the final
+    bracket width plus the band slop, at most tol/2 each. Rows equal to the
+    center get gauge 0.
+
+    anchors, an (m, n) stack, groups the points: rows i*k .. i*k + k - 1
+    of the points, k = len(points) // m, belong to anchor i. Each anchor's
+    gauge is first found by a k-section to the coarse tolerance
+    L = max |p - Z| / inner, one query per point of its group per round;
+    each point is then bisected from the window rule in the module header
+    rather than from the centering bracket [d/outer, d/inner].
     """
     _bounded(body)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    tol = positive_finite(tol, "tol")
     P = np.atleast_2d(np.asarray(points, dtype=float))
     a = body.center
+    inner = body.inner_radius
     D = P - a
     d = np.linalg.norm(D, axis=1)
-    out = np.zeros(P.shape[0])
-    live = d > 0.0
-    if not np.any(live):
-        return out
-    lo = d[live] / body.outer_radius
-    hi = d[live] / body.inner_radius
+    lo = d / body.outer_radius
+    hi = d / inner
     if np.any(hi < lo):
         raise BracketError("centering radii are inconsistent")
-    rays = D[live]
-    d_live = d[live]
+    # the center, or inner == outer, pins the gauge without any queries
+    if float(np.max(hi - lo, initial=0.0)) <= tol:
+        return 0.5 * (lo + hi)
+    buf = np.empty_like(P)  # trial points of both phases
+    if anchors is not None:
+        Z = np.asarray(anchors, dtype=float)
+        m = Z.shape[0]
+        k = P.shape[0] // m
+        if Z.shape != (m, body.n) or m * k != P.shape[0]:
+            raise ValueError("anchors must be an (m, n) stack grouping the points")
+        DZ = Z - a
+        dz = np.linalg.norm(DZ, axis=1)
+        slop = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2) / inner
+        L = float(np.max(slop))
+        zlo, zhi = dz / body.outer_radius, dz / inner
+        zlive = dz > 0.0
+        if L > 0.0 and np.any(zlive):
+            dq = max(0.5 * L * inner * inner / float(np.max(dz)), 1e-300)
+            zlo[zlive], zhi[zlive] = _ray_search(
+                oracle, a, DZ[zlive], zlo[zlive], zhi[zlive], L, dq, k, buf)
+        slop += 0.5 * L
+        np.maximum(lo, (zlo[:, None] - slop).ravel(), out=lo)
+        np.minimum(hi, (zhi[:, None] + slop).ravel(), out=hi)
+        if np.any(hi < lo):
+            raise BracketError("anchor window misses the centering bracket")
+    live = d > 0.0
+    if not live.all():
+        D, lo, hi = D[live], lo[live], hi[live]
     # verdict-band slop adds at most hi * dq / inner to the gauge; keep it
     # under tol/2 at the widest bracket
-    dq = 0.5 * tol * body.inner_radius * body.inner_radius / float(np.max(d_live))
-    dq = max(dq, 1e-300)
-    width = float(np.max(hi - lo))
-    if width <= tol:  # inner == outer pins the gauge without any queries
-        out[live] = 0.5 * (lo + hi)
-        return out
-    rounds = int(math.ceil(math.log2(width / tol))) + 1
-    for _ in range(max(rounds, 1)):
-        mid = 0.5 * (lo + hi)
-        trial = a + rays / mid[:, None]
-        inside = oracle.query_batch(trial, dq)
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-        if float(np.max(hi - lo)) <= tol:
-            break
+    dq = max(0.5 * tol * inner * inner / float(np.max(d)), 1e-300)
+    lo, hi = _ray_search(oracle, a, D, lo, hi, tol, dq, 1, buf)
+    out = np.zeros(P.shape[0])
     out[live] = 0.5 * (lo + hi)
     return out
 
@@ -145,8 +205,12 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
 
     x is one point or an (m, n) stack of points, and the result has its
     shape: per point a unit vector h with h . (y - x) <= sigma for all y in
-    the body, sigma as documented in the module header. The 2n probes of
-    every point share one gauge_batch call, at the step cfg.fd_step_for(body).
+    the body, sigma as documented in the module header. The 2n probes
+    x +/- step e_i of every point, step = cfg.fd_step_for(body), share one
+    gauge_batch call anchored at the points: a 2n-section finds each
+    point's gauge to step/inner, and the probes are bisected from the
+    window around it (module header), so a separator costs 2n primal calls
+    per coarse and per fine round.
     Raises FlatGaugeError when the differences at any point vanish below the
     gauge noise floor (step too small or a point at the center).
     """
@@ -165,7 +229,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
     idx = np.arange(n)
     probes[:, 2 * idx, idx] += step
     probes[:, 2 * idx + 1, idx] -= step
-    g = gauge_batch(oracle, body, probes.reshape(-1, n), tol).reshape(m, 2 * n)
+    g = gauge_batch(oracle, body, probes.reshape(-1, n), tol, anchors=X).reshape(m, 2 * n)
     H = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
     nrm = np.linalg.norm(H, axis=1, keepdims=True)
     if np.any(nrm <= 4.0 * tol / step):

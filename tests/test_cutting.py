@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual.core import CenteredBody, ToleranceConfig, rng_stream
+from convexdual.core import DEFAULT_CONFIG, CenteredBody, ToleranceConfig, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
@@ -13,6 +13,7 @@ from convexdual.cutting import (
     gauge_batch,
     gauge_from_wmem,
     wopt_from_wmem,
+    wval_batch,
     wval_from_wmem,
 )
 from convexdual.oracles import ReferenceNorm, exact_to_weak
@@ -66,6 +67,79 @@ def test_gauge_rejects_unbounded_body_and_bad_tol():
         gauge_batch(oracle, cone_body, [[1.0, 0.0]], 1e-6)
     with pytest.raises(ValueError):
         gauge_batch(oracle, oracle.body, [[1.0, 0.0]], 0.0)
+
+
+def test_non_finite_tolerances_are_rejected():
+    _, oracle, body = _ball_oracle(1.0, 3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            gauge_batch(oracle, body, [[0.5, 0.3, 0.1]], bad)
+        with pytest.raises(ValueError):
+            gauge_from_wmem(oracle, body, [0.5, 0.3, 0.1], tol=bad)
+        with pytest.raises(ValueError):
+            ToleranceConfig(gauge_tol=bad)
+        with pytest.raises(ValueError):
+            ToleranceConfig(fd_step=bad)
+    assert oracle.calls.count == 0
+
+
+def _separator_tolerances(body):
+    step = DEFAULT_CONFIG.fd_step_for(body)
+    return step, min(DEFAULT_CONFIG.gauge_tol_for(body), 1e-3 * step)
+
+
+def test_separator_cost_is_coarse_plus_fine_rounds():
+    """One separator costs 2n calls per round: a 2n-section of its point's
+    gauge to L = step/inner, then a bisection of every probe from the
+    window around it, both in closed form and far below the cold bracket."""
+    _, oracle, body = _ball_oracle(3.0, 3)
+    x = np.array([2.0, 1.0, -1.0])
+    n, k = 3, 6
+    step, tol = _separator_tolerances(body)
+    L = step / body.inner_radius
+    width = float(np.linalg.norm(x)) * (1.0 / body.inner_radius - 1.0 / body.outer_radius)
+    coarse = math.ceil(math.log(width / L, k + 1))
+    # window: the coarse bracket, L/2 band slop and |p - x|/inner = L per side
+    fine = math.ceil(math.log2((width / (k + 1) ** coarse + 3.0 * L) / tol))
+    approx_separator(oracle, body, x)
+    assert (coarse, fine) == (5, 15)
+    assert oracle.calls.count == k * (coarse + fine)
+    # bisecting the same probes from their centering brackets takes 26 rounds
+    oracle.calls.reset()
+    probes = x + step * np.vstack([np.eye(n), -np.eye(n)])
+    gauge_batch(oracle, body, probes, tol)
+    assert oracle.calls.count == k * 26
+
+
+BAND_BALLS = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("p,n", BAND_BALLS,
+                         ids=[f"l{p:g}-r{n}" for p, n in BAND_BALLS])
+def test_anchored_gauges_tolerate_band_adversaries(p, n, side):
+    """Anchored probe gauges stay within tol of the true gauge, and the
+    separators built on them keep wval_batch verdicts right, when every
+    verdict inside the band goes against the caller."""
+    norm = ReferenceNorm.lp(p, n)
+    oracle = band_adversary(norm, side)
+    body = oracle.body
+    rng = rng_stream(25, n)
+    X = rng.normal(size=(40, n))
+    X *= (rng.uniform(0.3, 3.0, size=40) / np.linalg.norm(X, axis=1))[:, None]
+    step, tol = _separator_tolerances(body)
+    offsets = step * np.vstack([np.eye(n), -np.eye(n)])
+    probes = (X[:, None, :] + offsets).reshape(-1, n)
+    g = gauge_batch(oracle, body, probes, tol, anchors=X)
+    assert float(np.max(np.abs(g - norm.eval_batch(probes)))) <= tol
+
+    eps = 0.02
+    C = rng.normal(size=(6, n))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    support = norm.dual().eval_batch(C)
+    for shift, holds in ((3.0 * eps, True), (-3.0 * eps, False)):
+        for c, h in zip(C, support):
+            assert wval_batch(oracle, body, c[None, :], h + shift, eps)[0] == holds
 
 
 def test_separator_points_outward():
