@@ -1,7 +1,7 @@
 """Cutting-plane realization of weak optimization from weak membership.
 
 The chain is: a weak membership oracle induces an approximate gauge (ray
-bisection), the gauge induces an approximate separating direction (central
+bisection), the gauge induces an approximate separating direction (forward
 finite differences), and the separator drives an ellipsoid-localizer loop
 that maximizes a linear objective with a certified optimality gap.
 
@@ -14,10 +14,34 @@ exits, the eps/2 slack and the tie rule live in wval_batch alone.
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; the central-cut update through an
 approximate separator can truncate feasible points that lie within sigma of
-the cut plane, where sigma is of order delta * (outer/inner) plus the
-finite-difference error times the body diameter. At the default steps this
-keeps the certified optimum within a few eps of the true support value on
-smooth bodies; the tests pin 5*eps.
+the cut plane. Take a center x answered OUT at slack dq, the gauge g about
+the center a, the step h, the gauge tolerance tol, the signed steps
+h_i = +h where x_i >= a_i and -h elsewhere, so that every probe
+x + h_i e_i steps away from the center, and the quotients
+H_i = (g~(x + h_i e_i) - g~(x)) / h_i of the computed gauges g~. Then
+
+    sigma = (dq/inner + (|b| + 2 sqrt(n) tol/h) D) / |H|,  D = |x - a| + outer,
+
+where b = F - s is the one-sided bias of the exact quotients
+F_i = (g(x + h_i e_i) - g(x)) / h_i against a subgradient s of g at x.
+Derivation: the dq-shrunk body holds a + (1 - dq/inner)(K - a), so an OUT
+verdict gives g(x) > 1 - dq/inner, and for y in K convexity gives
+s . (y - x) <= g(y) - g(x) < dq/inner. Each computed gauge is within tol of
+g (gauge_batch), so each quotient errs by at most 2 tol/h and
+|H - F| <= 2 sqrt(n) tol/h. With |y - x| <= D, summing gives
+H . (y - x) <= |H| sigma. The bias is one-sided, b_i h_i >= 0, since
+convexity gives g(x + h_i e_i) >= g(x) + h_i s_i. Where g is twice
+differentiable along the probe segments with second partials at most M,
+|b_i| <= M h / 2, so |b| <= sqrt(n) M h / 2: this O(h) term is the
+price of n + 1 probes against the O(h^2) bias of 2n central probes. On a
+facet of a polytope b = 0; within h of a kink |b_i| can reach the jump of
+the i-th partial, and sigma grows with it. The outward signs keep H away
+from zero: s . (x - a) = g(x) for a gauge, so some axis has
+s_i (x_i - a_i) >= g(x)/n, and there g(x + h_i e_i) - g(x) >= h |s_i|,
+giving |F| >= g(x) / (n |x - a|). Probes that step toward the center can
+all see no change, as x + h e_i do at a corner of a cube whose coordinates
+are all negative. At the default steps this keeps the certified optimum within
+a few eps of the true support value on smooth bodies; the tests pin 5*eps.
 
 Policy where a row is not decided cleanly, the same for every caller:
 
@@ -33,8 +57,9 @@ Policy where a row is not decided cleanly, the same for every caller:
   trial t shows g(Z) <= t + t dq/inner <= t + L/2, an OUT verdict
   g(Z) >= t - L/2. gauge_batch bisects each probe from that window
   intersected with [d/outer, d/inner]; no verification query is made.
-- Flat gauge: a separator whose differences vanish below the gauge noise
-  floor raises FlatGaugeError. No direction is guessed.
+- Flat gauge: the quotient vector H errs by up to 2 sqrt(n) tol/h, so a
+  separator with |H| <= 4 sqrt(n) tol/h, twice that noise, raises
+  FlatGaugeError. No direction is guessed.
 - Iteration cap: a row still undecided after cfg.max_cut_iterations cuts
   raises IterationCapError carrying its incumbent. No verdict is guessed
   from the incumbent, which is not a legal weak answer inside the band.
@@ -138,6 +163,14 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     _bounded(body)
     tol = positive_finite(tol, "tol")
     P = np.atleast_2d(np.asarray(points, dtype=float))
+    if P.ndim != 2 or P.shape[1] != body.n or not np.all(np.isfinite(P)):
+        raise ValueError(f"points must be a finite (N, {body.n}) stack")
+    if anchors is not None:
+        Z = np.asarray(anchors, dtype=float)
+        if (Z.ndim != 2 or Z.shape[1] != body.n or Z.shape[0] == 0
+                or P.shape[0] % Z.shape[0] or not np.all(np.isfinite(Z))):
+            raise ValueError(f"anchors must be a finite, non-empty (m, {body.n}) "
+                             "stack whose count divides the point count")
     a = body.center
     inner = body.inner_radius
     D = P - a
@@ -151,11 +184,8 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
         return 0.5 * (lo + hi)
     buf = np.empty_like(P)  # trial points of both phases
     if anchors is not None:
-        Z = np.asarray(anchors, dtype=float)
         m = Z.shape[0]
         k = P.shape[0] // m
-        if Z.shape != (m, body.n) or m * k != P.shape[0]:
-            raise ValueError("anchors must be an (m, n) stack grouping the points")
         DZ = Z - a
         dz = np.linalg.norm(DZ, axis=1)
         slop = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2) / inner
@@ -201,18 +231,19 @@ def gauge_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, x,
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Approximate outward normals from central differences of the gauge.
+    """Approximate outward normals from forward differences of the gauge.
 
     x is one point or an (m, n) stack of points, and the result has its
-    shape: per point a unit vector h with h . (y - x) <= sigma for all y in
-    the body, sigma as documented in the module header. The 2n probes
-    x +/- step e_i of every point, step = cfg.fd_step_for(body), share one
-    gauge_batch call anchored at the points: a 2n-section finds each
-    point's gauge to step/inner, and the probes are bisected from the
-    window around it (module header), so a separator costs 2n primal calls
-    per coarse and per fine round.
-    Raises FlatGaugeError when the differences at any point vanish below the
-    gauge noise floor (step too small or a point at the center).
+    shape: per point a unit vector u with u . (y - x) <= sigma for all y in
+    the body, sigma as documented in the module header. The n + 1 probes
+    x and x +/- step e_i of every point, each stepping away from the
+    center, step = cfg.fd_step_for(body), share one gauge_batch call
+    anchored at the points, where x is its own probe at offset 0: an
+    (n + 1)-section finds each point's gauge to step/inner, and the probes
+    are bisected from the window around it (module header), so a separator
+    costs n + 1 primal calls per coarse and per fine round.
+    Raises FlatGaugeError when the differences at any point fall below the
+    gauge noise floor (a step too small for the gauge tolerance).
     """
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
@@ -225,14 +256,14 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
     # smallest credible gradient norm (about 1/outer_radius)
     tol = min(cfg.gauge_tol_for(body), 1e-3 * step)
     m, n = X.shape
-    probes = np.repeat(X[:, None, :], 2 * n, axis=1)
-    idx = np.arange(n)
-    probes[:, 2 * idx, idx] += step
-    probes[:, 2 * idx + 1, idx] -= step
-    g = gauge_batch(oracle, body, probes.reshape(-1, n), tol, anchors=X).reshape(m, 2 * n)
-    H = (g[:, 0::2] - g[:, 1::2]) / (2.0 * step)
+    # each probe steps away from the center along its axis
+    hs = np.where(X >= body.center, step, -step)
+    probes = np.repeat(X[:, None, :], n + 1, axis=1)
+    probes[:, np.arange(1, n + 1), np.arange(n)] += hs
+    g = gauge_batch(oracle, body, probes.reshape(-1, n), tol, anchors=X).reshape(m, n + 1)
+    H = (g[:, 1:] - g[:, :1]) / hs
     nrm = np.linalg.norm(H, axis=1, keepdims=True)
-    if np.any(nrm <= 4.0 * tol / step):
+    if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
     return H[0] if single else H

@@ -1,9 +1,16 @@
-"""Test-only weak membership oracles that answer adversarially inside the
-ambiguity band, where the weak contract allows either verdict."""
+"""Test-only oracles that answer adversarially wherever their contract
+allows: weak membership oracles inside the ambiguity band, where either
+verdict is legal, and value oracles at the edge of their additive error."""
 
 import numpy as np
 
-from convexdual.oracles import ReferenceCone, ReferenceNorm, WeakMembershipOracle
+from convexdual.oracles import (
+    FunctionApproxOracle,
+    NormApproxOracle,
+    ReferenceCone,
+    ReferenceNorm,
+    WeakMembershipOracle,
+)
 
 
 def band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
@@ -33,3 +40,23 @@ def cone_band_adversary(cone: ReferenceCone, side: float) -> WeakMembershipOracl
         lambda X, delta: np.array([cone.boundary_margin(x) >= -side * delta
                                    for x in X], dtype=bool),
         cone.oracle().body, label="cone-adversary")
+
+
+def norm_value_adversary(norm: ReferenceNorm, side: float) -> NormApproxOracle:
+    """Norm evaluator returning nu(x) + side * eps.
+
+    Legal for |side| <= 1. side > 0 overstates every norm (points look
+    farther out), side < 0 understates it.
+    """
+    return NormApproxOracle(lambda x, eps: norm.eval(x) + side * eps,
+                            norm.descriptor, label="norm-adversary")
+
+
+def value_adversary(fn, n: int, side: float) -> FunctionApproxOracle:
+    """Function evaluator returning f(x) + side * eps.
+
+    Legal for |side| <= 1. side > 0 raises the graph (the epigraph shrinks
+    and minima look higher), side < 0 lowers it.
+    """
+    return FunctionApproxOracle(lambda x, eps: float(fn(x)) + side * eps, n,
+                                label="value-adversary")

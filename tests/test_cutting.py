@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,35 +84,91 @@ def test_non_finite_tolerances_are_rejected():
     assert oracle.calls.count == 0
 
 
+def test_gauge_batch_rejects_bad_points_and_anchors_before_querying():
+    _, oracle, body = _ball_oracle(1.0, 3)
+    X = np.array([[0.5, 0.3, 0.1], [1.5, -0.2, 0.4]])
+    probes = np.repeat(X, 2, axis=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="points must be"):
+            gauge_batch(oracle, body, np.vstack([X, [bad, 0.0, 0.0]]), 1e-6)
+        with pytest.raises(ValueError, match="points must be"):
+            gauge_batch(oracle, body, np.vstack([probes[:3], [0.5, bad, 0.1]]),
+                        1e-6, anchors=X)
+        with pytest.raises(ValueError, match="anchors must be"):
+            gauge_batch(oracle, body, probes, 1e-6, anchors=[X[0], [bad, 0.0, 0.0]])
+    for anchors in (np.empty((0, 3)), X[:, :2], X[0], X[None]):
+        with pytest.raises(ValueError, match="anchors must be"):
+            gauge_batch(oracle, body, probes, 1e-6, anchors=anchors)
+    with pytest.raises(ValueError, match="anchors must be"):
+        gauge_batch(oracle, body, probes[:3], 1e-6, anchors=X)  # 2 does not divide 3
+    with pytest.raises(ValueError, match="points must be"):
+        gauge_batch(oracle, body, probes[:, :2], 1e-6)
+    assert oracle.calls.count == 0
+
+
 def _separator_tolerances(body):
     step = DEFAULT_CONFIG.fd_step_for(body)
     return step, min(DEFAULT_CONFIG.gauge_tol_for(body), 1e-3 * step)
 
 
-def test_separator_cost_is_coarse_plus_fine_rounds():
-    """One separator costs 2n calls per round: a 2n-section of its point's
-    gauge to L = step/inner, then a bisection of every probe from the
-    window around it, both in closed form and far below the cold bracket."""
-    _, oracle, body = _ball_oracle(3.0, 3)
-    x = np.array([2.0, 1.0, -1.0])
-    n, k = 3, 6
+def _check_separator_cost(x, rounds, cold):
+    """One separator costs n + 1 calls per round: an (n + 1)-section of its
+    point's gauge to L = step/inner, then a bisection of the point and its n
+    forward probes from the window around it, both in closed form and far
+    below the cold bracket."""
+    x = np.array(x)
+    n = x.size
+    k = n + 1
+    _, oracle, body = _ball_oracle(3.0, n)
     step, tol = _separator_tolerances(body)
     L = step / body.inner_radius
     width = float(np.linalg.norm(x)) * (1.0 / body.inner_radius - 1.0 / body.outer_radius)
     coarse = math.ceil(math.log(width / L, k + 1))
-    # window: the coarse bracket, L/2 band slop and |p - x|/inner = L per side
+    # widest window: the coarse bracket, L/2 band slop and |p - x|/inner = L
+    # per side
     fine = math.ceil(math.log2((width / (k + 1) ** coarse + 3.0 * L) / tol))
     approx_separator(oracle, body, x)
-    assert (coarse, fine) == (5, 15)
+    assert (coarse, fine) == rounds
     assert oracle.calls.count == k * (coarse + fine)
-    # bisecting the same probes from their centering brackets takes 26 rounds
+    # bisecting the same probes from their centering brackets
     oracle.calls.reset()
-    probes = x + step * np.vstack([np.eye(n), -np.eye(n)])
+    probes = x + step * np.vstack([np.zeros(n), np.diag(np.sign(x))])
     gauge_batch(oracle, body, probes, tol)
-    assert oracle.calls.count == k * 26
+    assert oracle.calls.count == k * cold
+
+
+def test_separator_cost_is_coarse_plus_fine_rounds():
+    # 4 * (6 + 15) = 84 calls, against 4 * 26 from the cold bracket
+    _check_separator_cost([2.0, 1.0, -1.0], (6, 15), 26)
+
+
+# n = 5 is the dimension of the dual-cone slice of psd(3)
+@pytest.mark.parametrize("x,rounds,cold", [
+    ([2.0, 1.0], (6, 15), 25),
+    ([2.0, 1.0, -1.0, 0.5, 1.0], (5, 15), 26),
+], ids=["r2", "r5"])
+def test_separator_cost_in_other_dimensions(x, rounds, cold):
+    _check_separator_cost(x, rounds, cold)
 
 
 BAND_BALLS = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
+
+
+def _check_anchored_gauges(p, n, side, offsets):
+    """Every anchored probe gauge lies within tol of the true gauge under a
+    band adversary; returns the norm, oracle and random stream for more
+    checks."""
+    norm = ReferenceNorm.lp(p, n)
+    oracle = band_adversary(norm, side)
+    body = oracle.body
+    rng = rng_stream(25, n)
+    X = rng.normal(size=(40, n))
+    X *= (rng.uniform(0.3, 3.0, size=40) / np.linalg.norm(X, axis=1))[:, None]
+    step, tol = _separator_tolerances(body)
+    probes = (X[:, None, :] + step * offsets).reshape(-1, n)
+    g = gauge_batch(oracle, body, probes, tol, anchors=X)
+    assert float(np.max(np.abs(g - norm.eval_batch(probes)))) <= tol
+    return norm, oracle, rng
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
@@ -121,17 +178,9 @@ def test_anchored_gauges_tolerate_band_adversaries(p, n, side):
     """Anchored probe gauges stay within tol of the true gauge, and the
     separators built on them keep wval_batch verdicts right, when every
     verdict inside the band goes against the caller."""
-    norm = ReferenceNorm.lp(p, n)
-    oracle = band_adversary(norm, side)
+    offsets = np.vstack([np.eye(n), -np.eye(n)])
+    norm, oracle, rng = _check_anchored_gauges(p, n, side, offsets)
     body = oracle.body
-    rng = rng_stream(25, n)
-    X = rng.normal(size=(40, n))
-    X *= (rng.uniform(0.3, 3.0, size=40) / np.linalg.norm(X, axis=1))[:, None]
-    step, tol = _separator_tolerances(body)
-    offsets = step * np.vstack([np.eye(n), -np.eye(n)])
-    probes = (X[:, None, :] + offsets).reshape(-1, n)
-    g = gauge_batch(oracle, body, probes, tol, anchors=X)
-    assert float(np.max(np.abs(g - norm.eval_batch(probes)))) <= tol
 
     eps = 0.02
     C = rng.normal(size=(6, n))
@@ -140,6 +189,26 @@ def test_anchored_gauges_tolerate_band_adversaries(p, n, side):
     for shift, holds in ((3.0 * eps, True), (-3.0 * eps, False)):
         for c, h in zip(C, support):
             assert wval_batch(oracle, body, c[None, :], h + shift, eps)[0] == holds
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("p,n", BAND_BALLS,
+                         ids=[f"l{p:g}-r{n}" for p, n in BAND_BALLS])
+def test_forward_probe_gauges_tolerate_band_adversaries(p, n, side):
+    """The separator's own layout {x, x + step e_i}, whose first member sits
+    at zero offset from its anchor, keeps every gauge within tol."""
+    _check_anchored_gauges(p, n, side, np.vstack([np.zeros(n), np.eye(n)]))
+
+
+def test_separator_is_not_flat_at_cube_corners():
+    """Probes that step toward the center can all miss the leading face:
+    at x = (-1.01, -1.01, -1.01) every gauge of x + h e_i equals g(x). Probes
+    stepping away from the center always raise the gauge of one axis."""
+    _, oracle, body = _ball_oracle(math.inf, 3)
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        x = 1.01 * np.array(signs)
+        np.testing.assert_allclose(approx_separator(oracle, body, x),
+                                   x / np.linalg.norm(x), atol=1e-6)
 
 
 def test_separator_points_outward():
@@ -159,6 +228,84 @@ def test_separator_separates_sampled_body_points():
     members /= norm.eval_batch(members)[:, None]  # boundary points
     slack = float(np.max(members @ h - x @ h))
     assert slack <= 5e-3
+
+
+def _kink_body(name):
+    """A polyhedral norm nu(x) = max_j |G_j . x| on R^3 and its generators G:
+    the l1 ball from its sign patterns, the l-inf ball from the coordinates,
+    or a rotated polytope."""
+    if name == "l1":
+        return ReferenceNorm.lp(1.0, 3), ReferenceNorm.cross(3).generators
+    if name == "linf":
+        return ReferenceNorm.lp(math.inf, 3), np.eye(3)
+    Q, _ = np.linalg.qr(rng_stream(26, 0).normal(size=(3, 3)))
+    G = np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]]]) @ Q.T
+    return ReferenceNorm.polyhedral(G), G
+
+
+def _vertices(G):
+    """Vertices of {x : |G x|_inf <= 1} in R^3, from every triple of facets."""
+    A = np.vstack([G, -G])
+    V = []
+    for rows in itertools.combinations(range(A.shape[0]), 3):
+        M = A[list(rows)]
+        if abs(np.linalg.det(M)) > 1e-9:
+            v = np.linalg.solve(M, np.ones(3))
+            if np.max(np.abs(G @ v)) <= 1.0 + 1e-9:
+                V.append(v)
+    return np.array(V)
+
+
+def _near_kink_points(G, h, count, rng):
+    """Points of gauge 0.95 to 1.5 within h of a kink: a random point is moved
+    onto the ridge where its two largest terms |G_j . x| tie, scaled, and
+    pushed off the ridge by less than h in a random direction."""
+    out = []
+    while len(out) < count:
+        x = rng.normal(size=G.shape[1])
+        v = G @ x
+        i, j = np.argsort(-np.abs(v))[:2]
+        w = np.sign(v[i]) * G[i] - np.sign(v[j]) * G[j]
+        z = x - (w @ x) / (w @ w) * w
+        t = np.abs(G @ z)
+        if abs(t[i] - t[j]) > 1e-9 * t[i] or t.max() > t[i] * (1.0 + 1e-9):
+            continue  # projecting changed which terms lead
+        d = rng.normal(size=G.shape[1])
+        out.append(z * rng.uniform(0.95, 1.5) / t[i]
+                   + rng.uniform(0.0, h) * d / np.linalg.norm(d))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("body_name", ["l1", "linf", "rotated"])
+def test_separator_slack_within_documented_sigma(body_name, side):
+    """Near kinks, where the one-sided bias b = F - s is largest, every body
+    point y has u . (y - x) <= sigma, the bound of the module header:
+    sigma = ((1 - g(x))+ + (|b| + 2 sqrt(n) tol/h) D) / |H|, with
+    D = |x| + outer and |H| >= |F| - 2 sqrt(n) tol/h. F_i is the exact
+    quotient over the probe x + h_i e_i, h_i = +/- h away from the center."""
+    norm, G = _kink_body(body_name)
+    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    body = oracle.body
+    n = body.n
+    h, tol = _separator_tolerances(body)
+    X = _near_kink_points(G, h, 12, rng_stream(27, 0))
+    U = approx_separator(oracle, body, X)
+    V = _vertices(G)
+    noise = 2.0 * math.sqrt(n) * tol / h
+    for x, u in zip(X, U):
+        gx = norm.eval(x)
+        hs = np.where(x >= 0.0, h, -h)
+        F = (norm.eval_batch(x + np.diag(hs)) - gx) / hs
+        j = int(np.argmax(np.abs(G @ x)))
+        s = np.sign(G[j] @ x) * G[j]  # a subgradient of the gauge at x
+        b = F - s
+        assert np.all(b * np.sign(hs) >= -1e-9)  # convexity: one-sided bias
+        D = float(np.linalg.norm(x)) + body.outer_radius
+        H_floor = float(np.linalg.norm(F)) - noise
+        assert H_floor > 0.0
+        sigma = (max(1.0 - gx, 0.0) + (float(np.linalg.norm(b)) + noise) * D) / H_floor
+        assert float(np.max(V @ u)) - float(x @ u) <= sigma
 
 
 DIRECTION_CASES = [

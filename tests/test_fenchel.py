@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adversaries import value_adversary
 from convexdual.core import WeakVerdict, rng_stream
 from convexdual.fenchel import (
     CertificateError,
@@ -103,6 +104,17 @@ def test_min_via_wopt_accuracy(fn, n, center, want):
     assert fn(res.point) <= want + 2.0 * eps
 
 
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
+@pytest.mark.parametrize("fn,n,center,want", MIN_CASES,
+                         ids=["shifted-quadratic", "exp-pair", "centered"])
+def test_min_via_wopt_tolerates_value_adversaries(fn, n, center, want, side):
+    """Values off by 0.9 eps in one direction keep the minimum within eps."""
+    eps = 0.05
+    epi = EpigraphBody(_ball(n, 1.0, center), 8.0, value_adversary(fn, n, side))
+    res = min_via_wopt(epi, InteriorMinCertificate(0.2), eps)
+    assert abs(res.value - want) <= eps
+
+
 def test_min_via_wopt_rejects_oversized_eps():
     epi = EpigraphBody(_ball(2), 4.0, _oracle(lambda x: float(x @ x), 2))
     with pytest.raises(ValueError):
@@ -164,6 +176,22 @@ def test_fenchel_eval_matches_closed_forms(name, n, y):
     ref = make_reference_function(name, n)
     eps = 0.05
     est = fenchel_eval(ref.approx_oracle(), ref.cert, y, eps)
+    assert abs(est.value - ref.conjugate(np.asarray(y, dtype=float))) <= eps
+
+
+# one point per function of the benchmark's conjugate workload
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
+@pytest.mark.parametrize("name,n,y", [
+    ("half_square_norm", 2, [0.6, -0.8]),
+    ("square_norm", 3, [1.0, 0.5, -0.3]),
+    ("quartic_quarter", 1, [-1.2]),
+])
+def test_fenchel_eval_tolerates_value_adversaries(name, n, y, side):
+    """Values off by 0.9 eps in one direction keep the conjugate within eps;
+    the separators of the run probe epigraphs built from those values."""
+    ref = make_reference_function(name, n)
+    eps = 0.05
+    est = fenchel_eval(value_adversary(ref.fn, n, side), ref.cert, y, eps)
     assert abs(est.value - ref.conjugate(np.asarray(y, dtype=float))) <= eps
 
 

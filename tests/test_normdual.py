@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adversaries import norm_value_adversary
 from convexdual.core import NormDescriptor, WeakVerdict, rng_stream
 from convexdual.normdual import (
     approx_from_wmem,
@@ -143,6 +144,30 @@ def test_wmem_from_approx_call_budget():
     assert approx.calls.count == 2
     # nu(1.8, 0.4) = sqrt(0.81 + 0.64) = 1.204..., clearly outside
     assert v is WeakVerdict.NOT_IN_SHRUNK
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["overstated", "understated"])
+def test_wmem_from_approx_tolerates_value_adversaries(side):
+    """Verdicts stay legal when every norm value is off by 0.9 eps in one
+    direction: IN only inside the (1 + k_lo delta)-ball, which the
+    delta-thickening holds, OUT only outside the (1 - k_lo delta)-ball,
+    which holds the delta-shrinking."""
+    delta = 0.05
+    for p, n in ((1.0, 2), (3.0, 3), (math.inf, 3)):
+        norm = ReferenceNorm.lp(p, n)
+        desc = norm.descriptor
+        approx = norm_value_adversary(norm, side)
+        rng = rng_stream(62, n)
+        X = rng.normal(size=(200, n))
+        band = desc.k_lo * delta
+        X *= (rng.uniform(1.0 - 2.0 * band, 1.0 + 2.0 * band, size=200)
+              / norm.eval_batch(X))[:, None]
+        for x, nu in zip(X, norm.eval_batch(X)):
+            if wmem_from_approx(approx, desc, x, delta) is WeakVerdict.IN_THICKENED:
+                assert nu <= 1.0 + band
+            else:
+                assert nu >= 1.0 - band
+        assert approx.calls.count > 0
 
 
 def test_bisection_step_count_frozen():
