@@ -76,7 +76,6 @@ from .fenchel import (
     REFERENCE_FUNCTIONS,
     ReferenceFunction,
     dual_growth_constants,
-    epigraph_wmem,
     fenchel_brute,
     fenchel_eval,
     make_reference_function,

@@ -46,9 +46,15 @@ a few eps of the true support value on smooth bodies; the tests pin 5*eps.
 Policy where a row is not decided cleanly, the same for every caller:
 
 - Membership slack: the center of a cut is queried at
-  min(eps/8, inner_radius/4) of the optimization slack eps. A validity
+  dq = min(eps/8, inner_radius/4) of the optimization slack eps. A validity
   query at slack eps optimizes at eps/2, so its centers are queried at
-  eps/16.
+  eps/16. What a run at slack eps certifies follows from dq. Its witness
+  is a center answered IN, so it lies within dq of K. A center answered
+  OUT lies outside K_dq = a + (1 - dq/inner)(K - a), which sits inside the
+  dq-shrunk body, and its cut keeps K_dq up to sigma. So the certified gap
+  eps/2 bounds c . z - value over K_dq, and K_dq loses
+  h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
+  of support against K.
 - Anchored gauge window: the gauge g about the center is 1/inner-Lipschitz,
   since B(center, inner) lies in K. So a probe p near an anchor Z with
   gauge bracket [lo_Z, hi_Z] has g(p) in
@@ -295,9 +301,10 @@ class WvalQuery:
 class WoptResult:
     """Outcome of the cutting-plane maximization.
 
-    witness lies in the eps-thickened body; value = c . witness; gap is the
-    certified bound on how much any point of the eps-shrunk body can beat the
-    witness. gap_history is nonincreasing by construction.
+    witness lies in the dq-thickened body; value = c . witness; gap is the
+    certified bound on how much any point of the shrunk body K_dq can beat
+    the witness, dq and K_dq as in the module header's membership slack.
+    gap_history is nonincreasing by construction.
     """
 
     witness: np.ndarray

@@ -1,12 +1,12 @@
 """Fenchel conjugate evaluation from approximate function values.
 
-The conjugate f*(y) = sup_x (y . x - f(x)) is computed by localizing the
-supremum inside a Euclidean ball (growth certificates make the tail
-irrelevant), building a weak membership oracle for the truncated epigraph of
-the shifted function g = f - y . x, and driving the cutting-plane optimizer
-downward in the epigraph's last coordinate. Growth certificates transfer to
-the conjugate in closed form, which gives sandwich tests that need no second
-implementation of f*.
+The conjugate is a support function: f*(y) = sup_x (y . x - f(x)) is the
+support value of epi f = {(x, tau) : f(x) <= tau} in the direction (y, -1).
+A growth certificate localizes the supremum inside a Euclidean ball, so epi f
+is truncated to that ball and a cap once, and one weak optimization over it
+gives f*(y). Minimization over a ball is the same support query in the
+direction (0, -1). Growth certificates transfer to the conjugate in closed
+form, which gives sandwich tests that need no second implementation of f*.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     DEFAULT_CONFIG,
     CenteredBody,
     ToleranceConfig,
-    WeakVerdict,
     as_vector,
     positive_finite,
 )
@@ -48,12 +47,12 @@ class GrowthCertificate:
     r: float
 
     def __post_init__(self):
-        if not (0.0 < self.k_lo <= self.k_hi):
+        for name in ("k_lo", "k_hi", "s", "t", "r"):
+            positive_finite(getattr(self, name), name)
+        if not self.k_lo <= self.k_hi:
             raise ValueError("need 0 < k_lo <= k_hi")
-        if not (1.0 < self.s <= self.t):
+        if not 1.0 < self.s <= self.t:
             raise ValueError("need exponents 1 < s <= t")
-        if self.r <= 0.0:
-            raise ValueError("need r > 0")
 
     def lower(self, radius):
         return self.k_lo * np.asarray(radius, dtype=float) ** self.s
@@ -70,8 +69,7 @@ class InteriorMinCertificate:
     margin: float
 
     def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
+        positive_finite(self.margin, "margin")
 
 
 @dataclass(frozen=True)
@@ -109,33 +107,24 @@ class EpigraphBody:
         return CenteredBody(center, inner, outer)
 
     def oracle(self, label: str = "epigraph") -> WeakMembershipOracle:
-        return WeakMembershipOracle(
-            lambda Z, eps: np.array([self._verdict(z, eps) is WeakVerdict.IN_THICKENED
-                                     for z in Z], dtype=bool),
-            self.body(), label=label)
+        """Row-wise weak membership: rows off the ball or above the cap are
+        refuted without an evaluation, every other row costs one."""
+        center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
+                                       self.cap, self.values)
 
-    def _verdict(self, z, eps):
-        if eps >= 0.5 * self.cap:
-            raise ValueError("query slack must stay below half the cap")
-        x, tau = z[:-1], float(z[-1])
-        if float(np.linalg.norm(x - self.ball.center)) > self.ball.outer_radius:
-            return WeakVerdict.NOT_IN_SHRUNK
-        if tau > self.cap:
-            return WeakVerdict.NOT_IN_SHRUNK
-        w = self.values.eval(x, eps)
-        # tau >= w means tau >= f(x) - eps, and (x, min(tau + eps, cap)) is an
-        # epigraph point within eps; tau < w means (x, tau - eps) lies below
-        # the graph, refuting the eps-shrunk set
-        if tau >= w:
-            return WeakVerdict.IN_THICKENED
-        return WeakVerdict.NOT_IN_SHRUNK
+        def verdicts(Z, eps):
+            if eps >= 0.5 * cap:
+                raise ValueError("query slack must stay below half the cap")
+            X, tau = Z[:, :-1], Z[:, -1]
+            inside = (np.linalg.norm(X - center, axis=1) <= radius) & (tau <= cap)
+            # tau >= w means tau >= f(x) - eps, and (x, min(tau + eps, cap)) is
+            # an epigraph point within eps; tau < w means (x, tau - eps) lies
+            # below the graph, refuting the eps-shrunk set
+            for i in np.flatnonzero(inside):
+                inside[i] = tau[i] >= values.eval(X[i], eps)
+            return inside
 
-
-def epigraph_wmem(epi: EpigraphBody, point, eps: float) -> WeakVerdict:
-    """One weak membership verdict for the truncated epigraph (one function
-    evaluation, or none when the point misses the ball or the cap)."""
-    eps = positive_finite(eps, "eps")
-    return epi._verdict(as_vector(point, epi.n), eps)
+        return WeakMembershipOracle(verdicts, self.body(), label=label)
 
 
 @dataclass(frozen=True)
@@ -146,39 +135,40 @@ class MinimizationResult:
     oracle_calls: int
 
 
+def _epigraph_support(epi: EpigraphBody, c: np.ndarray, e: float,
+                      cfg: ToleranceConfig):
+    """wopt_from_wmem of c over the epigraph at slack e, and its call count."""
+    oracle = epi.oracle()
+    return wopt_from_wmem(oracle, oracle.body, c, e, cfg), oracle.calls.count
+
+
 def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate, eps: float,
                  cfg: ToleranceConfig = DEFAULT_CONFIG) -> MinimizationResult:
     """Approximate min of f over the ball by pushing the epigraph downward.
 
-    Maximizes -tau over the truncated epigraph with weak-optimization slack
-    eps / 2. The interior-minimum certificate covers the gap between the
-    shrunk epigraph's minimum and the true one; a cheap post-hoc probe raises
-    CertificateError when the returned value is blatantly above function
-    values seen at interior points.
+    The support query of the truncated epigraph in the direction (0, -1),
+    at weak-optimization slack eps / 2. The interior-minimum certificate
+    covers the gap between the shrunk epigraph's minimum and the true one; a
+    cheap post-hoc probe raises CertificateError when the returned value is
+    blatantly above function values seen at interior points.
     """
     if not (0.0 < eps < min(0.5 * epi.cap, cert.margin)):
         raise ValueError("need 0 < eps < min(cap / 2, certificate margin)")
-    oracle = epi.oracle()
-    objective = np.zeros(epi.n)
-    objective[-1] = -1.0
-    res = wopt_from_wmem(oracle, oracle.body, objective, 0.5 * eps, cfg)
+    down = np.zeros(epi.n)
+    down[-1] = -1.0
+    res, calls = _epigraph_support(epi, down, 0.5 * eps, cfg)
     value = -float(res.value)
 
-    probes = [epi.ball.center]
-    step = 0.5 * epi.ball.outer_radius
-    for i in range(epi.ball.n):
-        e = np.zeros(epi.ball.n)
-        e[i] = step
-        probes.append(epi.ball.center + e)
-        probes.append(epi.ball.center - e)
+    # the center and the points half the radius out along each axis
+    steps = 0.5 * epi.ball.outer_radius * np.eye(epi.ball.n)
+    probes = epi.ball.center + np.vstack([np.zeros(epi.ball.n), steps, -steps])
     seen = min(epi.values.eval(p, 0.25 * eps) + 0.25 * eps for p in probes)
     if value > seen + 1.5 * eps + 1e-12:
         raise CertificateError(
             f"minimum estimate {value:.6g} exceeds an observed value "
             f"{seen:.6g} by more than the slack; the interior-minimum "
             "certificate looks false")
-    return MinimizationResult(value, res.witness[:-1].copy(), res.iterations,
-                              oracle.calls.count)
+    return MinimizationResult(value, res.witness[:-1].copy(), res.iterations, calls)
 
 
 def dual_growth_constants(cert: GrowthCertificate,
@@ -225,22 +215,31 @@ def dual_growth_constants(cert: GrowthCertificate,
 class ConjugateEstimate:
     value: float
     argmax: np.ndarray
-    radius: float
-    cap: float
+    radius: float   # epi f is cut to the ball B(0, radius)
+    cap: float      # and to tau <= cap: the epigraph whose support it is
 
 
 def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
                  eps: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ConjugateEstimate:
-    """Evaluate the Fenchel conjugate at y within eps.
+    """Evaluate the Fenchel conjugate at y within eps: one support query of
+    epi f in the direction c = (y, -1).
 
-    The growth certificate localizes the supremum of y . x - f(x) inside a
-    ball B(0, rho): outside it the lower power bound drives the objective
-    below what x = 0 already achieves. The supremum then equals minus the
-    minimum of g = f - y . x over B(0, rho + 1), computed by min_via_wopt
-    with a unit interior margin. f must be convex: the cap for |g| over the
-    ball combines the certificate's upper bound on the sphere (convexity puts
-    the max of f on the boundary) with the midpoint bound
-    f(x) >= 2 f(0) - f(-x) from below.
+    Beyond a radius rho from the certificate, y . x - f(x) < -f(0) <= f*(y).
+    So epi f is cut to the ball B(0, R), R = rho + 1, and to a cap with
+    |f| <= cap / 2 there: f is convex, so the certificate's bound on the
+    sphere bounds it above, and f(x) >= 2 f(0) - f(-x) below. Over that body
+    E, with tau = f(x) under the cap, h_E(c) = f*(y).
+
+    Slack. Let B(a, inner) <= E <= B(a, outer). One wopt_from_wmem run at
+    slack e queries cut centres at dq = min(e/8, inner/4); its witness lies
+    within dq of E, and its gap e/2 holds on the shrunk body E_dq (cutting
+    module header). With |c| = sqrt(1 + |y|^2):
+
+        value <= h_E(c) + |c| dq,
+        value >= h_E_dq(c) - e/2 >= h_E(c) - (dq/inner) |c| outer - e/2.
+
+    As dq <= e/8, both errors are at most e (1/2 + |c| (1 + outer/inner)/8),
+    and e sets that to eps.
     """
     positive_finite(eps, "eps")
     y = as_vector(y, values.n)
@@ -258,8 +257,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     rho = max(cert.r, 1.0, ((ny + 1.0) / cert.k_lo) ** (1.0 / (cert.s - 1.0)))
     while not excluded(rho):
         rho *= 2.0
-    lo = cert.r
-    hi = rho
+    lo, hi = cert.r, rho
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if excluded(mid):
@@ -270,16 +268,13 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
 
     radius = rho + 1.0
     f_sphere = float(cert.upper(radius))
-    bound = max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + ny * radius
-    cap = 2.0 * (bound + 1.0)
-
-    shifted = FunctionApproxOracle(
-        lambda x, e: values.eval(x, e) - float(y @ x), values.n,
-        label="shifted-objective")
-    epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap,
-                       shifted)
-    res = min_via_wopt(epi, InteriorMinCertificate(1.0), eps, cfg)
-    return ConjugateEstimate(-res.value, res.point, radius, cap)
+    cap = 2.0 * (max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + 1.0)
+    epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
+    body = epi.body()
+    nc = math.hypot(1.0, ny)   # |c|
+    e = eps / (0.5 + nc * (1.0 + body.outer_radius / body.inner_radius) / 8.0)
+    res, _ = _epigraph_support(epi, np.append(y, -1.0), e, cfg)
+    return ConjugateEstimate(float(res.value), res.witness[:-1].copy(), radius, cap)
 
 
 def fenchel_brute(fn, y, radius: float, mesh: int = 101) -> float:

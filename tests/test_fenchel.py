@@ -11,7 +11,6 @@ from convexdual.fenchel import (
     GrowthCertificate,
     InteriorMinCertificate,
     dual_growth_constants,
-    epigraph_wmem,
     fenchel_brute,
     fenchel_eval,
     make_reference_function,
@@ -45,6 +44,18 @@ def test_growth_certificate_validation():
         InteriorMinCertificate(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_certificates_reject_non_finite_fields(bad):
+    """Every certificate field must be positive and finite; a NaN radius used
+    to pass and send fenchel_eval's localization loop round forever."""
+    good = dict(k_lo=0.5, k_hi=0.5, s=2.0, t=2.0, r=1.0)
+    for field in good:
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            GrowthCertificate(**{**good, field: bad})
+    with pytest.raises(ValueError, match="^margin must be positive and finite"):
+        InteriorMinCertificate(bad)
+
+
 def test_epigraph_body_validation():
     vals = _oracle(lambda x: float(x @ x), 2)
     with pytest.raises(ValueError):
@@ -63,21 +74,43 @@ def test_epigraph_body_validation():
 
 def test_epigraph_wmem_budget_and_verdicts():
     vals = _oracle(lambda x: float(x @ x), 2)
-    epi = EpigraphBody(_ball(2), 4.0, vals)
+    oracle = EpigraphBody(_ball(2), 4.0, vals).oracle()
 
-    # the main branch costs exactly one function evaluation
-    assert epigraph_wmem(epi, [0.5, 0.0, 1.0], 0.01) is WeakVerdict.IN_THICKENED
+    # the main branch costs exactly one function evaluation per row
+    assert oracle.query([0.5, 0.0, 1.0], 0.01) is WeakVerdict.IN_THICKENED
     assert vals.calls.count == 1
-    assert epigraph_wmem(epi, [0.5, 0.0, 0.1], 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert oracle.query([0.5, 0.0, 0.1], 0.01) is WeakVerdict.NOT_IN_SHRUNK
     assert vals.calls.count == 2
 
     # off the ball or above the cap: decided without touching the function
-    assert epigraph_wmem(epi, [2.0, 0.0, 1.0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
-    assert epigraph_wmem(epi, [0.0, 0.0, 9.0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert oracle.query([2.0, 0.0, 1.0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert oracle.query([0.0, 0.0, 9.0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
     assert vals.calls.count == 2
 
     with pytest.raises(ValueError):
-        epigraph_wmem(epi, [0.0, 0.0, 1.0], 2.0)   # eps >= cap / 2
+        oracle.query([0.0, 0.0, 1.0], 2.0)   # eps >= cap / 2
+    assert vals.calls.count == 2
+
+
+def test_epigraph_batch_matches_row_queries():
+    """A mixed batch gets the per-row verdicts and pays one evaluation per
+    row on the ball and under the cap, none for the rest."""
+    vals = _oracle(lambda x: float(x @ x), 2)
+    oracle = EpigraphBody(_ball(2), 4.0, vals).oracle()
+    Z = np.array([[0.5, 0.0, 1.0],    # above the graph: IN
+                  [2.0, 0.0, 1.0],    # off the ball
+                  [0.5, 0.0, 0.1],    # below the graph
+                  [0.0, 0.0, 9.0],    # above the cap
+                  [0.0, -0.6, 0.4],   # above the graph: IN
+                  [-1.5, 1.5, 9.0]])  # off the ball and above the cap
+    got = oracle.query_batch(Z, 0.01)
+    assert vals.calls.count == 3
+    np.testing.assert_array_equal(got, [True, False, False, False, True, False])
+    rows = [oracle.query(z, 0.01) is WeakVerdict.IN_THICKENED for z in Z]
+    np.testing.assert_array_equal(got, rows)
+    with pytest.raises(ValueError):
+        oracle.query_batch(Z, 2.0)
+    assert vals.calls.count == 6
 
 
 MIN_CASES = [
@@ -168,6 +201,11 @@ CONJ_CASES = [
     ("square_norm", 2, [1.0, 0.5]),
     ("quartic_quarter", 1, [2.0]),
     ("quartic_quarter", 1, [-1.2]),
+    # steep slopes: the cap of epi f does not grow with |y|, so the body
+    # stays short enough for the separators' flat-gauge floor
+    ("half_square_norm", 2, [6.0, 0.0]),
+    ("square_norm", 3, [6.0, 0.0, 0.0]),
+    ("quartic_quarter", 1, [8.0]),
 ]
 
 
@@ -185,6 +223,9 @@ def test_fenchel_eval_matches_closed_forms(name, n, y):
     ("half_square_norm", 2, [0.6, -0.8]),
     ("square_norm", 3, [1.0, 0.5, -0.3]),
     ("quartic_quarter", 1, [-1.2]),
+    # |y| near 3, where the |c| = sqrt(1 + |y|^2) of the engine slack weighs most
+    ("half_square_norm", 2, [0.648, -2.929]),
+    ("square_norm", 3, [-1.534, -2.534, -0.475]),
 ])
 def test_fenchel_eval_tolerates_value_adversaries(name, n, y, side):
     """Values off by 0.9 eps in one direction keep the conjugate within eps;

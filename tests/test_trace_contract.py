@@ -2,8 +2,10 @@
 
 perfbench/layertrace.py finds the layers it traces by attribute name, so a
 renamed or deleted name breaks only a traced benchmark run. This runs each
-workload's first op under the tracer and checks the trace against the
-package's own call counters, the cross-check a traced run makes.
+workload's first op, and its last op that calls the primal, under the tracer
+and checks the trace against the package's own call counters, the
+cross-check a traced run makes. The last op reaches paths the first does
+not, such as min_via_wopt on the conjugate workload.
 """
 
 import sys
@@ -17,15 +19,28 @@ import workloads  # noqa: E402
 from layertrace import Tracer  # noqa: E402
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_traced_primal_calls_match_call_counters(name):
-    wl = workloads.WORKLOADS[name](1)
+def _traced_calls(wl, op) -> int:
     tr = Tracer()
     tr.install(wl.traced_objects)
     try:
-        out = wl.ops[0].run(tr)
+        out = op.run(tr)
     finally:
         tr.uninstall()
     m = tr.layer_metrics()
     assert out.ok
-    assert m["oracles.member.points"] + m["oracles.value.evals"] == out.calls > 0
+    assert m["oracles.member.points"] + m["oracles.value.evals"] == out.calls
+    return out.calls
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_primal_calls_match_call_counters(name):
+    wl = workloads.WORKLOADS[name](1)
+    assert _traced_calls(wl, wl.ops[0]) > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_last_op_matches_call_counters(name):
+    """The same contract from the end of the op list, back to the last op
+    that reaches the primal (a dual-cone op the screen settles costs 0)."""
+    wl = workloads.WORKLOADS[name](1)
+    assert any(_traced_calls(wl, op) > 0 for op in reversed(wl.ops))
