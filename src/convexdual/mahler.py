@@ -3,7 +3,9 @@
 The volume of a sandwiched body is estimated by uniform sampling of its
 bounding box; the Mahler product multiplies the body's estimate with the
 estimate for its polar, whose oracle is derived (not hand-written) from the
-primal one. Sampling slack is tied to the box scale, far below the Monte
+primal one. The primal run hands the points it certified inside to the
+polar oracle's pool, which then refutes most outside polar samples without
+a primal call. Sampling slack is tied to the box scale, far below the Monte
 Carlo resolution, so verdict ambiguity near the boundary is statistically
 invisible.
 """
@@ -11,6 +13,7 @@ invisible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +46,22 @@ class VolumeEstimate:
 
 
 def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
-              seed: int) -> VolumeEstimate:
+              seed: int, *, on_inside=None) -> VolumeEstimate:
     """Estimate the volume of the oracle's body inside [-box, box]^n.
 
     Samples are drawn in fixed-size chunks, each from its own counter-keyed
     stream, so the estimate depends only on (seed, samples) and extending a
     run replays the shared prefix. The query slack is box_radius * 1e-6:
     boundary ambiguity at that scale is orders of magnitude below the
-    binomial noise.
+    binomial noise. on_inside, when given, receives each chunk's inside
+    points and that slack, as on_inside(points, slack).
     """
     chunk = _CHUNK
     n = oracle.body.n
     if n > _MAX_DIM:
         raise ValueError(f"box sampling is limited to dimension {_MAX_DIM}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"sample count must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     positive_finite(box_radius, "box radius")
@@ -67,7 +73,10 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
         take = min(chunk, samples - done)
         rng = rng_stream(seed, stream)
         pts = rng.uniform(-box_radius, box_radius, size=(take, n))
-        hits += int(np.count_nonzero(oracle.query_batch(pts, delta)))
+        inside = oracle.query_batch(pts, delta)
+        hits += int(np.count_nonzero(inside))
+        if on_inside is not None:
+            on_inside(pts[inside], delta)
         done += take
         stream += 1
     p = hits / samples
@@ -94,11 +103,13 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     The primal ball lives in the box of radius 1 / k_lo, the polar ball in
     the box of radius k_hi; the polar's oracle is derived from the primal
     one, so the product is computed from a single membership routine. The
+    primal run certifies its inside points to the polar oracle's pool. The
     half-width combines the two independent estimates by first-order error
     propagation.
     """
-    primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed)
     dual_oracle = dual_ball_wmem(oracle, desc, cfg)
+    primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed,
+                       on_inside=dual_oracle.certify)
     dual = volume_mc(dual_oracle, desc.k_hi, samples, cfg.rng_seed + 1)
     value = primal.value * dual.value
     half = math.hypot(dual.value * primal.half_width,

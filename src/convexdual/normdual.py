@@ -15,6 +15,7 @@ B_(nu_r); the conjugate of nu_r is nu* / r.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,14 +83,31 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
                                 label=f"{oracle.calls.label}*{r:.3g}"), desc_r
 
 
+_POOL_BLOCK = 4096  # rows per block of the pool screen's rows x pool product
+
+
+def _pool_directions(n: int) -> np.ndarray:
+    """The 2 n^2 unit directions +-e_i and (+-e_i +-e_j)/sqrt(2), i < j."""
+    eye = np.eye(n)
+    pairs = [(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
+             for i, j in itertools.combinations(range(n), 2)
+             for si in (1.0, -1.0) for sj in (1.0, -1.0)]
+    return np.vstack([eye, -eye, *pairs])
+
+
 class DualBallOracle(WeakMembershipOracle):
     """Weak membership oracle for the dual unit ball, derived from the primal.
 
     Every query, one point or many, runs one path. The sandwich screen
     settles the rows it can for free: |x| <= k_lo is inside the dual ball,
-    |x| >= k_hi outside it. The rows it leaves go to one lockstep validity
-    run over the primal ball, which is what makes million-point volume
-    sampling feasible.
+    |x| >= k_hi outside it. The pool screen then refutes, also for free,
+    every row x with x.w - |x| s > 1 for a pooled point w that the primal
+    answered IN_THICKENED at slack s (see certify). Proof: such a w lies
+    within s of some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s,
+    hence nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack. The rows
+    both screens leave go to one lockstep validity run over the primal
+    ball, which is what makes million-point volume sampling feasible. With
+    an empty pool the pool screen is skipped.
 
     The validity run decides the rescaled norm mu = r * nu* with
     r = max(1, 2 k_hi), so that mu's sandwich constant k_lo = r / k_hi is at
@@ -112,14 +130,61 @@ class DualBallOracle(WeakMembershipOracle):
         self._scaled_oracle, scaled_desc = rescale_norm(primal, desc, 1.0 / self.r)
         self._scaled_body = scaled_desc.ball()
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
+        # the pool: per direction u, the certified point w with the largest
+        # u.w - s, its slack s, and that score (-inf while the slot is empty)
+        self._pool_dirs = _pool_directions(desc.n)
+        self._pool_w = np.zeros_like(self._pool_dirs)
+        self._pool_s = np.zeros(len(self._pool_dirs))
+        self._pool_score = np.full(len(self._pool_dirs), -np.inf)
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
+
+    def certify(self, W, slack: float) -> None:
+        """Offer the pool the rows of W, each of which the primal oracle
+        answered IN_THICKENED at this slack; the pool screen is only as
+        sound as that promise. Each pool direction u keeps the point with
+        the largest u.w - s seen so far. The 2 n^2 pooled points refute
+        most outside rows of a Monte Carlo polar run at no call."""
+        slack = positive_finite(slack, "slack")
+        pts = np.asarray(W, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.body.n:
+            raise ValueError(f"expected an (m, {self.body.n}) array of points, "
+                             f"got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points have non-finite coordinates")
+        cols = np.arange(len(self._pool_dirs))
+        for lo in range(0, len(pts), _POOL_BLOCK):
+            block = pts[lo:lo + _POOL_BLOCK]
+            score = block @ self._pool_dirs.T - slack
+            best = np.argmax(score, axis=0)
+            top = score[best, cols]
+            better = top > self._pool_score
+            self._pool_w[better] = block[best[better]]
+            self._pool_s[better] = slack
+            self._pool_score[better] = top[better]
+
+    def _refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Rows with x.w - |x| s > 1 for some pooled (w, s). The rounding of
+        x.w and |x| s is at most a few n machine epsilons of |x| (|w| + s),
+        so s is padded by rho (|w| + s) and 1 raised to 1 + rho."""
+        full = np.isfinite(self._pool_score)
+        W = self._pool_w[full]
+        rho = 16 * self.body.n * np.finfo(float).eps
+        pad = self._pool_s[full] * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
+        out = np.zeros(len(pts), dtype=bool)
+        for lo in range(0, len(pts), _POOL_BLOCK):
+            rows = slice(lo, lo + _POOL_BLOCK)
+            bound = pts[rows] @ W.T - nrm[rows, None] * pad
+            out[rows] = bound.max(axis=1) > 1.0 + rho
+        return out
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
         nrm = np.linalg.norm(pts, axis=1)
         out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
+        if np.isfinite(self._pool_score).any() and np.any(work):
+            work[work] = ~self._refuted(pts[work], nrm[work])
         if np.any(work):
             out[work] = self._lockstep(pts[work], delta)
         return out

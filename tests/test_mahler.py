@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from convexdual.core import DEFAULT_CONFIG, WeakVerdict
+from adversaries import band_adversary
+from convexdual.core import DEFAULT_CONFIG, WeakVerdict, rng_stream
 from convexdual.mahler import linear_image, mahler_volume, volume_mc
+from convexdual.normdual import DualBallOracle
 from convexdual.oracles import ReferenceNorm
 
 
@@ -52,6 +54,12 @@ def test_volume_validation():
         volume_mc(norm.oracle(), 0.0, 100, seed=1)
     with pytest.raises(ValueError):
         volume_mc(ReferenceNorm.lp(2.0, 7).oracle(), 1.0, 100, seed=1)
+    # a count that is not an integer is refused before any query
+    oracle = norm.oracle()
+    for samples in (1e5, True, 100.0):
+        with pytest.raises(ValueError, match="integer"):
+            volume_mc(oracle, 1.0, samples, seed=1)
+    assert oracle.calls.count == 0
 
 
 def test_relative_half_width_of_empty_estimate():
@@ -83,14 +91,110 @@ def test_mahler_product_covers_known_values(n, p, target):
 
 def test_mahler_is_deterministic():
     norm = ReferenceNorm.lp(2.0, 2)
-    a = mahler_volume(norm.oracle(), norm.descriptor, 60_000)
-    b = mahler_volume(norm.oracle(), norm.descriptor, 60_000)
+    oa, ob = norm.oracle(), norm.oracle()
+    a = mahler_volume(oa, norm.descriptor, 60_000)
+    b = mahler_volume(ob, norm.descriptor, 60_000)
     assert a.value == b.value
     assert a.primal.hits == b.primal.hits
+    assert oa.calls.count == ob.calls.count
+    # on l1 the polar run reaches the engine and the pool; its calls repeat too
+    l1 = ReferenceNorm.lp(1.0, 2)
+    oa, ob = l1.oracle(), l1.oracle()
+    assert (mahler_volume(oa, l1.descriptor, 20_000).value
+            == mahler_volume(ob, l1.descriptor, 20_000).value)
+    assert oa.calls.count == ob.calls.count > 2 * 20_000
     # a different seed moves the draw
     c = mahler_volume(norm.oracle(), norm.descriptor, 60_000,
                       dataclasses.replace(DEFAULT_CONFIG, rng_seed=99))
     assert c.primal.hits != a.primal.hits
+
+
+def _band_rows(norm, rng, m):
+    """m points in random directions whose lengths lie strictly between the
+    sandwich radii, so only the pool or the engine can decide them."""
+    desc = norm.descriptor
+    U = rng.normal(size=(m, norm.n))
+    r = rng.uniform(desc.k_lo, desc.k_hi, size=m)
+    return U * (r / np.linalg.norm(U, axis=1))[:, None]
+
+
+POOL_CASES = [(1.0, 2), (1.0, 3), (3.0, 3), (math.inf, 3)]
+
+
+@pytest.mark.parametrize("p,n", POOL_CASES, ids=[f"l{p:g}-R{n}" for p, n in POOL_CASES])
+def test_pooled_refutations_are_legal_under_band_adversary(p, n):
+    """A pool seeded at a large slack by an oracle that admits points outside
+    the ball refutes only rows whose closed-form dual norm exceeds 1."""
+    slack = 0.05
+    norm = ReferenceNorm.lp(p, n)
+    adversary = band_adversary(norm, 0.9)
+    oracle = DualBallOracle(adversary, norm.descriptor)
+    rng = rng_stream(43, n)
+    W = rng.uniform(-1.2, 1.2, size=(20_000, n)) / norm.descriptor.k_lo
+    oracle.certify(W[adversary.query_batch(W, slack)], slack)
+    C = _band_rows(norm, rng, 4000)
+    refuted = oracle._refuted(C, np.linalg.norm(C, axis=1))
+    dual = norm.dual().eval_batch(C)
+    assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(dual > 1.1)
+    assert np.all(dual[refuted] > 1.0)
+
+
+def test_pool_tight_probe():
+    """c.w sits just inside 1 + |c| s for the pooled w, and nu*(c) = 0.98:
+    the |c| s term is all that keeps the pool from refuting a point of the
+    shrunk dual ball."""
+    slack, delta = 0.05, 1e-3
+    norm = ReferenceNorm.lp(1.0, 2)
+    adversary = band_adversary(norm, 0.9)
+    w = np.array([1.0 + 0.85 * slack, 0.0])  # outside B, yet IN at this slack
+    assert adversary.query(w, slack) is WeakVerdict.IN_THICKENED
+    c = 0.98 * np.array([1.0, 0.5])
+    assert norm.dual().eval(c) == pytest.approx(0.98)
+    assert norm.descriptor.k_lo < np.linalg.norm(c) < norm.descriptor.k_hi
+    assert 1.0 < c @ w < 1.0 + np.linalg.norm(c) * slack
+    oracle = DualBallOracle(adversary, norm.descriptor)
+    oracle.certify(w[None, :], slack)
+    assert not oracle._refuted(c[None, :], np.linalg.norm(c, keepdims=True))[0]
+    # c + B(0, delta) lies in the dual ball, so NOT_IN_SHRUNK is illegal here
+    assert oracle.query(c, delta) is WeakVerdict.IN_THICKENED
+
+
+def test_pool_refutations_cost_no_primal_calls():
+    norm = ReferenceNorm.lp(1.0, 3)
+    primal = norm.oracle()
+    oracle = DualBallOracle(primal, norm.descriptor)
+    rng = rng_stream(44, 0)
+    W = rng.uniform(-1.0, 1.0, size=(20_000, 3))
+    oracle.certify(W[primal.query_batch(W, 1e-6)], 1e-6)
+    C = _band_rows(norm, rng, 2000)
+    C = C[norm.dual().eval_batch(C) > 1.4][:200]
+    assert len(C) == 200
+    before = primal.calls.count
+    np.testing.assert_array_equal(oracle.query_batch(C, 0.01), np.zeros(200, bool))
+    assert oracle.query(C[0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert primal.calls.count == before
+
+
+def test_certify_validates_before_pooling():
+    """Rejected offers leave the pool empty: a row it would refute still
+    reaches the engine, and only a valid offer spares the call."""
+    norm = ReferenceNorm.lp(1.0, 2)
+    primal = norm.oracle()
+    oracle = DualBallOracle(primal, norm.descriptor)
+    for W in ([[1.0, 0.0], [np.nan, 0.0]], [[np.inf, 0.0]], [[1.0, 0.0, 0.0]],
+              [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            oracle.certify(W, 0.01)
+    for slack in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="slack"):
+            oracle.certify([[1.0, 0.0]], slack)
+    c = [1.2, 0.2]  # nu*(c) = 1.2, and |c| lies between the sandwich radii
+    assert oracle.query(c, 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert primal.calls.count > 0
+    oracle.certify([[1.0, 0.0]], 0.01)
+    before = primal.calls.count
+    assert oracle.query(c, 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert primal.calls.count == before
 
 
 def test_linear_image_membership():
