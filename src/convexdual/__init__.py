@@ -17,11 +17,9 @@ from .core import (
     WeakVerdict,
     as_vector,
     rng_stream,
-    scale_into_annulus,
 )
 from .oracles import (
     FunctionApproxOracle,
-    NormApproxOracle,
     ReferenceCone,
     ReferenceNorm,
     WeakMembershipOracle,
@@ -38,7 +36,6 @@ from .cutting import (
     WvalVerdict,
     approx_separator,
     gauge_batch,
-    gauge_from_wmem,
     wopt_from_wmem,
     wval_from_wmem,
 )
@@ -58,12 +55,9 @@ from .normdual import (
 from .conedual import (
     ConeDescriptor,
     DualConeOracle,
-    SectionFrame,
-    build_section_frame,
     cone_wmem_to_section_wmem,
     descriptor_from_reference,
     dual_cone_wmem,
-    interior_bound_check,
     normalize_cone,
 )
 from .fenchel import (

@@ -94,29 +94,12 @@ def parse_point(text: str, n: int | None = None) -> np.ndarray:
     return point
 
 
-def _flatten(key: str, value, out: dict):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            _flatten(f"{key}.{f.name}", getattr(value, f.name), out)
-    elif isinstance(value, np.ndarray):
-        out[key] = [float(v) for v in value]
-    elif isinstance(value, (np.floating, np.integer)):
-        out[key] = value.item()
-    else:
-        out[key] = value
-
-
 def emit_report(fields: dict, as_json: bool) -> None:
-    flat: dict = {}
-    for k, v in fields.items():
-        _flatten(k, v, flat)
     if as_json:
-        print(json.dumps(flat, indent=2, sort_keys=False))
+        print(json.dumps(fields, indent=2, sort_keys=False))
     else:
-        for k, v in flat.items():
-            if isinstance(v, list):
-                v = ",".join(f"{x:.12g}" for x in v)
-            elif isinstance(v, float):
+        for k, v in fields.items():
+            if isinstance(v, float):
                 v = f"{v:.12g}"
             print(f"{k} {v}")
 

@@ -36,8 +36,8 @@ class ConeDescriptor:
 
     a is interior to K with B(a, eps_a) inside K; b is interior to the dual
     cone with B(b, eps_b) inside K*. section_outer bounds the slice body
-    P_b - a, dual_section_outer bounds P_a* - b. The reduction pipelines
-    require the normalization b . a = 1 (normalize_cone produces it).
+    P_b - a. The reduction pipelines require the normalization b . a = 1
+    (normalize_cone produces it).
     """
 
     n: int
@@ -46,21 +46,16 @@ class ConeDescriptor:
     eps_a: float
     eps_b: float
     section_outer: float
-    dual_section_outer: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a, self.n))
         object.__setattr__(self, "b", as_vector(self.b, self.n))
         if self.eps_a <= 0.0 or self.eps_b <= 0.0:
             raise ValueError("interior radii must be positive")
-        if self.section_outer <= 0.0 or self.dual_section_outer <= 0.0:
-            raise ValueError("section radius bounds must be positive")
+        if self.section_outer <= 0.0:
+            raise ValueError("section radius bound must be positive")
         if float(self.b @ self.a) <= 0.0:
             raise ValueError("interior data needs b . a > 0")
-
-    @property
-    def normalized(self) -> bool:
-        return abs(float(self.b @ self.a) - 1.0) <= 1e-9
 
 
 def normalize_cone(desc: ConeDescriptor) -> ConeDescriptor:
@@ -76,59 +71,12 @@ def normalize_cone(desc: ConeDescriptor) -> ConeDescriptor:
                    section_outer=desc.section_outer + shift)
 
 
-def interior_bound_check(desc: ConeDescriptor, x) -> bool:
-    """Check the pairing bound b . x >= eps_b * |x| that every cone point obeys.
-
-    The bound follows from B(b, eps_b) being inside the dual cone; it is the
-    reason slices by {b . x = 1} are compact.
-    """
-    v = as_vector(x, desc.n)
-    return float(desc.b @ v) >= desc.eps_b * float(np.linalg.norm(v))
-
-
-@dataclass(frozen=True)
-class SectionFrame:
-    """Orthonormal coordinates on a hyperplane {z : normal . z = normal . offset}."""
-
-    offset: np.ndarray
-    basis: np.ndarray  # ambient_dim x (ambient_dim - 1), orthonormal columns
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", as_vector(self.offset))
-        object.__setattr__(self, "normal", as_vector(self.normal, self.offset.size))
-        B = np.asarray(self.basis, dtype=float)
-        n = self.offset.size
-        if B.shape != (n, n - 1):
-            raise ValueError(f"basis must be {n} x {n - 1}")
-        if not np.allclose(B.T @ B, np.eye(n - 1), atol=1e-10):
-            raise ValueError("basis columns are not orthonormal")
-        if float(np.max(np.abs(self.normal @ B))) > 1e-10:
-            raise ValueError("basis does not span the normal complement")
-        object.__setattr__(self, "basis", B)
-
-    def to_section(self, y) -> np.ndarray:
-        return self.basis.T @ (as_vector(y, self.offset.size) - self.offset)
-
-    def to_ambient(self, u) -> np.ndarray:
-        return self.offset + self.basis @ as_vector(u, self.basis.shape[1])
-
-    def project(self, y) -> np.ndarray:
-        """Nearest point of the hyperplane."""
-        v = as_vector(y, self.offset.size)
-        w = v - self.offset
-        return self.offset + self.basis @ (self.basis.T @ w)
-
-
-def build_section_frame(normal, offset) -> SectionFrame:
-    """Deterministic frame: orthonormalize the coordinate basis with the
-    normal prepended, drop near-parallel candidates."""
-    b = as_vector(normal)
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise ValueError("normal must be nonzero")
-    n = b.size
-    vecs = [b / nb]
+def _section_basis(normal: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as n x (n - 1) columns, of the complement of a
+    nonzero normal: Gram-Schmidt on the coordinate basis with the normal
+    prepended, dropping near-parallel candidates. Deterministic."""
+    n = normal.size
+    vecs = [normal / float(np.linalg.norm(normal))]
     for cand in np.eye(n):
         w = cand.copy()
         for v in vecs:
@@ -138,10 +86,7 @@ def build_section_frame(normal, offset) -> SectionFrame:
             vecs.append(w / nw)
         if len(vecs) == n:
             break
-    if len(vecs) < n:
-        raise ValueError("could not complete an orthonormal frame")
-    basis = np.stack(vecs[1:], axis=1)
-    return SectionFrame(as_vector(offset, n), basis, b / nb)
+    return np.stack(vecs[1:], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +139,9 @@ class DualConeOracle(WeakMembershipOracle):
 
     Every query, one point or many, runs one pass over its rows, in order:
     the apex is IN; the pairing screen refutes a . c < eps_a |c| with no
-    primal call (dual points obey a . c >= eps_a |c|, the mirror of
-    interior_bound_check, which also bounds the slice representative below
-    by 1 / eps_a); the rest are scaled onto |c0| = 3/4, at slack
+    primal call (dual points obey a . c >= eps_a |c|, because B(a, eps_a)
+    lies in K, which also bounds the slice representative below by
+    1 / eps_a); the rest are scaled onto |c0| = 3/4, at slack
     delta * min(1, 3/(4|c|)), and lifted to the dual slice {a . c = 1} as
     S = c0 / (a . c0), at that slack over a . c0; rows on the ray of b,
     interior to the dual cone, are IN. The rows left go to one lockstep
@@ -220,7 +165,7 @@ class DualConeOracle(WeakMembershipOracle):
         self._kb_body = CenteredBody(np.zeros(desc.n - 1), desc.eps_a,
                                      desc.section_outer)
         # membership in the slice body K_b, asked in frame coordinates
-        self._basis = basis = build_section_frame(desc.b, desc.a).basis
+        self._basis = basis = _section_basis(desc.b)
         self._kb_oracle = WeakMembershipOracle(
             lambda U, t: cone_wmem_to_section_wmem(cone_oracle, desc,
                                                    desc.a + U @ basis.T, t),
@@ -264,4 +209,4 @@ def dual_cone_wmem(cone_oracle: WeakMembershipOracle, desc: ConeDescriptor,
 def descriptor_from_reference(cone: ReferenceCone) -> ConeDescriptor:
     """Interior data of a reference cone (already normalized, self-dual)."""
     return ConeDescriptor(cone.n, cone.a, cone.b, cone.eps_a, cone.eps_b,
-                          cone.section_outer, cone.section_outer)
+                          cone.section_outer)

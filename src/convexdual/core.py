@@ -163,51 +163,20 @@ class CallCounter:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric policy shared by the cutting-plane pipelines.
+    """Numeric policy shared by the cutting-plane pipelines: the cut cap
+    per engine run and the seed of the Monte Carlo streams. The gauge
+    tolerance and the finite-difference step derive from each body (see
+    cutting.approx_separator)."""
 
-    gauge_tol / fd_step of None mean "derive from the body": bisection
-    tolerance 1e-8 * outer_radius and finite-difference step
-    max(1e-5, inner_radius * 1e-4).
-    """
-
-    gauge_tol: float | None = None
-    fd_step: float | None = None
     max_cut_iterations: int = 4000
     rng_seed: int = 20260819
 
     def __post_init__(self):
-        if self.gauge_tol is not None:
-            positive_finite(self.gauge_tol, "gauge_tol")
-        if self.fd_step is not None:
-            positive_finite(self.fd_step, "fd_step")
         if self.max_cut_iterations < 1:
             raise ValueError("iteration cap must be positive")
 
-    def gauge_tol_for(self, body: CenteredBody) -> float:
-        if self.gauge_tol is not None:
-            return self.gauge_tol
-        outer = body.outer_radius if math.isfinite(body.outer_radius) else 1.0
-        return 1e-8 * outer
-
-    def fd_step_for(self, body: CenteredBody) -> float:
-        if self.fd_step is not None:
-            return self.fd_step
-        return max(1e-5, body.inner_radius * 1e-4)
-
 
 DEFAULT_CONFIG = ToleranceConfig()
-
-
-def scale_into_annulus(x) -> tuple[np.ndarray, float]:
-    """Return (x / |x|, |x|): a unit vector in the working annulus plus factor.
-
-    Raises ValueError at x = 0, which has no direction.
-    """
-    v = as_vector(x)
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        raise ValueError("zero vector cannot be scaled to the annulus")
-    return v / r, r
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

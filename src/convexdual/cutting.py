@@ -219,35 +219,32 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     return out
 
 
-def gauge_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, x,
-                    tol: float | None = None,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Gauge of x about the body center, from weak membership queries alone.
-
-    The gauge is inf{t > 0 : center + (x - center)/t in K}; it is <= 1 inside
-    the body. Raises ValueError at the center itself, where the ray is
-    undefined.
-    """
-    v = as_vector(x, body.n)
-    if float(np.linalg.norm(v - body.center)) == 0.0:
-        raise ValueError("gauge bisection undefined at the body center")
-    tol = tol if tol is not None else cfg.gauge_tol_for(body)
-    return float(gauge_batch(oracle, body, v[None, :], tol)[0])
+def _gauge_tol(body: CenteredBody) -> float:
+    """Gauge bisection tolerance of a separator: 1e-8 of the outer radius."""
+    return 1e-8 * body.outer_radius
 
 
-def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def _fd_step(body: CenteredBody) -> float:
+    """Finite-difference step of a separator: 1e-4 of the inner radius,
+    at least 1e-5."""
+    return max(1e-5, body.inner_radius * 1e-4)
+
+
+def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
+                     x) -> np.ndarray:
     """Approximate outward normals from forward differences of the gauge.
 
     x is one point or an (m, n) stack of points, and the result has its
     shape: per point a unit vector u with u . (y - x) <= sigma for all y in
-    the body, sigma as documented in the module header. The n + 1 probes
-    x and x +/- step e_i of every point, each stepping away from the
-    center, step = cfg.fd_step_for(body), share one gauge_batch call
-    anchored at the points, where x is its own probe at offset 0: an
-    (n + 1)-section finds each point's gauge to step/inner, and the probes
-    are bisected from the window around it (module header), so a separator
-    costs n + 1 primal calls per coarse and per fine round.
+    the body, sigma as documented in the module header. Both tolerances
+    derive from the body: the step is _fd_step, max(1e-5, 1e-4 inner), and
+    the gauge tolerance min(_gauge_tol, 1e-3 step), _gauge_tol being
+    1e-8 outer. The n + 1 probes x and x +/- step e_i of every point, each
+    stepping away from the center, share one gauge_batch call anchored at
+    the points, where x is its own probe at offset 0: an (n + 1)-section
+    finds each point's gauge to step/inner, and the probes are bisected
+    from the window around it (module header), so a separator costs n + 1
+    primal calls per coarse and per fine round.
     Raises FlatGaugeError when the differences at any point fall below the
     gauge noise floor (a step too small for the gauge tolerance).
     """
@@ -257,10 +254,10 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, x,
         X = as_vector(X, body.n)[None, :]
     elif X.ndim != 2 or X.shape[1] != body.n:
         raise ValueError(f"expected points of dimension {body.n}")
-    step = cfg.fd_step_for(body)
+    step = _fd_step(body)
     # gauge noise must sit below both the difference quotient and the
     # smallest credible gradient norm (about 1/outer_radius)
-    tol = min(cfg.gauge_tol_for(body), 1e-3 * step)
+    tol = min(_gauge_tol(body), 1e-3 * step)
     m, n = X.shape
     # each probe steps away from the center along its axis
     hs = np.where(X >= body.center, step, -step)
@@ -406,7 +403,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
             best_wit[gain] = Z[gain]
         G = -C
         if not inside.all():
-            G[~inside] = approx_separator(oracle, body, Z[~inside], cfg=cfg)
+            G[~inside] = approx_separator(oracle, body, Z[~inside])
         Z, P = _central_cut(Z, P, G)
 
     raise IterationCapError(

@@ -30,12 +30,11 @@ from .core import (
     WeakVerdict,
     as_vector,
     positive_finite,
-    scale_into_annulus,
 )
 from .cutting import wval_batch
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
-from .oracles import NormApproxOracle, WeakMembershipOracle
+from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
 
 @dataclass(frozen=True)
@@ -203,14 +202,15 @@ def dual_ball_wmem(primal: WeakMembershipOracle, desc: NormDescriptor,
     return DualBallOracle(primal, desc, cfg)
 
 
-def wmem_from_approx(approx: NormApproxOracle, desc: NormDescriptor, x,
+def wmem_from_approx(approx: FunctionApproxOracle, desc: NormDescriptor, x,
                      delta: float) -> WeakVerdict:
     """Weak ball membership from one approximate norm evaluation.
 
     Points inside B(0, 1/k_hi) or outside B(0, 1/k_lo) are decided by the
     sandwich alone (no oracle call); otherwise the point is scaled to the
     unit sphere and one evaluation at slack k_lo^2 * delta / 4 decides via
-    the threshold 1 + k_lo * delta / 2.
+    the threshold 1 + k_lo * delta / 2. A non-finite norm value raises
+    ValueError (FunctionApproxOracle.eval).
     """
     positive_finite(delta, "delta")
     v = as_vector(x, desc.n)
@@ -219,10 +219,9 @@ def wmem_from_approx(approx: NormApproxOracle, desc: NormDescriptor, x,
         return WeakVerdict.IN_THICKENED
     if nx >= 1.0 / desc.k_lo:
         return WeakVerdict.NOT_IN_SHRUNK
-    r = nx
     eps = desc.k_lo ** 2 * delta / 4.0
-    omega = approx.eval(v / r, eps)
-    if r * omega <= 1.0 + desc.k_lo * delta / 2.0:
+    omega = approx.eval(v / nx, eps)
+    if nx * omega <= 1.0 + desc.k_lo * delta / 2.0:
         return WeakVerdict.IN_THICKENED
     return WeakVerdict.NOT_IN_SHRUNK
 
@@ -310,9 +309,9 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     """
     positive_finite(delta, "delta")
     v = as_vector(y, desc.n)
-    if float(np.linalg.norm(v)) == 0.0:
+    factor = float(np.linalg.norm(v))
+    if factor == 0.0:
         return DualNormResult(0.0, 0.0, None)
-    yhat, factor = scale_into_annulus(v)
     dual_oracle = dual_ball_wmem(primal, desc, cfg)
-    omega, trace = approx_from_wmem(dual_oracle, desc.dual(), yhat, delta / 3.0)
+    omega, trace = approx_from_wmem(dual_oracle, desc.dual(), v / factor, delta / 3.0)
     return DualNormResult(factor * omega, factor, trace)

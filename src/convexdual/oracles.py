@@ -10,7 +10,6 @@ in the package can be checked against a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,31 +82,12 @@ class WeakMembershipOracle:
         return np.asarray(self._fn(pts, delta), dtype=bool)
 
 
-class NormApproxOracle:
-    """Additive-error norm evaluator on the working annulus 1/2 < |x| < 3/2.
-
-    eval(x, eps) returns a value within eps of the true norm. The annulus
-    restriction mirrors the evaluation pipelines, which always rescale their
-    argument onto the unit sphere first.
-    """
-
-    def __init__(self, fn, descriptor: NormDescriptor, label: str = "approx"):
-        self._fn = fn
-        self.descriptor = descriptor
-        self.calls = CallCounter(label)
-
-    def eval(self, x, eps: float) -> float:
-        positive_finite(eps, "eps")
-        v = as_vector(x, self.descriptor.n)
-        r = float(np.linalg.norm(v))
-        if not (0.5 < r < 1.5):
-            raise ValueError(f"approx oracle defined on 1/2 < |x| < 3/2, got |x| = {r}")
-        self.calls.add(1)
-        return float(self._fn(v, float(eps)))
-
-
 class FunctionApproxOracle:
-    """Additive-error evaluator of a convex function on R^n."""
+    """Additive-error evaluator of a function on R^n, norms included.
+
+    eval(x, eps) returns a finite value within eps of the function at x; a
+    non-finite value raises ValueError after the call is counted.
+    """
 
     def __init__(self, fn, n: int, label: str = "func"):
         if n < 1:
@@ -293,10 +273,10 @@ class ReferenceNorm:
         return exact_to_weak(lambda X: self.eval_batch(X) <= 1.0, self.ball(),
                              label=label)
 
-    def approx_oracle(self, label: str | None = None) -> NormApproxOracle:
+    def approx_oracle(self, label: str | None = None) -> FunctionApproxOracle:
         """Norm evaluator that ignores its slack (exact closed form)."""
-        return NormApproxOracle(lambda x, eps: self.eval(x), self.descriptor,
-                                label=label or f"{self.kind}-approx")
+        return FunctionApproxOracle(lambda x, eps: self.eval(x), self.n,
+                                    label=label or f"{self.kind}-approx")
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +331,8 @@ class ReferenceCone:
     Kinds: "orthant" (nonnegative orthant in R^n), "soc" (second-order cone,
     last coordinate is the axis), "psd" (d x d PSD matrices embedded by svec).
     Interior data: a = b is the symmetric interior point normalized to
-    b.a = 1, with B(a, eps_a) inside the cone; section radii bound the slice
-    {x in cone : b.x = 1} - a.
+    b.a = 1, with B(a, eps_a) inside the cone; section_outer bounds the
+    slice {x in cone : b.x = 1} - a.
     """
 
     def __init__(self, kind: str, n: int):
@@ -373,19 +353,16 @@ class ReferenceCone:
             s = math.sqrt(n)
             self.a = np.ones(n) / s
             self.eps_a = 1.0 / s
-            self.section_inner = 1.0 / math.sqrt(n - 1) if n > 1 else 1.0
             self.section_outer = math.sqrt(n - 1) if n > 1 else 1.0
         elif kind == "soc":
             self.a = np.zeros(n)
             self.a[-1] = 1.0
             self.eps_a = 1.0 / math.sqrt(2.0)
-            self.section_inner = 1.0
             self.section_outer = 1.0
         else:
             d = self.d
             self.a = svec(np.eye(d)) / math.sqrt(d)
             self.eps_a = 1.0 / math.sqrt(d)
-            self.section_inner = 1.0 / math.sqrt(d - 1)
             self.section_outer = math.sqrt(d - 1)
         # all three kinds are self-dual with symmetric interior data
         self.b = self.a.copy()

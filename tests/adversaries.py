@@ -6,7 +6,6 @@ import numpy as np
 
 from convexdual.oracles import (
     FunctionApproxOracle,
-    NormApproxOracle,
     ReferenceCone,
     ReferenceNorm,
     WeakMembershipOracle,
@@ -42,14 +41,14 @@ def cone_band_adversary(cone: ReferenceCone, side: float) -> WeakMembershipOracl
         cone.oracle().body, label="cone-adversary")
 
 
-def norm_value_adversary(norm: ReferenceNorm, side: float) -> NormApproxOracle:
+def norm_value_adversary(norm: ReferenceNorm, side: float) -> FunctionApproxOracle:
     """Norm evaluator returning nu(x) + side * eps.
 
     Legal for |side| <= 1. side > 0 overstates every norm (points look
     farther out), side < 0 understates it.
     """
-    return NormApproxOracle(lambda x, eps: norm.eval(x) + side * eps,
-                            norm.descriptor, label="norm-adversary")
+    return FunctionApproxOracle(lambda x, eps: norm.eval(x) + side * eps,
+                                norm.n, label="norm-adversary")
 
 
 def value_adversary(fn, n: int, side: float) -> FunctionApproxOracle:

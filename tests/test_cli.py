@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from convexdual import cli
 from convexdual.cli import SpecError, load_spec, main, parse_point
+from convexdual.cutting import BracketError, FlatGaugeError, IterationCapError
+from convexdual.fenchel import CertificateError
 
 
 @pytest.fixture
@@ -196,3 +199,18 @@ def test_exit_2_on_bad_point(capsys, specs):
                                  "--point", "1,2,3"])
     assert code == 2
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("error", [BracketError, FlatGaugeError, IterationCapError,
+                                   CertificateError],
+                         ids=lambda e: e.__name__)
+def test_exit_3_on_numerical_failure(capsys, monkeypatch, specs, error):
+    def fail(*args, **kwargs):
+        raise error("pipeline gave up")
+
+    monkeypatch.setattr(cli, "dual_norm_eval", fail)
+    code, out, err = _run(capsys, ["dual-norm", "--spec", specs["disc"],
+                                   "--point", "1,0"])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: pipeline gave up" in err

@@ -6,12 +6,10 @@ import pytest
 from adversaries import cone_band_adversary
 from convexdual.conedual import (
     ConeDescriptor,
-    SectionFrame,
-    build_section_frame,
+    _section_basis,
     cone_wmem_to_section_wmem,
     descriptor_from_reference,
     dual_cone_wmem,
-    interior_bound_check,
     normalize_cone,
 )
 from convexdual.core import WeakVerdict, rng_stream
@@ -24,16 +22,15 @@ def _orthant_desc(n=3):
 
 def test_descriptor_validation():
     with pytest.raises(ValueError):
-        ConeDescriptor(2, [1.0, 0.0], [-1.0, 0.0], 0.5, 0.5, 1.0, 1.0)  # b.a < 0
+        ConeDescriptor(2, [1.0, 0.0], [-1.0, 0.0], 0.5, 0.5, 1.0)  # b.a < 0
     with pytest.raises(ValueError):
-        ConeDescriptor(2, [1.0, 0.0], [1.0, 0.0], 0.0, 0.5, 1.0, 1.0)
+        ConeDescriptor(2, [1.0, 0.0], [1.0, 0.0], 0.0, 0.5, 1.0)
 
 
 def test_normalize_cone_rescales_a():
-    desc = ConeDescriptor(2, [2.0, 2.0], [0.5, 0.5], 0.5, 0.25, 1.0, 1.0)
-    assert not desc.normalized
+    desc = ConeDescriptor(2, [2.0, 2.0], [0.5, 0.5], 0.5, 0.25, 1.0)
+    assert float(desc.b @ desc.a) == pytest.approx(2.0)
     out = normalize_cone(desc)
-    assert out.normalized
     assert float(out.b @ out.a) == pytest.approx(1.0)
     # eps_a shrinks with a, and the slice bound absorbs the shift of a
     assert out.eps_a == pytest.approx(0.25)
@@ -43,50 +40,27 @@ def test_normalize_cone_rescales_a():
     np.testing.assert_array_equal(again.a, out.a)
 
 
-def test_interior_bound_check():
-    desc = _orthant_desc(2)
-    # b = (1,1)/sqrt(2), eps_b = 1/sqrt(2): the bound is x1 + x2 >= |x|
-    assert interior_bound_check(desc, [3.0, 4.0])
-    assert not interior_bound_check(desc, [5.0, -1.0])
-    # every actual cone member passes
-    rng = rng_stream(41, 0)
-    cone = ReferenceCone("orthant", 2)
-    for _ in range(100):
-        x = np.abs(rng.normal(size=2))
-        assert interior_bound_check(desc, x)
-
-
 def test_section_frame_round_trip():
+    """The section basis gives orthonormal coordinates on every hyperplane
+    normal . z = normal . offset: ambient points built from coordinates lie
+    on the hyperplane, and the coordinates come back."""
     rng = rng_stream(42, 0)
     for n in (2, 3, 5):
         normal = rng.normal(size=n)
         offset = rng.normal(size=n)
-        frame = build_section_frame(normal, offset)
-        assert frame.basis.shape == (n, n - 1)
+        basis = _section_basis(normal)
+        assert basis.shape == (n, n - 1)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n - 1), atol=1e-12)
         u = rng.normal(size=n - 1)
-        y = frame.to_ambient(u)
-        np.testing.assert_allclose(frame.to_section(y), u, atol=1e-12)
-        # ambient points land on the hyperplane through the offset
+        y = offset + basis @ u
+        np.testing.assert_allclose(basis.T @ (y - offset), u, atol=1e-12)
         assert float(normal @ (y - offset)) == pytest.approx(0.0, abs=1e-10)
-        # projection is idempotent and fixes hyperplane points
-        np.testing.assert_allclose(frame.project(y), y, atol=1e-12)
 
 
 def test_section_frame_is_deterministic():
-    a = build_section_frame([1.0, 1.0, 1.0], np.zeros(3))
-    b = build_section_frame([1.0, 1.0, 1.0], np.zeros(3))
-    np.testing.assert_array_equal(a.basis, b.basis)
-
-
-def test_build_frame_rejects_zero_normal():
-    with pytest.raises(ValueError):
-        build_section_frame([0.0, 0.0], [1.0, 0.0])
-
-
-def test_section_frame_rejects_non_orthonormal_basis():
-    with pytest.raises(ValueError):
-        SectionFrame(np.zeros(3), np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
-                     [0.0, 0.0, 1.0])
+    a = _section_basis(np.array([1.0, 1.0, 1.0]))
+    b = _section_basis(np.array([1.0, 1.0, 1.0]))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_cone_to_section_transfer_verdicts():
@@ -94,11 +68,11 @@ def test_cone_to_section_transfer_verdicts():
     membership away from the boundary."""
     cone = ReferenceCone("orthant", 3)
     desc = _orthant_desc(3)
-    frame = build_section_frame(desc.b, desc.a)
+    basis = _section_basis(desc.b)
     oracle = cone.oracle()
     rng = rng_stream(43, 0)
     eps = 0.05
-    Y = np.array([frame.to_ambient(u) for u in rng.normal(size=(60, 2)) * 0.8])
+    Y = desc.a + (rng.normal(size=(60, 2)) * 0.8) @ basis.T
     margin = np.array([cone.boundary_margin(y) for y in Y])
     clear = np.abs(margin) >= 2.0 * eps * np.linalg.norm(Y, axis=1)
     # one batch answers row by row: the shared slack is the row minimum,
@@ -111,10 +85,10 @@ def test_cone_to_section_transfer_verdicts():
 def test_cone_to_section_rejects_points_off_hyperplane():
     cone = ReferenceCone("orthant", 3)
     desc = _orthant_desc(3)
-    frame = build_section_frame(desc.b, desc.a)
-    y = frame.to_ambient([0.1, 0.1]) + desc.b  # push off the hyperplane
+    basis = _section_basis(desc.b)
+    y = desc.a + basis @ [0.1, 0.1] + desc.b  # push off the hyperplane
     with pytest.raises(ValueError):
-        cone_wmem_to_section_wmem(cone.oracle(), desc, [frame.to_ambient([0.0, 0.2]), y],
+        cone_wmem_to_section_wmem(cone.oracle(), desc, [desc.a + basis @ [0.0, 0.2], y],
                                   0.05)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -13,8 +14,8 @@ from convexdual.core import (
     ToleranceConfig,
     as_vector,
     rng_stream,
-    scale_into_annulus,
 )
+from convexdual.cutting import _fd_step, _gauge_tol
 
 
 def test_as_vector_accepts_lists_and_checks_dim():
@@ -89,24 +90,16 @@ def test_call_counter_thread_safety():
 
 
 def test_tolerance_config_derived_values():
+    """The config holds only the cut cap and the seed; the separator's gauge
+    tolerance and step derive from the body."""
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == [
+        "max_cut_iterations", "rng_seed"]
+    assert DEFAULT_CONFIG.max_cut_iterations == 4000
     body = CenteredBody(np.zeros(2), 0.5, 4.0)
-    assert DEFAULT_CONFIG.gauge_tol_for(body) == pytest.approx(4e-8)
-    assert DEFAULT_CONFIG.fd_step_for(body) == pytest.approx(max(1e-5, 0.5e-4))
-    pinned = ToleranceConfig(gauge_tol=1e-6, fd_step=1e-3)
-    assert pinned.gauge_tol_for(body) == 1e-6
-    assert pinned.fd_step_for(body) == 1e-3
-    with pytest.raises(ValueError):
-        ToleranceConfig(gauge_tol=-1.0)
+    assert _gauge_tol(body) == pytest.approx(4e-8)
+    assert _fd_step(body) == pytest.approx(max(1e-5, 0.5e-4))
     with pytest.raises(ValueError):
         ToleranceConfig(max_cut_iterations=0)
-
-
-def test_scale_into_annulus():
-    unit, factor = scale_into_annulus([3.0, 4.0])
-    assert factor == pytest.approx(5.0)
-    np.testing.assert_allclose(unit, [0.6, 0.8])
-    with pytest.raises(ValueError):
-        scale_into_annulus([0.0, 0.0])
 
 
 def test_rng_stream_reproducible_and_disjoint():

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual.core import DEFAULT_CONFIG, CenteredBody, ToleranceConfig, rng_stream
+from convexdual.core import CenteredBody, ToleranceConfig, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
     WvalVerdict,
+    _fd_step,
+    _gauge_tol,
     approx_separator,
     gauge_batch,
-    gauge_from_wmem,
     wopt_from_wmem,
     wval_batch,
     wval_from_wmem,
@@ -27,10 +28,10 @@ def _ball_oracle(p, n):
 
 def test_gauge_matches_norm_on_rays():
     norm, oracle, body = _ball_oracle(2.0, 2)
-    assert gauge_from_wmem(oracle, body, [2.0, 0.0]) == pytest.approx(2.0, abs=1e-6)
-    assert gauge_from_wmem(oracle, body, [0.0, 0.5]) == pytest.approx(0.5, abs=1e-6)
-    with pytest.raises(ValueError):
-        gauge_from_wmem(oracle, body, [0.0, 0.0])
+    g = gauge_batch(oracle, body, [[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]],
+                    _gauge_tol(body))
+    np.testing.assert_allclose(g[:2], [2.0, 0.5], atol=1e-6)
+    assert g[2] == 0.0  # the center
 
 
 def test_gauge_handles_shifted_center():
@@ -38,8 +39,8 @@ def test_gauge_handles_shifted_center():
     body = CenteredBody(center, 0.9, 1.1)  # loose sandwich forces bisection
     oracle = exact_to_weak(lambda X: np.linalg.norm(X - center, axis=1) <= 1.0, body)
     assert oracle.calls.count == 0
-    assert gauge_from_wmem(oracle, body, center + [3.0, 0.0]) == pytest.approx(
-        3.0, abs=1e-6)
+    g = gauge_batch(oracle, body, [center + [3.0, 0.0]], _gauge_tol(body))
+    assert g[0] == pytest.approx(3.0, abs=1e-6)
     assert oracle.calls.count > 0
 
 
@@ -47,7 +48,7 @@ def test_gauge_skips_queries_when_sandwich_is_tight():
     center = np.zeros(2)
     body = CenteredBody(center, 1.0, 1.0)
     oracle = exact_to_weak(lambda X: np.linalg.norm(X, axis=1) <= 1.0, body)
-    assert gauge_from_wmem(oracle, body, [3.0, 0.0]) == pytest.approx(3.0)
+    assert gauge_batch(oracle, body, [[3.0, 0.0]], 1e-8)[0] == pytest.approx(3.0)
     assert oracle.calls.count == 0
 
 
@@ -55,7 +56,7 @@ def test_gauge_batch_equals_scalar_loop():
     norm, oracle, body = _ball_oracle(1.0, 3)
     pts = rng_stream(21, 0).normal(size=(20, 3))
     batch = gauge_batch(oracle, body, pts, 1e-7)
-    single = np.array([gauge_from_wmem(oracle, body, p, tol=1e-7) for p in pts])
+    single = np.array([gauge_batch(oracle, body, p[None, :], 1e-7)[0] for p in pts])
     np.testing.assert_allclose(batch, single, atol=1e-7)
     # for a norm ball the gauge *is* the norm
     np.testing.assert_allclose(batch, norm.eval_batch(pts), atol=1e-5)
@@ -75,12 +76,6 @@ def test_non_finite_tolerances_are_rejected():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             gauge_batch(oracle, body, [[0.5, 0.3, 0.1]], bad)
-        with pytest.raises(ValueError):
-            gauge_from_wmem(oracle, body, [0.5, 0.3, 0.1], tol=bad)
-        with pytest.raises(ValueError):
-            ToleranceConfig(gauge_tol=bad)
-        with pytest.raises(ValueError):
-            ToleranceConfig(fd_step=bad)
     assert oracle.calls.count == 0
 
 
@@ -107,8 +102,8 @@ def test_gauge_batch_rejects_bad_points_and_anchors_before_querying():
 
 
 def _separator_tolerances(body):
-    step = DEFAULT_CONFIG.fd_step_for(body)
-    return step, min(DEFAULT_CONFIG.gauge_tol_for(body), 1e-3 * step)
+    step = _fd_step(body)
+    return step, min(_gauge_tol(body), 1e-3 * step)
 
 
 def _check_separator_cost(x, rounds, cold):

@@ -146,6 +146,20 @@ def test_wmem_from_approx_call_budget():
     assert v is WeakVerdict.NOT_IN_SHRUNK
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_wmem_from_approx_rejects_non_finite_values(monkeypatch, bad):
+    """A non-finite norm value is no evidence for either verdict: on l1/R2,
+    x = (0.9, 0) lies between the sandwich radii 1/sqrt(2) and 1, so the
+    one evaluation it costs must raise rather than answer."""
+    norm = ReferenceNorm.lp(1.0, 2)
+    monkeypatch.setattr(norm, "eval", lambda x: bad)
+    approx = norm.approx_oracle()
+    with pytest.raises(ValueError):
+        wmem_from_approx(approx, norm.descriptor, [0.9, 0.0], 0.05)
+    assert approx.calls.count == 1
+
+
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["overstated", "understated"])
 def test_wmem_from_approx_tolerates_value_adversaries(side):
     """Verdicts stay legal when every norm value is off by 0.9 eps in one

@@ -6,7 +6,6 @@ import pytest
 from convexdual.core import CenteredBody, WeakVerdict, rng_stream
 from convexdual.oracles import (
     FunctionApproxOracle,
-    NormApproxOracle,
     ReferenceCone,
     ReferenceNorm,
     exact_to_weak,
@@ -165,15 +164,6 @@ def test_weak_oracle_rejects_bad_points_before_counting():
         with pytest.raises(ValueError):
             oracle.query(bad, 0.01)
     assert oracle.calls.count == 0
-
-
-def test_norm_approx_oracle_enforces_annulus():
-    norm = ReferenceNorm.lp(2.0, 2)
-    approx = norm.approx_oracle()
-    assert approx.eval([1.0, 0.0], 0.01) == pytest.approx(1.0)
-    for bad in ([0.2, 0.0], [2.0, 0.0], [0.0, 0.0]):
-        with pytest.raises(ValueError):
-            approx.eval(bad, 0.01)
 
 
 def test_function_approx_oracle_rejects_nonfinite():
