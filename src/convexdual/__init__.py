@@ -47,7 +47,6 @@ from .normdual import (
     approx_from_wmem,
     ball_scaling_bounds,
     bisection_step_count,
-    dual_ball_wmem,
     dual_norm_eval,
     rescale_norm,
     wmem_from_approx,

@@ -9,7 +9,6 @@ subcommand loads one, runs the matching pipeline, and prints a flat report
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -104,12 +103,6 @@ def emit_report(fields: dict, as_json: bool) -> None:
             print(f"{k} {v}")
 
 
-def _config(args) -> ToleranceConfig:
-    if getattr(args, "seed", None) is None:
-        return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, rng_seed=int(args.seed))
-
-
 def cmd_wmem(args) -> dict:
     spec = load_spec(args.spec)
     if spec["kind"] in _CONE_KINDS:
@@ -126,8 +119,7 @@ def cmd_dual_norm(args) -> dict:
     norm = norm_from_spec(load_spec(args.spec))
     point = parse_point(args.point, norm.n)
     oracle = norm.oracle()
-    res = dual_norm_eval(oracle, norm.descriptor, point, args.delta,
-                         cfg=_config(args))
+    res = dual_norm_eval(oracle, norm.descriptor, point, args.delta)
     out = {"value": res.value, "oracle_calls": oracle.calls.count}
     try:
         out["closed_form_value"] = norm.dual().eval(point)
@@ -140,8 +132,7 @@ def cmd_dual_cone(args) -> dict:
     cone = cone_from_spec(load_spec(args.spec))
     point = parse_point(args.point, cone.n)
     oracle = cone.oracle()
-    dual = dual_cone_wmem(oracle, descriptor_from_reference(cone),
-                          cfg=_config(args))
+    dual = dual_cone_wmem(oracle, descriptor_from_reference(cone))
     verdict = dual.query(point, args.delta)
     return {"verdict": verdict.value, "cone_calls": oracle.calls.count,
             "dual_calls": dual.calls.count}
@@ -157,7 +148,7 @@ def cmd_fenchel(args) -> dict:
         raise SpecError(f"function {ref.name!r} carries no growth certificate")
     y = parse_point(args.point, ref.n)
     values = ref.approx_oracle()
-    est = fenchel_eval(values, ref.cert, y, args.eps, cfg=_config(args))
+    est = fenchel_eval(values, ref.cert, y, args.eps)
     out = {"value": est.value, "localization_radius": est.radius,
            "value_calls": values.calls.count}
     if ref.conjugate is not None:
@@ -168,13 +159,13 @@ def cmd_fenchel(args) -> dict:
 def cmd_mahler(args) -> dict:
     norm = norm_from_spec(load_spec(args.spec))
     oracle = norm.oracle()
-    cfg = _config(args)
-    est = mahler_volume(oracle, norm.descriptor, args.samples, cfg=cfg)
+    est = mahler_volume(oracle, norm.descriptor, args.samples,
+                        ToleranceConfig(rng_seed=args.seed))
     return {
         "value": est.value, "half_width": est.half_width,
         "primal_volume": est.primal.value, "primal_half_width": est.primal.half_width,
         "dual_volume": est.dual.value, "dual_half_width": est.dual.half_width,
-        "samples": args.samples, "seed": cfg.rng_seed,
+        "samples": args.samples, "seed": args.seed,
         "oracle_calls": oracle.calls.count,
     }
 
@@ -191,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(slack_flag, type=float, default=slack_default,
                        dest=slack_flag.lstrip("-").replace("-", "_"),
                        help=slack_help)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the pipeline RNG seed")
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("wmem", help="weak membership verdict for a body or cone")
@@ -219,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="JSON norm spec file")
     p.add_argument("--samples", type=int, default=200_000,
                    help="Monte Carlo samples per body")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the sampling seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.rng_seed,
+                   help="Monte Carlo sampling seed")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.set_defaults(fn=cmd_mahler)
 

@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG,
-    CenteredBody,
-    ToleranceConfig,
-    as_vector,
-    positive_finite,
-)
+from .core import CenteredBody, as_vector, positive_finite
 from .cutting import wval_batch
 # not called here; kept because perfbench's layer trace patches this name
 from .cutting import wval_from_wmem  # noqa: F401
@@ -154,14 +148,12 @@ class DualConeOracle(WeakMembershipOracle):
     larger one.
     """
 
-    def __init__(self, cone_oracle: WeakMembershipOracle, desc: ConeDescriptor,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG, label: str = "dual-cone"):
+    def __init__(self, cone_oracle: WeakMembershipOracle, desc: ConeDescriptor):
         desc = normalize_cone(desc)
         body = CenteredBody(desc.b, desc.eps_b, math.inf)
-        super().__init__(self._verdicts, body, label=label)
+        super().__init__(self._verdicts, body, label="dual-cone")
         self.cone_oracle = cone_oracle
         self.desc = desc
-        self.cfg = cfg
         self._kb_body = CenteredBody(np.zeros(desc.n - 1), desc.eps_a,
                                      desc.section_outer)
         # membership in the slice body K_b, asked in frame coordinates
@@ -169,7 +161,7 @@ class DualConeOracle(WeakMembershipOracle):
         self._kb_oracle = WeakMembershipOracle(
             lambda U, t: cone_wmem_to_section_wmem(cone_oracle, desc,
                                                    desc.a + U @ basis.T, t),
-            self._kb_body, label=f"{label}/slice")
+            self._kb_body, label="dual-cone/slice")
 
     def _verdicts(self, C: np.ndarray, delta: float) -> np.ndarray:
         desc = self.desc
@@ -196,14 +188,14 @@ class DualConeOracle(WeakMembershipOracle):
             bc = np.linalg.norm(desc.b - S[work], axis=1)
             eps_w = 0.5 * float(np.min(np.minimum(1.0 / q, eps_sec[work] / (q * bc))))
             out[rows[work]] = wval_batch(self._kb_oracle, self._kb_body, -U[work],
-                                         1.0, eps_w, self.cfg)
+                                         1.0, eps_w)
         return out
 
 
-def dual_cone_wmem(cone_oracle: WeakMembershipOracle, desc: ConeDescriptor,
-                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> DualConeOracle:
+def dual_cone_wmem(cone_oracle: WeakMembershipOracle,
+                   desc: ConeDescriptor) -> DualConeOracle:
     """Weak membership oracle for the dual cone K*."""
-    return DualConeOracle(cone_oracle, desc, cfg)
+    return DualConeOracle(cone_oracle, desc)
 
 
 def descriptor_from_reference(cone: ReferenceCone) -> ConeDescriptor:

@@ -163,17 +163,15 @@ class CallCounter:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric policy shared by the cutting-plane pipelines: the cut cap
-    per engine run and the seed of the Monte Carlo streams. The gauge
-    tolerance and the finite-difference step derive from each body (see
-    cutting.approx_separator)."""
+    """The seed of mahler_volume's Monte Carlo streams, its only setting.
 
-    max_cut_iterations: int = 4000
+    Every other numeric choice belongs to the method: the cut cap is
+    cutting._MAX_CUTS, and the gauge tolerance and finite-difference step
+    derive from each body (see cutting.approx_separator). The seed stays
+    wrapped in this object because the benchmark builds
+    ToleranceConfig(rng_seed=...) and passes it to mahler_volume."""
+
     rng_seed: int = 20260819
-
-    def __post_init__(self):
-        if self.max_cut_iterations < 1:
-            raise ValueError("iteration cap must be positive")
 
 
 DEFAULT_CONFIG = ToleranceConfig()

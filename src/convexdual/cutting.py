@@ -36,12 +36,14 @@ differentiable along the probe segments with second partials at most M,
 price of n + 1 probes against the O(h^2) bias of 2n central probes. On a
 facet of a polytope b = 0; within h of a kink |b_i| can reach the jump of
 the i-th partial, and sigma grows with it. The outward signs keep H away
-from zero: s . (x - a) = g(x) for a gauge, so some axis has
-s_i (x_i - a_i) >= g(x)/n, and there g(x + h_i e_i) - g(x) >= h |s_i|,
-giving |F| >= g(x) / (n |x - a|). Probes that step toward the center can
-all see no change, as x + h e_i do at a corner of a cube whose coordinates
-are all negative. At the default steps this keeps the certified optimum within
-a few eps of the true support value on smooth bodies; the tests pin 5*eps.
+from zero: s . (x - a) = g(x) for a gauge, and h_i has the sign of
+x_i - a_i, so b_i h_i >= 0 gives F_i (x_i - a_i) >= s_i (x_i - a_i) on
+every axis. Summing, F . (x - a) >= g(x), so |F| >= g(x) / |x - a|, which
+is at least 1/outer, as K lies in B(a, outer). Probes that step toward the
+center can all see no change, as x + h e_i do at a corner of a cube whose
+coordinates are all negative. At the default steps this keeps the
+certified optimum within a few eps of the true support value on smooth
+bodies; the tests pin 5*eps.
 
 Policy where a row is not decided cleanly, the same for every caller:
 
@@ -65,10 +67,13 @@ Policy where a row is not decided cleanly, the same for every caller:
   intersected with [d/outer, d/inner]; no verification query is made.
 - Flat gauge: the quotient vector H errs by up to 2 sqrt(n) tol/h, so a
   separator with |H| <= 4 sqrt(n) tol/h, twice that noise, raises
-  FlatGaugeError. No direction is guessed.
-- Iteration cap: a row still undecided after cfg.max_cut_iterations cuts
-  raises IterationCapError carrying its incumbent. No verdict is guessed
-  from the incumbent, which is not a legal weak answer inside the band.
+  FlatGaugeError. No direction is guessed. The gauge tolerance keeps that
+  floor at most 1/outer, the least |F| can be (above), so the floor
+  shrinks with the body instead of staying an absolute number.
+- Iteration cap: a row still undecided after _MAX_CUTS cuts, the fixed
+  iteration bound of the method, raises IterationCapError carrying its
+  incumbent. No verdict is guessed from the incumbent, which is not a
+  legal weak answer inside the band.
 - Degenerate cut: a shape matrix flat along the cut direction raises
   IterationCapError.
 """
@@ -81,14 +86,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG,
-    CenteredBody,
-    ToleranceConfig,
-    as_vector,
-    positive_finite,
-)
+from .core import CenteredBody, as_vector, positive_finite
 from .oracles import WeakMembershipOracle
+
+_MAX_CUTS = 4000  # cuts per engine run before IterationCapError
 
 
 class BracketError(RuntimeError):
@@ -238,13 +239,15 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     shape: per point a unit vector u with u . (y - x) <= sigma for all y in
     the body, sigma as documented in the module header. Both tolerances
     derive from the body: the step is _fd_step, max(1e-5, 1e-4 inner), and
-    the gauge tolerance min(_gauge_tol, 1e-3 step), _gauge_tol being
-    1e-8 outer. The n + 1 probes x and x +/- step e_i of every point, each
-    stepping away from the center, share one gauge_batch call anchored at
-    the points, where x is its own probe at offset 0: an (n + 1)-section
-    finds each point's gauge to step/inner, and the probes are bisected
-    from the window around it (module header), so a separator costs n + 1
-    primal calls per coarse and per fine round.
+    the gauge tolerance min(_gauge_tol, 1e-3 step, step / (4 sqrt(n) outer)),
+    _gauge_tol being 1e-8 outer; the last term keeps the flat-gauge floor
+    4 sqrt(n) tol / step at most 1/outer, the least the exact quotients can
+    be (module header). The n + 1 probes x and x +/- step e_i of every
+    point, each stepping away from the center, share one gauge_batch call
+    anchored at the points, where x is its own probe at offset 0: an
+    (n + 1)-section finds each point's gauge to step/inner, and the probes
+    are bisected from the window around it (module header), so a separator
+    costs n + 1 primal calls per coarse and per fine round.
     Raises FlatGaugeError when the differences at any point fall below the
     gauge noise floor (a step too small for the gauge tolerance).
     """
@@ -255,10 +258,11 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     elif X.ndim != 2 or X.shape[1] != body.n:
         raise ValueError(f"expected points of dimension {body.n}")
     step = _fd_step(body)
-    # gauge noise must sit below both the difference quotient and the
-    # smallest credible gradient norm (about 1/outer_radius)
-    tol = min(_gauge_tol(body), 1e-3 * step)
     m, n = X.shape
+    # gauge noise must sit below the difference quotient, and the
+    # flat-gauge floor below the least gradient norm, 1/outer_radius
+    tol = min(_gauge_tol(body), 1e-3 * step,
+              step / (4.0 * math.sqrt(n) * body.outer_radius))
     # each probe steps away from the center along its axis
     hs = np.where(X >= body.center, step, -step)
     probes = np.repeat(X[:, None, :], n + 1, axis=1)
@@ -335,7 +339,7 @@ def _central_cut(Z: np.ndarray, P: np.ndarray,
 
 
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
-              eps: float, cfg: ToleranceConfig, stop_above: float | None = None,
+              eps: float, stop_above: float | None = None,
               stop_ub_below: float | None = None, history: list | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
@@ -353,7 +357,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
     indexing _STOP_REASONS. history, when given, receives the gap of row 0
     at every iteration; pass it only for a batch of one. Raises
     IterationCapError, carrying the incumbent of the first undecided row, if
-    any row is undecided after cfg.max_cut_iterations cuts.
+    any row is undecided after _MAX_CUTS cuts.
     """
     _bounded(body)
     positive_finite(eps, "eps")
@@ -375,7 +379,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
     best_wit = Z.copy()
     ub_run = np.full(m, math.inf)
 
-    for it in range(cfg.max_cut_iterations):
+    for it in range(_MAX_CUTS):
         vals = np.einsum("bi,bi->b", C, Z)
         quad = np.einsum("bi,bij,bj->b", C, P, C)
         ub_run = np.minimum(ub_run, vals + np.sqrt(np.maximum(quad, 0.0)))
@@ -407,7 +411,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
         Z, P = _central_cut(Z, P, G)
 
     raise IterationCapError(
-        f"no certified gap <= {eps / 2:.3g} within {cfg.max_cut_iterations} cuts "
+        f"no certified gap <= {eps / 2:.3g} within {_MAX_CUTS} cuts "
         f"({rows.size} of {m} objectives undecided)",
         witness=best_wit[0], value=float(best[0]),
         gap=max(float(ub_run[0] - best[0]), 0.0),
@@ -415,7 +419,6 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
 
 
 def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: float,
-                   cfg: ToleranceConfig = DEFAULT_CONFIG,
                    stop_above: float | None = None,
                    stop_ub_below: float | None = None) -> WoptResult:
     """Maximize c . x over the body to certified slack eps.
@@ -426,32 +429,31 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: flo
     certified upper bound falls to stop_ub_below.
 
     Raises IterationCapError (carrying the incumbent) if the gap target is
-    not certified within cfg.max_cut_iterations.
+    not certified within _MAX_CUTS cuts.
     """
     history: list = []
     value, witness, gap, iterations, stop = _cut_loop(
-        oracle, body, as_vector(c, body.n)[None, :], eps, cfg,
+        oracle, body, as_vector(c, body.n)[None, :], eps,
         stop_above, stop_ub_below, history)
     return WoptResult(witness[0], float(value[0]), float(gap[0]), int(iterations[0]),
                       _STOP_REASONS[stop[0]], history)
 
 
 def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody,
-                   query: WvalQuery,
-                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> WvalVerdict:
+                   query: WvalQuery) -> WvalVerdict:
     """Weak validity of c . x <= gamma over the body: wval_batch on one row.
 
     UPPER_BOUND_HOLDS asserts c . x <= gamma + eps on the eps-shrunk body;
     LARGE_VALUE_EXISTS asserts a point of the eps-thickened body with
     c . x >= gamma - eps.
     """
-    if wval_batch(oracle, body, query.c[None, :], query.gamma, query.eps, cfg)[0]:
+    if wval_batch(oracle, body, query.c[None, :], query.gamma, query.eps)[0]:
         return WvalVerdict.UPPER_BOUND_HOLDS
     return WvalVerdict.LARGE_VALUE_EXISTS
 
 
 def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float,
-               eps: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+               eps: float) -> np.ndarray:
     """Weak validity of c . x <= gamma over the body for every row c of C.
 
     Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
@@ -467,6 +469,6 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
     positive_finite(eps, "eps")
     if C.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    value = _cut_loop(oracle, body, C, eps / 2.0, cfg,
+    value = _cut_loop(oracle, body, C, eps / 2.0,
                       stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)[0]
     return value < gamma - eps / 2.0

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG,
-    CenteredBody,
-    ToleranceConfig,
-    as_vector,
-    positive_finite,
-)
+from .core import CenteredBody, as_vector, positive_finite
 from .cutting import wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
@@ -106,7 +100,7 @@ class EpigraphBody:
         outer = math.hypot(self.ball.outer_radius, 1.25 * self.cap)
         return CenteredBody(center, inner, outer)
 
-    def oracle(self, label: str = "epigraph") -> WeakMembershipOracle:
+    def oracle(self) -> WeakMembershipOracle:
         """Row-wise weak membership: rows off the ball or above the cap are
         refuted without an evaluation, every other row costs one."""
         center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
@@ -124,7 +118,7 @@ class EpigraphBody:
                 inside[i] = tau[i] >= values.eval(X[i], eps)
             return inside
 
-        return WeakMembershipOracle(verdicts, self.body(), label=label)
+        return WeakMembershipOracle(verdicts, self.body(), label="epigraph")
 
 
 @dataclass(frozen=True)
@@ -135,15 +129,14 @@ class MinimizationResult:
     oracle_calls: int
 
 
-def _epigraph_support(epi: EpigraphBody, c: np.ndarray, e: float,
-                      cfg: ToleranceConfig):
+def _epigraph_support(epi: EpigraphBody, c: np.ndarray, e: float):
     """wopt_from_wmem of c over the epigraph at slack e, and its call count."""
     oracle = epi.oracle()
-    return wopt_from_wmem(oracle, oracle.body, c, e, cfg), oracle.calls.count
+    return wopt_from_wmem(oracle, oracle.body, c, e), oracle.calls.count
 
 
-def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate, eps: float,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG) -> MinimizationResult:
+def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
+                 eps: float) -> MinimizationResult:
     """Approximate min of f over the ball by pushing the epigraph downward.
 
     The support query of the truncated epigraph in the direction (0, -1),
@@ -156,7 +149,7 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate, eps: float,
         raise ValueError("need 0 < eps < min(cap / 2, certificate margin)")
     down = np.zeros(epi.n)
     down[-1] = -1.0
-    res, calls = _epigraph_support(epi, down, 0.5 * eps, cfg)
+    res, calls = _epigraph_support(epi, down, 0.5 * eps)
     value = -float(res.value)
 
     # the center and the points half the radius out along each axis
@@ -220,7 +213,7 @@ class ConjugateEstimate:
 
 
 def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
-                 eps: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ConjugateEstimate:
+                 eps: float) -> ConjugateEstimate:
     """Evaluate the Fenchel conjugate at y within eps: one support query of
     epi f in the direction c = (y, -1).
 
@@ -273,7 +266,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     body = epi.body()
     nc = math.hypot(1.0, ny)   # |c|
     e = eps / (0.5 + nc * (1.0 + body.outer_radius / body.inner_radius) / 8.0)
-    res, _ = _epigraph_support(epi, np.append(y, -1.0), e, cfg)
+    res, _ = _epigraph_support(epi, np.append(y, -1.0), e)
     return ConjugateEstimate(float(res.value), res.witness[:-1].copy(), radius, cap)
 
 

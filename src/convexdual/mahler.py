@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, positive_finite, rng_stream
-from .normdual import dual_ball_wmem
+from .normdual import DualBallOracle
 from .oracles import WeakMembershipOracle
 
 _CHUNK = 65536
@@ -105,9 +105,10 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     one, so the product is computed from a single membership routine. The
     primal run certifies its inside points to the polar oracle's pool. The
     half-width combines the two independent estimates by first-order error
-    propagation.
+    propagation. cfg supplies the seed: the primal run samples the streams
+    of cfg.rng_seed, the polar run those of cfg.rng_seed + 1.
     """
-    dual_oracle = dual_ball_wmem(oracle, desc, cfg)
+    dual_oracle = DualBallOracle(oracle, desc)
     primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed,
                        on_inside=dual_oracle.certify)
     dual = volume_mc(dual_oracle, desc.k_hi, samples, cfg.rng_seed + 1)

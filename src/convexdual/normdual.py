@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_CONFIG,
     CenteredBody,
     Interval,
     NormDescriptor,
-    ToleranceConfig,
     WeakVerdict,
     as_vector,
     positive_finite,
@@ -118,13 +116,11 @@ class DualBallOracle(WeakMembershipOracle):
     outside the shrinking.
     """
 
-    def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG, label: str = "dual-ball"):
+    def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor):
         body = CenteredBody(np.zeros(desc.n), desc.k_lo, desc.k_hi)
-        super().__init__(self._screen, body, label=label)
+        super().__init__(self._screen, body, label="dual-ball")
         self.primal = primal
         self.primal_descriptor = desc
-        self.cfg = cfg
         self.r = max(1.0, 2.0 * desc.k_hi)
         self._scaled_oracle, scaled_desc = rescale_norm(primal, desc, 1.0 / self.r)
         self._scaled_body = scaled_desc.ball()
@@ -193,13 +189,7 @@ class DualBallOracle(WeakMembershipOracle):
         validity run of c = x / r against gamma = 1 over r B_nu, all rows in
         lockstep."""
         return wval_batch(self._scaled_oracle, self._scaled_body, pts / self.r,
-                          1.0, self._slack(delta), self.cfg)
-
-
-def dual_ball_wmem(primal: WeakMembershipOracle, desc: NormDescriptor,
-                   cfg: ToleranceConfig = DEFAULT_CONFIG) -> DualBallOracle:
-    """Weak membership oracle for the dual unit ball B_(nu*)."""
-    return DualBallOracle(primal, desc, cfg)
+                          1.0, self._slack(delta))
 
 
 def wmem_from_approx(approx: FunctionApproxOracle, desc: NormDescriptor, x,
@@ -300,7 +290,7 @@ class DualNormResult:
 
 
 def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
-                   delta: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> DualNormResult:
+                   delta: float) -> DualNormResult:
     """Evaluate the dual norm nu*(y) from the primal ball oracle.
 
     Composition: scale y onto the unit sphere, derive the dual-ball
@@ -312,6 +302,6 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     factor = float(np.linalg.norm(v))
     if factor == 0.0:
         return DualNormResult(0.0, 0.0, None)
-    dual_oracle = dual_ball_wmem(primal, desc, cfg)
+    dual_oracle = DualBallOracle(primal, desc)
     omega, trace = approx_from_wmem(dual_oracle, desc.dual(), v / factor, delta / 3.0)
     return DualNormResult(factor * omega, factor, trace)

@@ -267,16 +267,15 @@ class ReferenceNorm:
     def ball(self) -> CenteredBody:
         return self.descriptor.ball()
 
-    def oracle(self, label: str | None = None) -> WeakMembershipOracle:
+    def oracle(self) -> WeakMembershipOracle:
         """Exact-membership weak oracle for the unit ball."""
-        label = label or f"{self.kind}-ball"
         return exact_to_weak(lambda X: self.eval_batch(X) <= 1.0, self.ball(),
-                             label=label)
+                             label=f"{self.kind}-ball")
 
-    def approx_oracle(self, label: str | None = None) -> FunctionApproxOracle:
+    def approx_oracle(self) -> FunctionApproxOracle:
         """Norm evaluator that ignores its slack (exact closed form)."""
         return FunctionApproxOracle(lambda x, eps: self.eval(x), self.n,
-                                    label=label or f"{self.kind}-approx")
+                                    label=f"{self.kind}-approx")
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +318,13 @@ def smat(v) -> np.ndarray:
 
 
 def _psd_min_eigs(X: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i, row in enumerate(X):
-        out[i] = np.linalg.eigvalsh(smat(row))[0]
-    return out
+    """Smallest eigenvalue of smat(x) for every row x, in one batched call."""
+    j, i = np.triu_indices(d)  # svec order: column j, then rows i >= j
+    vals = X / np.where(i == j, 1.0, math.sqrt(2.0))
+    M = np.zeros((X.shape[0], d, d))
+    M[:, i, j] = vals
+    M[:, j, i] = vals
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 class ReferenceCone:
@@ -403,6 +405,6 @@ class ReferenceCone:
     def dual(self) -> "ReferenceCone":
         return self  # all reference kinds are self-dual
 
-    def oracle(self, label: str | None = None) -> WeakMembershipOracle:
+    def oracle(self) -> WeakMembershipOracle:
         body = CenteredBody(self.a, self.eps_a, math.inf)
-        return exact_to_weak(self.member_batch, body, label=label or f"{self.kind}-cone")
+        return exact_to_weak(self.member_batch, body, label=f"{self.kind}-cone")

@@ -177,6 +177,15 @@ def test_reports_are_deterministic_modulo_wall_time(capsys, specs):
     assert c["value"] != a["value"]
 
 
+@pytest.mark.parametrize("command", ["wmem", "dual-norm", "dual-cone", "fenchel"])
+def test_seed_is_a_mahler_option_only(specs, command):
+    """Only mahler samples; the other subcommands reject --seed as argparse
+    rejects any unknown flag, with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", specs["disc"], "--point", "1,0", "--seed", "5"])
+    assert exc.value.code == 2
+
+
 # -- exit codes -------------------------------------------------------------
 
 def test_exit_2_on_missing_spec(capsys, tmp_path):

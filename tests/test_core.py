@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from convexdual.core import (
-    DEFAULT_CONFIG,
     CallCounter,
     CenteredBody,
     Interval,
@@ -90,16 +89,12 @@ def test_call_counter_thread_safety():
 
 
 def test_tolerance_config_derived_values():
-    """The config holds only the cut cap and the seed; the separator's gauge
+    """The config holds only the Monte Carlo seed; the separator's gauge
     tolerance and step derive from the body."""
-    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == [
-        "max_cut_iterations", "rng_seed"]
-    assert DEFAULT_CONFIG.max_cut_iterations == 4000
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rng_seed"]
     body = CenteredBody(np.zeros(2), 0.5, 4.0)
     assert _gauge_tol(body) == pytest.approx(4e-8)
     assert _fd_step(body) == pytest.approx(max(1e-5, 0.5e-4))
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_cut_iterations=0)
 
 
 def test_rng_stream_reproducible_and_disjoint():

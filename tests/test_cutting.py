@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual.core import CenteredBody, ToleranceConfig, rng_stream
+from convexdual import cutting
+from convexdual.core import CenteredBody, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
@@ -363,11 +364,11 @@ def test_wopt_input_validation():
         wopt_from_wmem(oracle, cone_body, [1.0, 0.0], 0.01)
 
 
-def test_wopt_iteration_cap_carries_incumbent():
+def test_wopt_iteration_cap_carries_incumbent(monkeypatch):
     _, oracle, body = _ball_oracle(2.0, 2)
-    cfg = ToleranceConfig(max_cut_iterations=3)
+    monkeypatch.setattr(cutting, "_MAX_CUTS", 3)
     with pytest.raises(IterationCapError) as err:
-        wopt_from_wmem(oracle, body, [1.0, 0.0], 1e-9, cfg)
+        wopt_from_wmem(oracle, body, [1.0, 0.0], 1e-9)
     assert err.value.witness is not None
     assert err.value.value is not None
     assert err.value.gap > 0.0

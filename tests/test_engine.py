@@ -13,7 +13,8 @@ from convexdual.conedual import (
     descriptor_from_reference,
     dual_cone_wmem,
 )
-from convexdual.core import CenteredBody, ToleranceConfig, WeakVerdict, rng_stream
+from convexdual import cutting
+from convexdual.core import CenteredBody, WeakVerdict, rng_stream
 from convexdual.cutting import (
     IterationCapError,
     WvalQuery,
@@ -48,16 +49,16 @@ def test_wval_batch_matches_scalar_verdicts(p, n):
     np.testing.assert_array_equal(got, support < 1.0)
 
 
-def test_iteration_cap_raises_on_scalar_and_batched_paths():
+def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
     """An undecided row raises with its incumbent; no verdict is guessed."""
-    cfg = ToleranceConfig(max_cut_iterations=3)
+    monkeypatch.setattr(cutting, "_MAX_CUTS", 3)
     norm = ReferenceNorm.lp(1.0, 2)
     query = WvalQuery(c=[1.0, 1.0], gamma=1.0, eps=0.01)  # support is exactly 1
     with pytest.raises(IterationCapError) as err:
-        wval_from_wmem(norm.oracle(), norm.ball(), query, cfg)
+        wval_from_wmem(norm.oracle(), norm.ball(), query)
     assert err.value.witness is not None
     # |y| sits between the sandwich radii, so the screen leaves it to the engine
-    oracle = DualBallOracle(norm.oracle(), norm.descriptor, cfg)
+    oracle = DualBallOracle(norm.oracle(), norm.descriptor)
     with pytest.raises(IterationCapError) as err:
         oracle.query_batch([[1.0, 0.5]], 0.01)
     assert err.value.witness is not None

@@ -114,21 +114,24 @@ def test_epigraph_batch_matches_row_queries():
 
 
 MIN_CASES = [
-    # (fn, n, ball center, expected min over the unit-radius ball)
+    # (fn, n, ball center, cap, expected min over the unit-radius ball)
     (lambda x: float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2) + 0.7, 2,
-     (0.0, 0.0), 0.7),
+     (0.0, 0.0), 8.0, 0.7),
     (lambda x: math.exp(float(x[0])) + math.exp(-float(x[0])), 2,
-     (0.0, 0.0), 2.0),
+     (0.0, 0.0), 8.0, 2.0),
     (lambda x: 2.0 * float((x - 0.25) @ (x - 0.25)), 3,
-     (0.25, 0.25, 0.25), 0.0),
+     (0.25, 0.25, 0.25), 8.0, 0.0),
+    # a tall epigraph, 640 from its centre to its rim: its gauge slopes
+    # shrink like 1/cap, so the separators' flat-gauge floor must too
+    (lambda x: float(x @ x), 2, (0.0, 0.0), 512.0, 0.0),
 ]
+MIN_IDS = ["shifted-quadratic", "exp-pair", "centered", "tall-cap"]
 
 
-@pytest.mark.parametrize("fn,n,center,want", MIN_CASES,
-                         ids=["shifted-quadratic", "exp-pair", "centered"])
-def test_min_via_wopt_accuracy(fn, n, center, want):
+@pytest.mark.parametrize("fn,n,center,cap,want", MIN_CASES, ids=MIN_IDS)
+def test_min_via_wopt_accuracy(fn, n, center, cap, want):
     eps = 0.05
-    epi = EpigraphBody(_ball(n, 1.0, center), 8.0, _oracle(fn, n))
+    epi = EpigraphBody(_ball(n, 1.0, center), cap, _oracle(fn, n))
     res = min_via_wopt(epi, InteriorMinCertificate(0.2), eps)
     assert abs(res.value - want) <= eps
     assert res.oracle_calls > 0
@@ -138,12 +141,11 @@ def test_min_via_wopt_accuracy(fn, n, center, want):
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
-@pytest.mark.parametrize("fn,n,center,want", MIN_CASES,
-                         ids=["shifted-quadratic", "exp-pair", "centered"])
-def test_min_via_wopt_tolerates_value_adversaries(fn, n, center, want, side):
+@pytest.mark.parametrize("fn,n,center,cap,want", MIN_CASES, ids=MIN_IDS)
+def test_min_via_wopt_tolerates_value_adversaries(fn, n, center, cap, want, side):
     """Values off by 0.9 eps in one direction keep the minimum within eps."""
     eps = 0.05
-    epi = EpigraphBody(_ball(n, 1.0, center), 8.0, value_adversary(fn, n, side))
+    epi = EpigraphBody(_ball(n, 1.0, center), cap, value_adversary(fn, n, side))
     res = min_via_wopt(epi, InteriorMinCertificate(0.2), eps)
     assert abs(res.value - want) <= eps
 
@@ -201,11 +203,12 @@ CONJ_CASES = [
     ("square_norm", 2, [1.0, 0.5]),
     ("quartic_quarter", 1, [2.0]),
     ("quartic_quarter", 1, [-1.2]),
-    # steep slopes: the cap of epi f does not grow with |y|, so the body
-    # stays short enough for the separators' flat-gauge floor
+    # steep slopes; at |y| = 10 epi f reaches 560 from its centre, and its
+    # gauge slopes shrink with that size, below any fixed flat-gauge floor
     ("half_square_norm", 2, [6.0, 0.0]),
     ("square_norm", 3, [6.0, 0.0, 0.0]),
     ("quartic_quarter", 1, [8.0]),
+    ("half_square_norm", 2, [10.0, 0.0]),
 ]
 
 

@@ -6,10 +6,10 @@ import pytest
 from adversaries import norm_value_adversary
 from convexdual.core import NormDescriptor, WeakVerdict, rng_stream
 from convexdual.normdual import (
+    DualBallOracle,
     approx_from_wmem,
     ball_scaling_bounds,
     bisection_step_count,
-    dual_ball_wmem,
     dual_norm_eval,
     rescale_norm,
     wmem_from_approx,
@@ -75,7 +75,7 @@ def test_dual_ball_verdicts_match_closed_form(name, norm):
     the 2*delta ambiguity band."""
     delta = 0.02
     dual_norm = norm.dual()
-    oracle = dual_ball_wmem(norm.oracle(), norm.descriptor)
+    oracle = DualBallOracle(norm.oracle(), norm.descriptor)
     rng = rng_stream(32, 0)
     tested = 0
     for _ in range(60):
@@ -95,7 +95,7 @@ def test_dual_ball_batch_matches_closed_form():
     delta = 0.02
     norm = ReferenceNorm.lp(1.0, 3)
     dual_norm = norm.dual()
-    oracle = dual_ball_wmem(norm.oracle(), norm.descriptor)
+    oracle = DualBallOracle(norm.oracle(), norm.descriptor)
     rng = rng_stream(33, 0)
     pts = rng.normal(size=(400, 3))
     pts *= (rng.uniform(0.3, 1.8, size=400) / np.linalg.norm(pts, axis=1))[:, None]
@@ -109,7 +109,7 @@ def test_dual_ball_batch_matches_closed_form():
 def test_dual_ball_counts_queries():
     norm = ReferenceNorm.lp(1.0, 2)
     primal = norm.oracle()
-    oracle = dual_ball_wmem(primal, norm.descriptor)
+    oracle = DualBallOracle(primal, norm.descriptor)
     # interior point: the initial ellipsoid bound certifies the upper branch
     # before any primal query
     assert oracle.query([0.5, 0.4], 0.02) is WeakVerdict.IN_THICKENED

@@ -8,6 +8,7 @@ from convexdual.oracles import (
     FunctionApproxOracle,
     ReferenceCone,
     ReferenceNorm,
+    _psd_min_eigs,
     exact_to_weak,
     smat,
     svec,
@@ -218,6 +219,16 @@ def test_psd_membership_margin_is_min_eigenvalue():
     indef = svec(np.array([[1.0, 0.0], [0.0, -0.5]]))
     assert not cone.member(indef)
     assert cone.boundary_margin(indef) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_psd_min_eigs_match_one_matrix_at_a_time(d):
+    """The batched eigenvalues equal those of smat row by row, bit for bit,
+    so the psd verdicts cannot move."""
+    X = rng_stream(14, d).normal(size=(300, d * (d + 1) // 2))
+    want = [np.linalg.eigvalsh(smat(x))[0] for x in X]
+    np.testing.assert_array_equal(_psd_min_eigs(X, d), want)
+    assert _psd_min_eigs(X[:0], d).shape == (0,)
 
 
 def test_cone_normalization_of_interior_data():
