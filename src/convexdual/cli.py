@@ -120,7 +120,9 @@ def cmd_dual_norm(args) -> dict:
     point = parse_point(args.point, norm.n)
     oracle = norm.oracle()
     res = dual_norm_eval(oracle, norm.descriptor, point, args.delta)
-    out = {"value": res.value, "oracle_calls": oracle.calls.count}
+    out = {"value": res.value, "interval_lo": res.interval.lo,
+           "interval_hi": res.interval.hi, "cuts": res.cuts,
+           "oracle_calls": oracle.calls.count}
     try:
         out["closed_form_value"] = norm.dual().eval(point)
     except ValueError:

@@ -10,6 +10,9 @@ centers and (m, n, n) shape matrices. wopt_from_wmem is that engine on a
 batch of one. wval_batch is the validity query over many objectives at
 once, and wval_from_wmem is wval_batch on one row, so the gamma -/+ eps/2
 exits, the eps/2 slack and the tie rule live in wval_batch alone.
+support_batch is the support query over many objectives: it picks the
+engine slack from the accuracy asked for and turns each row's run into a
+certified interval for h_K(c), the one place that slack is proved.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; the central-cut update through an
@@ -57,6 +60,15 @@ Policy where a row is not decided cleanly, the same for every caller:
   eps/2 bounds c . z - value over K_dq, and K_dq loses
   h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
   of support against K.
+- Support interval: support_batch turns one run at slack e into an
+  interval [lo, hi] that contains h_K(c), with
+  lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
+  The witness lies within dq of K, so value <= h_K(c) + |c| dq, which is
+  lo <= h_K(c). The gap bounds c . z - value over K_dq, and K_dq loses at
+  most (dq/inner) |c| outer of support against K (above), so h_K(c) <= hi.
+  A row stops at gap <= e/2, and dq <= e/8, so
+  hi - lo <= e (1/2 + |c| (1 + outer/inner)/8); e is chosen to make that
+  err at the largest |c| of the batch.
 - Anchored gauge window: the gauge g about the center is 1/inner-Lipschitz,
   since B(center, inner) lies in K. So a probe p near an anchor Z with
   gauge bracket [lo_Z, hi_Z] has g(p) in
@@ -338,6 +350,11 @@ def _central_cut(Z: np.ndarray, P: np.ndarray,
     return Z - U / (n + 1.0), P
 
 
+def _centre_slack(body: CenteredBody, eps: float) -> float:
+    """Membership slack dq of the cut centres of a run at slack eps."""
+    return min(eps / 8.0, body.inner_radius / 4.0)
+
+
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
               eps: float, stop_above: float | None = None,
               stop_ub_below: float | None = None, history: list | None = None):
@@ -367,7 +384,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
     hi = -math.inf if stop_ub_below is None else stop_ub_below
 
     m, n = C.shape
-    dq = min(eps / 8.0, body.inner_radius / 4.0)
+    dq = _centre_slack(body, eps)
     value, gap_out = np.empty(m), np.empty(m)
     witness = np.empty((m, n))
     iterations = np.empty(m, dtype=int)
@@ -437,6 +454,33 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: flo
         stop_above, stop_ub_below, history)
     return WoptResult(witness[0], float(value[0]), float(gap[0]), int(iterations[0]),
                       _STOP_REASONS[stop[0]], history)
+
+
+def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
+                  err: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Certified support values h_K(c) of the body for every row c of C.
+
+    One lockstep run of the engine at the slack e that solves
+    e (1/2 + |c|max (1 + outer/inner)/8) = err. Returns per-row arrays
+    (lo, hi, witness, cuts): an interval [lo, hi] that contains h_K(c) with
+    hi - lo <= err (the support interval of the module header), the
+    incumbent, a point within dq of the body with c . witness in [lo, hi],
+    and the row's cut count. An empty C costs no oracle call; a zero or
+    non-finite row raises ValueError before any call.
+    """
+    _bounded(body)
+    err = positive_finite(err, "err")
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[1] != body.n or not np.all(np.isfinite(C)):
+        raise ValueError(f"expected finite objectives of dimension {body.n}")
+    if C.shape[0] == 0:
+        return np.zeros(0), np.zeros(0), np.zeros((0, body.n)), np.zeros(0, dtype=int)
+    nc = np.linalg.norm(C, axis=1)
+    inner, outer = body.inner_radius, body.outer_radius
+    e = err / (0.5 + float(nc.max()) * (1.0 + outer / inner) / 8.0)
+    value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e)
+    dq = _centre_slack(body, e)
+    return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts
 
 
 def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody,

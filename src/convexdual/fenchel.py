@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CenteredBody, as_vector, positive_finite
-from .cutting import wopt_from_wmem
+from .cutting import support_batch, wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
 
@@ -129,12 +129,6 @@ class MinimizationResult:
     oracle_calls: int
 
 
-def _epigraph_support(epi: EpigraphBody, c: np.ndarray, e: float):
-    """wopt_from_wmem of c over the epigraph at slack e, and its call count."""
-    oracle = epi.oracle()
-    return wopt_from_wmem(oracle, oracle.body, c, e), oracle.calls.count
-
-
 def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
                  eps: float) -> MinimizationResult:
     """Approximate min of f over the ball by pushing the epigraph downward.
@@ -149,7 +143,9 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
         raise ValueError("need 0 < eps < min(cap / 2, certificate margin)")
     down = np.zeros(epi.n)
     down[-1] = -1.0
-    res, calls = _epigraph_support(epi, down, 0.5 * eps)
+    oracle = epi.oracle()
+    res = wopt_from_wmem(oracle, oracle.body, down, 0.5 * eps)
+    calls = oracle.calls.count
     value = -float(res.value)
 
     # the center and the points half the radius out along each axis
@@ -223,16 +219,10 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     sphere bounds it above, and f(x) >= 2 f(0) - f(-x) below. Over that body
     E, with tau = f(x) under the cap, h_E(c) = f*(y).
 
-    Slack. Let B(a, inner) <= E <= B(a, outer). One wopt_from_wmem run at
-    slack e queries cut centres at dq = min(e/8, inner/4); its witness lies
-    within dq of E, and its gap e/2 holds on the shrunk body E_dq (cutting
-    module header). With |c| = sqrt(1 + |y|^2):
-
-        value <= h_E(c) + |c| dq,
-        value >= h_E_dq(c) - e/2 >= h_E(c) - (dq/inner) |c| outer - e/2.
-
-    As dq <= e/8, both errors are at most e (1/2 + |c| (1 + outer/inner)/8),
-    and e sets that to eps.
+    Slack. cutting.support_batch at err = eps certifies an interval of
+    width at most eps that contains h_E(c) (the support interval of the
+    cutting module header, which proves it). The value returned is
+    c . witness, which lies in that interval, so it is within eps of f*(y).
     """
     positive_finite(eps, "eps")
     y = as_vector(y, values.n)
@@ -263,11 +253,10 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     f_sphere = float(cert.upper(radius))
     cap = 2.0 * (max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + 1.0)
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
-    body = epi.body()
-    nc = math.hypot(1.0, ny)   # |c|
-    e = eps / (0.5 + nc * (1.0 + body.outer_radius / body.inner_radius) / 8.0)
-    res, _ = _epigraph_support(epi, np.append(y, -1.0), e)
-    return ConjugateEstimate(float(res.value), res.witness[:-1].copy(), radius, cap)
+    oracle = epi.oracle()
+    c = np.append(y, -1.0)
+    _, _, witness, _ = support_batch(oracle, oracle.body, c[None, :], eps)
+    return ConjugateEstimate(float(c @ witness[0]), witness[0, :-1].copy(), radius, cap)
 
 
 def fenchel_brute(fn, y, radius: float, mesh: int = 101) -> float:

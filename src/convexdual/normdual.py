@@ -1,12 +1,17 @@
 """Dual-norm evaluation from a weak membership oracle for the primal ball.
 
-The chain: membership for the primal ball gives weak validity of linear
-functionals over it (cutting plane), validity over the primal ball decides
-weak membership in the dual ball (the k >= 2 lemma, after rescaling), and an
-interval bisection turns dual-ball membership into an additive-error dual
-norm value. The stages exposed on their own are rescale_norm, the
-DualBallOracle (whose validity stage is cutting.wval_batch), and
-approx_from_wmem.
+The dual norm is a support function: nu*(y) = max of y . x over the primal
+unit ball B, its support value h_B(y). So dual_norm_eval is one certified
+support query over B (cutting.support_batch): weak optimization from weak
+membership, run once at y/|y| and scaled back by |y|.
+
+The paper's longer route stays as stages of their own. Membership for the
+primal ball gives weak validity of linear functionals over it
+(cutting.wval_batch); validity over the primal ball decides weak
+membership in the dual ball (the k >= 2 lemma, after rescaling:
+rescale_norm and DualBallOracle, which also serves the polar Mahler run);
+and an interval bisection turns ball membership into an additive-error
+norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
 Scaling conventions: nu_r(x) = r * nu(x) has unit ball B_nu / r and sandwich
 constants (r * k, r * K); membership of x in B_nu is membership of x/r in
@@ -29,7 +34,7 @@ from .core import (
     as_vector,
     positive_finite,
 )
-from .cutting import wval_batch
+from .cutting import support_batch, wval_batch
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
@@ -278,30 +283,39 @@ def approx_from_wmem(oracle: WeakMembershipOracle, desc: NormDescriptor, x,
 
 @dataclass
 class DualNormResult:
-    """Dual norm value with its accuracy scale.
+    """Dual norm value, its certified interval and its accuracy scale.
 
-    The additive error is bounded by delta * annulus_factor / 3 (the
-    bisection runs at delta/3 and the result is scaled back by the factor).
+    interval contains nu*(y) and value is its midpoint, both already scaled
+    back by annulus_factor = |y|. The support run certifies an interval of
+    width at most 2 delta / 3 at y/|y|, so the additive error is at most
+    delta * annulus_factor / 3. cuts is that run's cut count, 0 where no
+    run is needed (y = 0, or a sandwich that is already that narrow).
     """
 
     value: float
     annulus_factor: float
-    trace: BisectionTrace | None
+    interval: Interval
+    cuts: int
 
 
 def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
                    delta: float) -> DualNormResult:
     """Evaluate the dual norm nu*(y) from the primal ball oracle.
 
-    Composition: scale y onto the unit sphere, derive the dual-ball
-    membership oracle, bisect it down to delta/3, and scale back.
-    nu*(0) = 0 is answered directly.
+    nu*(y) = |y| h_B(u) at u = y/|y|. One support_batch row over the primal
+    ball at err = 2 delta / 3 certifies an interval for h_B(u), and its
+    midpoint, scaled by |y|, is within delta |y| / 3 of nu*(y). The
+    sandwich alone puts h_B(u) in [1/k_hi, 1/k_lo]; where that is no wider
+    than 2 delta / 3 (k_lo == k_hi up to rounding, as for l2), it answers
+    at no call, and so does nu*(0) = 0.
     """
     positive_finite(delta, "delta")
     v = as_vector(y, desc.n)
     factor = float(np.linalg.norm(v))
-    if factor == 0.0:
-        return DualNormResult(0.0, 0.0, None)
-    dual_oracle = DualBallOracle(primal, desc)
-    omega, trace = approx_from_wmem(dual_oracle, desc.dual(), v / factor, delta / 3.0)
-    return DualNormResult(factor * omega, factor, trace)
+    err = 2.0 * delta / 3.0
+    if factor == 0.0 or 1.0 / desc.k_lo - 1.0 / desc.k_hi <= err:
+        interval = Interval(factor / desc.k_hi, factor / desc.k_lo)
+        return DualNormResult(interval.mid, factor, interval, 0)
+    lo, hi, _, cuts = support_batch(primal, desc.ball(), v[None, :] / factor, err)
+    interval = Interval(factor * float(lo[0]), factor * float(hi[0]))
+    return DualNormResult(interval.mid, factor, interval, int(cuts[0]))

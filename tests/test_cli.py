@@ -104,6 +104,9 @@ def test_dual_norm_report(capsys, specs):
     # dual of l-inf is l1: exact value 2
     assert float(rep["closed_form_value"]) == pytest.approx(2.0)
     assert abs(float(rep["value"]) - 2.0) <= 5 * 0.05
+    assert float(rep["interval_lo"]) <= float(rep["closed_form_value"]) \
+        <= float(rep["interval_hi"])
+    assert int(rep["cuts"]) > 0
     assert int(rep["oracle_calls"]) > 0
 
 

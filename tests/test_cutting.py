@@ -15,6 +15,7 @@ from convexdual.cutting import (
     _gauge_tol,
     approx_separator,
     gauge_batch,
+    support_batch,
     wopt_from_wmem,
     wval_batch,
     wval_from_wmem,
@@ -402,3 +403,44 @@ def test_wopt_tolerates_band_adversaries(side):
         c /= np.linalg.norm(c)
         res = wopt_from_wmem(oracle, body, c, eps)
         assert abs(res.value - 1.0) <= 5.0 * eps
+
+
+SUPPORT_BALLS = [(1.0, 2), (3.0, 3), (math.inf, 3), (2.0, 2)]
+
+
+@pytest.mark.parametrize("p,n", SUPPORT_BALLS,
+                         ids=[f"l{p:g}-R{n}" for p, n in SUPPORT_BALLS])
+def test_support_batch_intervals_contain_closed_form(p, n):
+    """Rows of different lengths in one run: every interval contains the
+    closed-form support value, the dual norm of the row, and is no wider
+    than err."""
+    err = 0.03
+    norm, oracle, body = _ball_oracle(p, n)
+    C = rng_stream(25, n).normal(size=(6, n))
+    C *= rng_stream(26, n).uniform(0.3, 3.0, size=(6, 1))
+    lo, hi, witness, cuts = support_batch(oracle, body, C, err)
+    exact = norm.dual().eval_batch(C)
+    assert np.all(lo <= exact) and np.all(exact <= hi)
+    assert np.all(hi - lo <= err)
+    values = np.einsum("bi,bi->b", C, witness)
+    assert np.all(lo <= values) and np.all(values <= hi)
+    assert np.all(cuts > 0)
+
+
+def test_support_batch_empty_costs_nothing():
+    _, oracle, body = _ball_oracle(1.0, 3)
+    lo, hi, witness, cuts = support_batch(oracle, body, np.empty((0, 3)), 0.01)
+    assert lo.shape == hi.shape == cuts.shape == (0,)
+    assert witness.shape == (0, 3)
+    assert oracle.calls.count == 0
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_support_batch_rejects_bad_rows_before_querying(bad):
+    _, oracle, body = _ball_oracle(1.0, 2)
+    C = np.array([[1.0, 0.5], [bad, 0.0 if bad == 0.0 else 1.0]])
+    with pytest.raises(ValueError):
+        support_batch(oracle, body, C, 0.01)
+    with pytest.raises(ValueError):
+        support_batch(oracle, body, [[1.0, 0.0]], 0.0)
+    assert oracle.calls.count == 0

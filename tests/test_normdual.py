@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adversaries import norm_value_adversary
-from convexdual.core import NormDescriptor, WeakVerdict, rng_stream
+from adversaries import band_adversary, norm_value_adversary
+from convexdual.core import Interval, NormDescriptor, WeakVerdict, rng_stream
 from convexdual.normdual import (
     DualBallOracle,
     approx_from_wmem,
@@ -244,18 +244,68 @@ DUAL_EVAL_CASES = [
                          ids=[n for n, _, _ in DUAL_EVAL_CASES])
 def test_dual_norm_eval_against_closed_form(name, norm, y):
     delta = 0.02
-    res = dual_norm_eval(norm.oracle(), norm.descriptor, y, delta)
+    oracle = norm.oracle()
+    res = dual_norm_eval(oracle, norm.descriptor, y, delta)
     exact = norm.dual().eval(y)
-    assert abs(res.value - exact) <= delta * max(1.0, res.annulus_factor)
+    assert abs(res.value - exact) <= delta * res.annulus_factor / 3.0
     assert res.annulus_factor == pytest.approx(float(np.linalg.norm(y)))
-    assert res.trace is not None
+    assert res.interval.contains(exact)
+    assert res.value == res.interval.mid
+    # the l2 sandwich is tight up to rounding, so it answers alone
+    assert (oracle.calls.count == 0) == (res.cuts == 0) == (name == "lp-2")
 
 
 def test_dual_norm_eval_at_zero():
     norm = ReferenceNorm.lp(2.0, 2)
-    res = dual_norm_eval(norm.oracle(), norm.descriptor, [0.0, 0.0], 0.02)
+    oracle = norm.oracle()
+    res = dual_norm_eval(oracle, norm.descriptor, [0.0, 0.0], 0.02)
     assert res.value == 0.0
-    assert res.trace is None
+    assert res.interval == Interval(0.0, 0.0)
+    assert res.cuts == 0
+    assert oracle.calls.count == 0
+
+
+BAND_NORMS = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("p,n", BAND_NORMS,
+                         ids=[f"l{p:g}-R{n}" for p, n in BAND_NORMS])
+def test_dual_norm_eval_tolerates_band_adversaries(p, n, side):
+    """Over a primal that answers adversarially inside the whole band, every
+    interval still contains nu*(y), and the midpoint meets the documented
+    bound delta |y| / 3 itself, not the 5 delta of the acceptance gate."""
+    delta = 0.02
+    norm = ReferenceNorm.lp(p, n)
+    dual = norm.dual()
+    rng = rng_stream(63, 10 * n + (9 if math.isinf(p) else int(p)))
+    Y = rng.normal(size=(12, n))
+    Y *= (rng.uniform(0.2, 5.0, size=12) / np.linalg.norm(Y, axis=1))[:, None]
+    for y in Y:
+        oracle = band_adversary(norm, side)
+        res = dual_norm_eval(oracle, norm.descriptor, y, delta)
+        exact = dual.eval(y)
+        assert res.interval.contains(exact)
+        assert abs(res.value - exact) <= delta * res.annulus_factor / 3.0
+        assert res.cuts > 0 and oracle.calls.count > 0
+
+
+@pytest.mark.parametrize("name,norm", DUAL_PAIRS[:4], ids=[n for n, _ in DUAL_PAIRS[:4]])
+def test_support_route_agrees_with_paper_route(name, norm):
+    """The paper's route, a bisection over dual-ball membership at delta/3 on
+    the unit sphere, and the one support query agree within the sum of
+    their bounds, delta |y| / 3 each."""
+    delta = 0.02
+    desc = norm.descriptor
+    rng = rng_stream(64, norm.n)
+    for _ in range(2):
+        y = rng.normal(size=norm.n)
+        y *= rng.uniform(0.5, 3.0) / np.linalg.norm(y)
+        ny = float(np.linalg.norm(y))
+        omega, _ = approx_from_wmem(DualBallOracle(norm.oracle(), desc), desc.dual(),
+                                    y / ny, delta / 3.0)
+        res = dual_norm_eval(norm.oracle(), desc, y, delta)
+        assert abs(res.value - ny * omega) <= 2.0 * delta * ny / 3.0
 
 
 def test_dual_norm_eval_is_deterministic():
