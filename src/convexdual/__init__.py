@@ -32,7 +32,6 @@ from .cutting import (
     FlatGaugeError,
     IterationCapError,
     WoptResult,
-    WvalQuery,
     WvalVerdict,
     approx_separator,
     gauge_batch,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CenteredBody, as_vector, positive_finite
+from .core import CenteredBody, as_stack, as_vector, positive_finite
 from .cutting import wval_batch
 # not called here; kept because perfbench's layer trace patches this name
 from .cutting import wval_from_wmem  # noqa: F401
@@ -44,10 +44,8 @@ class ConeDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a, self.n))
         object.__setattr__(self, "b", as_vector(self.b, self.n))
-        if self.eps_a <= 0.0 or self.eps_b <= 0.0:
-            raise ValueError("interior radii must be positive")
-        if self.section_outer <= 0.0:
-            raise ValueError("section radius bound must be positive")
+        for name in ("eps_a", "eps_b", "section_outer"):
+            positive_finite(getattr(self, name), name)
         if float(self.b @ self.a) <= 0.0:
             raise ValueError("interior data needs b . a > 0")
 
@@ -110,9 +108,7 @@ def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
     An empty Y costs no cone query.
     """
     positive_finite(eps, "eps")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != desc.n:
-        raise ValueError(f"expected an (m, {desc.n}) array of points")
+    Y = as_stack(Y, desc.n)
     if Y.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     ny = np.linalg.norm(Y, axis=1)

@@ -52,6 +52,20 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
+def as_stack(X, n: int) -> np.ndarray:
+    """Validate and return X as an (m, n) float64 array, m >= 0.
+
+    The stack counterpart of as_vector: raises ValueError on any other shape
+    and on non-finite entries.
+    """
+    S = np.asarray(X, dtype=float)
+    if S.ndim != 2 or S.shape[1] != n:
+        raise ValueError(f"expected an (m, {n}) stack, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise ValueError("stack has non-finite entries")
+    return S
+
+
 @dataclass(frozen=True)
 class NormDescriptor:
     """Euclidean sandwich constants of a norm: k_lo*|x| <= nu(x) <= k_hi*|x|.

@@ -6,13 +6,18 @@ finite differences), and the separator drives an ellipsoid-localizer loop
 that maximizes a linear objective with a certified optimality gap.
 
 There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
-centers and (m, n, n) shape matrices. wopt_from_wmem is that engine on a
-batch of one. wval_batch is the validity query over many objectives at
-once, and wval_from_wmem is wval_batch on one row, so the gamma -/+ eps/2
-exits, the eps/2 slack and the tie rule live in wval_batch alone.
-support_batch is the support query over many objectives: it picks the
-engine slack from the accuracy asked for and turns each row's run into a
-certified interval for h_K(c), the one place that slack is proved.
+centers and (m, n, n) shape matrices, and a scalar call is a batch of one.
+_cut_loop checks every run's input once, before any oracle call: a bounded
+body, the slack, a finite (m, n) stack of nonzero objectives
+(core.as_stack); an empty stack returns empty results at no call.
+wopt_from_wmem is the engine on one row, with its gap history. wval_batch
+is the validity query over many objectives at once, and wval_from_wmem is
+wval_batch on one row, so the gamma -/+ eps/2 exits, the eps/2 slack and
+the tie rule live in wval_batch alone. support_batch is the support query
+over many objectives: it picks the engine slack from the accuracy asked for
+and turns each row's run into a certified interval for h_K(c), the one
+place that slack is proved. gauge_batch and approx_separator take stacks
+too; gauge_batch anchors points passed without anchors at themselves.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; the central-cut update through an
@@ -98,7 +103,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CenteredBody, as_vector, positive_finite
+from .core import CenteredBody, as_stack, positive_finite
 from .oracles import WeakMembershipOracle
 
 _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
@@ -165,31 +170,31 @@ def _ray_search(oracle: WeakMembershipOracle, a: np.ndarray, rays: np.ndarray,
 
 def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
                 tol: float, anchors=None) -> np.ndarray:
-    """Gauges of several points in lockstep via bisection on their rays.
+    """Gauges of an (N, n) stack of points in lockstep via bisection on their
+    rays.
 
     Returns gauge values g with a + (p - a)/g on the boundary, each within
     tol of the gauge of the body for any legal weak oracle: half the final
     bracket width plus the band slop, at most tol/2 each. Rows equal to the
-    center get gauge 0.
+    center get gauge 0, and an empty stack costs no call.
 
     anchors, an (m, n) stack, groups the points: rows i*k .. i*k + k - 1
-    of the points, k = len(points) // m, belong to anchor i. Each anchor's
-    gauge is first found by a k-section to the coarse tolerance
-    L = max |p - Z| / inner, one query per point of its group per round;
-    each point is then bisected from the window rule in the module header
-    rather than from the centering bracket [d/outer, d/inner].
+    of the points, k = N // m, belong to anchor i. Each anchor's gauge is
+    first found by a k-section to the coarse tolerance L = max |p - Z| / inner,
+    one query per point of its group per round; each point is then bisected
+    from the window rule in the module header rather than from the centering
+    bracket [d/outer, d/inner]. Without anchors every point is its own: then
+    k = 1 and L = 0, so there is no coarse phase and the window is the
+    centering bracket.
     """
     _bounded(body)
     tol = positive_finite(tol, "tol")
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.ndim != 2 or P.shape[1] != body.n or not np.all(np.isfinite(P)):
-        raise ValueError(f"points must be a finite (N, {body.n}) stack")
-    if anchors is not None:
-        Z = np.asarray(anchors, dtype=float)
-        if (Z.ndim != 2 or Z.shape[1] != body.n or Z.shape[0] == 0
-                or P.shape[0] % Z.shape[0] or not np.all(np.isfinite(Z))):
-            raise ValueError(f"anchors must be a finite, non-empty (m, {body.n}) "
-                             "stack whose count divides the point count")
+    P = as_stack(points, body.n)
+    Z = P if anchors is None else as_stack(anchors, body.n)
+    m = Z.shape[0]
+    k = P.shape[0] // max(m, 1)
+    if m * k != P.shape[0]:
+        raise ValueError(f"{m} anchors do not divide {P.shape[0]} points")
     a = body.center
     inner = body.inner_radius
     D = P - a
@@ -202,24 +207,21 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     if float(np.max(hi - lo, initial=0.0)) <= tol:
         return 0.5 * (lo + hi)
     buf = np.empty_like(P)  # trial points of both phases
-    if anchors is not None:
-        m = Z.shape[0]
-        k = P.shape[0] // m
-        DZ = Z - a
-        dz = np.linalg.norm(DZ, axis=1)
-        slop = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2) / inner
-        L = float(np.max(slop))
-        zlo, zhi = dz / body.outer_radius, dz / inner
-        zlive = dz > 0.0
-        if L > 0.0 and np.any(zlive):
-            dq = max(0.5 * L * inner * inner / float(np.max(dz)), 1e-300)
-            zlo[zlive], zhi[zlive] = _ray_search(
-                oracle, a, DZ[zlive], zlo[zlive], zhi[zlive], L, dq, k, buf)
-        slop += 0.5 * L
-        np.maximum(lo, (zlo[:, None] - slop).ravel(), out=lo)
-        np.minimum(hi, (zhi[:, None] + slop).ravel(), out=hi)
-        if np.any(hi < lo):
-            raise BracketError("anchor window misses the centering bracket")
+    DZ = Z - a
+    dz = np.linalg.norm(DZ, axis=1)
+    slop = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2) / inner
+    L = float(np.max(slop))
+    zlo, zhi = dz / body.outer_radius, dz / inner
+    zlive = dz > 0.0
+    if L > 0.0 and np.any(zlive):
+        dq = max(0.5 * L * inner * inner / float(np.max(dz)), 1e-300)
+        zlo[zlive], zhi[zlive] = _ray_search(
+            oracle, a, DZ[zlive], zlo[zlive], zhi[zlive], L, dq, k, buf)
+    slop += 0.5 * L
+    np.maximum(lo, (zlo[:, None] - slop).ravel(), out=lo)
+    np.minimum(hi, (zhi[:, None] + slop).ravel(), out=hi)
+    if np.any(hi < lo):
+        raise BracketError("anchor window misses the centering bracket")
     live = d > 0.0
     if not live.all():
         D, lo, hi = D[live], lo[live], hi[live]
@@ -244,14 +246,15 @@ def _fd_step(body: CenteredBody) -> float:
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
-                     x) -> np.ndarray:
+                     X) -> np.ndarray:
     """Approximate outward normals from forward differences of the gauge.
 
-    x is one point or an (m, n) stack of points, and the result has its
-    shape: per point a unit vector u with u . (y - x) <= sigma for all y in
-    the body, sigma as documented in the module header. Both tolerances
-    derive from the body: the step is _fd_step, max(1e-5, 1e-4 inner), and
-    the gauge tolerance min(_gauge_tol, 1e-3 step, step / (4 sqrt(n) outer)),
+    X is an (m, n) stack of points, and the result is an (m, n) stack: per
+    point a unit vector u with u . (y - x) <= sigma for all y in the body,
+    sigma as documented in the module header. An empty stack costs no call.
+    Both tolerances derive from the body: the step is _fd_step,
+    max(1e-5, 1e-4 inner), and the gauge tolerance
+    min(_gauge_tol, 1e-3 step, step / (4 sqrt(n) outer)),
     _gauge_tol being 1e-8 outer; the last term keeps the flat-gauge floor
     4 sqrt(n) tol / step at most 1/outer, the least the exact quotients can
     be (module header). The n + 1 probes x and x +/- step e_i of every
@@ -263,12 +266,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     Raises FlatGaugeError when the differences at any point fall below the
     gauge noise floor (a step too small for the gauge tolerance).
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = as_vector(X, body.n)[None, :]
-    elif X.ndim != 2 or X.shape[1] != body.n:
-        raise ValueError(f"expected points of dimension {body.n}")
+    X = as_stack(X, body.n)
     step = _fd_step(body)
     m, n = X.shape
     # gauge noise must sit below the difference quotient, and the
@@ -285,7 +283,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
-    return H[0] if single else H
+    return H
 
 
 class WvalVerdict(enum.Enum):
@@ -293,21 +291,6 @@ class WvalVerdict(enum.Enum):
 
     UPPER_BOUND_HOLDS = "upper-bound-holds"
     LARGE_VALUE_EXISTS = "large-value-exists"
-
-
-@dataclass(frozen=True)
-class WvalQuery:
-    """Linear-functional validity query: objective c, threshold gamma, slack eps."""
-
-    c: np.ndarray
-    gamma: float
-    eps: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_vector(self.c))
-        positive_finite(self.eps, "eps")
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
 
 
 @dataclass
@@ -355,7 +338,7 @@ def _centre_slack(body: CenteredBody, eps: float) -> float:
     return min(eps / 8.0, body.inner_radius / 4.0)
 
 
-def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
+def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
               eps: float, stop_above: float | None = None,
               stop_ub_below: float | None = None, history: list | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
@@ -374,12 +357,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
     indexing _STOP_REASONS. history, when given, receives the gap of row 0
     at every iteration; pass it only for a batch of one. Raises
     IterationCapError, carrying the incumbent of the first undecided row, if
-    any row is undecided after _MAX_CUTS cuts.
+    any row is undecided after _MAX_CUTS cuts. Raises ValueError, before any
+    oracle call, on an unbounded body, a bad slack, or a C that is not a
+    finite (m, n) stack of nonzero rows; an empty C returns empty arrays at
+    no call.
     """
     _bounded(body)
-    positive_finite(eps, "eps")
+    C = as_stack(C, body.n)
     if np.any(np.linalg.norm(C, axis=1) == 0.0):
         raise ValueError("objective must be nonzero")
+    positive_finite(eps, "engine slack")
     lo = math.inf if stop_above is None else stop_above
     hi = -math.inf if stop_ub_below is None else stop_ub_below
 
@@ -412,10 +399,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C: np.ndarray,
             iterations[k] = it
             stop[k] = np.where(certified[done], 0, np.where(large[done], 1, 2))
             live = ~done
-            if not live.any():
-                return value, witness, gap_out, iterations, stop
             rows, C, Z, P, vals = rows[live], C[live], Z[live], P[live], vals[live]
             best, best_wit, ub_run = best[live], best_wit[live], ub_run[live]
+        if rows.size == 0:
+            return value, witness, gap_out, iterations, stop
 
         inside = oracle.query_batch(Z, dq)
         gain = inside & (vals > best)
@@ -450,7 +437,7 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: flo
     """
     history: list = []
     value, witness, gap, iterations, stop = _cut_loop(
-        oracle, body, as_vector(c, body.n)[None, :], eps,
+        oracle, body, np.asarray(c, dtype=float)[None], eps,
         stop_above, stop_ub_below, history)
     return WoptResult(witness[0], float(value[0]), float(gap[0]), int(iterations[0]),
                       _STOP_REASONS[stop[0]], history)
@@ -465,33 +452,28 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
     (lo, hi, witness, cuts): an interval [lo, hi] that contains h_K(c) with
     hi - lo <= err (the support interval of the module header), the
     incumbent, a point within dq of the body with c . witness in [lo, hi],
-    and the row's cut count. An empty C costs no oracle call; a zero or
-    non-finite row raises ValueError before any call.
+    and the row's cut count. C is checked by the engine (_cut_loop).
     """
-    _bounded(body)
     err = positive_finite(err, "err")
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != body.n or not np.all(np.isfinite(C)):
-        raise ValueError(f"expected finite objectives of dimension {body.n}")
-    if C.shape[0] == 0:
-        return np.zeros(0), np.zeros(0), np.zeros((0, body.n)), np.zeros(0, dtype=int)
-    nc = np.linalg.norm(C, axis=1)
+    # axis -1, so that a C of the wrong rank reaches the engine's check
+    nc = np.linalg.norm(np.asarray(C, dtype=float), axis=-1)
     inner, outer = body.inner_radius, body.outer_radius
-    e = err / (0.5 + float(nc.max()) * (1.0 + outer / inner) / 8.0)
+    e = err / (0.5 + float(np.max(nc, initial=0.0)) * (1.0 + outer / inner) / 8.0)
     value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e)
     dq = _centre_slack(body, e)
     return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts
 
 
-def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody,
-                   query: WvalQuery) -> WvalVerdict:
-    """Weak validity of c . x <= gamma over the body: wval_batch on one row.
+def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,
+                   gamma: float, eps: float) -> WvalVerdict:
+    """Weak validity of c . x <= gamma over the body at slack eps:
+    wval_batch on the one row c, which checks every input.
 
     UPPER_BOUND_HOLDS asserts c . x <= gamma + eps on the eps-shrunk body;
     LARGE_VALUE_EXISTS asserts a point of the eps-thickened body with
     c . x >= gamma - eps.
     """
-    if wval_batch(oracle, body, query.c[None, :], query.gamma, query.eps)[0]:
+    if wval_batch(oracle, body, np.asarray(c, dtype=float)[None], gamma, eps)[0]:
         return WvalVerdict.UPPER_BOUND_HOLDS
     return WvalVerdict.LARGE_VALUE_EXISTS
 
@@ -502,17 +484,11 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
 
     Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
     of the engine at slack eps/2 that exits early at the two thresholds
-    gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. An
-    empty C costs no oracle call.
+    gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. C and
+    eps are checked by the engine (_cut_loop); an empty C costs no call.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[1] != body.n or not np.all(np.isfinite(C)):
-        raise ValueError(f"expected finite objectives of dimension {body.n}")
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    positive_finite(eps, "eps")
-    if C.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     value = _cut_loop(oracle, body, C, eps / 2.0,
                       stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)[0]
     return value < gamma - eps / 2.0

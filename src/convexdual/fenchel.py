@@ -82,8 +82,7 @@ class EpigraphBody:
     def __post_init__(self):
         if self.ball.inner_radius != self.ball.outer_radius:
             raise ValueError("epigraph bodies are built over Euclidean balls")
-        if not (self.cap > 0.0 and math.isfinite(self.cap)):
-            raise ValueError("cap must be positive and finite")
+        positive_finite(self.cap, "cap")
         if self.values.n != self.ball.n:
             raise ValueError("value oracle dimension does not match the ball")
 
@@ -293,7 +292,6 @@ class ReferenceFunction:
     fn: object            # x -> float
     conjugate: object     # y -> float, or None
     cert: GrowthCertificate | None
-    f_zero: float
 
     def approx_oracle(self) -> FunctionApproxOracle:
         return FunctionApproxOracle(lambda x, e: float(self.fn(x)), self.n,
@@ -305,8 +303,7 @@ def _half_square(n: int) -> ReferenceFunction:
         "half_square_norm", n,
         fn=lambda x: 0.5 * float(x @ x),
         conjugate=lambda y: 0.5 * float(y @ y),
-        cert=GrowthCertificate(0.5, 0.5, 2.0, 2.0, 1.0),
-        f_zero=0.0)
+        cert=GrowthCertificate(0.5, 0.5, 2.0, 2.0, 1.0))
 
 
 def _square(n: int) -> ReferenceFunction:
@@ -314,8 +311,7 @@ def _square(n: int) -> ReferenceFunction:
         "square_norm", n,
         fn=lambda x: float(x @ x),
         conjugate=lambda y: 0.25 * float(y @ y),
-        cert=GrowthCertificate(1.0, 1.0, 2.0, 2.0, 1.0),
-        f_zero=0.0)
+        cert=GrowthCertificate(1.0, 1.0, 2.0, 2.0, 1.0))
 
 
 def _quartic(n: int) -> ReferenceFunction:
@@ -325,8 +321,7 @@ def _quartic(n: int) -> ReferenceFunction:
         "quartic_quarter", 1,
         fn=lambda x: 0.25 * float(x[0]) ** 4,
         conjugate=lambda y: 0.75 * abs(float(y[0])) ** (4.0 / 3.0),
-        cert=GrowthCertificate(0.25, 0.25, 4.0, 4.0, 0.5),
-        f_zero=0.0)
+        cert=GrowthCertificate(0.25, 0.25, 4.0, 4.0, 0.5))
 
 
 def _exp_pair(n: int) -> ReferenceFunction:
@@ -336,8 +331,7 @@ def _exp_pair(n: int) -> ReferenceFunction:
         "exp_pair", n,
         fn=lambda x: math.exp(float(x[0])) + math.exp(-float(x[0])),
         conjugate=None,
-        cert=None,   # exponential growth has no power certificate
-        f_zero=2.0)
+        cert=None)   # exponential growth has no power certificate
 
 
 def _clamped_product(n: int) -> ReferenceFunction:
@@ -347,8 +341,7 @@ def _clamped_product(n: int) -> ReferenceFunction:
         "clamped_negative_product", 3,
         fn=lambda x: max(-float(x[0] * x[1] * x[2]), -1.0),
         conjugate=None,  # nonconvex demo for the brute-force path
-        cert=None,
-        f_zero=0.0)
+        cert=None)
 
 
 REFERENCE_FUNCTIONS = {

@@ -31,6 +31,7 @@ from .core import (
     Interval,
     NormDescriptor,
     WeakVerdict,
+    as_stack,
     as_vector,
     positive_finite,
 )
@@ -147,12 +148,7 @@ class DualBallOracle(WeakMembershipOracle):
         the largest u.w - s seen so far. The 2 n^2 pooled points refute
         most outside rows of a Monte Carlo polar run at no call."""
         slack = positive_finite(slack, "slack")
-        pts = np.asarray(W, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.body.n:
-            raise ValueError(f"expected an (m, {self.body.n}) array of points, "
-                             f"got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points have non-finite coordinates")
+        pts = as_stack(W, self.body.n)
         cols = np.arange(len(self._pool_dirs))
         for lo in range(0, len(pts), _POOL_BLOCK):
             block = pts[lo:lo + _POOL_BLOCK]

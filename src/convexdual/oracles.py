@@ -18,6 +18,7 @@ from .core import (
     CenteredBody,
     NormDescriptor,
     WeakVerdict,
+    as_stack,
     as_vector,
     positive_finite,
 )
@@ -72,12 +73,7 @@ class WeakMembershipOracle:
     def query_batch(self, X, delta: float) -> np.ndarray:
         """Vectorized query; returns a bool array, True = IN_THICKENED."""
         delta = positive_finite(delta, "delta")
-        pts = np.asarray(X, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.body.n:
-            raise ValueError(f"expected an (m, {self.body.n}) array of points, "
-                             f"got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points have non-finite coordinates")
+        pts = as_stack(X, self.body.n)
         self.calls.add(pts.shape[0])
         return np.asarray(self._fn(pts, delta), dtype=bool)
 
@@ -180,9 +176,7 @@ class ReferenceNorm:
         if p < 1.0:
             raise ValueError("lp norms need p >= 1")
         k, K = _lp_constants(float(p), n)
-        dual_tag = None
-        return cls("lp", n, p=float(p), k_lo=_round_down(k), k_hi=_round_up(K),
-                   dual_tag=dual_tag)
+        return cls("lp", n, p=float(p), k_lo=_round_down(k), k_hi=_round_up(K))
 
     @classmethod
     def weighted_l2(cls, weights) -> "ReferenceNorm":

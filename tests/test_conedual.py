@@ -27,6 +27,16 @@ def test_descriptor_validation():
         ConeDescriptor(2, [1.0, 0.0], [1.0, 0.0], 0.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_descriptor_rejects_non_finite_radii(bad):
+    """A NaN radius used to fail only inside CenteredBody, and an infinite
+    section bound only at the dual-cone oracle's first query."""
+    good = dict(eps_a=0.5, eps_b=0.5, section_outer=1.0)
+    for field in good:
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            ConeDescriptor(2, [1.0, 0.0], [1.0, 0.0], **{**good, field: bad})
+
+
 def test_normalize_cone_rescales_a():
     desc = ConeDescriptor(2, [2.0, 2.0], [0.5, 0.5], 0.5, 0.25, 1.0)
     assert float(desc.b @ desc.a) == pytest.approx(2.0)

@@ -9,7 +9,6 @@ from convexdual import cutting
 from convexdual.core import CenteredBody, rng_stream
 from convexdual.cutting import (
     IterationCapError,
-    WvalQuery,
     WvalVerdict,
     _fd_step,
     _gauge_tol,
@@ -20,6 +19,7 @@ from convexdual.cutting import (
     wval_batch,
     wval_from_wmem,
 )
+from convexdual.normdual import DualBallOracle
 from convexdual.oracles import ReferenceNorm, exact_to_weak
 
 
@@ -86,20 +86,23 @@ def test_gauge_batch_rejects_bad_points_and_anchors_before_querying():
     X = np.array([[0.5, 0.3, 0.1], [1.5, -0.2, 0.4]])
     probes = np.repeat(X, 2, axis=0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="points must be"):
+        with pytest.raises(ValueError, match="non-finite"):
             gauge_batch(oracle, body, np.vstack([X, [bad, 0.0, 0.0]]), 1e-6)
-        with pytest.raises(ValueError, match="points must be"):
+        with pytest.raises(ValueError, match="non-finite"):
             gauge_batch(oracle, body, np.vstack([probes[:3], [0.5, bad, 0.1]]),
                         1e-6, anchors=X)
-        with pytest.raises(ValueError, match="anchors must be"):
+        with pytest.raises(ValueError, match="non-finite"):
             gauge_batch(oracle, body, probes, 1e-6, anchors=[X[0], [bad, 0.0, 0.0]])
-    for anchors in (np.empty((0, 3)), X[:, :2], X[0], X[None]):
-        with pytest.raises(ValueError, match="anchors must be"):
+    for anchors in (X[:, :2], X[0], X[None]):
+        with pytest.raises(ValueError, match=r"expected an \(m, 3\) stack"):
             gauge_batch(oracle, body, probes, 1e-6, anchors=anchors)
-    with pytest.raises(ValueError, match="anchors must be"):
+    with pytest.raises(ValueError, match="do not divide"):
+        gauge_batch(oracle, body, probes, 1e-6, anchors=np.empty((0, 3)))
+    with pytest.raises(ValueError, match="do not divide"):
         gauge_batch(oracle, body, probes[:3], 1e-6, anchors=X)  # 2 does not divide 3
-    with pytest.raises(ValueError, match="points must be"):
-        gauge_batch(oracle, body, probes[:, :2], 1e-6)
+    for points in (probes[:, :2], probes[0], probes[None]):
+        with pytest.raises(ValueError, match=r"expected an \(m, 3\) stack"):
+            gauge_batch(oracle, body, points, 1e-6)
     assert oracle.calls.count == 0
 
 
@@ -124,7 +127,7 @@ def _check_separator_cost(x, rounds, cold):
     # widest window: the coarse bracket, L/2 band slop and |p - x|/inner = L
     # per side
     fine = math.ceil(math.log2((width / (k + 1) ** coarse + 3.0 * L) / tol))
-    approx_separator(oracle, body, x)
+    approx_separator(oracle, body, x[None])
     assert (coarse, fine) == rounds
     assert oracle.calls.count == k * (coarse + fine)
     # bisecting the same probes from their centering brackets
@@ -204,23 +207,21 @@ def test_separator_is_not_flat_at_cube_corners():
     _, oracle, body = _ball_oracle(math.inf, 3)
     for signs in itertools.product((1.0, -1.0), repeat=3):
         x = 1.01 * np.array(signs)
-        np.testing.assert_allclose(approx_separator(oracle, body, x),
+        np.testing.assert_allclose(approx_separator(oracle, body, x[None])[0],
                                    x / np.linalg.norm(x), atol=1e-6)
 
 
 def test_separator_points_outward():
     _, oracle, body = _ball_oracle(2.0, 2)
-    h = approx_separator(oracle, body, [2.0, 0.0])
-    np.testing.assert_allclose(h, [1.0, 0.0], atol=1e-3)
-    h = approx_separator(oracle, body, [1.5, 1.5])
-    np.testing.assert_allclose(h, [math.sqrt(0.5)] * 2, atol=1e-3)
+    H = approx_separator(oracle, body, [[2.0, 0.0], [1.5, 1.5]])
+    np.testing.assert_allclose(H, [[1.0, 0.0], [math.sqrt(0.5)] * 2], atol=1e-3)
 
 
 def test_separator_separates_sampled_body_points():
     norm, oracle, body = _ball_oracle(1.0, 3)
     rng = rng_stream(22, 0)
     x = np.array([0.9, 0.9, 0.2])  # outside the cross-polytope
-    h = approx_separator(oracle, body, x)
+    h = approx_separator(oracle, body, x[None])[0]
     members = rng.normal(size=(500, 3))
     members /= norm.eval_batch(members)[:, None]  # boundary points
     slack = float(np.max(members @ h - x @ h))
@@ -378,17 +379,17 @@ def test_wopt_iteration_cap_carries_incumbent(monkeypatch):
 def test_wval_verdicts_on_clear_cases():
     _, oracle, body = _ball_oracle(1.0, 2)
     # support of (1, 1) over the cross-polytope is 1
-    q = WvalQuery(c=[1.0, 1.0], gamma=1.3, eps=0.1)
-    assert wval_from_wmem(oracle, body, q) is WvalVerdict.UPPER_BOUND_HOLDS
-    q = WvalQuery(c=[1.0, 1.0], gamma=0.7, eps=0.1)
-    assert wval_from_wmem(oracle, body, q) is WvalVerdict.LARGE_VALUE_EXISTS
+    c = [1.0, 1.0]
+    assert wval_from_wmem(oracle, body, c, 1.3, 0.1) is WvalVerdict.UPPER_BOUND_HOLDS
+    assert wval_from_wmem(oracle, body, c, 0.7, 0.1) is WvalVerdict.LARGE_VALUE_EXISTS
 
 
 def test_wval_query_validation():
-    with pytest.raises(ValueError):
-        WvalQuery(c=[1.0], gamma=0.0, eps=0.0)
-    with pytest.raises(ValueError):
-        WvalQuery(c=[1.0], gamma=math.nan, eps=0.1)
+    _, oracle, body = _ball_oracle(1.0, 2)
+    for gamma, eps in ((0.0, 0.0), (math.nan, 0.1), (math.inf, 0.1), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            wval_from_wmem(oracle, body, [1.0, 0.0], gamma, eps)
+    assert oracle.calls.count == 0
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
@@ -443,4 +444,41 @@ def test_support_batch_rejects_bad_rows_before_querying(bad):
         support_batch(oracle, body, C, 0.01)
     with pytest.raises(ValueError):
         support_batch(oracle, body, [[1.0, 0.0]], 0.0)
+    assert oracle.calls.count == 0
+
+
+# every engine entry as a call on an input X for the unit ball of a norm on
+# R^2, at slack or tolerance s; wval_from_wmem takes the last row of X as its
+# one objective
+ENTRIES = {
+    "query_batch": lambda o, norm, X, s: o.query_batch(X, s),
+    "gauge_batch": lambda o, norm, X, s: gauge_batch(o, norm.ball(), X, s),
+    "approx_separator": lambda o, norm, X, s: approx_separator(o, norm.ball(), X),
+    "wval_batch": lambda o, norm, X, s: wval_batch(o, norm.ball(), X, 1.0, s),
+    "wval_from_wmem":
+        lambda o, norm, X, s: wval_from_wmem(o, norm.ball(), np.asarray(X)[-1], 1.0, s),
+    "support_batch": lambda o, norm, X, s: support_batch(o, norm.ball(), X, s),
+    "certify": lambda o, norm, X, s: DualBallOracle(o, norm.descriptor).certify(X, s),
+}
+OBJECTIVE_ENTRIES = {"wval_batch", "wval_from_wmem", "support_batch"}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_entries_reject_bad_input_before_querying(entry):
+    """Every engine entry checks its stack with core.as_stack: a non-finite
+    row, a wrong width, and a 1-D or 3-D input raise ValueError before any
+    primal call; so do a zero objective and a bad slack or tolerance."""
+    norm, oracle, _ = _ball_oracle(1.0, 2)
+    call = ENTRIES[entry]
+    bad = [[[1.0, 0.5], [math.nan, 1.0]], [[1.0, 0.5], [math.inf, 1.0]],
+           [[1.0, 0.5, 0.0]], [1.0, 0.5], [[[1.0, 0.5]]]]
+    if entry in OBJECTIVE_ENTRIES:
+        bad.append([[1.0, 0.5], [0.0, 0.0]])
+    for X in bad:
+        with pytest.raises(ValueError):
+            call(oracle, norm, X, 0.01)
+    if entry != "approx_separator":  # the one entry without a slack
+        for s in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                call(oracle, norm, [[1.0, 0.5]], s)
     assert oracle.calls.count == 0

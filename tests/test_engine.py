@@ -17,8 +17,10 @@ from convexdual import cutting
 from convexdual.core import CenteredBody, WeakVerdict, rng_stream
 from convexdual.cutting import (
     IterationCapError,
-    WvalQuery,
     WvalVerdict,
+    approx_separator,
+    gauge_batch,
+    support_batch,
     wval_batch,
     wval_from_wmem,
 )
@@ -43,8 +45,8 @@ def test_wval_batch_matches_scalar_verdicts(p, n):
     support = np.tile([0.75, 0.9, 1.1, 1.25], 3)  # clear of gamma = 1 by 5 * eps
     C = U * (support / norm.dual().eval_batch(U))[:, None]
     got = wval_batch(oracle, body, C, 1.0, eps)
-    scalar = [wval_from_wmem(oracle, body, WvalQuery(c=c, gamma=1.0, eps=eps))
-              is WvalVerdict.UPPER_BOUND_HOLDS for c in C]
+    scalar = [wval_from_wmem(oracle, body, c, 1.0, eps) is WvalVerdict.UPPER_BOUND_HOLDS
+              for c in C]
     np.testing.assert_array_equal(got, scalar)
     np.testing.assert_array_equal(got, support < 1.0)
 
@@ -53,9 +55,8 @@ def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
     """An undecided row raises with its incumbent; no verdict is guessed."""
     monkeypatch.setattr(cutting, "_MAX_CUTS", 3)
     norm = ReferenceNorm.lp(1.0, 2)
-    query = WvalQuery(c=[1.0, 1.0], gamma=1.0, eps=0.01)  # support is exactly 1
-    with pytest.raises(IterationCapError) as err:
-        wval_from_wmem(norm.oracle(), norm.ball(), query)
+    with pytest.raises(IterationCapError) as err:  # the support of (1, 1) is exactly 1
+        wval_from_wmem(norm.oracle(), norm.ball(), [1.0, 1.0], 1.0, 0.01)
     assert err.value.witness is not None
     # |y| sits between the sandwich radii, so the screen leaves it to the engine
     oracle = DualBallOracle(norm.oracle(), norm.descriptor)
@@ -90,8 +91,8 @@ def test_dual_ball_tolerates_band_adversaries(side):
 
 
 def test_empty_batches_cost_nothing():
-    """A (0, n) stack gets an empty verdict array and charges no call, on
-    the engine, the section transfer and every kind of oracle."""
+    """A (0, n) stack gets an empty result and charges no call, on every
+    engine entry, the section transfer and every kind of oracle."""
     norm = ReferenceNorm.lp(3.0, 2)
     primal, desc = norm.oracle(), norm.descriptor
     cone = ReferenceCone("psd", 2)
@@ -107,8 +108,13 @@ def test_empty_batches_cost_nothing():
         got = oracle.query_batch(np.empty((0, oracle.body.n)), 0.01)
         assert got.shape == (0,) and got.dtype == bool
     empty = np.zeros(0, dtype=bool)
-    np.testing.assert_array_equal(
-        wval_batch(primal, norm.ball(), np.empty((0, 2)), 1.0, 0.01), empty)
+    E, ball = np.empty((0, 2)), norm.ball()
+    np.testing.assert_array_equal(wval_batch(primal, ball, E, 1.0, 0.01), empty)
+    for anchors in (None, E):
+        assert gauge_batch(primal, ball, E, 1e-6, anchors=anchors).shape == (0,)
+    assert approx_separator(primal, ball, E).shape == (0, 2)
+    lo, hi, witness, cuts = support_batch(primal, ball, E, 0.01)
+    assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
     np.testing.assert_array_equal(
         cone_wmem_to_section_wmem(cone_oracle, descriptor_from_reference(cone),
                                   np.empty((0, cone.n)), 0.05), empty)

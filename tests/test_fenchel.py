@@ -60,8 +60,9 @@ def test_epigraph_body_validation():
     vals = _oracle(lambda x: float(x @ x), 2)
     with pytest.raises(ValueError):
         EpigraphBody(CenteredBody(np.zeros(2), 0.5, 1.0), 4.0, vals)
-    with pytest.raises(ValueError):
-        EpigraphBody(_ball(2), 0.0, vals)
+    for cap in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^cap must be positive and finite"):
+            EpigraphBody(_ball(2), cap, vals)
     with pytest.raises(ValueError):
         EpigraphBody(_ball(3), 4.0, vals)
     epi = EpigraphBody(_ball(2), 4.0, vals)
