@@ -20,10 +20,11 @@ place that slack is proved. gauge_batch and approx_separator take stacks
 too; gauge_batch anchors points passed without anchors at themselves.
 
 Accuracy model (documented slack): membership queries run at the slack
-delta of the first rule below; the central-cut update through an
-approximate separator can truncate feasible points that lie within sigma of
-the cut plane. Take a center x answered OUT at slack dq, the gauge g about
-the center a, the step h, the gauge tolerance tol, the signed steps
+delta of the first rule below; a cut through an approximate separator
+can truncate feasible points that lie within sigma of the cut plane, and
+a deep cut (below) within the same sigma of its deeper plane. Take a
+center x answered OUT at slack dq, the gauge g about the center a, the
+step h, the gauge tolerance tol, the signed steps
 h_i = +h where x_i >= a_i and -h elsewhere, so that every probe
 x + h_i e_i steps away from the center, and the quotients
 H_i = (g~(x + h_i e_i) - g~(x)) / h_i of the computed gauges g~. Then
@@ -65,6 +66,34 @@ Policy where a row is not decided cleanly, the same for every caller:
   eps/2 bounds c . z - value over K_dq, and K_dq loses
   h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
   of support against K.
+- Deep cuts: each cut keeps the part {g . (y - z) <= -alpha} of the
+  ellipsoid E(z, P), at a depth alpha that costs no extra query. An IN
+  center cuts at the incumbent, g = -c and alpha = best - c . z: a point
+  it drops has c . y < best = value, so the gap over K_dq still holds. An
+  OUT center x cuts with the separator's unit u at
+  alpha = (1 - 1/glo) u . (x - a) where glo > 1, and at alpha = 0 elsewhere;
+  glo = g~(x) - tol is the separator's offset-0 probe less its tolerance,
+  so g(x) >= glo (gauge_batch). The gauge is 1-homogeneous, so
+  s . (x - a) = g(x) and s . (y - a) <= g(y) make s a subgradient at the
+  boundary point x_b = a + (x - a)/g(x) too. For y in K, and so in K_dq,
+  s . (y - x_b) <= g(y) - 1 <= 0, and g(x) > 1 puts x_b between a and x,
+  so |y - x_b| <= |y - a| + |x_b - a| <= outer + |x - a| = D. The
+  derivation above, run at x_b in place of x, gives
+  u . (y - x_b) <= (|b| + 2 sqrt(n) tol/h) D / |H|, which is no larger
+  than the central sigma: it lacks the dq/inner term. As
+  x - x_b = (1 - 1/g(x))(x - a) and g(x) >= glo, u . (x - x_b) >= alpha
+  wherever u . (x - a) >= 0; elsewhere alpha < 0, which the clip below
+  makes 0. So u . (y - x) = u . (y - x_b) - u . (x - x_b)
+  <= -alpha + |u| sigma, and a deep cut keeps K_dq up to sigma as a
+  central cut does. The normalized depth d = alpha / sqrt(g'Pg) is
+  clipped to [0, _MAX_DEPTH] = [0, 0.9], and d = 0 is the central cut.
+  A shallower cut keeps a superset of the deeper half, so clipping is
+  always sound. At d >= 1 the half meets E in at most one point, and the
+  update (_cut) has delta <= 0, so it is no ellipsoid. A separator cut can
+  reach that depth, because E may already have lost part of K_dq to the
+  sigma of earlier cuts. Below 1, the new ellipsoid's width along the cut
+  direction is (1 - d) times the central cut's, so at 0.9 one cut squeezes
+  E along g at most ten times harder than a central cut does.
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
@@ -107,6 +136,7 @@ from .core import CenteredBody, as_stack, positive_finite
 from .oracles import WeakMembershipOracle
 
 _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
+_MAX_DEPTH = 0.9  # clip of a cut's normalized depth (module header)
 
 
 class BracketError(RuntimeError):
@@ -246,12 +276,14 @@ def _fd_step(body: CenteredBody) -> float:
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
-                     X) -> np.ndarray:
+                     X) -> tuple[np.ndarray, np.ndarray]:
     """Approximate outward normals from forward differences of the gauge.
 
-    X is an (m, n) stack of points, and the result is an (m, n) stack: per
-    point a unit vector u with u . (y - x) <= sigma for all y in the body,
-    sigma as documented in the module header. An empty stack costs no call.
+    X is an (m, n) stack of points. Returns (U, glo): U is an (m, n) stack
+    holding per point a unit vector u with u . (y - x) <= sigma for all y
+    in the body, sigma as documented in the module header, and glo holds
+    per point g~(x) - tol, a certified lower bound on its gauge, which the
+    deep separator cut reads. An empty stack costs no call.
     Both tolerances derive from the body: the step is _fd_step,
     max(1e-5, 1e-4 inner), and the gauge tolerance
     min(_gauge_tol, 1e-3 step, step / (4 sqrt(n) outer)),
@@ -283,7 +315,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
-    return H
+    return H, g[:, 0] - tol
 
 
 class WvalVerdict(enum.Enum):
@@ -314,23 +346,41 @@ class WoptResult:
 _STOP_REASONS = ("gap", "threshold-large", "threshold-upper")
 
 
-def _central_cut(Z: np.ndarray, P: np.ndarray,
-                 G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the minimum-volume ellipsoid containing the half
-    {g.x <= g.z} of E(z, P); Z and G are (m, n), P is (m, n, n)."""
+def _cut(Z: np.ndarray, P: np.ndarray, G: np.ndarray,
+         A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the minimum-volume ellipsoid containing the part
+    {g.(x - z) <= -alpha} of E(z, P); Z and G are (m, n), P is (m, n, n),
+    and A holds each row's depth alpha.
+
+    With U = Pg / sqrt(g'Pg) and the normalized depth
+    d = alpha / sqrt(g'Pg), clipped to [0, _MAX_DEPTH] (module header),
+    the update is Z - tau U and delta (P - sigma U U'), where
+    tau = (1 + n d)/(n + 1), sigma = 2 (1 + n d)/((n + 1)(1 + d)) and
+    delta = n^2 (1 - d^2)/(n^2 - 1) (Groetschel, Lovasz and Schrijver,
+    1988, 3.3). The products are ordered so that d = 0 gives the central
+    cut bit for bit.
+    """
     n = Z.shape[1]
     S = np.einsum("bij,bj->bi", P, G)
     den = np.einsum("bi,bi->b", G, S)
     if not (den.min() > 0.0 and math.isfinite(den.max())):
         raise IterationCapError("localizer degenerated (flat along the cut direction)")
+    r = np.sqrt(den)
+    depth = np.clip(A / r, 0.0, _MAX_DEPTH)
     if n == 1:
+        # the interval [z - w, z + w] shrinks to [z - w, z - d w] along sign(g)
         w = np.sqrt(P[:, 0, 0])
-        return Z - np.sign(G) * (w / 2.0)[:, None], (w * w / 4.0)[:, None, None]
-    U = S / np.sqrt(den)[:, None]
-    a = n * n / (n * n - 1.0)
+        half = w * (1.0 - depth) / 2.0
+        Z = Z - np.sign(G) * (w * (1.0 + depth) / 2.0)[:, None]
+        return Z, (half * half)[:, None, None]
+    U = S / r[:, None]
+    t = 1.0 + n * depth
+    delta = n * n * (1.0 - depth * depth) / (n * n - 1.0)
     # u_i u_j == u_j u_i in floating point, so P stays exactly symmetric
-    P = a * P - (2.0 * a / (n + 1.0)) * (U[:, :, None] * U[:, None, :])
-    return Z - U / (n + 1.0), P
+    P = (delta[:, None, None] * P
+         - (2.0 * delta * t / ((n + 1.0) * (1.0 + depth)))[:, None, None]
+         * (U[:, :, None] * U[:, None, :]))
+    return Z - U * t[:, None] / (n + 1.0), P
 
 
 def _centre_slack(body: CenteredBody, eps: float) -> float:
@@ -343,9 +393,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
               stop_ub_below: float | None = None, history: list | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
-    Each row runs its own ellipsoid localizer with central cuts: an
-    asserted-feasible center adds the objective cut (keep values above the
-    center's), an asserted-infeasible center adds the separator cut. The
+    Each row runs its own ellipsoid localizer with deep cuts (module
+    header): an asserted-feasible center adds the objective cut at the
+    incumbent (keep values at least best), an asserted-infeasible center
+    adds the separator cut through the boundary point on its ray. The
     incumbent starts at the body center, which the centering data guarantees
     feasible. A row leaves the loop at its first stop: certified gap
     <= eps/2, incumbent >= stop_above, or certified upper bound
@@ -410,9 +461,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
             best = np.where(gain, vals, best)
             best_wit[gain] = Z[gain]
         G = -C
+        A = best - vals  # objective cut at the incumbent
         if not inside.all():
-            G[~inside] = approx_separator(oracle, body, Z[~inside])
-        Z, P = _central_cut(Z, P, G)
+            out = ~inside
+            X = Z[out]
+            U, glo = approx_separator(oracle, body, X)
+            G[out] = U
+            # separator cut through the boundary point a + (x - a)/g(x)
+            A[out] = ((1.0 - 1.0 / np.maximum(glo, 1.0))
+                      * np.einsum("bi,bi->b", U, X - body.center))
+        Z, P = _cut(Z, P, G, A)
 
     raise IterationCapError(
         f"no certified gap <= {eps / 2:.3g} within {_MAX_CUTS} cuts "

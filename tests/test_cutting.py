@@ -207,21 +207,25 @@ def test_separator_is_not_flat_at_cube_corners():
     _, oracle, body = _ball_oracle(math.inf, 3)
     for signs in itertools.product((1.0, -1.0), repeat=3):
         x = 1.01 * np.array(signs)
-        np.testing.assert_allclose(approx_separator(oracle, body, x[None])[0],
+        np.testing.assert_allclose(approx_separator(oracle, body, x[None])[0][0],
                                    x / np.linalg.norm(x), atol=1e-6)
 
 
 def test_separator_points_outward():
     _, oracle, body = _ball_oracle(2.0, 2)
-    H = approx_separator(oracle, body, [[2.0, 0.0], [1.5, 1.5]])
+    H, glo = approx_separator(oracle, body, [[2.0, 0.0], [1.5, 1.5]])
     np.testing.assert_allclose(H, [[1.0, 0.0], [math.sqrt(0.5)] * 2], atol=1e-3)
+    # glo is a certified lower bound on each point's gauge, within 2 tol of it
+    gauges = np.array([2.0, 1.5 * math.sqrt(2.0)])
+    assert np.all(glo <= gauges)
+    assert np.all(glo >= gauges - 2.0 * _separator_tolerances(body)[1])
 
 
 def test_separator_separates_sampled_body_points():
     norm, oracle, body = _ball_oracle(1.0, 3)
     rng = rng_stream(22, 0)
     x = np.array([0.9, 0.9, 0.2])  # outside the cross-polytope
-    h = approx_separator(oracle, body, x[None])[0]
+    h = approx_separator(oracle, body, x[None])[0][0]
     members = rng.normal(size=(500, 3))
     members /= norm.eval_batch(members)[:, None]  # boundary points
     slack = float(np.max(members @ h - x @ h))
@@ -288,7 +292,7 @@ def test_separator_slack_within_documented_sigma(body_name, side):
     n = body.n
     h, tol = _separator_tolerances(body)
     X = _near_kink_points(G, h, 12, rng_stream(27, 0))
-    U = approx_separator(oracle, body, X)
+    U, _ = approx_separator(oracle, body, X)
     V = _vertices(G)
     noise = 2.0 * math.sqrt(n) * tol / h
     for x, u in zip(X, U):
@@ -304,6 +308,94 @@ def test_separator_slack_within_documented_sigma(body_name, side):
         assert H_floor > 0.0
         sigma = (max(1.0 - gx, 0.0) + (float(np.linalg.norm(b)) + noise) * D) / H_floor
         assert float(np.max(V @ u)) - float(x @ u) <= sigma
+
+
+def _central_cut_reference(Z, P, G):
+    """The central-cut update the deep cut replaced, kept as the reference
+    that a cut of depth 0 must reproduce bit for bit."""
+    n = Z.shape[1]
+    S = np.einsum("bij,bj->bi", P, G)
+    den = np.einsum("bi,bi->b", G, S)
+    if n == 1:
+        w = np.sqrt(P[:, 0, 0])
+        return Z - np.sign(G) * (w / 2.0)[:, None], (w * w / 4.0)[:, None, None]
+    U = S / np.sqrt(den)[:, None]
+    a = n * n / (n * n - 1.0)
+    P = a * P - (2.0 * a / (n + 1.0)) * (U[:, :, None] * U[:, None, :])
+    return Z - U / (n + 1.0), P
+
+
+@pytest.mark.parametrize("depth", [0.0, 0.3, 0.9, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deep_cut_contains_the_kept_part(n, depth):
+    """The cut of normalized depth d = alpha/sqrt(g'Pg) keeps every sampled
+    point of E(z, P) with g . (x - z) <= -alpha, d clipped at _MAX_DEPTH;
+    depth 0 is the central cut exactly."""
+    rng = rng_stream(29, n)
+    m = 6
+    Z = rng.normal(size=(m, n))
+    B = rng.normal(size=(m, n, n))
+    P = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    G = rng.normal(size=(m, n))
+    r = np.sqrt(np.einsum("bi,bij,bj->b", G, P, G))
+    Z2, P2 = cutting._cut(Z, P, G, depth * r)
+    if depth == 0.0:
+        Zc, Pc = _central_cut_reference(Z, P, G)
+        np.testing.assert_array_equal(Z2, Zc)
+        np.testing.assert_array_equal(P2, Pc)
+    if depth > cutting._MAX_DEPTH:
+        Zc, Pc = cutting._cut(Z, P, G, cutting._MAX_DEPTH * r)
+        np.testing.assert_allclose(Z2, Zc, rtol=1e-12)
+        np.testing.assert_allclose(P2, Pc, rtol=1e-12)
+    np.testing.assert_array_equal(P2, P2.transpose(0, 2, 1))
+    assert np.all(np.linalg.eigvalsh(P2) > 0.0)
+    alpha = min(depth, cutting._MAX_DEPTH) * r
+    # points of E: its boundary, and the inside, both in the kept part
+    Y = rng.normal(size=(4000, n))
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    Y[2000:] *= rng.uniform(size=(2000, 1)) ** (1.0 / n)
+    for i in range(m):
+        X = Z[i] + Y @ np.linalg.cholesky(P[i]).T
+        X = X[(X - Z[i]) @ G[i] <= -alpha[i]]
+        assert len(X) > 20
+        D = X - Z2[i]
+        q = np.einsum("bi,ij,bj->b", D, np.linalg.inv(P2[i]), D)
+        assert float(np.max(q)) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("p,n", [(3.0, 2), (1.0, 3), (math.inf, 3)],
+                         ids=["l3-r2", "l1-r3", "linf-r3"])
+def test_separator_cut_keeps_the_boundary_point(monkeypatch, p, n):
+    """A gauge that reads g~ = g + tol, the top of its contract, must not push
+    a separator cut past the true boundary point x_b = a + (x - a)/g(x) of
+    its center x: the depth is read from the certified lower bound g~ - tol.
+    The cut plane then passes through x_b to rounding, and a depth read from
+    g~ itself would cut x_b off by about tol/g."""
+    norm, oracle, body = _ball_oracle(p, n)
+    monkeypatch.setattr(
+        cutting, "gauge_batch",
+        lambda oracle, body, points, tol, anchors=None: norm.eval_batch(points) + tol)
+    cuts = []
+    cut = cutting._cut
+
+    def recording_cut(Z, P, G, A):
+        cuts.append((Z, P, G, A))
+        return cut(Z, P, G, A)
+
+    monkeypatch.setattr(cutting, "_cut", recording_cut)
+    C = rng_stream(30, n).normal(size=(4, n))
+    support_batch(oracle, body, C, 0.05)
+    seen = 0
+    for Z, P, G, A in cuts:
+        g = norm.eval_batch(Z)
+        out = g > 1.0  # the exact oracle answers OUT exactly there
+        Z, P, G, A, g = Z[out], P[out], G[out], A[out], g[out]
+        r = np.sqrt(np.einsum("bi,bij,bj->b", G, P, G))
+        alpha = np.clip(A, 0.0, cutting._MAX_DEPTH * r)
+        xb = Z / g[:, None]
+        assert np.all(np.einsum("bi,bi->b", G, xb - Z) + alpha <= 1e-12)
+        seen += int(np.count_nonzero(alpha > 0.0))
+    assert seen > 0
 
 
 DIRECTION_CASES = [

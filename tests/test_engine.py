@@ -112,7 +112,8 @@ def test_empty_batches_cost_nothing():
     np.testing.assert_array_equal(wval_batch(primal, ball, E, 1.0, 0.01), empty)
     for anchors in (None, E):
         assert gauge_batch(primal, ball, E, 1e-6, anchors=anchors).shape == (0,)
-    assert approx_separator(primal, ball, E).shape == (0, 2)
+    U, glo = approx_separator(primal, ball, E)
+    assert U.shape == (0, 2) and glo.shape == (0,)
     lo, hi, witness, cuts = support_batch(primal, ball, E, 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
     np.testing.assert_array_equal(

@@ -19,7 +19,8 @@ import workloads  # noqa: E402
 from layertrace import Tracer  # noqa: E402
 
 
-def _traced_calls(wl, op) -> int:
+def _traced(wl, op) -> tuple[int, dict]:
+    """The op's primal calls and layer metrics from one traced run."""
     tr = Tracer()
     tr.install(wl.traced_objects)
     try:
@@ -29,13 +30,13 @@ def _traced_calls(wl, op) -> int:
     m = tr.layer_metrics()
     assert out.ok
     assert m["oracles.member.points"] + m["oracles.value.evals"] == out.calls
-    return out.calls
+    return out.calls, m
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_primal_calls_match_call_counters(name):
     wl = workloads.WORKLOADS[name](1)
-    assert _traced_calls(wl, wl.ops[0]) > 0
+    assert _traced(wl, wl.ops[0])[0] > 0
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -43,4 +44,13 @@ def test_traced_last_op_matches_call_counters(name):
     """The same contract from the end of the op list, back to the last op
     that reaches the primal (a dual-cone op the screen settles costs 0)."""
     wl = workloads.WORKLOADS[name](1)
-    assert any(_traced_calls(wl, op) > 0 for op in reversed(wl.ops))
+    assert any(_traced(wl, op)[0] > 0 for op in reversed(wl.ops))
+
+
+def test_traced_dual_norm_op_counts_separator_calls():
+    """The engine reaches its separator through the module attribute the
+    tracer patches, so a traced dual-norm op counts separator calls."""
+    wl = workloads.WORKLOADS["dualnorm"](1)
+    op = wl.ops[0]
+    assert op.label == "l1/R2"
+    assert _traced(wl, op)[1]["cutting.approx_separator.calls"] > 0
