@@ -106,6 +106,7 @@ class CenteredBody:
     """Well-bounded convex body data: B(center, inner) <= K <= B(center, outer).
 
     outer_radius may be math.inf for cones; bounded pipelines check for it.
+    inner_radius must be finite.
     """
 
     center: np.ndarray
@@ -114,6 +115,8 @@ class CenteredBody:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
+        if not math.isfinite(self.inner_radius):
+            raise ValueError(f"inner radius must be finite, got {self.inner_radius}")
         if not (0.0 < self.inner_radius <= self.outer_radius):
             raise ValueError(
                 f"need 0 < inner <= outer, got ({self.inner_radius}, {self.outer_radius})"

@@ -94,6 +94,16 @@ Policy where a row is not decided cleanly, the same for every caller:
   sigma of earlier cuts. Below 1, the new ellipsoid's width along the cut
   direction is (1 - d) times the central cut's, so at 0.9 one cut squeezes
   E along g at most ten times harder than a central cut does.
+- Remembered cuts: each row keeps the halfspaces u . y <= beta of its own
+  separator cuts, beta = u . x - max(alpha, 0), which keep K_dq up to sigma
+  (deep cuts, above). A later center z of that row with
+  v = u . z - beta > 0 for one of them is cut again along u at alpha = v,
+  the same halfspace under the same sigma and the same dq, at no primal
+  call: neither the membership query nor the separator is made. Skipping
+  the query can only forgo an incumbent the center might have been; it
+  certifies nothing new, as the gap reads only the incumbent and the
+  ellipsoid. The memory lives for one _cut_loop call and follows its row
+  through the lockstep compaction.
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
@@ -388,6 +398,14 @@ def _centre_slack(body: CenteredBody, eps: float) -> float:
     return min(eps / 8.0, body.inner_radius / 4.0)
 
 
+def _empty_slots(m: int, k: int, n: int) -> np.ndarray:
+    """k unused slots of m rows' cut memories: u = 0 and beta = inf, so no
+    center violates them."""
+    slots = np.zeros((m, k, n + 1))
+    slots[:, :, n] = math.inf
+    return slots
+
+
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
               eps: float, stop_above: float | None = None,
               stop_ub_below: float | None = None, history: list | None = None):
@@ -400,18 +418,20 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     incumbent starts at the body center, which the centering data guarantees
     feasible. A row leaves the loop at its first stop: certified gap
     <= eps/2, incumbent >= stop_above, or certified upper bound
-    <= stop_ub_below, tested in that order. The centers of all live rows go
-    to one query_batch per cut, and their infeasible ones to one
-    approx_separator call.
+    <= stop_ub_below, tested in that order. A center that violates one of
+    its row's remembered separator halfspaces is cut along the most
+    violated one at no call (module header). The other centers of all live
+    rows go to one query_batch per cut, and those answered infeasible to
+    one approx_separator call.
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
-    indexing _STOP_REASONS. history, when given, receives the gap of row 0
-    at every iteration; pass it only for a batch of one. Raises
-    IterationCapError, carrying the incumbent of the first undecided row, if
-    any row is undecided after _MAX_CUTS cuts. Raises ValueError, before any
-    oracle call, on an unbounded body, a bad slack, or a C that is not a
-    finite (m, n) stack of nonzero rows; an empty C returns empty arrays at
-    no call.
+    indexing _STOP_REASONS; iterations counts every cut, free or paid.
+    history, when given, receives the gap of row 0 at every iteration; pass
+    it only for a batch of one. Raises IterationCapError, carrying the
+    incumbent of the first undecided row, if any row is undecided after
+    _MAX_CUTS cuts. Raises ValueError, before any oracle call, on an
+    unbounded body, a bad slack, or a C that is not a finite (m, n) stack of
+    nonzero rows; an empty C returns empty arrays at no call.
     """
     _bounded(body)
     C = as_stack(C, body.n)
@@ -433,6 +453,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     best = C @ body.center
     best_wit = Z.copy()
     ub_run = np.full(m, math.inf)
+    # each row's separator halfspaces u . y <= beta: pool[i, k] holds
+    # (u, beta) of row i's k-th one, and kept[i] counts them
+    pool = _empty_slots(m, 4, n)
+    kept = np.zeros(m, dtype=int)
 
     for it in range(_MAX_CUTS):
         vals = np.einsum("bi,bi->b", C, Z)
@@ -452,24 +476,43 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
             live = ~done
             rows, C, Z, P, vals = rows[live], C[live], Z[live], P[live], vals[live]
             best, best_wit, ub_run = best[live], best_wit[live], ub_run[live]
+            pool, kept = pool[live], kept[live]
         if rows.size == 0:
             return value, witness, gap_out, iterations, stop
 
-        inside = oracle.query_batch(Z, dq)
+        # a remembered halfspace that the center violates is a free cut
+        used = max(kept.max(), 1)
+        V = np.einsum("bki,bi->bk", pool[:, :used, :n], Z) - pool[:, :used, n]
+        j = V.argmax(axis=1)
+        v = V[np.arange(rows.size), j]
+        free = v > 0.0
+        ask = ~free
+        inside = np.zeros(rows.size, dtype=bool)
+        if ask.any():
+            inside[ask] = oracle.query_batch(Z[ask], dq)
         gain = inside & (vals > best)
         if gain.any():
             best = np.where(gain, vals, best)
             best_wit[gain] = Z[gain]
         G = -C
         A = best - vals  # objective cut at the incumbent
-        if not inside.all():
-            out = ~inside
+        G[free] = pool[free, j[free], :n]
+        A[free] = v[free]
+        out = ask & ~inside
+        if out.any():
             X = Z[out]
             U, glo = approx_separator(oracle, body, X)
             G[out] = U
             # separator cut through the boundary point a + (x - a)/g(x)
             A[out] = ((1.0 - 1.0 / np.maximum(glo, 1.0))
                       * np.einsum("bi,bi->b", U, X - body.center))
+            i = np.flatnonzero(out)
+            if kept[i].max() == pool.shape[1]:
+                pool = np.concatenate(
+                    [pool, _empty_slots(rows.size, pool.shape[1], n)], axis=1)
+            pool[i, kept[i], :n] = U
+            pool[i, kept[i], n] = np.einsum("bi,bi->b", U, X) - np.maximum(A[i], 0.0)
+            kept[i] += 1
         Z, P = _cut(Z, P, G, A)
 
     raise IterationCapError(
@@ -510,7 +553,8 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
     (lo, hi, witness, cuts): an interval [lo, hi] that contains h_K(c) with
     hi - lo <= err (the support interval of the module header), the
     incumbent, a point within dq of the body with c . witness in [lo, hi],
-    and the row's cut count. C is checked by the engine (_cut_loop).
+    and the row's cut count, free cuts at remembered halfspaces included.
+    C is checked by the engine (_cut_loop).
     """
     err = positive_finite(err, "err")
     # axis -1, so that a C of the wrong rank reaches the engine's check

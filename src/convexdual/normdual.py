@@ -284,8 +284,9 @@ class DualNormResult:
     interval contains nu*(y) and value is its midpoint, both already scaled
     back by annulus_factor = |y|. The support run certifies an interval of
     width at most 2 delta / 3 at y/|y|, so the additive error is at most
-    delta * annulus_factor / 3. cuts is that run's cut count, 0 where no
-    run is needed (y = 0, or a sandwich that is already that narrow).
+    delta * annulus_factor / 3. cuts is that run's cut count, free cuts
+    included (cutting.support_batch), 0 where no run is needed (y = 0, or a
+    sandwich that is already that narrow).
     """
 
     value: float

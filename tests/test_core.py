@@ -66,6 +66,13 @@ def test_centered_body_validation_and_infinite_outer():
     assert cone_body.n == 3
 
 
+@pytest.mark.parametrize("inner", [math.inf, math.nan])
+def test_centered_body_rejects_non_finite_inner_radius(inner):
+    for outer in (math.inf, 2.0):
+        with pytest.raises(ValueError, match="inner"):
+            CenteredBody(np.zeros(2), inner, outer)
+
+
 def test_interval():
     iv = Interval(1.0, 2.0)
     assert iv.width == pytest.approx(1.0)

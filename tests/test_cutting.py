@@ -370,32 +370,129 @@ def test_separator_cut_keeps_the_boundary_point(monkeypatch, p, n):
     a separator cut past the true boundary point x_b = a + (x - a)/g(x) of
     its center x: the depth is read from the certified lower bound g~ - tol.
     The cut plane then passes through x_b to rounding, and a depth read from
-    g~ itself would cut x_b off by about tol/g."""
+    g~ itself would cut x_b off by about tol/g. A free cut re-applies the
+    remembered halfspace of one earlier separator cut, so it must keep the
+    x_b of the center that made it, to rounding, wherever it is applied."""
     norm, oracle, body = _ball_oracle(p, n)
     monkeypatch.setattr(
         cutting, "gauge_batch",
         lambda oracle, body, points, tol, anchors=None: norm.eval_batch(points) + tol)
-    cuts = []
-    cut = cutting._cut
+    events = []
+    cut, separator = cutting._cut, cutting.approx_separator
+
+    def recording_separator(oracle, body, X):
+        events.append(X)
+        return separator(oracle, body, X)
 
     def recording_cut(Z, P, G, A):
-        cuts.append((Z, P, G, A))
+        events.append((Z, P, G, A))
         return cut(Z, P, G, A)
 
+    monkeypatch.setattr(cutting, "approx_separator", recording_separator)
     monkeypatch.setattr(cutting, "_cut", recording_cut)
     C = rng_stream(30, n).normal(size=(4, n))
     support_batch(oracle, body, C, 0.05)
-    seen = 0
-    for Z, P, G, A in cuts:
-        g = norm.eval_batch(Z)
-        out = g > 1.0  # the exact oracle answers OUT exactly there
-        Z, P, G, A, g = Z[out], P[out], G[out], A[out], g[out]
+    made = {}  # a separator cut's unit -> the boundary point of its center
+    paid, free, separated = 0, 0, set()
+    for ev in events:
+        if not isinstance(ev, tuple):
+            separated = {tuple(x) for x in ev}
+            continue
+        Z, P, G, A = ev
         r = np.sqrt(np.einsum("bi,bij,bj->b", G, P, G))
         alpha = np.clip(A, 0.0, cutting._MAX_DEPTH * r)
-        xb = Z / g[:, None]
-        assert np.all(np.einsum("bi,bi->b", G, xb - Z) + alpha <= 1e-12)
-        seen += int(np.count_nonzero(alpha > 0.0))
-    assert seen > 0
+        for z, g, a in zip(Z, G, alpha):
+            if tuple(z) in separated:
+                made[tuple(g)] = xb = z / norm.eval_batch(z[None])[0]
+                paid += a > 0.0
+            elif tuple(g) in made:
+                xb = made[tuple(g)]
+                free += a > 0.0
+            else:
+                continue  # an objective cut
+            assert g @ (xb - z) + a <= 1e-12
+        separated = set()
+    assert paid > 0 and free > 0
+
+
+def _follow(ids, before, after):
+    """The ids of the rows of after, a stable subsequence of the rows of
+    before, which carry ids."""
+    out, k = [], 0
+    for z in after:
+        while not np.array_equal(before[k], z):
+            k += 1
+        out.append(ids[k])
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3.0, 2), (1.0, 2), (1.0, 3), (math.inf, 3)],
+                         ids=["l3-r2", "l1-r2", "l1-r3", "linf-r3"])
+def test_free_cuts_cost_no_call(monkeypatch, p, n):
+    """A center that violates a halfspace its own row has remembered is cut
+    at no call: no center sent to query_batch or approx_separator violates
+    one, every other center is cut along one of its own row's remembered
+    units, and the cut count of each row counts its free cuts too. Rows are
+    followed through the lockstep compaction by their exact centers."""
+    _, oracle, body = _ball_oracle(p, n)
+    events, busy = [], []
+    query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
+
+    def counting_query(X, delta):
+        if not busy:  # the separator's own gauge probes are not centers
+            events.append(("query", np.array(X)))
+        return query(X, delta)
+
+    def recording_separator(oracle, body, X):
+        events.append(("separator", np.array(X)))
+        busy.append(1)
+        try:
+            return separator(oracle, body, X)
+        finally:
+            busy.pop()
+
+    def recording_cut(Z, P, G, A):
+        Z2, P2 = cut(Z, P, G, A)
+        events.append(("cut", Z, G, A, Z2))
+        return Z2, P2
+
+    monkeypatch.setattr(oracle, "query_batch", counting_query)
+    monkeypatch.setattr(cutting, "approx_separator", recording_separator)
+    monkeypatch.setattr(cutting, "_cut", recording_cut)
+    m = 6
+    C = rng_stream(31, n).normal(size=(m, n))
+    *_, cuts = support_batch(oracle, body, C, 0.05)
+
+    memory = [[] for _ in range(m)]  # per row, its remembered (u, beta)
+    counted = np.zeros(m, dtype=int)
+    ids, before, sent, free = None, None, [], 0
+    for kind, *ev in events:
+        if kind != "cut":
+            sent.append((kind, ev[0]))
+            continue
+        Z, G, A, after = ev
+        ids = list(range(m)) if ids is None else _follow(ids, before, Z)
+        assert len(ids) == len(Z)
+        row = {tuple(z): i for z, i in zip(Z, ids)}
+        for _, X in sent:
+            for x in X:
+                for u, beta in memory[row[tuple(x)]]:
+                    assert u @ x - beta <= 1e-12
+        asked = {tuple(x) for kind, X in sent if kind == "query" for x in X}
+        separated = {tuple(x) for kind, X in sent if kind == "separator" for x in X}
+        assert separated <= asked
+        for z, g, a, i in zip(Z, G, A, ids):
+            counted[i] += 1
+            if tuple(z) in separated:
+                memory[i].append((g, g @ z - max(a, 0.0)))
+            elif tuple(z) not in asked:
+                free += 1
+                assert a > 0.0
+                assert any(np.array_equal(g, u) for u, _ in memory[i])
+        before, sent = after, []
+    assert free > 0
+    np.testing.assert_array_equal(cuts, counted)
 
 
 DIRECTION_CASES = [
