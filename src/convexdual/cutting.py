@@ -114,18 +114,18 @@ Policy where a row is not decided cleanly, the same for every caller:
   hi - lo <= e (1/2 + |c| (1 + outer/inner)/8); e is chosen to make that
   err at the largest |c| of the batch.
 - Anchored gauge window: the gauge g about the center is 1/inner-Lipschitz,
-  since B(center, inner) lies in K. So a probe p near an anchor Z with
-  gauge bracket [lo_Z, hi_Z] has g(p) in
-  [lo_Z - L/2 - |p - Z|/inner, hi_Z + L/2 + |p - Z|/inner], where L/2 is
-  the band slop of the coarse search at its own slack: an IN verdict at
-  trial t shows g(Z) <= t + t dq/inner <= t + L/2, an OUT verdict
-  g(Z) >= t - L/2. gauge_batch bisects each probe from that window
-  intersected with [d/outer, d/inner]; no verification query is made.
+  since B(center, inner) lies in K. So a probe p near an anchor Z whose
+  gauge g~(Z) gauge_batch has bisected to within tol has g(p) in
+  [g~(Z) - tol - |p - Z|/inner, g~(Z) + tol + |p - Z|/inner]. gauge_batch
+  bisects each probe from that window intersected with [d/outer, d/inner],
+  and a probe equal to its anchor takes g~(Z) at no query; no verification
+  query is made.
 - Flat gauge: the quotient vector H errs by up to 2 sqrt(n) tol/h, so a
   separator with |H| <= 4 sqrt(n) tol/h, twice that noise, raises
-  FlatGaugeError. No direction is guessed. The gauge tolerance keeps that
-  floor at most 1/outer, the least |F| can be (above), so the floor
-  shrinks with the body instead of staying an absolute number.
+  FlatGaugeError. No direction is guessed. The gauge tolerance keeps the
+  noise under |F|/8 and the floor at most 1/(4 outer), a quarter of the
+  least |F| can be (above), so the floor shrinks with the body instead of
+  staying an absolute number.
 - Iteration cap: a row still undecided after _MAX_CUTS cuts, the fixed
   iteration bound of the method, raises IterationCapError carrying its
   incumbent. No verdict is guessed from the incumbent, which is not a
@@ -175,37 +175,34 @@ def _bounded(body: CenteredBody) -> None:
         raise ValueError("this operation needs a bounded body (finite outer radius)")
 
 
-def _ray_search(oracle: WeakMembershipOracle, a: np.ndarray, rays: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, tol: float, dq: float, k: int,
-                buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k-section of the gauge brackets [lo, hi] of the rays a + rays/t, all
-    rows in lockstep, until every bracket is at most tol wide; k = 1 is
-    bisection.
+def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, tol: float,
+                buf: np.ndarray) -> np.ndarray:
+    """Gauges of the points center + rays, each within tol, by bisection of
+    their gauge brackets [lo, hi], all rows in lockstep.
 
-    Each round queries the k points a + ray/t_j at the interior trials
-    t_j = lo + j w, w = (hi - lo)/(k + 1), all rows in one query_batch at
-    slack dq. The new bracket runs from the trial just below the first
-    trial answered IN (hi if none is) to that trial: each end is certified
-    by its own verdict, so a non-monotone answer pattern inside the band
-    cannot corrupt the bracket. Every bracket shrinks by exactly k + 1 per
-    round, so the round count is fixed up front. buf, a C-contiguous array
-    of at least rows * k rows, holds the trial points.
+    Each round queries every row's point center + ray/t at the midpoint t
+    of its bracket, all rows in one query_batch at slack dq. An IN verdict
+    moves the upper end to t and an OUT verdict the lower end, so each end
+    is certified by its own verdict and a non-monotone answer pattern inside
+    the band cannot corrupt the bracket. The band slop t dq/inner of a
+    verdict stays under tol/2, and so does half the final bracket width.
+    Every bracket halves per round, so the round count is fixed up front.
+    buf, a C-contiguous array of at least as many rows as rays, holds the
+    trial points.
     """
-    width = float(np.max(hi - lo))
-    if width <= tol:
-        return lo, hi
-    rows, n = rays.shape
-    steps = (hi - lo)[:, None] * (np.arange(1, k + 1) / (k + 1))  # t_j - lo
-    trial = buf[:rows * k].reshape(rows, k, n)
-    verdicts = np.ones((rows, k + 1), dtype=bool)  # the upper end counts as IN
-    rays = rays[:, None, :]
-    for _ in range(math.ceil(math.log(width / tol, k + 1))):
-        np.divide(rays, (lo[:, None] + steps)[:, :, None], out=trial)
-        trial += a
-        verdicts[:, :k] = oracle.query_batch(trial.reshape(-1, n), dq).reshape(rows, k)
-        lo = lo + verdicts.argmax(axis=1) * steps[:, 0]
-        steps /= k + 1
-    return lo, lo + (k + 1) * steps[:, 0]
+    width = float(np.max(hi - lo, initial=0.0))
+    if width > tol:
+        dq = max(0.5 * tol * body.inner_radius / float(np.max(hi)), 1e-300)
+        trial = buf[:rays.shape[0]]
+        for _ in range(math.ceil(math.log2(width / tol))):
+            t = 0.5 * (lo + hi)
+            np.divide(rays, t[:, None], out=trial)
+            trial += body.center
+            inside = oracle.query_batch(trial, dq)
+            hi = np.where(inside, t, hi)
+            lo = np.where(inside, lo, t)
+    return 0.5 * (lo + hi)
 
 
 def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
@@ -219,13 +216,12 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     center get gauge 0, and an empty stack costs no call.
 
     anchors, an (m, n) stack, groups the points: rows i*k .. i*k + k - 1
-    of the points, k = N // m, belong to anchor i. Each anchor's gauge is
-    first found by a k-section to the coarse tolerance L = max |p - Z| / inner,
-    one query per point of its group per round; each point is then bisected
-    from the window rule in the module header rather than from the centering
-    bracket [d/outer, d/inner]. Without anchors every point is its own: then
-    k = 1 and L = 0, so there is no coarse phase and the window is the
-    centering bracket.
+    of the points, k = N // m, belong to anchor i; without anchors every
+    point is its own. Each anchor's gauge is first bisected to tol from its
+    centering bracket [d/outer, d/inner]. A point equal to its anchor takes
+    that gauge at no query, and every other point is bisected from the
+    window of the module header, the anchor's gauge -/+ (tol + |p - Z|/inner)
+    intersected with its centering bracket.
     """
     _bounded(body)
     tol = positive_finite(tol, "tol")
@@ -235,10 +231,8 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     k = P.shape[0] // max(m, 1)
     if m * k != P.shape[0]:
         raise ValueError(f"{m} anchors do not divide {P.shape[0]} points")
-    a = body.center
     inner = body.inner_radius
-    D = P - a
-    d = np.linalg.norm(D, axis=1)
+    d = np.linalg.norm(P - body.center, axis=1)
     lo = d / body.outer_radius
     hi = d / inner
     if np.any(hi < lo):
@@ -246,31 +240,25 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     # the center, or inner == outer, pins the gauge without any queries
     if float(np.max(hi - lo, initial=0.0)) <= tol:
         return 0.5 * (lo + hi)
-    buf = np.empty_like(P)  # trial points of both phases
-    DZ = Z - a
+    dist = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2).ravel()
+    live = (dist > 0.0) & (d > 0.0)  # a point at its anchor or the center is known
+    buf = np.empty_like(P)  # trial points of both searches
+    DZ = Z - body.center
     dz = np.linalg.norm(DZ, axis=1)
-    slop = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2) / inner
-    L = float(np.max(slop))
-    zlo, zhi = dz / body.outer_radius, dz / inner
+    gz = np.zeros(m)
     zlive = dz > 0.0
-    if L > 0.0 and np.any(zlive):
-        dq = max(0.5 * L * inner * inner / float(np.max(dz)), 1e-300)
-        zlo[zlive], zhi[zlive] = _ray_search(
-            oracle, a, DZ[zlive], zlo[zlive], zhi[zlive], L, dq, k, buf)
-    slop += 0.5 * L
-    np.maximum(lo, (zlo[:, None] - slop).ravel(), out=lo)
-    np.minimum(hi, (zhi[:, None] + slop).ravel(), out=hi)
+    gz[zlive] = _ray_search(oracle, body, DZ[zlive], dz[zlive] / body.outer_radius,
+                            dz[zlive] / inner, tol, buf)
+    gz = np.repeat(gz, k)
+    dist /= inner
+    dist += tol
+    np.maximum(lo, gz - dist, out=lo)
+    np.minimum(hi, gz + dist, out=hi)
     if np.any(hi < lo):
         raise BracketError("anchor window misses the centering bracket")
-    live = d > 0.0
-    if not live.all():
-        D, lo, hi = D[live], lo[live], hi[live]
-    # verdict-band slop adds at most hi * dq / inner to the gauge; keep it
-    # under tol/2 at the widest bracket
-    dq = max(0.5 * tol * inner * inner / float(np.max(d)), 1e-300)
-    lo, hi = _ray_search(oracle, a, D, lo, hi, tol, dq, 1, buf)
-    out = np.zeros(P.shape[0])
-    out[live] = 0.5 * (lo + hi)
+    out = np.where(d > 0.0, gz, 0.0)
+    out[live] = _ray_search(oracle, body, P[live] - body.center, lo[live], hi[live],
+                            tol, buf)
     return out
 
 
@@ -296,15 +284,16 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     deep separator cut reads. An empty stack costs no call.
     Both tolerances derive from the body: the step is _fd_step,
     max(1e-5, 1e-4 inner), and the gauge tolerance
-    min(_gauge_tol, 1e-3 step, step / (4 sqrt(n) outer)),
-    _gauge_tol being 1e-8 outer; the last term keeps the flat-gauge floor
-    4 sqrt(n) tol / step at most 1/outer, the least the exact quotients can
-    be (module header). The n + 1 probes x and x +/- step e_i of every
+    min(_gauge_tol, 1e-3 step, step / (16 sqrt(n) outer)),
+    _gauge_tol being 1e-8 outer; the last term keeps the quotient noise
+    2 sqrt(n) tol / step under 1/(8 outer) and the flat-gauge floor, twice
+    that, at most 1/(4 outer), against the least the exact quotients can be,
+    1/outer (module header). The n + 1 probes x and x +/- step e_i of every
     point, each stepping away from the center, share one gauge_batch call
-    anchored at the points, where x is its own probe at offset 0: an
-    (n + 1)-section finds each point's gauge to step/inner, and the probes
-    are bisected from the window around it (module header), so a separator
-    costs n + 1 primal calls per coarse and per fine round.
+    anchored at the points, where x is its own probe at offset 0: each
+    point's gauge is bisected to tol, and the n other probes are bisected
+    from the window around it (module header), so a separator costs one
+    primal call per anchor round and n per probe round.
     Raises FlatGaugeError when the differences at any point fall below the
     gauge noise floor (a step too small for the gauge tolerance).
     """
@@ -314,7 +303,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     # gauge noise must sit below the difference quotient, and the
     # flat-gauge floor below the least gradient norm, 1/outer_radius
     tol = min(_gauge_tol(body), 1e-3 * step,
-              step / (4.0 * math.sqrt(n) * body.outer_radius))
+              step / (16.0 * math.sqrt(n) * body.outer_radius))
     # each probe steps away from the center along its axis
     hs = np.where(X >= body.center, step, -step)
     probes = np.repeat(X[:, None, :], n + 1, axis=1)

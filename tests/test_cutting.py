@@ -112,43 +112,56 @@ def _separator_tolerances(body):
 
 
 def _check_separator_cost(x, rounds, cold):
-    """One separator costs n + 1 calls per round: an (n + 1)-section of its
-    point's gauge to L = step/inner, then a bisection of the point and its n
-    forward probes from the window around it, both in closed form and far
+    """One separator costs one call per anchor round, a bisection of its
+    point's gauge to tol, and n calls per probe round, a bisection of its n
+    forward probes from the window around that gauge; the point itself is
+    not queried again. Both round counts are exact in closed form and far
     below the cold bracket."""
     x = np.array(x)
     n = x.size
-    k = n + 1
     _, oracle, body = _ball_oracle(3.0, n)
     step, tol = _separator_tolerances(body)
-    L = step / body.inner_radius
     width = float(np.linalg.norm(x)) * (1.0 / body.inner_radius - 1.0 / body.outer_radius)
-    coarse = math.ceil(math.log(width / L, k + 1))
-    # widest window: the coarse bracket, L/2 band slop and |p - x|/inner = L
-    # per side
-    fine = math.ceil(math.log2((width / (k + 1) ** coarse + 3.0 * L) / tol))
+    anchor = math.ceil(math.log2(width / tol))
+    # the window: the anchor's gauge -/+ (tol + step/inner)
+    probe = math.ceil(math.log2(2.0 * (tol + step / body.inner_radius) / tol))
     approx_separator(oracle, body, x[None])
-    assert (coarse, fine) == rounds
-    assert oracle.calls.count == k * (coarse + fine)
-    # bisecting the same probes from their centering brackets
+    assert (anchor, probe) == rounds
+    assert oracle.calls.count == anchor + n * probe
+    # bisecting the point and its probes from their centering brackets
     oracle.calls.reset()
     probes = x + step * np.vstack([np.zeros(n), np.diag(np.sign(x))])
     gauge_batch(oracle, body, probes, tol)
-    assert oracle.calls.count == k * cold
+    assert oracle.calls.count == (n + 1) * cold
 
 
-def test_separator_cost_is_coarse_plus_fine_rounds():
-    # 4 * (6 + 15) = 84 calls, against 4 * 26 from the cold bracket
-    _check_separator_cost([2.0, 1.0, -1.0], (6, 15), 26)
+def test_separator_cost_is_anchor_plus_probe_rounds():
+    # 26 + 3 * 15 = 71 calls, against 4 * 26 from the cold bracket
+    _check_separator_cost([2.0, 1.0, -1.0], (26, 15), 26)
 
 
 # n = 5 is the dimension of the dual-cone slice of psd(3)
 @pytest.mark.parametrize("x,rounds,cold", [
-    ([2.0, 1.0], (6, 15), 25),
-    ([2.0, 1.0, -1.0, 0.5, 1.0], (5, 15), 26),
+    ([2.0, 1.0], (25, 15), 25),  # 55 calls
+    ([2.0, 1.0, -1.0, 0.5, 1.0], (26, 14), 26),  # 96 calls
 ], ids=["r2", "r5"])
 def test_separator_cost_in_other_dimensions(x, rounds, cold):
     _check_separator_cost(x, rounds, cold)
+
+
+def test_points_at_their_anchors_cost_no_query():
+    """A point equal to its anchor takes the anchor's gauge at no query, so
+    a stack of only such points costs exactly the anchors' bisection."""
+    norm, oracle, body = _ball_oracle(3.0, 3)
+    X = np.array([[2.0, 1.0, -1.0], [0.3, -0.5, 0.2], [0.0, 0.0, 0.0]])
+    tol = 1e-8
+    alone = gauge_batch(oracle, body, X, tol)
+    cost = oracle.calls.count
+    oracle.calls.reset()
+    g = gauge_batch(oracle, body, np.repeat(X, 3, axis=0), tol, anchors=X)
+    assert oracle.calls.count == cost
+    np.testing.assert_array_equal(g, np.repeat(alone, 3))
+    assert float(np.max(np.abs(g - norm.eval_batch(np.repeat(X, 3, axis=0))))) <= tol
 
 
 BAND_BALLS = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]

@@ -210,6 +210,9 @@ CONJ_CASES = [
     ("square_norm", 3, [6.0, 0.0, 0.0]),
     ("quartic_quarter", 1, [8.0]),
     ("half_square_norm", 2, [10.0, 0.0]),
+    # off-axis and steep, where gauge noise up to half the least quotient
+    # norm tilted a separator enough to miss eps
+    ("half_square_norm", 2, [7.577, -9.305]),
 ]
 
 

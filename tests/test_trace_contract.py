@@ -54,3 +54,12 @@ def test_traced_dual_norm_op_counts_separator_calls():
     op = wl.ops[0]
     assert op.label == "l1/R2"
     assert _traced(wl, op)[1]["cutting.approx_separator.calls"] > 0
+
+
+def test_traced_separator_makes_one_gauge_call():
+    """Each separator makes one traced gauge_batch call: its anchor search
+    runs inside that call, not through the name the tracer patches, which
+    would double the gauge spans and count them as rounds."""
+    wl = workloads.WORKLOADS["dualnorm"](1)
+    m = _traced(wl, wl.ops[0])[1]
+    assert m["cutting.gauge_batch.calls"] == m["cutting.approx_separator.calls"] > 0
