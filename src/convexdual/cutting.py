@@ -3,7 +3,10 @@
 The chain is: a weak membership oracle induces an approximate gauge (ray
 bisection), the gauge induces an approximate separating direction (forward
 finite differences), and the separator drives an ellipsoid-localizer loop
-that maximizes a linear objective with a certified optimality gap.
+that maximizes a linear objective with a certified optimality gap. An
+oracle that carries its own separator skips the gauge: the truncated
+epigraph of the fenchel module separates from its function values (value
+separators, below).
 
 There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
 centers and (m, n, n) shape matrices, and a scalar call is a batch of one.
@@ -70,8 +73,9 @@ Policy where a row is not decided cleanly, the same for every caller:
   ellipsoid E(z, P), at a depth alpha that costs no extra query. An IN
   center cuts at the incumbent, g = -c and alpha = best - c . z: a point
   it drops has c . y < best = value, so the gap over K_dq still holds. An
-  OUT center x cuts with the separator's unit u at
-  alpha = (1 - 1/glo) u . (x - a) where glo > 1, and at alpha = 0 elsewhere;
+  OUT center x cuts with the separator's unit u at the depth the separator
+  returns. On the gauge path that is
+  alpha = (1 - 1/glo) u . (x - a) where glo > 1, and alpha = 0 elsewhere;
   glo = g~(x) - tol is the separator's offset-0 probe less its tolerance,
   so g(x) >= glo (gauge_batch). The gauge is 1-homogeneous, so
   s . (x - a) = g(x) and s . (y - a) <= g(y) make s a subgradient at the
@@ -94,9 +98,43 @@ Policy where a row is not decided cleanly, the same for every caller:
   sigma of earlier cuts. Below 1, the new ellipsoid's width along the cut
   direction is (1 - d) times the central cut's, so at 0.9 one cut squeezes
   E along g at most ten times harder than a central cut does.
+- Value separators: approx_separator hands the centers answered OUT, and
+  their slack dq, to the oracle's own separator where it has one
+  (oracles.WeakMembershipOracle). The truncated epigraph
+  E = {(x, tau) : |x - c| <= R, f(x) <= tau <= cap} of
+  fenchel.EpigraphBody has one built from values f~ of f. A center
+  z = (x, tau) off the ball is cut along ((x - c)/|x - c|, 0) at depth
+  |x - c| - R, and one above the cap along (0, 1) at depth tau - cap: both
+  halfspaces hold all of E, so sigma = 0, at no evaluation. Any other OUT
+  center is below the graph up to the band, tau < f~_dq(x) <= f(x) + dq.
+  Its n forward quotients H_i = (f~(x + h_i e_i) - f~(x))/h_i, with
+  h_i = -/+h stepping toward c and every value asked at slack ev, give the
+  unit u = (H, -1)/|(H, -1)| and the depth
+  alpha = (f~(x) - ev - tau)/|(H, -1)|, at n + 1 evaluations. Take
+  y' = (x', tau') in E, s a subgradient of f at x, F the exact quotients
+  and b = F - s their one-sided bias, as for the gauge. Convexity gives
+  tau' >= f(x') >= f(x) + s . (x' - x), and f(x) >= f~(x) - ev, so
+  (H, -1) . (y' - z) <= (H - s) . (x' - x) - (f~(x) - ev - tau). Each value
+  errs by at most ev, so |H - F| <= 2 sqrt(n) ev/h, and |x' - x| <= 2R, so
+  u . (y' - z) <= -alpha + (|b| + 2 sqrt(n) ev/h) 2R / |(H, -1)|. An OUT
+  verdict inside the band can leave alpha < 0, though not below
+  -(dq + 2 ev)/|(H, -1)|, as tau < f(x) + dq <= f~(x) + ev + dq; the clip
+  makes that cut central. So against the clipped depth a value cut keeps
+  E, and with it K_dq, up to
+
+      sigma_v = (dq + 2 ev + (|b| + 2 sqrt(n) ev/h) 2R) / |(H, -1)|,
+
+  as a gauge cut does up to sigma. |(H, -1)| >= 1, so a value separator
+  has no flat case. The step is h = 1e-5 R, fixed by the ball, and
+  ev = dq h / (16 sqrt(n) R) holds the noise term 2 sqrt(n) (ev/h) 2R to
+  dq/4. The bias term is O(h) where f is smooth, |b| <= sqrt(n) M h/2 for
+  second partials at most M, and near a kink can reach the jump of a
+  partial, as for gauges; choosing h so that it stays below a fraction of
+  the slack is open, with the gauge path's step and tolerance (ROADMAP
+  item 7).
 - Remembered cuts: each row keeps the halfspaces u . y <= beta of its own
   separator cuts, beta = u . x - max(alpha, 0), which keep K_dq up to sigma
-  (deep cuts, above). A later center z of that row with
+  (deep cuts and value separators, above). A later center z of that row with
   v = u . z - beta > 0 for one of them is cut again along u at alpha = v,
   the same halfspace under the same sigma and the same dq, at no primal
   call: neither the membership query nor the separator is made. Skipping
@@ -274,15 +312,19 @@ def _fd_step(body: CenteredBody) -> float:
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
-                     X) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate outward normals from forward differences of the gauge.
+                     X, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate outward normals of the body at points answered outside.
 
-    X is an (m, n) stack of points. Returns (U, glo): U is an (m, n) stack
-    holding per point a unit vector u with u . (y - x) <= sigma for all y
-    in the body, sigma as documented in the module header, and glo holds
-    per point g~(x) - tol, a certified lower bound on its gauge, which the
-    deep separator cut reads. An empty stack costs no call.
-    Both tolerances derive from the body: the step is _fd_step,
+    X is an (m, n) stack of points that the oracle answered outside at
+    membership slack delta. Returns (U, depth): U is an (m, n) stack holding
+    per point a unit vector u, and depth a deep-cut depth alpha, with
+    u . (y - x) <= -max(alpha, 0) + sigma for all y in the body, sigma as
+    documented in the module header. An empty stack costs no call.
+
+    An oracle built with its own separator answers through it, at the slack
+    delta of its verdicts (module header, value separators). Every other
+    oracle takes forward differences of the gauge, and delta is not read:
+    both tolerances derive from the body. The step is _fd_step,
     max(1e-5, 1e-4 inner), and the gauge tolerance
     min(_gauge_tol, 1e-3 step, step / (16 sqrt(n) outer)),
     _gauge_tol being 1e-8 outer; the last term keeps the quotient noise
@@ -293,11 +335,16 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     anchored at the points, where x is its own probe at offset 0: each
     point's gauge is bisected to tol, and the n other probes are bisected
     from the window around it (module header), so a separator costs one
-    primal call per anchor round and n per probe round.
-    Raises FlatGaugeError when the differences at any point fall below the
-    gauge noise floor (a step too small for the gauge tolerance).
+    primal call per anchor round and n per probe round. The depth is that
+    of the cut through the boundary point a + (x - a)/g(x), read from
+    g~(x) - tol, a certified lower bound on the gauge (module header, deep
+    cuts). Raises FlatGaugeError when the differences at any point fall
+    below the gauge noise floor (a step too small for the gauge tolerance).
     """
     X = as_stack(X, body.n)
+    delta = positive_finite(delta, "delta")
+    if oracle.separator is not None:
+        return oracle.separator(X, delta)
     step = _fd_step(body)
     m, n = X.shape
     # gauge noise must sit below the difference quotient, and the
@@ -314,7 +361,8 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
-    return H, g[:, 0] - tol
+    glo = np.maximum(g[:, 0] - tol, 1.0)
+    return H, (1.0 - 1.0 / glo) * np.einsum("bi,bi->b", H, X - body.center)
 
 
 class WvalVerdict(enum.Enum):
@@ -403,15 +451,17 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     Each row runs its own ellipsoid localizer with deep cuts (module
     header): an asserted-feasible center adds the objective cut at the
     incumbent (keep values at least best), an asserted-infeasible center
-    adds the separator cut through the boundary point on its ray. The
+    adds the separator cut at the depth its separator returns. The
     incumbent starts at the body center, which the centering data guarantees
     feasible. A row leaves the loop at its first stop: certified gap
     <= eps/2, incumbent >= stop_above, or certified upper bound
     <= stop_ub_below, tested in that order. A center that violates one of
     its row's remembered separator halfspaces is cut along the most
     violated one at no call (module header). The other centers of all live
-    rows go to one query_batch per cut, and those answered infeasible to
-    one approx_separator call.
+    rows go to one query_batch per cut at slack dq, and those answered
+    infeasible to one approx_separator call at the same dq, which uses the
+    oracle's own separator where it has one (value separators) and
+    differences of the gauge elsewhere.
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
     indexing _STOP_REASONS; iterations counts every cut, free or paid.
@@ -490,17 +540,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         out = ask & ~inside
         if out.any():
             X = Z[out]
-            U, glo = approx_separator(oracle, body, X)
-            G[out] = U
-            # separator cut through the boundary point a + (x - a)/g(x)
-            A[out] = ((1.0 - 1.0 / np.maximum(glo, 1.0))
-                      * np.einsum("bi,bi->b", U, X - body.center))
+            G[out], A[out] = approx_separator(oracle, body, X, dq)
             i = np.flatnonzero(out)
             if kept[i].max() == pool.shape[1]:
                 pool = np.concatenate(
                     [pool, _empty_slots(rows.size, pool.shape[1], n)], axis=1)
-            pool[i, kept[i], :n] = U
-            pool[i, kept[i], n] = np.einsum("bi,bi->b", U, X) - np.maximum(A[i], 0.0)
+            pool[i, kept[i], :n] = G[i]
+            pool[i, kept[i], n] = np.einsum("bi,bi->b", G[i], X) - np.maximum(A[i], 0.0)
             kept[i] += 1
         Z, P = _cut(Z, P, G, A)
 

@@ -100,10 +100,24 @@ class EpigraphBody:
         return CenteredBody(center, inner, outer)
 
     def oracle(self) -> WeakMembershipOracle:
-        """Row-wise weak membership: rows off the ball or above the cap are
-        refuted without an evaluation, every other row costs one."""
+        """Row-wise weak membership, with the epigraph's own separator.
+
+        Verdicts: rows off the ball or above the cap are refuted without an
+        evaluation, every other row costs one. The separator cuts a point
+        z = (x, tau) answered outside at slack dq (cutting module header,
+        value separators): off the ball along the ball's face, at depth
+        |x - c| - R, and above the cap along tau <= cap, at depth
+        tau - cap, both exact and without an evaluation. Below the graph it
+        takes n forward differences of f at x, each stepping toward the
+        ball's centre by h = 1e-5 R, with every value asked at slack
+        ev = dq h / (16 sqrt(n) R). Their quotients H give the tangent
+        halfspace (H, -1) . y <= H . x - f~(x) + ev, a cut at depth
+        (f~(x) - ev - tau) / |(H, -1)|, for n + 1 evaluations.
+        """
         center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
                                        self.cap, self.values)
+        n = self.ball.n
+        step = 1e-5 * radius
 
         def verdicts(Z, eps):
             if eps >= 0.5 * cap:
@@ -117,7 +131,31 @@ class EpigraphBody:
                 inside[i] = tau[i] >= values.eval(X[i], eps)
             return inside
 
-        return WeakMembershipOracle(verdicts, self.body(), label="epigraph")
+        def separator(Z, dq):
+            X, tau = Z[:, :-1], Z[:, -1]
+            rel = X - center
+            dist = np.linalg.norm(rel, axis=1)
+            U = np.zeros_like(Z)
+            outside = dist > radius
+            U[outside, :-1] = rel[outside] / dist[outside, None]
+            above = ~outside & (tau > cap)
+            U[above, -1] = 1.0
+            depth = np.where(outside, dist - radius, tau - cap)
+            # each quotient errs by at most 2 ev / h, which costs at most
+            # dq / 4 of sigma over the ball's diameter 2R
+            ev = dq * step / (16.0 * math.sqrt(n) * radius)
+            hs = np.where(rel >= 0.0, -step, step)
+            for i in np.flatnonzero(~outside & ~above):
+                fx = values.eval(X[i], ev)
+                fp = np.array([values.eval(p, ev) for p in X[i] + np.diag(hs[i])])
+                u = np.append((fp - fx) / hs[i], -1.0)  # (H, -1)
+                nrm = float(np.linalg.norm(u))
+                U[i] = u / nrm
+                depth[i] = (fx - ev - tau[i]) / nrm
+            return U, depth
+
+        return WeakMembershipOracle(verdicts, self.body(), label="epigraph",
+                                    separator=separator)
 
 
 @dataclass(frozen=True)
@@ -125,7 +163,7 @@ class MinimizationResult:
     value: float
     point: np.ndarray
     iterations: int
-    oracle_calls: int
+    oracle_calls: int   # evaluations of f by the run, verdicts and separators
 
 
 def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
@@ -143,8 +181,9 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
     down = np.zeros(epi.n)
     down[-1] = -1.0
     oracle = epi.oracle()
+    before = epi.values.calls.count
     res = wopt_from_wmem(oracle, oracle.body, down, 0.5 * eps)
-    calls = oracle.calls.count
+    calls = epi.values.calls.count - before
     value = -float(res.value)
 
     # the center and the points half the radius out along each axis

@@ -48,6 +48,15 @@ class WeakMembershipOracle:
         outer = inf.
     label : str
         Counter label for call accounting.
+    separator : callable (X, delta) -> (U, depth), optional
+        The body's own separator, for a body that can separate more cheaply
+        than finite differences of its gauge. X is an (m, n) stack of points
+        that fn answered outside at slack delta. Per point, U holds a unit
+        normal u and depth a deep-cut depth alpha such that
+        u . (y - x) <= -max(alpha, 0) + sigma for every y of the body, with
+        sigma the documented bound of that separator (the cutting module
+        header). calls does not count it; the primal oracle it evaluates
+        does. cutting.approx_separator uses it where it is given.
 
     query_batch validates, counts and calls fn; query is the same call on
     one row. Both count one call per point and raise ValueError, before
@@ -55,10 +64,11 @@ class WeakMembershipOracle:
     dimension n.
     """
 
-    def __init__(self, fn, body: CenteredBody, label: str = "wmem"):
+    def __init__(self, fn, body: CenteredBody, label: str = "wmem", separator=None):
         self._fn = fn
         self.body = body
         self.calls = CallCounter(label)
+        self.separator = separator
 
     def query(self, x, delta: float) -> WeakVerdict:
         delta = positive_finite(delta, "delta")

@@ -59,3 +59,19 @@ def value_adversary(fn, n: int, side: float) -> FunctionApproxOracle:
     """
     return FunctionApproxOracle(lambda x, eps: float(fn(x)) + side * eps, n,
                                 label="value-adversary")
+
+
+def alternating_value_adversary(fn, n: int, side: float) -> FunctionApproxOracle:
+    """Function evaluator returning f(x) + side * eps * (-1)^k at its k-th call.
+
+    Legal for |side| <= 1. A constant error cancels in a difference of two
+    values; this one flips sign from one call to the next, so a forward
+    difference of consecutive values errs by up to 2 |side| eps.
+    """
+    calls = []
+
+    def value(x, eps):
+        calls.append(None)
+        return float(fn(x)) + side * eps * (-1.0) ** len(calls)
+
+    return FunctionApproxOracle(value, n, label="alternating-adversary")

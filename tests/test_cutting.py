@@ -125,7 +125,7 @@ def _check_separator_cost(x, rounds, cold):
     anchor = math.ceil(math.log2(width / tol))
     # the window: the anchor's gauge -/+ (tol + step/inner)
     probe = math.ceil(math.log2(2.0 * (tol + step / body.inner_radius) / tol))
-    approx_separator(oracle, body, x[None])
+    approx_separator(oracle, body, x[None], 0.01)
     assert (anchor, probe) == rounds
     assert oracle.calls.count == anchor + n * probe
     # bisecting the point and its probes from their centering brackets
@@ -220,25 +220,29 @@ def test_separator_is_not_flat_at_cube_corners():
     _, oracle, body = _ball_oracle(math.inf, 3)
     for signs in itertools.product((1.0, -1.0), repeat=3):
         x = 1.01 * np.array(signs)
-        np.testing.assert_allclose(approx_separator(oracle, body, x[None])[0][0],
+        np.testing.assert_allclose(approx_separator(oracle, body, x[None], 0.01)[0][0],
                                    x / np.linalg.norm(x), atol=1e-6)
 
 
 def test_separator_points_outward():
     _, oracle, body = _ball_oracle(2.0, 2)
-    H, glo = approx_separator(oracle, body, [[2.0, 0.0], [1.5, 1.5]])
+    X = np.array([[2.0, 0.0], [1.5, 1.5]])
+    H, depth = approx_separator(oracle, body, X, 0.01)
     np.testing.assert_allclose(H, [[1.0, 0.0], [math.sqrt(0.5)] * 2], atol=1e-3)
-    # glo is a certified lower bound on each point's gauge, within 2 tol of it
+    # the depth (1 - 1/glo) u . x of the cut through the boundary point reads
+    # glo, a certified lower bound on each point's gauge g within 2 tol of it
     gauges = np.array([2.0, 1.5 * math.sqrt(2.0)])
-    assert np.all(glo <= gauges)
-    assert np.all(glo >= gauges - 2.0 * _separator_tolerances(body)[1])
+    ux = np.einsum("bi,bi->b", H, X)
+    tol = _separator_tolerances(body)[1]
+    assert np.all(depth <= (1.0 - 1.0 / gauges) * ux)
+    assert np.all(depth >= (1.0 - 1.0 / (gauges - 2.0 * tol)) * ux)
 
 
 def test_separator_separates_sampled_body_points():
     norm, oracle, body = _ball_oracle(1.0, 3)
     rng = rng_stream(22, 0)
     x = np.array([0.9, 0.9, 0.2])  # outside the cross-polytope
-    h = approx_separator(oracle, body, x[None])[0][0]
+    h = approx_separator(oracle, body, x[None], 0.01)[0][0]
     members = rng.normal(size=(500, 3))
     members /= norm.eval_batch(members)[:, None]  # boundary points
     slack = float(np.max(members @ h - x @ h))
@@ -305,7 +309,7 @@ def test_separator_slack_within_documented_sigma(body_name, side):
     n = body.n
     h, tol = _separator_tolerances(body)
     X = _near_kink_points(G, h, 12, rng_stream(27, 0))
-    U, _ = approx_separator(oracle, body, X)
+    U, _ = approx_separator(oracle, body, X, 0.01)
     V = _vertices(G)
     noise = 2.0 * math.sqrt(n) * tol / h
     for x, u in zip(X, U):
@@ -393,9 +397,9 @@ def test_separator_cut_keeps_the_boundary_point(monkeypatch, p, n):
     events = []
     cut, separator = cutting._cut, cutting.approx_separator
 
-    def recording_separator(oracle, body, X):
+    def recording_separator(oracle, body, X, delta):
         events.append(X)
-        return separator(oracle, body, X)
+        return separator(oracle, body, X, delta)
 
     def recording_cut(Z, P, G, A):
         events.append((Z, P, G, A))
@@ -457,11 +461,11 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
             events.append(("query", np.array(X)))
         return query(X, delta)
 
-    def recording_separator(oracle, body, X):
+    def recording_separator(oracle, body, X, delta):
         events.append(("separator", np.array(X)))
         busy.append(1)
         try:
-            return separator(oracle, body, X)
+            return separator(oracle, body, X, delta)
         finally:
             busy.pop()
 
@@ -655,7 +659,7 @@ def test_support_batch_rejects_bad_rows_before_querying(bad):
 ENTRIES = {
     "query_batch": lambda o, norm, X, s: o.query_batch(X, s),
     "gauge_batch": lambda o, norm, X, s: gauge_batch(o, norm.ball(), X, s),
-    "approx_separator": lambda o, norm, X, s: approx_separator(o, norm.ball(), X),
+    "approx_separator": lambda o, norm, X, s: approx_separator(o, norm.ball(), X, s),
     "wval_batch": lambda o, norm, X, s: wval_batch(o, norm.ball(), X, 1.0, s),
     "wval_from_wmem":
         lambda o, norm, X, s: wval_from_wmem(o, norm.ball(), np.asarray(X)[-1], 1.0, s),
@@ -679,8 +683,7 @@ def test_entries_reject_bad_input_before_querying(entry):
     for X in bad:
         with pytest.raises(ValueError):
             call(oracle, norm, X, 0.01)
-    if entry != "approx_separator":  # the one entry without a slack
-        for s in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                call(oracle, norm, [[1.0, 0.5]], s)
+    for s in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            call(oracle, norm, [[1.0, 0.5]], s)
     assert oracle.calls.count == 0

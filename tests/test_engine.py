@@ -112,8 +112,10 @@ def test_empty_batches_cost_nothing():
     np.testing.assert_array_equal(wval_batch(primal, ball, E, 1.0, 0.01), empty)
     for anchors in (None, E):
         assert gauge_batch(primal, ball, E, 1e-6, anchors=anchors).shape == (0,)
-    U, glo = approx_separator(primal, ball, E)
-    assert U.shape == (0, 2) and glo.shape == (0,)
+    for oracle in (primal, epigraph):  # the gauge path and a body's own separator
+        n = oracle.body.n
+        U, depth = approx_separator(oracle, oracle.body, np.empty((0, n)), 0.01)
+        assert U.shape == (0, n) and depth.shape == (0,)
     lo, hi, witness, cuts = support_batch(primal, ball, E, 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
     np.testing.assert_array_equal(

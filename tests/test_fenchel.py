@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from adversaries import value_adversary
+from adversaries import alternating_value_adversary, value_adversary
 from convexdual.core import WeakVerdict, rng_stream
+from convexdual.cutting import approx_separator
 from convexdual.fenchel import (
     CertificateError,
     EpigraphBody,
@@ -114,6 +115,122 @@ def test_epigraph_batch_matches_row_queries():
     assert vals.calls.count == 6
 
 
+# (function, gradient, dimension, cap with |f| <= cap / 2 on the ball of
+# radius 2 about 0); the affine case has no curvature to hide a tilted cut
+VALUE_SEPARATOR_CASES = {
+    "half_square_norm": (make_reference_function("half_square_norm", 2).fn,
+                         lambda x: x, 2, 8.0),
+    "square_norm": (make_reference_function("square_norm", 3).fn,
+                    lambda x: 2.0 * x, 3, 10.0),
+    "affine": (lambda x: 0.5 * float(x[0]) - 0.25 * float(x[1]) + 1.0,
+               lambda x: np.array([0.5, -0.25]), 2, 8.0),
+}
+VALUE_ORACLES = {
+    "exact": lambda fn, n: _oracle(fn, n),
+    "raised": lambda fn, n: value_adversary(fn, n, 0.9),
+    "lowered": lambda fn, n: value_adversary(fn, n, -0.9),
+    "alternating": lambda fn, n: alternating_value_adversary(fn, n, 0.9),
+}
+
+
+def _ball_points(rng, count, n, lo, hi):
+    """count points with norms uniform in [lo, hi] in random directions."""
+    D = rng.normal(size=(count, n))
+    return D * (rng.uniform(lo, hi, size=(count, 1)) / np.linalg.norm(D, axis=1,
+                                                                          keepdims=True))
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+@pytest.mark.parametrize("case", list(VALUE_SEPARATOR_CASES))
+def test_value_separator_within_documented_sigma(case, kind):
+    """The epigraph's own separator keeps every point y of the truncated
+    epigraph: u . (y - z) <= -max(alpha, 0) + sigma_v at each centre z =
+    (x, tau) it cuts, sigma_v = 0 off the ball and above the cap, and below
+    the graph sigma_v = (dq + 2 ev + (|b| + 2 sqrt(n) ev/h) 2R) / |(H, -1)|
+    (cutting module header), with h = 1e-5 R, ev = dq h / (16 sqrt(n) R) and
+    b the bias of the exact forward quotients F against the gradient. Below
+    the graph the unclipped depth meets the sharper bound the header derives
+    first, without the dq + 2 ev term. The centres below the graph include
+    some within dq of it, which an oracle may answer outside at slack dq
+    and which get a negative depth. Values come exact, or off by 0.9 of the
+    slack they are asked at, all the same way or alternating in sign, which
+    tilts the differences. Off the ball and above the cap a row costs no
+    evaluation, below the graph n + 1."""
+    fn, grad, n, cap = VALUE_SEPARATOR_CASES[case]
+    R, dq = 2.0, 1e-3
+    values = VALUE_ORACLES[kind](fn, n)
+    oracle = EpigraphBody(_ball(n, R), cap, values).oracle()
+    h = 1e-5 * R
+    ev = dq * h / (16.0 * math.sqrt(n) * R)
+    rng = rng_stream(62, n)
+    fx = lambda X: np.array([fn(x) for x in X])  # noqa: E731
+
+    X = _ball_points(rng, 6, n, 1.01 * R, 1.5 * R)
+    off = np.column_stack([X, rng.uniform(-1.0, cap + 1.0, size=6)])
+    X = _ball_points(rng, 6, n, 0.0, R)
+    above = np.column_stack([X, cap + rng.uniform(1e-3, 1.0, size=6)])
+    X = _ball_points(rng, 12, n, 0.0, R)
+    gaps = np.where(np.arange(12) % 3 == 0, -0.5 * dq, rng.uniform(0.0, 2.0, size=12))
+    below = np.column_stack([X, fx(X) - gaps])
+
+    # truncated-epigraph points: on the graph, and between it and the cap
+    Xs = _ball_points(rng, 4000, n, 0.0, R)
+    lift = np.where(np.arange(4000) % 2 == 0, 0.0, rng.uniform(size=4000))
+    Y = np.column_stack([Xs, fx(Xs) + lift * (cap - fx(Xs))])
+
+    values.calls.reset()
+    U, depth = approx_separator(oracle, oracle.body, np.vstack([off, above]), dq)
+    assert values.calls.count == 0
+    np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0)
+    for z, u, a in zip(np.vstack([off, above]), U, depth):
+        assert a > 0.0
+        assert float(np.max((Y - z) @ u)) <= -a + 1e-12
+
+    saw_band = False
+    for z in below:
+        values.calls.reset()
+        U, depth = approx_separator(oracle, oracle.body, z[None], dq)
+        assert values.calls.count == n + 1
+        u, a = U[0], float(depth[0])
+        x = z[:-1]
+        saw_band |= a < 0.0
+        hs = np.where(x >= 0.0, -h, h)
+        F = (fx(x + np.diag(hs)) - fn(x)) / hs
+        b = float(np.linalg.norm(F - grad(x)))
+        width = -1.0 / u[-1]  # |(H, -1)|
+        assert width >= 1.0
+        tilt = (b + 2.0 * math.sqrt(n) * ev / h) * 2.0 * R / width
+        reach = float(np.max((Y - z) @ u))
+        assert reach <= -a + tilt
+        assert reach <= -max(a, 0.0) + (dq + 2.0 * ev) / width + tilt  # sigma_v
+    assert saw_band
+
+
+def _kinked(x):
+    """f(x) = |x|^2 / 2 + |x|_1, kinked wherever a coordinate is 0."""
+    return 0.5 * float(x @ x) + float(np.sum(np.abs(x)))
+
+
+def _kinked_conjugate(y):
+    return 0.5 * float(np.sum(np.maximum(np.abs(y) - 1.0, 0.0) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fenchel_eval_with_argmax_on_a_kink(n):
+    """f(x) = |x|^2 / 2 + |x|_1 has f*(y) = sum max(|y_i| - 1, 0)^2 / 2, and
+    its maximizer x_i = sign(y_i) max(|y_i| - 1, 0) sits on the kink x_i = 0
+    for every |y_i| < 1, where the separators' forward differences straddle
+    a jump of the i-th partial. f <= (1/2 + sqrt(n)) |x|^2 for |x| >= 1."""
+    eps = 0.05
+    cert = GrowthCertificate(0.5, 0.5 + math.sqrt(n), 2.0, 2.0, 1.0)
+    rng = rng_stream(63, n)
+    for _ in range(20):
+        y = rng.uniform(-3.0, 3.0, size=n)
+        y[rng.integers(n)] = rng.uniform(-1.0, 1.0)
+        est = fenchel_eval(_oracle(_kinked, n), cert, y, eps)
+        assert abs(est.value - _kinked_conjugate(y)) <= eps
+
+
 MIN_CASES = [
     # (fn, n, ball center, cap, expected min over the unit-radius ball)
     (lambda x: float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2) + 0.7, 2,
@@ -132,10 +249,12 @@ MIN_IDS = ["shifted-quadratic", "exp-pair", "centered", "tall-cap"]
 @pytest.mark.parametrize("fn,n,center,cap,want", MIN_CASES, ids=MIN_IDS)
 def test_min_via_wopt_accuracy(fn, n, center, cap, want):
     eps = 0.05
-    epi = EpigraphBody(_ball(n, 1.0, center), cap, _oracle(fn, n))
+    values = _oracle(fn, n)
+    epi = EpigraphBody(_ball(n, 1.0, center), cap, values)
     res = min_via_wopt(epi, InteriorMinCertificate(0.2), eps)
     assert abs(res.value - want) <= eps
-    assert res.oracle_calls > 0
+    # every evaluation but the 1 + 2n certificate probes is the run's own
+    assert res.oracle_calls == values.calls.count - (1 + 2 * n) > 0
     # the reported point is feasible and nearly optimal itself
     assert np.linalg.norm(res.point - np.asarray(center)) <= 1.0 + 1e-9
     assert fn(res.point) <= want + 2.0 * eps

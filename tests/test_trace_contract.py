@@ -63,3 +63,15 @@ def test_traced_separator_makes_one_gauge_call():
     wl = workloads.WORKLOADS["dualnorm"](1)
     m = _traced(wl, wl.ops[0])[1]
     assert m["cutting.gauge_batch.calls"] == m["cutting.approx_separator.calls"] > 0
+
+
+def test_traced_conjugate_op_counts_separator_calls():
+    """The epigraph's own separator answers through the module attribute the
+    tracer patches, so a traced conjugate op counts its separator calls, and
+    none of them bisects a gauge."""
+    wl = workloads.WORKLOADS["conjugate"](1)
+    op = wl.ops[0]
+    assert op.label.startswith("conj/")
+    m = _traced(wl, op)[1]
+    assert m["cutting.approx_separator.calls"] > 0
+    assert m["cutting.gauge_batch.calls"] == 0
