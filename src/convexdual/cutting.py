@@ -132,16 +132,24 @@ Policy where a row is not decided cleanly, the same for every caller:
   partial, as for gauges; choosing h so that it stays below a fraction of
   the slack is open, with the gauge path's step and tolerance (ROADMAP
   item 7).
-- Remembered cuts: each row keeps the halfspaces u . y <= beta of its own
-  separator cuts, beta = u . x - max(alpha, 0), which keep K_dq up to sigma
-  (deep cuts and value separators, above). A later center z of that row with
-  v = u . z - beta > 0 for one of them is cut again along u at alpha = v,
-  the same halfspace under the same sigma and the same dq, at no primal
-  call: neither the membership query nor the separator is made. Skipping
-  the query can only forgo an incumbent the center might have been; it
+- Pooled cuts: each run keeps one pool, the halfspaces u . y <= beta of
+  its last _POOL_CAP separator cuts from all its rows,
+  beta = u . x - max(alpha, 0). Each keeps K_dq up to sigma (deep cuts and
+  value separators, above), and that holds for every row of the run, not
+  just the row whose center x made it. dq, and with it K_dq, is the run's.
+  The sigma of a gauge cut reads dq, the body, the separator's step and
+  tolerance and x; the sigma_v of a value cut reads dq, ev, h, R and x. All
+  of these are the same for every row, and neither reads the objective c
+  of a row. A center z of any row with v = u . z - beta > 0 for a pooled
+  halfspace is cut along the most violated one at alpha = v, the same
+  halfspace under the same sigma and the same dq, at no primal call:
+  neither the membership query nor the separator is made. Skipping the
+  query can only forgo an incumbent the center might have been; it
   certifies nothing new, as the gap reads only the incumbent and the
-  ellipsoid. The memory lives for one _cut_loop call and follows its row
-  through the lockstep compaction.
+  ellipsoid. The pool is a ring: a new halfspace overwrites the oldest,
+  and a halfspace dropped only forgoes the free cuts it would have made.
+  It lives for one _cut_loop call; a run of one row pools only its own
+  cuts.
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
@@ -185,6 +193,8 @@ from .oracles import WeakMembershipOracle
 
 _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
 _MAX_DEPTH = 0.9  # clip of a cut's normalized depth (module header)
+_POOL_CAP = 256  # separator halfspaces a run pools for free cuts (module header)
+_SCAN_ROWS = 512  # centers per pool scan: a 1 MB violation matrix at _POOL_CAP
 
 
 class BracketError(RuntimeError):
@@ -435,12 +445,20 @@ def _centre_slack(body: CenteredBody, eps: float) -> float:
     return min(eps / 8.0, body.inner_radius / 4.0)
 
 
-def _empty_slots(m: int, k: int, n: int) -> np.ndarray:
-    """k unused slots of m rows' cut memories: u = 0 and beta = inf, so no
-    center violates them."""
-    slots = np.zeros((m, k, n + 1))
-    slots[:, :, n] = math.inf
-    return slots
+def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per center z of Z, the index j of the halfspace u . y <= beta that z
+    violates most among the rows (u, beta) of pool, and its violation
+    v = u . z - beta. The centers are scanned _SCAN_ROWS at a time, so the
+    violation matrix stays within (_SCAN_ROWS, _POOL_CAP)."""
+    j = np.empty(len(Z), dtype=int)
+    v = np.empty(len(Z))
+    for lo in range(0, len(Z), _SCAN_ROWS):
+        V = Z[lo:lo + _SCAN_ROWS] @ pool[:, :-1].T
+        V -= pool[:, -1]
+        jb = V.argmax(axis=1)
+        j[lo:lo + _SCAN_ROWS] = jb
+        v[lo:lo + _SCAN_ROWS] = V[np.arange(len(V)), jb]
+    return j, v
 
 
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
@@ -456,12 +474,12 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     feasible. A row leaves the loop at its first stop: certified gap
     <= eps/2, incumbent >= stop_above, or certified upper bound
     <= stop_ub_below, tested in that order. A center that violates one of
-    its row's remembered separator halfspaces is cut along the most
-    violated one at no call (module header). The other centers of all live
-    rows go to one query_batch per cut at slack dq, and those answered
-    infeasible to one approx_separator call at the same dq, which uses the
-    oracle's own separator where it has one (value separators) and
-    differences of the gauge elsewhere.
+    the run's pooled separator halfspaces, made by any of its rows, is cut
+    along the most violated one at no call (module header, pooled cuts).
+    The other centers of all live rows go to one query_batch per cut at
+    slack dq, and those answered infeasible to one approx_separator call at
+    the same dq, which uses the oracle's own separator where it has one
+    (value separators) and differences of the gauge elsewhere.
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
     indexing _STOP_REASONS; iterations counts every cut, free or paid.
@@ -492,10 +510,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     best = C @ body.center
     best_wit = Z.copy()
     ub_run = np.full(m, math.inf)
-    # each row's separator halfspaces u . y <= beta: pool[i, k] holds
-    # (u, beta) of row i's k-th one, and kept[i] counts them
-    pool = _empty_slots(m, 4, n)
-    kept = np.zeros(m, dtype=int)
+    # the ring of the run's last _POOL_CAP separator halfspaces u . y <= beta,
+    # from all rows, as rows (u, beta); made counts every one written to it,
+    # and a slot not yet written holds u = 0, beta = inf, which no center
+    # violates
+    pool = np.zeros((_POOL_CAP, n + 1))
+    pool[:, n] = math.inf
+    made = 0
 
     for it in range(_MAX_CUTS):
         vals = np.einsum("bi,bi->b", C, Z)
@@ -515,15 +536,11 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
             live = ~done
             rows, C, Z, P, vals = rows[live], C[live], Z[live], P[live], vals[live]
             best, best_wit, ub_run = best[live], best_wit[live], ub_run[live]
-            pool, kept = pool[live], kept[live]
         if rows.size == 0:
             return value, witness, gap_out, iterations, stop
 
-        # a remembered halfspace that the center violates is a free cut
-        used = max(kept.max(), 1)
-        V = np.einsum("bki,bi->bk", pool[:, :used, :n], Z) - pool[:, :used, n]
-        j = V.argmax(axis=1)
-        v = V[np.arange(rows.size), j]
+        # a pooled halfspace that the center violates is a free cut
+        j, v = _most_violated(Z, pool)
         free = v > 0.0
         ask = ~free
         inside = np.zeros(rows.size, dtype=bool)
@@ -535,19 +552,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
             best_wit[gain] = Z[gain]
         G = -C
         A = best - vals  # objective cut at the incumbent
-        G[free] = pool[free, j[free], :n]
+        G[free] = pool[j[free], :n]
         A[free] = v[free]
         out = ask & ~inside
         if out.any():
             X = Z[out]
             G[out], A[out] = approx_separator(oracle, body, X, dq)
-            i = np.flatnonzero(out)
-            if kept[i].max() == pool.shape[1]:
-                pool = np.concatenate(
-                    [pool, _empty_slots(rows.size, pool.shape[1], n)], axis=1)
-            pool[i, kept[i], :n] = G[i]
-            pool[i, kept[i], n] = np.einsum("bi,bi->b", G[i], X) - np.maximum(A[i], 0.0)
-            kept[i] += 1
+            beta = np.einsum("bi,bi->b", G[out], X) - np.maximum(A[out], 0.0)
+            new = np.column_stack([G[out], beta])[-_POOL_CAP:]
+            pool[(made + np.arange(len(new))) % _POOL_CAP] = new
+            made += len(new)
         Z, P = _cut(Z, P, G, A)
 
     raise IterationCapError(
@@ -588,7 +602,7 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
     (lo, hi, witness, cuts): an interval [lo, hi] that contains h_K(c) with
     hi - lo <= err (the support interval of the module header), the
     incumbent, a point within dq of the body with c . witness in [lo, hi],
-    and the row's cut count, free cuts at remembered halfspaces included.
+    and the row's cut count, free cuts at pooled halfspaces included.
     C is checked by the engine (_cut_loop).
     """
     err = positive_finite(err, "err")

@@ -447,11 +447,12 @@ def _follow(ids, before, after):
 @pytest.mark.parametrize("p,n", [(3.0, 2), (1.0, 2), (1.0, 3), (math.inf, 3)],
                          ids=["l3-r2", "l1-r2", "l1-r3", "linf-r3"])
 def test_free_cuts_cost_no_call(monkeypatch, p, n):
-    """A center that violates a halfspace its own row has remembered is cut
-    at no call: no center sent to query_batch or approx_separator violates
-    one, every other center is cut along one of its own row's remembered
-    units, and the cut count of each row counts its free cuts too. Rows are
-    followed through the lockstep compaction by their exact centers."""
+    """A center that violates a halfspace in the run's pool, the last
+    _POOL_CAP separator halfspaces of all its rows, is cut at no call: no
+    center sent to query_batch or approx_separator violates one, every other
+    center is cut along a pooled unit, some along another row's, and the
+    cut count of each row counts its free cuts too. Rows are followed
+    through the lockstep compaction by their exact centers."""
     _, oracle, body = _ball_oracle(p, n)
     events, busy = [], []
     query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
@@ -481,9 +482,9 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     C = rng_stream(31, n).normal(size=(m, n))
     *_, cuts = support_batch(oracle, body, C, 0.05)
 
-    memory = [[] for _ in range(m)]  # per row, its remembered (u, beta)
+    pool = []  # the run's pooled (u, beta, row that made it), oldest first
     counted = np.zeros(m, dtype=int)
-    ids, before, sent, free = None, None, [], 0
+    ids, before, sent, free, shared = None, None, [], 0, 0
     for kind, *ev in events:
         if kind != "cut":
             sent.append((kind, ev[0]))
@@ -491,24 +492,27 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
         Z, G, A, after = ev
         ids = list(range(m)) if ids is None else _follow(ids, before, Z)
         assert len(ids) == len(Z)
-        row = {tuple(z): i for z, i in zip(Z, ids)}
         for _, X in sent:
             for x in X:
-                for u, beta in memory[row[tuple(x)]]:
+                for u, beta, _ in pool:
                     assert u @ x - beta <= 1e-12
         asked = {tuple(x) for kind, X in sent if kind == "query" for x in X}
         separated = {tuple(x) for kind, X in sent if kind == "separator" for x in X}
         assert separated <= asked
+        made = []
         for z, g, a, i in zip(Z, G, A, ids):
             counted[i] += 1
             if tuple(z) in separated:
-                memory[i].append((g, g @ z - max(a, 0.0)))
+                made.append((g, g @ z - max(a, 0.0), i))
             elif tuple(z) not in asked:
                 free += 1
                 assert a > 0.0
-                assert any(np.array_equal(g, u) for u, _ in memory[i])
+                owners = {k for u, _, k in pool if np.array_equal(g, u)}
+                assert owners
+                shared += i not in owners
+        pool = (pool + made)[-cutting._POOL_CAP:]
         before, sent = after, []
-    assert free > 0
+    assert free > 0 and shared > 0
     np.testing.assert_array_equal(cuts, counted)
 
 

@@ -13,7 +13,7 @@ from convexdual.conedual import (
     descriptor_from_reference,
     dual_cone_wmem,
 )
-from convexdual import cutting
+from convexdual import cutting, normdual
 from convexdual.core import CenteredBody, WeakVerdict, rng_stream
 from convexdual.cutting import (
     IterationCapError,
@@ -32,14 +32,11 @@ from convexdual.oracles import ReferenceCone, ReferenceNorm
 PARITY_CASES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
 
 
-@pytest.mark.parametrize("p,n", PARITY_CASES,
-                         ids=[f"l{p:g}-r{n}" for p, n in PARITY_CASES])
-def test_wval_batch_matches_scalar_verdicts(p, n):
+def _check_wval_batch_matches_scalar(norm, oracle):
     """One lockstep run gives the verdicts of one scalar run per row on
-    objectives whose support is clear of the threshold."""
+    objectives whose support is clear of the threshold, and both are right."""
     eps = 0.02
-    norm = ReferenceNorm.lp(p, n)
-    oracle, body = norm.oracle(), norm.ball()
+    n, body = norm.n, norm.ball()
     rng = rng_stream(41, n)
     U = rng.normal(size=(12, n))
     support = np.tile([0.75, 0.9, 1.1, 1.25], 3)  # clear of gamma = 1 by 5 * eps
@@ -49,6 +46,44 @@ def test_wval_batch_matches_scalar_verdicts(p, n):
               for c in C]
     np.testing.assert_array_equal(got, scalar)
     np.testing.assert_array_equal(got, support < 1.0)
+
+
+@pytest.mark.parametrize("p,n", PARITY_CASES,
+                         ids=[f"l{p:g}-r{n}" for p, n in PARITY_CASES])
+def test_wval_batch_matches_scalar_verdicts(p, n):
+    """One lockstep run gives the verdicts of one scalar run per row on
+    objectives whose support is clear of the threshold."""
+    norm = ReferenceNorm.lp(p, n)
+    _check_wval_batch_matches_scalar(norm, norm.oracle())
+
+
+WRAP_CASES = [(1.0, 3), (3.0, 2), (math.inf, 3)]
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("p,n", WRAP_CASES, ids=["l1-r3", "l3-r2", "linf-r3"])
+def test_cut_pool_wraps_soundly(monkeypatch, p, n, side):
+    """A run's cut pool of two halfspaces wraps many times per run, and
+    still every support interval contains the closed-form support value and
+    the lockstep verdicts match one scalar run per row, over the exact
+    oracle and over band adversaries."""
+    monkeypatch.setattr(cutting, "_POOL_CAP", 2)
+    separated = []
+    separator = cutting.approx_separator
+
+    def counting_separator(oracle, body, X, delta):
+        separated.append(len(X))
+        return separator(oracle, body, X, delta)
+
+    monkeypatch.setattr(cutting, "approx_separator", counting_separator)
+    norm = ReferenceNorm.lp(p, n)
+    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    C = rng_stream(43, n).normal(size=(12, n))
+    lo, hi, _, _ = support_batch(oracle, norm.ball(), C, 0.05)
+    assert sum(separated) > 10 * cutting._POOL_CAP
+    h = norm.dual().eval_batch(C)
+    assert np.all((lo <= h) & (h <= hi))
+    _check_wval_batch_matches_scalar(norm, oracle)
 
 
 def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
@@ -65,6 +100,20 @@ def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
     assert err.value.witness is not None
 
 
+def _band_edge_rows(norm, count, delta):
+    """The rows, of count random directions scaled to dual-norm values on
+    the edges of the 2*delta band, where the slack accounting has no room
+    to spare, that the sandwich screen leaves to the engine, and their
+    closed-form verdicts."""
+    desc = norm.descriptor
+    U = rng_stream(42, 0).normal(size=(count, norm.n))
+    vals = np.where(np.arange(count) % 2 == 0, 1.0 - 2.02 * delta, 1.0 + 2.02 * delta)
+    pts = U * (vals / norm.dual().eval_batch(U))[:, None]
+    nrm = np.linalg.norm(pts, axis=1)
+    engine = np.flatnonzero((nrm > desc.k_lo) & (nrm < desc.k_hi))
+    return pts[engine], vals[engine] < 1.0
+
+
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
 def test_dual_ball_tolerates_band_adversaries(side):
     """Scalar and batched dual-ball verdicts over an adversarial primal agree
@@ -72,22 +121,43 @@ def test_dual_ball_tolerates_band_adversaries(side):
     whose points the sandwich screen does not settle."""
     delta = 0.02
     norm = ReferenceNorm.lp(1.0, 2)
-    desc = norm.descriptor
-    oracle = DualBallOracle(band_adversary(norm, side), desc)
-    rng = rng_stream(42, 0)
-    U = rng.normal(size=(200, 2))
-    # dual-norm values on the edges of the 2*delta band, where the slack
-    # accounting has no room to spare
-    vals = np.where(np.arange(200) % 2 == 0, 1.0 - 2.02 * delta, 1.0 + 2.02 * delta)
-    pts = U * (vals / norm.dual().eval_batch(U))[:, None]
-    nrm = np.linalg.norm(pts, axis=1)
-    engine = np.flatnonzero((nrm > desc.k_lo) & (nrm < desc.k_hi))[:24]
-    assert engine.size == 24
-    pts, want = pts[engine], vals[engine] < 1.0
+    oracle = DualBallOracle(band_adversary(norm, side), norm.descriptor)
+    pts, want = _band_edge_rows(norm, 200, delta)
+    pts, want = pts[:24], want[:24]
+    assert want.size == 24
     np.testing.assert_array_equal(oracle.query_batch(pts, delta), want)
     for x, inside in zip(pts[:8], want[:8]):
         verdict = oracle.query(x, delta)
         assert (verdict is WeakVerdict.IN_THICKENED) == inside
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
+    """Hundreds of rows of one lockstep validity run, every one on the edge
+    of the 2*delta band of the l-infinity dual norm, all get the closed-form
+    verdict over an adversarial primal, with every row's free cuts drawn
+    from one pool of all rows' separator halfspaces, which wraps."""
+    delta = 0.02
+    norm = ReferenceNorm.lp(1.0, 2)
+    oracle = DualBallOracle(band_adversary(norm, side), norm.descriptor)
+    pts, want = _band_edge_rows(norm, 2000, delta)
+    assert want.size >= 200
+    runs, separated = [], []
+    batch, separator = cutting.wval_batch, cutting.approx_separator
+
+    def counting_batch(oracle, body, C, gamma, eps):
+        runs.append(len(C))
+        return batch(oracle, body, C, gamma, eps)
+
+    def counting_separator(oracle, body, X, delta):
+        separated.append(len(X))
+        return separator(oracle, body, X, delta)
+
+    monkeypatch.setattr(normdual, "wval_batch", counting_batch)
+    monkeypatch.setattr(cutting, "approx_separator", counting_separator)
+    np.testing.assert_array_equal(oracle.query_batch(pts, delta), want)
+    assert runs == [want.size]
+    assert sum(separated) > cutting._POOL_CAP
 
 
 def test_empty_batches_cost_nothing():
