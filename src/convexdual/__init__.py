@@ -53,7 +53,6 @@ from .normdual import (
 from .conedual import (
     ConeDescriptor,
     DualConeOracle,
-    cone_wmem_to_section_wmem,
     descriptor_from_reference,
     dual_cone_wmem,
     normalize_cone,

@@ -7,7 +7,9 @@ P_b = {x in K : b . x = 1}, linear validity over the slice body
 K_b = P_b - a decides membership in the dual slice P_a* = {c in K* : a . c = 1},
 and dual-cone verdicts lift back along rays. All section work happens in an
 orthonormal frame of the hyperplane, where relative thickenings are plain
-Euclidean ones.
+Euclidean ones: the slice oracle of DualConeOracle takes frame coordinates,
+and the section transfer from cone queries to slice verdicts is its verdict
+function.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CenteredBody, as_stack, as_vector, positive_finite
+from .core import CenteredBody, as_vector, positive_finite
 from .cutting import wval_batch
 # not called here; kept because perfbench's layer trace patches this name
 from .cutting import wval_from_wmem  # noqa: F401
@@ -97,29 +99,6 @@ def _section_query_delta(bx, eps: float, b_norm: float) -> float:
     return dq
 
 
-def cone_wmem_to_section_wmem(cone_oracle: WeakMembershipOracle,
-                              desc: ConeDescriptor, Y, eps: float) -> np.ndarray:
-    """Decide every row y of Y against the slice P_b, relative to the
-    hyperplane, from one batch of cone queries; True = IN_THICKENED.
-
-    Each y must lie in {b . z = 1}. Its query point is the ray representative
-    at radius 3/4 (inside the cone oracle's working annulus); the slack comes
-    from the quadratic ray-to-slice distance transfer, at the row minimum.
-    An empty Y costs no cone query.
-    """
-    positive_finite(eps, "eps")
-    Y = as_stack(Y, desc.n)
-    if Y.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    ny = np.linalg.norm(Y, axis=1)
-    if np.any(np.abs(Y @ desc.b - 1.0) > 1e-7 * (1.0 + ny)):
-        raise ValueError("query point is not on the section hyperplane; project first")
-    X = 0.75 * Y / ny[:, None]
-    # b . x = 0.75 / |y|, since b . y = 1
-    dq = _section_query_delta(0.75 / ny, eps, float(np.linalg.norm(desc.b)))
-    return cone_oracle.query_batch(X, dq)
-
-
 # ---------------------------------------------------------------------------
 # the dual-cone oracle
 # ---------------------------------------------------------------------------
@@ -142,6 +121,10 @@ class DualConeOracle(WeakMembershipOracle):
     (c - 2*tau*b) / (1 - 2*tau). The run takes the row minimum of the
     per-row validity slacks: a verdict at a smaller slack is legal at a
     larger one.
+
+    The slice oracle _kb_oracle answers in frame coordinates of
+    {b . z = 1}; its verdict function _slice_verdicts is the section
+    transfer, one cone query per row.
     """
 
     def __init__(self, cone_oracle: WeakMembershipOracle, desc: ConeDescriptor):
@@ -150,14 +133,12 @@ class DualConeOracle(WeakMembershipOracle):
         super().__init__(self._verdicts, body, label="dual-cone")
         self.cone_oracle = cone_oracle
         self.desc = desc
-        self._kb_body = CenteredBody(np.zeros(desc.n - 1), desc.eps_a,
-                                     desc.section_outer)
-        # membership in the slice body K_b, asked in frame coordinates
-        self._basis = basis = _section_basis(desc.b)
+        self._basis = _section_basis(desc.b)
+        self._b_norm = float(np.linalg.norm(desc.b))
         self._kb_oracle = WeakMembershipOracle(
-            lambda U, t: cone_wmem_to_section_wmem(cone_oracle, desc,
-                                                   desc.a + U @ basis.T, t),
-            self._kb_body, label="dual-cone/slice")
+            self._slice_verdicts,
+            CenteredBody(np.zeros(desc.n - 1), desc.eps_a, desc.section_outer),
+            label="dual-cone/slice")
 
     def _verdicts(self, C: np.ndarray, delta: float) -> np.ndarray:
         desc = self.desc
@@ -183,9 +164,24 @@ class DualConeOracle(WeakMembershipOracle):
             q = 4.0 * (1.0 + nS[work])
             bc = np.linalg.norm(desc.b - S[work], axis=1)
             eps_w = 0.5 * float(np.min(np.minimum(1.0 / q, eps_sec[work] / (q * bc))))
-            out[rows[work]] = wval_batch(self._kb_oracle, self._kb_body, -U[work],
-                                         1.0, eps_w)
+            out[rows[work]] = wval_batch(self._kb_oracle, self._kb_oracle.body,
+                                         -U[work], 1.0, eps_w)
         return out
+
+    def _slice_verdicts(self, U: np.ndarray, eps: float) -> np.ndarray:
+        """Slice verdicts of the frame points U, relative to the hyperplane,
+        from one batch of cone queries; True = IN_THICKENED.
+
+        Each row lifts to y = a + B u on {b . z = 1}. Its query point is the
+        ray representative 0.75 y / |y| (inside the cone oracle's working
+        annulus), and the slack comes from the quadratic ray-to-slice
+        distance transfer, at the row minimum.
+        """
+        Y = self.desc.a + U @ self._basis.T
+        ny = np.linalg.norm(Y, axis=1)
+        # b . x = 0.75 / |y|, since b . y = 1
+        dq = _section_query_delta(0.75 / ny, eps, self._b_norm)
+        return self.cone_oracle.query_batch(0.75 * Y / ny[:, None], dq)
 
 
 def dual_cone_wmem(cone_oracle: WeakMembershipOracle,

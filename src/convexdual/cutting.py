@@ -283,8 +283,6 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     d = np.linalg.norm(P - body.center, axis=1)
     lo = d / body.outer_radius
     hi = d / inner
-    if np.any(hi < lo):
-        raise BracketError("centering radii are inconsistent")
     # the center, or inner == outer, pins the gauge without any queries
     if float(np.max(hi - lo, initial=0.0)) <= tol:
         return 0.5 * (lo + hi)

@@ -128,8 +128,7 @@ class DualBallOracle(WeakMembershipOracle):
         self.primal = primal
         self.primal_descriptor = desc
         self.r = max(1.0, 2.0 * desc.k_hi)
-        self._scaled_oracle, scaled_desc = rescale_norm(primal, desc, 1.0 / self.r)
-        self._scaled_body = scaled_desc.ball()
+        self._scaled_oracle = rescale_norm(primal, desc, 1.0 / self.r)[0]
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
         # the pool: per direction u, the certified point w with the largest
         # u.w - s, its slack s, and that score (-inf while the slot is empty)
@@ -189,8 +188,8 @@ class DualBallOracle(WeakMembershipOracle):
         """Verdicts of the rows the screen leaves, True = IN_THICKENED: one
         validity run of c = x / r against gamma = 1 over r B_nu, all rows in
         lockstep."""
-        return wval_batch(self._scaled_oracle, self._scaled_body, pts / self.r,
-                          1.0, self._slack(delta))
+        return wval_batch(self._scaled_oracle, self._scaled_oracle.body,
+                          pts / self.r, 1.0, self._slack(delta))
 
 
 def wmem_from_approx(approx: FunctionApproxOracle, desc: NormDescriptor, x,

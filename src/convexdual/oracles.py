@@ -61,7 +61,8 @@ class WeakMembershipOracle:
     query_batch validates, counts and calls fn; query is the same call on
     one row. Both count one call per point and raise ValueError, before
     counting, on a bad slack or on points that are not finite rows of
-    dimension n.
+    dimension n. An empty (0, n) stack gets an empty result at no call:
+    fn is not called, so no verdict function handles an empty stack.
     """
 
     def __init__(self, fn, body: CenteredBody, label: str = "wmem", separator=None):
@@ -84,6 +85,8 @@ class WeakMembershipOracle:
         """Vectorized query; returns a bool array, True = IN_THICKENED."""
         delta = positive_finite(delta, "delta")
         pts = as_stack(X, self.body.n)
+        if pts.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
         self.calls.add(pts.shape[0])
         return np.asarray(self._fn(pts, delta), dtype=bool)
 

@@ -7,7 +7,7 @@ from adversaries import cone_band_adversary
 from convexdual.conedual import (
     ConeDescriptor,
     _section_basis,
-    cone_wmem_to_section_wmem,
+    _section_query_delta,
     descriptor_from_reference,
     dual_cone_wmem,
     normalize_cone,
@@ -74,32 +74,62 @@ def test_section_frame_is_deterministic():
 
 
 def test_cone_to_section_transfer_verdicts():
-    """Slice verdicts derived from the cone oracle agree with exact slice
-    membership away from the boundary."""
+    """Slice verdicts derived from the cone oracle, asked in frame
+    coordinates, agree with exact slice membership away from the boundary."""
     cone = ReferenceCone("orthant", 3)
     desc = _orthant_desc(3)
     basis = _section_basis(desc.b)
     oracle = cone.oracle()
+    dual = dual_cone_wmem(oracle, desc)
     rng = rng_stream(43, 0)
     eps = 0.05
-    Y = desc.a + (rng.normal(size=(60, 2)) * 0.8) @ basis.T
+    U = rng.normal(size=(60, 2)) * 0.8
+    Y = desc.a + U @ basis.T
     margin = np.array([cone.boundary_margin(y) for y in Y])
     clear = np.abs(margin) >= 2.0 * eps * np.linalg.norm(Y, axis=1)
     # one batch answers row by row: the shared slack is the row minimum,
     # which is sound for every row
-    got = cone_wmem_to_section_wmem(oracle, desc, Y, eps)
+    got = dual._kb_oracle.query_batch(U, eps)
     np.testing.assert_array_equal(got[clear], margin[clear] > 0)
-    assert oracle.calls.count == len(Y)
+    assert oracle.calls.count == len(U)
 
 
-def test_cone_to_section_rejects_points_off_hyperplane():
-    cone = ReferenceCone("orthant", 3)
-    desc = _orthant_desc(3)
+@pytest.mark.parametrize("n", [3, 4])
+def test_section_transfer_tight_probe(n):
+    """The slice oracle over a band-adversarial soc oracle, at probes where
+    the weak contract first forces a verdict.
+
+    The soc slice is {x_n = 1, |x'| <= 1} with a = b = e_n, so a frame point
+    u has slice margin 1 - |u|. Probes sit at slice margin +-(1 + 1e-3) eps,
+    just outside the slice's ambiguity band: inside rows must be IN, outside
+    rows OUT. The adversary takes the whole band of the transfer's slack
+    dq = 3 bx^2 eps / (16 |b|), bx = 0.75 / |y|. The query point
+    x = 0.75 y / |y| has cone margin bx (1 - |u|) / sqrt(2), which is
+    64 |y| (1 + 1e-3) / (9 sqrt(2)) times dq: between 6.9 and 7.3. So the
+    probe flips a verdict under a slack 8 times too large, but no legal
+    band adversary on this slice can see one 4 times too large."""
+    eps = 0.05
+    cone = ReferenceCone("soc", n)
+    desc = descriptor_from_reference(cone)
     basis = _section_basis(desc.b)
-    y = desc.a + basis @ [0.1, 0.1] + desc.b  # push off the hyperplane
-    with pytest.raises(ValueError):
-        cone_wmem_to_section_wmem(cone.oracle(), desc, [desc.a + basis @ [0.0, 0.2], y],
-                                  0.05)
+    rng = rng_stream(47, n)
+    dirs = rng.normal(size=(32, n - 1))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for inside, side in ((True, -1.0 + 1e-9), (False, 1.0 - 1e-9)):
+        U = (1.0 - (1.0 if inside else -1.0) * (1.0 + 1e-3) * eps) * dirs
+        primal = cone_band_adversary(cone, side)
+        dual = dual_cone_wmem(primal, desc)
+        got = dual._kb_oracle.query_batch(U, eps)
+        np.testing.assert_array_equal(got, np.full(len(U), inside))
+        assert primal.calls.count == len(U)
+        # every probe's query point clears the adversary's band by a factor
+        # between 4 and 8
+        Y = desc.a + U @ basis.T
+        ny = np.linalg.norm(Y, axis=1)
+        dq = _section_query_delta(0.75 / ny, eps, 1.0)
+        ratio = np.array([abs(cone.boundary_margin(x)) for x in 0.75 * Y / ny[:, None]]) / dq
+        np.testing.assert_allclose(ratio, 64.0 * ny * (1.0 + 1e-3) / (9.0 * math.sqrt(2.0)))
+        assert np.all((4.0 < ratio) & (ratio < 8.0))
 
 
 CONES = [("orthant", 4), ("soc", 4), ("psd", 3)]

@@ -9,7 +9,6 @@ import pytest
 
 from adversaries import band_adversary
 from convexdual.conedual import (
-    cone_wmem_to_section_wmem,
     descriptor_from_reference,
     dual_cone_wmem,
 )
@@ -162,7 +161,8 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
 
 def test_empty_batches_cost_nothing():
     """A (0, n) stack gets an empty result and charges no call, on every
-    engine entry, the section transfer and every kind of oracle."""
+    engine entry and every kind of oracle, the dual cone's slice oracle
+    (the section transfer) among them."""
     norm = ReferenceNorm.lp(3.0, 2)
     primal, desc = norm.oracle(), norm.descriptor
     cone = ReferenceCone("psd", 2)
@@ -188,8 +188,5 @@ def test_empty_batches_cost_nothing():
         assert U.shape == (0, n) and depth.shape == (0,)
     lo, hi, witness, cuts = support_batch(primal, ball, E, 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
-    np.testing.assert_array_equal(
-        cone_wmem_to_section_wmem(cone_oracle, descriptor_from_reference(cone),
-                                  np.empty((0, cone.n)), 0.05), empty)
     assert values.calls.count == 0
     assert all(oracle.calls.count == 0 for oracle in oracles)
