@@ -591,17 +591,17 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: flo
                       _STOP_REASONS[stop[0]], history)
 
 
-def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
-                  err: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Certified support values h_K(c) of the body for every row c of C.
 
     One lockstep run of the engine at the slack e that solves
     e (1/2 + |c|max (1 + outer/inner)/8) = err. Returns per-row arrays
-    (lo, hi, witness, cuts): an interval [lo, hi] that contains h_K(c) with
-    hi - lo <= err (the support interval of the module header), the
-    incumbent, a point within dq of the body with c . witness in [lo, hi],
-    and the row's cut count, free cuts at pooled halfspaces included.
-    C is checked by the engine (_cut_loop).
+    (lo, hi, witness, cuts) and the run's centre slack dq: an interval
+    [lo, hi] that contains h_K(c) with hi - lo <= err (the support interval
+    of the module header), the incumbent, a point within dq of the body with
+    c . witness in [lo, hi], and the row's cut count, free cuts at pooled
+    halfspaces included. C is checked by the engine (_cut_loop).
     """
     err = positive_finite(err, "err")
     # axis -1, so that a C of the wrong rank reaches the engine's check
@@ -610,7 +610,7 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C,
     e = err / (0.5 + float(np.max(nc, initial=0.0)) * (1.0 + outer / inner) / 8.0)
     value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e)
     dq = _centre_slack(body, e)
-    return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts
+    return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts, dq
 
 
 def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,

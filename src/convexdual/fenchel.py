@@ -293,7 +293,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
     oracle = epi.oracle()
     c = np.append(y, -1.0)
-    _, _, witness, _ = support_batch(oracle, oracle.body, c[None, :], eps)
+    _, _, witness, _, _ = support_batch(oracle, oracle.body, c[None, :], eps)
     return ConjugateEstimate(float(c @ witness[0]), witness[0, :-1].copy(), radius, cap)
 
 

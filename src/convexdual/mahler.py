@@ -5,9 +5,12 @@ bounding box; the Mahler product multiplies the body's estimate with the
 estimate for its polar, whose oracle is derived (not hand-written) from the
 primal one. The primal run hands the points it certified inside to the
 polar oracle's pool, which then refutes most outside polar samples without
-a primal call. Sampling slack is tied to the box scale, far below the Monte
-Carlo resolution, so verdict ambiguity near the boundary is statistically
-invisible.
+a primal call; the polar oracle's first large batch buys certified upper
+bounds on the primal's support function over a net of directions, which
+accept most inside polar samples without a primal call, so the polar run
+costs a fraction of a call per sample. Sampling slack is tied to the box
+scale, far below the Monte Carlo resolution, so verdict ambiguity near the
+boundary is statistically invisible.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ The paper's longer route stays as stages of their own. Membership for the
 primal ball gives weak validity of linear functionals over it
 (cutting.wval_batch); validity over the primal ball decides weak
 membership in the dual ball (the k >= 2 lemma, after rescaling:
-rescale_norm and DualBallOracle, which also serves the polar Mahler run);
+rescale_norm and DualBallOracle, which also serves the polar Mahler run,
+and settles most of its rows at no call: outside rows from pooled primal
+points, inside rows from certified support bounds over a net of
+directions, bought with one support_batch run);
 and an interval bisection turns ball membership into an additive-error
 norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
@@ -86,11 +89,26 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
                                 label=f"{oracle.calls.label}*{r:.3g}"), desc_r
 
 
-_POOL_BLOCK = 4096  # rows per block of the pool screen's rows x pool product
+_BLOCK = 1024  # rows per block of every rows x directions product
+_NET_SIZE = 64  # net directions in R^2 and R^3
+# width of a net support interval over 1/k_hi, a lower bound on h_B: of
+# 1e-2, 3e-3, 1e-3, 3e-4 and 1e-4, 1e-3 cost mahler the fewest calls
+_NET_REL_ERR = 1e-3
 
 
-def _pool_directions(n: int) -> np.ndarray:
-    """The 2 n^2 unit directions +-e_i and (+-e_i +-e_j)/sqrt(2), i < j."""
+def _net_directions(n: int) -> np.ndarray:
+    """The dual ball's net of unit directions: 64 evenly spaced angles in
+    R^2, a 64-point Fibonacci lattice in R^3, and elsewhere the 2 n^2
+    directions +-e_i and (+-e_i +-e_j)/sqrt(2), i < j."""
+    k = np.arange(_NET_SIZE)
+    if n == 2:
+        t = 2.0 * math.pi * k / _NET_SIZE
+        return np.column_stack([np.cos(t), np.sin(t)])
+    if n == 3:
+        z = 1.0 - (2.0 * k + 1.0) / _NET_SIZE
+        t = math.pi * (3.0 - math.sqrt(5.0)) * k  # the golden angle
+        r = np.sqrt(1.0 - z * z)
+        return np.column_stack([r * np.cos(t), r * np.sin(t), z])
     eye = np.eye(n)
     pairs = [(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
              for i, j in itertools.combinations(range(n), 2)
@@ -107,12 +125,28 @@ class DualBallOracle(WeakMembershipOracle):
     every row x with x.w - |x| s > 1 for a pooled point w that the primal
     answered IN_THICKENED at slack s (see certify). Proof: such a w lies
     within s of some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s,
-    hence nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack. The rows
-    both screens leave go to one lockstep validity run over the primal
-    ball, which is what makes million-point volume sampling feasible. With
-    an empty pool the pool screen is skipped.
+    hence nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack. With an
+    empty pool the pool screen is skipped.
 
-    The validity run decides the rescaled norm mu = r * nu* with
+    The net certificate settles inside rows, again for free. The oracle
+    keeps one net V of unit directions (_net_directions), which is also the
+    pool's direction set. The first batch that still leaves at least len(V)
+    rows after the pool screen runs one cutting.support_batch over V, which
+    gives per direction v a bound hi(v) >= h_B(v) (the support interval of
+    the cutting module header); its witnesses go to certify at the run's
+    centre slack, and the pool screen runs again. From then on a row c is
+    written c = sum lam_i v_i + e over its n nearest net directions v_i,
+    lam solving the n x n system and clipped to lam >= 0, e the residual.
+    As h_B is sublinear, and h_B(e) <= |e| / k_lo because B_nu lies in
+    B(0, 1/k_lo), nu*(c) = h_B(c) <= sum lam_i h_B(v_i) + h_B(e)
+    <= sum lam_i hi(v_i) + |e| / k_lo. Where that bound is at most 1, c lies
+    in the dual ball, and IN_THICKENED is legal at every slack. The bound is
+    padded for rounding as the pool screen is (_certified). Smaller
+    batches leave the net unbuilt and cost what the validity run costs.
+
+    The rows all screens leave go to one lockstep validity run over the
+    primal ball, which is what makes million-point volume sampling
+    feasible. It decides the rescaled norm mu = r * nu* with
     r = max(1, 2 k_hi), so that mu's sandwich constant k_lo = r / k_hi is at
     least 2; x is in B_(nu*) iff x / r is in B_mu, and the run is over
     B_(mu*) = r B_nu at slack delta / r, clamped below 1/2. With k_lo >= 2
@@ -130,12 +164,13 @@ class DualBallOracle(WeakMembershipOracle):
         self.r = max(1.0, 2.0 * desc.k_hi)
         self._scaled_oracle = rescale_norm(primal, desc, 1.0 / self.r)[0]
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
-        # the pool: per direction u, the certified point w with the largest
-        # u.w - s, its slack s, and that score (-inf while the slot is empty)
-        self._pool_dirs = _pool_directions(desc.n)
-        self._pool_w = np.zeros_like(self._pool_dirs)
-        self._pool_s = np.zeros(len(self._pool_dirs))
-        self._pool_score = np.full(len(self._pool_dirs), -np.inf)
+        self._net = _net_directions(desc.n)
+        self._net_hi = None  # per net direction v, hi(v) >= h_B(v), once built
+        # the pool: per net direction u, the certified point w with the
+        # largest u.w - s, its slack s, and that score (-inf while empty)
+        self._pool_w = np.zeros_like(self._net)
+        self._pool_s = np.zeros(len(self._net))
+        self._pool_score = np.full(len(self._net), -np.inf)
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
@@ -143,15 +178,15 @@ class DualBallOracle(WeakMembershipOracle):
     def certify(self, W, slack: float) -> None:
         """Offer the pool the rows of W, each of which the primal oracle
         answered IN_THICKENED at this slack; the pool screen is only as
-        sound as that promise. Each pool direction u keeps the point with
-        the largest u.w - s seen so far. The 2 n^2 pooled points refute
-        most outside rows of a Monte Carlo polar run at no call."""
+        sound as that promise. Each net direction u keeps the point with
+        the largest u.w - s seen so far. The pooled points refute most
+        outside rows of a Monte Carlo polar run at no call."""
         slack = positive_finite(slack, "slack")
         pts = as_stack(W, self.body.n)
-        cols = np.arange(len(self._pool_dirs))
-        for lo in range(0, len(pts), _POOL_BLOCK):
-            block = pts[lo:lo + _POOL_BLOCK]
-            score = block @ self._pool_dirs.T - slack
+        cols = np.arange(len(self._net))
+        for lo in range(0, len(pts), _BLOCK):
+            block = pts[lo:lo + _BLOCK]
+            score = block @ self._net.T - slack
             best = np.argmax(score, axis=0)
             top = score[best, cols]
             better = top > self._pool_score
@@ -168,10 +203,48 @@ class DualBallOracle(WeakMembershipOracle):
         rho = 16 * self.body.n * np.finfo(float).eps
         pad = self._pool_s[full] * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
         out = np.zeros(len(pts), dtype=bool)
-        for lo in range(0, len(pts), _POOL_BLOCK):
-            rows = slice(lo, lo + _POOL_BLOCK)
+        for lo in range(0, len(pts), _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
             bound = pts[rows] @ W.T - nrm[rows, None] * pad
             out[rows] = bound.max(axis=1) > 1.0 + rho
+        return out
+
+    def _build_net(self) -> None:
+        """hi(v) for every net direction from one support run over the
+        primal ball, at width _NET_REL_ERR / k_hi; its witnesses, each
+        within the run's centre slack of B_nu, go to the pool."""
+        desc = self.primal_descriptor
+        _, hi, witness, _, dq = support_batch(self.primal, desc.ball(), self._net,
+                                              _NET_REL_ERR / desc.k_hi)
+        self._net_hi = hi
+        self.certify(witness, dq)
+
+    def _certified(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Rows c with sum lam_i hi(v_i) + |e| / k_lo <= 1 over their n
+        nearest net directions (class docstring). Each computed term errs by
+        a few n machine epsilons of |c| + sum lam_i, relative to the norms
+        that multiply it, so |e| is padded by rho (|c| + sum lam_i) and the
+        whole bound raised by the factor 1 + rho. The residual makes any lam
+        sound, so the solve needs no accuracy; rows whose n directions are
+        linearly dependent, or nearly so (the 2 n^2 net of n >= 4 has such
+        n-tuples), are left undecided."""
+        n = self.body.n
+        outer = 1.0 / self.primal_descriptor.k_lo
+        rho = 16 * n * np.finfo(float).eps
+        out = np.zeros(len(pts), dtype=bool)
+        for lo in range(0, len(pts), _BLOCK):
+            C = pts[lo:lo + _BLOCK]
+            near = np.argpartition(C @ self._net.T, -n, axis=1)[:, -n:]
+            A = self._net[near]  # rows v_i of each row's system
+            ok = np.abs(np.linalg.det(A)) > 1e-9
+            lam = np.zeros((len(C), n))
+            lam[ok] = np.maximum(np.linalg.solve(
+                A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0], 0.0)
+            res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
+            total = lam.sum(axis=1)
+            bound = (np.einsum("bi,bi->b", lam, self._net_hi[near])
+                     + outer * (res + rho * (nrm[lo:lo + _BLOCK] + total)))
+            out[lo:lo + _BLOCK] = ok & (bound * (1.0 + rho) <= 1.0)
         return out
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
@@ -180,12 +253,18 @@ class DualBallOracle(WeakMembershipOracle):
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
         if np.isfinite(self._pool_score).any() and np.any(work):
             work[work] = ~self._refuted(pts[work], nrm[work])
+        if self._net_hi is None and np.count_nonzero(work) >= len(self._net):
+            self._build_net()
+            work[work] = ~self._refuted(pts[work], nrm[work])
+        if self._net_hi is not None and np.any(work):
+            out[work] = self._certified(pts[work], nrm[work])
+            work &= ~out
         if np.any(work):
             out[work] = self._lockstep(pts[work], delta)
         return out
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        """Verdicts of the rows the screen leaves, True = IN_THICKENED: one
+        """Verdicts of the rows the screens leave, True = IN_THICKENED: one
         validity run of c = x / r against gamma = 1 over r B_nu, all rows in
         lockstep."""
         return wval_batch(self._scaled_oracle, self._scaled_oracle.body,
@@ -312,6 +391,6 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     if factor == 0.0 or 1.0 / desc.k_lo - 1.0 / desc.k_hi <= err:
         interval = Interval(factor / desc.k_hi, factor / desc.k_lo)
         return DualNormResult(interval.mid, factor, interval, 0)
-    lo, hi, _, cuts = support_batch(primal, desc.ball(), v[None, :] / factor, err)
+    lo, hi, _, cuts, _ = support_batch(primal, desc.ball(), v[None, :] / factor, err)
     interval = Interval(factor * float(lo[0]), factor * float(hi[0]))
     return DualNormResult(interval.mid, factor, interval, int(cuts[0]))

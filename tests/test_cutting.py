@@ -480,7 +480,7 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     monkeypatch.setattr(cutting, "_cut", recording_cut)
     m = 6
     C = rng_stream(31, n).normal(size=(m, n))
-    *_, cuts = support_batch(oracle, body, C, 0.05)
+    _, _, _, cuts, _ = support_batch(oracle, body, C, 0.05)
 
     pool = []  # the run's pooled (u, beta, row that made it), oldest first
     counted = np.zeros(m, dtype=int)
@@ -629,7 +629,7 @@ def test_support_batch_intervals_contain_closed_form(p, n):
     norm, oracle, body = _ball_oracle(p, n)
     C = rng_stream(25, n).normal(size=(6, n))
     C *= rng_stream(26, n).uniform(0.3, 3.0, size=(6, 1))
-    lo, hi, witness, cuts = support_batch(oracle, body, C, err)
+    lo, hi, witness, cuts, _ = support_batch(oracle, body, C, err)
     exact = norm.dual().eval_batch(C)
     assert np.all(lo <= exact) and np.all(exact <= hi)
     assert np.all(hi - lo <= err)
@@ -640,7 +640,7 @@ def test_support_batch_intervals_contain_closed_form(p, n):
 
 def test_support_batch_empty_costs_nothing():
     _, oracle, body = _ball_oracle(1.0, 3)
-    lo, hi, witness, cuts = support_batch(oracle, body, np.empty((0, 3)), 0.01)
+    lo, hi, witness, cuts, _ = support_batch(oracle, body, np.empty((0, 3)), 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,)
     assert witness.shape == (0, 3)
     assert oracle.calls.count == 0

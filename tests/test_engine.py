@@ -78,7 +78,7 @@ def test_cut_pool_wraps_soundly(monkeypatch, p, n, side):
     norm = ReferenceNorm.lp(p, n)
     oracle = norm.oracle() if side is None else band_adversary(norm, side)
     C = rng_stream(43, n).normal(size=(12, n))
-    lo, hi, _, _ = support_batch(oracle, norm.ball(), C, 0.05)
+    lo, hi, _, _, _ = support_batch(oracle, norm.ball(), C, 0.05)
     assert sum(separated) > 10 * cutting._POOL_CAP
     h = norm.dual().eval_batch(C)
     assert np.all((lo <= h) & (h <= hi))
@@ -135,7 +135,9 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
     """Hundreds of rows of one lockstep validity run, every one on the edge
     of the 2*delta band of the l-infinity dual norm, all get the closed-form
     verdict over an adversarial primal, with every row's free cuts drawn
-    from one pool of all rows' separator halfspaces, which wraps."""
+    from one pool of all rows' separator halfspaces, which wraps. The run is
+    driven directly: through query_batch the net certificate would settle
+    every one of these rows."""
     delta = 0.02
     norm = ReferenceNorm.lp(1.0, 2)
     oracle = DualBallOracle(band_adversary(norm, side), norm.descriptor)
@@ -154,7 +156,7 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
 
     monkeypatch.setattr(normdual, "wval_batch", counting_batch)
     monkeypatch.setattr(cutting, "approx_separator", counting_separator)
-    np.testing.assert_array_equal(oracle.query_batch(pts, delta), want)
+    np.testing.assert_array_equal(oracle._lockstep(pts, delta), want)
     assert runs == [want.size]
     assert sum(separated) > cutting._POOL_CAP
 
@@ -186,7 +188,7 @@ def test_empty_batches_cost_nothing():
         n = oracle.body.n
         U, depth = approx_separator(oracle, oracle.body, np.empty((0, n)), 0.01)
         assert U.shape == (0, n) and depth.shape == (0,)
-    lo, hi, witness, cuts = support_batch(primal, ball, E, 0.01)
+    lo, hi, witness, cuts, _ = support_batch(primal, ball, E, 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
     assert values.calls.count == 0
     assert all(oracle.calls.count == 0 for oracle in oracles)

@@ -89,7 +89,7 @@ def test_mahler_product_covers_known_values(n, p, target):
     assert est.half_width / est.value < 0.03
 
 
-def test_mahler_is_deterministic():
+def test_mahler_is_deterministic(monkeypatch):
     norm = ReferenceNorm.lp(2.0, 2)
     oa, ob = norm.oracle(), norm.oracle()
     a = mahler_volume(oa, norm.descriptor, 60_000)
@@ -97,23 +97,33 @@ def test_mahler_is_deterministic():
     assert a.value == b.value
     assert a.primal.hits == b.primal.hits
     assert oa.calls.count == ob.calls.count
-    # on l1 the polar run reaches the engine and the pool; its calls repeat too
+    # on l1 the polar run reaches the net, the pool and the engine; its
+    # calls repeat too
+    rows = []
+    lockstep = DualBallOracle._lockstep
+
+    def counting_lockstep(self, pts, delta):
+        rows.append(len(pts))
+        return lockstep(self, pts, delta)
+
+    monkeypatch.setattr(DualBallOracle, "_lockstep", counting_lockstep)
     l1 = ReferenceNorm.lp(1.0, 2)
     oa, ob = l1.oracle(), l1.oracle()
     assert (mahler_volume(oa, l1.descriptor, 20_000).value
             == mahler_volume(ob, l1.descriptor, 20_000).value)
-    assert oa.calls.count == ob.calls.count > 2 * 20_000
+    assert oa.calls.count == ob.calls.count
+    assert sum(rows) > 0
     # a different seed moves the draw
     c = mahler_volume(norm.oracle(), norm.descriptor, 60_000,
                       dataclasses.replace(DEFAULT_CONFIG, rng_seed=99))
     assert c.primal.hits != a.primal.hits
 
 
-def _band_rows(norm, rng, m):
+def _band_rows(desc, rng, m):
     """m points in random directions whose lengths lie strictly between the
-    sandwich radii, so only the pool or the engine can decide them."""
-    desc = norm.descriptor
-    U = rng.normal(size=(m, norm.n))
+    sandwich radii of desc, so only the pool, the net or the engine can
+    decide them."""
+    U = rng.normal(size=(m, desc.n))
     r = rng.uniform(desc.k_lo, desc.k_hi, size=m)
     return U * (r / np.linalg.norm(U, axis=1))[:, None]
 
@@ -132,7 +142,7 @@ def test_pooled_refutations_are_legal_under_band_adversary(p, n):
     rng = rng_stream(43, n)
     W = rng.uniform(-1.2, 1.2, size=(20_000, n)) / norm.descriptor.k_lo
     oracle.certify(W[adversary.query_batch(W, slack)], slack)
-    C = _band_rows(norm, rng, 4000)
+    C = _band_rows(norm.descriptor, rng, 4000)
     refuted = oracle._refuted(C, np.linalg.norm(C, axis=1))
     dual = norm.dual().eval_batch(C)
     assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(dual > 1.1)
@@ -166,7 +176,7 @@ def test_pool_refutations_cost_no_primal_calls():
     rng = rng_stream(44, 0)
     W = rng.uniform(-1.0, 1.0, size=(20_000, 3))
     oracle.certify(W[primal.query_batch(W, 1e-6)], 1e-6)
-    C = _band_rows(norm, rng, 2000)
+    C = _band_rows(norm.descriptor, rng, 2000)
     C = C[norm.dual().eval_batch(C) > 1.4][:200]
     assert len(C) == 200
     before = primal.calls.count
@@ -195,6 +205,86 @@ def test_certify_validates_before_pooling():
     before = primal.calls.count
     assert oracle.query(c, 0.01) is WeakVerdict.NOT_IN_SHRUNK
     assert primal.calls.count == before
+
+
+IMAGE = np.array([[2.0, 1.0], [0.0, 1.0]])  # the disc's image is an ellipse
+NET_BODIES = [(1.0, 2), (1.0, 3), (math.inf, 3), "ellipse"]
+
+
+def _net_body(case, side):
+    """Primal oracle, descriptor and closed-form dual norm of a net case:
+    an lp ball, or the image of the unit disc under IMAGE, whose dual norm
+    is c -> |IMAGE^T c|. side None is the exact oracle, else the band
+    adversary of that side."""
+    p, n = (2.0, 2) if case == "ellipse" else case
+    norm = ReferenceNorm.lp(p, n)
+    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    if case != "ellipse":
+        return oracle, norm.descriptor, norm.dual().eval_batch
+    image, desc = linear_image(oracle, norm.descriptor, IMAGE)
+    return image, desc, lambda C: np.linalg.norm(C @ IMAGE, axis=1)
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("case", NET_BODIES,
+                         ids=["l1-R2", "l1-R3", "linf-R3", "ellipse-R2"])
+def test_net_verdicts_are_legal_under_band_adversary(case, side):
+    """Every net bound hi(v) is at least the closed-form support value
+    h_B(v) = nu*(v); every row the net certifies has nu*(c) <= 1; and every
+    row that a net witness refutes, with no other point pooled, has
+    nu*(c) > 1. Half the rows lie within 2 % of the dual sphere, and one
+    per net direction v at nu*(c) = 1 - 1e-7, where a witness that the
+    generous adversary admits outside B refutes c unless its slack is
+    counted in full."""
+    primal, desc, dual = _net_body(case, side)
+    oracle = DualBallOracle(primal, desc)
+    oracle._build_net()
+    assert np.all(oracle._net_hi >= dual(oracle._net))
+    rng = rng_stream(45, desc.n)
+    U = rng.normal(size=(2000, desc.n))
+    near = U * (rng.uniform(0.98, 1.02, size=2000) / dual(U))[:, None]
+    tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
+    C = np.vstack([_band_rows(desc, rng, 2000), near, tight])
+    nrm = np.linalg.norm(C, axis=1)
+    keep = (nrm > desc.k_lo) & (nrm < desc.k_hi)  # rows no sandwich settles
+    C, nrm = C[keep], nrm[keep]
+    certified = oracle._certified(C, nrm)
+    refuted = oracle._refuted(C, nrm)
+    nu = dual(C)
+    assert np.all(nu[certified] <= 1.0)
+    assert np.all(nu[refuted] > 1.0)
+    assert np.count_nonzero(certified) > 0.5 * np.count_nonzero(nu < 0.95)
+    assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(nu > 1.05)
+
+
+def test_small_batches_never_build_the_net():
+    """A scalar query, and a batch that leaves fewer rows than the net has
+    directions, cost exactly the calls of the validity run on the rows they
+    leave and get its verdicts; the first batch that leaves len(V) rows
+    builds the net."""
+    norm = ReferenceNorm.lp(1.0, 2)
+    desc = norm.descriptor
+    rng = rng_stream(46, 0)
+    primal, fresh = norm.oracle(), norm.oracle()
+    oracle = DualBallOracle(primal, desc)
+    lockstep = DualBallOracle(fresh, desc)._lockstep
+    size = len(oracle._net)
+    C = _band_rows(desc, rng, size)
+    c = C[0]
+    verdict = oracle.query(c, 0.01)
+    assert oracle._net_hi is None
+    want = lockstep(c[None, :], 0.01)[0]
+    assert (verdict is WeakVerdict.IN_THICKENED) == want
+    assert primal.calls.count == fresh.calls.count > 0
+    # the sandwich settles the short rows, so size - 1 rows reach the engine
+    short = 0.5 * desc.k_lo * C / np.linalg.norm(C, axis=1)[:, None]
+    got = oracle.query_batch(np.vstack([C[1:], short]), 0.01)
+    assert oracle._net_hi is None
+    np.testing.assert_array_equal(got[:size - 1], lockstep(C[1:], 0.01))
+    assert np.all(got[size - 1:])
+    assert primal.calls.count == fresh.calls.count
+    oracle.query_batch(_band_rows(desc, rng, size), 0.01)
+    assert oracle._net_hi is not None
 
 
 def test_linear_image_membership():
