@@ -63,9 +63,10 @@ Policy where a row is not decided cleanly, the same for every caller:
   dq = min(eps/8, inner_radius/4) of the optimization slack eps. A validity
   query at slack eps optimizes at eps/2, so its centers are queried at
   eps/16. What a run at slack eps certifies follows from dq. Its witness
-  is a center answered IN, so it lies within dq of K. A center answered
-  OUT lies outside K_dq = a + (1 - dq/inner)(K - a), which sits inside the
-  dq-shrunk body, and its cut keeps K_dq up to sigma. So the certified gap
+  is a center answered IN or one inside the inner ball (sandwich centers),
+  so it lies within dq of K. A center answered OUT lies outside
+  K_dq = a + (1 - dq/inner)(K - a), which sits inside the dq-shrunk body,
+  and its cut keeps K_dq up to sigma. So the certified gap
   eps/2 bounds c . z - value over K_dq, and K_dq loses
   h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
   of support against K.
@@ -150,6 +151,19 @@ Policy where a row is not decided cleanly, the same for every caller:
   and a halfspace dropped only forgoes the free cuts it would have made.
   It lives for one _cut_loop call; a run of one row pools only its own
   cuts.
+- Sandwich centers: the centering data B(a, inner) <= K <= B(a, outer)
+  decides two kinds of center at no primal call, neither the membership
+  query nor the separator. Each is a center that no pooled halfspace cuts
+  (pooled cuts come first). A center z with |z - a| > outer is OUT: it is
+  cut along u = (z - a)/|z - a| at depth alpha = |z - a| - outer. That
+  halfspace, u . y <= u . a + outer, holds B(a, outer), which holds K and
+  with it K_dq, so its sigma is 0; its depth is clipped to _MAX_DEPTH like
+  any other (deep cuts). It is not pooled: a center of another row that
+  violates it lies outside B(a, outer) too and is cut by this rule. A
+  center z with |z - a| < inner lies in K, so within dq of K, a legal
+  incumbent whatever the oracle would have answered; it takes the
+  objective cut at the incumbent as any IN center does. The body center of
+  every row, the start of its run, is such a center.
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
@@ -469,15 +483,18 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     incumbent (keep values at least best), an asserted-infeasible center
     adds the separator cut at the depth its separator returns. The
     incumbent starts at the body center, which the centering data guarantees
-    feasible. A row leaves the loop at its first stop: certified gap
-    <= eps/2, incumbent >= stop_above, or certified upper bound
-    <= stop_ub_below, tested in that order. A center that violates one of
-    the run's pooled separator halfspaces, made by any of its rows, is cut
-    along the most violated one at no call (module header, pooled cuts).
-    The other centers of all live rows go to one query_batch per cut at
-    slack dq, and those answered infeasible to one approx_separator call at
-    the same dq, which uses the oracle's own separator where it has one
-    (value separators) and differences of the gauge elsewhere.
+    feasible, at no query. A row leaves the loop at its first stop:
+    certified gap <= eps/2, incumbent >= stop_above, or certified upper
+    bound <= stop_ub_below, tested in that order. A center that violates one
+    of the run's pooled separator halfspaces, made by any of its rows, is
+    cut along the most violated one at no call (module header, pooled
+    cuts). Of the rest, a center outside the outer ball is cut along its
+    direction from the body center, and one inside the inner ball is an
+    incumbent, neither asked (module header, sandwich centers). The other
+    centers of all live rows go to one query_batch per cut at slack dq,
+    and those answered infeasible to one approx_separator call at the same
+    dq, which uses the oracle's own separator where it has one (value
+    separators) and differences of the gauge elsewhere.
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
     indexing _STOP_REASONS; iterations counts every cut, free or paid.
@@ -537,11 +554,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         if rows.size == 0:
             return value, witness, gap_out, iterations, stop
 
-        # a pooled halfspace that the center violates is a free cut
+        # a pooled halfspace that the center violates is a free cut, and so
+        # is the sandwich: a center outside B(a, outer) is out, one inside
+        # B(a, inner) is in (module header, sandwich centers)
         j, v = _most_violated(Z, pool)
         free = v > 0.0
-        ask = ~free
-        inside = np.zeros(rows.size, dtype=bool)
+        D = Z - body.center
+        r = np.linalg.norm(D, axis=1)
+        far = ~free & (r > body.outer_radius)
+        inside = ~free & (r < body.inner_radius)
+        ask = ~(free | far | inside)
         if ask.any():
             inside[ask] = oracle.query_batch(Z[ask], dq)
         gain = inside & (vals > best)
@@ -552,6 +574,8 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         A = best - vals  # objective cut at the incumbent
         G[free] = pool[j[free], :n]
         A[free] = v[free]
+        G[far] = D[far] / r[far, None]
+        A[far] = r[far] - body.outer_radius
         out = ask & ~inside
         if out.any():
             X = Z[out]

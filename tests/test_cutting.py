@@ -447,12 +447,17 @@ def _follow(ids, before, after):
 @pytest.mark.parametrize("p,n", [(3.0, 2), (1.0, 2), (1.0, 3), (math.inf, 3)],
                          ids=["l3-r2", "l1-r2", "l1-r3", "linf-r3"])
 def test_free_cuts_cost_no_call(monkeypatch, p, n):
-    """A center that violates a halfspace in the run's pool, the last
-    _POOL_CAP separator halfspaces of all its rows, is cut at no call: no
-    center sent to query_batch or approx_separator violates one, every other
-    center is cut along a pooled unit, some along another row's, and the
-    cut count of each row counts its free cuts too. Rows are followed
-    through the lockstep compaction by their exact centers."""
+    """A center sent neither to query_batch nor to approx_separator is cut
+    at no call, and is exactly one of three kinds: it violates a halfspace
+    in the run's pool, the last _POOL_CAP separator halfspaces of all its
+    rows, and is cut along the most violated one at its violation a > 0;
+    or it violates none and lies inside the inner ball, an incumbent cut
+    along g = -c; or it violates none and lies outside the outer ball, cut
+    along g = (z - a)/|z - a| at a = |z - a| - outer. No center that was
+    sent violates a pooled halfspace, some free cuts use another row's
+    halfspace, and the cut count of each row counts its free cuts too.
+    Rows are followed through the lockstep compaction by their exact
+    centers."""
     _, oracle, body = _ball_oracle(p, n)
     events, busy = [], []
     query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
@@ -484,7 +489,8 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
 
     pool = []  # the run's pooled (u, beta, row that made it), oldest first
     counted = np.zeros(m, dtype=int)
-    ids, before, sent, free, shared = None, None, [], 0, 0
+    kinds = {"pooled": 0, "near": 0, "far": 0}
+    ids, before, sent, shared = None, None, [], 0
     for kind, *ev in events:
         if kind != "cut":
             sent.append((kind, ev[0]))
@@ -504,15 +510,29 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
             counted[i] += 1
             if tuple(z) in separated:
                 made.append((g, g @ z - max(a, 0.0), i))
-            elif tuple(z) not in asked:
-                free += 1
+                continue
+            if tuple(z) in asked:
+                continue
+            violation = max((u @ z - beta for u, beta, _ in pool), default=-math.inf)
+            r = np.linalg.norm(z - body.center)
+            if violation > 0.0:
+                kinds["pooled"] += 1
                 assert a > 0.0
                 owners = {k for u, _, k in pool if np.array_equal(g, u)}
                 assert owners
                 shared += i not in owners
+            elif r < body.inner_radius:
+                kinds["near"] += 1
+                np.testing.assert_array_equal(g, -C[i])
+            else:
+                kinds["far"] += 1
+                assert r > body.outer_radius
+                np.testing.assert_allclose(g, (z - body.center) / r, rtol=0, atol=1e-15)
+                assert a == pytest.approx(r - body.outer_radius, rel=0, abs=1e-15)
         pool = (pool + made)[-cutting._POOL_CAP:]
         before, sent = after, []
-    assert free > 0 and shared > 0
+    assert kinds["pooled"] > 0 and shared > 0
+    assert kinds["near"] >= m  # every row's first center is the body center
     np.testing.assert_array_equal(cuts, counted)
 
 

@@ -2,6 +2,7 @@
 empty batches, and band-adversarial primal oracles on the dual ball's
 batched path."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from convexdual.cutting import (
 from convexdual.fenchel import EpigraphBody, make_reference_function
 from convexdual.mahler import linear_image
 from convexdual.normdual import DualBallOracle, rescale_norm
-from convexdual.oracles import ReferenceCone, ReferenceNorm
+from convexdual.oracles import ReferenceCone, ReferenceNorm, exact_to_weak
 
 PARITY_CASES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
 
@@ -83,6 +84,112 @@ def test_cut_pool_wraps_soundly(monkeypatch, p, n, side):
     h = norm.dual().eval_batch(C)
     assert np.all((lo <= h) & (h <= hi))
     _check_wval_batch_matches_scalar(norm, oracle)
+
+
+def _shifted_disc():
+    """The unit disc about (1, -2) under the loose sandwich radii 0.9 and 1.1,
+    so that both sandwich rules have room to act."""
+    center = np.array([1.0, -2.0])
+    body = CenteredBody(center, 0.9, 1.1)
+    return exact_to_weak(lambda X: np.linalg.norm(X - center, axis=1) <= 1.0, body)
+
+
+def _epigraph():
+    values = make_reference_function("half_square_norm", 2).approx_oracle()
+    return EpigraphBody(CenteredBody(np.zeros(2), 1.0, 1.0), 4.0, values).oracle()
+
+
+SANDWICH_CASES = {
+    "l1-r3": lambda: ReferenceNorm.lp(1.0, 3).oracle(),
+    "l3-r2": lambda: ReferenceNorm.lp(3.0, 2).oracle(),
+    "linf-r3": lambda: ReferenceNorm.lp(math.inf, 3).oracle(),
+    "shifted-disc": _shifted_disc,
+    "epigraph": _epigraph,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SANDWICH_CASES))
+def test_sandwich_centers_are_never_asked(monkeypatch, case):
+    """No cut center sent to query_batch or to approx_separator lies in the
+    open inner ball or outside the outer ball: the centering data decides
+    those at no call. Every row's first center, the body center, is cut,
+    and it is never asked."""
+    oracle = SANDWICH_CASES[case]()
+    body = oracle.body
+    sent, cut_centers, busy = [], [], []
+    query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
+
+    def recording_query(X, delta):
+        if not busy:  # the separator's own gauge probes are not centers
+            sent.append(np.array(X))
+        return query(X, delta)
+
+    def recording_separator(oracle, body, X, delta):
+        sent.append(np.array(X))
+        busy.append(1)
+        try:
+            return separator(oracle, body, X, delta)
+        finally:
+            busy.pop()
+
+    def recording_cut(Z, P, G, A):
+        cut_centers.append(np.array(Z))
+        return cut(Z, P, G, A)
+
+    monkeypatch.setattr(oracle, "query_batch", recording_query)
+    monkeypatch.setattr(cutting, "approx_separator", recording_separator)
+    monkeypatch.setattr(cutting, "_cut", recording_cut)
+    C = rng_stream(44, body.n).normal(size=(6, body.n))
+    support_batch(oracle, body, C, 0.05)
+    wval_batch(oracle, body, C, float(np.max(C @ body.center)) + 0.5, 0.02)
+    X = np.vstack(sent)
+    r = np.linalg.norm(X - body.center, axis=1)
+    assert len(X) > 0
+    assert np.all((r >= body.inner_radius) & (r <= body.outer_radius))
+    Z = np.vstack(cut_centers)
+    assert np.any(np.all(Z == body.center, axis=1))
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("p,n", WRAP_CASES, ids=["l1-r3", "l3-r2", "linf-r3"])
+def test_sandwich_rules_tolerate_band_adversaries(p, n, side):
+    """The l1 ball touches its inner ball at its facet centers and the
+    l-infinity ball its outer ball at its vertices, so there the adversary's
+    band verdicts and the sandwich's can disagree; both are legal. Every
+    support interval still contains the closed-form support value, and the
+    lockstep verdicts match one scalar run per row."""
+    norm = ReferenceNorm.lp(p, n)
+    oracle = band_adversary(norm, side)
+    C = rng_stream(45, n).normal(size=(12, n))
+    lo, hi, _, _, _ = support_batch(oracle, norm.ball(), C, 0.05)
+    h = norm.dual().eval_batch(C)
+    assert np.all((lo <= h) & (h <= hi))
+    _check_wval_batch_matches_scalar(norm, oracle)
+
+
+def test_far_rule_keeps_the_vertices_of_a_tight_cube(monkeypatch):
+    """The l-infinity ball in R^3 touches its outer ball at its vertices, to
+    the outward rounding of the stored radius, so a far cut that reached
+    inside the outer ball would shave them off. Objectives toward the
+    vertices, whose runs cut centers outside the outer ball, still get
+    intervals that contain h_K(c), the l1 norm of c."""
+    norm = ReferenceNorm.lp(math.inf, 3)
+    body = norm.ball()
+    assert body.outer_radius == pytest.approx(math.sqrt(3.0), rel=1e-11)
+    radii, cut = [], cutting._cut
+
+    def recording_cut(Z, P, G, A):
+        radii.extend(np.linalg.norm(Z, axis=1))
+        return cut(Z, P, G, A)
+
+    monkeypatch.setattr(cutting, "_cut", recording_cut)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    tilt = 0.01 * rng_stream(46, 3).normal(size=(8, 3))
+    C = np.vstack([signs, signs + tilt])
+    lo, hi, _, _, _ = support_batch(norm.oracle(), body, C, 0.01)
+    assert max(radii) > body.outer_radius
+    h = np.abs(C).sum(axis=1)
+    assert np.all((lo <= h) & (h <= hi))
 
 
 def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
