@@ -3,7 +3,11 @@
 The volume of a sandwiched body is estimated by uniform sampling of its
 bounding box; the Mahler product multiplies the body's estimate with the
 estimate for its polar, whose oracle is derived (not hand-written) from the
-primal one. The primal run hands the points it certified inside to the
+primal one. Each run reads the body's centering data B(a, inner) <= K <=
+B(a, outer) first: a sample inside the inner ball or outside the outer ball
+is decided there and costs no oracle call, so only the samples in the shell
+between the two balls are asked (none at all on the Euclidean disc, whose
+radii agree). The primal run hands the points it certified inside to the
 polar oracle's pool, which then refutes most outside polar samples without
 a primal call; the polar oracle's first large batch buys certified upper
 bounds on the primal's support function over a net of directions, which
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, positive_finite, rng_stream
+from .core import (DEFAULT_CONFIG, CenteredBody, NormDescriptor, ToleranceConfig,
+                   positive_finite, rng_stream)
 from .normdual import DualBallOracle
 from .oracles import WeakMembershipOracle
 
@@ -48,6 +53,16 @@ class VolumeEstimate:
         return (self.value - self.half_width, self.value + self.half_width)
 
 
+def _sandwich_screen(pts: np.ndarray, body: CenteredBody) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that B(a, inner) <= K settles inside, and rows that neither
+    ball settles; the rest lie outside B(a, outer), hence outside K."""
+    sq = pts - body.center
+    sq *= sq  # in place: one chunk-sized temporary, not two
+    dist = np.sqrt(sq.sum(axis=1))
+    inside = dist <= body.inner_radius
+    return inside, ~inside & (dist <= body.outer_radius)
+
+
 def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
               seed: int, *, on_inside=None) -> VolumeEstimate:
     """Estimate the volume of the oracle's body inside [-box, box]^n.
@@ -56,8 +71,15 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
     stream, so the estimate depends only on (seed, samples) and extending a
     run replays the shared prefix. The query slack is box_radius * 1e-6:
     boundary ambiguity at that scale is orders of magnitude below the
-    binomial noise. on_inside, when given, receives each chunk's inside
-    points and that slack, as on_inside(points, slack).
+    binomial noise.
+
+    The body's sandwich B(a, inner) <= K <= B(a, outer) settles a sample
+    with |x - a| <= inner as inside and one with |x - a| > outer as outside,
+    at no oracle call; only the samples between the two balls reach
+    oracle.query_batch. Both verdicts are legal at every slack, and the
+    slack dwarfs the rounding of |x - a|. on_inside, when given, receives
+    each chunk's inside points, settled or asked, and that slack, as
+    on_inside(points, slack).
     """
     chunk = _CHUNK
     n = oracle.body.n
@@ -76,7 +98,12 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
         take = min(chunk, samples - done)
         rng = rng_stream(seed, stream)
         pts = rng.uniform(-box_radius, box_radius, size=(take, n))
-        inside = oracle.query_batch(pts, delta)
+        inside, ask = _sandwich_screen(pts, oracle.body)
+        asked = pts[ask]
+        if on_inside is None:
+            pts = None  # free the chunk during the query; only on_inside reads it later
+        if len(asked):
+            inside[ask] = oracle.query_batch(asked, delta)
         hits += int(np.count_nonzero(inside))
         if on_inside is not None:
             on_inside(pts[inside], delta)

@@ -9,6 +9,7 @@ in the package can be checked against a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -324,10 +325,18 @@ def smat(v) -> np.ndarray:
     return M
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of svec order (column j, then rows i >= j),
+    and the scale that turns svec entries back into matrix entries."""
+    j, i = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, math.sqrt(2.0))
+
+
 def _psd_min_eigs(X: np.ndarray, d: int) -> np.ndarray:
     """Smallest eigenvalue of smat(x) for every row x, in one batched call."""
-    j, i = np.triu_indices(d)  # svec order: column j, then rows i >= j
-    vals = X / np.where(i == j, 1.0, math.sqrt(2.0))
+    i, j, scale = _svec_layout(d)
+    vals = X / scale
     M = np.zeros((X.shape[0], d, d))
     M[:, i, j] = vals
     M[:, j, i] = vals

@@ -35,8 +35,11 @@ def _traced(wl, op) -> tuple[int, dict]:
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_primal_calls_match_call_counters(name):
+    """The contract from the start of the op list, up to the first op that
+    reaches the primal (the sandwich settles every sample of l2/R2 mahler,
+    which costs 0)."""
     wl = workloads.WORKLOADS[name](1)
-    assert _traced(wl, wl.ops[0])[0] > 0
+    assert any(_traced(wl, op)[0] > 0 for op in wl.ops)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
