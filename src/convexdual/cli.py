@@ -151,8 +151,9 @@ def cmd_fenchel(args) -> dict:
     y = parse_point(args.point, ref.n)
     values = ref.approx_oracle()
     est = fenchel_eval(values, ref.cert, y, args.eps)
-    out = {"value": est.value, "localization_radius": est.radius,
-           "value_calls": values.calls.count}
+    out = {"value": est.value, "interval_lo": est.interval.lo,
+           "interval_hi": est.interval.hi, "cuts": est.cuts,
+           "localization_radius": est.radius, "value_calls": values.calls.count}
     if ref.conjugate is not None:
         out["closed_form_value"] = float(ref.conjugate(y))
     return out

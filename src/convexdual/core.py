@@ -107,11 +107,18 @@ class CenteredBody:
 
     outer_radius may be math.inf for cones; bounded pipelines check for it.
     inner_radius must be finite.
+
+    ellipsoid, when given, is a pair (e, Q): a centre e and a symmetric
+    positive-definite shape Q with K <= {y : (y - e)' Q^-1 (y - e) <= 1}.
+    Like the radii it is a promise about the body, which only its builder
+    can vouch for; cutting runs start from it (cutting module header, start
+    ellipsoid). Without one they start from B(center, outer).
     """
 
     center: np.ndarray
     inner_radius: float
     outer_radius: float
+    ellipsoid: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
@@ -123,6 +130,20 @@ class CenteredBody:
             )
         if math.isnan(self.outer_radius):
             raise ValueError("outer radius is NaN")
+        if self.ellipsoid is not None:
+            e, Q = self.ellipsoid
+            e = as_vector(e, self.n)
+            Q = np.asarray(Q, dtype=float)
+            if Q.shape != (self.n, self.n) or not np.isfinite(Q).all():
+                raise ValueError(f"ellipsoid shape must be a finite ({self.n}, {self.n}) "
+                                 f"matrix, got shape {Q.shape}")
+            if not np.array_equal(Q, Q.T):
+                raise ValueError("ellipsoid shape must be symmetric")
+            try:
+                np.linalg.cholesky(Q)
+            except np.linalg.LinAlgError:
+                raise ValueError("ellipsoid shape must be positive definite") from None
+            object.__setattr__(self, "ellipsoid", (e, Q))
 
     @property
     def n(self) -> int:

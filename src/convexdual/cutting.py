@@ -162,8 +162,32 @@ Policy where a row is not decided cleanly, the same for every caller:
   violates it lies outside B(a, outer) too and is cut by this rule. A
   center z with |z - a| < inner lies in K, so within dq of K, a legal
   incumbent whatever the oracle would have answered; it takes the
-  objective cut at the incumbent as any IN center does. The body center of
-  every row, the start of its run, is such a center.
+  objective cut at the incumbent as any IN center does. The body center,
+  every row's first incumbent, is such a center, and it is every row's
+  first cut center where the body states no ellipsoid (below).
+- Start ellipsoid: each row's localizer starts at the ellipsoid
+  E(e, Q) = {y : (y - e)' Q^-1 (y - e) <= 1} that the body states
+  (core.CenteredBody.ellipsoid), and at B(a, outer), e = a and
+  Q = outer^2 I, bit for bit, where it states none. The loop keeps K_dq
+  in its ellipsoids up to the sigma of the cuts made; at the start there
+  are none, and K_dq <= K <= E(e, Q) is the body's promise. Rounding of Q
+  cannot lose K_dq: for y in K_dq, w with |w| <= dq and t = dq/inner,
+  y + w = (1 - t) k + t (a + w/t) for a k in K, and a + w/t lies in
+  B(a, inner), so K_dq sits dq inside K. Nothing else reads the
+  ellipsoid: the far and near rules stay on B(a, outer) and B(a, inner),
+  and the slack and the support interval on the radii. The incumbent
+  still starts at a, best = c . a, not at e: the centering data puts a in
+  K, a legal incumbent at no query, while e need not lie within dq of K.
+  The truncated epigraph of fenchel.EpigraphBody, n the ball's dimension,
+  lies in the cylinder B(c, R) x [-cap/2, cap], as |f| <= cap/2 on the
+  ball. It states e = (c, cap/4) and semi-axes R sqrt((n + 1)/n) across
+  the ball and (3 cap/4) sqrt(n + 1) along tau. A point (x, tau) of the
+  cylinder has |x - c|^2 n / ((n + 1) R^2) <= n/(n + 1) and
+  (tau - cap/4)^2 / ((3 cap/4)^2 (n + 1)) <= 1/(n + 1), as
+  |tau - cap/4| <= 3 cap/4, so its level is at most 1, with equality on
+  the rims of both end discs. Its cap runs to 15 times R, and there
+  B(a, hypot(R, 1.25 cap)) spends most of its volume far from the
+  cylinder, so the early cuts of a run from the ball trim empty space.
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
@@ -481,9 +505,11 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     Each row runs its own ellipsoid localizer with deep cuts (module
     header): an asserted-feasible center adds the objective cut at the
     incumbent (keep values at least best), an asserted-infeasible center
-    adds the separator cut at the depth its separator returns. The
-    incumbent starts at the body center, which the centering data guarantees
-    feasible, at no query. A row leaves the loop at its first stop:
+    adds the separator cut at the depth its separator returns. Each row's
+    ellipsoid starts as the body's stated ellipsoid, or as B(a, outer) where
+    it states none (module header, start ellipsoid). The incumbent starts
+    at the body center a, which the centering data guarantees feasible, at
+    no query. A row leaves the loop at its first stop:
     certified gap <= eps/2, incumbent >= stop_above, or certified upper
     bound <= stop_ub_below, tested in that order. A center that violates one
     of the run's pooled separator halfspaces, made by any of its rows, is
@@ -520,10 +546,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     iterations = np.empty(m, dtype=int)
     stop = np.empty(m, dtype=int)
     rows = np.arange(m)
-    Z = np.tile(body.center, (m, 1))
-    P = np.tile(np.eye(n) * body.outer_radius ** 2, (m, 1, 1))
+    # the stated ellipsoid, else B(a, outer); the incumbent is a either way
+    # (module header, start ellipsoid)
+    if body.ellipsoid is None:
+        start, shape = body.center, np.eye(n) * body.outer_radius ** 2
+    else:
+        start, shape = body.ellipsoid
+    Z = np.tile(start, (m, 1))
+    P = np.tile(shape, (m, 1, 1))
     best = C @ body.center
-    best_wit = Z.copy()
+    best_wit = np.tile(body.center, (m, 1))
     ub_run = np.full(m, math.inf)
     # the ring of the run's last _POOL_CAP separator halfspaces u . y <= beta,
     # from all rows, as rows (u, beta); made counts every one written to it,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenteredBody, as_vector, positive_finite
+from .core import CenteredBody, Interval, as_vector, positive_finite
 from .cutting import support_batch, wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
@@ -93,11 +93,17 @@ class EpigraphBody:
     def body(self) -> CenteredBody:
         # with |f| <= cap/2 on the ball, the slab tau in [3cap/4 - inner,
         # 3cap/4 + inner] sits inside the epigraph for inner <= cap/4, and
-        # the whole epigraph fits in the stated outer ball
-        center = np.append(self.ball.center, 0.75 * self.cap)
-        inner = min(self.ball.outer_radius, 0.25 * self.cap)
-        outer = math.hypot(self.ball.outer_radius, 1.25 * self.cap)
-        return CenteredBody(center, inner, outer)
+        # the whole epigraph fits in the cylinder B(c, R) x [-cap/2, cap],
+        # which the stated outer ball and ellipsoid hold (cutting module
+        # header, start ellipsoid)
+        n, radius, cap = self.ball.n, self.ball.outer_radius, self.cap
+        center = np.append(self.ball.center, 0.75 * cap)
+        inner = min(radius, 0.25 * cap)
+        outer = math.hypot(radius, 1.25 * cap)
+        axes = np.append(np.full(n, radius * math.sqrt((n + 1) / n)),
+                         0.75 * cap * math.sqrt(n + 1))
+        ellipsoid = (np.append(self.ball.center, 0.25 * cap), np.diag(axes * axes))
+        return CenteredBody(center, inner, outer, ellipsoid)
 
     def oracle(self) -> WeakMembershipOracle:
         """Row-wise weak membership, with the epigraph's own separator.
@@ -244,6 +250,8 @@ class ConjugateEstimate:
     argmax: np.ndarray
     radius: float   # epi f is cut to the ball B(0, radius)
     cap: float      # and to tau <= cap: the epigraph whose support it is
+    interval: Interval  # certified to contain f*(y), width at most eps
+    cuts: int       # the support run's cuts, free cuts included
 
 
 def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
@@ -259,8 +267,9 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
 
     Slack. cutting.support_batch at err = eps certifies an interval of
     width at most eps that contains h_E(c) (the support interval of the
-    cutting module header, which proves it). The value returned is
-    c . witness, which lies in that interval, so it is within eps of f*(y).
+    cutting module header, which proves it), and the estimate reports it
+    with the run's cut count. The value returned is c . witness, which lies
+    in that interval, so it is within eps of f*(y).
     """
     positive_finite(eps, "eps")
     y = as_vector(y, values.n)
@@ -293,8 +302,9 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
     oracle = epi.oracle()
     c = np.append(y, -1.0)
-    _, _, witness, _, _ = support_batch(oracle, oracle.body, c[None, :], eps)
-    return ConjugateEstimate(float(c @ witness[0]), witness[0, :-1].copy(), radius, cap)
+    lo, hi, witness, cuts, _ = support_batch(oracle, oracle.body, c[None, :], eps)
+    return ConjugateEstimate(float(c @ witness[0]), witness[0, :-1].copy(), radius, cap,
+                             Interval(float(lo[0]), float(hi[0])), int(cuts[0]))
 
 
 def fenchel_brute(fn, y, radius: float, mesh: int = 101) -> float:

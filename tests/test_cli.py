@@ -142,6 +142,9 @@ def test_fenchel_report(capsys, specs):
     # half the squared norm is self-conjugate: value 0.5 at |y| = 1
     assert rep["closed_form_value"] == pytest.approx(0.5)
     assert abs(rep["value"] - 0.5) <= rep["eps"]
+    assert rep["interval_lo"] <= 0.5 <= rep["interval_hi"]
+    assert rep["interval_hi"] - rep["interval_lo"] <= rep["eps"]
+    assert rep["cuts"] > 0
     assert rep["value_calls"] > 0
 
 

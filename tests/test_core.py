@@ -73,6 +73,36 @@ def test_centered_body_rejects_non_finite_inner_radius(inner):
             CenteredBody(np.zeros(2), inner, outer)
 
 
+BAD_ELLIPSOIDS = {
+    "centre-dimension": (np.zeros(3), np.eye(2)),
+    "shape-rows": (np.zeros(2), np.eye(3)),
+    "shape-rank": (np.zeros(2), np.ones(2)),
+    "nan-shape": (np.zeros(2), np.array([[1.0, 0.0], [0.0, math.nan]])),
+    "inf-shape": (np.zeros(2), np.array([[math.inf, 0.0], [0.0, 1.0]])),
+    "inf-centre": (np.array([0.0, math.inf]), np.eye(2)),
+    "asymmetric": (np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]])),
+    "singular": (np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]])),
+    "indefinite": (np.zeros(2), np.diag([1.0, -1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ELLIPSOIDS))
+def test_centered_body_rejects_malformed_ellipsoid(case):
+    """A stated ellipsoid needs a centre of the body's dimension and a
+    finite, symmetric positive-definite (n, n) shape."""
+    with pytest.raises(ValueError):
+        CenteredBody(np.zeros(2), 0.5, 1.0, BAD_ELLIPSOIDS[case])
+
+
+def test_centered_body_keeps_a_valid_ellipsoid():
+    body = CenteredBody(np.zeros(2), 0.5, 1.0, ([0.0, 0.1], [[2.0, 0.5], [0.5, 1.0]]))
+    e, Q = body.ellipsoid
+    assert e.dtype == Q.dtype == np.float64
+    np.testing.assert_array_equal(e, [0.0, 0.1])
+    np.testing.assert_array_equal(Q, [[2.0, 0.5], [0.5, 1.0]])
+    assert CenteredBody(np.zeros(2), 0.5, 1.0).ellipsoid is None
+
+
 def test_interval():
     iv = Interval(1.0, 2.0)
     assert iv.width == pytest.approx(1.0)

@@ -112,8 +112,9 @@ SANDWICH_CASES = {
 def test_sandwich_centers_are_never_asked(monkeypatch, case):
     """No cut center sent to query_batch or to approx_separator lies in the
     open inner ball or outside the outer ball: the centering data decides
-    those at no call. Every row's first center, the body center, is cut,
-    and it is never asked."""
+    those at no call. Every row's first cut center is the centre of the
+    body's stated ellipsoid, the body center where it states none, and
+    every row's first incumbent is the body center, at no call."""
     oracle = SANDWICH_CASES[case]()
     body = oracle.body
     sent, cut_centers, busy = [], [], []
@@ -140,14 +141,27 @@ def test_sandwich_centers_are_never_asked(monkeypatch, case):
     monkeypatch.setattr(cutting, "approx_separator", recording_separator)
     monkeypatch.setattr(cutting, "_cut", recording_cut)
     C = rng_stream(44, body.n).normal(size=(6, body.n))
+    start = body.center if body.ellipsoid is None else body.ellipsoid[0]
     support_batch(oracle, body, C, 0.05)
+    # rows only leave a run, so its first cut holds every row it ever cuts
+    assert cut_centers[0].shape == C.shape
+    assert np.all(cut_centers[0] == start)
+    cut_centers.clear()
     wval_batch(oracle, body, C, float(np.max(C @ body.center)) + 0.5, 0.02)
+    assert np.all(cut_centers[0] == start)
     X = np.vstack(sent)
     r = np.linalg.norm(X - body.center, axis=1)
     assert len(X) > 0
     assert np.all((r >= body.inner_radius) & (r <= body.outer_radius))
-    Z = np.vstack(cut_centers)
-    assert np.any(np.all(Z == body.center, axis=1))
+
+    # a stop that fires at once returns each row's first incumbent
+    sent.clear()
+    value, witness, _, iterations, _ = cutting._cut_loop(oracle, body, C, 0.05,
+                                                          stop_above=-math.inf)
+    assert not sent
+    np.testing.assert_array_equal(witness, np.tile(body.center, (len(C), 1)))
+    np.testing.assert_array_equal(value, C @ body.center)
+    np.testing.assert_array_equal(iterations, 0)
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])

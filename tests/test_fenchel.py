@@ -5,7 +5,7 @@ import pytest
 
 from adversaries import alternating_value_adversary, value_adversary
 from convexdual.core import WeakVerdict, rng_stream
-from convexdual.cutting import approx_separator
+from convexdual.cutting import approx_separator, wopt_from_wmem, wval_batch
 from convexdual.fenchel import (
     CertificateError,
     EpigraphBody,
@@ -74,6 +74,49 @@ def test_epigraph_body_validation():
     assert body.outer_radius == pytest.approx(math.hypot(1.0, 5.0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_epigraph_ellipsoid_holds_the_cylinder(n):
+    """The stated ellipsoid, centred at (c, cap/4) with semi-axes
+    R sqrt((n + 1)/n) across the ball and 0.75 cap sqrt(n + 1) along tau,
+    holds the cylinder B(c, R) x [-cap/2, cap], and with it the truncated
+    epigraph: a rim point of either end disc gives n/(n + 1) + 1/(n + 1) = 1,
+    up to rounding, and every interior point less."""
+    rng = rng_stream(64, n)
+    center, R, cap = rng.normal(size=n), 1.5, 5.0
+    epi = EpigraphBody(_ball(n, R, center), cap, _oracle(lambda x: 0.0, n))
+    e, Q = epi.body().ellipsoid
+    np.testing.assert_allclose(e, np.append(center, 0.25 * cap))
+    D = rng.normal(size=(400, n))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    rim = np.column_stack([center + R * D, np.where(np.arange(400) % 2, cap, -0.5 * cap)])
+    inner = np.column_stack([center + R * rng.uniform(size=(400, 1)) * D,
+                             rng.uniform(-0.5 * cap, cap, size=400)])
+    Qinv = np.linalg.inv(Q)
+
+    def level(Y):
+        return np.einsum("bi,ij,bj->b", Y - e, Qinv, Y - e)
+
+    np.testing.assert_allclose(level(rim), 1.0, rtol=1e-12)
+    assert np.all(level(inner) <= 1.0 + 1e-12)
+
+
+def test_epigraph_first_incumbent_is_the_body_centre():
+    """A run over the epigraph starts at its ellipsoid's centre (c, cap/4),
+    but its first incumbent is the body centre a = (c, 3 cap/4), which the
+    centering data certifies: a stop that fires at iteration 0 returns a at
+    no value call, upward and along (y, -1) alike."""
+    values = _oracle(lambda x: float(x @ x), 2)
+    oracle = EpigraphBody(_ball(2), 4.0, values).oracle()
+    body = oracle.body
+    up = np.array([0.0, 0.0, 1.0])
+    assert not wval_batch(oracle, body, up[None], float(up @ body.center), 0.02)[0]
+    c = np.array([0.5, -0.3, -1.0])
+    res = wopt_from_wmem(oracle, body, c, 0.05, stop_above=float(c @ body.center))
+    assert (res.stop_reason, res.iterations) == ("threshold-large", 0)
+    np.testing.assert_array_equal(res.witness, body.center)
+    assert values.calls.count == 0
+
+
 def test_epigraph_wmem_budget_and_verdicts():
     vals = _oracle(lambda x: float(x @ x), 2)
     oracle = EpigraphBody(_ball(2), 4.0, vals).oracle()
@@ -115,8 +158,14 @@ def test_epigraph_batch_matches_row_queries():
     assert vals.calls.count == 6
 
 
+def _kinked(x):
+    """f(x) = |x|^2 / 2 + |x|_1, kinked wherever a coordinate is 0."""
+    return 0.5 * float(x @ x) + float(np.sum(np.abs(x)))
+
+
 # (function, gradient, dimension, cap with |f| <= cap / 2 on the ball of
-# radius 2 about 0); the affine case has no curvature to hide a tilted cut
+# radius 2 about 0); the affine case has no curvature to hide a tilted cut,
+# and the kinked one a jump of its partials wherever a coordinate is 0
 VALUE_SEPARATOR_CASES = {
     "half_square_norm": (make_reference_function("half_square_norm", 2).fn,
                          lambda x: x, 2, 8.0),
@@ -124,6 +173,7 @@ VALUE_SEPARATOR_CASES = {
                     lambda x: 2.0 * x, 3, 10.0),
     "affine": (lambda x: 0.5 * float(x[0]) - 0.25 * float(x[1]) + 1.0,
                lambda x: np.array([0.5, -0.25]), 2, 8.0),
+    "kinked": (_kinked, lambda x: x + np.sign(x), 2, 10.0),
 }
 VALUE_ORACLES = {
     "exact": lambda fn, n: _oracle(fn, n),
@@ -155,7 +205,11 @@ def test_value_separator_within_documented_sigma(case, kind):
     and which get a negative depth. Values come exact, or off by 0.9 of the
     slack they are asked at, all the same way or alternating in sign, which
     tilts the differences. Off the ball and above the cap a row costs no
-    evaluation, below the graph n + 1."""
+    evaluation, below the graph n + 1. On the kinked case the centres below
+    the graph lie 16h to 48h from the kink x_1 = 0, on either side, so each
+    probe steps toward the kink without reaching it: the exact quotients at
+    h see no jump, while a step 64 times as long would straddle it and tilt
+    the cut through graph points near the kink, which the test includes."""
     fn, grad, n, cap = VALUE_SEPARATOR_CASES[case]
     R, dq = 2.0, 1e-3
     values = VALUE_ORACLES[kind](fn, n)
@@ -170,12 +224,19 @@ def test_value_separator_within_documented_sigma(case, kind):
     X = _ball_points(rng, 6, n, 0.0, R)
     above = np.column_stack([X, cap + rng.uniform(1e-3, 1.0, size=6)])
     X = _ball_points(rng, 12, n, 0.0, R)
+    if case == "kinked":
+        X[:, 0] = rng.choice([-h, h], size=12) * rng.uniform(16.0, 48.0, size=12)
     gaps = np.where(np.arange(12) % 3 == 0, -0.5 * dq, rng.uniform(0.0, 2.0, size=12))
     below = np.column_stack([X, fx(X) - gaps])
 
-    # truncated-epigraph points: on the graph, and between it and the cap
+    # truncated-epigraph points: on the graph, and between it and the cap,
+    # and on the graph within 128h of each centre below it along each axis
     Xs = _ball_points(rng, 4000, n, 0.0, R)
     lift = np.where(np.arange(4000) % 2 == 0, 0.0, rng.uniform(size=4000))
+    near = (X[:, None, None, :] + h * np.arange(-128.0, 129.0, 2.0)[None, :, None, None]
+            * np.eye(n)[None, None]).reshape(-1, n)
+    Xs = np.vstack([Xs, near[np.linalg.norm(near, axis=1) <= R]])
+    lift = np.append(lift, np.zeros(len(Xs) - 4000))
     Y = np.column_stack([Xs, fx(Xs) + lift * (cap - fx(Xs))])
 
     values.calls.reset()
@@ -204,11 +265,6 @@ def test_value_separator_within_documented_sigma(case, kind):
         assert reach <= -a + tilt
         assert reach <= -max(a, 0.0) + (dq + 2.0 * ev) / width + tilt  # sigma_v
     assert saw_band
-
-
-def _kinked(x):
-    """f(x) = |x|^2 / 2 + |x|_1, kinked wherever a coordinate is 0."""
-    return 0.5 * float(x @ x) + float(np.sum(np.abs(x)))
 
 
 def _kinked_conjugate(y):
@@ -337,10 +393,17 @@ CONJ_CASES = [
 
 @pytest.mark.parametrize("name,n,y", CONJ_CASES)
 def test_fenchel_eval_matches_closed_forms(name, n, y):
+    """The value is within eps of the closed form, and the support run's
+    certified interval, no wider than eps, holds both; the estimate also
+    reports the run's cut count."""
     ref = make_reference_function(name, n)
     eps = 0.05
     est = fenchel_eval(ref.approx_oracle(), ref.cert, y, eps)
-    assert abs(est.value - ref.conjugate(np.asarray(y, dtype=float))) <= eps
+    want = ref.conjugate(np.asarray(y, dtype=float))
+    assert abs(est.value - want) <= eps
+    assert est.interval.contains(want) and est.interval.contains(est.value)
+    assert est.interval.width <= eps
+    assert est.cuts > 0
 
 
 # one point per function of the benchmark's conjugate workload
