@@ -3,18 +3,22 @@
 The volume of a sandwiched body is estimated by uniform sampling of its
 bounding box; the Mahler product multiplies the body's estimate with the
 estimate for its polar, whose oracle is derived (not hand-written) from the
-primal one. Each run reads the body's centering data B(a, inner) <= K <=
-B(a, outer) first: a sample inside the inner ball or outside the outer ball
-is decided there and costs no oracle call, so only the samples in the shell
-between the two balls are asked (none at all on the Euclidean disc, whose
-radii agree). The primal run hands the points it certified inside to the
-polar oracle's pool, which then refutes most outside polar samples without
-a primal call; the polar oracle's first large batch buys certified upper
-bounds on the primal's support function over a net of directions, which
-accept most inside polar samples without a primal call, so the polar run
-costs a fraction of a call per sample. Sampling slack is tied to the box
-scale, far below the Monte Carlo resolution, so verdict ambiguity near the
-boundary is statistically invisible.
+primal one. Sampling slack is tied to the box scale, far below the Monte
+Carlo resolution, so verdict ambiguity near the boundary is statistically
+invisible.
+
+One screen serves every oracle this module asks (_sandwich_query): a row
+inside the inner ball or outside the outer ball of the body's centering
+data B(a, inner) <= K <= B(a, outer) is decided there at no call, and only
+the rows in the shell between the two balls reach the oracle's
+query_batch. volume_mc screens its samples by the sampled body's radii,
+and linear_image screens its pulled-back rows by its base's radii, which
+are tighter than the image's; the Euclidean disc and its images cost no
+primal call at all. Of the polar samples in the polar shell, the polar
+oracle (normdual.DualBallOracle) refutes most outside ones with the
+witnesses of one support run over a net of directions, and certifies most
+inside ones with that run's support bounds, so the polar run costs a
+fraction of a primal call per sample.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, CenteredBody, NormDescriptor, ToleranceConfig,
-                   positive_finite, rng_stream)
+from .core import (DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, positive_finite,
+                   rng_stream)
 from .normdual import DualBallOracle
 from .oracles import WeakMembershipOracle
 
@@ -53,33 +57,41 @@ class VolumeEstimate:
         return (self.value - self.half_width, self.value + self.half_width)
 
 
-def _sandwich_screen(pts: np.ndarray, body: CenteredBody) -> tuple[np.ndarray, np.ndarray]:
-    """Rows that B(a, inner) <= K settles inside, and rows that neither
-    ball settles; the rest lie outside B(a, outer), hence outside K."""
+def _sandwich_query(oracle: WeakMembershipOracle, pts: np.ndarray,
+                    delta: float) -> np.ndarray:
+    """The oracle's verdicts on the rows of pts, True = IN_THICKENED, asking
+    it only about the rows its body's sandwich B(a, inner) <= K <= B(a, outer)
+    leaves: a row with |x - a| <= inner is IN and one with |x - a| > outer is
+    OUT, at no call. Both verdicts are legal at every slack above the
+    rounding of |x - a|. Only the rows asked reach oracle.query_batch, so
+    its call counter, and any tracer on it, count exactly those; pts is
+    released before the query, so a caller that hands over its only
+    reference frees the rows during it."""
+    body = oracle.body
     sq = pts - body.center
-    sq *= sq  # in place: one chunk-sized temporary, not two
+    sq *= sq  # in place: one temporary the size of pts, not two
     dist = np.sqrt(sq.sum(axis=1))
-    inside = dist <= body.inner_radius
-    return inside, ~inside & (dist <= body.outer_radius)
+    del sq
+    out = dist <= body.inner_radius
+    ask = ~out & (dist <= body.outer_radius)
+    asked = pts[ask]
+    del pts, dist  # only the asked rows live through the query
+    if len(asked):
+        out[ask] = oracle.query_batch(asked, delta)
+    return out
 
 
 def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
-              seed: int, *, on_inside=None) -> VolumeEstimate:
+              seed: int) -> VolumeEstimate:
     """Estimate the volume of the oracle's body inside [-box, box]^n.
 
     Samples are drawn in fixed-size chunks, each from its own counter-keyed
     stream, so the estimate depends only on (seed, samples) and extending a
     run replays the shared prefix. The query slack is box_radius * 1e-6:
     boundary ambiguity at that scale is orders of magnitude below the
-    binomial noise.
-
-    The body's sandwich B(a, inner) <= K <= B(a, outer) settles a sample
-    with |x - a| <= inner as inside and one with |x - a| > outer as outside,
-    at no oracle call; only the samples between the two balls reach
-    oracle.query_batch. Both verdicts are legal at every slack, and the
-    slack dwarfs the rounding of |x - a|. on_inside, when given, receives
-    each chunk's inside points, settled or asked, and that slack, as
-    on_inside(points, slack).
+    binomial noise, and it dwarfs the rounding of the sandwich screen
+    (_sandwich_query), which settles the samples inside the inner ball or
+    outside the outer ball at no call.
     """
     chunk = _CHUNK
     n = oracle.body.n
@@ -96,17 +108,11 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
     stream = 0
     while done < samples:
         take = min(chunk, samples - done)
-        rng = rng_stream(seed, stream)
-        pts = rng.uniform(-box_radius, box_radius, size=(take, n))
-        inside, ask = _sandwich_screen(pts, oracle.body)
-        asked = pts[ask]
-        if on_inside is None:
-            pts = None  # free the chunk during the query; only on_inside reads it later
-        if len(asked):
-            inside[ask] = oracle.query_batch(asked, delta)
+        # the chunk goes in unnamed, so it is freed during the query
+        inside = _sandwich_query(
+            oracle, rng_stream(seed, stream).uniform(-box_radius, box_radius, size=(take, n)),
+            delta)
         hits += int(np.count_nonzero(inside))
-        if on_inside is not None:
-            on_inside(pts[inside], delta)
         done += take
         stream += 1
     p = hits / samples
@@ -133,14 +139,12 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     The primal ball lives in the box of radius 1 / k_lo, the polar ball in
     the box of radius k_hi; the polar's oracle is derived from the primal
     one, so the product is computed from a single membership routine. The
-    primal run certifies its inside points to the polar oracle's pool. The
     half-width combines the two independent estimates by first-order error
     propagation. cfg supplies the seed: the primal run samples the streams
     of cfg.rng_seed, the polar run those of cfg.rng_seed + 1.
     """
     dual_oracle = DualBallOracle(oracle, desc)
-    primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed,
-                       on_inside=dual_oracle.certify)
+    primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed)
     dual = volume_mc(dual_oracle, desc.k_hi, samples, cfg.rng_seed + 1)
     value = primal.value * dual.value
     half = math.hypot(dual.value * primal.half_width,
@@ -154,7 +158,10 @@ def linear_image(oracle: WeakMembershipOracle, desc: NormDescriptor,
 
     Queries pull back through A^{-1} with slack delta / sigma_max(A): a
     thickened hit of K within that slack lands inside the delta-thickening
-    of A K, and a shrunk miss rules out the delta-shrinking. Used to check
+    of A K, and a shrunk miss rules out the delta-shrinking. The pulled-back
+    rows pass the base body's sandwich first (_sandwich_query), whose radii
+    are tighter than the image's, so the base is asked only about the rows
+    in its own shell: none at all when K is a Euclidean ball. Used to check
     that Mahler products do not move under volume-preserving maps.
     """
     A = np.asarray(A, dtype=float)
@@ -169,7 +176,7 @@ def linear_image(oracle: WeakMembershipOracle, desc: NormDescriptor,
     image_desc = NormDescriptor(n, desc.k_lo / s_max, desc.k_hi / s_min)
 
     def fn(X, delta):
-        return oracle.query_batch(X @ inv.T, delta / s_max)
+        return _sandwich_query(oracle, X @ inv.T, delta / s_max)
 
     return (WeakMembershipOracle(fn, image_desc.ball(), label=f"{oracle.calls.label}@image"),
             image_desc)

@@ -10,9 +10,9 @@ primal ball gives weak validity of linear functionals over it
 (cutting.wval_batch); validity over the primal ball decides weak
 membership in the dual ball (the k >= 2 lemma, after rescaling:
 rescale_norm and DualBallOracle, which also serves the polar Mahler run,
-and settles most of its rows at no call: outside rows from pooled primal
-points, inside rows from certified support bounds over a net of
-directions, bought with one support_batch run);
+and settles most of its rows at no call: outside rows from the witnesses,
+and inside rows from the certified support bounds, of one support_batch
+run over a net of directions);
 and an interval bisection turns ball membership into an additive-error
 norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
@@ -34,7 +34,6 @@ from .core import (
     Interval,
     NormDescriptor,
     WeakVerdict,
-    as_stack,
     as_vector,
     positive_finite,
 )
@@ -121,28 +120,30 @@ class DualBallOracle(WeakMembershipOracle):
 
     Every query, one point or many, runs one path. The sandwich screen
     settles the rows it can for free: |x| <= k_lo is inside the dual ball,
-    |x| >= k_hi outside it. The pool screen then refutes, also for free,
-    every row x with x.w - |x| s > 1 for a pooled point w that the primal
-    answered IN_THICKENED at slack s (see certify). Proof: such a w lies
-    within s of some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s,
-    hence nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack. With an
-    empty pool the pool screen is skipped.
+    |x| >= k_hi outside it.
 
-    The net certificate settles inside rows, again for free. The oracle
-    keeps one net V of unit directions (_net_directions), which is also the
-    pool's direction set. The first batch that still leaves at least len(V)
-    rows after the pool screen runs one cutting.support_batch over V, which
-    gives per direction v a bound hi(v) >= h_B(v) (the support interval of
-    the cutting module header); its witnesses go to certify at the run's
-    centre slack, and the pool screen runs again. From then on a row c is
-    written c = sum lam_i v_i + e over its n nearest net directions v_i,
-    lam solving the n x n system and clipped to lam >= 0, e the residual.
-    As h_B is sublinear, and h_B(e) <= |e| / k_lo because B_nu lies in
-    B(0, 1/k_lo), nu*(c) = h_B(c) <= sum lam_i h_B(v_i) + h_B(e)
-    <= sum lam_i hi(v_i) + |e| / k_lo. Where that bound is at most 1, c lies
-    in the dual ball, and IN_THICKENED is legal at every slack. The bound is
-    padded for rounding as the pool screen is (_certified). Smaller
-    batches leave the net unbuilt and cost what the validity run costs.
+    The rows the sandwich leaves meet the net, once it exists. The oracle
+    keeps one net V of unit directions (_net_directions). The first batch
+    that leaves at least len(V) rows runs one cutting.support_batch over V.
+    Per direction v it returns a bound hi(v) >= h_B(v) (the support interval
+    of the cutting module header) and a witness w_v within the run's centre
+    slack s of B_nu; those len(V) witnesses at slack s are the oracle's
+    pool. From then on every row is first refuted, and then certified, for
+    free.
+
+    Refuted: x.w - |x| s > 1 for some pooled w. Such a w lies within s of
+    some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s, hence
+    nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack.
+
+    Certified: a row c is written c = sum lam_i v_i + e over its n nearest
+    net directions v_i, lam solving the n x n system and clipped to
+    lam >= 0, e the residual. As h_B is sublinear, and h_B(e) <= |e| / k_lo
+    because B_nu lies in B(0, 1/k_lo), nu*(c) = h_B(c)
+    <= sum lam_i h_B(v_i) + h_B(e) <= sum lam_i hi(v_i) + |e| / k_lo. Where
+    that bound is at most 1, c lies in the dual ball, and IN_THICKENED is
+    legal at every slack. Both bounds are padded for rounding (_refuted,
+    _certified). Smaller batches leave the net unbuilt and cost what the
+    validity run costs.
 
     The rows all screens leave go to one lockstep validity run over the
     primal ball, which is what makes million-point volume sampling
@@ -166,42 +167,20 @@ class DualBallOracle(WeakMembershipOracle):
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
         self._net = _net_directions(desc.n)
         self._net_hi = None  # per net direction v, hi(v) >= h_B(v), once built
-        # the pool: per net direction u, the certified point w with the
-        # largest u.w - s, its slack s, and that score (-inf while empty)
-        self._pool_w = np.zeros_like(self._net)
-        self._pool_s = np.zeros(len(self._net))
-        self._pool_score = np.full(len(self._net), -np.inf)
+        self._witness = None  # the pool: per net direction, its witness w_v
+        self._witness_slack = None  # s: every witness lies within s of B_nu
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
 
-    def certify(self, W, slack: float) -> None:
-        """Offer the pool the rows of W, each of which the primal oracle
-        answered IN_THICKENED at this slack; the pool screen is only as
-        sound as that promise. Each net direction u keeps the point with
-        the largest u.w - s seen so far. The pooled points refute most
-        outside rows of a Monte Carlo polar run at no call."""
-        slack = positive_finite(slack, "slack")
-        pts = as_stack(W, self.body.n)
-        cols = np.arange(len(self._net))
-        for lo in range(0, len(pts), _BLOCK):
-            block = pts[lo:lo + _BLOCK]
-            score = block @ self._net.T - slack
-            best = np.argmax(score, axis=0)
-            top = score[best, cols]
-            better = top > self._pool_score
-            self._pool_w[better] = block[best[better]]
-            self._pool_s[better] = slack
-            self._pool_score[better] = top[better]
-
     def _refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Rows with x.w - |x| s > 1 for some pooled (w, s). The rounding of
-        x.w and |x| s is at most a few n machine epsilons of |x| (|w| + s),
-        so s is padded by rho (|w| + s) and 1 raised to 1 + rho."""
-        full = np.isfinite(self._pool_score)
-        W = self._pool_w[full]
+        """Rows with x.w - |x| s > 1 for some pooled witness w (class
+        docstring). The rounding of x.w and |x| s is at most a few n machine
+        epsilons of |x| (|w| + s), so s is padded by rho (|w| + s) and 1
+        raised to 1 + rho."""
+        W = self._witness
         rho = 16 * self.body.n * np.finfo(float).eps
-        pad = self._pool_s[full] * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
+        pad = self._witness_slack * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
         out = np.zeros(len(pts), dtype=bool)
         for lo in range(0, len(pts), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
@@ -210,14 +189,12 @@ class DualBallOracle(WeakMembershipOracle):
         return out
 
     def _build_net(self) -> None:
-        """hi(v) for every net direction from one support run over the
-        primal ball, at width _NET_REL_ERR / k_hi; its witnesses, each
-        within the run's centre slack of B_nu, go to the pool."""
+        """hi(v) and the witness w_v for every net direction from one support
+        run over the primal ball, at width _NET_REL_ERR / k_hi; the run's
+        centre slack bounds every witness's distance to B_nu."""
         desc = self.primal_descriptor
-        _, hi, witness, _, dq = support_batch(self.primal, desc.ball(), self._net,
-                                              _NET_REL_ERR / desc.k_hi)
-        self._net_hi = hi
-        self.certify(witness, dq)
+        _, self._net_hi, self._witness, _, self._witness_slack = support_batch(
+            self.primal, desc.ball(), self._net, _NET_REL_ERR / desc.k_hi)
 
     def _certified(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
         """Rows c with sum lam_i hi(v_i) + |e| / k_lo <= 1 over their n
@@ -251,12 +228,10 @@ class DualBallOracle(WeakMembershipOracle):
         nrm = np.linalg.norm(pts, axis=1)
         out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
-        if np.isfinite(self._pool_score).any() and np.any(work):
-            work[work] = ~self._refuted(pts[work], nrm[work])
         if self._net_hi is None and np.count_nonzero(work) >= len(self._net):
             self._build_net()
-            work[work] = ~self._refuted(pts[work], nrm[work])
         if self._net_hi is not None and np.any(work):
+            work[work] = ~self._refuted(pts[work], nrm[work])
             out[work] = self._certified(pts[work], nrm[work])
             work &= ~out
         if np.any(work):

@@ -290,22 +290,29 @@ class ReferenceNorm:
 # reference cones
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _svec_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of svec order (column j, then rows i >= j),
+    and the scale that turns matrix entries into svec entries: 1 on the
+    diagonal, sqrt(2) off it."""
+    j, i = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, math.sqrt(2.0))
+
+
 def svec(M) -> np.ndarray:
     """Symmetric d x d matrix -> R^(d(d+1)/2), off-diagonals scaled by sqrt(2).
 
     The scaling makes the embedding an isometry between the Frobenius and
     Euclidean inner products, so the PSD cone embeds as a self-dual cone.
+    M must be symmetric to 1e-12, absolutely and relatively; svec reads its
+    lower triangle.
     """
     A = np.asarray(M, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d) or not np.allclose(A, A.T, atol=1e-12):
+    if (A.ndim != 2 or A.shape[0] != A.shape[1]
+            or not np.allclose(A, A.T, rtol=1e-12, atol=1e-12)):
         raise ValueError("svec expects a symmetric square matrix")
-    out = []
-    for j in range(d):
-        out.append(A[j, j])
-        for i in range(j + 1, d):
-            out.append(math.sqrt(2.0) * A[i, j])
-    return np.array(out)
+    i, j, scale = _svec_layout(A.shape[0])
+    return A[i, j] * scale
 
 
 def smat(v) -> np.ndarray:
@@ -314,23 +321,12 @@ def smat(v) -> np.ndarray:
     d = int((math.isqrt(8 * x.size + 1) - 1) // 2)
     if d * (d + 1) // 2 != x.size:
         raise ValueError(f"length {x.size} is not a triangular number")
+    i, j, scale = _svec_layout(d)
+    vals = x / scale
     M = np.zeros((d, d))
-    idx = 0
-    for j in range(d):
-        M[j, j] = x[idx]
-        idx += 1
-        for i in range(j + 1, d):
-            M[i, j] = M[j, i] = x[idx] / math.sqrt(2.0)
-            idx += 1
+    M[i, j] = vals
+    M[j, i] = vals
     return M
-
-
-@functools.lru_cache(maxsize=None)
-def _svec_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices of svec order (column j, then rows i >= j),
-    and the scale that turns svec entries back into matrix entries."""
-    j, i = np.triu_indices(d)
-    return i, j, np.where(i == j, 1.0, math.sqrt(2.0))
 
 
 def _psd_min_eigs(X: np.ndarray, d: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from convexdual.cutting import (
     wval_batch,
     wval_from_wmem,
 )
-from convexdual.normdual import DualBallOracle
 from convexdual.oracles import ReferenceNorm, exact_to_weak
 
 
@@ -688,7 +687,6 @@ ENTRIES = {
     "wval_from_wmem":
         lambda o, norm, X, s: wval_from_wmem(o, norm.ball(), np.asarray(X)[-1], 1.0, s),
     "support_batch": lambda o, norm, X, s: support_batch(o, norm.ball(), X, s),
-    "certify": lambda o, norm, X, s: DualBallOracle(o, norm.descriptor).certify(X, s),
 }
 OBJECTIVE_ENTRIES = {"wval_batch", "wval_from_wmem", "support_batch"}
 

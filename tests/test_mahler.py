@@ -6,7 +6,7 @@ import pytest
 
 from adversaries import band_adversary
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
-from convexdual.mahler import _CHUNK, linear_image, mahler_volume, volume_mc
+from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
 from convexdual.normdual import DualBallOracle
 from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
 
@@ -72,25 +72,23 @@ def _samples(box, samples, seed, n):
 def test_sandwich_samples_are_never_asked():
     """On an l1 ball moved off the origin, only samples strictly between the
     sandwich radii about its centre reach the oracle; the rest cost no call.
-    The hits, and the points on_inside receives, are exactly those of a
-    direct membership count over the same seeded samples, across two
-    chunks."""
+    Across two chunks, the hits are exactly a direct membership count over
+    the same seeded samples, and the screen's verdicts on those samples are
+    that membership row by row, at one call per shell row."""
     norm = ReferenceNorm.lp(1.0, 2)
     ball = norm.ball()
     a = np.array([0.3, -0.2])
     body = CenteredBody(a, ball.inner_radius, ball.outer_radius)
-    asked = []
+    seen = []
 
     def member(X, delta):
-        asked.append(X.copy())
+        seen.append(X.copy())
         return norm.eval_batch(X - a) <= 1.0
 
     oracle = WeakMembershipOracle(member, body)
     box, samples, seed = 1.5, _CHUNK + 4000, 21
-    inside = []
-    est = volume_mc(oracle, box, samples, seed,
-                    on_inside=lambda pts, slack: inside.append(pts))
-    asked = np.vstack(asked)
+    est = volume_mc(oracle, box, samples, seed)
+    asked = np.vstack(seen)
     dist = np.linalg.norm(asked - a, axis=1)
     assert np.all((dist > body.inner_radius) & (dist <= body.outer_radius))
     assert oracle.calls.count == len(asked)
@@ -100,35 +98,37 @@ def test_sandwich_samples_are_never_asked():
     assert len(asked) == np.count_nonzero(shell) < 0.5 * samples
     hit = norm.eval_batch(pts - a) <= 1.0
     assert est.hits == np.count_nonzero(hit)
-    np.testing.assert_array_equal(np.vstack(inside), pts[hit])
+    before = oracle.calls.count
+    np.testing.assert_array_equal(_sandwich_query(oracle, pts, box * 1e-6), hit)
+    assert oracle.calls.count - before == np.count_nonzero(shell)
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
 @pytest.mark.parametrize("p,n", [(1.0, 2), (1.0, 3), (math.inf, 3)],
                          ids=["l1-R2", "l1-R3", "linf-R3"])
 def test_sandwich_screen_is_legal_under_band_adversary(p, n, side):
-    """Under an adversary that answers at the edge of its band, every inside
-    sample lies in the delta-thickened ball, and the hits count at least the
-    samples of the delta-shrunk ball: the estimate is one a legal oracle
-    can give. The box is tight, so the sandwich settles samples on both
+    """Under an adversary that answers at the edge of its band, every sample
+    the screen puts inside lies in the delta-thickened ball, and every
+    sample of the delta-shrunk ball is put inside: each verdict is one a
+    legal oracle can give. volume_mc's hits are the count of those inside
+    verdicts. The box is tight, so the sandwich settles samples on both
     sides."""
     norm = ReferenceNorm.lp(p, n)
     k_hi = norm.descriptor.k_hi
     oracle = band_adversary(norm, side)
     box, samples, seed = 1.0 / norm.descriptor.k_lo, 30_000, 22
     delta = box * 1e-6
-    inside = []
-    est = volume_mc(oracle, box, samples, seed,
-                    on_inside=lambda pts, slack: inside.append(pts))
+    est = volume_mc(oracle, box, samples, seed)
     assert 0 < oracle.calls.count < samples
-    assert np.all(norm.eval_batch(np.vstack(inside)) <= 1.0 + k_hi * delta)
     pts = _samples(box, samples, seed, n)
     dist = np.linalg.norm(pts, axis=1)
     ball = norm.ball()
     assert np.any(dist <= ball.inner_radius) and np.any(dist > ball.outer_radius)
+    inside = _sandwich_query(oracle, pts, delta)
+    assert est.hits == np.count_nonzero(inside)
     nu = norm.eval_batch(pts)
-    assert est.hits == len(np.vstack(inside))
-    assert np.count_nonzero(nu <= 1.0 - k_hi * delta) <= est.hits
+    assert np.all(nu[inside] <= 1.0 + k_hi * delta)
+    assert np.all(inside[nu <= 1.0 - k_hi * delta])
 
 
 def test_relative_half_width_of_empty_estimate():
@@ -213,15 +213,17 @@ POOL_CASES = [(1.0, 2), (1.0, 3), (3.0, 3), (math.inf, 3)]
 
 @pytest.mark.parametrize("p,n", POOL_CASES, ids=[f"l{p:g}-R{n}" for p, n in POOL_CASES])
 def test_pooled_refutations_are_legal_under_band_adversary(p, n):
-    """A pool seeded at a large slack by an oracle that admits points outside
-    the ball refutes only rows whose closed-form dual norm exceeds 1."""
+    """A witness pool at a large slack, of points that an oracle admitting
+    points outside the ball answered IN at that slack, refutes only rows
+    whose closed-form dual norm exceeds 1: the refutation rule holds for
+    any witnesses within the slack of B, not only those of the net run."""
     slack = 0.05
     norm = ReferenceNorm.lp(p, n)
     adversary = band_adversary(norm, 0.9)
     oracle = DualBallOracle(adversary, norm.descriptor)
     rng = rng_stream(43, n)
     W = rng.uniform(-1.2, 1.2, size=(20_000, n)) / norm.descriptor.k_lo
-    oracle.certify(W[adversary.query_batch(W, slack)], slack)
+    oracle._witness, oracle._witness_slack = W[adversary.query_batch(W, slack)], slack
     C = _band_rows(norm.descriptor, rng, 4000)
     refuted = oracle._refuted(C, np.linalg.norm(C, axis=1))
     dual = norm.dual().eval_batch(C)
@@ -230,9 +232,9 @@ def test_pooled_refutations_are_legal_under_band_adversary(p, n):
 
 
 def test_pool_tight_probe():
-    """c.w sits just inside 1 + |c| s for the pooled w, and nu*(c) = 0.98:
-    the |c| s term is all that keeps the pool from refuting a point of the
-    shrunk dual ball."""
+    """c.w sits just inside 1 + |c| s for the pooled witness w, and
+    nu*(c) = 0.98: the |c| s term is all that keeps the pool from refuting
+    a point of the shrunk dual ball."""
     slack, delta = 0.05, 1e-3
     norm = ReferenceNorm.lp(1.0, 2)
     adversary = band_adversary(norm, 0.9)
@@ -243,76 +245,65 @@ def test_pool_tight_probe():
     assert norm.descriptor.k_lo < np.linalg.norm(c) < norm.descriptor.k_hi
     assert 1.0 < c @ w < 1.0 + np.linalg.norm(c) * slack
     oracle = DualBallOracle(adversary, norm.descriptor)
-    oracle.certify(w[None, :], slack)
+    oracle._witness, oracle._witness_slack = w[None, :], slack
     assert not oracle._refuted(c[None, :], np.linalg.norm(c, keepdims=True))[0]
     # c + B(0, delta) lies in the dual ball, so NOT_IN_SHRUNK is illegal here
     assert oracle.query(c, delta) is WeakVerdict.IN_THICKENED
 
 
 def test_pool_refutations_cost_no_primal_calls():
+    """Once the net is built, its witnesses refute rows well outside the
+    dual ball at no further primal call."""
     norm = ReferenceNorm.lp(1.0, 3)
     primal = norm.oracle()
     oracle = DualBallOracle(primal, norm.descriptor)
+    oracle._build_net()
     rng = rng_stream(44, 0)
-    W = rng.uniform(-1.0, 1.0, size=(20_000, 3))
-    oracle.certify(W[primal.query_batch(W, 1e-6)], 1e-6)
     C = _band_rows(norm.descriptor, rng, 2000)
     C = C[norm.dual().eval_batch(C) > 1.4][:200]
     assert len(C) == 200
+    assert np.all(oracle._refuted(C, np.linalg.norm(C, axis=1)))
     before = primal.calls.count
     np.testing.assert_array_equal(oracle.query_batch(C, 0.01), np.zeros(200, bool))
     assert oracle.query(C[0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
     assert primal.calls.count == before
 
 
-def test_certify_validates_before_pooling():
-    """Rejected offers leave the pool empty: a row it would refute still
-    reaches the engine, and only a valid offer spares the call."""
-    norm = ReferenceNorm.lp(1.0, 2)
-    primal = norm.oracle()
-    oracle = DualBallOracle(primal, norm.descriptor)
-    for W in ([[1.0, 0.0], [np.nan, 0.0]], [[np.inf, 0.0]], [[1.0, 0.0, 0.0]],
-              [1.0, 0.0]):
-        with pytest.raises(ValueError):
-            oracle.certify(W, 0.01)
-    for slack in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="slack"):
-            oracle.certify([[1.0, 0.0]], slack)
-    c = [1.2, 0.2]  # nu*(c) = 1.2, and |c| lies between the sandwich radii
-    assert oracle.query(c, 0.01) is WeakVerdict.NOT_IN_SHRUNK
-    assert primal.calls.count > 0
-    oracle.certify([[1.0, 0.0]], 0.01)
-    before = primal.calls.count
-    assert oracle.query(c, 0.01) is WeakVerdict.NOT_IN_SHRUNK
-    assert primal.calls.count == before
-
-
 IMAGE = np.array([[2.0, 1.0], [0.0, 1.0]])  # the disc's image is an ellipse
-NET_BODIES = [(1.0, 2), (1.0, 3), (math.inf, 3), "ellipse"]
+# case -> (p, n, A): the lp ball of R^n, or its image under A
+NET_BODIES = {
+    "l1-R2": (1.0, 2, None),
+    "l1-R3": (1.0, 3, None),
+    "l3-R3": (3.0, 3, None),
+    "linf-R3": (math.inf, 3, None),
+    "ellipse-R2": (2.0, 2, IMAGE),
+    "image-l3-R2": (3.0, 2, IMAGE),
+}
 
 
 def _net_body(case, side):
     """Primal oracle, descriptor and closed-form dual norm of a net case:
-    an lp ball, or the image of the unit disc under IMAGE, whose dual norm
-    is c -> |IMAGE^T c|. side None is the exact oracle, else the band
-    adversary of that side."""
-    p, n = (2.0, 2) if case == "ellipse" else case
+    an lp ball, or its image A B under linear_image, whose dual norm is
+    c -> nu*(A^T c). side None is the exact oracle, else the band adversary
+    of that side. The image of the disc never reaches its base (equal
+    radii), so only the image of a non-Euclidean ball puts the adversary
+    behind linear_image's pullback."""
+    p, n, A = NET_BODIES[case]
     norm = ReferenceNorm.lp(p, n)
     oracle = norm.oracle() if side is None else band_adversary(norm, side)
-    if case != "ellipse":
-        return oracle, norm.descriptor, norm.dual().eval_batch
-    image, desc = linear_image(oracle, norm.descriptor, IMAGE)
-    return image, desc, lambda C: np.linalg.norm(C @ IMAGE, axis=1)
+    dual = norm.dual().eval_batch
+    if A is None:
+        return oracle, norm.descriptor, dual
+    image, desc = linear_image(oracle, norm.descriptor, A)
+    return image, desc, lambda C: dual(C @ A)
 
 
 @pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
-@pytest.mark.parametrize("case", NET_BODIES,
-                         ids=["l1-R2", "l1-R3", "linf-R3", "ellipse-R2"])
+@pytest.mark.parametrize("case", list(NET_BODIES))
 def test_net_verdicts_are_legal_under_band_adversary(case, side):
     """Every net bound hi(v) is at least the closed-form support value
     h_B(v) = nu*(v); every row the net certifies has nu*(c) <= 1; and every
-    row that a net witness refutes, with no other point pooled, has
-    nu*(c) > 1. Half the rows lie within 2 % of the dual sphere, and one
+    row that a net witness refutes has nu*(c) > 1. Half the rows lie within 2 % of the dual sphere, and one
     per net direction v at nu*(c) = 1 - 1e-7, where a witness that the
     generous adversary admits outside B refutes c unless its slack is
     counted in full."""
@@ -385,6 +376,32 @@ def test_linear_image_membership():
     sig = np.linalg.svd(A, compute_uv=False)
     assert desc.k_lo == pytest.approx(norm.descriptor.k_lo / sig[0])
     assert desc.k_hi == pytest.approx(norm.descriptor.k_hi / sig[-1])
+
+
+@pytest.mark.parametrize("p", [2.0, 1.0, 3.0], ids=["l2", "l1", "l3"])
+def test_image_asks_its_base_only_for_the_shell(p):
+    """The image asks its base once per pulled-back row strictly between the
+    base's own sandwich radii, and for no other row: the disc's image costs
+    no call. Its verdicts are closed-form membership off the band."""
+    norm = ReferenceNorm.lp(p, 2)
+    base = norm.oracle()
+    img, desc = linear_image(base, norm.descriptor, IMAGE)
+    rng = rng_stream(47, 0)
+    X = rng.uniform(-1.0, 1.0, size=(4000, 2)) / desc.k_lo  # the image's box
+    got = img.query_batch(X, 1e-6)
+    pulled = np.linalg.solve(IMAGE, X.T).T
+    dist = np.linalg.norm(pulled, axis=1)
+    ball = norm.ball()
+    shell = (dist > ball.inner_radius) & (dist < ball.outer_radius)
+    assert base.calls.count == np.count_nonzero(shell)
+    assert np.any(dist <= ball.inner_radius) and np.any(dist >= ball.outer_radius)
+    if p == 2.0:
+        assert base.calls.count == 0
+    else:
+        assert base.calls.count > 0
+    nu = norm.eval_batch(pulled)
+    off = np.abs(nu - 1.0) > 1e-5
+    np.testing.assert_array_equal(got[off], nu[off] <= 1.0)
 
 
 def test_linear_image_validation():

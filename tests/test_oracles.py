@@ -185,6 +185,27 @@ def test_svec_smat_roundtrip_and_isometry():
         np.testing.assert_allclose(smat(v), M, atol=1e-12)
         # Frobenius isometry is what makes Euclidean slacks meaningful
         assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(M, "fro"))
+    # svec order: column by column, each from the diagonal down
+    M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    r = math.sqrt(2.0)
+    np.testing.assert_array_equal(svec(M), [1.0, 2.0 * r, 3.0 * r, 4.0, 5.0 * r, 6.0])
+    np.testing.assert_array_equal(smat(svec(M)), M)
+
+
+def test_svec_rejects_a_matrix_symmetric_only_to_numpy_default_tolerance():
+    """An asymmetry of 4e-6 passes np.allclose's default rtol of 1e-5, and
+    svec would then silently read the lower triangle; it must raise. An
+    asymmetry at rounding level is still accepted. A scalar, a vector and a
+    non-square matrix raise ValueError too, not IndexError."""
+    with pytest.raises(ValueError, match="symmetric"):
+        svec([[1.0, 0.5], [0.500004, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        svec([[1e6, 0.5e6], [0.5e6 + 1e-3, 1e6]])
+    v = svec([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    assert v[1] == pytest.approx(0.5 * math.sqrt(2.0), abs=1e-14)
+    for bad in (1.0, [1.0, 2.0], [[1.0, 2.0]]):  # not a square matrix
+        with pytest.raises(ValueError, match="symmetric"):
+            svec(bad)
 
 
 def test_smat_rejects_bad_length():
