@@ -169,7 +169,7 @@ def cmd_mahler(args) -> dict:
         "primal_volume": est.primal.value, "primal_half_width": est.primal.half_width,
         "dual_volume": est.dual.value, "dual_half_width": est.dual.half_width,
         "samples": args.samples, "seed": args.seed,
-        # primal calls of both runs; samples the sandwich settles cost none
+        # primal calls of both runs; samples the sandwich or the net settles cost none
         "oracle_calls": oracle.calls.count,
     }
 

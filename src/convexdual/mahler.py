@@ -14,11 +14,15 @@ the rows in the shell between the two balls reach the oracle's
 query_batch. volume_mc screens its samples by the sampled body's radii,
 and linear_image screens its pulled-back rows by its base's radii, which
 are tighter than the image's; the Euclidean disc and its images cost no
-primal call at all. Of the polar samples in the polar shell, the polar
-oracle (normdual.DualBallOracle) refutes most outside ones with the
-witnesses of one support run over a net of directions, and certifies most
-inside ones with that run's support bounds, so the polar run costs a
-fraction of a primal call per sample.
+primal call at all.
+
+Both runs of mahler_volume then read one net: the polar oracle
+(normdual.DualBallOracle) runs one support run over a net of directions,
+built by the first batch of either run with a row per direction, and its
+support bounds and witnesses decide most shell rows of both runs. A bound
+hi(v) refutes primal samples and certifies polar ones; a witness near the
+body certifies primal samples and refutes polar ones. So each run costs
+a fraction of a primal call per shell sample.
 """
 
 from __future__ import annotations
@@ -139,12 +143,17 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     The primal ball lives in the box of radius 1 / k_lo, the polar ball in
     the box of radius k_hi; the polar's oracle is derived from the primal
     one, so the product is computed from a single membership routine. The
-    half-width combines the two independent estimates by first-order error
-    propagation. cfg supplies the seed: the primal run samples the streams
-    of cfg.rng_seed, the polar run those of cfg.rng_seed + 1.
+    primal run asks through the polar oracle's net
+    (DualBallOracle._primal_screen), so the primal oracle sees only the
+    shell samples that the net leaves. The half-width combines the two
+    independent estimates by first-order error propagation. cfg supplies
+    the seed: the primal run samples the streams of cfg.rng_seed, the polar
+    run those of cfg.rng_seed + 1.
     """
     dual_oracle = DualBallOracle(oracle, desc)
-    primal = volume_mc(oracle, 1.0 / desc.k_lo, samples, cfg.rng_seed)
+    screened = WeakMembershipOracle(dual_oracle._primal_screen, oracle.body,
+                                    label=f"{oracle.calls.label}@net")
+    primal = volume_mc(screened, 1.0 / desc.k_lo, samples, cfg.rng_seed)
     dual = volume_mc(dual_oracle, desc.k_hi, samples, cfg.rng_seed + 1)
     value = primal.value * dual.value
     half = math.hypot(dual.value * primal.half_width,

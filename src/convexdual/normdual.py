@@ -9,10 +9,10 @@ The paper's longer route stays as stages of their own. Membership for the
 primal ball gives weak validity of linear functionals over it
 (cutting.wval_batch); validity over the primal ball decides weak
 membership in the dual ball (the k >= 2 lemma, after rescaling:
-rescale_norm and DualBallOracle, which also serves the polar Mahler run,
-and settles most of its rows at no call: outside rows from the witnesses,
-and inside rows from the certified support bounds, of one support_batch
-run over a net of directions);
+rescale_norm and DualBallOracle, which also serves both Mahler runs,
+and settles most of their rows at no call from one support_batch run over
+a net of directions: its bounds refute primal rows and certify polar ones,
+and its witnesses certify primal rows and refute polar ones);
 and an interval bisection turns ball membership into an additive-error
 norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
@@ -93,6 +93,7 @@ _NET_SIZE = 64  # net directions in R^2 and R^3
 # width of a net support interval over 1/k_hi, a lower bound on h_B: of
 # 1e-2, 3e-3, 1e-3, 3e-4 and 1e-4, 1e-3 cost mahler the fewest calls
 _NET_REL_ERR = 1e-3
+_HULL_TOL = 1e-9  # slack of _hull_facets' side test, far above its rounding
 
 
 def _net_directions(n: int) -> np.ndarray:
@@ -115,6 +116,106 @@ def _net_directions(n: int) -> np.ndarray:
     return np.vstack([eye, -eye, *pairs])
 
 
+def _hull_facets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The facets of the hull of the rows of P about the origin, in R^2 or
+    R^3: per facet, its n-tuple F of row indices and its plane H, with
+    H . P_i = 1 for i in F and H . P_j <= 1 + _HULL_TOL for every row j.
+    Brute force over the n-subsets, one first index i at a time, so the
+    transient is one block of subsets against all m rows (about 1.3 MB for
+    64 rows in R^3). A subset's plane is H = N / (N . P_i) for the normal N
+    of its edges from P_i, and N . P_i is the determinant of its rows.
+    Subsets that are singular, or nearly so relative to the size of P, are
+    left out. _certified is sound over any subset, so a plane kept or left
+    out in error costs verdicts, never their legality."""
+    m, n = P.shape
+    tiny = 1e-9 * np.linalg.norm(P, axis=1).max() ** n
+    facets, planes = [np.zeros((0, n), dtype=int)], [np.zeros((0, n))]
+    tails = np.array(list(itertools.combinations(range(m), n - 1)))  # sorted
+    for i in range(m - n + 1):
+        rest = tails[np.searchsorted(tails[:, 0], i + 1):]  # tails above i
+        E = P[rest] - P[i]  # the subset's edges from P_i
+        N = np.cross(E[:, 0], E[:, 1]) if n == 3 else E[:, 0, ::-1] * [1.0, -1.0]
+        det = N @ P[i]
+        ok = np.abs(det) > tiny
+        H = N[ok] / det[ok, None]
+        keep = np.all(H @ P.T <= 1.0 + _HULL_TOL, axis=1)
+        facets.append(np.column_stack([np.full(len(H), i), rest[ok]])[keep])
+        planes.append(H[keep])
+    return np.vstack(facets), np.vstack(planes)
+
+
+@dataclass(frozen=True)
+class _Generators:
+    """One generator set of the gauge certificate (_certified): rows G with
+    gauge bounds g, gauge(G_i) <= g_i, and a residual constant L with
+    gauge(e) <= L |e| for every e. In R^2 and R^3 a row's n generators are
+    the facet of the hull of the scaled generators G_i / g_i that its ray
+    meets first (_hull_facets): facets holds each facet's indices, planes
+    its H, and inverse the inverse of its matrix G_F^T. Elsewhere (the
+    2 n^2 net) the three are None, and a row's n generators are those of
+    largest c . G_i.
+    """
+
+    G: np.ndarray
+    g: np.ndarray
+    L: float
+    facets: np.ndarray | None = None
+    planes: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+
+def _generators(G: np.ndarray, g: np.ndarray, L: float) -> _Generators:
+    if G.shape[1] not in (2, 3):  # the 2 n^2 net: no hull
+        return _Generators(G, g, L)
+    facets, planes = _hull_facets(G / g[:, None])
+    return _Generators(G, g, L, facets, planes,
+                       np.linalg.inv(G[facets].transpose(0, 2, 1)))
+
+
+def _certified(gen: _Generators, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Rows c whose gauge the generator set bounds by 1, nrm holding |c|.
+
+    c is written c = sum lam_i G_i + e over the row's n generators (the
+    pick of _Generators), lam solving the n x n system and clipped to
+    lam >= 0, and e the residual. A gauge is sublinear, so
+    gauge(c) <= sum lam_i g_i + L |e|; where that is at most 1, c lies in
+    the body and IN_THICKENED is legal at every slack. The residual makes
+    the bound hold for any lam and any n-subset, so neither the pick nor
+    the solve needs to be right, only the bound computed with care: each
+    computed term errs by a few n machine epsilons of |c| + sum lam_i |G_i|,
+    relative to the constants that multiply it, so |e| is padded by rho
+    times that and the whole bound raised by the factor 1 + rho. Rows
+    whose n nearest generators are linearly dependent, or nearly so
+    relative to the generators' size (the 2 n^2 net has such n-tuples),
+    are left undecided.
+    """
+    n = pts.shape[1]
+    rho = 16 * n * np.finfo(float).eps
+    length = np.linalg.norm(gen.G, axis=1)
+    tiny = 1e-9 * length.max() ** n
+    out = np.zeros(len(pts), dtype=bool)
+    for lo in range(0, len(pts), _BLOCK):
+        C = pts[lo:lo + _BLOCK]
+        if gen.planes is None:
+            pick = np.argpartition(C @ gen.G.T, -n, axis=1)[:, -n:]
+            A = gen.G[pick]  # rows G_i of each row's system
+            ok = np.abs(np.linalg.det(A)) > tiny
+            lam = np.zeros((len(C), n))
+            lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
+        else:
+            facet = np.argmax(C @ gen.planes.T, axis=1)  # the plane the ray meets first
+            pick = gen.facets[facet]
+            A = gen.G[pick]
+            ok = True
+            lam = np.einsum("bij,bj->bi", gen.inverse[facet], C)
+        lam = np.maximum(lam, 0.0)
+        res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
+        scale = nrm[lo:lo + _BLOCK] + np.einsum("bi,bi->b", lam, length[pick])
+        bound = np.einsum("bi,bi->b", lam, gen.g[pick]) + gen.L * (res + rho * scale)
+        out[lo:lo + _BLOCK] = ok & (bound * (1.0 + rho) <= 1.0)
+    return out
+
+
 class DualBallOracle(WeakMembershipOracle):
     """Weak membership oracle for the dual unit ball, derived from the primal.
 
@@ -124,29 +225,43 @@ class DualBallOracle(WeakMembershipOracle):
 
     The rows the sandwich leaves meet the net, once it exists. The oracle
     keeps one net V of unit directions (_net_directions). The first batch
-    that leaves at least len(V) rows runs one cutting.support_batch over V.
-    Per direction v it returns a bound hi(v) >= h_B(v) (the support interval
-    of the cutting module header) and a witness w_v within the run's centre
-    slack s of B_nu; those len(V) witnesses at slack s are the oracle's
-    pool. From then on every row is first refuted, and then certified, for
-    free.
+    that leaves at least len(V) rows, of the polar run or of the primal one
+    (_primal_screen), runs one cutting.support_batch over V. Per direction
+    v it returns a bound hi(v) >= h_B(v) (the support interval of the
+    cutting module header) and a witness w_v within the run's centre slack
+    s of B_nu. A body and its polar are decided by the same data: the bounds
+    certify polar rows and refute primal ones, and the witnesses refute
+    polar rows and certify primal ones. From then on every row of either
+    run is first refuted, and then certified, for free.
 
-    Refuted: x.w - |x| s > 1 for some pooled w. Such a w lies within s of
-    some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s, hence
+    Polar refuted: x.w - |x| s > 1 for some witness w. Such a w lies within
+    s of some b in B_nu, so x.w <= x.b + |x| s <= nu*(x) + |x| s, hence
     nu*(x) > 1, and NOT_IN_SHRUNK is legal at every slack.
 
-    Certified: a row c is written c = sum lam_i v_i + e over its n nearest
-    net directions v_i, lam solving the n x n system and clipped to
-    lam >= 0, e the residual. As h_B is sublinear, and h_B(e) <= |e| / k_lo
-    because B_nu lies in B(0, 1/k_lo), nu*(c) = h_B(c)
-    <= sum lam_i h_B(v_i) + h_B(e) <= sum lam_i hi(v_i) + |e| / k_lo. Where
-    that bound is at most 1, c lies in the dual ball, and IN_THICKENED is
-    legal at every slack. Both bounds are padded for rounding (_refuted,
-    _certified). Smaller batches leave the net unbuilt and cost what the
-    validity run costs.
+    Primal refuted: v.x > hi(v) for some net direction v. Then
+    v.x > h_B(v), so x is outside B_nu, and NOT_IN_SHRUNK is legal at
+    every slack.
 
-    The rows all screens leave go to one lockstep validity run over the
-    primal ball, which is what makes million-point volume sampling
+    Certified, on either side, by one gauge certificate (_certified): a row
+    is written over n generators G_i with gauge bounds g_i, and where
+    sum lam_i g_i + L |e| <= 1 it is inside, so IN_THICKENED is legal at
+    every slack. Polar: G = V, g = hi and L = 1 / k_lo, as
+    nu*(v) = h_B(v) <= hi(v) and B_nu lies in B(0, 1/k_lo). Primal: G the
+    witnesses, g = 1 + k_hi s and L = k_hi, as nu <= k_hi |.| and a witness
+    within s of b in B_nu has nu(w) <= nu(b) + k_hi s. The bound holds for
+    any choice of the n generators; in R^2 and R^3 each row takes the facet
+    of the generators' hull that its ray meets first, where its lam is
+    nonnegative and its residual is rounding.
+
+    Every rule trusts hi(v) and s as support_batch certifies them, so the
+    caveat of the cutting module header (the separator's sigma is not
+    charged to the support interval) covers the primal verdicts as it
+    covers the polar ones. All bounds are padded for rounding (_refuted,
+    _primal_refuted, _certified). Smaller batches leave the net unbuilt
+    and cost what the validity run, or the primal oracle, costs.
+
+    The polar rows all screens leave go to one lockstep validity run over
+    the primal ball, which is what makes million-point volume sampling
     feasible. It decides the rescaled norm mu = r * nu* with
     r = max(1, 2 k_hi), so that mu's sandwich constant k_lo = r / k_hi is at
     least 2; x is in B_(nu*) iff x / r is in B_mu, and the run is over
@@ -167,14 +282,16 @@ class DualBallOracle(WeakMembershipOracle):
         self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
         self._net = _net_directions(desc.n)
         self._net_hi = None  # per net direction v, hi(v) >= h_B(v), once built
-        self._witness = None  # the pool: per net direction, its witness w_v
+        self._witness = None  # per net direction, its witness w_v
         self._witness_slack = None  # s: every witness lies within s of B_nu
+        self._polar_gen = None  # the polar certificate's generators: V
+        self._primal_gen = None  # the primal certificate's: the witnesses
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
 
     def _refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Rows with x.w - |x| s > 1 for some pooled witness w (class
+        """Polar rows with x.w - |x| s > 1 for some witness w (class
         docstring). The rounding of x.w and |x| s is at most a few n machine
         epsilons of |x| (|w| + s), so s is padded by rho (|w| + s) and 1
         raised to 1 + rho."""
@@ -188,55 +305,68 @@ class DualBallOracle(WeakMembershipOracle):
             out[rows] = bound.max(axis=1) > 1.0 + rho
         return out
 
-    def _build_net(self) -> None:
-        """hi(v) and the witness w_v for every net direction from one support
-        run over the primal ball, at width _NET_REL_ERR / k_hi; the run's
-        centre slack bounds every witness's distance to B_nu."""
-        desc = self.primal_descriptor
-        _, self._net_hi, self._witness, _, self._witness_slack = support_batch(
-            self.primal, desc.ball(), self._net, _NET_REL_ERR / desc.k_hi)
-
-    def _certified(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Rows c with sum lam_i hi(v_i) + |e| / k_lo <= 1 over their n
-        nearest net directions (class docstring). Each computed term errs by
-        a few n machine epsilons of |c| + sum lam_i, relative to the norms
-        that multiply it, so |e| is padded by rho (|c| + sum lam_i) and the
-        whole bound raised by the factor 1 + rho. The residual makes any lam
-        sound, so the solve needs no accuracy; rows whose n directions are
-        linearly dependent, or nearly so (the 2 n^2 net of n >= 4 has such
-        n-tuples), are left undecided."""
-        n = self.body.n
-        outer = 1.0 / self.primal_descriptor.k_lo
-        rho = 16 * n * np.finfo(float).eps
+    def _primal_refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Primal rows with v.x > hi(v) for some net direction v (class
+        docstring). The rounding of v.x - hi(v) is at most a few n machine
+        epsilons of |x| + hi(v), so the difference must exceed rho times
+        that."""
+        rho = 16 * self.body.n * np.finfo(float).eps
+        hi = self._net_hi * (1.0 + rho)
         out = np.zeros(len(pts), dtype=bool)
         for lo in range(0, len(pts), _BLOCK):
-            C = pts[lo:lo + _BLOCK]
-            near = np.argpartition(C @ self._net.T, -n, axis=1)[:, -n:]
-            A = self._net[near]  # rows v_i of each row's system
-            ok = np.abs(np.linalg.det(A)) > 1e-9
-            lam = np.zeros((len(C), n))
-            lam[ok] = np.maximum(np.linalg.solve(
-                A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0], 0.0)
-            res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
-            total = lam.sum(axis=1)
-            bound = (np.einsum("bi,bi->b", lam, self._net_hi[near])
-                     + outer * (res + rho * (nrm[lo:lo + _BLOCK] + total)))
-            out[lo:lo + _BLOCK] = ok & (bound * (1.0 + rho) <= 1.0)
+            rows = slice(lo, lo + _BLOCK)
+            gap = pts[rows] @ self._net.T - hi - rho * nrm[rows, None]
+            out[rows] = gap.max(axis=1) > 0.0
+        return out
+
+    def _build_net(self) -> None:
+        """hi(v) and the witness w_v for every net direction from one support
+        run over the primal ball, at width _NET_REL_ERR / k_hi, and the
+        generators of both certificates; the run's centre slack bounds every
+        witness's distance to B_nu."""
+        desc = self.primal_descriptor
+        _, hi, W, _, s = support_batch(self.primal, desc.ball(), self._net,
+                                       _NET_REL_ERR / desc.k_hi)
+        self._net_hi, self._witness, self._witness_slack = hi, W, s
+        self._polar_gen = _generators(self._net, hi, 1.0 / desc.k_lo)
+        self._primal_gen = _generators(W, np.full(len(W), 1.0 + desc.k_hi * s), desc.k_hi)
+
+    def _net_query(self, pts: np.ndarray, nrm: np.ndarray, delta: float,
+                   primal: bool) -> np.ndarray:
+        """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
+        on the primal ball or (primal False) on the dual one: refuted, then
+        certified, by the net, once it is built, and the rest asked of the
+        primal oracle or of the validity run. A batch of at least len(V)
+        rows builds the net first."""
+        if self._net_hi is None and len(pts) >= len(self._net):
+            self._build_net()
+        out = np.zeros(len(pts), dtype=bool)
+        work = np.ones(len(pts), dtype=bool)
+        if self._net_hi is not None:
+            refuted, gen = ((self._primal_refuted, self._primal_gen) if primal
+                            else (self._refuted, self._polar_gen))
+            work = ~refuted(pts, nrm)
+            out[work] = _certified(gen, pts[work], nrm[work])
+            work &= ~out
+        if np.any(work):
+            ask = self.primal.query_batch if primal else self._lockstep
+            out[work] = ask(pts[work], delta)
         return out
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
         nrm = np.linalg.norm(pts, axis=1)
         out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
-        if self._net_hi is None and np.count_nonzero(work) >= len(self._net):
-            self._build_net()
-        if self._net_hi is not None and np.any(work):
-            work[work] = ~self._refuted(pts[work], nrm[work])
-            out[work] = self._certified(pts[work], nrm[work])
-            work &= ~out
         if np.any(work):
-            out[work] = self._lockstep(pts[work], delta)
+            out[work] = self._net_query(pts[work], nrm[work], delta, primal=False)
         return out
+
+    def _primal_screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
+        """Primal verdicts, True = IN_THICKENED, of rows that the primal
+        ball's sandwich leaves (mahler_volume's primal run sends its shell
+        here): the net decides what it can, and only the rest reach the
+        primal oracle."""
+        return self._net_query(pts, np.linalg.norm(pts, axis=1), delta, primal=True)
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """Verdicts of the rows the screens leave, True = IN_THICKENED: one

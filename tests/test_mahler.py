@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
+from convexdual import normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
 from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
-from convexdual.normdual import DualBallOracle
+from convexdual.normdual import DualBallOracle, _certified, rescale_norm
 from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
 
 
@@ -141,18 +142,22 @@ def test_relative_half_width_of_empty_estimate():
         assert est.relative_half_width == math.inf
 
 
-MAHLER_TARGETS = [
-    (2, 2.0, math.pi ** 2),         # disc is self-polar
-    (2, 1.0, 8.0),                  # cross polytope x cube
-    (3, 1.0, 32.0 / 3.0),
+MAHLER_TARGETS = [  # (n, p, target, scale r of the norm r nu)
+    (2, 2.0, math.pi ** 2, 1.0),         # disc is self-polar
+    (2, 1.0, 8.0, 1.0),                  # cross polytope x cube
+    (3, 1.0, 32.0 / 3.0, 1.0),
+    (3, 1.0, 32.0 / 3.0, 1000.0),        # the product ignores scale
 ]
 
 
-@pytest.mark.parametrize("n,p,target", MAHLER_TARGETS,
-                         ids=["l2-R2", "l1-R2", "l1-R3"])
-def test_mahler_product_covers_known_values(n, p, target):
+@pytest.mark.parametrize("n,p,target,r", MAHLER_TARGETS,
+                         ids=["l2-R2", "l1-R2", "l1-R3", "l1-R3-small"])
+def test_mahler_product_covers_known_values(n, p, target, r):
+    """The Mahler product covers its closed form, also for the ball of
+    1000 |x|_1, whose net witnesses and hull are 1000 times smaller."""
     norm = ReferenceNorm.lp(p, n)
-    est = mahler_volume(norm.oracle(), norm.descriptor, 200_000)
+    oracle, desc = rescale_norm(norm.oracle(), norm.descriptor, r)
+    est = mahler_volume(oracle, desc, 200_000)
     lo, hi = est.interval()
     assert lo <= target <= hi
     assert est.half_width / est.value < 0.03
@@ -167,6 +172,30 @@ def test_disc_mahler_costs_no_primal_call():
     assert oracle.calls.count == 0
     lo, hi = est.interval()
     assert lo <= math.pi ** 2 <= hi
+
+
+def test_mahler_primal_run_reads_the_net():
+    """On l1/R3 the net refutes and certifies most primal shell samples at
+    no call: fewer than a quarter of the samples between the sandwich radii
+    reach the primal oracle, and the primal hits are still the exact count
+    over all samples."""
+    norm = ReferenceNorm.lp(1.0, 3)
+    asked = []
+
+    def member(X, delta):
+        asked.append(X.copy())
+        return norm.eval_batch(X) <= 1.0
+
+    samples = 20_000
+    est = mahler_volume(WeakMembershipOracle(member, norm.ball()), norm.descriptor, samples)
+    pts = _samples(1.0 / norm.descriptor.k_lo, samples, DEFAULT_CONFIG.rng_seed, 3)
+    dist = np.linalg.norm(pts, axis=1)
+    ball = norm.ball()
+    shell = np.count_nonzero((dist > ball.inner_radius) & (dist <= ball.outer_radius))
+    drawn = {tuple(x) for x in pts}
+    reached = sum(tuple(x) in drawn for x in np.vstack(asked))
+    assert 0 < reached < 0.25 * shell
+    assert est.primal.hits == np.count_nonzero(norm.eval_batch(pts) <= 1.0)
 
 
 def test_mahler_is_deterministic(monkeypatch):
@@ -251,6 +280,35 @@ def test_pool_tight_probe():
     assert oracle.query(c, delta) is WeakVerdict.IN_THICKENED
 
 
+def test_primal_certificate_tight_probe(monkeypatch):
+    """Witnesses that the generous adversary admits outside B, at
+    nu(w) = 1 + 0.85 s, and a row x in the simplex of two of them with
+    sum lam = 0.962 and nu(x) = 0.962 (1 + 0.85 s) > 1: only the gauge
+    bound 1 + k_hi s that the net gives each witness keeps the certificate
+    from putting x inside, where a slack of delta forbids IN_THICKENED. A
+    bound of 1 + k_hi s / 2 = 1 + 0.71 s would certify it."""
+    slack, delta = 0.05, 1e-3
+    norm = ReferenceNorm.lp(1.0, 2)
+    adversary = band_adversary(norm, 0.9)
+    W = (1.0 + 0.85 * slack) * np.vstack([np.eye(2), -np.eye(2)])
+    assert np.all(adversary.query_batch(W, slack))  # outside B, yet IN
+    oracle = DualBallOracle(adversary, norm.descriptor)
+    hi = norm.dual().eval_batch(oracle._net)  # h_B(v), exactly
+    # the net's support run, answered with these witnesses at this slack
+    monkeypatch.setattr(normdual, "support_batch",
+                        lambda *args: (hi, hi, W, None, slack))
+    oracle._build_net()
+    k_hi = norm.descriptor.k_hi
+    x = 0.962 * 0.5 * (W[0] + W[1])
+    assert 0.962 * (1.0 + k_hi * slack / 2) < 1.0 < norm.eval(x)
+    assert adversary.query(x, delta) is WeakVerdict.NOT_IN_SHRUNK
+    gen = oracle._primal_gen
+    assert not _certified(gen, x[None, :], np.linalg.norm(x, keepdims=True))[0]
+    # the same row at 0.9 of the simplex is certified: 0.9 (1 + k_hi s) < 1
+    y = 0.9 * 0.5 * (W[0] + W[1])
+    assert _certified(gen, y[None, :], np.linalg.norm(y, keepdims=True))[0]
+
+
 def test_pool_refutations_cost_no_primal_calls():
     """Once the net is built, its witnesses refute rows well outside the
     dual ball at no further primal call."""
@@ -270,7 +328,8 @@ def test_pool_refutations_cost_no_primal_calls():
 
 
 IMAGE = np.array([[2.0, 1.0], [0.0, 1.0]])  # the disc's image is an ellipse
-# case -> (p, n, A): the lp ball of R^n, or its image under A
+# case -> (p, n, A): the lp ball of R^n, or its image under A; R^2 and R^3
+# take each row's generators from the hull, R^4 its n nearest
 NET_BODIES = {
     "l1-R2": (1.0, 2, None),
     "l1-R3": (1.0, 3, None),
@@ -278,36 +337,44 @@ NET_BODIES = {
     "linf-R3": (math.inf, 3, None),
     "ellipse-R2": (2.0, 2, IMAGE),
     "image-l3-R2": (3.0, 2, IMAGE),
+    "l3-R4": (3.0, 4, None),
 }
 
 
 def _net_body(case, side):
-    """Primal oracle, descriptor and closed-form dual norm of a net case:
-    an lp ball, or its image A B under linear_image, whose dual norm is
-    c -> nu*(A^T c). side None is the exact oracle, else the band adversary
-    of that side. The image of the disc never reaches its base (equal
-    radii), so only the image of a non-Euclidean ball puts the adversary
-    behind linear_image's pullback."""
+    """Primal oracle, descriptor and closed-form norm and dual norm of a net
+    case: an lp ball, or its image A B under linear_image, whose norm is
+    x -> nu(A^-1 x) and dual norm c -> nu*(A^T c). side None is the exact
+    oracle, else the band adversary of that side. The image of the disc
+    never reaches its base (equal radii), so only the image of a
+    non-Euclidean ball puts the adversary behind linear_image's pullback."""
     p, n, A = NET_BODIES[case]
     norm = ReferenceNorm.lp(p, n)
     oracle = norm.oracle() if side is None else band_adversary(norm, side)
     dual = norm.dual().eval_batch
     if A is None:
-        return oracle, norm.descriptor, dual
+        return oracle, norm.descriptor, norm.eval_batch, dual
     image, desc = linear_image(oracle, norm.descriptor, A)
-    return image, desc, lambda C: dual(C @ A)
+    inv = np.linalg.inv(A)
+    return image, desc, lambda X: norm.eval_batch(X @ inv.T), lambda C: dual(C @ A)
 
 
 @pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
 @pytest.mark.parametrize("case", list(NET_BODIES))
 def test_net_verdicts_are_legal_under_band_adversary(case, side):
     """Every net bound hi(v) is at least the closed-form support value
-    h_B(v) = nu*(v); every row the net certifies has nu*(c) <= 1; and every
-    row that a net witness refutes has nu*(c) > 1. Half the rows lie within 2 % of the dual sphere, and one
-    per net direction v at nu*(c) = 1 - 1e-7, where a witness that the
-    generous adversary admits outside B refutes c unless its slack is
-    counted in full."""
-    primal, desc, dual = _net_body(case, side)
+    h_B(v) = nu*(v). On the polar side, every row the net certifies has
+    nu*(c) <= 1 and every row that a witness refutes has nu*(c) > 1; on the
+    primal side, every row that hi refutes has nu(x) > 1 and every row the
+    witnesses certify has nu(x) <= 1. In R^2 and R^3 each rule settles
+    more than half of the rows 5 % beyond its side of the unit sphere; in
+    R^4 each settles some. Half the rows lie within 2 % of the sphere. The
+    polar side also has one row per net direction v at nu*(c) = 1 - 1e-7,
+    where a witness that the generous adversary admits outside B refutes c
+    unless its slack is counted in full; the primal side one row per
+    witness w at nu(x) = 1 + 1e-7 on the ray through w, which the witnesses
+    certify if w is outside B and its gauge bound leaves out the slack."""
+    primal, desc, gauge, dual = _net_body(case, side)
     oracle = DualBallOracle(primal, desc)
     oracle._build_net()
     assert np.all(oracle._net_hi >= dual(oracle._net))
@@ -315,24 +382,39 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side):
     U = rng.normal(size=(2000, desc.n))
     near = U * (rng.uniform(0.98, 1.02, size=2000) / dual(U))[:, None]
     tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
-    C = np.vstack([_band_rows(desc, rng, 2000), near, tight])
-    nrm = np.linalg.norm(C, axis=1)
-    keep = (nrm > desc.k_lo) & (nrm < desc.k_hi)  # rows no sandwich settles
-    C, nrm = C[keep], nrm[keep]
-    certified = oracle._certified(C, nrm)
-    refuted = oracle._refuted(C, nrm)
-    nu = dual(C)
-    assert np.all(nu[certified] <= 1.0)
-    assert np.all(nu[refuted] > 1.0)
-    assert np.count_nonzero(certified) > 0.5 * np.count_nonzero(nu < 0.95)
-    assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(nu > 1.05)
+    polar_rows = np.vstack([_band_rows(desc, rng, 2000), near, tight])
+    U = rng.normal(size=(4000, desc.n))
+    r = np.concatenate([rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=2000)
+                        / np.linalg.norm(U[:2000], axis=1),
+                        rng.uniform(0.98, 1.02, size=2000) / gauge(U[2000:])])
+    W = oracle._witness
+    primal_rows = np.vstack([U * r[:, None], (1.0 + 1e-7) * W / gauge(W)[:, None]])
+    sides = [  # rows, closed form, sandwich radii, refutation, certificate
+        (polar_rows, dual, desc.k_lo, desc.k_hi, oracle._refuted, oracle._polar_gen),
+        (primal_rows, gauge, 1.0 / desc.k_hi, 1.0 / desc.k_lo,
+         oracle._primal_refuted, oracle._primal_gen),
+    ]
+    for C, closed, inner, outer, refute, gen in sides:
+        nrm = np.linalg.norm(C, axis=1)
+        keep = (nrm > inner) & (nrm < outer)  # rows no sandwich settles
+        C, nrm = C[keep], nrm[keep]
+        certified = _certified(gen, C, nrm)
+        refuted = refute(C, nrm)
+        nu = closed(C)
+        assert np.all(nu[certified] <= 1.0)
+        assert np.all(nu[refuted] > 1.0)
+        assert np.any(certified) and np.any(refuted)
+        if desc.n <= 3:  # the 2 n^2 net of R^4 is too coarse to settle half
+            assert np.count_nonzero(certified) > 0.5 * np.count_nonzero(nu < 0.95)
+            assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(nu > 1.05)
 
 
 def test_small_batches_never_build_the_net():
     """A scalar query, and a batch that leaves fewer rows than the net has
     directions, cost exactly the calls of the validity run on the rows they
     leave and get its verdicts; the first batch that leaves len(V) rows
-    builds the net."""
+    builds the net. The same holds on the primal side, where a batch of
+    fewer rows costs exactly the primal oracle's calls on them."""
     norm = ReferenceNorm.lp(1.0, 2)
     desc = norm.descriptor
     rng = rng_stream(46, 0)
@@ -355,6 +437,19 @@ def test_small_batches_never_build_the_net():
     assert np.all(got[size - 1:])
     assert primal.calls.count == fresh.calls.count
     oracle.query_batch(_band_rows(desc, rng, size), 0.01)
+    assert oracle._net_hi is not None
+    # the primal side: size - 1 rows of the primal shell cost one call each
+    # and get the oracle's verdicts; size rows build the net
+    primal = norm.oracle()
+    oracle = DualBallOracle(primal, desc)
+    U = rng.normal(size=(size, desc.n))
+    X = U * (rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=size)
+             / np.linalg.norm(U, axis=1))[:, None]
+    got = oracle._primal_screen(X[1:], 0.01)
+    assert oracle._net_hi is None
+    assert primal.calls.count == size - 1
+    np.testing.assert_array_equal(got, norm.eval_batch(X[1:]) <= 1.0)
+    oracle._primal_screen(X, 0.01)
     assert oracle._net_hi is not None
 
 
