@@ -63,8 +63,9 @@ Policy where a row is not decided cleanly, the same for every caller:
   dq = min(eps/8, inner_radius/4) of the optimization slack eps. A validity
   query at slack eps optimizes at eps/2, so its centers are queried at
   eps/16. What a run at slack eps certifies follows from dq. Its witness
-  is a center answered IN or one inside the inner ball (sandwich centers),
-  so it lies within dq of K. A center answered OUT lies outside
+  is a center answered IN, which lies within dq of K, or a point of K: the
+  body center, a center inside the inner ball (sandwich centers) or a
+  separator's witness (below). A center answered OUT lies outside
   K_dq = a + (1 - dq/inner)(K - a), which sits inside the dq-shrunk body,
   and its cut keeps K_dq up to sigma. So the certified gap
   eps/2 bounds c . z - value over K_dq, and K_dq loses
@@ -144,13 +145,39 @@ Policy where a row is not decided cleanly, the same for every caller:
   of a row. A center z of any row with v = u . z - beta > 0 for a pooled
   halfspace is cut along the most violated one at alpha = v, the same
   halfspace under the same sigma and the same dq, at no primal call:
-  neither the membership query nor the separator is made. Skipping the
-  query can only forgo an incumbent the center might have been; it
+  neither the membership query nor the separator is made. Skipping both
+  can only forgo an incumbent, the center itself or the witness its
+  separator would have returned (separator witnesses, below); it
   certifies nothing new, as the gap reads only the incumbent and the
   ellipsoid. The pool is a ring: a new halfspace overwrites the oldest,
   and a halfspace dropped only forgoes the free cuts it would have made.
   It lives for one _cut_loop call; a run of one row pools only its own
   cuts.
+- Separator witnesses: every separator returns, per center x it cuts, a
+  point W of K that costs no call beyond the cut, and the run raises the
+  row's incumbent to W where c . W beats it. On the gauge path
+  W = a + (x - a)/(g~(x) + tol), from the offset-0 probe that the depth
+  reads already: gauge_batch keeps g(x) <= g~(x) + tol, and the gauge is
+  1-homogeneous, so g(W) = g(x)/(g~(x) + tol) <= 1 and W lies in K, up to
+  rounding. As g~(x) - tol <= g(x), g(W) >= g(x)/(g(x) + 2 tol): W sits
+  next to the boundary point x_b of the deep cut, on the segment from a.
+  The epigraph's value separator returns (x, min(f~(x) + ev, cap)) below
+  the graph, in E since f(x) <= f~(x) + ev and f <= cap/2 on the ball,
+  and for a center off the ball or above the cap the ball point
+  (c + (x - c) min(1, R/|x - c|), cap), in E at no evaluation. A witness
+  in K lies within dq of K, so it is as legal an incumbent as an IN
+  center, and the gap over K_dq holds as before: it reads only the
+  incumbent.
+- Objective cuts below the incumbent: a center z that no pooled, far or
+  near rule takes and that has c . z <= best can raise nothing, whatever
+  the oracle says. It takes the objective cut at the incumbent, g = -c at
+  depth alpha = best - c . z >= 0, at no call, the cut an IN center takes
+  (deep cuts): a point y it drops has c . y < best, so the gap over K_dq
+  still holds. Neither the membership query nor the separator is made, so
+  the run forgoes only the witness an OUT verdict would have bought. This
+  is the sliding objective of Groetschel, Lovasz and Schrijver (1988,
+  ch. 3); incumbents from separator witnesses are what make such centers
+  common.
 - Sandwich centers: the centering data B(a, inner) <= K <= B(a, outer)
   decides two kinds of center at no primal call, neither the membership
   query nor the separator. Each is a center that no pooled halfspace cuts
@@ -358,14 +385,16 @@ def _fd_step(body: CenteredBody) -> float:
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
-                     X, delta: float) -> tuple[np.ndarray, np.ndarray]:
+                     X, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Approximate outward normals of the body at points answered outside.
 
     X is an (m, n) stack of points that the oracle answered outside at
-    membership slack delta. Returns (U, depth): U is an (m, n) stack holding
-    per point a unit vector u, and depth a deep-cut depth alpha, with
-    u . (y - x) <= -max(alpha, 0) + sigma for all y in the body, sigma as
-    documented in the module header. An empty stack costs no call.
+    membership slack delta. Returns (U, depth, W): U is an (m, n) stack
+    holding per point a unit vector u, and depth a deep-cut depth alpha,
+    with u . (y - x) <= -max(alpha, 0) + sigma for all y in the body, sigma
+    as documented in the module header; W is an (m, n) stack holding per
+    point a witness, a point of the body bought by the same calls (module
+    header, separator witnesses). An empty stack costs no call.
 
     An oracle built with its own separator answers through it, at the slack
     delta of its verdicts (module header, value separators). Every other
@@ -384,8 +413,10 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     primal call per anchor round and n per probe round. The depth is that
     of the cut through the boundary point a + (x - a)/g(x), read from
     g~(x) - tol, a certified lower bound on the gauge (module header, deep
-    cuts). Raises FlatGaugeError when the differences at any point fall
-    below the gauge noise floor (a step too small for the gauge tolerance).
+    cuts). The witness is a + (x - a)/(g~(x) + tol), read from the same
+    probe: g~(x) + tol is a certified upper bound on the gauge. Raises
+    FlatGaugeError when the differences at any point fall below the gauge
+    noise floor (a step too small for the gauge tolerance).
     """
     X = as_stack(X, body.n)
     delta = positive_finite(delta, "delta")
@@ -407,8 +438,10 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
+    D = X - body.center
     glo = np.maximum(g[:, 0] - tol, 1.0)
-    return H, (1.0 - 1.0 / glo) * np.einsum("bi,bi->b", H, X - body.center)
+    depth = (1.0 - 1.0 / glo) * np.einsum("bi,bi->b", H, D)
+    return H, depth, body.center + D / (g[:, :1] + tol)
 
 
 class WvalVerdict(enum.Enum):
@@ -422,9 +455,11 @@ class WvalVerdict(enum.Enum):
 class WoptResult:
     """Outcome of the cutting-plane maximization.
 
-    witness lies in the dq-thickened body; value = c . witness; gap is the
-    certified bound on how much any point of the shrunk body K_dq can beat
-    the witness, dq and K_dq as in the module header's membership slack.
+    witness lies in the dq-thickened body: it is a center answered IN, or a
+    point of the body (the body center, a center inside the inner ball, or
+    a separator's witness); value = c . witness; gap is the certified bound
+    on how much any point of the shrunk body K_dq can beat the witness, dq
+    and K_dq as in the module header's membership slack.
     gap_history is nonincreasing by construction.
     """
 
@@ -505,7 +540,9 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     Each row runs its own ellipsoid localizer with deep cuts (module
     header): an asserted-feasible center adds the objective cut at the
     incumbent (keep values at least best), an asserted-infeasible center
-    adds the separator cut at the depth its separator returns. Each row's
+    adds the separator cut at the depth its separator returns, and the
+    separator's witness, a point of the body, raises the incumbent where
+    it beats it (module header, separator witnesses). Each row's
     ellipsoid starts as the body's stated ellipsoid, or as B(a, outer) where
     it states none (module header, start ellipsoid). The incumbent starts
     at the body center a, which the centering data guarantees feasible, at
@@ -516,11 +553,14 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     cut along the most violated one at no call (module header, pooled
     cuts). Of the rest, a center outside the outer ball is cut along its
     direction from the body center, and one inside the inner ball is an
-    incumbent, neither asked (module header, sandwich centers). The other
-    centers of all live rows go to one query_batch per cut at slack dq,
-    and those answered infeasible to one approx_separator call at the same
-    dq, which uses the oracle's own separator where it has one (value
-    separators) and differences of the gauge elsewhere.
+    incumbent, neither asked (module header, sandwich centers). A center
+    left whose objective value is at most its row's incumbent takes the
+    objective cut at the incumbent, unasked (module header, objective cuts
+    below the incumbent). The other centers of all live rows go to one
+    query_batch per cut at slack dq, and those answered infeasible to one
+    approx_separator call at the same dq, which uses the oracle's own
+    separator where it has one (value separators) and differences of the
+    gauge elsewhere.
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
     indexing _STOP_REASONS; iterations counts every cut, free or paid.
@@ -595,7 +635,9 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         r = np.linalg.norm(D, axis=1)
         far = ~free & (r > body.outer_radius)
         inside = ~free & (r < body.inner_radius)
-        ask = ~(free | far | inside)
+        # a center with c . z <= best can raise nothing: its objective cut
+        # is free (module header, objective cuts below the incumbent)
+        ask = ~(free | far | inside) & (vals > best)
         if ask.any():
             inside[ask] = oracle.query_batch(Z[ask], dq)
         gain = inside & (vals > best)
@@ -611,7 +653,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         out = ask & ~inside
         if out.any():
             X = Z[out]
-            G[out], A[out] = approx_separator(oracle, body, X, dq)
+            G[out], A[out], W = approx_separator(oracle, body, X, dq)
+            # every separator pays for a point of the body (module header,
+            # separator witnesses)
+            wv = np.einsum("bi,bi->b", C[out], W)
+            up = wv > best[out]
+            k = np.flatnonzero(out)[up]
+            best[k], best_wit[k] = wv[up], W[up]
             beta = np.einsum("bi,bi->b", G[out], X) - np.maximum(A[out], 0.0)
             new = np.column_stack([G[out], beta])[-_POOL_CAP:]
             pool[(made + np.arange(len(new))) % _POOL_CAP] = new

@@ -118,7 +118,11 @@ class EpigraphBody:
         ball's centre by h = 1e-5 R, with every value asked at slack
         ev = dq h / (16 sqrt(n) R). Their quotients H give the tangent
         halfspace (H, -1) . y <= H . x - f~(x) + ev, a cut at depth
-        (f~(x) - ev - tau) / |(H, -1)|, for n + 1 evaluations.
+        (f~(x) - ev - tau) / |(H, -1)|, for n + 1 evaluations. Each row also
+        gets a witness in the epigraph at no further evaluation: below the
+        graph (x, min(f~(x) + ev, cap)), as f(x) <= f~(x) + ev, and off the
+        ball or above the cap the ball point nearest x at tau = cap, as
+        f <= cap/2 on the ball (cutting module header, separator witnesses).
         """
         center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
                                        self.cap, self.values)
@@ -147,6 +151,10 @@ class EpigraphBody:
             above = ~outside & (tau > cap)
             U[above, -1] = 1.0
             depth = np.where(outside, dist - radius, tau - cap)
+            # witnesses: the ball point nearest x at the cap, f <= cap/2 there,
+            # and below the graph (x, min(f~(x) + ev, cap)), f(x) <= f~(x) + ev
+            scale = radius / np.maximum(dist, radius)
+            W = np.column_stack([center + rel * scale[:, None], np.full(len(Z), cap)])
             # each quotient errs by at most 2 ev / h, which costs at most
             # dq / 4 of sigma over the ball's diameter 2R
             ev = dq * step / (16.0 * math.sqrt(n) * radius)
@@ -158,7 +166,8 @@ class EpigraphBody:
                 nrm = float(np.linalg.norm(u))
                 U[i] = u / nrm
                 depth[i] = (fx - ev - tau[i]) / nrm
-            return U, depth
+                W[i, -1] = min(fx + ev, cap)
+            return U, depth, W
 
         return WeakMembershipOracle(verdicts, self.body(), label="epigraph",
                                     separator=separator)

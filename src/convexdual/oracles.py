@@ -49,15 +49,16 @@ class WeakMembershipOracle:
         outer = inf.
     label : str
         Counter label for call accounting.
-    separator : callable (X, delta) -> (U, depth), optional
+    separator : callable (X, delta) -> (U, depth, W), optional
         The body's own separator, for a body that can separate more cheaply
         than finite differences of its gauge. X is an (m, n) stack of points
         that fn answered outside at slack delta. Per point, U holds a unit
         normal u and depth a deep-cut depth alpha such that
         u . (y - x) <= -max(alpha, 0) + sigma for every y of the body, with
         sigma the documented bound of that separator (the cutting module
-        header). calls does not count it; the primal oracle it evaluates
-        does. cutting.approx_separator uses it where it is given.
+        header), and W a witness: a point of the body, which the cutting
+        engine takes as an incumbent. calls does not count it; the primal
+        oracle it evaluates does. cutting.approx_separator uses it where it is given.
 
     query_batch validates, counts and calls fn; query is the same call on
     one row. Both count one call per point and raise ValueError, before

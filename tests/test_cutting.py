@@ -226,7 +226,7 @@ def test_separator_is_not_flat_at_cube_corners():
 def test_separator_points_outward():
     _, oracle, body = _ball_oracle(2.0, 2)
     X = np.array([[2.0, 0.0], [1.5, 1.5]])
-    H, depth = approx_separator(oracle, body, X, 0.01)
+    H, depth, _ = approx_separator(oracle, body, X, 0.01)
     np.testing.assert_allclose(H, [[1.0, 0.0], [math.sqrt(0.5)] * 2], atol=1e-3)
     # the depth (1 - 1/glo) u . x of the cut through the boundary point reads
     # glo, a certified lower bound on each point's gauge g within 2 tol of it
@@ -308,7 +308,7 @@ def test_separator_slack_within_documented_sigma(body_name, side):
     n = body.n
     h, tol = _separator_tolerances(body)
     X = _near_kink_points(G, h, 12, rng_stream(27, 0))
-    U, _ = approx_separator(oracle, body, X, 0.01)
+    U, _, _ = approx_separator(oracle, body, X, 0.01)
     V = _vertices(G)
     noise = 2.0 * math.sqrt(n) * tol / h
     for x, u in zip(X, U):
@@ -324,6 +324,40 @@ def test_separator_slack_within_documented_sigma(body_name, side):
         assert H_floor > 0.0
         sigma = (max(1.0 - gx, 0.0) + (float(np.linalg.norm(b)) + noise) * D) / H_floor
         assert float(np.max(V @ u)) - float(x @ u) <= sigma
+
+
+WITNESS_CASES = [f"l{p:g}-r{n}" for p, n in BAND_BALLS] + ["kink-l1", "kink-linf",
+                                                            "kink-rotated"]
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_separator_witnesses_lie_in_the_body(case, side):
+    """Every gauge separator returns, per point x, the witness
+    W = a + (x - a)/(g~(x) + tol), a point of the body for every legal
+    oracle: gauge_batch keeps g~(x) within tol of g(x), so
+    g(W) = g(x)/(g~(x) + tol) <= 1. The points are outside the l1, l3 and
+    l-inf balls in R^2 and R^3, from just past the boundary to three times
+    out, and the near-kink points of the sigma test, some of them inside.
+    Each witness is also the boundary point x/g(x) up to 2 tol."""
+    rng = rng_stream(28, len(case))
+    if case.startswith("kink-"):
+        norm, G = _kink_body(case[5:])
+        X = _near_kink_points(G, _fd_step(norm.ball()), 12, rng)
+    else:
+        p, n = BAND_BALLS[WITNESS_CASES.index(case)]
+        norm = ReferenceNorm.lp(p, n)
+        X = rng.normal(size=(40, n))
+        X /= norm.eval_batch(X)[:, None]
+        X *= np.append([1.0 + 1e-9, 1.0 + 1e-6], rng.uniform(1.0, 3.0, size=38))[:, None]
+    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    _, _, W = approx_separator(oracle, oracle.body, X, 0.01)
+    assert W.shape == X.shape
+    nu = norm.eval_batch(W)
+    assert float(np.max(nu)) <= 1.0 + 1e-12
+    # and no deeper than the boundary point x/g(x) allows, g~ + tol <= g + 2 tol
+    gx = norm.eval_batch(X)
+    assert np.all(nu >= gx / (gx + 2.0 * _gauge_tol(oracle.body)) - 1e-12)
 
 
 def _central_cut_reference(Z, P, G):
@@ -447,32 +481,36 @@ def _follow(ids, before, after):
                          ids=["l3-r2", "l1-r2", "l1-r3", "linf-r3"])
 def test_free_cuts_cost_no_call(monkeypatch, p, n):
     """A center sent neither to query_batch nor to approx_separator is cut
-    at no call, and is exactly one of three kinds: it violates a halfspace
+    at no call, and is exactly one of four kinds: it violates a halfspace
     in the run's pool, the last _POOL_CAP separator halfspaces of all its
     rows, and is cut along the most violated one at its violation a > 0;
     or it violates none and lies inside the inner ball, an incumbent cut
     along g = -c; or it violates none and lies outside the outer ball, cut
-    along g = (z - a)/|z - a| at a = |z - a| - outer. No center that was
-    sent violates a pooled halfspace, some free cuts use another row's
-    halfspace, and the cut count of each row counts its free cuts too.
-    Rows are followed through the lockstep compaction by their exact
-    centers."""
+    along g = (z - a)/|z - a| at a = |z - a| - outer; or it violates none,
+    lies between the balls and sits below the incumbent, c . z <= best, cut
+    along g = -c at a = best - c . z. No center that was sent violates a
+    pooled halfspace or sits below the incumbent, some free cuts use another
+    row's halfspace, and the cut count of each row counts its free cuts too.
+    Each row's incumbent starts at the body center and rises to the centers
+    answered or taken IN and to the witnesses the separator returns. Rows
+    are followed through the lockstep compaction by their exact centers."""
     _, oracle, body = _ball_oracle(p, n)
     events, busy = [], []
     query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
 
     def counting_query(X, delta):
         if not busy:  # the separator's own gauge probes are not centers
-            events.append(("query", np.array(X)))
+            events.append(("query", np.array(X), None))
         return query(X, delta)
 
     def recording_separator(oracle, body, X, delta):
-        events.append(("separator", np.array(X)))
         busy.append(1)
         try:
-            return separator(oracle, body, X, delta)
+            U, depth, W = separator(oracle, body, X, delta)
         finally:
             busy.pop()
+        events.append(("separator", np.array(X), W))
+        return U, depth, W
 
     def recording_cut(Z, P, G, A):
         Z2, P2 = cut(Z, P, G, A)
@@ -487,30 +525,36 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     _, _, _, cuts, _ = support_batch(oracle, body, C, 0.05)
 
     pool = []  # the run's pooled (u, beta, row that made it), oldest first
+    best = C @ body.center
     counted = np.zeros(m, dtype=int)
-    kinds = {"pooled": 0, "near": 0, "far": 0}
+    kinds = {"pooled": 0, "near": 0, "far": 0, "below": 0}
     ids, before, sent, shared = None, None, [], 0
     for kind, *ev in events:
         if kind != "cut":
-            sent.append((kind, ev[0]))
+            sent.append((kind, *ev))
             continue
         Z, G, A, after = ev
         ids = list(range(m)) if ids is None else _follow(ids, before, Z)
         assert len(ids) == len(Z)
-        for _, X in sent:
+        for _, X, _ in sent:
             for x in X:
                 for u, beta, _ in pool:
                     assert u @ x - beta <= 1e-12
-        asked = {tuple(x) for kind, X in sent if kind == "query" for x in X}
-        separated = {tuple(x) for kind, X in sent if kind == "separator" for x in X}
-        assert separated <= asked
-        made = []
+        asked = {tuple(x) for kind, X, _ in sent if kind == "query" for x in X}
+        witness = {tuple(x): w for kind, X, W in sent if kind == "separator"
+                   for x, w in zip(X, W)}
+        assert witness.keys() <= asked
+        made, raised = [], best.copy()
         for z, g, a, i in zip(Z, G, A, ids):
             counted[i] += 1
-            if tuple(z) in separated:
-                made.append((g, g @ z - max(a, 0.0), i))
-                continue
+            value = C[i] @ z
             if tuple(z) in asked:
+                assert value > best[i] - 1e-12
+                if tuple(z) in witness:
+                    made.append((g, g @ z - max(a, 0.0), i))
+                    raised[i] = max(raised[i], C[i] @ witness[tuple(z)])
+                else:
+                    raised[i] = max(raised[i], value)
                 continue
             violation = max((u @ z - beta for u, beta, _ in pool), default=-math.inf)
             r = np.linalg.norm(z - body.center)
@@ -523,14 +567,19 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
             elif r < body.inner_radius:
                 kinds["near"] += 1
                 np.testing.assert_array_equal(g, -C[i])
-            else:
+                raised[i] = max(raised[i], value)
+            elif r > body.outer_radius:
                 kinds["far"] += 1
-                assert r > body.outer_radius
                 np.testing.assert_allclose(g, (z - body.center) / r, rtol=0, atol=1e-15)
                 assert a == pytest.approx(r - body.outer_radius, rel=0, abs=1e-15)
+            else:
+                kinds["below"] += 1
+                assert value <= best[i] + 1e-12
+                np.testing.assert_array_equal(g, -C[i])
+                assert a == pytest.approx(best[i] - value, rel=0, abs=1e-12)
         pool = (pool + made)[-cutting._POOL_CAP:]
-        before, sent = after, []
-    assert kinds["pooled"] > 0 and shared > 0
+        before, sent, best = after, [], raised
+    assert kinds["pooled"] > 0 and shared > 0 and kinds["below"] > 0
     assert kinds["near"] >= m  # every row's first center is the body center
     np.testing.assert_array_equal(cuts, counted)
 

@@ -307,8 +307,8 @@ def test_empty_batches_cost_nothing():
         assert gauge_batch(primal, ball, E, 1e-6, anchors=anchors).shape == (0,)
     for oracle in (primal, epigraph):  # the gauge path and a body's own separator
         n = oracle.body.n
-        U, depth = approx_separator(oracle, oracle.body, np.empty((0, n)), 0.01)
-        assert U.shape == (0, n) and depth.shape == (0,)
+        U, depth, W = approx_separator(oracle, oracle.body, np.empty((0, n)), 0.01)
+        assert U.shape == W.shape == (0, n) and depth.shape == (0,)
     lo, hi, witness, cuts, _ = support_batch(primal, ball, E, 0.01)
     assert lo.shape == hi.shape == cuts.shape == (0,) and witness.shape == (0, 2)
     assert values.calls.count == 0

@@ -240,7 +240,7 @@ def test_value_separator_within_documented_sigma(case, kind):
     Y = np.column_stack([Xs, fx(Xs) + lift * (cap - fx(Xs))])
 
     values.calls.reset()
-    U, depth = approx_separator(oracle, oracle.body, np.vstack([off, above]), dq)
+    U, depth, _ = approx_separator(oracle, oracle.body, np.vstack([off, above]), dq)
     assert values.calls.count == 0
     np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0)
     for z, u, a in zip(np.vstack([off, above]), U, depth):
@@ -250,7 +250,7 @@ def test_value_separator_within_documented_sigma(case, kind):
     saw_band = False
     for z in below:
         values.calls.reset()
-        U, depth = approx_separator(oracle, oracle.body, z[None], dq)
+        U, depth, _ = approx_separator(oracle, oracle.body, z[None], dq)
         assert values.calls.count == n + 1
         u, a = U[0], float(depth[0])
         x = z[:-1]
@@ -265,6 +265,35 @@ def test_value_separator_within_documented_sigma(case, kind):
         assert reach <= -a + tilt
         assert reach <= -max(a, 0.0) + (dq + 2.0 * ev) / width + tilt  # sigma_v
     assert saw_band
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+@pytest.mark.parametrize("case", list(VALUE_SEPARATOR_CASES))
+def test_value_separator_witnesses_lie_in_the_epigraph(case, kind):
+    """The epigraph's own separator returns, per centre z = (x, tau), a
+    witness (x', tau') of the truncated epigraph: off the ball or above the
+    cap the ball point nearest x at tau' = cap, with f <= cap/2 on the ball,
+    and below the graph (x, min(f~(x) + ev, cap)), with f(x) <= f~(x) + ev,
+    for every legal value oracle. So |x' - c| <= R and f(x') <= tau' <= cap,
+    up to rounding; the rows below the graph include some within dq of it."""
+    fn, _, n, cap = VALUE_SEPARATOR_CASES[case]
+    R, dq = 2.0, 1e-3
+    oracle = EpigraphBody(_ball(n, R), cap, VALUE_ORACLES[kind](fn, n)).oracle()
+    rng = rng_stream(64, n)
+    X = _ball_points(rng, 6, n, 1.01 * R, 1.5 * R)
+    off = np.column_stack([X, rng.uniform(-1.0, cap + 1.0, size=6)])
+    X = _ball_points(rng, 6, n, 0.0, R)
+    above = np.column_stack([X, cap + rng.uniform(1e-3, 1.0, size=6)])
+    X = _ball_points(rng, 12, n, 0.0, R)
+    gaps = np.where(np.arange(12) % 3 == 0, -0.5 * dq, rng.uniform(0.0, 2.0, size=12))
+    below = np.column_stack([X, [fn(x) for x in X] - gaps])
+    Z = np.vstack([off, above, below])
+    _, _, W = approx_separator(oracle, oracle.body, Z, dq)
+    assert W.shape == Z.shape
+    assert float(np.max(np.linalg.norm(W[:, :-1], axis=1))) <= R * (1.0 + 1e-12)
+    assert all(fn(w[:-1]) <= w[-1] <= cap for w in W)
+    np.testing.assert_array_equal(W[:12, -1], cap)
+    np.testing.assert_array_equal(W[12:, :-1], X)
 
 
 def _kinked_conjugate(y):
@@ -404,6 +433,19 @@ def test_fenchel_eval_matches_closed_forms(name, n, y):
     assert est.interval.contains(want) and est.interval.contains(est.value)
     assert est.interval.width <= eps
     assert est.cuts > 0
+
+
+def test_fenchel_eval_cost_pin():
+    """half_square_norm on R^2 at y = (0.6, -0.8), eps = 0.05, costs at most
+    40 evaluations and lands within 0.1 eps of f*(y) = 1/2: every separator
+    below the graph returns its graph point as an incumbent, and centres
+    below the incumbent get the objective cut at no evaluation."""
+    ref = make_reference_function("half_square_norm", 2)
+    values = ref.approx_oracle()
+    eps = 0.05
+    est = fenchel_eval(values, ref.cert, [0.6, -0.8], eps)
+    assert values.calls.count <= 40
+    assert abs(est.value - 0.5) <= 0.1 * eps
 
 
 # one point per function of the benchmark's conjugate workload
