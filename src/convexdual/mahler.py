@@ -17,12 +17,14 @@ are tighter than the image's; the Euclidean disc and its images cost no
 primal call at all.
 
 Both runs of mahler_volume then read one net: the polar oracle
-(normdual.DualBallOracle) runs one support run over a net of directions,
-built by the first batch of either run with a row per direction, and its
-support bounds and witnesses decide most shell rows of both runs. A bound
-hi(v) refutes primal samples and certifies polar ones; a witness near the
-body certifies primal samples and refutes polar ones. So each run costs
-a fraction of a primal call per shell sample.
+(normdual.DualBallOracle) keeps a net of directions with a support bound
+and a witness each, built at +-e_i by the first batch of either run that
+leaves more rows than that, and its bounds and witnesses decide most
+shell rows of both runs. A bound hi(v) refutes primal samples and
+certifies polar ones; a witness near the body certifies primal samples
+and refutes polar ones. In R^2 and R^3 the net grows, one support run per
+round, where the rows it leaves unsettled pay for a new direction. So
+each run costs a fraction of a primal call per shell sample.
 """
 
 from __future__ import annotations

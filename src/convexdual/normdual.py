@@ -10,9 +10,10 @@ primal ball gives weak validity of linear functionals over it
 (cutting.wval_batch); validity over the primal ball decides weak
 membership in the dual ball (the k >= 2 lemma, after rescaling:
 rescale_norm and DualBallOracle, which also serves both Mahler runs,
-and settles most of their rows at no call from one support_batch run over
-a net of directions: its bounds refute primal rows and certify polar ones,
-and its witnesses certify primal rows and refute polar ones);
+and settles most of their rows at no call from support_batch runs over a
+net of directions that grows where their rows are: its bounds refute
+primal rows and certify polar ones, and its witnesses certify primal
+rows and refute polar ones);
 and an interval bisection turns ball membership into an additive-error
 norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
@@ -89,71 +90,135 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
 
 
 _BLOCK = 1024  # rows per block of every rows x directions product
-_NET_SIZE = 64  # net directions in R^2 and R^3
-# width of a net support interval over 1/k_hi, a lower bound on h_B: of
-# 1e-2, 3e-3, 1e-3, 3e-4 and 1e-4, 1e-3 cost mahler the fewest calls
-_NET_REL_ERR = 1e-3
-_HULL_TOL = 1e-9  # slack of _hull_facets' side test, far above its rounding
+# width of a net support interval over 1/k_hi, a lower bound on h_B. Over
+# 1e-2, 3e-3, 1e-3, 3e-4 and 1e-4 the grown net's seed-1 mahler calls per
+# sample fall, 0.167 to 0.0096, but at 1e-4 the smooth l3/R^3 ball costs
+# more (786,373 calls at 50,000 samples) than 64 fixed directions did
+# (775,871); 3e-4 is the tightest width that stays below
+_NET_REL_ERR = 3e-4
+_HULL_TOL = 1e-9  # a point this share of the hull's scale beyond a plane sees it
+_SAME_DIRECTION = 1.0 - 1e-12  # cosine above which a new direction repeats one
 
 
 def _net_directions(n: int) -> np.ndarray:
-    """The dual ball's net of unit directions: 64 evenly spaced angles in
-    R^2, a 64-point Fibonacci lattice in R^3, and elsewhere the 2 n^2
+    """The dual ball's first net of unit directions: +-e_i in R^2 and R^3,
+    where the net then grows (DualBallOracle), and elsewhere the fixed 2 n^2
     directions +-e_i and (+-e_i +-e_j)/sqrt(2), i < j."""
-    k = np.arange(_NET_SIZE)
-    if n == 2:
-        t = 2.0 * math.pi * k / _NET_SIZE
-        return np.column_stack([np.cos(t), np.sin(t)])
-    if n == 3:
-        z = 1.0 - (2.0 * k + 1.0) / _NET_SIZE
-        t = math.pi * (3.0 - math.sqrt(5.0)) * k  # the golden angle
-        r = np.sqrt(1.0 - z * z)
-        return np.column_stack([r * np.cos(t), r * np.sin(t), z])
     eye = np.eye(n)
+    if n <= 3:
+        return np.vstack([eye, -eye])
     pairs = [(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
              for i, j in itertools.combinations(range(n), 2)
              for si in (1.0, -1.0) for sj in (1.0, -1.0)]
     return np.vstack([eye, -eye, *pairs])
 
 
-def _hull_facets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The facets of the hull of the rows of P about the origin, in R^2 or
-    R^3: per facet, its n-tuple F of row indices and its plane H, with
-    H . P_i = 1 for i in F and H . P_j <= 1 + _HULL_TOL for every row j.
-    Brute force over the n-subsets, one first index i at a time, so the
-    transient is one block of subsets against all m rows (about 1.3 MB for
-    64 rows in R^3). A subset's plane is H = N / (N . P_i) for the normal N
-    of its edges from P_i, and N . P_i is the determinant of its rows.
-    Subsets that are singular, or nearly so relative to the size of P, are
-    left out. _certified is sound over any subset, so a plane kept or left
-    out in error costs verdicts, never their legality."""
-    m, n = P.shape
-    tiny = 1e-9 * np.linalg.norm(P, axis=1).max() ** n
-    facets, planes = [np.zeros((0, n), dtype=int)], [np.zeros((0, n))]
-    tails = np.array(list(itertools.combinations(range(m), n - 1)))  # sorted
-    for i in range(m - n + 1):
-        rest = tails[np.searchsorted(tails[:, 0], i + 1):]  # tails above i
-        E = P[rest] - P[i]  # the subset's edges from P_i
-        N = np.cross(E[:, 0], E[:, 1]) if n == 3 else E[:, 0, ::-1] * [1.0, -1.0]
-        det = N @ P[i]
-        ok = np.abs(det) > tiny
-        H = N[ok] / det[ok, None]
-        keep = np.all(H @ P.T <= 1.0 + _HULL_TOL, axis=1)
-        facets.append(np.column_stack([np.full(len(H), i), rest[ok]])[keep])
-        planes.append(H[keep])
-    return np.vstack(facets), np.vstack(planes)
+class _Hull:
+    """The hull of a growing point set together with the origin, in R^2 or
+    R^3, by beneath-beyond insertion (Clarkson and Shor 1989).
+
+    The origin and the first points that span the space make a simplex.
+    Each later point removes the facets it sees and cones their horizon:
+    the ridges of the seen facets that only one of them has. So a point
+    costs one product with the facets' planes, and the hull grows with its
+    points. A point sees a facet when it lies more than _HULL_TOL of the
+    scale beyond its plane, so a point on or near a face triangulates that
+    face instead of adding slivers, and a repeated point is skipped. Facets
+    are sorted rows of vertex indices, point i being row i + 1 (row 0 is
+    the origin), with unit normals pointing away from the first simplex's
+    centroid, which every later hull contains, and offsets.
+    """
+
+    def __init__(self, n: int):
+        self.points = np.zeros((1, n))
+        self.facets = np.zeros((0, n), dtype=int)
+        self.normals = np.zeros((0, n))
+        self.offsets = np.zeros(0)
+        self.inside = None  # the first simplex's centroid, once there is one
+        self.tol = 0.0
+
+    def _planes(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit outward normals and offsets of the facets F."""
+        V = self.points[F]
+        a, b = V[:, 1] - V[:, 0], V[:, -1] - V[:, 0]
+        if V.shape[2] == 3:
+            N = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+        else:
+            N = a[:, ::-1] * [1.0, -1.0]
+        N /= np.sqrt((N * N).sum(axis=1))[:, None]
+        N *= np.sign(((V[:, 0] - self.inside) * N).sum(axis=1))[:, None]  # outward
+        return N, (N * V[:, 0]).sum(axis=1)
+
+    def _simplex(self) -> list | None:
+        """The origin and, n times, the point farthest from the span of
+        those picked; None while every point lies within tol of a span of
+        fewer than n of them."""
+        pick = [0]
+        for _ in range(self.points.shape[1]):
+            R = self.points
+            if len(pick) > 1:
+                Q = np.linalg.qr(self.points[pick[1:]].T)[0]
+                R = R - (R @ Q) @ Q.T
+            dist = np.linalg.norm(R, axis=1)
+            if dist.max() <= self.tol:
+                return None
+            pick.append(int(np.argmax(dist)))
+        return pick
+
+    def add(self, P: np.ndarray) -> None:
+        """Insert the rows of P, in order."""
+        first = len(self.points)
+        self.points = np.vstack([self.points, P])
+        self.tol = _HULL_TOL * np.linalg.norm(self.points, axis=1).max()
+        todo = range(first, len(self.points))
+        if self.inside is None:
+            simplex = self._simplex()
+            if simplex is None:
+                return
+            self.inside = self.points[simplex].mean(axis=0)
+            self.facets = np.sort(list(itertools.combinations(simplex, len(simplex) - 1)))
+            self.normals, self.offsets = self._planes(self.facets)
+            todo = [i for i in range(1, len(self.points)) if i not in simplex]
+        m = len(self.points)
+        for i in todo:
+            seen = self.normals @ self.points[i] - self.offsets > self.tol
+            if not np.any(seen):
+                continue
+            F = self.facets[seen]
+            if F.shape[1] == 3:  # a ridge is an edge (a, b), a < b, coded a m + b
+                code = np.concatenate([F[:, 0] * m + F[:, 1], F[:, 0] * m + F[:, 2],
+                                       F[:, 1] * m + F[:, 2]])
+            else:  # a ridge is a vertex
+                code = F.ravel()
+            code, count = np.unique(code, return_counts=True)
+            horizon = code[count == 1]
+            ridges = (np.column_stack([horizon // m, horizon % m]) if F.shape[1] == 3
+                      else horizon[:, None])
+            new = np.sort(np.column_stack([ridges, np.full(len(ridges), i)]), axis=1)
+            N, d = self._planes(new)
+            self.facets = np.vstack([self.facets[~seen], new])
+            self.normals = np.vstack([self.normals[~seen], N])
+            self.offsets = np.concatenate([self.offsets[~seen], d])
+
+    def planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The facets whose plane keeps the origin strictly on its inner
+        side, as rows of point indices, and per facet its plane H, with
+        H . P_i = 1 for i in the facet and H . P_j <= 1 up to tol for every
+        point j."""
+        keep = self.offsets > self.tol
+        return self.facets[keep] - 1, self.normals[keep] / self.offsets[keep, None]
 
 
 @dataclass(frozen=True)
 class _Generators:
-    """One generator set of the gauge certificate (_certified): rows G with
-    gauge bounds g, gauge(G_i) <= g_i, and a residual constant L with
+    """One generator set of the gauge certificate (_gauge_bound): rows G
+    with gauge bounds g, gauge(G_i) <= g_i, and a residual constant L with
     gauge(e) <= L |e| for every e. In R^2 and R^3 a row's n generators are
-    the facet of the hull of the scaled generators G_i / g_i that its ray
-    meets first (_hull_facets): facets holds each facet's indices, planes
-    its H, and inverse the inverse of its matrix G_F^T. Elsewhere (the
-    2 n^2 net) the three are None, and a row's n generators are those of
-    largest c . G_i.
+    the facet of the hull of the scaled generators G_i / g_i (_Hull) that
+    its ray meets first: facets holds each facet's indices,
+    planes its H, and inverse the inverse of its matrix G_F^T. Elsewhere
+    (the 2 n^2 net) the three are None, and a row's n generators are those
+    of largest c . G_i.
     """
 
     G: np.ndarray
@@ -164,16 +229,18 @@ class _Generators:
     inverse: np.ndarray | None = None
 
 
-def _generators(G: np.ndarray, g: np.ndarray, L: float) -> _Generators:
-    if G.shape[1] not in (2, 3):  # the 2 n^2 net: no hull
+def _generators(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None) -> _Generators:
+    if hull is None:  # the 2 n^2 net: no hull
         return _Generators(G, g, L)
-    facets, planes = _hull_facets(G / g[:, None])
+    facets, planes = hull.planes()
     return _Generators(G, g, L, facets, planes,
                        np.linalg.inv(G[facets].transpose(0, 2, 1)))
 
 
-def _certified(gen: _Generators, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    """Rows c whose gauge the generator set bounds by 1, nrm holding |c|.
+def _gauge_bound(gen: _Generators, pts: np.ndarray,
+                 nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row c, nrm holding |c|, an upper bound on its gauge from the
+    generator set, and in R^2 and R^3 the facet of the hull that gave it.
 
     c is written c = sum lam_i G_i + e over the row's n generators (the
     pick of _Generators), lam solving the n x n system and clipped to
@@ -187,33 +254,41 @@ def _certified(gen: _Generators, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray
     times that and the whole bound raised by the factor 1 + rho. Rows
     whose n nearest generators are linearly dependent, or nearly so
     relative to the generators' size (the 2 n^2 net has such n-tuples),
-    are left undecided.
+    get no bound (inf), and so does every row of a hull with no facet.
+
+    A row's facet is the one its ray meets first, the facet of largest
+    H . c, where its lam is nonnegative.
     """
     n = pts.shape[1]
     rho = 16 * n * np.finfo(float).eps
     length = np.linalg.norm(gen.G, axis=1)
     tiny = 1e-9 * length.max() ** n
-    out = np.zeros(len(pts), dtype=bool)
+    bound = np.full(len(pts), np.inf)
+    facet = np.zeros(len(pts), dtype=int)
+    if gen.facets is not None and not len(gen.facets):
+        return bound, facet
     for lo in range(0, len(pts), _BLOCK):
-        C = pts[lo:lo + _BLOCK]
-        if gen.planes is None:
+        rows = slice(lo, lo + _BLOCK)
+        C = pts[rows]
+        if gen.facets is None:
             pick = np.argpartition(C @ gen.G.T, -n, axis=1)[:, -n:]
             A = gen.G[pick]  # rows G_i of each row's system
             ok = np.abs(np.linalg.det(A)) > tiny
             lam = np.zeros((len(C), n))
             lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
         else:
-            facet = np.argmax(C @ gen.planes.T, axis=1)  # the plane the ray meets first
-            pick = gen.facets[facet]
+            met = np.argmax(C @ gen.planes.T, axis=1)  # the plane the ray meets first
+            facet[rows] = met
+            pick = gen.facets[met]
             A = gen.G[pick]
             ok = True
-            lam = np.einsum("bij,bj->bi", gen.inverse[facet], C)
+            lam = np.einsum("bij,bj->bi", gen.inverse[met], C)
         lam = np.maximum(lam, 0.0)
         res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
-        scale = nrm[lo:lo + _BLOCK] + np.einsum("bi,bi->b", lam, length[pick])
-        bound = np.einsum("bi,bi->b", lam, gen.g[pick]) + gen.L * (res + rho * scale)
-        out[lo:lo + _BLOCK] = ok & (bound * (1.0 + rho) <= 1.0)
-    return out
+        scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
+        value = np.einsum("bi,bi->b", lam, gen.g[pick]) + gen.L * (res + rho * scale)
+        bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
+    return bound, facet
 
 
 class DualBallOracle(WeakMembershipOracle):
@@ -223,15 +298,13 @@ class DualBallOracle(WeakMembershipOracle):
     settles the rows it can for free: |x| <= k_lo is inside the dual ball,
     |x| >= k_hi outside it.
 
-    The rows the sandwich leaves meet the net, once it exists. The oracle
-    keeps one net V of unit directions (_net_directions). The first batch
-    that leaves at least len(V) rows, of the polar run or of the primal one
-    (_primal_screen), runs one cutting.support_batch over V. Per direction
-    v it returns a bound hi(v) >= h_B(v) (the support interval of the
-    cutting module header) and a witness w_v within the run's centre slack
-    s of B_nu. A body and its polar are decided by the same data: the bounds
-    certify polar rows and refute primal ones, and the witnesses refute
-    polar rows and certify primal ones. From then on every row of either
+    The rows the sandwich leaves meet the net, once it exists. The net is a
+    set V of unit directions with, per direction v, a bound hi(v) >= h_B(v)
+    (the support interval of the cutting module header) and a witness w_v
+    within the run's centre slack s of B_nu, from cutting.support_batch
+    runs over the primal ball. A body and its polar are decided by the same
+    data: the bounds certify polar rows and refute primal ones, and the
+    witnesses refute polar rows and certify primal ones. Every row of either
     run is first refuted, and then certified, for free.
 
     Polar refuted: x.w - |x| s > 1 for some witness w. Such a w lies within
@@ -242,23 +315,32 @@ class DualBallOracle(WeakMembershipOracle):
     v.x > h_B(v), so x is outside B_nu, and NOT_IN_SHRUNK is legal at
     every slack.
 
-    Certified, on either side, by one gauge certificate (_certified): a row
-    is written over n generators G_i with gauge bounds g_i, and where
+    Certified, on either side, by one gauge certificate (_gauge_bound): a
+    row is written over n generators G_i with gauge bounds g_i, and where
     sum lam_i g_i + L |e| <= 1 it is inside, so IN_THICKENED is legal at
     every slack. Polar: G = V, g = hi and L = 1 / k_lo, as
     nu*(v) = h_B(v) <= hi(v) and B_nu lies in B(0, 1/k_lo). Primal: G the
     witnesses, g = 1 + k_hi s and L = k_hi, as nu <= k_hi |.| and a witness
     within s of b in B_nu has nu(w) <= nu(b) + k_hi s. The bound holds for
     any choice of the n generators; in R^2 and R^3 each row takes the facet
-    of the generators' hull that its ray meets first, where its lam is
-    nonnegative and its residual is rounding.
+    of the generators' hull (_Hull) that its ray meets first, where its lam
+    is nonnegative and its residual is rounding.
+
+    The net starts at _net_directions: +-e_i in R^2 and R^3. The first
+    batch, of the polar run or of the primal one (_primal_screen), that
+    leaves more rows than the net has directions builds it. In R^2 and R^3
+    the net then grows where its two approximations of the body disagree,
+    as in the sandwich algorithm of polyhedral approximation (Rote 1992;
+    Bronstein 2008): each round adds the directions that the batch's
+    unsettled rows pay for (_new_directions), by one more support run, and
+    the hulls take the new points. Rows that pay for no direction are asked.
 
     Every rule trusts hi(v) and s as support_batch certifies them, so the
     caveat of the cutting module header (the separator's sigma is not
     charged to the support interval) covers the primal verdicts as it
-    covers the polar ones. All bounds are padded for rounding (_refuted,
-    _primal_refuted, _certified). Smaller batches leave the net unbuilt
-    and cost what the validity run, or the primal oracle, costs.
+    covers the polar ones. All bounds are padded for rounding
+    (_polar_lower, _primal_lower, _gauge_bound). Smaller batches leave the
+    net unbuilt and cost what the validity run, or the primal oracle, costs.
 
     The polar rows all screens leave go to one lockstep validity run over
     the primal ball, which is what makes million-point volume sampling
@@ -286,71 +368,159 @@ class DualBallOracle(WeakMembershipOracle):
         self._witness_slack = None  # s: every witness lies within s of B_nu
         self._polar_gen = None  # the polar certificate's generators: V
         self._primal_gen = None  # the primal certificate's: the witnesses
+        # in R^2 and R^3, the hulls of the points V / hi and W / g
+        self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n <= 3 else None
+        self._direction_calls = None  # primal calls per direction, last support run
+        self._row_calls = None  # primal calls per row, last validity run
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
 
-    def _refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Polar rows with x.w - |x| s > 1 for some witness w (class
-        docstring). The rounding of x.w and |x| s is at most a few n machine
-        epsilons of |x| (|w| + s), so s is padded by rho (|w| + s) and 1
-        raised to 1 + rho."""
+    def _polar_lower(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Per polar row x, a lower bound on nu*(x): the largest
+        x.w - |x| s over the witnesses w (class docstring), so a row above 1
+        is refuted. The rounding of x.w and |x| s is at most a few n machine
+        epsilons of |x| (|w| + s), so s is padded by rho (|w| + s) and the
+        bound divided by 1 + rho."""
         W = self._witness
         rho = 16 * self.body.n * np.finfo(float).eps
         pad = self._witness_slack * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
-        out = np.zeros(len(pts), dtype=bool)
+        out = np.zeros(len(pts))
         for lo in range(0, len(pts), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            bound = pts[rows] @ W.T - nrm[rows, None] * pad
-            out[rows] = bound.max(axis=1) > 1.0 + rho
-        return out
+            out[rows] = (pts[rows] @ W.T - nrm[rows, None] * pad).max(axis=1)
+        return out / (1.0 + rho)
 
-    def _primal_refuted(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Primal rows with v.x > hi(v) for some net direction v (class
-        docstring). The rounding of v.x - hi(v) is at most a few n machine
-        epsilons of |x| + hi(v), so the difference must exceed rho times
-        that."""
+    def _primal_lower(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        """Per primal row x, a lower bound on nu(x): the largest v.x / hi(v)
+        over the net, as v.x <= nu(x) h_B(v) <= nu(x) hi(v), so a row above
+        1 is refuted (class docstring). The rounding of v.x is at most a few
+        n machine epsilons of |x|, and of hi(v) and the quotient a few of
+        theirs, so v.x is lowered by rho |x| and hi(v) raised by 1 + rho."""
         rho = 16 * self.body.n * np.finfo(float).eps
         hi = self._net_hi * (1.0 + rho)
-        out = np.zeros(len(pts), dtype=bool)
+        out = np.zeros(len(pts))
         for lo in range(0, len(pts), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            gap = pts[rows] @ self._net.T - hi - rho * nrm[rows, None]
-            out[rows] = gap.max(axis=1) > 0.0
+            out[rows] = ((pts[rows] @ self._net.T - rho * nrm[rows, None]) / hi).max(axis=1)
         return out
 
-    def _build_net(self) -> None:
-        """hi(v) and the witness w_v for every net direction from one support
-        run over the primal ball, at width _NET_REL_ERR / k_hi, and the
-        generators of both certificates; the run's centre slack bounds every
-        witness's distance to B_nu."""
+    def _grow(self, V: np.ndarray) -> None:
+        """Add the unit directions V to the net (all of it, the first time):
+        hi(v) and the witness w_v for each from one support run over the
+        primal ball at width _NET_REL_ERR / k_hi, and both hulls and
+        certificates grown with them. Each run's centre slack bounds its
+        witnesses' distance to B_nu, so the largest bounds them all. The
+        run's primal calls per direction price the next direction."""
         desc = self.primal_descriptor
-        _, hi, W, _, s = support_batch(self.primal, desc.ball(), self._net,
-                                       _NET_REL_ERR / desc.k_hi)
-        self._net_hi, self._witness, self._witness_slack = hi, W, s
-        self._polar_gen = _generators(self._net, hi, 1.0 / desc.k_lo)
-        self._primal_gen = _generators(W, np.full(len(W), 1.0 + desc.k_hi * s), desc.k_hi)
+        before = self.primal.calls.count
+        _, hi, W, _, s = support_batch(self.primal, desc.ball(), V, _NET_REL_ERR / desc.k_hi)
+        self._direction_calls = (self.primal.calls.count - before) / len(V)
+        if self._net_hi is None:
+            self._net, self._net_hi, self._witness, self._witness_slack = V, hi, W, s
+        else:
+            self._net = np.vstack([self._net, V])
+            self._net_hi = np.concatenate([self._net_hi, hi])
+            self._witness = np.vstack([self._witness, W])
+            self._witness_slack = max(self._witness_slack, s)
+        g = 1.0 + desc.k_hi * self._witness_slack
+        polar_hull, primal_hull = self._hulls or (None, None)
+        if self._hulls is not None:
+            polar_hull.add(V / hi[:, None])
+            primal_hull.add(W / g)
+        self._polar_gen = _generators(self._net, self._net_hi, 1.0 / desc.k_lo, polar_hull)
+        self._primal_gen = _generators(self._witness, np.full(len(self._witness), g),
+                                       desc.k_hi, primal_hull)
+
+    def _new_directions(self, C: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                        facet: np.ndarray, primal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The directions that the unsettled rows C pay for, and which rows
+        lie in a face that got none. lower < 1 < upper bound each row's
+        gauge, and facet is the certificate hull's facet its ray meets first.
+
+        Rows are grouped by the face of that facet (coplanar facets share
+        it). A face gets a direction when its rows would cost more than the
+        direction. A primal row costs one call, a polar row the last
+        validity run's calls per row, and a direction the last support run's
+        calls per direction; until a validity run has measured it, a polar
+        row is priced as a direction. Each row counts with the share of its
+        sandwich upper - lower that one support run could remove: a
+        direction through the row leaves a sandwich about
+        |x| (err + s) thick on the polar side and k_hi (err + s) nu(x) on the
+        primal one, err being the run's width, so a row already that thin
+        counts for nothing. A primal face's direction is its normal, a polar
+        face's the mean direction of its rows, and a direction that repeats
+        one of the net is not added."""
+        desc = self.primal_descriptor
+        err_s = _NET_REL_ERR / desc.k_hi + self._witness_slack
+        if primal:
+            gen, row, thinnest = self._primal_gen, 1.0, desc.k_hi * err_s * lower
+        else:
+            gen = self._polar_gen
+            row = self._direction_calls if self._row_calls is None else self._row_calls
+            thinnest = np.linalg.norm(C, axis=1) * err_s
+        share = np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0)
+        H = gen.planes[facet]
+        normal = H / np.linalg.norm(H, axis=1)[:, None]
+        _, first, face = np.unique(np.round(normal, 9), axis=0, return_index=True,
+                                   return_inverse=True)
+        face = face.ravel()
+        if primal:
+            U = normal[first]
+        else:
+            U = np.zeros((len(first), C.shape[1]))
+            np.add.at(U, face, C / np.linalg.norm(C, axis=1)[:, None])
+            U /= np.linalg.norm(U, axis=1)[:, None]
+        pays = ((np.bincount(face, weights=share) * row > self._direction_calls)
+                & (np.max(U @ self._net.T, axis=1) < _SAME_DIRECTION))
+        return U[pays], ~pays[face]
 
     def _net_query(self, pts: np.ndarray, nrm: np.ndarray, delta: float,
                    primal: bool) -> np.ndarray:
         """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
         on the primal ball or (primal False) on the dual one: refuted, then
-        certified, by the net, once it is built, and the rest asked of the
-        primal oracle or of the validity run. A batch of at least len(V)
-        rows builds the net first."""
-        if self._net_hi is None and len(pts) >= len(self._net):
-            self._build_net()
+        certified, by the net, and the rest asked of the primal oracle or of
+        the validity run. A batch that leaves more rows than the net has
+        directions builds the net first: until a run has measured them, a
+        row and a direction are priced alike. In R^2 and R^3 the net then
+        grows in rounds (_new_directions). While no validity run has priced
+        a polar row, the rows of faces that pay for no direction are asked
+        at once, which prices the next round's rows; the other rows left
+        are asked together after the last round."""
+        if self._net_hi is None and len(pts) > len(self._net):
+            self._grow(self._net)
         out = np.zeros(len(pts), dtype=bool)
-        work = np.ones(len(pts), dtype=bool)
-        if self._net_hi is not None:
-            refuted, gen = ((self._primal_refuted, self._primal_gen) if primal
-                            else (self._refuted, self._polar_gen))
-            work = ~refuted(pts, nrm)
-            out[work] = _certified(gen, pts[work], nrm[work])
-            work &= ~out
-        if np.any(work):
-            ask = self.primal.query_batch if primal else self._lockstep
-            out[work] = ask(pts[work], delta)
+        todo = np.arange(len(pts))  # rows that no rule has settled
+        lower_bound = self._primal_lower if primal else self._polar_lower
+        ask = self.primal.query_batch if primal else self._polar_ask
+        while self._net_hi is not None and len(todo):
+            gen = self._primal_gen if primal else self._polar_gen
+            C = pts[todo]
+            lower = lower_bound(C, nrm[todo])
+            upper, facet = _gauge_bound(gen, C, nrm[todo])
+            out[todo] = (lower <= 1.0) & (upper <= 1.0)
+            left = (lower <= 1.0) & (upper > 1.0)
+            todo = todo[left]
+            if self._hulls is None or not len(gen.facets) or not len(todo):
+                break
+            new, stay = self._new_directions(C[left], lower[left], upper[left],
+                                             facet[left], primal)
+            if not primal and self._row_calls is None and np.any(stay):
+                out[todo[stay]] = ask(pts[todo[stay]], delta)  # measures the price
+                todo = todo[~stay]
+            if not len(new):
+                break
+            self._grow(new)
+        if len(todo):
+            out[todo] = ask(pts[todo], delta)
+        return out
+
+    def _polar_ask(self, pts: np.ndarray, delta: float) -> np.ndarray:
+        """The validity run's verdicts (_lockstep); its primal calls per row
+        price the next polar row."""
+        before = self.primal.calls.count
+        out = self._lockstep(pts, delta)
+        self._row_calls = (self.primal.calls.count - before) / len(pts)
         return out
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:

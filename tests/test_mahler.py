@@ -1,14 +1,16 @@
 import dataclasses
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual import normdual
+from convexdual import mahler, normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
 from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
-from convexdual.normdual import DualBallOracle, _certified, rescale_norm
+from convexdual.normdual import DualBallOracle, _gauge_bound, _Hull, rescale_norm
 from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
 
 
@@ -254,7 +256,7 @@ def test_pooled_refutations_are_legal_under_band_adversary(p, n):
     W = rng.uniform(-1.2, 1.2, size=(20_000, n)) / norm.descriptor.k_lo
     oracle._witness, oracle._witness_slack = W[adversary.query_batch(W, slack)], slack
     C = _band_rows(norm.descriptor, rng, 4000)
-    refuted = oracle._refuted(C, np.linalg.norm(C, axis=1))
+    refuted = oracle._polar_lower(C, np.linalg.norm(C, axis=1)) > 1.0
     dual = norm.dual().eval_batch(C)
     assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(dual > 1.1)
     assert np.all(dual[refuted] > 1.0)
@@ -275,9 +277,14 @@ def test_pool_tight_probe():
     assert 1.0 < c @ w < 1.0 + np.linalg.norm(c) * slack
     oracle = DualBallOracle(adversary, norm.descriptor)
     oracle._witness, oracle._witness_slack = w[None, :], slack
-    assert not oracle._refuted(c[None, :], np.linalg.norm(c, keepdims=True))[0]
+    assert oracle._polar_lower(c[None, :], np.linalg.norm(c, keepdims=True))[0] <= 1.0
     # c + B(0, delta) lies in the dual ball, so NOT_IN_SHRUNK is illegal here
     assert oracle.query(c, delta) is WeakVerdict.IN_THICKENED
+
+
+def _certified(gen, C):
+    """Rows of C that the gauge certificate over gen puts inside."""
+    return _gauge_bound(gen, C, np.linalg.norm(C, axis=1))[0] <= 1.0
 
 
 def test_primal_certificate_tight_probe(monkeypatch):
@@ -286,7 +293,8 @@ def test_primal_certificate_tight_probe(monkeypatch):
     sum lam = 0.962 and nu(x) = 0.962 (1 + 0.85 s) > 1: only the gauge
     bound 1 + k_hi s that the net gives each witness keeps the certificate
     from putting x inside, where a slack of delta forbids IN_THICKENED. A
-    bound of 1 + k_hi s / 2 = 1 + 0.71 s would certify it."""
+    bound of 1 + k_hi s / 2 = 1 + 0.71 s would certify it. The witnesses
+    answer the net's first support run, over its 2n directions +-e_i."""
     slack, delta = 0.05, 1e-3
     norm = ReferenceNorm.lp(1.0, 2)
     adversary = band_adversary(norm, 0.9)
@@ -297,16 +305,16 @@ def test_primal_certificate_tight_probe(monkeypatch):
     # the net's support run, answered with these witnesses at this slack
     monkeypatch.setattr(normdual, "support_batch",
                         lambda *args: (hi, hi, W, None, slack))
-    oracle._build_net()
+    oracle._grow(oracle._net)
     k_hi = norm.descriptor.k_hi
     x = 0.962 * 0.5 * (W[0] + W[1])
     assert 0.962 * (1.0 + k_hi * slack / 2) < 1.0 < norm.eval(x)
     assert adversary.query(x, delta) is WeakVerdict.NOT_IN_SHRUNK
     gen = oracle._primal_gen
-    assert not _certified(gen, x[None, :], np.linalg.norm(x, keepdims=True))[0]
+    assert not _certified(gen, x[None, :])[0]
     # the same row at 0.9 of the simplex is certified: 0.9 (1 + k_hi s) < 1
     y = 0.9 * 0.5 * (W[0] + W[1])
-    assert _certified(gen, y[None, :], np.linalg.norm(y, keepdims=True))[0]
+    assert _certified(gen, y[None, :])[0]
 
 
 def test_pool_refutations_cost_no_primal_calls():
@@ -315,12 +323,12 @@ def test_pool_refutations_cost_no_primal_calls():
     norm = ReferenceNorm.lp(1.0, 3)
     primal = norm.oracle()
     oracle = DualBallOracle(primal, norm.descriptor)
-    oracle._build_net()
+    oracle._grow(oracle._net)
     rng = rng_stream(44, 0)
     C = _band_rows(norm.descriptor, rng, 2000)
     C = C[norm.dual().eval_batch(C) > 1.4][:200]
     assert len(C) == 200
-    assert np.all(oracle._refuted(C, np.linalg.norm(C, axis=1)))
+    assert np.all(oracle._polar_lower(C, np.linalg.norm(C, axis=1)) > 1.0)
     before = primal.calls.count
     np.testing.assert_array_equal(oracle.query_batch(C, 0.01), np.zeros(200, bool))
     assert oracle.query(C[0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
@@ -359,47 +367,68 @@ def _net_body(case, side):
     return image, desc, lambda X: norm.eval_batch(X @ inv.T), lambda C: dual(C @ A)
 
 
-@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
-@pytest.mark.parametrize("case", list(NET_BODIES))
-def test_net_verdicts_are_legal_under_band_adversary(case, side):
-    """Every net bound hi(v) is at least the closed-form support value
-    h_B(v) = nu*(v). On the polar side, every row the net certifies has
-    nu*(c) <= 1 and every row that a witness refutes has nu*(c) > 1; on the
-    primal side, every row that hi refutes has nu(x) > 1 and every row the
-    witnesses certify has nu(x) <= 1. In R^2 and R^3 each rule settles
-    more than half of the rows 5 % beyond its side of the unit sphere; in
-    R^4 each settles some. Half the rows lie within 2 % of the sphere. The
-    polar side also has one row per net direction v at nu*(c) = 1 - 1e-7,
-    where a witness that the generous adversary admits outside B refutes c
-    unless its slack is counted in full; the primal side one row per
-    witness w at nu(x) = 1 + 1e-7 on the ray through w, which the witnesses
-    certify if w is outside B and its gauge bound leaves out the slack."""
+def _grown_net(case, side):
+    """A dual-ball oracle of a net case whose net grew from its own rows,
+    and the rows: 2000 polar rows strictly between the sandwich radii and
+    2000 within 2 % of the unit sphere of nu*, and the same of primal rows
+    for nu. The primal rows go through _net_query first, as in
+    mahler_volume, then the polar ones; each side's shell rows build the
+    net, grow it in R^2 and R^3, and are answered. Returns the oracle, the
+    closed-form gauge and dual norm, the descriptor and both row sets."""
     primal, desc, gauge, dual = _net_body(case, side)
     oracle = DualBallOracle(primal, desc)
-    oracle._build_net()
-    assert np.all(oracle._net_hi >= dual(oracle._net))
     rng = rng_stream(45, desc.n)
     U = rng.normal(size=(2000, desc.n))
     near = U * (rng.uniform(0.98, 1.02, size=2000) / dual(U))[:, None]
-    tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
-    polar_rows = np.vstack([_band_rows(desc, rng, 2000), near, tight])
+    polar_rows = np.vstack([_band_rows(desc, rng, 2000), near])
     U = rng.normal(size=(4000, desc.n))
     r = np.concatenate([rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=2000)
                         / np.linalg.norm(U[:2000], axis=1),
                         rng.uniform(0.98, 1.02, size=2000) / gauge(U[2000:])])
+    primal_rows = U * r[:, None]
+    for C, inner, outer, is_primal in ((primal_rows, 1.0 / desc.k_hi, 1.0 / desc.k_lo, True),
+                                       (polar_rows, desc.k_lo, desc.k_hi, False)):
+        nrm = np.linalg.norm(C, axis=1)
+        shell = (nrm > inner) & (nrm < outer)
+        oracle._net_query(C[shell], nrm[shell], 0.01, is_primal)
+    return oracle, gauge, dual, desc, polar_rows, primal_rows
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("case", list(NET_BODIES))
+def test_net_verdicts_are_legal_under_band_adversary(case, side):
+    """On a net grown from its own rows under the adversary (_grown_net),
+    every net bound hi(v) is at least the closed-form support value
+    h_B(v) = nu*(v). On the polar side, every row the net certifies has
+    nu*(c) <= 1 and every row that a witness refutes has nu*(c) > 1; on the
+    primal side, every row that hi refutes has nu(x) > 1 and every row the
+    witnesses certify has nu(x) <= 1. In R^2 and R^3, where the net grew
+    beyond +-e_i, each rule settles more than half of the rows 5 % beyond
+    its side of the unit sphere; in R^4 each settles some. Half the rows
+    lie within 2 % of the sphere. The polar side also has one row per net
+    direction v at nu*(c) = 1 - 1e-7, where a witness that the generous
+    adversary admits outside B refutes c unless its slack is counted in
+    full; the primal side one row per witness w at nu(x) = 1 + 1e-7 on the
+    ray through w, which the witnesses certify if w is outside B and its
+    gauge bound leaves out the slack."""
+    oracle, gauge, dual, desc, polar_rows, primal_rows = _grown_net(case, side)
+    if desc.n <= 3:
+        assert len(oracle._net) > 2 * desc.n
+    assert np.all(oracle._net_hi >= dual(oracle._net))
+    tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
     W = oracle._witness
-    primal_rows = np.vstack([U * r[:, None], (1.0 + 1e-7) * W / gauge(W)[:, None]])
-    sides = [  # rows, closed form, sandwich radii, refutation, certificate
-        (polar_rows, dual, desc.k_lo, desc.k_hi, oracle._refuted, oracle._polar_gen),
-        (primal_rows, gauge, 1.0 / desc.k_hi, 1.0 / desc.k_lo,
-         oracle._primal_refuted, oracle._primal_gen),
+    sides = [  # rows, closed form, sandwich radii, lower bound, certificate
+        (np.vstack([polar_rows, tight]), dual, desc.k_lo, desc.k_hi,
+         oracle._polar_lower, oracle._polar_gen),
+        (np.vstack([primal_rows, (1.0 + 1e-7) * W / gauge(W)[:, None]]), gauge,
+         1.0 / desc.k_hi, 1.0 / desc.k_lo, oracle._primal_lower, oracle._primal_gen),
     ]
-    for C, closed, inner, outer, refute, gen in sides:
+    for C, closed, inner, outer, lower, gen in sides:
         nrm = np.linalg.norm(C, axis=1)
         keep = (nrm > inner) & (nrm < outer)  # rows no sandwich settles
         C, nrm = C[keep], nrm[keep]
-        certified = _certified(gen, C, nrm)
-        refuted = refute(C, nrm)
+        certified = _certified(gen, C)
+        refuted = lower(C, nrm) > 1.0
         nu = closed(C)
         assert np.all(nu[certified] <= 1.0)
         assert np.all(nu[refuted] > 1.0)
@@ -410,11 +439,13 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side):
 
 
 def test_small_batches_never_build_the_net():
-    """A scalar query, and a batch that leaves fewer rows than the net has
-    directions, cost exactly the calls of the validity run on the rows they
-    leave and get its verdicts; the first batch that leaves len(V) rows
-    builds the net. The same holds on the primal side, where a batch of
-    fewer rows costs exactly the primal oracle's calls on them."""
+    """A scalar query, and a batch that leaves no more rows than the net
+    has directions, cost exactly the calls of the validity run on the rows
+    they leave and get its verdicts: until a run has measured them, a row
+    and a direction are priced alike, so 2n rows do not pay for the 2n
+    directions +-e_i. The first batch that leaves more rows builds the net.
+    The same holds on the primal side, where a batch of no more rows costs
+    exactly the primal oracle's calls on them."""
     norm = ReferenceNorm.lp(1.0, 2)
     desc = norm.descriptor
     rng = rng_stream(46, 0)
@@ -422,35 +453,208 @@ def test_small_batches_never_build_the_net():
     oracle = DualBallOracle(primal, desc)
     lockstep = DualBallOracle(fresh, desc)._lockstep
     size = len(oracle._net)
-    C = _band_rows(desc, rng, size)
+    assert size == 2 * desc.n
+    C = _band_rows(desc, rng, size + 1)
     c = C[0]
     verdict = oracle.query(c, 0.01)
     assert oracle._net_hi is None
     want = lockstep(c[None, :], 0.01)[0]
     assert (verdict is WeakVerdict.IN_THICKENED) == want
     assert primal.calls.count == fresh.calls.count > 0
-    # the sandwich settles the short rows, so size - 1 rows reach the engine
+    # the sandwich settles the short rows, so size rows reach the engine
     short = 0.5 * desc.k_lo * C / np.linalg.norm(C, axis=1)[:, None]
     got = oracle.query_batch(np.vstack([C[1:], short]), 0.01)
     assert oracle._net_hi is None
-    np.testing.assert_array_equal(got[:size - 1], lockstep(C[1:], 0.01))
-    assert np.all(got[size - 1:])
+    np.testing.assert_array_equal(got[:size], lockstep(C[1:], 0.01))
+    assert np.all(got[size:])
     assert primal.calls.count == fresh.calls.count
-    oracle.query_batch(_band_rows(desc, rng, size), 0.01)
+    oracle.query_batch(_band_rows(desc, rng, size + 1), 0.01)
     assert oracle._net_hi is not None
-    # the primal side: size - 1 rows of the primal shell cost one call each
-    # and get the oracle's verdicts; size rows build the net
+    # the primal side: size rows of the primal shell cost one call each and
+    # get the oracle's verdicts; size + 1 rows build the net
     primal = norm.oracle()
     oracle = DualBallOracle(primal, desc)
-    U = rng.normal(size=(size, desc.n))
-    X = U * (rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=size)
+    U = rng.normal(size=(size + 1, desc.n))
+    X = U * (rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=size + 1)
              / np.linalg.norm(U, axis=1))[:, None]
     got = oracle._primal_screen(X[1:], 0.01)
     assert oracle._net_hi is None
-    assert primal.calls.count == size - 1
+    assert primal.calls.count == size
     np.testing.assert_array_equal(got, norm.eval_batch(X[1:]) <= 1.0)
     oracle._primal_screen(X, 0.01)
     assert oracle._net_hi is not None
+
+
+def _record_dual_balls(monkeypatch):
+    """The list of every DualBallOracle that mahler_volume makes from now on."""
+    made = []
+
+    class Recorded(DualBallOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(mahler, "DualBallOracle", Recorded)
+    return made
+
+
+def test_growth_is_paid_for(monkeypatch):
+    """The net grows only where its rows pay for it. On l1/R3, at the
+    streams of the benchmark's seed-1 op, it grows from +-e_i by the
+    octahedron's facet normals (+-1, +-1, +-1)/sqrt(3), and the op costs
+    under 4,000 primal calls (19,085 on the fixed net of 64 directions).
+    Then 10 rows on each side within 1e-9 of the unit sphere pay for no
+    face: a row that thin counts for nothing against a direction. The net
+    keeps its 14 directions, and the primal rows cost one call each."""
+    made = _record_dual_balls(monkeypatch)
+    norm = ReferenceNorm.lp(1.0, 3)
+    primal = norm.oracle()
+    mahler_volume(primal, norm.descriptor, 50_000,
+                  dataclasses.replace(DEFAULT_CONFIG, rng_seed=12))
+    assert primal.calls.count < 4000
+    (oracle,) = made
+    diagonals = np.array(list(itertools.product((1.0, -1.0), repeat=3))) / math.sqrt(3.0)
+    assert len(oracle._net) == 14
+    assert np.all((diagonals @ oracle._net.T).max(axis=1) > 1.0 - 1e-12)
+    U = rng_stream(49, 0).normal(size=(10, 3))
+    before = primal.calls.count
+    oracle._primal_screen(U / norm.eval_batch(U)[:, None] * (1.0 + 1e-9), 1e-6)
+    assert primal.calls.count - before == 10
+    oracle.query_batch(U / norm.dual().eval_batch(U)[:, None] * (1.0 - 1e-9), 1e-6)
+    assert len(oracle._net) == 14
+
+
+def _brute_hull(P):
+    """The reference for _Hull.planes: every n-subset of the rows of P, in
+    R^2 or R^3, whose plane H (H . P_i = 1 on the subset) has
+    H . P_j <= 1 + 1e-9 for every row j. Brute force, one first index i at
+    a time; a subset's plane is H = N / (N . P_i) for the normal N of its
+    edges from P_i. Subsets that are singular, or nearly so relative to the
+    size of P, are left out, and coplanar rows give every triangle of their
+    face. Each plane meets a spread of 32 rows first, and only the planes
+    that no row of it rules out meet all m."""
+    m, n = P.shape
+    tiny = 1e-9 * np.linalg.norm(P, axis=1).max() ** n
+    facets, planes = [np.zeros((0, n), dtype=int)], [np.zeros((0, n))]
+    tails = np.array(list(itertools.combinations(range(m), n - 1)))  # sorted
+    spread = P[::max(1, m // 32)]
+    for i in range(m - n + 1):
+        rest = tails[np.searchsorted(tails[:, 0], i + 1):]  # tails above i
+        E = P[rest] - P[i]
+        N = np.cross(E[:, 0], E[:, 1]) if n == 3 else E[:, 0, ::-1] * [1.0, -1.0]
+        det = N @ P[i]
+        ok = np.abs(det) > tiny
+        H = N[ok] / det[ok, None]
+        keep = np.all(H @ spread.T <= 1.0 + 1e-9, axis=1)
+        keep[keep] = np.all(H[keep] @ P.T <= 1.0 + 1e-9, axis=1)
+        facets.append(np.column_stack([np.full(len(H), i), rest[ok]])[keep])
+        planes.append(H[keep])
+    return np.vstack(facets), np.vstack(planes)
+
+
+def _assert_same_hull(hull):
+    """The grown hull's facets are facets of the brute-force reference over
+    its points, both have the same planes (a face that coplanar points
+    triangulate has one), and the grown hull, origin included, is closed:
+    each ridge lies on exactly two of its facets."""
+    facets, planes = hull.planes()
+    ref_facets, ref_planes = _brute_hull(hull.points[1:])
+    ref = {tuple(f) for f in ref_facets}
+    assert len(facets) and all(tuple(f) in ref for f in np.sort(facets, axis=1))
+    gap = np.abs(planes[:, None] - ref_planes[None]).max(axis=2) / np.abs(ref_planes).max()
+    assert np.all(gap.min(axis=1) < 1e-9) and np.all(gap.min(axis=0) < 1e-9)
+    n = hull.points.shape[1]
+    ridges = np.vstack([np.delete(hull.facets, k, axis=1) for k in range(n)])
+    assert np.all(np.unique(ridges, axis=0, return_counts=True)[1] == 2)
+
+
+CUBE = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+AXES = np.vstack([np.eye(3), -np.eye(3)])
+SQUARE = np.array(list(itertools.product((1.0, -1.0), repeat=2)))
+
+
+def _point_set(name):
+    """Random unit points in R^3, and degenerate sets: coplanar points on
+    the cube's faces, face centres 1e-6 beyond them (vertices that a
+    coarser side test would skip), repeated points, witnesses clustered
+    near the vertices of the octahedron, and l-infinity witnesses at
+    corners, whose hull has the origin on an edge or a face."""
+    if name.startswith("sphere-"):
+        m = int(name[len("sphere-"):])
+        U = rng_stream(48, m).normal(size=(m, 3))
+        return U / np.linalg.norm(U, axis=1)[:, None]
+    edges = np.array([v for v in itertools.product((1.0, 0.0, -1.0), repeat=3)
+                      if np.count_nonzero(v) == 2])
+    return {
+        "cube-face-centres": np.vstack([AXES, CUBE]),
+        "cube-edge-midpoints": np.vstack([AXES, edges, CUBE]),
+        "face-centres-just-beyond": np.vstack([CUBE, (1.0 + 1e-6) * AXES]),
+        "repeated": np.vstack([CUBE, CUBE[:3], AXES, AXES[:2]]),
+        "clustered": np.repeat(AXES, 10, axis=0) + 1e-4 * rng_stream(48, 0).normal(size=(60, 3)),
+        "square-edge-points": np.vstack([np.eye(2), -np.eye(2), SQUARE, 0.5 * SQUARE + 0.5]),
+        "origin-on-edge-R2": np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+        "origin-on-face-R3": np.vstack([CUBE[[0, 1, 2, 4]], CUBE[0]]),
+    }[name]
+
+
+POINT_SETS = ["sphere-64", "sphere-128", "sphere-192", "cube-face-centres",
+              "cube-edge-midpoints", "face-centres-just-beyond", "repeated", "clustered",
+              "square-edge-points", "origin-on-edge-R2", "origin-on-face-R3"]
+
+
+@pytest.mark.parametrize("name", POINT_SETS)
+def test_grown_hull_matches_brute_force(name):
+    """The hull grown by insertion, three batches of points, has the
+    brute-force reference's facets (_assert_same_hull)."""
+    P = _point_set(name)
+    hull = _Hull(P.shape[1])
+    for part in np.array_split(P, 3):
+        hull.add(part)
+    _assert_same_hull(hull)
+
+
+@pytest.mark.parametrize("case", [case for case, (_, n, _) in NET_BODIES.items() if n <= 3])
+def test_grown_hulls_match_brute_force_on_net_bodies(case):
+    """Both hulls of a net grown from its own rows (_grown_net), the points
+    V / hi and the scaled witnesses, have the brute-force reference's
+    facets."""
+    oracle = _grown_net(case, None)[0]
+    for hull in oracle._hulls:
+        _assert_same_hull(hull)
+
+
+def test_grown_hulls_match_brute_force_on_workload_nets(monkeypatch):
+    """The same on the nets that the benchmark's four Mahler bodies grow at
+    seed 1. The disc's sandwich settles every row, so it builds no net."""
+    made = _record_dual_balls(monkeypatch)
+    for i, (p, n, A) in enumerate([(2.0, 2, None), (1.0, 2, None), (1.0, 3, None),
+                                   (2.0, 2, IMAGE)]):
+        norm = ReferenceNorm.lp(p, n)
+        oracle, desc = norm.oracle(), norm.descriptor
+        if A is not None:
+            oracle, desc = linear_image(oracle, desc, A)
+        mahler_volume(oracle, desc, 50_000, dataclasses.replace(DEFAULT_CONFIG, rng_seed=2 * (4 + i)))
+    assert made[0]._net_hi is None
+    for oracle in made[1:]:
+        assert len(oracle._net) > 2 * oracle.body.n
+        for hull in oracle._hulls:
+            _assert_same_hull(hull)
+
+
+def test_grown_hull_is_faster_than_brute_force():
+    """At 192 random unit points in R^3 the grown hull takes a fraction of
+    the brute force's time (fastest of three runs each)."""
+    P = _point_set("sphere-192")
+
+    def fastest(build):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            build()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert fastest(lambda: _Hull(3).add(P)) < 0.5 * fastest(lambda: _brute_hull(P))
 
 
 def test_linear_image_membership():
