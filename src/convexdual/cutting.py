@@ -107,33 +107,45 @@ Policy where a row is not decided cleanly, the same for every caller:
   fenchel.EpigraphBody has one built from values f~ of f. A center
   z = (x, tau) off the ball is cut along ((x - c)/|x - c|, 0) at depth
   |x - c| - R, and one above the cap along (0, 1) at depth tau - cap: both
-  halfspaces hold all of E, so sigma = 0, at no evaluation. Any other OUT
-  center is below the graph up to the band, tau < f~_dq(x) <= f(x) + dq.
-  Its n forward quotients H_i = (f~(x + h_i e_i) - f~(x))/h_i, with
-  h_i = -/+h stepping toward c and every value asked at slack ev, give the
-  unit u = (H, -1)/|(H, -1)| and the depth
-  alpha = (f~(x) - ev - tau)/|(H, -1)|, at n + 1 evaluations. Take
-  y' = (x', tau') in E, s a subgradient of f at x, F the exact quotients
-  and b = F - s their one-sided bias, as for the gauge. Convexity gives
-  tau' >= f(x') >= f(x) + s . (x' - x), and f(x) >= f~(x) - ev, so
+  halfspaces hold all of E, so sigma = 0, at no evaluation. Any other
+  center costs its verdict one evaluation, f~(x) asked at the separator's
+  slack ev = dq h / (16 sqrt(n) R) rather than at dq. That is legal at dq:
+  IN gives tau >= f~(x) >= f(x) - ev >= f(x) - dq, and OUT gives
+  tau < f~(x) <= f(x) + ev <= f(x) + dq, so an OUT center is below the
+  graph up to the band. Its n forward quotients
+  H_i = (f~(x + h_i e_i) - f~(x))/h_i, with h_i = -/+h stepping toward c
+  and every value asked at slack ev, give the unit u = (H, -1)/|(H, -1)|
+  and the depth alpha = (f~(x) - ev - tau)/|(H, -1)|. The verdict function
+  keeps its last batch's values by row and ev, and the engine hands the
+  separator a subset of the batch it has just asked, at the same dq, so
+  the separator reads f~(x) there and a center below the graph costs n
+  further evaluations, n + 1 in all. A center that batch does not hold at
+  that ev (a direct call) has f~(x) asked afresh, at n + 1 evaluations in
+  the separator. Take y' = (x', tau') in E, s a subgradient of f at x, F
+  the exact quotients and b = F - s their one-sided bias, as for the
+  gauge. Convexity gives tau' >= f(x') >= f(x) + s . (x' - x), and
+  f(x) >= f~(x) - ev, so
   (H, -1) . (y' - z) <= (H - s) . (x' - x) - (f~(x) - ev - tau). Each value
   errs by at most ev, so |H - F| <= 2 sqrt(n) ev/h, and |x' - x| <= 2R, so
   u . (y' - z) <= -alpha + (|b| + 2 sqrt(n) ev/h) 2R / |(H, -1)|. An OUT
-  verdict inside the band can leave alpha < 0, though not below
-  -(dq + 2 ev)/|(H, -1)|, as tau < f(x) + dq <= f~(x) + ev + dq; the clip
-  makes that cut central. So against the clipped depth a value cut keeps
-  E, and with it K_dq, up to
+  verdict inside the band can leave alpha < 0. Where the depth reads the
+  verdict's own value, OUT means tau < f~(x), so alpha > -ev/|(H, -1)|.
+  Where it reads a fresh one, tau < f(x) + dq <= f~(x) + ev + dq gives
+  only alpha > -(dq + 2 ev)/|(H, -1)|. The clip makes either cut central.
+  So against the clipped depth a value cut keeps E, and with it K_dq, up
+  to
 
       sigma_v = (dq + 2 ev + (|b| + 2 sqrt(n) ev/h) 2R) / |(H, -1)|,
 
-  as a gauge cut does up to sigma. |(H, -1)| >= 1, so a value separator
-  has no flat case. The step is h = 1e-5 R, fixed by the ball, and
-  ev = dq h / (16 sqrt(n) R) holds the noise term 2 sqrt(n) (ev/h) 2R to
-  dq/4. The bias term is O(h) where f is smooth, |b| <= sqrt(n) M h/2 for
-  second partials at most M, and near a kink can reach the jump of a
-  partial, as for gauges; choosing h so that it stays below a fraction of
-  the slack is open, with the gauge path's step and tolerance (ROADMAP
-  item 7).
+  as a gauge cut does up to sigma. This bound covers both paths; on the
+  engine path its clip term dq + 2 ev falls to ev. |(H, -1)| >= 1, so a
+  value separator has no flat case. The step is h = 1e-5 R, fixed by the
+  ball, and ev = dq h / (16 sqrt(n) R) holds the noise term
+  2 sqrt(n) (ev/h) 2R to dq/4. The bias term is O(h) where f is smooth,
+  |b| <= sqrt(n) M h/2 for second partials at most M, and near a kink can
+  reach the jump of a partial, as for gauges; choosing h so that it stays
+  below a fraction of the slack is open, with the gauge path's step and
+  tolerance (ROADMAP item 7).
 - Pooled cuts: each run keeps one pool, the halfspaces u . y <= beta of
   its last _POOL_CAP separator cuts from all its rows,
   beta = u . x - max(alpha, 0). Each keeps K_dq up to sigma (deep cuts and

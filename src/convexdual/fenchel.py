@@ -108,37 +108,52 @@ class EpigraphBody:
     def oracle(self) -> WeakMembershipOracle:
         """Row-wise weak membership, with the epigraph's own separator.
 
-        Verdicts: rows off the ball or above the cap are refuted without an
-        evaluation, every other row costs one. The separator cuts a point
+        Verdicts at slack dq: rows off the ball or above the cap are refuted
+        without an evaluation, every other row costs one, f~(x) asked at the
+        separator's slack ev = dq h / (16 sqrt(n) R), h = 1e-5 R, not at dq.
+        The verdict function keeps its last batch's values, keyed by row and
+        ev, and each call replaces them. The separator cuts a point
         z = (x, tau) answered outside at slack dq (cutting module header,
         value separators): off the ball along the ball's face, at depth
         |x - c| - R, and above the cap along tau <= cap, at depth
         tau - cap, both exact and without an evaluation. Below the graph it
         takes n forward differences of f at x, each stepping toward the
-        ball's centre by h = 1e-5 R, with every value asked at slack
-        ev = dq h / (16 sqrt(n) R). Their quotients H give the tangent
-        halfspace (H, -1) . y <= H . x - f~(x) + ev, a cut at depth
-        (f~(x) - ev - tau) / |(H, -1)|, for n + 1 evaluations. Each row also
-        gets a witness in the epigraph at no further evaluation: below the
-        graph (x, min(f~(x) + ev, cap)), as f(x) <= f~(x) + ev, and off the
-        ball or above the cap the ball point nearest x at tau = cap, as
+        ball's centre by h, with every value asked at slack ev. Their
+        quotients H give the tangent halfspace
+        (H, -1) . y <= H . x - f~(x) + ev, a cut at depth
+        (f~(x) - ev - tau) / |(H, -1)|. It reads f~(x) from the last verdict
+        batch where that batch holds x at the same ev, as it does for every
+        centre the cutting engine hands it, and then costs n evaluations;
+        elsewhere it asks f~(x) itself, for n + 1. Each row also gets a
+        witness in the epigraph at no further evaluation: below the graph
+        (x, min(f~(x) + ev, cap)), as f(x) <= f~(x) + ev, and off the ball
+        or above the cap the ball point nearest x at tau = cap, as
         f <= cap/2 on the ball (cutting module header, separator witnesses).
         """
         center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
                                        self.cap, self.values)
         n = self.ball.n
         step = 1e-5 * radius
+        # each quotient errs by at most 2 ev / h, which costs at most dq / 4
+        # of sigma over the ball's diameter 2R
+        ev_per_dq = step / (16.0 * math.sqrt(n) * radius)
+        last = {}  # (x bytes, ev) -> f~_ev(x), for the last verdict batch only
 
         def verdicts(Z, eps):
             if eps >= 0.5 * cap:
                 raise ValueError("query slack must stay below half the cap")
             X, tau = Z[:, :-1], Z[:, -1]
             inside = (np.linalg.norm(X - center, axis=1) <= radius) & (tau <= cap)
-            # tau >= w means tau >= f(x) - eps, and (x, min(tau + eps, cap)) is
-            # an epigraph point within eps; tau < w means (x, tau - eps) lies
-            # below the graph, refuting the eps-shrunk set
+            # asked at ev < eps: tau >= w means tau >= f(x) - ev >= f(x) - eps,
+            # and (x, min(tau + eps, cap)) is an epigraph point within eps;
+            # tau < w <= f(x) + eps means (x, tau - eps) lies below the graph,
+            # refuting the eps-shrunk set
+            ev = eps * ev_per_dq
+            last.clear()
             for i in np.flatnonzero(inside):
-                inside[i] = tau[i] >= values.eval(X[i], eps)
+                w = values.eval(X[i], ev)
+                last[X[i].tobytes(), ev] = w
+                inside[i] = tau[i] >= w
             return inside
 
         def separator(Z, dq):
@@ -155,12 +170,12 @@ class EpigraphBody:
             # and below the graph (x, min(f~(x) + ev, cap)), f(x) <= f~(x) + ev
             scale = radius / np.maximum(dist, radius)
             W = np.column_stack([center + rel * scale[:, None], np.full(len(Z), cap)])
-            # each quotient errs by at most 2 ev / h, which costs at most
-            # dq / 4 of sigma over the ball's diameter 2R
-            ev = dq * step / (16.0 * math.sqrt(n) * radius)
+            ev = dq * ev_per_dq
             hs = np.where(rel >= 0.0, -step, step)
             for i in np.flatnonzero(~outside & ~above):
-                fx = values.eval(X[i], ev)
+                fx = last.get((X[i].tobytes(), ev))
+                if fx is None:
+                    fx = values.eval(X[i], ev)
                 fp = np.array([values.eval(p, ev) for p in X[i] + np.diag(hs[i])])
                 u = np.append((fp - fx) / hs[i], -1.0)  # (H, -1)
                 nrm = float(np.linalg.norm(u))

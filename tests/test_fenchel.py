@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -296,6 +297,125 @@ def test_value_separator_witnesses_lie_in_the_epigraph(case, kind):
     np.testing.assert_array_equal(W[12:, :-1], X)
 
 
+def test_value_separator_reuses_the_verdicts_value():
+    """On the engine path a centre below the graph costs n + 1 evaluations
+    in all: its verdict asks f~(x) at the separator's slack ev, and the
+    separator, called on the batch's OUT rows at the same dq, reads that
+    value and asks only the n shifted points. It cuts exactly as a
+    separator that asks f~(x) itself. Rows the last batch did not hold, the
+    same rows at another dq, and rows of a batch since replaced cost n + 1
+    in the separator and reuse nothing."""
+    fn = make_reference_function("square_norm", 3).fn
+    n, R, cap, dq = 3, 2.0, 10.0, 1e-3
+    rng = rng_stream(66, n)
+    fx = lambda X: np.array([fn(x) for x in X])  # noqa: E731
+    X = _ball_points(rng, 8, n, 0.0, R)
+    below = np.column_stack([X, fx(X) - rng.uniform(1e-3, 2.0, size=8)])
+    over = np.column_stack([X, fx(X) + rng.uniform(1e-3, 1.0, size=8)])
+    off = np.column_stack([_ball_points(rng, 3, n, 1.01 * R, 1.5 * R), np.ones(3)])
+    capped = np.column_stack([_ball_points(rng, 3, n, 0.0, R), np.full(3, cap + 0.5)])
+    Z = np.vstack([below, over, off, capped])
+
+    values = _oracle(fn, n)
+    oracle = EpigraphBody(_ball(n, R), cap, values).oracle()
+    inside = oracle.query_batch(Z, dq)
+    np.testing.assert_array_equal(inside, [False] * 8 + [True] * 8 + [False] * 6)
+    assert values.calls.count == 16
+    got = approx_separator(oracle, oracle.body, Z[~inside], dq)
+    assert values.calls.count == 16 + 8 * n
+
+    fresh_values = _oracle(fn, n)
+    fresh = EpigraphBody(_ball(n, R), cap, fresh_values).oracle()
+    want = approx_separator(fresh, fresh.body, Z[~inside], dq)
+    assert fresh_values.calls.count == 8 * (n + 1)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+    X = _ball_points(rng, 5, n, 0.0, R)
+    unheld = np.column_stack([X, fx(X) - 0.5])
+    for rows, slack in [(unheld, dq), (below, 2.0 * dq), (below, 0.5 * dq)]:
+        values.calls.reset()
+        approx_separator(oracle, oracle.body, rows, slack)
+        assert values.calls.count == len(rows) * (n + 1)
+    oracle.query_batch(unheld, dq)
+    values.calls.reset()
+    approx_separator(oracle, oracle.body, below, dq)
+    assert values.calls.count == 8 * (n + 1)
+
+
+def _epigraph_sample(rng, fn, n, R, cap, X, h):
+    """Truncated-epigraph points: on the graph and between it and the cap
+    over the ball, and on the graph within 128h of each x in X along each
+    axis."""
+    fx = lambda X: np.array([fn(x) for x in X])  # noqa: E731
+    Xs = _ball_points(rng, 4000, n, 0.0, R)
+    lift = np.where(np.arange(4000) % 2 == 0, 0.0, rng.uniform(size=4000))
+    near = (X[:, None, None, :] + h * np.arange(-128.0, 129.0, 2.0)[None, :, None, None]
+            * np.eye(n)[None, None]).reshape(-1, n)
+    Xs = np.vstack([Xs, near[np.linalg.norm(near, axis=1) <= R]])
+    lift = np.append(lift, np.zeros(len(Xs) - 4000))
+    return np.column_stack([Xs, fx(Xs) + lift * (cap - fx(Xs))])
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+@pytest.mark.parametrize("case", list(VALUE_SEPARATOR_CASES))
+def test_value_verdicts_and_reused_cuts_are_legal(case, kind):
+    """Verdicts at slack dq ask f~ at ev = dq h / (16 sqrt(n) R), so on
+    points within 1.5 dq of the graph each answer is legal at ev, and so at
+    dq: IN only where tau >= f(x) - ev, OUT only where tau < f(x) + ev. The
+    separator then cuts that batch's OUT rows from the verdicts' values, at
+    n evaluations a row. As the depth reads the value the verdict read,
+    alpha > -ev/|(H, -1)|, and every cut meets the header's sharper bound
+    u . (y - z) <= -alpha + tilt, tilt = (|b| + 2 sqrt(n) ev/h) 2R/|(H, -1)|,
+    so against the clipped depth it keeps the epigraph up to ev/|(H, -1)| +
+    tilt, within sigma_v. Each witness lies in the epigraph. On the kinked
+    case the centres lie 16h to 48h from the kink x_1 = 0, as in
+    test_value_separator_within_documented_sigma."""
+    fn, grad, n, cap = VALUE_SEPARATOR_CASES[case]
+    R, dq = 2.0, 1e-3
+    values = VALUE_ORACLES[kind](fn, n)
+    oracle = EpigraphBody(_ball(n, R), cap, values).oracle()
+    h = 1e-5 * R
+    ev = dq * h / (16.0 * math.sqrt(n) * R)
+    rng = rng_stream(68, n)
+    fx = lambda X: np.array([fn(x) for x in X])  # noqa: E731
+
+    X = _ball_points(rng, 30, n, 0.0, R)
+    if case == "kinked":
+        X[:, 0] = rng.choice([-h, h], size=30) * rng.uniform(16.0, 48.0, size=30)
+    # a third each within 2 ev, dq and 1.5 dq of the graph, above or below
+    band = np.array([2.0 * ev, dq, 1.5 * dq])[np.arange(30) % 3]
+    Z = np.column_stack([X, fx(X) + band * rng.uniform(-1.0, 1.0, size=30)])
+    gap = Z[:, -1] - fx(X)
+    values.calls.reset()
+    inside = oracle.query_batch(Z, dq)
+    assert values.calls.count == 30
+    assert np.all(gap[inside] >= -ev) and np.all(gap[~inside] < ev)
+    assert np.all(gap[inside] >= -dq) and np.all(gap[~inside] < dq)
+    assert 8 <= np.count_nonzero(~inside) <= 22
+
+    out = Z[~inside]
+    values.calls.reset()
+    U, depth, W = approx_separator(oracle, oracle.body, out, dq)
+    assert values.calls.count == n * len(out)
+    np.testing.assert_array_equal(W[:, :-1], out[:, :-1])
+    assert all(fn(w[:-1]) <= w[-1] <= cap for w in W)
+    Y = _epigraph_sample(rng, fn, n, R, cap, out[:, :-1], h)
+    for z, u, a in zip(out, U, depth):
+        x = z[:-1]
+        hs = np.where(x >= 0.0, -h, h)
+        F = (fx(x + np.diag(hs)) - fn(x)) / hs
+        b = float(np.linalg.norm(F - grad(x)))
+        width = -1.0 / u[-1]  # |(H, -1)|
+        assert width >= 1.0
+        assert a > -ev / width * (1.0 + 1e-9)
+        tilt = (b + 2.0 * math.sqrt(n) * ev / h) * 2.0 * R / width
+        reach = float(np.max((Y - z) @ u))
+        assert reach <= -a + tilt
+        assert reach <= -max(a, 0.0) + ev / width + tilt
+        assert reach <= -max(a, 0.0) + (dq + 2.0 * ev) / width + tilt  # sigma_v
+
+
 def _kinked_conjugate(y):
     return 0.5 * float(np.sum(np.maximum(np.abs(y) - 1.0, 0.0) ** 2))
 
@@ -437,27 +557,53 @@ def test_fenchel_eval_matches_closed_forms(name, n, y):
 
 def test_fenchel_eval_cost_pin():
     """half_square_norm on R^2 at y = (0.6, -0.8), eps = 0.05, costs at most
-    40 evaluations and lands within 0.1 eps of f*(y) = 1/2: every separator
-    below the graph returns its graph point as an incumbent, and centres
-    below the incumbent get the objective cut at no evaluation."""
+    22 evaluations and lands within 0.1 eps of f*(y) = 1/2: every separator
+    below the graph returns its graph point as an incumbent and reuses its
+    verdict's value, and centres below the incumbent get the objective cut
+    at no evaluation."""
     ref = make_reference_function("half_square_norm", 2)
     values = ref.approx_oracle()
     eps = 0.05
     est = fenchel_eval(values, ref.cert, [0.6, -0.8], eps)
-    assert values.calls.count <= 40
+    assert values.calls.count <= 22
     assert abs(est.value - 0.5) <= 0.1 * eps
 
 
 # one point per function of the benchmark's conjugate workload
-@pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
-@pytest.mark.parametrize("name,n,y", [
+WORKLOAD_POINTS = [
     ("half_square_norm", 2, [0.6, -0.8]),
     ("square_norm", 3, [1.0, 0.5, -0.3]),
     ("quartic_quarter", 1, [-1.2]),
     # |y| near 3, where the |c| = sqrt(1 + |y|^2) of the engine slack weighs most
     ("half_square_norm", 2, [0.648, -2.929]),
     ("square_norm", 3, [-1.534, -2.534, -0.475]),
-])
+]
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+@pytest.mark.parametrize("name,n,y", WORKLOAD_POINTS)
+def test_fenchel_eval_asks_no_point_twice(name, n, y, kind):
+    """One fenchel_eval evaluates f~ at no point twice but the ball's centre
+    x = 0: the entry point asks f(0) at e0 to size the ball and the cap, and
+    the first cut centre (0, cap/4) asks it again at the separator's slack.
+    Every other centre below the graph pays for f~(x) once, in its verdict,
+    and its separator reuses that value."""
+    ref = make_reference_function(name, n)
+    seen = []
+
+    def fn(x):
+        seen.append(x.tobytes())
+        return ref.fn(x)
+
+    fenchel_eval(VALUE_ORACLES[kind](fn, n), ref.cert, y, 0.05)
+    origin = np.zeros(n).tobytes()
+    counts = collections.Counter(seen)
+    assert counts[origin] <= 2
+    assert all(k == origin for k, m in counts.items() if m > 1)
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
+@pytest.mark.parametrize("name,n,y", WORKLOAD_POINTS)
 def test_fenchel_eval_tolerates_value_adversaries(name, n, y, side):
     """Values off by 0.9 eps in one direction keep the conjugate within eps;
     the separators of the run probe epigraphs built from those values."""
