@@ -15,12 +15,13 @@ body, the slack, a finite (m, n) stack of nonzero objectives
 (core.as_stack); an empty stack returns empty results at no call.
 wopt_from_wmem is the engine on one row, with its gap history. wval_batch
 is the validity query over many objectives at once, and wval_from_wmem is
-wval_batch on one row, so the gamma -/+ eps/2 exits, the eps/2 slack and
-the tie rule live in wval_batch alone. support_batch is the support query
-over many objectives: it picks the engine slack from the accuracy asked for
-and turns each row's run into a certified interval for h_K(c), the one
-place that slack is proved. gauge_batch and approx_separator take stacks
-too; gauge_batch anchors points passed without anchors at themselves.
+wval_batch on one row, so the gamma -/+ eps/2 exits, the eps/2 slack, the
+centre slack and the tie rule live in wval_batch alone. support_batch is
+the support query over many objectives: it picks the engine slack and the
+centre slack from the accuracy asked for and turns each row's run into a
+certified interval for h_K(c), the one place those slacks are proved.
+gauge_batch and approx_separator take stacks too; gauge_batch anchors
+points passed without anchors at themselves.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; a cut through an approximate separator
@@ -60,15 +61,16 @@ bodies; the tests pin 5*eps.
 Policy where a row is not decided cleanly, the same for every caller:
 
 - Membership slack: the center of a cut is queried at
-  dq = min(eps/8, inner_radius/4) of the optimization slack eps. A validity
-  query at slack eps optimizes at eps/2, so its centers are queried at
-  eps/16. What a run at slack eps certifies follows from dq. Its witness
-  is a center answered IN, which lies within dq of K, or a point of K: the
-  body center, a center inside the inner ball (sandwich centers) or a
-  separator's witness (below). A center answered OUT lies outside
-  K_dq = a + (1 - dq/inner)(K - a), which sits inside the dq-shrunk body,
-  and its cut keeps K_dq up to sigma. So the certified gap
-  eps/2 bounds c . z - value over K_dq, and K_dq loses
+  dq = min(eps/8, inner_radius/4) of the optimization slack eps, unless the
+  caller passes a smaller dq of its own: a validity query and a support
+  query each pick theirs from what their answer must absorb (validity
+  slack and support interval, below). What a run at slack eps certifies
+  follows from dq. Its witness is a center answered IN, which lies within
+  dq of K, or a point of K: the body center, a center inside the inner
+  ball (sandwich centers) or a separator's witness (below). A center
+  answered OUT lies outside K_dq = a + (1 - dq/inner)(K - a), which sits
+  inside the dq-shrunk body, and its cut keeps K_dq up to sigma. So the
+  certified gap eps/2 bounds c . z - value over K_dq, and K_dq loses
   h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
   of support against K.
 - Deep cuts: each cut keeps the part {g . (y - z) <= -alpha} of the
@@ -227,15 +229,42 @@ Policy where a row is not decided cleanly, the same for every caller:
   the rims of both end discs. Its cap runs to 15 times R, and there
   B(a, hypot(R, 1.25 cap)) spends most of its volume far from the
   cylinder, so the early cuts of a run from the ball trim empty space.
+- Validity slack: wval_batch at slack eps runs the engine at eps/2, with
+  exits at gamma -/+ eps/2, and queries its centres at
+  dq = min(eps/16, eps inner/(2 outer), inner/4). LARGE_VALUE_EXISTS
+  follows a row whose incumbent reached gamma - eps/2; it lies within
+  dq < eps of K, so it is a point of the eps-thickened body with
+  c . x >= gamma - eps. UPPER_BOUND_HOLDS follows a row whose certified
+  bound fell to gamma + eps/2, or whose gap fell to eps/4 with its value
+  below gamma - eps/2; either way c . z <= gamma + eps/2 over K_dq. K_dq
+  loses at most (dq/inner) |c| outer <= eps |c|/2 of support (membership
+  slack), so h_K(c) <= gamma + eps/2 + eps |c|/2. The eps-shrunk body S
+  has S + eps B inside K, so h_S(c) <= h_K(c) - eps |c| <= gamma + eps,
+  which is the verdict's claim, for every sandwich. The middle term of dq
+  is what holds the loss to eps |c|/2, and it binds only above
+  outer/inner = 8: eps/16 alone keeps the loss under eps/2 + eps |c|, and
+  so the claim, only while outer/inner <= 16 (1 + 1/(2 |c|)).
 - Support interval: support_batch turns one run at slack e into an
   interval [lo, hi] that contains h_K(c), with
   lo = value - |c| dq and hi = value + gap + (dq/inner) |c| outer.
   The witness lies within dq of K, so value <= h_K(c) + |c| dq, which is
   lo <= h_K(c). The gap bounds c . z - value over K_dq, and K_dq loses at
   most (dq/inner) |c| outer of support against K (above), so h_K(c) <= hi.
-  A row stops at gap <= e/2, and dq <= e/8, so
-  hi - lo <= e (1/2 + |c| (1 + outer/inner)/8); e is chosen to make that
-  err at the largest |c| of the batch.
+  Write x = |c|max (1 + outer/inner) for the largest |c| of the batch, so
+  that hi - lo <= gap + dq x. The run takes e = max(err/(1/2 + x/8), err),
+  a row stops at gap <= e/2, and the centres are queried at
+  dq = min(e/8, inner/4, err/(2 x)). Where x <= 4, e = err/(1/2 + x/8) and
+  dq <= e/8 <= err/(2 x), so hi - lo <= e/2 + e x/8 = err; where x > 4,
+  e = err and hi - lo <= err/2 + err/2 = err. So the gap gets
+  max(4/(4 + x), 1/2) of err, and the dq terms the rest. Where x <= 4 the
+  floor of 1/2 does not bind, e = err/(1/2 + x/8) and
+  dq = min(e/8, inner/4): a unit row of an lp ball in R^2 or R^3 has
+  x = 1 + outer/inner <= 1 + sqrt(3). The floor binds on elongated bodies
+  such as the truncated epigraph, whose outer/inner runs to 19 on the
+  conjugate workload, and there it keeps the gap from as little as a tenth
+  of err. The dq terms are paid in membership slack, which costs no call,
+  since a verdict is one query whatever its slack; every halving of the
+  gap costs cuts.
 - Anchored gauge window: the gauge g about the center is 1/inner-Lipschitz,
   since B(center, inner) lies in K. So a probe p near an anchor Z whose
   gauge g~(Z) gauge_batch has bisected to within tol has g(p) in
@@ -546,7 +575,8 @@ def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
               eps: float, stop_above: float | None = None,
-              stop_ub_below: float | None = None, history: list | None = None):
+              stop_ub_below: float | None = None, history: list | None = None,
+              dq: float | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
     Each row runs its own ellipsoid localizer with deep cuts (module
@@ -572,7 +602,8 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     query_batch per cut at slack dq, and those answered infeasible to one
     approx_separator call at the same dq, which uses the oracle's own
     separator where it has one (value separators) and differences of the
-    gauge elsewhere.
+    gauge elsewhere. dq is _centre_slack(body, eps) unless the caller
+    passes its own (module header, membership slack).
 
     Returns per-row arrays (value, witness, gap, iterations, stop), stop
     indexing _STOP_REASONS; iterations counts every cut, free or paid.
@@ -588,11 +619,11 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     if np.any(np.linalg.norm(C, axis=1) == 0.0):
         raise ValueError("objective must be nonzero")
     positive_finite(eps, "engine slack")
+    dq = _centre_slack(body, eps) if dq is None else positive_finite(dq, "centre slack")
     lo = math.inf if stop_above is None else stop_above
     hi = -math.inf if stop_ub_below is None else stop_ub_below
 
     m, n = C.shape
-    dq = _centre_slack(body, eps)
     value, gap_out = np.empty(m), np.empty(m)
     witness = np.empty((m, n))
     iterations = np.empty(m, dtype=int)
@@ -711,9 +742,11 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Certified support values h_K(c) of the body for every row c of C.
 
-    One lockstep run of the engine at the slack e that solves
-    e (1/2 + |c|max (1 + outer/inner)/8) = err. Returns per-row arrays
-    (lo, hi, witness, cuts) and the run's centre slack dq: an interval
+    One lockstep run of the engine at the slack e = max(err/(1/2 + x/8), err)
+    and the centre slack dq = min(e/8, inner/4, err/(2x)), where
+    x = |c|max (1 + outer/inner) prices the support K_dq loses per unit of
+    dq: the gap gets max(4/(4 + x), 1/2) of err and the dq terms the rest.
+    Returns per-row arrays (lo, hi, witness, cuts) and dq: an interval
     [lo, hi] that contains h_K(c) with hi - lo <= err (the support interval
     of the module header), the incumbent, a point within dq of the body with
     c . witness in [lo, hi], and the row's cut count, free cuts at pooled
@@ -723,9 +756,12 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     # axis -1, so that a C of the wrong rank reaches the engine's check
     nc = np.linalg.norm(np.asarray(C, dtype=float), axis=-1)
     inner, outer = body.inner_radius, body.outer_radius
-    e = err / (0.5 + float(np.max(nc, initial=0.0)) * (1.0 + outer / inner) / 8.0)
-    value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e)
+    x = float(np.max(nc, initial=0.0)) * (1.0 + outer / inner)
+    e = max(err / (0.5 + x / 8.0), err)
     dq = _centre_slack(body, e)
+    if x > 0.0:  # else C is empty, which costs no call, or zero, which the engine rejects
+        dq = min(dq, err / (2.0 * x))
+    value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e, dq=dq)
     return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts, dq
 
 
@@ -749,11 +785,16 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
 
     Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
     of the engine at slack eps/2 that exits early at the two thresholds
-    gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. C and
-    eps are checked by the engine (_cut_loop); an empty C costs no call.
+    gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. Its
+    centres are queried at dq = min(eps/16, eps inner/(2 outer), inner/4),
+    so that K_dq loses at most eps |c|/2 of support whatever the sandwich
+    (module header, validity slack). C and eps are checked by the engine
+    (_cut_loop); an empty C costs no call.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    value = _cut_loop(oracle, body, C, eps / 2.0,
-                      stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)[0]
+    inner = body.inner_radius
+    dq = min(eps / 16.0, eps * inner / (2.0 * body.outer_radius), inner / 4.0)
+    value = _cut_loop(oracle, body, C, eps / 2.0, stop_above=gamma - eps / 2.0,
+                      stop_ub_below=gamma + eps / 2.0, dq=dq)[0]
     return value < gamma - eps / 2.0

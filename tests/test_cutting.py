@@ -19,7 +19,7 @@ from convexdual.cutting import (
     wval_batch,
     wval_from_wmem,
 )
-from convexdual.oracles import ReferenceNorm, exact_to_weak
+from convexdual.oracles import ReferenceNorm, WeakMembershipOracle, exact_to_weak
 
 
 def _ball_oracle(p, n):
@@ -723,6 +723,85 @@ def test_support_batch_rejects_bad_rows_before_querying(bad):
     with pytest.raises(ValueError):
         support_batch(oracle, body, [[1.0, 0.0]], 0.0)
     assert oracle.calls.count == 0
+
+
+LP_BALLS = list(itertools.product([1.0, 1.5, 2.0, 3.0, math.inf], [2, 3]))
+
+
+@pytest.mark.parametrize("p,n", LP_BALLS, ids=[f"l{p:g}-R{n}" for p, n in LP_BALLS])
+def test_support_batch_keeps_the_split_of_lp_balls(p, n, monkeypatch):
+    """On an lp ball in R^2 or R^3, unit rows have x = 1 + outer/inner <= 4,
+    and the run keeps e = err/(1/2 + x/8) and dq = min(e/8, inner/4) bit for
+    bit: the gap's floor of err/2 binds only above x = 4."""
+    seen, run = [], cutting._cut_loop
+
+    def spy(oracle, body, C, eps, *args, **kw):
+        seen.append((eps, kw.get("dq")))
+        return run(oracle, body, C, eps, *args, **kw)
+
+    monkeypatch.setattr(cutting, "_cut_loop", spy)
+    _, oracle, body = _ball_oracle(p, n)
+    C = rng_stream(27, n).normal(size=(4, n))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    err = 0.01
+    *_, dq = support_batch(oracle, body, C, err)
+    x = float(np.max(np.linalg.norm(C, axis=1))) * (
+        1.0 + body.outer_radius / body.inner_radius)
+    assert x <= 4.0
+    e = err / (0.5 + x / 8.0)
+    assert seen == [(e, min(e / 8.0, body.inner_radius / 4.0))]
+    assert dq == seen[0][1]
+
+
+def _disc_band(side):
+    """The unit disc declared with the loose sandwich B(0, 0.05) <= K <= B(0, 1),
+    answering IN iff |x| <= 1 + side delta: legal for |side| < 1."""
+    return WeakMembershipOracle(
+        lambda X, delta: np.linalg.norm(X, axis=1) <= 1.0 + side * delta,
+        CenteredBody(np.zeros(2), 0.05, 1.0), label="disc-band")
+
+
+@pytest.mark.parametrize("side", [-0.9, 0.0, 0.9], ids=["stingy", "exact", "generous"])
+def test_support_batch_split_on_a_loose_sandwich(side):
+    """Where x > 4 the gap keeps err/2 and the dq terms the rest: dq x <= err/2,
+    every interval is no wider than err, and it holds the closed form |c|
+    and the witness's value, whatever the band adversary answers."""
+    oracle = _disc_band(side)
+    body = oracle.body
+    C = rng_stream(28, 2).normal(size=(6, 2))
+    C *= rng_stream(29, 2).uniform(0.3, 3.0, size=(6, 1))
+    err = 0.02
+    lo, hi, witness, _, dq = support_batch(oracle, body, C, err)
+    nc = np.linalg.norm(C, axis=1)
+    x = float(np.max(nc)) * (1.0 + body.outer_radius / body.inner_radius)
+    assert x > 4.0
+    assert dq * x <= err / 2.0
+    assert np.all(hi - lo <= err)
+    assert np.all(lo <= nc) and np.all(nc <= hi)
+    values = np.einsum("bi,bi->b", C, witness)
+    assert np.all(lo <= values) and np.all(values <= hi)
+
+
+@pytest.mark.parametrize("side", [-0.9, 0.0, 0.9], ids=["stingy", "exact", "generous"])
+def test_wval_holds_its_contract_on_a_loose_sandwich(side):
+    """Validity over the unit disc declared with outer/inner = 20: for gamma
+    swept across h = |c|, UPPER_BOUND_HOLDS needs (1 - eps)|c| <= gamma + eps,
+    the support of the eps-shrunk disc, and LARGE_VALUE_EXISTS needs
+    (1 + eps)|c| >= gamma - eps, that of the eps-thickened disc."""
+    oracle = _disc_band(side)
+    eps = 0.02
+    u = rng_stream(30, 2).normal(size=2)
+    u /= np.linalg.norm(u)
+    for h in (0.5, 1.0, 3.0):
+        c = h * u
+        gammas = h + eps * np.array([-3.0, -2.0, -1.5, -1.0, -0.5, 0.0,
+                                     0.5, 1.0, 1.5, 2.0, 3.0]) * max(h, 1.0)
+        for gamma in gammas:
+            verdict = wval_from_wmem(oracle, oracle.body, c, float(gamma), eps)
+            if verdict is WvalVerdict.UPPER_BOUND_HOLDS:
+                assert (1.0 - eps) * h <= gamma + eps
+            else:
+                assert (1.0 + eps) * h >= gamma - eps
 
 
 # every engine entry as a call on an input X for the unit ball of a norm on

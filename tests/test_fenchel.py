@@ -6,7 +6,7 @@ import pytest
 
 from adversaries import alternating_value_adversary, value_adversary
 from convexdual.core import WeakVerdict, rng_stream
-from convexdual.cutting import approx_separator, wopt_from_wmem, wval_batch
+from convexdual.cutting import approx_separator, support_batch, wopt_from_wmem, wval_batch
 from convexdual.fenchel import (
     CertificateError,
     EpigraphBody,
@@ -557,16 +557,39 @@ def test_fenchel_eval_matches_closed_forms(name, n, y):
 
 def test_fenchel_eval_cost_pin():
     """half_square_norm on R^2 at y = (0.6, -0.8), eps = 0.05, costs at most
-    22 evaluations and lands within 0.1 eps of f*(y) = 1/2: every separator
+    16 evaluations and lands within 0.1 eps of f*(y) = 1/2: every separator
     below the graph returns its graph point as an incumbent and reuses its
-    verdict's value, and centres below the incumbent get the objective cut
-    at no evaluation."""
+    verdict's value, centres below the incumbent get the objective cut at no
+    evaluation, and the support run's gap keeps half of eps, however much
+    the epigraph's outer/inner weighs on its centre slack."""
     ref = make_reference_function("half_square_norm", 2)
     values = ref.approx_oracle()
     eps = 0.05
     est = fenchel_eval(values, ref.cert, [0.6, -0.8], eps)
-    assert values.calls.count <= 22
+    assert values.calls.count <= 16
     assert abs(est.value - 0.5) <= 0.1 * eps
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+def test_support_batch_split_on_the_pinned_epigraph(kind):
+    """The cost pin's epigraph is elongated, x = |c| (1 + outer/inner) > 4,
+    so its support run gives the gap err/2 and the dq terms the rest:
+    dq x <= err/2, the interval is no wider than err and holds f*(y) = 1/2
+    and the witness's value under every value oracle."""
+    ref = make_reference_function("half_square_norm", 2)
+    y, eps = np.array([0.6, -0.8]), 0.05
+    est = fenchel_eval(ref.approx_oracle(), ref.cert, y, eps)
+    epi = EpigraphBody(_ball(2, est.radius), est.cap, VALUE_ORACLES[kind](ref.fn, 2))
+    oracle = epi.oracle()
+    body = oracle.body
+    c = np.append(y, -1.0)
+    lo, hi, witness, _, dq = support_batch(oracle, body, c[None, :], eps)
+    x = float(np.linalg.norm(c)) * (1.0 + body.outer_radius / body.inner_radius)
+    assert x > 4.0
+    assert dq * x <= eps / 2.0
+    assert hi[0] - lo[0] <= eps
+    assert lo[0] <= 0.5 <= hi[0]
+    assert lo[0] <= float(c @ witness[0]) <= hi[0]
 
 
 # one point per function of the benchmark's conjugate workload
