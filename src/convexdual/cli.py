@@ -38,6 +38,15 @@ def _require(spec: dict, key: str):
     return spec[key]
 
 
+def _integer(spec: dict, key: str) -> int:
+    """The spec's key read as a JSON integer: a float or a bool is refused,
+    not truncated."""
+    value = _require(spec, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -56,24 +65,24 @@ def norm_from_spec(spec: dict) -> ReferenceNorm:
     if kind == "lp_norm":
         p = _require(spec, "p")
         p = math.inf if p in ("inf", "Infinity") else float(p)
-        return ReferenceNorm.lp(p, int(_require(spec, "n")))
+        return ReferenceNorm.lp(p, _integer(spec, "n"))
     if kind == "weighted_l2":
         return ReferenceNorm.weighted_l2(_require(spec, "weights"))
     if kind == "polyhedral_norm":
         return ReferenceNorm.polyhedral(_require(spec, "generators"))
     if kind == "box":
-        return ReferenceNorm.box(int(_require(spec, "n")))
+        return ReferenceNorm.box(_integer(spec, "n"))
     if kind == "cross":
-        return ReferenceNorm.cross(int(_require(spec, "n")))
+        return ReferenceNorm.cross(_integer(spec, "n"))
     raise SpecError(f"not a norm spec: kind {kind!r} (expected one of {_NORM_KINDS})")
 
 
 def cone_from_spec(spec: dict) -> ReferenceCone:
     kind = spec["kind"]
     if kind in ("orthant", "soc"):
-        return ReferenceCone(kind, int(_require(spec, "n")))
+        return ReferenceCone(kind, _integer(spec, "n"))
     if kind == "psd":
-        return ReferenceCone("psd", int(_require(spec, "d")))
+        return ReferenceCone("psd", _integer(spec, "d"))
     raise SpecError(f"not a cone spec: kind {kind!r} (expected one of {_CONE_KINDS})")
 
 
@@ -145,7 +154,7 @@ def cmd_fenchel(args) -> dict:
     if spec["kind"] != "function":
         raise SpecError("fenchel needs a spec of kind 'function'")
     ref = make_reference_function(str(_require(spec, "name")),
-                                  int(_require(spec, "n")))
+                                  _integer(spec, "n"))
     if ref.cert is None:
         raise SpecError(f"function {ref.name!r} carries no growth certificate")
     y = parse_point(args.point, ref.n)

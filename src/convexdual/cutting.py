@@ -11,17 +11,18 @@ separators, below).
 There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
 centers and (m, n, n) shape matrices, and a scalar call is a batch of one.
 _cut_loop checks every run's input once, before any oracle call: a bounded
-body, the slack, a finite (m, n) stack of nonzero objectives
-(core.as_stack); an empty stack returns empty results at no call.
-wopt_from_wmem is the engine on one row, with its gap history. wval_batch
-is the validity query over many objectives at once, and wval_from_wmem is
+body, the slack and the centre slack, a finite (m, n) stack of nonzero
+objectives (core.as_stack); an empty stack returns empty results at no call.
+It has two entries, the two questions of Groetschel, Lovasz and Schrijver
+(1988, ch. 4). support_batch is weak optimization over many objectives: it
+picks the engine slack and the centre slack from the accuracy asked for and
+turns each row's run into a certified interval for h_K(c), the one place
+those slacks are proved, and wopt_from_wmem is support_batch on one row.
+wval_batch is weak validity over many objectives, and wval_from_wmem is
 wval_batch on one row, so the gamma -/+ eps/2 exits, the eps/2 slack, the
-centre slack and the tie rule live in wval_batch alone. support_batch is
-the support query over many objectives: it picks the engine slack and the
-centre slack from the accuracy asked for and turns each row's run into a
-certified interval for h_K(c), the one place those slacks are proved.
-gauge_batch and approx_separator take stacks too; gauge_batch anchors
-points passed without anchors at themselves.
+centre slack and the tie rule live in wval_batch alone. gauge_batch and
+approx_separator take stacks too; gauge_batch anchors points passed without
+anchors at themselves.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; a cut through an approximate separator
@@ -60,17 +61,16 @@ bodies; the tests pin 5*eps.
 
 Policy where a row is not decided cleanly, the same for every caller:
 
-- Membership slack: the center of a cut is queried at
-  dq = min(eps/8, inner_radius/4) of the optimization slack eps, unless the
-  caller passes a smaller dq of its own: a validity query and a support
-  query each pick theirs from what their answer must absorb (validity
-  slack and support interval, below). What a run at slack eps certifies
-  follows from dq. Its witness is a center answered IN, which lies within
-  dq of K, or a point of K: the body center, a center inside the inner
-  ball (sandwich centers) or a separator's witness (below). A center
-  answered OUT lies outside K_dq = a + (1 - dq/inner)(K - a), which sits
-  inside the dq-shrunk body, and its cut keeps K_dq up to sigma. So the
-  certified gap eps/2 bounds c . z - value over K_dq, and K_dq loses
+- Membership slack: the centres of a run are queried at one slack dq,
+  which each entry picks from what its answer must absorb (validity slack
+  and support interval, below); the engine has no default. What a run at
+  slack eps certifies follows from dq. Its witness is a center answered
+  IN, which lies within dq of K, or a point of K: the body center, a
+  center inside the inner ball (sandwich centers) or a separator's witness
+  (below). A center answered OUT lies outside
+  K_dq = a + (1 - dq/inner)(K - a), which sits inside the dq-shrunk body,
+  and its cut keeps K_dq up to sigma. So the certified gap eps/2 bounds
+  c . z - value over K_dq, and K_dq loses
   h_K(c) - h_K_dq(c) = (dq/inner)(h_K(c) - c . a) <= (dq/inner) |c| outer
   of support against K.
 - Deep cuts: each cut keeps the part {g . (y - z) <= -alpha} of the
@@ -290,11 +290,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenteredBody, as_stack, positive_finite
+from .core import CenteredBody, Interval, as_stack, positive_finite
 from .oracles import WeakMembershipOracle
 
 _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
@@ -494,25 +494,22 @@ class WvalVerdict(enum.Enum):
 
 @dataclass
 class WoptResult:
-    """Outcome of the cutting-plane maximization.
+    """Outcome of a weak optimization query, the support query of one row c.
 
-    witness lies in the dq-thickened body: it is a center answered IN, or a
-    point of the body (the body center, a center inside the inner ball, or
-    a separator's witness); value = c . witness; gap is the certified bound
-    on how much any point of the shrunk body K_dq can beat the witness, dq
-    and K_dq as in the module header's membership slack.
-    gap_history is nonincreasing by construction.
+    interval contains h_K(c) and is no wider than the err asked for (module
+    header, support interval). witness lies in the dq-thickened body: it is
+    a center answered IN, or a point of the body (the body center, a center
+    inside the inner ball, or a separator's witness), and value = c . witness
+    lies in interval. iterations counts the run's cuts, free cuts included.
+    stop_reason is always "gap", as a support run has no early exit; it
+    stays with iterations because the benchmark's layer trace reads both.
     """
 
     witness: np.ndarray
     value: float
-    gap: float
+    interval: Interval
     iterations: int
     stop_reason: str
-    gap_history: list = field(default_factory=list)
-
-
-_STOP_REASONS = ("gap", "threshold-large", "threshold-upper")
 
 
 def _cut(Z: np.ndarray, P: np.ndarray, G: np.ndarray,
@@ -552,11 +549,6 @@ def _cut(Z: np.ndarray, P: np.ndarray, G: np.ndarray,
     return Z - U * t[:, None] / (n + 1.0), P
 
 
-def _centre_slack(body: CenteredBody, eps: float) -> float:
-    """Membership slack dq of the cut centres of a run at slack eps."""
-    return min(eps / 8.0, body.inner_radius / 4.0)
-
-
 def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per center z of Z, the index j of the halfspace u . y <= beta that z
     violates most among the rows (u, beta) of pool, and its violation
@@ -573,10 +565,9 @@ def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndar
     return j, v
 
 
-def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
-              eps: float, stop_above: float | None = None,
-              stop_ub_below: float | None = None, history: list | None = None,
-              dq: float | None = None):
+def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
+              dq: float, stop_above: float = math.inf,
+              stop_ub_below: float = -math.inf):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
     Each row runs its own ellipsoid localizer with deep cuts (module
@@ -588,9 +579,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     ellipsoid starts as the body's stated ellipsoid, or as B(a, outer) where
     it states none (module header, start ellipsoid). The incumbent starts
     at the body center a, which the centering data guarantees feasible, at
-    no query. A row leaves the loop at its first stop:
-    certified gap <= eps/2, incumbent >= stop_above, or certified upper
-    bound <= stop_ub_below, tested in that order. A center that violates one
+    no query. A row leaves the loop once its certified gap falls to eps/2,
+    its incumbent reaches stop_above, or its certified upper bound falls to
+    stop_ub_below; the last two are the exits of validity queries
+    (wval_batch), and by default neither fires. A center that violates one
     of the run's pooled separator halfspaces, made by any of its rows, is
     cut along the most violated one at no call (module header, pooled
     cuts). Of the rest, a center outside the outer ball is cut along its
@@ -602,32 +594,27 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     query_batch per cut at slack dq, and those answered infeasible to one
     approx_separator call at the same dq, which uses the oracle's own
     separator where it has one (value separators) and differences of the
-    gauge elsewhere. dq is _centre_slack(body, eps) unless the caller
-    passes its own (module header, membership slack).
+    gauge elsewhere. The caller picks dq (module header, membership slack).
 
-    Returns per-row arrays (value, witness, gap, iterations, stop), stop
-    indexing _STOP_REASONS; iterations counts every cut, free or paid.
-    history, when given, receives the gap of row 0 at every iteration; pass
-    it only for a batch of one. Raises IterationCapError, carrying the
+    Returns per-row arrays (value, witness, gap, iterations); iterations
+    counts every cut, free or paid. Raises IterationCapError, carrying the
     incumbent of the first undecided row, if any row is undecided after
     _MAX_CUTS cuts. Raises ValueError, before any oracle call, on an
-    unbounded body, a bad slack, or a C that is not a finite (m, n) stack of
-    nonzero rows; an empty C returns empty arrays at no call.
+    unbounded body, a bad slack or centre slack, or a C that is not a finite
+    (m, n) stack of nonzero rows; an empty C returns empty arrays at no
+    call.
     """
     _bounded(body)
     C = as_stack(C, body.n)
     if np.any(np.linalg.norm(C, axis=1) == 0.0):
         raise ValueError("objective must be nonzero")
     positive_finite(eps, "engine slack")
-    dq = _centre_slack(body, eps) if dq is None else positive_finite(dq, "centre slack")
-    lo = math.inf if stop_above is None else stop_above
-    hi = -math.inf if stop_ub_below is None else stop_ub_below
+    positive_finite(dq, "centre slack")
 
     m, n = C.shape
     value, gap_out = np.empty(m), np.empty(m)
     witness = np.empty((m, n))
     iterations = np.empty(m, dtype=int)
-    stop = np.empty(m, dtype=int)
     rows = np.arange(m)
     # the stated ellipsoid, else B(a, outer); the incumbent is a either way
     # (module header, start ellipsoid)
@@ -653,21 +640,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
         quad = np.einsum("bi,bij,bj->b", C, P, C)
         ub_run = np.minimum(ub_run, vals + np.sqrt(np.maximum(quad, 0.0)))
         gap = np.maximum(ub_run - best, 0.0)
-        if history is not None:
-            history.append(float(gap[0]))
-        certified = gap <= eps / 2.0
-        large = best >= lo
-        done = certified | large | (ub_run <= hi)
+        done = (gap <= eps / 2.0) | (best >= stop_above) | (ub_run <= stop_ub_below)
         if done.any():
             k = rows[done]
             value[k], witness[k], gap_out[k] = best[done], best_wit[done], gap[done]
             iterations[k] = it
-            stop[k] = np.where(certified[done], 0, np.where(large[done], 1, 2))
             live = ~done
             rows, C, Z, P, vals = rows[live], C[live], Z[live], P[live], vals[live]
             best, best_wit, ub_run = best[live], best_wit[live], ub_run[live]
         if rows.size == 0:
-            return value, witness, gap_out, iterations, stop
+            return value, witness, gap_out, iterations
 
         # a pooled halfspace that the center violates is a free cut, and so
         # is the sandwich: a center outside B(a, outer) is out, one inside
@@ -717,25 +699,21 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C,
     )
 
 
-def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c, eps: float,
-                   stop_above: float | None = None,
-                   stop_ub_below: float | None = None) -> WoptResult:
-    """Maximize c . x over the body to certified slack eps.
+def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,
+                   err: float) -> WoptResult:
+    """Weak optimization of c . x over the body: support_batch on the one
+    row c, which checks every input.
 
-    The cutting-plane engine run on a batch of one, with its gap history.
-    stop_above / stop_ub_below are early exits for validity queries: return
-    as soon as the incumbent value reaches stop_above, or as soon as the
-    certified upper bound falls to stop_ub_below.
-
-    Raises IterationCapError (carrying the incumbent) if the gap target is
-    not certified within _MAX_CUTS cuts.
+    The interval of the result contains h_K(c) and is no wider than err,
+    and its witness, within the run's centre slack of the body, has
+    c . witness in it (module header, support interval). Raises
+    IterationCapError, carrying the incumbent, if the run is undecided after
+    _MAX_CUTS cuts.
     """
-    history: list = []
-    value, witness, gap, iterations, stop = _cut_loop(
-        oracle, body, np.asarray(c, dtype=float)[None], eps,
-        stop_above, stop_ub_below, history)
-    return WoptResult(witness[0], float(value[0]), float(gap[0]), int(iterations[0]),
-                      _STOP_REASONS[stop[0]], history)
+    c = np.asarray(c, dtype=float)
+    lo, hi, witness, cuts, _ = support_batch(oracle, body, c[None], err)
+    return WoptResult(witness[0], float(c @ witness[0]),
+                      Interval(float(lo[0]), float(hi[0])), int(cuts[0]), "gap")
 
 
 def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: float
@@ -758,10 +736,10 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     inner, outer = body.inner_radius, body.outer_radius
     x = float(np.max(nc, initial=0.0)) * (1.0 + outer / inner)
     e = max(err / (0.5 + x / 8.0), err)
-    dq = _centre_slack(body, e)
+    dq = min(e / 8.0, inner / 4.0)
     if x > 0.0:  # else C is empty, which costs no call, or zero, which the engine rejects
         dq = min(dq, err / (2.0 * x))
-    value, witness, gap, cuts, _ = _cut_loop(oracle, body, C, e, dq=dq)
+    value, witness, gap, cuts = _cut_loop(oracle, body, C, e, dq)
     return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts, dq
 
 
@@ -795,6 +773,6 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
         raise ValueError("gamma must be finite")
     inner = body.inner_radius
     dq = min(eps / 16.0, eps * inner / (2.0 * body.outer_radius), inner / 4.0)
-    value = _cut_loop(oracle, body, C, eps / 2.0, stop_above=gamma - eps / 2.0,
-                      stop_ub_below=gamma + eps / 2.0, dq=dq)[0]
+    value = _cut_loop(oracle, body, C, eps / 2.0, dq, stop_above=gamma - eps / 2.0,
+                      stop_ub_below=gamma + eps / 2.0)[0]
     return value < gamma - eps / 2.0

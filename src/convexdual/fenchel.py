@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CenteredBody, Interval, as_vector, positive_finite
-from .cutting import support_batch, wopt_from_wmem
+from .cutting import wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
 
@@ -200,11 +200,16 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
                  eps: float) -> MinimizationResult:
     """Approximate min of f over the ball by pushing the epigraph downward.
 
-    The support query of the truncated epigraph in the direction (0, -1),
-    at weak-optimization slack eps / 2. The interior-minimum certificate
-    covers the gap between the shrunk epigraph's minimum and the true one; a
-    cheap post-hoc probe raises CertificateError when the returned value is
-    blatantly above function values seen at interior points.
+    The support query of the truncated epigraph E in the direction (0, -1)
+    at err = eps / 2 (cutting.wopt_from_wmem). As |f| <= cap / 2 on the
+    ball, h_E((0, -1)) is minus the minimum of f over it, so the minimum
+    lies in [-hi, -lo] for the query's interval [lo, hi], and the value
+    returned, minus the witness's objective value, lies there too: within
+    eps / 2 of the minimum. That interval already charges what the shrunk
+    epigraph loses of support, so the interior-minimum certificate only
+    bounds eps. It backs a cheap post-hoc probe, which raises
+    CertificateError when the returned value is blatantly above function
+    values seen at interior points.
     """
     if not (0.0 < eps < min(0.5 * epi.cap, cert.margin)):
         raise ValueError("need 0 < eps < min(cap / 2, certificate margin)")
@@ -214,7 +219,7 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
     before = epi.values.calls.count
     res = wopt_from_wmem(oracle, oracle.body, down, 0.5 * eps)
     calls = epi.values.calls.count - before
-    value = -float(res.value)
+    value = -res.value
 
     # the center and the points half the radius out along each axis
     steps = 0.5 * epi.ball.outer_radius * np.eye(epi.ball.n)
@@ -289,7 +294,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     sphere bounds it above, and f(x) >= 2 f(0) - f(-x) below. Over that body
     E, with tau = f(x) under the cap, h_E(c) = f*(y).
 
-    Slack. cutting.support_batch at err = eps certifies an interval of
+    Slack. cutting.wopt_from_wmem at err = eps certifies an interval of
     width at most eps that contains h_E(c) (the support interval of the
     cutting module header, which proves it), and the estimate reports it
     with the run's cut count. The value returned is c . witness, which lies
@@ -325,10 +330,9 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     cap = 2.0 * (max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + 1.0)
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
     oracle = epi.oracle()
-    c = np.append(y, -1.0)
-    lo, hi, witness, cuts, _ = support_batch(oracle, oracle.body, c[None, :], eps)
-    return ConjugateEstimate(float(c @ witness[0]), witness[0, :-1].copy(), radius, cap,
-                             Interval(float(lo[0]), float(hi[0])), int(cuts[0]))
+    res = wopt_from_wmem(oracle, oracle.body, np.append(y, -1.0), eps)
+    return ConjugateEstimate(res.value, res.witness[:-1].copy(), radius, cap,
+                             res.interval, res.iterations)
 
 
 def fenchel_brute(fn, y, radius: float, mesh: int = 101) -> float:

@@ -2,7 +2,7 @@
 
 The dual norm is a support function: nu*(y) = max of y . x over the primal
 unit ball B, its support value h_B(y). So dual_norm_eval is one certified
-support query over B (cutting.support_batch): weak optimization from weak
+support query over B (cutting.wopt_from_wmem): weak optimization from weak
 membership, run once at y/|y| and scaled back by |y|.
 
 The paper's longer route stays as stages of their own. Membership for the
@@ -38,7 +38,7 @@ from .core import (
     as_vector,
     positive_finite,
 )
-from .cutting import support_batch, wval_batch
+from .cutting import support_batch, wopt_from_wmem, wval_batch
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
@@ -638,7 +638,7 @@ class DualNormResult:
     back by annulus_factor = |y|. The support run certifies an interval of
     width at most 2 delta / 3 at y/|y|, so the additive error is at most
     delta * annulus_factor / 3. cuts is that run's cut count, free cuts
-    included (cutting.support_batch), 0 where no run is needed (y = 0, or a
+    included (cutting.wopt_from_wmem), 0 where no run is needed (y = 0, or a
     sandwich that is already that narrow).
     """
 
@@ -652,8 +652,8 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
                    delta: float) -> DualNormResult:
     """Evaluate the dual norm nu*(y) from the primal ball oracle.
 
-    nu*(y) = |y| h_B(u) at u = y/|y|. One support_batch row over the primal
-    ball at err = 2 delta / 3 certifies an interval for h_B(u), and its
+    nu*(y) = |y| h_B(u) at u = y/|y|. One wopt_from_wmem run over the
+    primal ball at err = 2 delta / 3 certifies an interval for h_B(u), and its
     midpoint, scaled by |y|, is within delta |y| / 3 of nu*(y). The
     sandwich alone puts h_B(u) in [1/k_hi, 1/k_lo]; where that is no wider
     than 2 delta / 3 (k_lo == k_hi up to rounding, as for l2), it answers
@@ -666,6 +666,6 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     if factor == 0.0 or 1.0 / desc.k_lo - 1.0 / desc.k_hi <= err:
         interval = Interval(factor / desc.k_hi, factor / desc.k_lo)
         return DualNormResult(interval.mid, factor, interval, 0)
-    lo, hi, _, cuts, _ = support_batch(primal, desc.ball(), v[None, :] / factor, err)
-    interval = Interval(factor * float(lo[0]), factor * float(hi[0]))
-    return DualNormResult(interval.mid, factor, interval, int(cuts[0]))
+    res = wopt_from_wmem(primal, desc.ball(), v / factor, err)
+    interval = Interval(factor * res.interval.lo, factor * res.interval.hi)
+    return DualNormResult(interval.mid, factor, interval, res.iterations)

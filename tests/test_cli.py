@@ -216,6 +216,27 @@ def test_exit_2_on_bad_point(capsys, specs):
     assert "dimension" in err
 
 
+DIMENSION_SPECS = [
+    ("dual-norm", {"kind": "lp_norm", "p": 2}, "n", "1,0"),
+    ("dual-cone", {"kind": "psd"}, "d", "1,0,1"),
+    ("fenchel", {"kind": "function", "name": "half_square_norm"}, "n", "1,0"),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.9, True], ids=["2.5", "2.9", "true"])
+@pytest.mark.parametrize("command,spec,key,point", DIMENSION_SPECS,
+                         ids=["norm", "cone", "function"])
+def test_exit_2_on_a_dimension_that_is_not_an_integer(capsys, tmp_path, command, spec,
+                                                       key, point, bad):
+    """A float or a bool dimension is refused, not truncated to an integer."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, key: bad}))
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--point", point])
+    assert code == 2
+    assert out == ""
+    assert f"{key!r} must be an integer" in err
+
+
 @pytest.mark.parametrize("error", [BracketError, FlatGaugeError, IterationCapError,
                                    CertificateError],
                          ids=lambda e: e.__name__)

@@ -595,7 +595,9 @@ DIRECTION_CASES = [
 @pytest.mark.parametrize("p,n,support", DIRECTION_CASES,
                          ids=["l2-r2", "l2-r3", "l1-r2", "linf-r3"])
 def test_wopt_support_function_accuracy(p, n, support):
-    """Certified maximization lands within the documented 5*eps envelope."""
+    """Certified maximization lands within the documented 5*eps envelope,
+    and its interval, no wider than eps, holds the closed form and the
+    value."""
     eps = 0.02
     _, oracle, body = _ball_oracle(p, n)
     rng = rng_stream(23, 0)
@@ -609,9 +611,9 @@ def test_wopt_support_function_accuracy(p, n, support):
         # query slack
         assert res.value <= exact + eps
         assert res.stop_reason == "gap"
-        assert res.gap <= eps / 2.0
-        gaps = np.array(res.gap_history)
-        assert np.all(np.diff(gaps) <= 1e-12)
+        assert res.interval.contains(exact)
+        assert res.interval.width <= eps
+        assert res.interval.contains(res.value)
 
 
 def test_wopt_weighted_ball_frozen_supports():
@@ -624,13 +626,18 @@ def test_wopt_weighted_ball_frozen_supports():
 
 
 def test_wopt_threshold_exits():
+    """The engine's validity exits: the incumbent reaching stop_above, and
+    the certified bound falling to stop_ub_below."""
     _, oracle, body = _ball_oracle(2.0, 2)
-    res = wopt_from_wmem(oracle, body, [1.0, 0.0], 0.01, stop_above=0.2)
-    assert res.stop_reason == "threshold-large"
-    assert res.value >= 0.2
-    res = wopt_from_wmem(oracle, body, [1.0, 0.0], 0.01, stop_ub_below=2.0)
-    assert res.stop_reason == "threshold-upper"
-    assert res.iterations == 0  # the initial ball bound already certifies it
+    C = np.array([[1.0, 0.0]])
+    value, _, gap, _ = cutting._cut_loop(oracle, body, C, 0.01, 0.01 / 8.0,
+                                         stop_above=0.2)
+    assert value[0] >= 0.2
+    assert gap[0] > 0.005  # not the gap exit
+    _, _, gap, iterations = cutting._cut_loop(oracle, body, C, 0.01, 0.01 / 8.0,
+                                              stop_ub_below=2.0)
+    assert gap[0] > 0.005
+    assert iterations[0] == 0  # the initial ball bound already certifies it
 
 
 def test_wopt_input_validation():
@@ -735,9 +742,9 @@ def test_support_batch_keeps_the_split_of_lp_balls(p, n, monkeypatch):
     bit: the gap's floor of err/2 binds only above x = 4."""
     seen, run = [], cutting._cut_loop
 
-    def spy(oracle, body, C, eps, *args, **kw):
-        seen.append((eps, kw.get("dq")))
-        return run(oracle, body, C, eps, *args, **kw)
+    def spy(oracle, body, C, eps, dq, *args, **kw):
+        seen.append((eps, dq))
+        return run(oracle, body, C, eps, dq, *args, **kw)
 
     monkeypatch.setattr(cutting, "_cut_loop", spy)
     _, oracle, body = _ball_oracle(p, n)

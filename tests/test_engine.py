@@ -156,8 +156,8 @@ def test_sandwich_centers_are_never_asked(monkeypatch, case):
 
     # a stop that fires at once returns each row's first incumbent
     sent.clear()
-    value, witness, _, iterations, _ = cutting._cut_loop(oracle, body, C, 0.05,
-                                                          stop_above=-math.inf)
+    value, witness, _, iterations = cutting._cut_loop(oracle, body, C, 0.05, 0.05 / 8.0,
+                                                       stop_above=-math.inf)
     assert not sent
     np.testing.assert_array_equal(witness, np.tile(body.center, (len(C), 1)))
     np.testing.assert_array_equal(value, C @ body.center)

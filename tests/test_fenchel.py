@@ -6,7 +6,8 @@ import pytest
 
 from adversaries import alternating_value_adversary, value_adversary
 from convexdual.core import WeakVerdict, rng_stream
-from convexdual.cutting import approx_separator, support_batch, wopt_from_wmem, wval_batch
+from convexdual import cutting
+from convexdual.cutting import approx_separator, support_batch, wval_batch
 from convexdual.fenchel import (
     CertificateError,
     EpigraphBody,
@@ -112,9 +113,11 @@ def test_epigraph_first_incumbent_is_the_body_centre():
     up = np.array([0.0, 0.0, 1.0])
     assert not wval_batch(oracle, body, up[None], float(up @ body.center), 0.02)[0]
     c = np.array([0.5, -0.3, -1.0])
-    res = wopt_from_wmem(oracle, body, c, 0.05, stop_above=float(c @ body.center))
-    assert (res.stop_reason, res.iterations) == ("threshold-large", 0)
-    np.testing.assert_array_equal(res.witness, body.center)
+    value, witness, _, iterations = cutting._cut_loop(
+        oracle, body, c[None], 0.05, 0.05 / 8.0, stop_above=float(c @ body.center))
+    assert iterations[0] == 0
+    assert value[0] == c @ body.center
+    np.testing.assert_array_equal(witness[0], body.center)
     assert values.calls.count == 0
 
 

@@ -78,3 +78,15 @@ def test_traced_conjugate_op_counts_separator_calls():
     m = _traced(wl, op)[1]
     assert m["cutting.approx_separator.calls"] > 0
     assert m["cutting.gauge_batch.calls"] == 0
+
+
+def test_traced_conjugate_op_records_its_support_run():
+    """fenchel_eval asks its support query through wopt_from_wmem, a name
+    the tracer patches, so a traced conjugate op records that one run and
+    its cuts."""
+    wl = workloads.WORKLOADS["conjugate"](1)
+    op = wl.ops[0]
+    assert op.label.startswith("conj/")
+    m = _traced(wl, op)[1]
+    assert m["cutting.wopt_from_wmem.calls"] == 1
+    assert m["cutting.wopt_from_wmem.cuts"] > 0
