@@ -171,10 +171,12 @@ Policy where a row is not decided cleanly, the same for every caller:
   point W of K that costs no call beyond the cut, and the run raises the
   row's incumbent to W where c . W beats it. On the gauge path
   W = a + (x - a)/(g~(x) + tol), from the offset-0 probe that the depth
-  reads already: gauge_batch keeps g(x) <= g~(x) + tol, and the gauge is
-  1-homogeneous, so g(W) = g(x)/(g~(x) + tol) <= 1 and W lies in K, up to
-  rounding. As g~(x) - tol <= g(x), g(W) >= g(x)/(g(x) + 2 tol): W sits
-  next to the boundary point x_b of the deep cut, on the segment from a.
+  reads already (a row the separator settles gets the earlier witness
+  of witness-first separators, below): gauge_batch keeps
+  g(x) <= g~(x) + tol, and the gauge is 1-homogeneous, so
+  g(W) = g(x)/(g~(x) + tol) <= 1 and W lies in K, up to rounding. As
+  g~(x) - tol <= g(x), g(W) >= g(x)/(g(x) + 2 tol): W sits next to the
+  boundary point x_b of the deep cut, on the segment from a.
   The epigraph's value separator returns (x, min(f~(x) + ev, cap)) below
   the graph, in E since f(x) <= f~(x) + ev and f <= cap/2 on the ball,
   and for a center off the ball or above the cap the ball point
@@ -182,6 +184,38 @@ Policy where a row is not decided cleanly, the same for every caller:
   in K lies within dq of K, so it is as legal an incumbent as an IN
   center, and the gap over K_dq holds as before: it reads only the
   incumbent.
+- Witness-first separators: on the gauge path a witness is certified at
+  every round of the anchor search, not only at its end, and a row whose
+  witness already ends it pays for no probe. The search of the gauge of x
+  (_ray_search under gauge_batch) asks its midpoints t at the slack
+  dq_g = tol inner/(2 max hi) <= tol inner/(2 t). With s = dq_g/inner,
+  K + dq_g B lies in a + (1 + s)(K - a): for y in K and |w| <= dq_g,
+  (y + w - a)/(1 + s) = (y - a)/(1 + s) + (s/(1 + s)) (w/s), a convex
+  combination of y - a and w/s, both in K - a, as |w/s| <= inner. So an IN
+  verdict at t gives g(x)/t <= 1 + s and g(x) <= t + t s <= t + tol/2. The
+  IN end hi of the bracket is such a t, or the centering bound d/inner,
+  which g(x) never exceeds, so g(x) <= hi + tol/2 at every round, and
+  W = a + (x - a)/(hi + tol/2) has g(W) = g(x)/(hi + tol/2) <= 1: a point
+  of K, as legal an incumbent as the witness above. _cut_loop hands the
+  separator each row's objective c and its exit, min(stop_above,
+  ub - eps/2) for the row's certified bound ub: an incumbent that reaches
+  it ends the row at the next check, as ub only falls. Before each round
+  of the anchor search, and after the last, a row whose W reaches its
+  exit, hi + tol/2 <= c . (x - a)/(exit - c . a) where both sides of that
+  quotient are positive, leaves the search, and its n probes are never
+  asked. The round count and dq_g are fixed before the first round, so the
+  rows still open keep their rounds, midpoints and slack, and their
+  gauges, cuts and witnesses, bit for bit; and as hi + tol/2 <= g~ + tol
+  at the end of a search, a row that stays open would not have reached its
+  exit with the witness above either. A settled row takes the objective
+  cut at its raised incumbent, at no call and legally, as an IN center
+  does (deep cuts), and pools nothing, as no separator cut was made. It
+  certifies nothing new: the row leaves at the next check on its incumbent
+  alone, and its verdict or support interval reads only the incumbent and
+  the certified bound, as before. It loses nothing either: the separator
+  cut it skips would only have shrunk an ellipsoid that the row no longer
+  uses, and the other rows of a run forgo only the free cuts that its
+  halfspace might have given them.
 - Objective cuts below the incumbent: a center z that no pooled, far or
   near rule takes and that has c . z <= best can raise nothing, whatever
   the oracle says. It takes the objective cut at the incumbent, g = -c at
@@ -330,37 +364,46 @@ def _bounded(body: CenteredBody) -> None:
 
 
 def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, tol: float,
-                buf: np.ndarray) -> np.ndarray:
-    """Gauges of the points center + rays, each within tol, by bisection of
-    their gauge brackets [lo, hi], all rows in lockstep.
+                lo: np.ndarray, hi: np.ndarray, tol: float, buf: np.ndarray,
+                stop: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] of the gauges of the points center + rays, bisected
+    in place, all rows in lockstep; returns the final (lo, hi).
 
-    Each round queries every row's point center + ray/t at the midpoint t
-    of its bracket, all rows in one query_batch at slack dq. An IN verdict
-    moves the upper end to t and an OUT verdict the lower end, so each end
-    is certified by its own verdict and a non-monotone answer pattern inside
-    the band cannot corrupt the bracket. The band slop t dq/inner of a
-    verdict stays under tol/2, and so does half the final bracket width.
-    Every bracket halves per round, so the round count is fixed up front.
-    buf, a C-contiguous array of at least as many rows as rays, holds the
-    trial points.
+    Each round queries every open row's point center + ray/t at the
+    midpoint t of its bracket, all open rows in one query_batch at slack
+    dq. An IN verdict moves the upper end to t and an OUT verdict the lower
+    end, so each end is certified by its own verdict and a non-monotone
+    answer pattern inside the band cannot corrupt the bracket. The band slop
+    t dq/inner of a verdict stays under tol/2, so the gauge lies in
+    [lo - tol/2, hi + tol/2] at every round. The round count and dq are
+    fixed up front, from the widest bracket, so that every bracket ends at
+    most tol wide. stop, where given, holds a level per row: a row whose hi
+    is at most its level before a round leaves the search with its bracket
+    as it stands, and the rows still open keep their rounds, midpoints and
+    dq bit for bit. buf, a C-contiguous array of at least as many rows as
+    rays, holds the trial points.
     """
     width = float(np.max(hi - lo, initial=0.0))
     if width > tol:
         dq = max(0.5 * tol * body.inner_radius / float(np.max(hi)), 1e-300)
-        trial = buf[:rays.shape[0]]
+        act = slice(None)  # every row, unless stop levels are given
         for _ in range(math.ceil(math.log2(width / tol))):
-            t = 0.5 * (lo + hi)
-            np.divide(rays, t[:, None], out=trial)
+            if stop is not None:
+                act = np.flatnonzero(hi > stop)
+                if act.size == 0:
+                    break
+            t = 0.5 * (lo[act] + hi[act])
+            trial = buf[:t.size]
+            np.divide(rays[act], t[:, None], out=trial)
             trial += body.center
             inside = oracle.query_batch(trial, dq)
-            hi = np.where(inside, t, hi)
-            lo = np.where(inside, lo, t)
-    return 0.5 * (lo + hi)
+            hi[act] = np.where(inside, t, hi[act])
+            lo[act] = np.where(inside, lo[act], t)
+    return lo, hi
 
 
 def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
-                tol: float, anchors=None) -> np.ndarray:
+                tol: float, anchors=None, levels=None):
     """Gauges of an (N, n) stack of points in lockstep via bisection on their
     rays.
 
@@ -376,6 +419,16 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     that gauge at no query, and every other point is bisected from the
     window of the module header, the anchor's gauge -/+ (tol + |p - Z|/inner)
     intersected with its centering bracket.
+
+    levels, an (m,) array beside anchors, lets an anchor leave its search
+    early (module header, witness-first separators). Before every round of
+    the anchor search, and after the last, an anchor whose IN end hi makes
+    hi + tol/2, a certified upper bound on its gauge, at most its level
+    leaves: its search stops there and none of its k points is bisected.
+    The call then returns (g, up): g as above, NaN on every point of an
+    anchor that left, and up per anchor, the bound hi + tol/2 at which it
+    left and the trivial bound inf where it did not. A call whose brackets
+    need no round returns up = inf throughout.
     """
     _bounded(body)
     tol = positive_finite(tol, "tol")
@@ -391,27 +444,35 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     hi = d / inner
     # the center, or inner == outer, pins the gauge without any queries
     if float(np.max(hi - lo, initial=0.0)) <= tol:
-        return 0.5 * (lo + hi)
+        g = 0.5 * (lo + hi)
+        return g if levels is None else (g, np.full(m, math.inf))
     dist = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2).ravel()
     live = (dist > 0.0) & (d > 0.0)  # a point at its anchor or the center is known
     buf = np.empty_like(P)  # trial points of both searches
     DZ = Z - body.center
     dz = np.linalg.norm(DZ, axis=1)
-    gz = np.zeros(m)
+    lz, hz = dz / body.outer_radius, dz / inner
     zlive = dz > 0.0
-    gz[zlive] = _ray_search(oracle, body, DZ[zlive], dz[zlive] / body.outer_radius,
-                            dz[zlive] / inner, tol, buf)
-    gz = np.repeat(gz, k)
+    stop = None if levels is None else np.asarray(levels, dtype=float) - 0.5 * tol
+    lz[zlive], hz[zlive] = _ray_search(oracle, body, DZ[zlive], lz[zlive], hz[zlive], tol,
+                                       buf, None if stop is None else stop[zlive])
+    gz = np.repeat(0.5 * (lz + hz), k)
+    left = np.zeros(m, dtype=bool) if stop is None else hz <= stop
+    gone = np.repeat(left, k)  # the points of anchors that left
     dist /= inner
     dist += tol
     np.maximum(lo, gz - dist, out=lo)
     np.minimum(hi, gz + dist, out=hi)
-    if np.any(hi < lo):
+    if np.any((hi < lo) & ~gone):
         raise BracketError("anchor window misses the centering bracket")
     out = np.where(d > 0.0, gz, 0.0)
-    out[live] = _ray_search(oracle, body, P[live] - body.center, lo[live], hi[live],
-                            tol, buf)
-    return out
+    live &= ~gone
+    plo, phi = _ray_search(oracle, body, P[live] - body.center, lo[live], hi[live], tol, buf)
+    out[live] = 0.5 * (plo + phi)
+    if levels is None:
+        return out
+    out[gone] = math.nan
+    return out, np.where(left, hz + 0.5 * tol, math.inf)
 
 
 def _gauge_tol(body: CenteredBody) -> float:
@@ -425,8 +486,8 @@ def _fd_step(body: CenteredBody) -> float:
     return max(1e-5, body.inner_radius * 1e-4)
 
 
-def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
-                     X, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, X, delta: float,
+                     C=None, exits=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Approximate outward normals of the body at points answered outside.
 
     X is an (m, n) stack of points that the oracle answered outside at
@@ -458,6 +519,15 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     probe: g~(x) + tol is a certified upper bound on the gauge. Raises
     FlatGaugeError when the differences at any point fall below the gauge
     noise floor (a step too small for the gauge tolerance).
+
+    C, an (m, n) stack of objectives, and exits, an (m,) array, come
+    together and make the gauge path witness-first (module header): a point
+    whose witness a + (x - a)/(hi + tol/2), from the IN end hi of its
+    anchor search at any round, reaches c . W >= exit leaves that search
+    there, and its n probes are not asked. Such a point is settled: its W
+    is that witness, and its U and depth are NaN, as no cut was bought.
+    Every other point gets the U, depth and W above, bit for bit. An
+    oracle's own separator does not read C and exits.
     """
     X = as_stack(X, body.n)
     delta = positive_finite(delta, "delta")
@@ -465,6 +535,17 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
         return oracle.separator(X, delta)
     step = _fd_step(body)
     m, n = X.shape
+    if (C is None) != (exits is None):
+        raise ValueError("objectives and exits come together")
+    D = X - body.center
+    # the gauge level at which a witness a + D/u reaches its exit: u at most
+    # c . D / (exit - c . a), where both are positive; -inf never leaves
+    levels = np.full(m, -math.inf)
+    if C is not None:
+        C = as_stack(C, n)
+        room = np.broadcast_to(np.asarray(exits, dtype=float), (m,)) - C @ body.center
+        cD = np.einsum("bi,bi->b", C, D)
+        np.divide(cD, room, out=levels, where=(cD > 0.0) & (room > 0.0))
     # gauge noise must sit below the difference quotient, and the
     # flat-gauge floor below the least gradient norm, 1/outer_radius
     tol = min(_gauge_tol(body), 1e-3 * step,
@@ -473,16 +554,17 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody,
     hs = np.where(X >= body.center, step, -step)
     probes = np.repeat(X[:, None, :], n + 1, axis=1)
     probes[:, np.arange(1, n + 1), np.arange(n)] += hs
-    g = gauge_batch(oracle, body, probes.reshape(-1, n), tol, anchors=X).reshape(m, n + 1)
+    g, up = gauge_batch(oracle, body, probes.reshape(-1, n), tol, anchors=X, levels=levels)
+    g = g.reshape(m, n + 1)
+    # a settled point's gauges are NaN, and so are its U and depth
     H = (g[:, 1:] - g[:, :1]) / hs
     nrm = np.linalg.norm(H, axis=1, keepdims=True)
     if np.any(nrm <= 4.0 * math.sqrt(n) * tol / step):
         raise FlatGaugeError("flat gauge at a probe point; reduce step")
     H /= nrm
-    D = X - body.center
     glo = np.maximum(g[:, 0] - tol, 1.0)
     depth = (1.0 - 1.0 / glo) * np.einsum("bi,bi->b", H, D)
-    return H, depth, body.center + D / (g[:, :1] + tol)
+    return H, depth, body.center + D / np.where(up < math.inf, up, g[:, 0] + tol)[:, None]
 
 
 class WvalVerdict(enum.Enum):
@@ -594,7 +676,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     query_batch per cut at slack dq, and those answered infeasible to one
     approx_separator call at the same dq, which uses the oracle's own
     separator where it has one (value separators) and differences of the
-    gauge elsewhere. The caller picks dq (module header, membership slack).
+    gauge elsewhere. The call carries each row's objective and exit, the
+    least incumbent that ends the row, min(stop_above, ub - eps/2) for its
+    certified bound ub; a row whose gauge witness reaches its exit during
+    the anchor search is settled there and pays for no probe. It takes the
+    objective cut at its raised incumbent, at no call, pools nothing, and
+    leaves at the next check (module header, witness-first separators).
+    The caller picks dq (module header, membership slack).
 
     Returns per-row arrays (value, witness, gap, iterations); iterations
     counts every cut, free or paid. Raises IterationCapError, carrying the
@@ -678,15 +766,23 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         out = ask & ~inside
         if out.any():
             X = Z[out]
-            G[out], A[out], W = approx_separator(oracle, body, X, dq)
-            # every separator pays for a point of the body (module header,
-            # separator witnesses)
+            ko = np.flatnonzero(out)
+            # every separator pays for a point of the body, and one that
+            # reaches the row's exit settles it before any probe (module
+            # header, separator witnesses and witness-first separators)
+            U, dep, W = approx_separator(oracle, body, X, dq, C[out],
+                                         np.minimum(stop_above, ub_run[out] - eps / 2.0))
             wv = np.einsum("bi,bi->b", C[out], W)
             up = wv > best[out]
-            k = np.flatnonzero(out)[up]
-            best[k], best_wit[k] = wv[up], W[up]
-            beta = np.einsum("bi,bi->b", G[out], X) - np.maximum(A[out], 0.0)
-            new = np.column_stack([G[out], beta])[-_POOL_CAP:]
+            best[ko[up]], best_wit[ko[up]] = wv[up], W[up]
+            cut = ~np.isnan(dep)
+            G[ko[cut]], A[ko[cut]] = U[cut], dep[cut]
+            # a settled row takes the objective cut at its raised incumbent
+            settled = ko[~cut]
+            A[settled] = best[settled] - vals[settled]
+            U, X = U[cut], X[cut]
+            beta = np.einsum("bi,bi->b", U, X) - np.maximum(dep[cut], 0.0)
+            new = np.column_stack([U, beta])[-_POOL_CAP:]
             pool[(made + np.arange(len(new))) % _POOL_CAP] = new
             made += len(new)
         Z, P = _cut(Z, P, G, A)

@@ -97,7 +97,13 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
     boundary ambiguity at that scale is orders of magnitude below the
     binomial noise, and it dwarfs the rounding of the sandwich screen
     (_sandwich_query), which settles the samples inside the inner ball or
-    outside the outer ball at no call.
+    outside the outer ball at no call. The half-width is the normal 95 %
+    one, 1.96 sqrt(p (1 - p)/N) of the cube, for a hit share p strictly
+    between 0 and 1. At p = 0 or 1 that reads 0, so the half-width there is
+    the exact one-sided bound on the unseen side, 1 - 0.025^(1/N) of the
+    cube: were the unseen side (the body at p = 0, the rest of the box at
+    p = 1) that share of the box or more, all N samples would miss it with
+    chance at most 0.025.
     """
     chunk = _CHUNK
     n = oracle.body.n
@@ -123,7 +129,12 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
         stream += 1
     p = hits / samples
     cube = (2.0 * box_radius) ** n
-    half = 1.96 * math.sqrt(p * (1.0 - p) / samples) * cube
+    if 0 < hits < samples:
+        half = 1.96 * math.sqrt(p * (1.0 - p) / samples) * cube
+    else:
+        # no miss or no hit: the normal width is 0, so take the exact
+        # one-sided bound on the unseen side, 1 - 0.025^(1/N) of the cube
+        half = (1.0 - 0.025 ** (1.0 / samples)) * cube
     return VolumeEstimate(p * cube, half, samples, hits, box_radius, seed)
 
 

@@ -148,6 +148,67 @@ def test_separator_cost_in_other_dimensions(x, rounds, cold):
     _check_separator_cost(x, rounds, cold)
 
 
+# (p, the first centre e in the shell between the ball and B(a, outer), the
+# earliest round k may be)
+SETTLED_CASES = [(1.0, [0.9, 0.3], 4), (1.0, [0.9, 0.3], 12), (3.0, [0.95, 0.6, 0.3], 8)]
+
+
+@pytest.mark.parametrize("p,e,first", SETTLED_CASES, ids=["l1-r2-k4", "l1-r2-k12", "l3-r3-k8"])
+def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, first):
+    """A one-row wval_batch whose first separator's witness clears
+    gamma - eps/2 costs its centre queries plus k anchor rounds, and no
+    probe call. The body states an ellipsoid centred at e, so e is the
+    first centre, asked and answered OUT: its one centre query. Under the
+    exact oracle the anchor bisection of e's gauge g from the centering
+    bracket [d/outer, d/inner], w wide, has the IN end
+    hi_r = d/outer + w ceil(2^r (g - d/outer)/w) / 2^r after r rounds. k is
+    the first round from `first` on that moves the IN end, and gamma puts
+    the witness's exit level hi + tol/2 halfway between hi_k and hi_(k-1),
+    so the witness a + (e - a)/(hi + tol/2) reaches gamma - eps/2 at round
+    k and not before. The row answers LARGE_VALUE_EXISTS, legally, as the
+    ball's support is 1 >= gamma - eps."""
+    n = len(e)
+    norm = ReferenceNorm.lp(p, n)
+    oracle, ball = norm.oracle(), norm.ball()
+    e = np.array(e)
+    d = float(np.linalg.norm(e - ball.center))
+    g = float(norm.eval_batch(e[None])[0])
+    assert ball.inner_radius < d < ball.outer_radius and g > 1.0
+    radius = ball.outer_radius + d
+    body = CenteredBody(ball.center, ball.inner_radius, ball.outer_radius,
+                        (e, radius * radius * np.eye(n)))
+    step, tol = _separator_tolerances(body)
+    assert tol <= step / (16.0 * math.sqrt(n) * body.outer_radius)  # the separator's tol
+    lo, w = d / body.outer_radius, d / body.inner_radius - d / body.outer_radius
+
+    def hi(r):
+        return lo + w * math.ceil(2.0 ** r * (g - lo) / w) / 2.0 ** r
+
+    k = next(r for r in itertools.count(first) if hi(r) < hi(r - 1))
+    level = 0.5 * (hi(k) + hi(k - 1)) + tol / 2.0
+    c = np.eye(n)[0]
+    eps = 1e-3
+    gamma = float(c @ body.center + c @ (e - body.center) / level) + eps / 2.0
+    assert gamma + eps / 2.0 < 1.0  # the ellipsoid's upper exit cannot fire first
+    separated = []
+    separator = cutting.approx_separator
+
+    def recording_separator(o, body, X, delta, *rest):
+        before = o.calls.count
+        out = separator(o, body, X, delta, *rest)
+        separated.append((X, out, o.calls.count - before))
+        return out
+
+    monkeypatch.setattr(cutting, "approx_separator", recording_separator)
+    assert not wval_batch(oracle, body, c[None], gamma, eps)[0]
+    ((X, (U, depth, W), cost),) = separated
+    np.testing.assert_array_equal(X, [e])
+    assert cost == k and oracle.calls.count == 1 + k
+    assert np.isnan(U).all() and np.isnan(depth).all()
+    assert c @ W[0] >= gamma - eps / 2.0
+    assert norm.eval_batch(W)[0] <= 1.0
+
+
 def test_points_at_their_anchors_cost_no_query():
     """A point equal to its anchor takes the anchor's gauge at no query, so
     a stack of only such points costs exactly the anchors' bisection."""
@@ -426,13 +487,14 @@ def test_separator_cut_keeps_the_boundary_point(monkeypatch, p, n):
     norm, oracle, body = _ball_oracle(p, n)
     monkeypatch.setattr(
         cutting, "gauge_batch",
-        lambda oracle, body, points, tol, anchors=None: norm.eval_batch(points) + tol)
+        lambda oracle, body, points, tol, anchors=None, levels=None:
+        (norm.eval_batch(points) + tol, np.full(len(anchors), math.inf)))
     events = []
     cut, separator = cutting._cut, cutting.approx_separator
 
-    def recording_separator(oracle, body, X, delta):
+    def recording_separator(oracle, body, X, delta, *rest):
         events.append(X)
-        return separator(oracle, body, X, delta)
+        return separator(oracle, body, X, delta, *rest)
 
     def recording_cut(Z, P, G, A):
         events.append((Z, P, G, A))
@@ -492,8 +554,10 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     pooled halfspace or sits below the incumbent, some free cuts use another
     row's halfspace, and the cut count of each row counts its free cuts too.
     Each row's incumbent starts at the body center and rises to the centers
-    answered or taken IN and to the witnesses the separator returns. Rows
-    are followed through the lockstep compaction by their exact centers."""
+    answered or taken IN and to the witnesses the separator returns; a
+    center whose witness settles its row (NaN normal) takes the objective
+    cut at the raised incumbent and pools nothing. Rows are followed
+    through the lockstep compaction by their exact centers."""
     _, oracle, body = _ball_oracle(p, n)
     events, busy = [], []
     query, cut, separator = oracle.query_batch, cutting._cut, cutting.approx_separator
@@ -503,13 +567,13 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
             events.append(("query", np.array(X), None))
         return query(X, delta)
 
-    def recording_separator(oracle, body, X, delta):
+    def recording_separator(oracle, body, X, delta, *rest):
         busy.append(1)
         try:
-            U, depth, W = separator(oracle, body, X, delta)
+            U, depth, W = separator(oracle, body, X, delta, *rest)
         finally:
             busy.pop()
-        events.append(("separator", np.array(X), W))
+        events.append(("separator", np.array(X), (W, U)))
         return U, depth, W
 
     def recording_cut(Z, P, G, A):
@@ -527,7 +591,7 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     pool = []  # the run's pooled (u, beta, row that made it), oldest first
     best = C @ body.center
     counted = np.zeros(m, dtype=int)
-    kinds = {"pooled": 0, "near": 0, "far": 0, "below": 0}
+    kinds = {"pooled": 0, "near": 0, "far": 0, "below": 0, "settled": 0}
     ids, before, sent, shared = None, None, [], 0
     for kind, *ev in events:
         if kind != "cut":
@@ -541,8 +605,8 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
                 for u, beta, _ in pool:
                     assert u @ x - beta <= 1e-12
         asked = {tuple(x) for kind, X, _ in sent if kind == "query" for x in X}
-        witness = {tuple(x): w for kind, X, W in sent if kind == "separator"
-                   for x, w in zip(X, W)}
+        witness = {tuple(x): wu for kind, X, WU in sent if kind == "separator"
+                   for x, wu in zip(X, zip(*WU))}
         assert witness.keys() <= asked
         made, raised = [], best.copy()
         for z, g, a, i in zip(Z, G, A, ids):
@@ -551,8 +615,16 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
             if tuple(z) in asked:
                 assert value > best[i] - 1e-12
                 if tuple(z) in witness:
-                    made.append((g, g @ z - max(a, 0.0), i))
-                    raised[i] = max(raised[i], C[i] @ witness[tuple(z)])
+                    w, u = witness[tuple(z)]
+                    raised[i] = max(raised[i], C[i] @ w)
+                    if np.isnan(u).any():
+                        # settled by its witness: the objective cut at the
+                        # raised incumbent, and nothing pooled
+                        kinds["settled"] += 1
+                        np.testing.assert_array_equal(g, -C[i])
+                        assert a == pytest.approx(raised[i] - value, rel=0, abs=1e-12)
+                    else:
+                        made.append((g, g @ z - max(a, 0.0), i))
                 else:
                     raised[i] = max(raised[i], value)
                 continue

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from adversaries import band_adversary
+from adversaries import band_adversary, cone_band_adversary
 from convexdual.conedual import (
     descriptor_from_reference,
     dual_cone_wmem,
@@ -71,9 +71,9 @@ def test_cut_pool_wraps_soundly(monkeypatch, p, n, side):
     separated = []
     separator = cutting.approx_separator
 
-    def counting_separator(oracle, body, X, delta):
+    def counting_separator(oracle, body, X, delta, *rest):
         separated.append(len(X))
-        return separator(oracle, body, X, delta)
+        return separator(oracle, body, X, delta, *rest)
 
     monkeypatch.setattr(cutting, "approx_separator", counting_separator)
     norm = ReferenceNorm.lp(p, n)
@@ -125,11 +125,11 @@ def test_sandwich_centers_are_never_asked(monkeypatch, case):
             sent.append(np.array(X))
         return query(X, delta)
 
-    def recording_separator(oracle, body, X, delta):
+    def recording_separator(oracle, body, X, delta, *rest):
         sent.append(np.array(X))
         busy.append(1)
         try:
-            return separator(oracle, body, X, delta)
+            return separator(oracle, body, X, delta, *rest)
         finally:
             busy.pop()
 
@@ -271,15 +271,154 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
         runs.append(len(C))
         return batch(oracle, body, C, gamma, eps)
 
-    def counting_separator(oracle, body, X, delta):
+    def counting_separator(oracle, body, X, delta, *rest):
         separated.append(len(X))
-        return separator(oracle, body, X, delta)
+        return separator(oracle, body, X, delta, *rest)
 
     monkeypatch.setattr(normdual, "wval_batch", counting_batch)
     monkeypatch.setattr(cutting, "approx_separator", counting_separator)
     np.testing.assert_array_equal(oracle._lockstep(pts, delta), want)
     assert runs == [want.size]
     assert sum(separated) > cutting._POOL_CAP
+
+
+def _ball_case(p, n, side):
+    """A band-adversarial lp ball, and the closed-form test of its points."""
+    norm = ReferenceNorm.lp(p, n)
+    oracle = band_adversary(norm, side)
+    return norm, oracle, lambda W: norm.eval_batch(W) <= 1.0
+
+
+def _slice_case(kind, n, side):
+    """The slice oracle of a dual cone over a band-adversarial cone, and the
+    closed-form test of its points: a frame point lies in the slice body
+    where its lift a + B w lies in the cone."""
+    cone = ReferenceCone(kind, n)
+    dual = dual_cone_wmem(cone_band_adversary(cone, side), descriptor_from_reference(cone))
+    lift = lambda W: cone.member_batch(dual.desc.a + W @ dual._basis.T)  # noqa: E731
+    return cone, dual, lift
+
+
+def _spy_early_witnesses(monkeypatch):
+    """Record, per separator call, its oracle and the witnesses of the rows
+    it settled (NaN depth)."""
+    early = []
+    separator = cutting.approx_separator
+
+    def recording_separator(oracle, body, X, delta, *rest):
+        U, depth, W = separator(oracle, body, X, delta, *rest)
+        early.append((oracle, W[np.isnan(depth)]))
+        return U, depth, W
+
+    monkeypatch.setattr(cutting, "approx_separator", recording_separator)
+    return early
+
+
+def _check_witnesses_settle_at_their_exits(oracle, inside, n, gauge=None):
+    """approx_separator, asked at 24 points outside the body (each still
+    outside when pulled 2 % towards the center) with exit levels spread from
+    half its centering bracket's low end to its high end, settles some
+    points and not others: a
+    settled point's witness lies in the body and reaches its exit, and an
+    open point's stays below it."""
+    body = oracle.body
+    rng = rng_stream(49, n)
+    X = []
+    while len(X) < 24:
+        x = rng.normal(size=n)
+        x *= rng.uniform(body.inner_radius, 1.5 * body.outer_radius) / np.linalg.norm(x)
+        if not inside(((x - body.center) / 1.02 + body.center)[None])[0]:
+            X.append(x)
+    X = np.array(X)
+    D = X - body.center
+    C = rng.normal(size=X.shape)
+    C *= np.sign(np.einsum("bi,bi->b", C, D))[:, None]
+    d = np.linalg.norm(D, axis=1)
+    level = rng.uniform(0.5 * d / body.outer_radius, d / body.inner_radius)
+    if gauge is not None:
+        # the same points again, each at the level g + tol/2 of its closed-form
+        # gauge g, which only an IN end at or below g reaches
+        step = cutting._fd_step(body)
+        tol = min(cutting._gauge_tol(body), 1e-3 * step,
+                  step / (16.0 * math.sqrt(n) * body.outer_radius))
+        X, D, C = np.vstack([X, X]), np.vstack([D, D]), np.vstack([C, C])
+        level = np.concatenate([level, gauge(X[:24]) + tol / 2.0])
+    exits = C @ body.center + np.einsum("bi,bi->b", C, D) / level
+    U, depth, W = approx_separator(oracle, body, X, 0.01, C, exits)
+    settled = np.isnan(depth)
+    assert settled.any() and not settled.all()
+    assert np.isnan(U[settled]).all() and np.isfinite(U[~settled]).all()
+    assert inside(W[settled]).all()
+    reach = np.einsum("bi,bi->b", C, W)
+    assert np.all(reach[settled] >= exits[settled])
+    assert np.all(reach[~settled] < exits[~settled])
+    return settled[24:]
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("p,n", [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)],
+                         ids=[f"l{p:g}-r{n}" for p in (1.0, 3.0, math.inf) for n in (2, 3)])
+def test_early_witnesses_are_legal_on_balls_under_band_adversaries(monkeypatch, p, n, side):
+    """Every witness that settles a row lies in the ball, closed-form gauge
+    at most 1, and every wval_batch verdict is legal, over a band adversary.
+    The direct separator check adds points whose exit level is g + tol/2:
+    they settle only once a generous IN end falls below g, where a witness
+    read without the band slop tol/2 would leave the ball.
+    Each of 8 rows is scaled to support h = 1 and gamma sweeps 1 +/- 3 eps:
+    UPPER_BOUND_HOLDS needs the eps-shrunk ball's support, at least
+    1 - eps/inner, to be at most gamma + eps, and LARGE_VALUE_EXISTS needs
+    the eps-thickened ball's, 1 + eps |c|, to reach gamma - eps."""
+    norm, oracle, inside = _ball_case(p, n, side)
+    tight = _check_witnesses_settle_at_their_exits(oracle, inside, n, norm.eval_batch)
+    # only a generous adversary's IN end can reach below the gauge
+    assert tight.any() == (side > 0)
+    early = _spy_early_witnesses(monkeypatch)
+    body = oracle.body
+    eps = 0.02
+    C = rng_stream(47, n).normal(size=(8, n))
+    C /= norm.dual().eval_batch(C)[:, None]
+    nc = np.linalg.norm(C, axis=1)
+    for s in (-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+        gamma = 1.0 + s * eps
+        upper = wval_batch(oracle, body, C, gamma, eps)
+        assert np.all(1.0 - eps / body.inner_radius <= gamma + eps) or not upper.any()
+        assert np.all(1.0 + eps * nc[~upper] >= gamma - eps)
+    assert all(inside(W).all() for _, W in early)
+
+
+@pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
+@pytest.mark.parametrize("kind,n", [("orthant", 4), ("soc", 4), ("psd", 3)],
+                         ids=["orthant", "soc", "psd"])
+def test_early_witnesses_are_legal_on_dual_cone_slices(monkeypatch, kind, n, side):
+    """The dual cone's validity runs over its slice body, with the cone
+    oracle a band adversary: every witness that settles a row lifts into
+    the cone, and every dual-cone verdict, batched and one point at a time,
+    is the only legal one at 40 points near the axis a, each at margin
+    2.02 delta. On soc the first upper bound settles every row before any
+    separator, so only the direct check sees its slice's witnesses."""
+    cone, dual, inside = _slice_case(kind, n, side)
+    _check_witnesses_settle_at_their_exits(dual._kb_oracle, inside, cone.n - 1)
+    early = _spy_early_witnesses(monkeypatch)
+    delta = 0.02
+    a = dual.desc.a / np.linalg.norm(dual.desc.a)
+    top = math.acos(cone.eps_a)
+    rng = rng_stream(48, cone.n)
+    pts = []
+    while len(pts) < 40:
+        g = rng.normal(size=cone.n)
+        g -= (g @ a) * a
+        theta = rng.uniform(top / 2.0, top)
+        u = math.cos(theta) * a + math.sin(theta) * g / np.linalg.norm(g)
+        margin = cone.boundary_margin(u)
+        if abs(margin) >= 0.02:
+            pts.append(u * 2.02 * delta / abs(margin))
+    pts = np.array(pts)
+    want = np.array([cone.boundary_margin(x) > 0 for x in pts])
+    np.testing.assert_array_equal(dual.query_batch(pts, delta), want)
+    for x, inside_cone in zip(pts, want):
+        assert (dual.query(x, delta) is WeakVerdict.IN_THICKENED) == inside_cone
+    assert all(inside(W).all() for o, W in early if o is dual._kb_oracle)
+    assert (kind == "soc") == all(len(W) == 0 for _, W in early)
 
 
 def test_empty_batches_cost_nothing():

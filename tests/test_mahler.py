@@ -49,6 +49,28 @@ def test_volume_ci_shrinks_with_samples():
     assert finer.half_width == pytest.approx(0.5 * base.half_width, rel=0.2)
 
 
+def test_volume_half_width_when_every_sample_falls_on_one_side():
+    """With no miss or no hit the normal half-width reads 0, so volume_mc
+    reports the exact one-sided bound 1 - 0.025^(1/N) of the cube, and the
+    interval holds the true area; a mixed run keeps the normal width. The
+    l1 ball has area 2: a box of radius 0.5 lies inside it, and one of
+    radius 1.5 leaves it 2/9 of the box."""
+    norm = ReferenceNorm.lp(1.0, 2)
+    full = volume_mc(norm.oracle(), 0.5, 7, seed=1)
+    assert full.hits == 7 and full.value == 1.0
+    assert full.half_width == (1.0 - 0.025 ** (1.0 / 7)) * 1.0
+    none = next(est for est in (volume_mc(norm.oracle(), 1.5, 3, seed=s) for s in range(40))
+                if est.hits == 0)
+    assert none.value == 0.0
+    assert none.half_width == (1.0 - 0.025 ** (1.0 / 3)) * 9.0
+    lo, hi = none.interval()
+    assert lo <= 2.0 <= hi
+    mixed = next(est for est in (volume_mc(norm.oracle(), 1.5, 3, seed=s) for s in range(40))
+                 if 0 < est.hits < 3)
+    p = mixed.hits / 3
+    assert mixed.half_width == 1.96 * math.sqrt(p * (1.0 - p) / 3) * 9.0
+
+
 def test_volume_validation():
     norm = ReferenceNorm.lp(2.0, 2)
     with pytest.raises(ValueError):
