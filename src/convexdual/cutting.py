@@ -66,8 +66,8 @@ Policy where a row is not decided cleanly, the same for every caller:
   and support interval, below); the engine has no default. What a run at
   slack eps certifies follows from dq. Its witness is a center answered
   IN, which lies within dq of K, or a point of K: the body center, a
-  center inside the inner ball (sandwich centers) or a separator's witness
-  (below). A center answered OUT lies outside
+  center inside the inner ball (sandwich centers), a separator's witness
+  or a verdict's witness (below). A center answered OUT lies outside
   K_dq = a + (1 - dq/inner)(K - a), which sits inside the dq-shrunk body,
   and its cut keeps K_dq up to sigma. So the certified gap eps/2 bounds
   c . z - value over K_dq, and K_dq loses
@@ -180,10 +180,21 @@ Policy where a row is not decided cleanly, the same for every caller:
   The epigraph's value separator returns (x, min(f~(x) + ev, cap)) below
   the graph, in E since f(x) <= f~(x) + ev and f <= cap/2 on the ball,
   and for a center off the ball or above the cap the ball point
-  (c + (x - c) min(1, R/|x - c|), cap), in E at no evaluation. A witness
-  in K lies within dq of K, so it is as legal an incumbent as an IN
-  center, and the gap over K_dq holds as before: it reads only the
-  incumbent.
+  (c + (x - c) min(1, R/|x - c|), cap), in E at no evaluation. An oracle
+  may also return witnesses with its IN verdicts
+  (oracles.WeakMembershipOracle, witnesses): the run hands the hook the
+  centers the query batch has just answered IN, at the same dq, and raises
+  each row's incumbent to its W where c . W beats c . z, the same way. The
+  epigraph's hook returns (x, f~(x) + ev) from the verdict's own value, in
+  E as f(x) <= f~(x) + ev, for a center z = (x, tau) that verdict answered
+  IN, so tau >= f~(x); along c = (y, -1) it beats z wherever
+  tau > f~(x) + ev, and it costs no evaluation. Both the value separator's
+  heights and the hook's are clipped to [-cap/2, cap], where the holder's
+  bound |f| <= cap/2 puts every height of E, so the clip never moves a
+  witness of a legal oracle. Gauge oracles have no hook. A witness in K
+  lies within dq of K, so it is as legal an incumbent as an IN center:
+  c . W <= h_K(c), so the support interval's lo <= h_K(c) stands, and the
+  gap over K_dq holds as before, as it reads only the incumbent.
 - Witness-first separators: on the gauge path a witness is certified at
   every round of the anchor search, not only at its end, and a row whose
   witness already ends it pays for no probe. The search of the gauge of x
@@ -581,8 +592,9 @@ class WoptResult:
     interval contains h_K(c) and is no wider than the err asked for (module
     header, support interval). witness lies in the dq-thickened body: it is
     a center answered IN, or a point of the body (the body center, a center
-    inside the inner ball, or a separator's witness), and value = c . witness
-    lies in interval. iterations counts the run's cuts, free cuts included.
+    inside the inner ball, or a separator's or a verdict's witness), and
+    value = c . witness lies in interval. iterations counts the run's cuts,
+    free cuts included.
     stop_reason is always "gap", as a support run has no early exit; it
     stays with iterations because the benchmark's layer trace reads both.
     """
@@ -647,6 +659,15 @@ def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndar
     return j, v
 
 
+def _raise_incumbent(best: np.ndarray, best_wit: np.ndarray, k: np.ndarray,
+                     C: np.ndarray, W: np.ndarray) -> None:
+    """Raise, in place, the incumbents of rows k to the witnesses W, points
+    of the body, where c . W beats them; C holds those rows' objectives."""
+    wv = np.einsum("bi,bi->b", C, W)
+    up = wv > best[k]
+    best[k[up]], best_wit[k[up]] = wv[up], W[up]
+
+
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
               dq: float, stop_above: float = math.inf,
               stop_ub_below: float = -math.inf):
@@ -657,7 +678,8 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     incumbent (keep values at least best), an asserted-infeasible center
     adds the separator cut at the depth its separator returns, and the
     separator's witness, a point of the body, raises the incumbent where
-    it beats it (module header, separator witnesses). Each row's
+    it beats it (module header, separator witnesses), as does the
+    witness an oracle's hook returns with an IN verdict. Each row's
     ellipsoid starts as the body's stated ellipsoid, or as B(a, outer) where
     it states none (module header, start ellipsoid). The incumbent starts
     at the body center a, which the centering data guarantees feasible, at
@@ -757,6 +779,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         if gain.any():
             best = np.where(gain, vals, best)
             best_wit[gain] = Z[gain]
+        if oracle.witnesses is not None and (ask & inside).any():
+            # a verdict's own witness (module header, separator witnesses)
+            ki = np.flatnonzero(ask & inside)
+            _raise_incumbent(best, best_wit, ki, C[ki], oracle.witnesses(Z[ki], dq))
         G = -C
         A = best - vals  # objective cut at the incumbent
         G[free] = pool[j[free], :n]
@@ -772,9 +798,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             # header, separator witnesses and witness-first separators)
             U, dep, W = approx_separator(oracle, body, X, dq, C[out],
                                          np.minimum(stop_above, ub_run[out] - eps / 2.0))
-            wv = np.einsum("bi,bi->b", C[out], W)
-            up = wv > best[out]
-            best[ko[up]], best_wit[ko[up]] = wv[up], W[up]
+            _raise_incumbent(best, best_wit, ko, C[out], W)
             cut = ~np.isnan(dep)
             G[ko[cut]], A[ko[cut]] = U[cut], dep[cut]
             # a settled row takes the objective cut at its raised incumbent

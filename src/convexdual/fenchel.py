@@ -105,14 +105,19 @@ class EpigraphBody:
         ellipsoid = (np.append(self.ball.center, 0.25 * cap), np.diag(axes * axes))
         return CenteredBody(center, inner, outer, ellipsoid)
 
-    def oracle(self) -> WeakMembershipOracle:
-        """Row-wise weak membership, with the epigraph's own separator.
+    def oracle(self, centre_value=None) -> WeakMembershipOracle:
+        """Row-wise weak membership, with the epigraph's own separator and
+        witnesses for its IN verdicts.
 
         Verdicts at slack dq: rows off the ball or above the cap are refuted
         without an evaluation, every other row costs one, f~(x) asked at the
         separator's slack ev = dq h / (16 sqrt(n) R), h = 1e-5 R, not at dq.
         The verdict function keeps its last batch's values, keyed by row and
-        ev, and each call replaces them. The separator cuts a point
+        ev, and each call replaces them. centre_value, a pair (v, e) with
+        |v - f(c)| <= e, hands the oracle a value of f at the ball's centre c
+        that the caller has already bought: a row (c, tau) with
+        tau >= v + e lies in the epigraph, as f(c) <= v + e <= tau, and is
+        answered IN at no evaluation. The separator cuts a point
         z = (x, tau) answered outside at slack dq (cutting module header,
         value separators): off the ball along the ball's face, at depth
         |x - c| - R, and above the cap along tau <= cap, at depth
@@ -126,9 +131,20 @@ class EpigraphBody:
         centre the cutting engine hands it, and then costs n evaluations;
         elsewhere it asks f~(x) itself, for n + 1. Each row also gets a
         witness in the epigraph at no further evaluation: below the graph
-        (x, min(f~(x) + ev, cap)), as f(x) <= f~(x) + ev, and off the ball
-        or above the cap the ball point nearest x at tau = cap, as
-        f <= cap/2 on the ball (cutting module header, separator witnesses).
+        (x, f~(x) + ev), as f(x) <= f~(x) + ev, and off the ball or above
+        the cap the ball point nearest x at tau = cap, as f <= cap/2 on the
+        ball (cutting module header, separator witnesses).
+
+        The witness hook answers a row z = (x, tau) that the last batch
+        answered IN at the same dq, at no evaluation, with (x, t) for the
+        least upper bound t on f(x) that batch holds: f~(x) + ev where it
+        asked f~(x), v + e where x = c and centre_value is given, and cap
+        otherwise, which bounds f on the ball. Every height, the separator's
+        too, is clipped to [-cap/2, cap]. Under the holder's bound
+        |f| <= cap/2 the lower end never binds, and the point lies in the
+        epigraph; where values or that bound are false, the clip still keeps
+        the witness in the cylinder B(c, R) x [-cap/2, cap] of the start
+        ellipsoid, so one wrong value cannot carry the incumbent below it.
         """
         center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
                                        self.cap, self.values)
@@ -137,6 +153,7 @@ class EpigraphBody:
         # each quotient errs by at most 2 ev / h, which costs at most dq / 4
         # of sigma over the ball's diameter 2R
         ev_per_dq = step / (16.0 * math.sqrt(n) * radius)
+        c_top = math.inf if centre_value is None else sum(centre_value)  # >= f(c)
         last = {}  # (x bytes, ev) -> f~_ev(x), for the last verdict batch only
 
         def verdicts(Z, eps):
@@ -151,10 +168,27 @@ class EpigraphBody:
             ev = eps * ev_per_dq
             last.clear()
             for i in np.flatnonzero(inside):
+                if tau[i] >= c_top and np.array_equal(X[i], center):
+                    continue  # f(c) <= c_top <= tau: in the epigraph
                 w = values.eval(X[i], ev)
                 last[X[i].tobytes(), ev] = w
                 inside[i] = tau[i] >= w
             return inside
+
+        def height(t):
+            return np.clip(t, -0.5 * cap, cap)
+
+        def witnesses(Z, dq):
+            X = Z[:, :-1]
+            ev = dq * ev_per_dq
+            top = np.full(len(Z), cap)
+            for i, x in enumerate(X):
+                w = last.get((x.tobytes(), ev))
+                if w is not None:
+                    top[i] = w + ev
+                if np.array_equal(x, center):
+                    top[i] = min(top[i], c_top)
+            return np.column_stack([X, height(top)])
 
         def separator(Z, dq):
             X, tau = Z[:, :-1], Z[:, -1]
@@ -167,7 +201,7 @@ class EpigraphBody:
             U[above, -1] = 1.0
             depth = np.where(outside, dist - radius, tau - cap)
             # witnesses: the ball point nearest x at the cap, f <= cap/2 there,
-            # and below the graph (x, min(f~(x) + ev, cap)), f(x) <= f~(x) + ev
+            # and below the graph (x, f~(x) + ev), f(x) <= f~(x) + ev
             scale = radius / np.maximum(dist, radius)
             W = np.column_stack([center + rel * scale[:, None], np.full(len(Z), cap)])
             ev = dq * ev_per_dq
@@ -181,11 +215,11 @@ class EpigraphBody:
                 nrm = float(np.linalg.norm(u))
                 U[i] = u / nrm
                 depth[i] = (fx - ev - tau[i]) / nrm
-                W[i, -1] = min(fx + ev, cap)
+                W[i, -1] = height(fx + ev)
             return U, depth, W
 
         return WeakMembershipOracle(verdicts, self.body(), label="epigraph",
-                                    separator=separator)
+                                    separator=separator, witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -288,11 +322,21 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     """Evaluate the Fenchel conjugate at y within eps: one support query of
     epi f in the direction c = (y, -1).
 
-    Beyond a radius rho from the certificate, y . x - f(x) < -f(0) <= f*(y).
-    So epi f is cut to the ball B(0, R), R = rho + 1, and to a cap with
-    |f| <= cap / 2 there: f is convex, so the certificate's bound on the
-    sphere bounds it above, and f(x) >= 2 f(0) - f(-x) below. Over that body
-    E, with tau = f(x) under the cap, h_E(c) = f*(y).
+    Localization. Take f0_hi = f~(0) + e0 >= f(0), the threshold
+    T = max(f0_hi, 0) and phi(r) = r (k_lo r^(s-1) - |y|). For
+    |x| = r >= cert.r the certificate gives f(x) >= k_lo r^s, so
+    y . x - f(x) <= -phi(r). phi is convex with phi(0) = 0, so where
+    phi(r1) > T >= 0, every r > r1 has phi(r) >= (r/r1) phi(r1) > T:
+    {r : phi(r) > T} is a ray, and bisection finds a point rho >= cert.r
+    of it. Beyond rho, then, y . x - f(x) < -T <= -f(0) <= f*(y), as x = 0
+    attains -f(0). So the supremum lies in the ball B(0, rho), with no
+    margin added, and epi f is cut to it and to a cap with |f| <= cap / 2
+    there: f is convex, so the certificate's bound on the sphere bounds it
+    above, and f(x) >= 2 f(0) - f(-x) below. Over that body E, with
+    tau = f(x) under the cap, h_E(c) = f*(y). The value f~(0), bought at
+    slack e0 to size the ball and the cap, is handed to the epigraph's
+    oracle with e0 (EpigraphBody.oracle), so the run asks f at x = 0 only
+    for a row below f~(0) + e0.
 
     Slack. cutting.wopt_from_wmem at err = eps certifies an interval of
     width at most eps that contains h_E(c) (the support interval of the
@@ -308,10 +352,12 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     f0_hi = f0_raw + e0   # upper bound on f(0)
     f0_lo = f0_raw - e0   # lower bound on f(0)
 
-    # smallest convenient rho >= r with rho (k_lo rho^{s-1} - |y|) > f0_hi + 1:
-    # beyond it, y . x - f(x) < -f0_hi <= f*(y)
+    # a rho >= r with rho (k_lo rho^{s-1} - |y|) > max(f0_hi, 0): beyond it,
+    # y . x - f(x) < -f0_hi <= f*(y), and every larger radius passes too
+    threshold = max(f0_hi, 0.0)
+
     def excluded(rad):
-        return rad * (cert.k_lo * rad ** (cert.s - 1.0) - ny) > f0_hi + 1.0
+        return rad * (cert.k_lo * rad ** (cert.s - 1.0) - ny) > threshold
 
     rho = max(cert.r, 1.0, ((ny + 1.0) / cert.k_lo) ** (1.0 / (cert.s - 1.0)))
     while not excluded(rho):
@@ -323,13 +369,12 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
             hi = mid
         else:
             lo = mid
-    rho = hi
+    radius = hi
 
-    radius = rho + 1.0
     f_sphere = float(cert.upper(radius))
     cap = 2.0 * (max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + 1.0)
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
-    oracle = epi.oracle()
+    oracle = epi.oracle(centre_value=(f0_raw, e0))
     res = wopt_from_wmem(oracle, oracle.body, np.append(y, -1.0), eps)
     return ConjugateEstimate(res.value, res.witness[:-1].copy(), radius, cap,
                              res.interval, res.iterations)

@@ -59,6 +59,14 @@ class WeakMembershipOracle:
         header), and W a witness: a point of the body, which the cutting
         engine takes as an incumbent. calls does not count it; the primal
         oracle it evaluates does. cutting.approx_separator uses it where it is given.
+    witnesses : callable (X, delta) -> W, optional
+        Witnesses for IN verdicts, for a body whose verdicts buy more than a
+        yes. X is an (m, n) stack of points that fn has just answered IN at
+        slack delta, all from its last batch; W holds per point a point of
+        the body, read from what that batch bought, at no call. The cutting
+        engine takes it as an incumbent where it beats the row's incumbent
+        (cutting module header, separator witnesses). Gauge oracles have
+        none.
 
     query_batch validates, counts and calls fn; query is the same call on
     one row. Both count one call per point and raise ValueError, before
@@ -67,11 +75,13 @@ class WeakMembershipOracle:
     fn is not called, so no verdict function handles an empty stack.
     """
 
-    def __init__(self, fn, body: CenteredBody, label: str = "wmem", separator=None):
+    def __init__(self, fn, body: CenteredBody, label: str = "wmem", separator=None,
+                 witnesses=None):
         self._fn = fn
         self.body = body
         self.calls = CallCounter(label)
         self.separator = separator
+        self.witnesses = witnesses
 
     def query(self, x, delta: float) -> WeakVerdict:
         delta = positive_finite(delta, "delta")

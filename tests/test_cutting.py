@@ -916,3 +916,38 @@ def test_entries_reject_bad_input_before_querying(entry):
         with pytest.raises(ValueError):
             call(oracle, norm, [[1.0, 0.5]], s)
     assert oracle.calls.count == 0
+
+
+def test_verdict_witnesses_raise_the_incumbent():
+    """An oracle's witness hook is handed exactly the centres its verdict
+    batch has just answered IN, at the run's slack, and the run takes its
+    points as incumbents: on the unit disc a hook that returns the
+    boundary point x/|x| of each IN centre lets the run stop in fewer
+    cuts and calls than the same oracle without it, and both intervals
+    hold h(c) = |c|. The disc is declared with the loose sandwich
+    B(0, 0.05) <= K <= B(0, 1), so that its centres reach the oracle."""
+    norm = ReferenceNorm.lp(2.0, 2)
+    body = CenteredBody(np.zeros(2), 0.05, 1.0)
+    C = rng_stream(30, 2).normal(size=(4, 2))
+    last, handed = [], []
+
+    def member(X, delta):
+        inside = norm.eval_batch(X) <= 1.0
+        last[:] = [(X[inside], delta)]
+        return inside
+
+    def witnesses(X, delta):
+        handed.append((X, delta))
+        np.testing.assert_array_equal(X, last[0][0])
+        assert delta == last[0][1]
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    runs = {}
+    for hook in (None, witnesses):
+        oracle = WeakMembershipOracle(member, body, witnesses=hook)
+        lo, hi, _, cuts, _ = support_batch(oracle, oracle.body, C, 0.02)
+        nc = np.linalg.norm(C, axis=1)
+        assert np.all(lo <= nc) and np.all(nc <= hi)
+        runs[hook is None] = (oracle.calls.count, int(cuts.sum()))
+    assert handed
+    assert runs[False][0] < runs[True][0] and runs[False][1] < runs[True][1]

@@ -141,6 +141,24 @@ def test_epigraph_wmem_budget_and_verdicts():
     assert vals.calls.count == 2
 
 
+def test_epigraph_centre_value_answers_at_no_evaluation():
+    """A value v of f at the ball's centre, handed over with its slack e,
+    answers a centre row at or above v + e IN at no evaluation, with the
+    witness (c, v + e); a centre row below it, and every other row, still
+    costs its evaluation."""
+    vals = _oracle(lambda x: float(x @ x) + 0.5, 2)
+    oracle = EpigraphBody(_ball(2), 4.0, vals).oracle(centre_value=(0.45, 0.1))
+    Z = np.array([[0.0, 0.0, 0.55], [0.0, 0.0, 1.5], [0.5, 0.0, 1.5]])
+    np.testing.assert_array_equal(oracle.query_batch(Z, 0.01), [True, True, True])
+    assert vals.calls.count == 1
+    W = oracle.witnesses(Z, 0.01)
+    assert vals.calls.count == 1
+    np.testing.assert_allclose(W[:2, -1], 0.55)
+    assert 0.75 <= W[2, -1] <= 0.75 + 1e-6
+    assert oracle.query([0.0, 0.0, 0.52], 0.01) is WeakVerdict.IN_THICKENED
+    assert vals.calls.count == 2
+
+
 def test_epigraph_batch_matches_row_queries():
     """A mixed batch gets the per-row verdicts and pays one evaluation per
     row on the ball and under the cap, none for the rest."""
@@ -279,10 +297,15 @@ def test_value_separator_witnesses_lie_in_the_epigraph(case, kind):
     cap the ball point nearest x at tau' = cap, with f <= cap/2 on the ball,
     and below the graph (x, min(f~(x) + ev, cap)), with f(x) <= f~(x) + ev,
     for every legal value oracle. So |x' - c| <= R and f(x') <= tau' <= cap,
-    up to rounding; the rows below the graph include some within dq of it."""
+    up to rounding; the rows below the graph include some within dq of it.
+    The witness hook does the same for the rows a verdict batch answered
+    IN, at no evaluation: (x, f~(x) + ev) from that batch's own value, no
+    higher than cap. Those rows include some within dq of the graph, above
+    and below it."""
     fn, _, n, cap = VALUE_SEPARATOR_CASES[case]
     R, dq = 2.0, 1e-3
-    oracle = EpigraphBody(_ball(n, R), cap, VALUE_ORACLES[kind](fn, n)).oracle()
+    values = VALUE_ORACLES[kind](fn, n)
+    oracle = EpigraphBody(_ball(n, R), cap, values).oracle()
     rng = rng_stream(64, n)
     X = _ball_points(rng, 6, n, 1.01 * R, 1.5 * R)
     off = np.column_stack([X, rng.uniform(-1.0, cap + 1.0, size=6)])
@@ -298,6 +321,21 @@ def test_value_separator_witnesses_lie_in_the_epigraph(case, kind):
     assert all(fn(w[:-1]) <= w[-1] <= cap for w in W)
     np.testing.assert_array_equal(W[:12, -1], cap)
     np.testing.assert_array_equal(W[12:, :-1], X)
+
+    # IN rows: over the graph up to the cap, a third of them within dq of it
+    Xi = _ball_points(rng, 12, n, 0.0, R)
+    fi = np.array([fn(x) for x in Xi])
+    lifts = np.where(np.arange(12) % 3 == 0, dq * rng.uniform(-1.0, 1.0, size=12),
+                     rng.uniform(0.0, 1.0, size=12) * (cap - fi))
+    Zi = np.column_stack([Xi, fi + lifts])
+    inside = oracle.query_batch(Zi, dq)
+    assert np.count_nonzero(inside) >= 8
+    before = values.calls.count
+    Wi = oracle.witnesses(Zi[inside], dq)
+    assert values.calls.count == before
+    assert Wi.shape == Zi[inside].shape
+    np.testing.assert_array_equal(Wi[:, :-1], Xi[inside])
+    assert all(fn(w[:-1]) <= w[-1] <= cap for w in Wi)
 
 
 def test_value_separator_reuses_the_verdicts_value():
@@ -609,10 +647,10 @@ WORKLOAD_POINTS = [
 @pytest.mark.parametrize("kind", list(VALUE_ORACLES))
 @pytest.mark.parametrize("name,n,y", WORKLOAD_POINTS)
 def test_fenchel_eval_asks_no_point_twice(name, n, y, kind):
-    """One fenchel_eval evaluates f~ at no point twice but the ball's centre
-    x = 0: the entry point asks f(0) at e0 to size the ball and the cap, and
-    the first cut centre (0, cap/4) asks it again at the separator's slack.
-    Every other centre below the graph pays for f~(x) once, in its verdict,
+    """One fenchel_eval evaluates f~ at no point twice: the entry point asks
+    f(0) at e0 to size the ball and the cap and hands that value to the
+    epigraph's oracle, which answers the first cut centre (0, cap/4) from
+    it. Every centre below the graph pays for f~(x) once, in its verdict,
     and its separator reuses that value."""
     ref = make_reference_function(name, n)
     seen = []
@@ -622,10 +660,54 @@ def test_fenchel_eval_asks_no_point_twice(name, n, y, kind):
         return ref.fn(x)
 
     fenchel_eval(VALUE_ORACLES[kind](fn, n), ref.cert, y, 0.05)
-    origin = np.zeros(n).tobytes()
-    counts = collections.Counter(seen)
-    assert counts[origin] <= 2
-    assert all(k == origin for k, m in counts.items() if m > 1)
+    assert max(collections.Counter(seen).values()) == 1
+
+
+@pytest.mark.parametrize("name,n,y", WORKLOAD_POINTS)
+def test_fenchel_eval_asks_f_at_the_origin_once(name, n, y, monkeypatch):
+    """fenchel_eval buys f~(0) at e0 to size the ball and the cap, and hands
+    that value to the epigraph's oracle: the first cut centre (0, cap/4)
+    lies above f~(0) + e0, so its verdict is IN at no evaluation, and f is
+    asked at x = 0 exactly once."""
+    ref = make_reference_function(name, n)
+    at_origin = []
+    plain = FunctionApproxOracle.eval
+
+    def counted(self, x, eps):
+        if not np.any(np.asarray(x, dtype=float)):
+            at_origin.append(eps)
+        return plain(self, x, eps)
+
+    monkeypatch.setattr(FunctionApproxOracle, "eval", counted)
+    est = fenchel_eval(ref.approx_oracle(), ref.cert, y, 0.05)
+    assert len(at_origin) == 1
+    assert abs(est.value - ref.conjugate(np.asarray(y, dtype=float))) <= 0.05
+
+
+def test_fenchel_eval_with_negative_value_at_the_origin():
+    """f(x) = |x|^2 - 4 has f(0) < 0 and f*(y) = |y|^2/4 + 4, and obeys the
+    certificate (1/2, 1, 2, 2, 3): |x|^2/2 <= |x|^2 - 4 <= |x|^2 for
+    |x| >= 3. The ball is the rho of the threshold max(f0_hi, 0) = 0, the
+    least rho >= 3 with rho (rho/2 - |y|) > 0, so max(3, 2|y|), and beyond
+    it y . x - f(x) < -f(0) = 4. Each certified interval holds the closed
+    form, at |y| from 0 to 10."""
+    n, eps = 2, 0.05
+    cert = GrowthCertificate(0.5, 1.0, 2.0, 2.0, 3.0)
+    fn = lambda x: float(x @ x) - 4.0  # noqa: E731
+    rng = rng_stream(65, n)
+    for norm in [0.0, 0.5, 1.2, 1.5, 2.5, 4.0, 7.0, 10.0]:
+        d = rng.normal(size=n)
+        y = norm * d / np.linalg.norm(d)
+        want = 0.25 * float(y @ y) + 4.0
+        est = fenchel_eval(_oracle(fn, n), cert, y, eps)
+        assert est.interval.contains(want) and est.interval.width <= eps
+        assert abs(est.value - want) <= eps
+        rho = est.radius
+        assert rho * (0.5 * rho - norm) > 0.0
+        assert rho == pytest.approx(max(3.0, 2.0 * norm), rel=1e-9)
+        X = _ball_points(rng, 400, n, rho, 3.0 * rho)
+        X[0] = rho * (y / norm if norm > 0.0 else np.eye(n)[0])
+        assert np.all(X @ y - np.array([fn(x) for x in X]) < -fn(np.zeros(n)))
 
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["raised", "lowered"])
