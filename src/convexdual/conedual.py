@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CenteredBody, as_vector, positive_finite
+from .core import CenteredBody, as_vector, positive_finite, safe_norm
 from .cutting import wval_batch
 # not called here; kept because perfbench's layer trace patches this name
 from .cutting import wval_from_wmem  # noqa: F401
@@ -142,7 +142,7 @@ class DualConeOracle(WeakMembershipOracle):
 
     def _verdicts(self, C: np.ndarray, delta: float) -> np.ndarray:
         desc = self.desc
-        nc = np.linalg.norm(C, axis=1)
+        nc = safe_norm(C)
         out = nc == 0.0  # the apex
         rows = np.flatnonzero(~out)
         # the pairing screen, on the rows scaled onto |c0| = 3/4

@@ -66,6 +66,25 @@ def as_stack(X, n: int) -> np.ndarray:
     return S
 
 
+def safe_norm(X):
+    """Euclidean norm of a vector, or of each row of a stack, finite for
+    finite input: where the plain norm of a finite row overflows (above
+    about 1e154) the row is first divided by its largest magnitude.
+    Everywhere else, rows with an inf or a nan included, the result is the
+    plain norm, bit for bit."""
+    X = np.asarray(X, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            return np.linalg.norm(X, axis=-1)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.linalg.norm(X, axis=-1)
+        top = np.abs(X).max(axis=-1, keepdims=True)
+        scaled = top[..., 0] * np.linalg.norm(X / np.where(top > 0.0, top, 1.0), axis=-1)
+    return np.where(np.isfinite(plain) | ~np.isfinite(top[..., 0]), plain, scaled)
+
+
 @dataclass(frozen=True)
 class NormDescriptor:
     """Euclidean sandwich constants of a norm: k_lo*|x| <= nu(x) <= k_hi*|x|.
@@ -222,6 +241,7 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     mapping is pure, so any partition of work across streams reproduces
     exactly regardless of scheduling.
     """
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream index must be nonnegative")
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ValueError("seed and stream index must lie in [0, 2^64 - 1], "
+                         "the range of a Philox key word")
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

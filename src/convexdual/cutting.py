@@ -109,38 +109,46 @@ Policy where a row is not decided cleanly, the same for every caller:
   fenchel.EpigraphBody has one built from values f~ of f. A center
   z = (x, tau) off the ball is cut along ((x - c)/|x - c|, 0) at depth
   |x - c| - R, and one above the cap along (0, 1) at depth tau - cap: both
-  halfspaces hold all of E, so sigma = 0, at no evaluation. Any other
-  center costs its verdict one evaluation, f~(x) asked at the separator's
-  slack ev = dq h / (16 sqrt(n) R) rather than at dq. That is legal at dq:
-  IN gives tau >= f~(x) >= f(x) - ev >= f(x) - dq, and OUT gives
-  tau < f~(x) <= f(x) + ev <= f(x) + dq, so an OUT center is below the
-  graph up to the band. Its n forward quotients
-  H_i = (f~(x + h_i e_i) - f~(x))/h_i, with h_i = -/+h stepping toward c
-  and every value asked at slack ev, give the unit u = (H, -1)/|(H, -1)|
-  and the depth alpha = (f~(x) - ev - tau)/|(H, -1)|. The verdict function
-  keeps its last batch's values by row and ev, and the engine hands the
-  separator a subset of the batch it has just asked, at the same dq, so
-  the separator reads f~(x) there and a center below the graph costs n
-  further evaluations, n + 1 in all. A center that batch does not hold at
-  that ev (a direct call) has f~(x) asked afresh, at n + 1 evaluations in
-  the separator. Take y' = (x', tau') in E, s a subgradient of f at x, F
+  halfspaces hold all of E, so sigma = 0, at no evaluation. The oracle
+  keeps one store of values for its life, pairs (w, e) with
+  |w - f(x)| <= e, one per point, and buys every value through it
+  (fenchel.EpigraphBody.oracle). Any other center z = (x, tau) is first
+  read against the pair held at x: tau >= w + e puts z in E and
+  tau < w - e puts it below the graph, both legal at every slack and at
+  no evaluation. Otherwise its verdict reads a pair of slack e at most
+  the separator's slack ev = dq h / (16 sqrt(n) R), asking f~(x) at ev
+  where none is held, rather than at dq. That is legal at dq: IN gives
+  tau >= w >= f(x) - e >= f(x) - dq, and OUT gives
+  tau < w <= f(x) + e <= f(x) + dq, so an OUT center is below the graph
+  up to the band. The separator reads the pair (w, e) at x and the values
+  w_i at the n points x + h_i e_i, with h_i = -/+h stepping toward c, each
+  of slack at most ev. The quotients H_i = (w_i - w)/h_i give the unit
+  u = (H, -1)/|(H, -1)| and the depth alpha = (w - e - tau)/|(H, -1)|.
+  The engine hands the separator a subset of the batch it has just
+  asked, at the same dq, whose verdicts leave a pair of slack at most ev
+  held at x unless a held pair's bounds decided them. So a center below
+  the graph costs at most n further evaluations, n + 1 in all, and a point
+  the store already holds costs nothing again. A center the store does
+  not hold (a direct call) has f~(x) asked in the separator, at n + 1
+  evaluations. Take y' = (x', tau') in E, s a subgradient of f at x, F
   the exact quotients and b = F - s their one-sided bias, as for the
   gauge. Convexity gives tau' >= f(x') >= f(x) + s . (x' - x), and
-  f(x) >= f~(x) - ev, so
-  (H, -1) . (y' - z) <= (H - s) . (x' - x) - (f~(x) - ev - tau). Each value
+  f(x) >= w - e, so
+  (H, -1) . (y' - z) <= (H - s) . (x' - x) - (w - e - tau). Each value
   errs by at most ev, so |H - F| <= 2 sqrt(n) ev/h, and |x' - x| <= 2R, so
   u . (y' - z) <= -alpha + (|b| + 2 sqrt(n) ev/h) 2R / |(H, -1)|. An OUT
-  verdict inside the band can leave alpha < 0. Where the depth reads the
-  verdict's own value, OUT means tau < f~(x), so alpha > -ev/|(H, -1)|.
-  Where it reads a fresh one, tau < f(x) + dq <= f~(x) + ev + dq gives
-  only alpha > -(dq + 2 ev)/|(H, -1)|. The clip makes either cut central.
+  verdict inside the band can leave alpha < 0. Where the verdict read the
+  pair the depth reads, OUT means tau < w, so alpha > -e/|(H, -1)|
+  >= -ev/|(H, -1)|. Elsewhere, tau < f(x) + dq <= w + e + dq gives only
+  alpha > -(dq + 2 ev)/|(H, -1)|. The clip makes either cut central.
   So against the clipped depth a value cut keeps E, and with it K_dq, up
   to
 
       sigma_v = (dq + 2 ev + (|b| + 2 sqrt(n) ev/h) 2R) / |(H, -1)|,
 
-  as a gauge cut does up to sigma. This bound covers both paths; on the
-  engine path its clip term dq + 2 ev falls to ev. |(H, -1)| >= 1, so a
+  as a gauge cut does up to sigma. This bound covers both paths; where
+  the verdict read the separator's pair its clip term dq + 2 ev falls to
+  ev. |(H, -1)| >= 1, so a
   value separator has no flat case. The step is h = 1e-5 R, fixed by the
   ball, and ev = dq h / (16 sqrt(n) R) holds the noise term
   2 sqrt(n) (ev/h) 2R to dq/4. The bias term is O(h) where f is smooth,
@@ -177,18 +185,19 @@ Policy where a row is not decided cleanly, the same for every caller:
   g(W) = g(x)/(g~(x) + tol) <= 1 and W lies in K, up to rounding. As
   g~(x) - tol <= g(x), g(W) >= g(x)/(g(x) + 2 tol): W sits next to the
   boundary point x_b of the deep cut, on the segment from a.
-  The epigraph's value separator returns (x, min(f~(x) + ev, cap)) below
-  the graph, in E since f(x) <= f~(x) + ev and f <= cap/2 on the ball,
+  The epigraph's value separator returns (x, min(w + e, cap)) below the
+  graph, from the pair (w, e) it reads at x, in E since f(x) <= w + e and
+  f <= cap/2 on the ball,
   and for a center off the ball or above the cap the ball point
   (c + (x - c) min(1, R/|x - c|), cap), in E at no evaluation. An oracle
   may also return witnesses with its IN verdicts
   (oracles.WeakMembershipOracle, witnesses): the run hands the hook the
   centers the query batch has just answered IN, at the same dq, and raises
   each row's incumbent to its W where c . W beats c . z, the same way. The
-  epigraph's hook returns (x, f~(x) + ev) from the verdict's own value, in
-  E as f(x) <= f~(x) + ev, for a center z = (x, tau) that verdict answered
-  IN, so tau >= f~(x); along c = (y, -1) it beats z wherever
-  tau > f~(x) + ev, and it costs no evaluation. Both the value separator's
+  epigraph's hook returns (x, w + e) from the pair its store holds at x,
+  the one the verdict read, in E as f(x) <= w + e, for a center
+  z = (x, tau) answered IN, so tau >= w; along c = (y, -1) it beats z
+  wherever tau > w + e, and it costs no evaluation. Both the value separator's
   heights and the hook's are clipped to [-cap/2, cap], where the holder's
   bound |f| <= cap/2 puts every height of E, so the clip never moves a
   witness of a legal oracle. Gauge oracles have no hook. A witness in K

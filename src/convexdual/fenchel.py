@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CenteredBody, Interval, as_vector, positive_finite
+from .core import CenteredBody, Interval, as_vector, positive_finite, safe_norm
 from .cutting import wopt_from_wmem
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
 
@@ -105,121 +105,134 @@ class EpigraphBody:
         ellipsoid = (np.append(self.ball.center, 0.25 * cap), np.diag(axes * axes))
         return CenteredBody(center, inner, outer, ellipsoid)
 
-    def oracle(self, centre_value=None) -> WeakMembershipOracle:
-        """Row-wise weak membership, with the epigraph's own separator and
-        witnesses for its IN verdicts.
+    def oracle(self, centre_value=None) -> EpigraphOracle:
+        """Row-wise weak membership over one store of values of f, with the
+        epigraph's own separator and witnesses for its IN verdicts.
+
+        The store holds, for the oracle's life, one pair (w, e) per point x
+        with |w - f(x)| <= e. centre_value, a pair (v, e) with
+        |v - f(c)| <= e that the caller has already bought at the ball's
+        centre c, seeds it. value(x, slack) returns the held pair where its
+        e is at most slack, and otherwise asks f~(x) at slack and holds that
+        pair in its place; every evaluation of the oracle goes through it.
 
         Verdicts at slack dq: rows off the ball or above the cap are refuted
-        without an evaluation, every other row costs one, f~(x) asked at the
-        separator's slack ev = dq h / (16 sqrt(n) R), h = 1e-5 R, not at dq.
-        The verdict function keeps its last batch's values, keyed by row and
-        ev, and each call replaces them. centre_value, a pair (v, e) with
-        |v - f(c)| <= e, hands the oracle a value of f at the ball's centre c
-        that the caller has already bought: a row (c, tau) with
-        tau >= v + e lies in the epigraph, as f(c) <= v + e <= tau, and is
-        answered IN at no evaluation. The separator cuts a point
-        z = (x, tau) answered outside at slack dq (cutting module header,
-        value separators): off the ball along the ball's face, at depth
-        |x - c| - R, and above the cap along tau <= cap, at depth
-        tau - cap, both exact and without an evaluation. Below the graph it
-        takes n forward differences of f at x, each stepping toward the
-        ball's centre by h, with every value asked at slack ev. Their
-        quotients H give the tangent halfspace
-        (H, -1) . y <= H . x - f~(x) + ev, a cut at depth
-        (f~(x) - ev - tau) / |(H, -1)|. It reads f~(x) from the last verdict
-        batch where that batch holds x at the same ev, as it does for every
-        centre the cutting engine hands it, and then costs n evaluations;
-        elsewhere it asks f~(x) itself, for n + 1. Each row also gets a
-        witness in the epigraph at no further evaluation: below the graph
-        (x, f~(x) + ev), as f(x) <= f~(x) + ev, and off the ball or above
-        the cap the ball point nearest x at tau = cap, as f <= cap/2 on the
-        ball (cutting module header, separator witnesses).
+        without an evaluation. Every other row z = (x, tau) first reads the
+        pair held at x: its bounds decide tau where tau >= w + e, which puts
+        z in the epigraph, as f(x) <= w + e <= tau, or where tau < w - e,
+        which puts z below the graph. A row they leave open reads
+        value(x, ev) at the separator's slack ev = dq h / (16 sqrt(n) R),
+        h = 1e-5 R, not at dq, and is IN where tau >= w. So a point is asked
+        again only at a slack tighter than the pair held there, whatever
+        batch it comes in.
 
-        The witness hook answers a row z = (x, tau) that the last batch
-        answered IN at the same dq, at no evaluation, with (x, t) for the
-        least upper bound t on f(x) that batch holds: f~(x) + ev where it
-        asked f~(x), v + e where x = c and centre_value is given, and cap
-        otherwise, which bounds f on the ball. Every height, the separator's
-        too, is clipped to [-cap/2, cap]. Under the holder's bound
-        |f| <= cap/2 the lower end never binds, and the point lies in the
-        epigraph; where values or that bound are false, the clip still keeps
-        the witness in the cylinder B(c, R) x [-cap/2, cap] of the start
-        ellipsoid, so one wrong value cannot carry the incumbent below it.
+        The separator cuts a point z = (x, tau) answered outside at slack dq
+        (cutting module header, value separators): off the ball along the
+        ball's face, at depth |x - c| - R, and above the cap along
+        tau <= cap, at depth tau - cap, both exact and without an
+        evaluation. Below the graph it reads value(x, ev) = (w, e) and
+        value(p, ev) at the n points p that step from x toward the ball's
+        centre by h. Their quotients H give the tangent halfspace
+        (H, -1) . y <= H . x - w + e, a cut at depth (w - e - tau) / |(H, -1)|.
+        On the engine path the verdict has just held x at ev, unless a held
+        pair's bounds decided it, so such a centre costs at most n + 1
+        evaluations in all, and none at points already held. Each row also
+        gets a witness in the epigraph at no further evaluation: below the
+        graph (x, w + e), as f(x) <= w + e, and off the ball or above the
+        cap the ball point nearest x at tau = cap, as f <= cap/2 on the ball
+        (cutting module header, separator witnesses).
+
+        The witness hook answers a row z = (x, tau) answered IN, at no
+        evaluation, with (x, w + e) from the pair held at x, the least upper
+        bound on f(x) the store holds, and (x, cap) where none is held, as
+        cap bounds f on the ball. Every height, the separator's too, is
+        clipped to [-cap/2, cap]. Under the holder's bound |f| <= cap/2 the
+        lower end never binds, and the point lies in the epigraph; where
+        values or that bound are false, the clip still keeps the witness in
+        the cylinder B(c, R) x [-cap/2, cap] of the start ellipsoid, so one
+        wrong value cannot carry the incumbent below it.
         """
-        center, radius, cap, values = (self.ball.center, self.ball.outer_radius,
-                                       self.cap, self.values)
-        n = self.ball.n
-        step = 1e-5 * radius
+        return EpigraphOracle(self, centre_value)
+
+
+def _key(x) -> bytes:
+    return (np.asarray(x, dtype=float) + 0.0).tobytes()  # -0.0 keys as 0.0
+
+
+class EpigraphOracle(WeakMembershipOracle):
+    """Weak membership oracle of a truncated epigraph over one store of
+    values of f (EpigraphBody.oracle)."""
+
+    def __init__(self, epi: EpigraphBody, centre_value=None):
+        super().__init__(self._verdicts, epi.body(), label="epigraph",
+                         separator=self._separator, witnesses=self._witnesses)
+        self.epi = epi
+        self._step = 1e-5 * epi.ball.outer_radius
         # each quotient errs by at most 2 ev / h, which costs at most dq / 4
         # of sigma over the ball's diameter 2R
-        ev_per_dq = step / (16.0 * math.sqrt(n) * radius)
-        c_top = math.inf if centre_value is None else sum(centre_value)  # >= f(c)
-        last = {}  # (x bytes, ev) -> f~_ev(x), for the last verdict batch only
+        self._ev_per_dq = self._step / (16.0 * math.sqrt(epi.ball.n) * epi.ball.outer_radius)
+        # x bytes -> (w, e) with |w - f(x)| <= e, seeded at the centre
+        self._held = {} if centre_value is None else {_key(epi.ball.center): centre_value}
 
-        def verdicts(Z, eps):
-            if eps >= 0.5 * cap:
-                raise ValueError("query slack must stay below half the cap")
-            X, tau = Z[:, :-1], Z[:, -1]
-            inside = (np.linalg.norm(X - center, axis=1) <= radius) & (tau <= cap)
-            # asked at ev < eps: tau >= w means tau >= f(x) - ev >= f(x) - eps,
-            # and (x, min(tau + eps, cap)) is an epigraph point within eps;
-            # tau < w <= f(x) + eps means (x, tau - eps) lies below the graph,
-            # refuting the eps-shrunk set
-            ev = eps * ev_per_dq
-            last.clear()
-            for i in np.flatnonzero(inside):
-                if tau[i] >= c_top and np.array_equal(X[i], center):
-                    continue  # f(c) <= c_top <= tau: in the epigraph
-                w = values.eval(X[i], ev)
-                last[X[i].tobytes(), ev] = w
-                inside[i] = tau[i] >= w
-            return inside
+    def value(self, x, slack: float) -> tuple[float, float]:
+        """A pair (w, e) with |w - f(x)| <= e <= slack, from the store where
+        it holds one that tight, else f~(x) asked at slack and held."""
+        pair = self._held.get(_key(x))
+        if pair is None or pair[1] > slack:
+            pair = self._held[_key(x)] = (self.epi.values.eval(x, slack), slack)
+        return pair
 
-        def height(t):
-            return np.clip(t, -0.5 * cap, cap)
+    def _verdicts(self, Z, dq):
+        ball, cap = self.epi.ball, self.epi.cap
+        if dq >= 0.5 * cap:
+            raise ValueError("query slack must stay below half the cap")
+        X, tau = Z[:, :-1], Z[:, -1]
+        inside = (np.linalg.norm(X - ball.center, axis=1) <= ball.outer_radius) & (tau <= cap)
+        # decided bounds: tau >= w + e >= f(x) is in the epigraph, and
+        # tau < w - e <= f(x) below the graph; at e <= ev < dq, tau >= w
+        # means tau >= f(x) - dq, and (x, min(tau + dq, cap)) is an epigraph
+        # point within dq, and tau < w <= f(x) + dq means (x, tau - dq) lies
+        # below the graph, refuting the dq-shrunk set
+        ev = dq * self._ev_per_dq
+        for i in np.flatnonzero(inside):
+            w, e = self._held.get(_key(X[i]), (0.0, math.inf))
+            if e > ev and w - e <= tau[i] < w + e:
+                w, e = self.value(X[i], ev)
+            inside[i] = tau[i] >= w
+        return inside
 
-        def witnesses(Z, dq):
-            X = Z[:, :-1]
-            ev = dq * ev_per_dq
-            top = np.full(len(Z), cap)
-            for i, x in enumerate(X):
-                w = last.get((x.tobytes(), ev))
-                if w is not None:
-                    top[i] = w + ev
-                if np.array_equal(x, center):
-                    top[i] = min(top[i], c_top)
-            return np.column_stack([X, height(top)])
+    def _witnesses(self, Z, dq):
+        cap = self.epi.cap
+        top = [sum(self._held.get(_key(x), (cap, 0.0))) for x in Z[:, :-1]]
+        return np.column_stack([Z[:, :-1], np.clip(top, -0.5 * cap, cap)])
 
-        def separator(Z, dq):
-            X, tau = Z[:, :-1], Z[:, -1]
-            rel = X - center
-            dist = np.linalg.norm(rel, axis=1)
-            U = np.zeros_like(Z)
-            outside = dist > radius
-            U[outside, :-1] = rel[outside] / dist[outside, None]
-            above = ~outside & (tau > cap)
-            U[above, -1] = 1.0
-            depth = np.where(outside, dist - radius, tau - cap)
-            # witnesses: the ball point nearest x at the cap, f <= cap/2 there,
-            # and below the graph (x, f~(x) + ev), f(x) <= f~(x) + ev
-            scale = radius / np.maximum(dist, radius)
-            W = np.column_stack([center + rel * scale[:, None], np.full(len(Z), cap)])
-            ev = dq * ev_per_dq
-            hs = np.where(rel >= 0.0, -step, step)
-            for i in np.flatnonzero(~outside & ~above):
-                fx = last.get((X[i].tobytes(), ev))
-                if fx is None:
-                    fx = values.eval(X[i], ev)
-                fp = np.array([values.eval(p, ev) for p in X[i] + np.diag(hs[i])])
-                u = np.append((fp - fx) / hs[i], -1.0)  # (H, -1)
-                nrm = float(np.linalg.norm(u))
-                U[i] = u / nrm
-                depth[i] = (fx - ev - tau[i]) / nrm
-                W[i, -1] = height(fx + ev)
-            return U, depth, W
-
-        return WeakMembershipOracle(verdicts, self.body(), label="epigraph",
-                                    separator=separator, witnesses=witnesses)
+    def _separator(self, Z, dq):
+        ball, cap = self.epi.ball, self.epi.cap
+        X, tau = Z[:, :-1], Z[:, -1]
+        rel = X - ball.center
+        dist = np.linalg.norm(rel, axis=1)
+        U = np.zeros_like(Z)
+        outside = dist > ball.outer_radius
+        U[outside, :-1] = rel[outside] / dist[outside, None]
+        above = ~outside & (tau > cap)
+        U[above, -1] = 1.0
+        depth = np.where(outside, dist - ball.outer_radius, tau - cap)
+        # witnesses: the ball point nearest x at the cap, f <= cap/2 there,
+        # and below the graph (x, w + e), f(x) <= w + e
+        scale = ball.outer_radius / np.maximum(dist, ball.outer_radius)
+        W = np.column_stack([ball.center + rel * scale[:, None], np.full(len(Z), cap)])
+        ev = dq * self._ev_per_dq
+        hs = np.where(rel >= 0.0, -self._step, self._step)
+        for i in np.flatnonzero(~outside & ~above):
+            fx, e = self.value(X[i], ev)
+            fp = np.array([self.value(p, ev)[0] for p in X[i] + np.diag(hs[i])])
+            u = np.append((fp - fx) / hs[i], -1.0)  # (H, -1)
+            nrm = float(np.linalg.norm(u))
+            U[i] = u / nrm
+            depth[i] = (fx - e - tau[i]) / nrm
+            W[i, -1] = fx + e
+        W[:, -1] = np.clip(W[:, -1], -0.5 * cap, cap)
+        return U, depth, W
 
 
 @dataclass(frozen=True)
@@ -243,12 +256,16 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
     epigraph loses of support, so the interior-minimum certificate only
     bounds eps. It backs a cheap post-hoc probe, which raises
     CertificateError when the returned value is blatantly above function
-    values seen at interior points.
+    values seen at interior points: the upper bounds w + e of the pairs
+    value(p, eps / 4) at the ball's centre and half the radius out along
+    each axis. The probes read the run's oracle, whose store holds the
+    centre from the run's first cut centre (c, cap/4) at a slack below
+    eps / 4, so the centre probe asks f nothing; oracle_calls counts the
+    run's evaluations alone.
     """
     if not (0.0 < eps < min(0.5 * epi.cap, cert.margin)):
         raise ValueError("need 0 < eps < min(cap / 2, certificate margin)")
-    down = np.zeros(epi.n)
-    down[-1] = -1.0
+    down = np.append(np.zeros(epi.ball.n), -1.0)
     oracle = epi.oracle()
     before = epi.values.calls.count
     res = wopt_from_wmem(oracle, oracle.body, down, 0.5 * eps)
@@ -258,7 +275,7 @@ def min_via_wopt(epi: EpigraphBody, cert: InteriorMinCertificate,
     # the center and the points half the radius out along each axis
     steps = 0.5 * epi.ball.outer_radius * np.eye(epi.ball.n)
     probes = epi.ball.center + np.vstack([np.zeros(epi.ball.n), steps, -steps])
-    seen = min(epi.values.eval(p, 0.25 * eps) + 0.25 * eps for p in probes)
+    seen = min(sum(oracle.value(p, 0.25 * eps)) for p in probes)
     if value > seen + 1.5 * eps + 1e-12:
         raise CertificateError(
             f"minimum estimate {value:.6g} exceeds an observed value "
@@ -334,9 +351,10 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     there: f is convex, so the certificate's bound on the sphere bounds it
     above, and f(x) >= 2 f(0) - f(-x) below. Over that body E, with
     tau = f(x) under the cap, h_E(c) = f*(y). The value f~(0), bought at
-    slack e0 to size the ball and the cap, is handed to the epigraph's
-    oracle with e0 (EpigraphBody.oracle), so the run asks f at x = 0 only
-    for a row below f~(0) + e0.
+    slack e0 to size the ball and the cap, seeds the epigraph oracle's
+    store with e0 (EpigraphBody.oracle), so the run asks f at x = 0 again
+    only for a row (0, tau) within e0 of f~(0). A y whose ball or cap
+    overflows a float raises ValueError.
 
     Slack. cutting.wopt_from_wmem at err = eps certifies an interval of
     width at most eps that contains h_E(c) (the support interval of the
@@ -346,7 +364,7 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     """
     positive_finite(eps, "eps")
     y = as_vector(y, values.n)
-    ny = float(np.linalg.norm(y))
+    ny = float(safe_norm(y))
     e0 = min(0.25, 0.25 * eps)
     f0_raw = values.eval(np.zeros(values.n), e0)
     f0_hi = f0_raw + e0   # upper bound on f(0)
@@ -371,8 +389,11 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
             lo = mid
     radius = hi
 
-    f_sphere = float(cert.upper(radius))
+    with np.errstate(over="ignore"):
+        f_sphere = float(cert.upper(radius))
     cap = 2.0 * (max(abs(f_sphere), abs(2.0 * f0_lo - f_sphere)) + 1.0)
+    if not math.isfinite(cap):  # so is radius wherever cap is finite
+        raise ValueError(f"localization radius {radius:.3g} or cap {cap:.3g} overflows")
     epi = EpigraphBody(CenteredBody(np.zeros(values.n), radius, radius), cap, values)
     oracle = epi.oracle(centre_value=(f0_raw, e0))
     res = wopt_from_wmem(oracle, oracle.body, np.append(y, -1.0), eps)

@@ -190,6 +190,8 @@ def linear_image(oracle: WeakMembershipOracle, desc: NormDescriptor,
     n = desc.n
     if A.shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("the map must have finite entries")
     sig = np.linalg.svd(A, compute_uv=False)
     s_min, s_max = float(sig[-1]), float(sig[0])
     if s_min <= 0.0:

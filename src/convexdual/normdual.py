@@ -37,6 +37,7 @@ from .core import (
     WeakVerdict,
     as_vector,
     positive_finite,
+    safe_norm,
 )
 from .cutting import support_batch, wopt_from_wmem, wval_batch
 # not called here; kept because perfbench's layer trace patches these names
@@ -368,8 +369,9 @@ class DualBallOracle(WeakMembershipOracle):
         self._witness_slack = None  # s: every witness lies within s of B_nu
         self._polar_gen = None  # the polar certificate's generators: V
         self._primal_gen = None  # the primal certificate's: the witnesses
-        # in R^2 and R^3, the hulls of the points V / hi and W / g
-        self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n <= 3 else None
+        # in R^2 and R^3, the hulls of the points V / hi and W / g (in R^1 a
+        # hull has no facet to form, and rows take their nearest generators)
+        self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
         self._direction_calls = None  # primal calls per direction, last support run
         self._row_calls = None  # primal calls per row, last validity run
 
@@ -661,7 +663,7 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     """
     positive_finite(delta, "delta")
     v = as_vector(y, desc.n)
-    factor = float(np.linalg.norm(v))
+    factor = float(safe_norm(v))
     err = 2.0 * delta / 3.0
     if factor == 0.0 or 1.0 / desc.k_lo - 1.0 / desc.k_hi <= err:
         interval = Interval(factor / desc.k_hi, factor / desc.k_lo)

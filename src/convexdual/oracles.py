@@ -22,6 +22,7 @@ from .core import (
     as_stack,
     as_vector,
     positive_finite,
+    safe_norm,
 )
 
 _OUTWARD = 1e-12  # relative rounding applied to sandwich constants
@@ -397,11 +398,11 @@ class ReferenceCone:
         pts = np.atleast_2d(np.asarray(X, dtype=float))
         if pts.shape[1] != self.n:
             raise ValueError(f"expected points of dimension {self.n}")
-        tol = 1e-12 * np.maximum(1.0, np.linalg.norm(pts, axis=1))
+        tol = 1e-12 * np.maximum(1.0, safe_norm(pts))
         if self.kind == "orthant":
             return pts.min(axis=1) >= -tol
         if self.kind == "soc":
-            return np.linalg.norm(pts[:, :-1], axis=1) <= pts[:, -1] + tol
+            return safe_norm(pts[:, :-1]) <= pts[:, -1] + tol
         return _psd_min_eigs(pts, self.d) >= -tol
 
     def member(self, x) -> bool:

@@ -21,6 +21,7 @@ def specs(tmp_path):
         "psd": {"kind": "psd", "d": 2},
         "half_square": {"kind": "function", "name": "half_square_norm", "n": 2},
         "no_cert": {"kind": "function", "name": "exp_pair", "n": 2},
+        "segment": {"kind": "polyhedral_norm", "generators": [[2], [3]]},
     }
     out = {}
     for name, body in files.items():
@@ -183,6 +184,16 @@ def test_reports_are_deterministic_modulo_wall_time(capsys, specs):
     assert c["value"] != a["value"]
 
 
+def test_mahler_of_a_segment(capsys, specs):
+    """A norm on R^1 whose sandwich is not tight runs to exit 0; every
+    Mahler product in R^1 is 4."""
+    code, out, _ = _run(capsys, ["mahler", "--spec", specs["segment"],
+                                 "--samples", "20000", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert abs(rep["value"] - 4.0) <= 3.0 * rep["half_width"]
+
+
 @pytest.mark.parametrize("command", ["wmem", "dual-norm", "dual-cone", "fenchel"])
 def test_seed_is_a_mahler_option_only(specs, command):
     """Only mahler samples; the other subcommands reject --seed as argparse
@@ -250,3 +261,20 @@ def test_exit_3_on_numerical_failure(capsys, monkeypatch, specs, error):
     assert code == 3
     assert out == ""
     assert "numerical failure: pipeline gave up" in err
+
+
+def test_exit_2_on_a_seed_past_the_philox_key(capsys, specs):
+    """The polar run samples the streams of seed + 1, which must fit a
+    Philox key word too."""
+    code, _, err = _run(capsys, ["mahler", "--spec", specs["disc"], "--samples", "1000",
+                                 "--seed", str(2 ** 64 - 1)])
+    assert code == 2
+    assert "2^64" in err
+
+
+def test_exit_2_on_a_conjugate_point_that_overflows(capsys, specs):
+    """|y| = 1e200 is finite, but the localization ball's cap overflows."""
+    code, _, err = _run(capsys, ["fenchel", "--spec", specs["half_square"],
+                                 "--point=1e200,0"])
+    assert code == 2
+    assert "overflows" in err

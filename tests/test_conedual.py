@@ -243,3 +243,15 @@ def test_dual_cone_tolerates_band_adversaries(kind, n, side):
     mixed = dual.query_batch(np.vstack([screened, engine]), delta)
     np.testing.assert_array_equal(mixed, np.concatenate([[True, False, True], alone]))
     assert primal.calls.count - before == 2 * cost
+
+
+def test_dual_cone_verdicts_where_the_norm_overflows():
+    """Points whose plain Euclidean norm overflows get the verdicts of
+    their scaled-down copies, as cones are homogeneous: the ray of b is IN,
+    the pairing screen refutes, and the others run the validity run."""
+    cone = ReferenceCone("orthant", 3)
+    oracle = dual_cone_wmem(cone.oracle(), descriptor_from_reference(cone))
+    C = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [-1.0, 1.0, 1.0], [0.1, 2.0, 3.0]])
+    small = oracle.query_batch(C, 0.02)
+    np.testing.assert_array_equal(small, [True, True, False, True])
+    np.testing.assert_array_equal(oracle.query_batch(1e200 * C, 0.02), small)

@@ -13,6 +13,7 @@ from convexdual.core import (
     ToleranceConfig,
     as_vector,
     rng_stream,
+    safe_norm,
 )
 from convexdual.cutting import _fd_step, _gauge_tol
 
@@ -144,3 +145,28 @@ def test_rng_stream_reproducible_and_disjoint():
     assert not np.allclose(a, d)
     with pytest.raises(ValueError):
         rng_stream(-1, 0)
+
+
+def test_rng_stream_keys_span_one_philox_word():
+    """A seed or stream index past 2^64 - 1 does not fit a Philox key word,
+    and raises ValueError; the largest one still keys a stream, the same
+    as before."""
+    top = 2 ** 64 - 1
+    want = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
+    np.testing.assert_array_equal(rng_stream(top, top).normal(size=3), want.normal(size=3))
+    for seed, stream in [(top + 1, 0), (0, top + 1)]:
+        with pytest.raises(ValueError):
+            rng_stream(seed, stream)
+
+
+def test_safe_norm_stays_finite_where_the_plain_norm_overflows():
+    """Rows whose plain Euclidean norm overflows are rescaled by their
+    largest magnitude; every other row keeps the plain norm, bit for bit."""
+    X = np.array([[3.0, 4.0], [3e200, 4e200], [0.0, 0.0], [-1e300, 1e300]])
+    got = safe_norm(X)
+    assert got[0] == np.linalg.norm(X[0]) and got[2] == 0.0
+    np.testing.assert_allclose(got[1:], [5e200, 0.0, math.sqrt(2.0) * 1e300], rtol=1e-15)
+    assert float(safe_norm(X[1])) == got[1]
+    assert safe_norm(X[0]) == np.linalg.norm(X[0])
+    bad = safe_norm(np.array([[np.inf, 1e200], [np.nan, 1e200]]))
+    assert bad[0] == math.inf and math.isnan(bad[1])

@@ -125,10 +125,13 @@ def test_epigraph_wmem_budget_and_verdicts():
     vals = _oracle(lambda x: float(x @ x), 2)
     oracle = EpigraphBody(_ball(2), 4.0, vals).oracle()
 
-    # the main branch costs exactly one function evaluation per row
+    # the main branch costs one function evaluation per point, and a later
+    # row at the same point reads the held value
     assert oracle.query([0.5, 0.0, 1.0], 0.01) is WeakVerdict.IN_THICKENED
     assert vals.calls.count == 1
     assert oracle.query([0.5, 0.0, 0.1], 0.01) is WeakVerdict.NOT_IN_SHRUNK
+    assert vals.calls.count == 1
+    assert oracle.query([0.0, 0.5, 0.1], 0.01) is WeakVerdict.NOT_IN_SHRUNK
     assert vals.calls.count == 2
 
     # off the ball or above the cap: decided without touching the function
@@ -161,7 +164,9 @@ def test_epigraph_centre_value_answers_at_no_evaluation():
 
 def test_epigraph_batch_matches_row_queries():
     """A mixed batch gets the per-row verdicts and pays one evaluation per
-    row on the ball and under the cap, none for the rest."""
+    point on the ball and under the cap, none for the rest: two rows at one
+    point share its value. The same rows, queried one at a time, get the
+    same verdicts from the held values."""
     vals = _oracle(lambda x: float(x @ x), 2)
     oracle = EpigraphBody(_ball(2), 4.0, vals).oracle()
     Z = np.array([[0.5, 0.0, 1.0],    # above the graph: IN
@@ -171,13 +176,13 @@ def test_epigraph_batch_matches_row_queries():
                   [0.0, -0.6, 0.4],   # above the graph: IN
                   [-1.5, 1.5, 9.0]])  # off the ball and above the cap
     got = oracle.query_batch(Z, 0.01)
-    assert vals.calls.count == 3
+    assert vals.calls.count == 2
     np.testing.assert_array_equal(got, [True, False, False, False, True, False])
     rows = [oracle.query(z, 0.01) is WeakVerdict.IN_THICKENED for z in Z]
     np.testing.assert_array_equal(got, rows)
     with pytest.raises(ValueError):
         oracle.query_batch(Z, 2.0)
-    assert vals.calls.count == 6
+    assert vals.calls.count == 2
 
 
 def _kinked(x):
@@ -343,9 +348,11 @@ def test_value_separator_reuses_the_verdicts_value():
     in all: its verdict asks f~(x) at the separator's slack ev, and the
     separator, called on the batch's OUT rows at the same dq, reads that
     value and asks only the n shifted points. It cuts exactly as a
-    separator that asks f~(x) itself. Rows the last batch did not hold, the
-    same rows at another dq, and rows of a batch since replaced cost n + 1
-    in the separator and reuse nothing."""
+    separator that asks f~(x) itself. Rows the store does not hold cost
+    n + 1 in the separator. The store outlives the batch: the same rows at
+    2 dq, whose ev the held values already meet, cost nothing and get the
+    same cuts, at dq / 2 each point is asked again at the tighter ev, and a
+    later batch evicts nothing."""
     fn = make_reference_function("square_norm", 3).fn
     n, R, cap, dq = 3, 2.0, 10.0, 1e-3
     rng = rng_stream(66, n)
@@ -361,9 +368,9 @@ def test_value_separator_reuses_the_verdicts_value():
     oracle = EpigraphBody(_ball(n, R), cap, values).oracle()
     inside = oracle.query_batch(Z, dq)
     np.testing.assert_array_equal(inside, [False] * 8 + [True] * 8 + [False] * 6)
-    assert values.calls.count == 16
+    assert values.calls.count == 8  # below and over share their points
     got = approx_separator(oracle, oracle.body, Z[~inside], dq)
-    assert values.calls.count == 16 + 8 * n
+    assert values.calls.count == 8 + 8 * n
 
     fresh_values = _oracle(fn, n)
     fresh = EpigraphBody(_ball(n, R), cap, fresh_values).oracle()
@@ -374,14 +381,19 @@ def test_value_separator_reuses_the_verdicts_value():
 
     X = _ball_points(rng, 5, n, 0.0, R)
     unheld = np.column_stack([X, fx(X) - 0.5])
-    for rows, slack in [(unheld, dq), (below, 2.0 * dq), (below, 0.5 * dq)]:
-        values.calls.reset()
-        approx_separator(oracle, oracle.body, rows, slack)
-        assert values.calls.count == len(rows) * (n + 1)
+    values.calls.reset()
+    approx_separator(oracle, oracle.body, unheld, dq)
+    assert values.calls.count == 5 * (n + 1)
+    values.calls.reset()
+    for g, w in zip(approx_separator(oracle, oracle.body, below, 2.0 * dq), want):
+        np.testing.assert_array_equal(g, w[:8])
+    assert values.calls.count == 0
+    approx_separator(oracle, oracle.body, below, 0.5 * dq)
+    assert values.calls.count == 8 * (n + 1)
     oracle.query_batch(unheld, dq)
     values.calls.reset()
     approx_separator(oracle, oracle.body, below, dq)
-    assert values.calls.count == 8 * (n + 1)
+    assert values.calls.count == 0
 
 
 def _epigraph_sample(rng, fn, n, R, cap, X, h):
@@ -499,8 +511,9 @@ def test_min_via_wopt_accuracy(fn, n, center, cap, want):
     epi = EpigraphBody(_ball(n, 1.0, center), cap, values)
     res = min_via_wopt(epi, InteriorMinCertificate(0.2), eps)
     assert abs(res.value - want) <= eps
-    # every evaluation but the 1 + 2n certificate probes is the run's own
-    assert res.oracle_calls == values.calls.count - (1 + 2 * n) > 0
+    # every evaluation but the 2n certificate probes off the centre is the
+    # run's own: the centre probe reads the value the run holds there
+    assert res.oracle_calls == values.calls.count - 2 * n > 0
     # the reported point is feasible and nearly optimal itself
     assert np.linalg.norm(res.point - np.asarray(center)) <= 1.0 + 1e-9
     assert fn(res.point) <= want + 2.0 * eps
@@ -663,6 +676,35 @@ def test_fenchel_eval_asks_no_point_twice(name, n, y, kind):
     assert max(collections.Counter(seen).values()) == 1
 
 
+# the three minima of the benchmark's conjugate workload:
+# (function, dimension, ball centre, cap, minimum over the unit ball)
+WORKLOAD_MINIMA = [
+    ("half_square_norm", 2, (0.3, -0.2), 4.0, 0.0),
+    ("exp_pair", 2, (0.0, 0.0), 8.0, 2.0),
+    ("square_norm", 3, (0.25, 0.25, 0.25), 8.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("kind", list(VALUE_ORACLES))
+@pytest.mark.parametrize("name,n,center,cap,want", WORKLOAD_MINIMA)
+def test_min_via_wopt_asks_no_point_twice(name, n, center, cap, want, kind):
+    """One min_via_wopt evaluates f~ at no point twice: the epigraph's store
+    holds every value the run buys, so a later centre at a point already
+    asked reads it, and so does the certificate's probe at the ball's
+    centre, which the run has asked at a slack below eps / 4."""
+    ref = make_reference_function(name, n)
+    seen = []
+
+    def fn(x):
+        seen.append(x.tobytes())
+        return ref.fn(x)
+
+    epi = EpigraphBody(_ball(n, 1.0, center), cap, VALUE_ORACLES[kind](fn, n))
+    res = min_via_wopt(epi, InteriorMinCertificate(0.5), 0.05)
+    assert abs(res.value - want) <= 0.05
+    assert max(collections.Counter(seen).values()) == 1
+
+
 @pytest.mark.parametrize("name,n,y", WORKLOAD_POINTS)
 def test_fenchel_eval_asks_f_at_the_origin_once(name, n, y, monkeypatch):
     """fenchel_eval buys f~(0) at e0 to size the ball and the cap, and hands
@@ -781,3 +823,17 @@ def test_reference_function_registry():
     ref = make_reference_function("exp_pair", 2)
     assert ref.cert is None
     assert ref.fn(np.zeros(2)) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("name,n,y", [("half_square_norm", 2, [1e200, 0.0]),
+                                      ("square_norm", 3, [-1e200, 1e200, 0.0])])
+def test_fenchel_eval_raises_where_the_cap_overflows(name, n, y):
+    """y is finite, but |y| overflows the plain Euclidean norm, and the
+    localization ball's cap f(rho) overflows: fenchel_eval raises
+    ValueError, with no value asked beyond f(0), where an infinite |y| would
+    keep the search for rho from ever ending."""
+    ref = make_reference_function(name, n)
+    values = ref.approx_oracle()
+    with pytest.raises(ValueError, match="overflows"):
+        fenchel_eval(values, ref.cert, y, 0.05)
+    assert values.calls.count == 1

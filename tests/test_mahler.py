@@ -187,6 +187,18 @@ def test_mahler_product_covers_known_values(n, p, target, r):
     assert est.half_width / est.value < 0.03
 
 
+def test_mahler_product_of_a_segment():
+    """Every Mahler product in R^1 is 4. nu(x) = max(2|x|, 3|x|) has the
+    ball [-1/3, 1/3] and the polar [-3, 3], and a sandwich that is not
+    tight (k_lo = sqrt(13/2) < k_hi = 3), so samples reach the net, which
+    in R^1 builds no hull and certifies by its nearest generator."""
+    norm = ReferenceNorm.polyhedral([[2.0], [3.0]])
+    assert norm.descriptor.k_lo < norm.descriptor.k_hi
+    est = mahler_volume(norm.oracle(), norm.descriptor, 20_000)
+    assert abs(est.value - 4.0) <= 3.0 * est.half_width
+    assert est.half_width < 0.05
+
+
 def test_disc_mahler_costs_no_primal_call():
     """The disc's sandwich radii agree up to outward rounding, so it settles
     every primal sample and, through the polar oracle, every polar one."""
@@ -732,6 +744,9 @@ def test_linear_image_validation():
     with pytest.raises(ValueError):
         linear_image(norm.oracle(), norm.descriptor,
                      np.array([[1.0, 0.0], [2.0, 0.0]]))
+    for bad in (np.nan, np.inf):  # refused before the SVD sees them
+        with pytest.raises(ValueError, match="finite entries"):
+            linear_image(norm.oracle(), norm.descriptor, np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_mahler_invariant_under_unimodular_map():

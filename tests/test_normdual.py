@@ -319,3 +319,16 @@ def test_dual_norm_eval_is_deterministic():
         counts.append(oracle.calls.count)
     assert vals[0] == vals[1]
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_dual_norm_where_the_norm_of_y_overflows(p):
+    """nu*(1e200 y) = 1e200 nu*(y): the run is over the same unit direction,
+    and only the scale |y|, finite though its plain norm overflows, moves."""
+    norm = ReferenceNorm.lp(p, 2)
+    y = np.array([1.0, 2.0])
+    small = dual_norm_eval(norm.oracle(), norm.descriptor, y, 0.02)
+    big = dual_norm_eval(norm.oracle(), norm.descriptor, 1e200 * y, 0.02)
+    np.testing.assert_allclose([big.value, big.interval.lo, big.interval.hi],
+                               [1e200 * small.value, 1e200 * small.interval.lo,
+                                1e200 * small.interval.hi], rtol=1e-12)

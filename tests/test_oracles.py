@@ -284,3 +284,13 @@ def test_cone_oracle_body_is_unbounded():
 def test_unknown_cone_kind():
     with pytest.raises(ValueError):
         ReferenceCone("icecream", 3)
+
+
+@pytest.mark.parametrize("kind", ["orthant", "soc"])
+def test_reference_cone_membership_where_the_norm_overflows(kind):
+    """Points whose plain Euclidean norm overflows keep the membership of
+    their scaled-down copies: the rounding tolerance stays finite."""
+    cone = ReferenceCone(kind, 3)
+    X = np.array([[-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0.5, 1.0], [1.0, 1.0, 1.5]])
+    np.testing.assert_array_equal(cone.member_batch(1e200 * X), cone.member_batch(X))
+    assert not cone.member_batch(1e200 * X)[0]
