@@ -156,7 +156,7 @@ Policy where a row is not decided cleanly, the same for every caller:
   reach the jump of a partial, as for gauges; choosing h so that it stays
   below a fraction of the slack is open, with the gauge path's step and
   tolerance (ROADMAP item 7).
-- Pooled cuts: each run keeps one pool, the halfspaces u . y <= beta of
+- Pooled cuts: each run keeps one ring, the halfspaces u . y <= beta of
   its last _POOL_CAP separator cuts from all its rows,
   beta = u . x - max(alpha, 0). Each keeps K_dq up to sigma (deep cuts and
   value separators, above), and that holds for every row of the run, not
@@ -171,10 +171,28 @@ Policy where a row is not decided cleanly, the same for every caller:
   can only forgo an incumbent, the center itself or the witness its
   separator would have returned (separator witnesses, below); it
   certifies nothing new, as the gap reads only the incumbent and the
-  ellipsoid. The pool is a ring: a new halfspace overwrites the oldest,
-  and a halfspace dropped only forgoes the free cuts it would have made.
-  It lives for one _cut_loop call; a run of one row pools only its own
-  cuts.
+  ellipsoid. A new halfspace overwrites the oldest in the ring, and a
+  halfspace dropped only forgoes the free cuts it would have made. The
+  ring lives for one _cut_loop call; a run of one row, with no caller's
+  pool, pools only its own cuts.
+  A caller that asks several runs about one body K may hand them one
+  CutPool, which it creates and owns (no user sets one), of halfspaces
+  that hold K itself. On return a run appends its own new halfspaces to
+  the pool, each first moved out from K_dq to K:
+  beta <- u . a + (beta - u . a)/t, t = 1 - dq/inner. For y in K the
+  point a + t (y - a) lies in K_dq = a + t (K - a), so
+  u . (a + t (y - a)) <= beta + sigma, which is u . y <= the new beta plus
+  sigma/t. Every entry keeps dq <= inner/4, so t >= 3/4, and the moved
+  halfspace holds K up to at most 4 sigma/3; that sigma is charged no more
+  than any other (ROADMAP item 7). A halfspace that holds K holds the K_dq
+  of every run over K, whatever its dq, so a run seeds its ring with the
+  pool's halfspaces and cuts with them as with its own, at no call and
+  certifying nothing new. support_batch and wval_batch pass the pool
+  through. A caller that keeps a support interval for long should hand
+  its run a fresh pool, as normdual.DualBallOracle does for its net: an
+  imported halfspace would carry another run's uncharged sigma into a
+  bound that outlives the run. With no pool, every run is bit for bit as
+  without this rule.
 - Separator witnesses: every separator returns, per center x it cuts, a
   point W of K that costs no call beyond the cut, and the run raises the
   row's incumbent to W where c . W beats it. On the gauge path
@@ -677,9 +695,23 @@ def _raise_incumbent(best: np.ndarray, best_wit: np.ndarray, k: np.ndarray,
     best[k[up]], best_wit[k[up]] = wv[up], W[up]
 
 
+class CutPool:
+    """Separator halfspaces u . y <= beta that hold one body K itself, shared
+    by the engine runs over K that its owner hands it to (module header,
+    pooled cuts). rows holds them as rows (u, beta), the newest last, at
+    most _POOL_CAP of them."""
+
+    def __init__(self, n: int):
+        self.rows = np.empty((0, n + 1))
+
+    def add(self, rows: np.ndarray) -> None:
+        """Append the halfspaces rows, keeping the newest _POOL_CAP."""
+        self.rows = np.vstack([self.rows, rows])[-_POOL_CAP:]
+
+
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
               dq: float, stop_above: float = math.inf,
-              stop_ub_below: float = -math.inf):
+              stop_ub_below: float = -math.inf, pool: CutPool | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
     Each row runs its own ellipsoid localizer with deep cuts (module
@@ -696,9 +728,9 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     its incumbent reaches stop_above, or its certified upper bound falls to
     stop_ub_below; the last two are the exits of validity queries
     (wval_batch), and by default neither fires. A center that violates one
-    of the run's pooled separator halfspaces, made by any of its rows, is
-    cut along the most violated one at no call (module header, pooled
-    cuts). Of the rest, a center outside the outer ball is cut along its
+    of the run's pooled separator halfspaces, made by any of its rows or
+    read from the caller's pool, is cut along the most violated one at no
+    call (module header, pooled cuts). Of the rest, a center outside the outer ball is cut along its
     direction from the body center, and one inside the inner ball is an
     incumbent, neither asked (module header, sandwich centers). A center
     left whose objective value is at most its row's incumbent takes the
@@ -713,7 +745,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     the anchor search is settled there and pays for no probe. It takes the
     objective cut at its raised incumbent, at no call, pools nothing, and
     leaves at the next check (module header, witness-first separators).
-    The caller picks dq (module header, membership slack).
+    The caller picks dq (module header, membership slack). pool, a CutPool
+    of halfspaces that hold the body, seeds the run's ring, and on return
+    takes the run's own halfspaces, moved out to hold the body (module
+    header, pooled cuts); without one the run pools only its own cuts.
 
     Returns per-row arrays (value, witness, gap, iterations); iterations
     counts every cut, free or paid. Raises IterationCapError, carrying the
@@ -749,10 +784,14 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     # the ring of the run's last _POOL_CAP separator halfspaces u . y <= beta,
     # from all rows, as rows (u, beta); made counts every one written to it,
     # and a slot not yet written holds u = 0, beta = inf, which no center
-    # violates
-    pool = np.zeros((_POOL_CAP, n + 1))
-    pool[:, n] = math.inf
+    # violates; a caller's pool starts the ring
+    ring = np.zeros((_POOL_CAP, n + 1))
+    ring[:, n] = math.inf
     made = 0
+    if pool is not None:
+        made = len(pool.rows)
+        ring[:made] = pool.rows
+    seeded = made
 
     for it in range(_MAX_CUTS):
         vals = np.einsum("bi,bi->b", C, Z)
@@ -768,12 +807,19 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             rows, C, Z, P, vals = rows[live], C[live], Z[live], P[live], vals[live]
             best, best_wit, ub_run = best[live], best_wit[live], ub_run[live]
         if rows.size == 0:
+            if pool is not None:
+                # the run's own halfspaces, moved out from K_dq to K
+                own = min(made - seeded, _POOL_CAP)
+                new = ring[(made - own + np.arange(own)) % _POOL_CAP]
+                ua = new[:, :n] @ body.center
+                new[:, n] = ua + (new[:, n] - ua) / (1.0 - dq / body.inner_radius)
+                pool.add(new)
             return value, witness, gap_out, iterations
 
         # a pooled halfspace that the center violates is a free cut, and so
         # is the sandwich: a center outside B(a, outer) is out, one inside
         # B(a, inner) is in (module header, sandwich centers)
-        j, v = _most_violated(Z, pool)
+        j, v = _most_violated(Z, ring)
         free = v > 0.0
         D = Z - body.center
         r = np.linalg.norm(D, axis=1)
@@ -794,7 +840,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             _raise_incumbent(best, best_wit, ki, C[ki], oracle.witnesses(Z[ki], dq))
         G = -C
         A = best - vals  # objective cut at the incumbent
-        G[free] = pool[j[free], :n]
+        G[free] = ring[j[free], :n]
         A[free] = v[free]
         G[far] = D[far] / r[far, None]
         A[far] = r[far] - body.outer_radius
@@ -816,7 +862,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             U, X = U[cut], X[cut]
             beta = np.einsum("bi,bi->b", U, X) - np.maximum(dep[cut], 0.0)
             new = np.column_stack([U, beta])[-_POOL_CAP:]
-            pool[(made + np.arange(len(new))) % _POOL_CAP] = new
+            ring[(made + np.arange(len(new))) % _POOL_CAP] = new
             made += len(new)
         Z, P = _cut(Z, P, G, A)
 
@@ -845,7 +891,8 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,
                       Interval(float(lo[0]), float(hi[0])), int(cuts[0]), "gap")
 
 
-def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: float
+def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: float,
+                  pool: CutPool | None = None, max_dq: float = math.inf
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Certified support values h_K(c) of the body for every row c of C.
 
@@ -858,6 +905,11 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     of the module header), the incumbent, a point within dq of the body with
     c . witness in [lo, hi], and the row's cut count, free cuts at pooled
     halfspaces included. C is checked by the engine (_cut_loop).
+
+    max_dq caps dq; a smaller centre slack only narrows the interval.
+    pool, a CutPool over the body, seeds the run's ring and takes its
+    separator halfspaces, moved out to hold the body (module header, pooled
+    cuts).
     """
     err = positive_finite(err, "err")
     # axis -1, so that a C of the wrong rank reaches the engine's check
@@ -865,10 +917,10 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     inner, outer = body.inner_radius, body.outer_radius
     x = float(np.max(nc, initial=0.0)) * (1.0 + outer / inner)
     e = max(err / (0.5 + x / 8.0), err)
-    dq = min(e / 8.0, inner / 4.0)
+    dq = min(e / 8.0, inner / 4.0, max_dq)
     if x > 0.0:  # else C is empty, which costs no call, or zero, which the engine rejects
         dq = min(dq, err / (2.0 * x))
-    value, witness, gap, cuts = _cut_loop(oracle, body, C, e, dq)
+    value, witness, gap, cuts = _cut_loop(oracle, body, C, e, dq, pool=pool)
     return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts, dq
 
 
@@ -887,7 +939,7 @@ def wval_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,
 
 
 def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float,
-               eps: float) -> np.ndarray:
+               eps: float, pool: CutPool | None = None) -> np.ndarray:
     """Weak validity of c . x <= gamma over the body for every row c of C.
 
     Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
@@ -896,12 +948,20 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
     centres are queried at dq = min(eps/16, eps inner/(2 outer), inner/4),
     so that K_dq loses at most eps |c|/2 of support whatever the sandwich
     (module header, validity slack). C and eps are checked by the engine
-    (_cut_loop); an empty C costs no call.
+    (_cut_loop); an empty C costs no call. pool, a CutPool over the body,
+    seeds the run's ring and takes its separator halfspaces, moved out to
+    hold the body (module header, pooled cuts).
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    inner = body.inner_radius
-    dq = min(eps / 16.0, eps * inner / (2.0 * body.outer_radius), inner / 4.0)
-    value = _cut_loop(oracle, body, C, eps / 2.0, dq, stop_above=gamma - eps / 2.0,
-                      stop_ub_below=gamma + eps / 2.0)[0]
+    value = _cut_loop(oracle, body, C, eps / 2.0, validity_centre_slack(body, eps),
+                      stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0,
+                      pool=pool)[0]
     return value < gamma - eps / 2.0
+
+
+def validity_centre_slack(body: CenteredBody, eps: float) -> float:
+    """The centre slack dq = min(eps/16, eps inner/(2 outer), inner/4) of a
+    wval_batch run at slack eps (module header, validity slack)."""
+    inner = body.inner_radius
+    return min(eps / 16.0, eps * inner / (2.0 * body.outer_radius), inner / 4.0)

@@ -102,6 +102,10 @@ class EpigraphBody:
         outer = math.hypot(radius, 1.25 * cap)
         axes = np.append(np.full(n, radius * math.sqrt((n + 1) / n)),
                          0.75 * cap * math.sqrt(n + 1))
+        # a finite cap can still square to inf: refuse it before squaring
+        if float(axes.max()) > math.sqrt(np.finfo(float).max):
+            raise ValueError(f"the stated ellipsoid's squared semi-axis "
+                             f"{float(axes.max()):.3g}^2 overflows")
         ellipsoid = (np.append(self.ball.center, 0.25 * cap), np.diag(axes * axes))
         return CenteredBody(center, inner, outer, ellipsoid)
 

@@ -24,7 +24,10 @@ shell rows of both runs. A bound hi(v) refutes primal samples and
 certifies polar ones; a witness near the body certifies primal samples
 and refutes polar ones. In R^2 and R^3 the net grows, one support run per
 round, where the rows it leaves unsettled pay for a new direction. So
-each run costs a fraction of a primal call per shell sample.
+each run costs a fraction of a primal call per shell sample. The polar
+oracle also keeps one cut pool for its life: its validity runs cut the
+centres outside the primal ball with the separator halfspaces that the
+net's support runs and earlier validity runs bought, at no call.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     one, so the product is computed from a single membership routine. The
     primal run asks through the polar oracle's net
     (DualBallOracle._primal_screen), so the primal oracle sees only the
-    shell samples that the net leaves. The half-width combines the two
+    shell samples that the net leaves. The polar oracle, and with it its
+    net and cut pool, lives for this call only, so the calls of a call
+    repeat from call to call. The half-width combines the two
     independent estimates by first-order error propagation. cfg supplies
     the seed: the primal run samples the streams of cfg.rng_seed, the polar
     run those of cfg.rng_seed + 1.

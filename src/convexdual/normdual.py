@@ -39,7 +39,8 @@ from .core import (
     positive_finite,
     safe_norm,
 )
-from .cutting import support_batch, wopt_from_wmem, wval_batch
+from .cutting import (CutPool, support_batch, validity_centre_slack, wopt_from_wmem,
+                      wval_batch)
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
@@ -353,6 +354,22 @@ class DualBallOracle(WeakMembershipOracle):
     over the shrunk body forces mu(x / r) <= 1 + k_lo * delta, inside the
     thickening, and a large value forces mu(x / r) > 1 - k_lo * delta,
     outside the shrinking.
+
+    Every run the oracle makes asks about the one primal ball, so it keeps
+    one cutting.CutPool for its life: separator halfspaces that hold
+    r B_nu, where the validity runs work (cutting module header, pooled
+    cuts). The validity runs read the pool and write to it, so a centre
+    outside the ball is mostly cut by a halfspace that an earlier run
+    bought, at no call. The net's support runs, over B_nu, write to it with
+    each beta times r, but never read it (each runs on a fresh pool): a net
+    bound is kept for the oracle's life, and an imported halfspace would
+    carry another run's uncharged sigma into it. A run's halfspace is moved
+    out by about its centre slack before it is pooled, so the net's runs ask
+    their centres at no more than dq_v / r, where dq_v is the centre slack
+    of a validity run at the delta of the batch that first builds the net;
+    that cap is fixed for the oracle's life. At their own slack their
+    halfspaces would sit too far outside the facets to cut a validity run's
+    centres.
     """
 
     def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor):
@@ -374,6 +391,10 @@ class DualBallOracle(WeakMembershipOracle):
         self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
         self._direction_calls = None  # primal calls per direction, last support run
         self._row_calls = None  # primal calls per row, last validity run
+        # separator halfspaces over r B_nu, where the validity runs work: they
+        # read and write it, and the net's support runs write to it
+        self._pool = CutPool(desc.n)
+        self._net_dq = math.inf  # the net runs' centre slack cap, once a batch sets it
 
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
@@ -411,13 +432,20 @@ class DualBallOracle(WeakMembershipOracle):
         """Add the unit directions V to the net (all of it, the first time):
         hi(v) and the witness w_v for each from one support run over the
         primal ball at width _NET_REL_ERR / k_hi, and both hulls and
-        certificates grown with them. Each run's centre slack bounds its
-        witnesses' distance to B_nu, so the largest bounds them all. The
-        run's primal calls per direction price the next direction."""
+        certificates grown with them. Each run's centre slack, at most the
+        net's cap (class docstring), bounds its witnesses' distance to B_nu,
+        so the largest bounds them all. The run gets a fresh pool, so it
+        reads no halfspace of another run, and what it writes goes to the
+        oracle's pool, scaled to r B_nu. Its primal calls per direction
+        price the next direction."""
         desc = self.primal_descriptor
         before = self.primal.calls.count
-        _, hi, W, _, s = support_batch(self.primal, desc.ball(), V, _NET_REL_ERR / desc.k_hi)
+        made = CutPool(desc.n)
+        _, hi, W, _, s = support_batch(self.primal, desc.ball(), V, _NET_REL_ERR / desc.k_hi,
+                                       pool=made, max_dq=self._net_dq)
         self._direction_calls = (self.primal.calls.count - before) / len(V)
+        made.rows[:, -1] *= self.r  # u . y <= beta over B_nu is u . y <= r beta over r B_nu
+        self._pool.add(made.rows)
         if self._net_hi is None:
             self._net, self._net_hi, self._witness, self._witness_slack = V, hi, W, s
         else:
@@ -483,13 +511,16 @@ class DualBallOracle(WeakMembershipOracle):
         on the primal ball or (primal False) on the dual one: refuted, then
         certified, by the net, and the rest asked of the primal oracle or of
         the validity run. A batch that leaves more rows than the net has
-        directions builds the net first: until a run has measured them, a
-        row and a direction are priced alike. In R^2 and R^3 the net then
+        directions builds the net first, and its delta fixes the cap on the
+        net's centre slack (class docstring): until a run has measured them,
+        a row and a direction are priced alike. In R^2 and R^3 the net then
         grows in rounds (_new_directions). While no validity run has priced
         a polar row, the rows of faces that pay for no direction are asked
         at once, which prices the next round's rows; the other rows left
         are asked together after the last round."""
         if self._net_hi is None and len(pts) > len(self._net):
+            self._net_dq = validity_centre_slack(self._scaled_oracle.body,
+                                                 self._slack(delta)) / self.r
             self._grow(self._net)
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))  # rows that no rule has settled
@@ -543,9 +574,9 @@ class DualBallOracle(WeakMembershipOracle):
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """Verdicts of the rows the screens leave, True = IN_THICKENED: one
         validity run of c = x / r against gamma = 1 over r B_nu, all rows in
-        lockstep."""
+        lockstep, that reads the oracle's pool and writes to it."""
         return wval_batch(self._scaled_oracle, self._scaled_oracle.body,
-                          pts / self.r, 1.0, self._slack(delta))
+                          pts / self.r, 1.0, self._slack(delta), pool=self._pool)
 
 
 def wmem_from_approx(approx: FunctionApproxOracle, desc: NormDescriptor, x,

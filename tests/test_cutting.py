@@ -8,6 +8,7 @@ from adversaries import band_adversary
 from convexdual import cutting
 from convexdual.core import CenteredBody, rng_stream
 from convexdual.cutting import (
+    CutPool,
     IterationCapError,
     WvalVerdict,
     _fd_step,
@@ -654,6 +655,63 @@ def test_free_cuts_cost_no_call(monkeypatch, p, n):
     assert kinds["pooled"] > 0 and shared > 0 and kinds["below"] > 0
     assert kinds["near"] >= m  # every row's first center is the body center
     np.testing.assert_array_equal(cuts, counted)
+
+
+def test_cut_pool_keeps_the_newest_halfspaces():
+    pool = CutPool(2)
+    assert pool.rows.shape == (0, 3)
+    rows = np.arange(3.0 * (cutting._POOL_CAP + 5)).reshape(-1, 3)
+    pool.add(rows[:5])
+    pool.add(rows[5:])
+    np.testing.assert_array_equal(pool.rows, rows[-cutting._POOL_CAP:])
+
+
+@pytest.mark.parametrize("p,n", [(1.0, 2), (1.0, 3), (math.inf, 3), (3.0, 3)],
+                         ids=["l1-r2", "l1-r3", "linf-r3", "l3-r3"])
+def test_pooled_halfspaces_hold_the_body(p, n):
+    """A support run handed a CutPool appends its separator halfspaces,
+    each moved out from K_dq to K, beta <- u . a + (beta - u . a)/t with
+    t = 1 - dq/inner, and every one holds the exact lp ball: h_K(u) <= beta.
+    Unmoved, some fall inside the l1 ball of R^2 and the cube, whose kinks
+    make the separator's sigma."""
+    norm, oracle, body = _ball_oracle(p, n)
+    C = rng_stream(52, n).normal(size=(40, n))
+    pool = CutPool(n)
+    *_, dq = support_batch(oracle, body, C, 0.05, pool=pool)
+    assert len(pool.rows) > 10
+    U, beta = pool.rows[:, :n], pool.rows[:, n]
+    h = norm.dual().eval_batch(U)
+    assert np.all(h <= beta)
+    t = 1.0 - dq / body.inner_radius
+    if p != 3.0 and (p, n) != (1.0, 3):
+        assert np.any(t * beta < h)  # the center is the origin, so u . a = 0
+
+
+def test_validity_run_reads_the_pool():
+    """A validity run handed the pool of a support run over the same body
+    seeds its ring with it: on rows whose support value lies more than
+    2.5 eps from gamma, where the verdict is forced, it gives the verdicts
+    of a run with no pool at under half its primal calls, and it appends
+    its own halfspaces after the ones it read."""
+    norm, _, body = _ball_oracle(1.0, 3)
+    eps = 0.02
+    C = rng_stream(53, 3).normal(size=(100, 3))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    h = norm.dual().eval_batch(C)
+    gamma = float(np.median(h))
+    C, h = C[np.abs(h - gamma) > 2.5 * eps], h[np.abs(h - gamma) > 2.5 * eps]
+    assert len(C) > 50
+    pool = CutPool(3)
+    support_batch(norm.oracle(), body, C, 0.01, pool=pool)
+    seeded = pool.rows.copy()
+    assert 0 < len(seeded) < cutting._POOL_CAP
+    plain, pooled = norm.oracle(), norm.oracle()
+    np.testing.assert_array_equal(wval_batch(plain, body, C, gamma, eps), h <= gamma)
+    np.testing.assert_array_equal(wval_batch(pooled, body, C, gamma, eps, pool=pool),
+                                  h <= gamma)
+    assert 0 < pooled.calls.count < 0.5 * plain.calls.count
+    assert len(pool.rows) > len(seeded)
+    np.testing.assert_array_equal(pool.rows[:len(seeded)], seeded)
 
 
 DIRECTION_CASES = [

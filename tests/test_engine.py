@@ -267,9 +267,9 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
     runs, separated = [], []
     batch, separator = cutting.wval_batch, cutting.approx_separator
 
-    def counting_batch(oracle, body, C, gamma, eps):
+    def counting_batch(oracle, body, C, gamma, eps, **kw):
         runs.append(len(C))
-        return batch(oracle, body, C, gamma, eps)
+        return batch(oracle, body, C, gamma, eps, **kw)
 
     def counting_separator(oracle, body, X, delta, *rest):
         separated.append(len(X))

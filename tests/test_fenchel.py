@@ -837,3 +837,16 @@ def test_fenchel_eval_raises_where_the_cap_overflows(name, n, y):
     with pytest.raises(ValueError, match="overflows"):
         fenchel_eval(values, ref.cert, y, 0.05)
     assert values.calls.count == 1
+
+
+def test_fenchel_eval_raises_where_the_ellipsoid_overflows():
+    """At y = -1e200 on quartic_quarter/R^1 the localization radius and the
+    cap (about 1.5e267) are finite, but the stated ellipsoid's squared
+    semi-axis along tau, (0.75 cap sqrt(2))^2, is not: EpigraphBody.body()
+    raises ValueError before squaring it, with no overflow warning (the
+    suite turns warnings into errors) and no value asked beyond f(0)."""
+    ref = make_reference_function("quartic_quarter", 1)
+    values = ref.approx_oracle()
+    with pytest.raises(ValueError, match="squared semi-axis .* overflows"):
+        fenchel_eval(values, ref.cert, [-1e200], 0.05)
+    assert values.calls.count == 1

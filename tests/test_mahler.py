@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual import mahler, normdual
+from convexdual import cutting, mahler, normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
 from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
 from convexdual.normdual import DualBallOracle, _gauge_bound, _Hull, rescale_norm
@@ -338,7 +338,7 @@ def test_primal_certificate_tight_probe(monkeypatch):
     hi = norm.dual().eval_batch(oracle._net)  # h_B(v), exactly
     # the net's support run, answered with these witnesses at this slack
     monkeypatch.setattr(normdual, "support_batch",
-                        lambda *args: (hi, hi, W, None, slack))
+                        lambda *args, **kw: (hi, hi, W, None, slack))
     oracle._grow(oracle._net)
     k_hi = norm.descriptor.k_hi
     x = 0.962 * 0.5 * (W[0] + W[1])
@@ -470,6 +470,71 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side):
         if desc.n <= 3:  # the 2 n^2 net of R^4 is too coarse to settle half
             assert np.count_nonzero(certified) > 0.5 * np.count_nonzero(nu < 0.95)
             assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(nu > 1.05)
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("case", [case for case, (_, n, _) in NET_BODIES.items() if n <= 3])
+def test_shared_cut_verdicts_are_legal_under_band_adversary(case, side):
+    """On a net grown from its own rows under the adversary (_grown_net),
+    whose support runs and validity runs have filled the oracle's cut pool,
+    a validity run that reads the pool gives the closed-form verdict on
+    every row the sandwich leaves at nu*(c) = 1 -/+ 1.01 delta/k_lo, just
+    beyond the band of either side, at delta = 1e-2 and 1e-3."""
+    oracle, _, dual, desc, _, _ = _grown_net(case, side)
+    assert len(oracle._pool.rows) > 0
+    U = rng_stream(50, desc.n).normal(size=(150, desc.n))
+    U /= dual(U)[:, None]
+    for delta in (1e-2, 1e-3):
+        band = 1.01 * delta / desc.k_lo
+        C = np.vstack([(1.0 - band) * U, (1.0 + band) * U])
+        nrm = np.linalg.norm(C, axis=1)
+        C = C[(nrm > desc.k_lo) & (nrm < desc.k_hi)]
+        assert len(C) > 100
+        np.testing.assert_array_equal(oracle._lockstep(C, delta), dual(C) <= 1.0)
+
+
+@pytest.mark.parametrize("p,n", [(1.0, 2), (1.0, 3), (math.inf, 2), (math.inf, 3)],
+                         ids=["l1-R2", "l1-R3", "linf-R2", "linf-R3"])
+def test_validity_runs_reuse_the_nets_cuts(p, n, monkeypatch):
+    """Once a batch has built the net, whose support runs pool their
+    separator halfspaces moved out to hold the primal ball, a validity run
+    on rows 1 % either side of the dual sphere has every centre outside the
+    ball cut by a pooled halfspace: it separates no centre, where the same
+    run on an oracle with an empty pool separates dozens, and it costs under
+    half that run's primal calls, with the same closed-form verdicts. Two
+    mahler_volume calls on one primal oracle, each with its own polar
+    oracle and pool, cost the same calls."""
+    norm = ReferenceNorm.lp(p, n)
+    desc, delta = norm.descriptor, 1e-3
+    separated, separator = [], cutting.approx_separator
+
+    def counting_separator(oracle, body, X, delta, *rest):
+        separated.append(len(X))
+        return separator(oracle, body, X, delta, *rest)
+
+    monkeypatch.setattr(cutting, "approx_separator", counting_separator)
+    rng = rng_stream(51, n)
+    primal, fresh = norm.oracle(), norm.oracle()
+    oracle = DualBallOracle(primal, desc)
+    oracle.query_batch(_band_rows(desc, rng, 100), delta)
+    assert oracle._net_hi is not None and len(oracle._pool.rows) > 0
+    U = rng.normal(size=(100, n))
+    U /= norm.dual().eval_batch(U)[:, None]
+    C = np.vstack([0.99 * U, 1.01 * U])
+    want = norm.dual().eval_batch(C) <= 1.0
+    separated.clear()
+    before = primal.calls.count
+    np.testing.assert_array_equal(oracle._lockstep(C, delta), want)
+    calls = primal.calls.count - before
+    assert sum(separated) == 0
+    np.testing.assert_array_equal(DualBallOracle(fresh, desc)._lockstep(C, delta), want)
+    assert sum(separated) > 20
+    assert 0 < calls < 0.5 * fresh.calls.count
+    primal = norm.oracle()
+    mahler_volume(primal, desc, 20_000)
+    first = primal.calls.count
+    mahler_volume(primal, desc, 20_000)
+    assert primal.calls.count == 2 * first > 0
 
 
 def test_small_batches_never_build_the_net():
