@@ -156,11 +156,12 @@ Policy where a row is not decided cleanly, the same for every caller:
   reach the jump of a partial, as for gauges; choosing h so that it stays
   below a fraction of the slack is open, with the gauge path's step and
   tolerance (ROADMAP item 7).
-- Pooled cuts: each run keeps one ring, the halfspaces u . y <= beta of
-  its last _POOL_CAP separator cuts from all its rows,
-  beta = u . x - max(alpha, 0). Each keeps K_dq up to sigma (deep cuts and
-  value separators, above), and that holds for every row of the run, not
-  just the row whose center x made it. dq, and with it K_dq, is the run's.
+- Pooled cuts: each run keeps one ring, a CutPool of the halfspaces
+  u . y <= beta of its last _POOL_CAP separator cuts from all its rows,
+  newest last, beta = u . x - max(alpha, 0). Each keeps K_dq up to sigma
+  (deep cuts and value separators, above), and that holds for every row of
+  the run, not just the row whose center x made it. dq, and with it K_dq,
+  is the run's.
   The sigma of a gauge cut reads dq, the body, the separator's step and
   tolerance and x; the sigma_v of a value cut reads dq, ev, h, R and x. All
   of these are the same for every row, and neither reads the objective c
@@ -171,10 +172,10 @@ Policy where a row is not decided cleanly, the same for every caller:
   can only forgo an incumbent, the center itself or the witness its
   separator would have returned (separator witnesses, below); it
   certifies nothing new, as the gap reads only the incumbent and the
-  ellipsoid. A new halfspace overwrites the oldest in the ring, and a
-  halfspace dropped only forgoes the free cuts it would have made. The
-  ring lives for one _cut_loop call; a run of one row, with no caller's
-  pool, pools only its own cuts.
+  ellipsoid. A new halfspace drops the oldest once the ring holds
+  _POOL_CAP, and a halfspace dropped only forgoes the free cuts it would
+  have made. The ring lives for one _cut_loop call; a run of one row, with
+  no caller's pool, pools only its own cuts.
   A caller that asks several runs about one body K may hand them one
   CutPool, which it creates and owns (no user sets one), of halfspaces
   that hold K itself. On return a run appends its own new halfspaces to
@@ -187,12 +188,13 @@ Policy where a row is not decided cleanly, the same for every caller:
   than any other (ROADMAP item 7). A halfspace that holds K holds the K_dq
   of every run over K, whatever its dq, so a run seeds its ring with the
   pool's halfspaces and cuts with them as with its own, at no call and
-  certifying nothing new. support_batch and wval_batch pass the pool
-  through. A caller that keeps a support interval for long should hand
-  its run a fresh pool, as normdual.DualBallOracle does for its net: an
-  imported halfspace would carry another run's uncharged sigma into a
-  bound that outlives the run. With no pool, every run is bit for bit as
-  without this rule.
+  certifying nothing new; its own halfspaces are the newest of its ring,
+  and they alone go back to the pool. support_batch and wval_batch pass
+  the pool through. A caller that keeps a support interval for long
+  should hand its run a fresh pool, as normdual.DualBallOracle does for
+  its net: an imported halfspace would carry another run's uncharged sigma
+  into a bound that outlives the run. With no pool, every run is bit for
+  bit as without this rule.
 - Separator witnesses: every separator returns, per center x it cuts, a
   point W of K that costs no call beyond the cut, and the run raises the
   row's incumbent to W where c . W beats it. On the gauge path
@@ -402,7 +404,7 @@ def _bounded(body: CenteredBody) -> None:
 
 
 def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, tol: float, buf: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, tol: float,
                 stop: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Brackets [lo, hi] of the gauges of the points center + rays, bisected
     in place, all rows in lockstep; returns the final (lo, hi).
@@ -418,8 +420,8 @@ def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarr
     most tol wide. stop, where given, holds a level per row: a row whose hi
     is at most its level before a round leaves the search with its bracket
     as it stands, and the rows still open keep their rounds, midpoints and
-    dq bit for bit. buf, a C-contiguous array of at least as many rows as
-    rays, holds the trial points.
+    dq bit for bit. Each round's trial points are a new array, so a verdict
+    function may keep the stack it is handed.
     """
     width = float(np.max(hi - lo, initial=0.0))
     if width > tol:
@@ -431,10 +433,7 @@ def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarr
                 if act.size == 0:
                     break
             t = 0.5 * (lo[act] + hi[act])
-            trial = buf[:t.size]
-            np.divide(rays[act], t[:, None], out=trial)
-            trial += body.center
-            inside = oracle.query_batch(trial, dq)
+            inside = oracle.query_batch(rays[act] / t[:, None] + body.center, dq)
             hi[act] = np.where(inside, t, hi[act])
             lo[act] = np.where(inside, lo[act], t)
     return lo, hi
@@ -456,7 +455,9 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     centering bracket [d/outer, d/inner]. A point equal to its anchor takes
     that gauge at no query, and every other point is bisected from the
     window of the module header, the anchor's gauge -/+ (tol + |p - Z|/inner)
-    intersected with its centering bracket.
+    intersected with its centering bracket. Every round asks its trial
+    points as a new array, so the oracle's verdict function may keep each
+    stack it is handed.
 
     levels, an (m,) array beside anchors, lets an anchor leave its search
     early (module header, witness-first separators). Before every round of
@@ -486,14 +487,13 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
         return g if levels is None else (g, np.full(m, math.inf))
     dist = np.linalg.norm(P.reshape(m, k, -1) - Z[:, None, :], axis=2).ravel()
     live = (dist > 0.0) & (d > 0.0)  # a point at its anchor or the center is known
-    buf = np.empty_like(P)  # trial points of both searches
     DZ = Z - body.center
     dz = np.linalg.norm(DZ, axis=1)
     lz, hz = dz / body.outer_radius, dz / inner
     zlive = dz > 0.0
     stop = None if levels is None else np.asarray(levels, dtype=float) - 0.5 * tol
     lz[zlive], hz[zlive] = _ray_search(oracle, body, DZ[zlive], lz[zlive], hz[zlive], tol,
-                                       buf, None if stop is None else stop[zlive])
+                                       None if stop is None else stop[zlive])
     gz = np.repeat(0.5 * (lz + hz), k)
     left = np.zeros(m, dtype=bool) if stop is None else hz <= stop
     gone = np.repeat(left, k)  # the points of anchors that left
@@ -505,7 +505,7 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
         raise BracketError("anchor window misses the centering bracket")
     out = np.where(d > 0.0, gz, 0.0)
     live &= ~gone
-    plo, phi = _ray_search(oracle, body, P[live] - body.center, lo[live], hi[live], tol, buf)
+    plo, phi = _ray_search(oracle, body, P[live] - body.center, lo[live], hi[live], tol)
     out[live] = 0.5 * (plo + phi)
     if levels is None:
         return out
@@ -621,16 +621,16 @@ class WoptResult:
     a center answered IN, or a point of the body (the body center, a center
     inside the inner ball, or a separator's or a verdict's witness), and
     value = c . witness lies in interval. iterations counts the run's cuts,
-    free cuts included.
-    stop_reason is always "gap", as a support run has no early exit; it
-    stays with iterations because the benchmark's layer trace reads both.
+    free cuts included. stop_reason is a class constant, "gap", as a
+    support run has no early exit; the benchmark's layer trace reads it
+    with iterations.
     """
 
     witness: np.ndarray
     value: float
     interval: Interval
     iterations: int
-    stop_reason: str
+    stop_reason = "gap"
 
 
 def _cut(Z: np.ndarray, P: np.ndarray, G: np.ndarray,
@@ -673,16 +673,18 @@ def _cut(Z: np.ndarray, P: np.ndarray, G: np.ndarray,
 def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per center z of Z, the index j of the halfspace u . y <= beta that z
     violates most among the rows (u, beta) of pool, and its violation
-    v = u . z - beta. The centers are scanned _SCAN_ROWS at a time, so the
-    violation matrix stays within (_SCAN_ROWS, _POOL_CAP)."""
-    j = np.empty(len(Z), dtype=int)
-    v = np.empty(len(Z))
-    for lo in range(0, len(Z), _SCAN_ROWS):
-        V = Z[lo:lo + _SCAN_ROWS] @ pool[:, :-1].T
-        V -= pool[:, -1]
-        jb = V.argmax(axis=1)
-        j[lo:lo + _SCAN_ROWS] = jb
-        v[lo:lo + _SCAN_ROWS] = V[np.arange(len(V)), jb]
+    v = u . z - beta; an empty pool is violated nowhere, v = -inf. The
+    centers are scanned _SCAN_ROWS at a time, so the violation matrix stays
+    within (_SCAN_ROWS, _POOL_CAP)."""
+    j = np.zeros(len(Z), dtype=int)
+    v = np.full(len(Z), -math.inf)
+    if len(pool):
+        for lo in range(0, len(Z), _SCAN_ROWS):
+            V = Z[lo:lo + _SCAN_ROWS] @ pool[:, :-1].T
+            V -= pool[:, -1]
+            jb = V.argmax(axis=1)
+            j[lo:lo + _SCAN_ROWS] = jb
+            v[lo:lo + _SCAN_ROWS] = V[np.arange(len(V)), jb]
     return j, v
 
 
@@ -696,10 +698,11 @@ def _raise_incumbent(best: np.ndarray, best_wit: np.ndarray, k: np.ndarray,
 
 
 class CutPool:
-    """Separator halfspaces u . y <= beta that hold one body K itself, shared
-    by the engine runs over K that its owner hands it to (module header,
-    pooled cuts). rows holds them as rows (u, beta), the newest last, at
-    most _POOL_CAP of them."""
+    """Separator halfspaces u . y <= beta, held as rows (u, beta), the newest
+    last, at most _POOL_CAP of them (module header, pooled cuts). A caller's
+    pool holds halfspaces that hold one body K itself, shared by the engine
+    runs over K that its owner hands it to; each run's ring is one too, of
+    halfspaces that hold that run's K_dq."""
 
     def __init__(self, n: int):
         self.rows = np.empty((0, n + 1))
@@ -727,28 +730,34 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     no query. A row leaves the loop once its certified gap falls to eps/2,
     its incumbent reaches stop_above, or its certified upper bound falls to
     stop_ub_below; the last two are the exits of validity queries
-    (wval_batch), and by default neither fires. A center that violates one
-    of the run's pooled separator halfspaces, made by any of its rows or
-    read from the caller's pool, is cut along the most violated one at no
-    call (module header, pooled cuts). Of the rest, a center outside the outer ball is cut along its
-    direction from the body center, and one inside the inner ball is an
-    incumbent, neither asked (module header, sandwich centers). A center
-    left whose objective value is at most its row's incumbent takes the
-    objective cut at the incumbent, unasked (module header, objective cuts
-    below the incumbent). The other centers of all live rows go to one
-    query_batch per cut at slack dq, and those answered infeasible to one
-    approx_separator call at the same dq, which uses the oracle's own
-    separator where it has one (value separators) and differences of the
-    gauge elsewhere. The call carries each row's objective and exit, the
-    least incumbent that ends the row, min(stop_above, ub - eps/2) for its
-    certified bound ub; a row whose gauge witness reaches its exit during
-    the anchor search is settled there and pays for no probe. It takes the
-    objective cut at its raised incumbent, at no call, pools nothing, and
-    leaves at the next check (module header, witness-first separators).
-    The caller picks dq (module header, membership slack). pool, a CutPool
-    of halfspaces that hold the body, seeds the run's ring, and on return
-    takes the run's own halfspaces, moved out to hold the body (module
-    header, pooled cuts); without one the run pools only its own cuts.
+    (wval_batch), and by default neither fires. The run's ring is a CutPool
+    of separator halfspaces, newest last: it starts as the caller's pool,
+    takes each round's new separator halfspaces, and keeps the newest
+    _POOL_CAP. A center that violates one of them, made by any of the run's
+    rows or read from the caller's pool, is cut along the most violated one
+    at no call (module header, pooled cuts). Of the rest, a center outside
+    the outer ball is cut along its direction from the body center, and one
+    inside the inner ball is an incumbent, neither asked (module header,
+    sandwich centers). A center left whose objective value is at most its
+    row's incumbent takes the objective cut at the incumbent, unasked
+    (module header, objective cuts below the incumbent). The other centers
+    of all live rows go to one query_batch per cut at slack dq, and those
+    answered infeasible to one approx_separator call at the same dq, which
+    uses the oracle's own separator where it has one (value separators)
+    and differences of the gauge elsewhere. The call carries each row's
+    objective and exit, the least incumbent that ends the row,
+    min(stop_above, ub - eps/2) for its certified bound ub; a row whose
+    gauge witness reaches its exit during the anchor search is settled
+    there and pays for no probe. It takes the objective cut at its raised
+    incumbent, at no call, pools nothing, and leaves at the next check
+    (module header, witness-first separators).
+    Every cut's direction and depth is set once per round, after the
+    separator and before the ring takes the round's halfspaces. The caller
+    picks dq (module header, membership slack). pool, a CutPool of
+    halfspaces that hold the body, seeds the run's ring, and on return
+    takes the run's own halfspaces, the newest of the ring, moved out to
+    hold the body (module header, pooled cuts); without one the run pools
+    only its own cuts.
 
     Returns per-row arrays (value, witness, gap, iterations); iterations
     counts every cut, free or paid. Raises IterationCapError, carrying the
@@ -781,17 +790,12 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     best = C @ body.center
     best_wit = np.tile(body.center, (m, 1))
     ub_run = np.full(m, math.inf)
-    # the ring of the run's last _POOL_CAP separator halfspaces u . y <= beta,
-    # from all rows, as rows (u, beta); made counts every one written to it,
-    # and a slot not yet written holds u = 0, beta = inf, which no center
-    # violates; a caller's pool starts the ring
-    ring = np.zeros((_POOL_CAP, n + 1))
-    ring[:, n] = math.inf
-    made = 0
+    # the run's ring of separator halfspaces, seeded with the caller's pool;
+    # own counts the newest that the run made itself
+    ring = CutPool(n)
     if pool is not None:
-        made = len(pool.rows)
-        ring[:made] = pool.rows
-    seeded = made
+        ring.rows = pool.rows
+    own = 0
 
     for it in range(_MAX_CUTS):
         vals = np.einsum("bi,bi->b", C, Z)
@@ -809,8 +813,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         if rows.size == 0:
             if pool is not None:
                 # the run's own halfspaces, moved out from K_dq to K
-                own = min(made - seeded, _POOL_CAP)
-                new = ring[(made - own + np.arange(own)) % _POOL_CAP]
+                new = ring.rows[len(ring.rows) - own:].copy()
                 ua = new[:, :n] @ body.center
                 new[:, n] = ua + (new[:, n] - ua) / (1.0 - dq / body.inner_radius)
                 pool.add(new)
@@ -819,7 +822,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         # a pooled halfspace that the center violates is a free cut, and so
         # is the sandwich: a center outside B(a, outer) is out, one inside
         # B(a, inner) is in (module header, sandwich centers)
-        j, v = _most_violated(Z, ring)
+        j, v = _most_violated(Z, ring.rows)
         free = v > 0.0
         D = Z - body.center
         r = np.linalg.norm(D, axis=1)
@@ -838,32 +841,27 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             # a verdict's own witness (module header, separator witnesses)
             ki = np.flatnonzero(ask & inside)
             _raise_incumbent(best, best_wit, ki, C[ki], oracle.witnesses(Z[ki], dq))
-        G = -C
-        A = best - vals  # objective cut at the incumbent
-        G[free] = ring[j[free], :n]
-        A[free] = v[free]
-        G[far] = D[far] / r[far, None]
-        A[far] = r[far] - body.outer_radius
-        out = ask & ~inside
-        if out.any():
-            X = Z[out]
-            ko = np.flatnonzero(out)
+        cut = np.flatnonzero(ask & ~inside)
+        if cut.size:
             # every separator pays for a point of the body, and one that
             # reaches the row's exit settles it before any probe (module
             # header, separator witnesses and witness-first separators)
-            U, dep, W = approx_separator(oracle, body, X, dq, C[out],
-                                         np.minimum(stop_above, ub_run[out] - eps / 2.0))
-            _raise_incumbent(best, best_wit, ko, C[out], W)
-            cut = ~np.isnan(dep)
-            G[ko[cut]], A[ko[cut]] = U[cut], dep[cut]
-            # a settled row takes the objective cut at its raised incumbent
-            settled = ko[~cut]
-            A[settled] = best[settled] - vals[settled]
-            U, X = U[cut], X[cut]
-            beta = np.einsum("bi,bi->b", U, X) - np.maximum(dep[cut], 0.0)
-            new = np.column_stack([U, beta])[-_POOL_CAP:]
-            ring[(made + np.arange(len(new))) % _POOL_CAP] = new
-            made += len(new)
+            U, dep, W = approx_separator(oracle, body, Z[cut], dq, C[cut],
+                                         np.minimum(stop_above, ub_run[cut] - eps / 2.0))
+            _raise_incumbent(best, best_wit, cut, C[cut], W)
+            bought = ~np.isnan(dep)  # a settled row keeps the objective cut
+            cut, U, dep = cut[bought], U[bought], dep[bought]
+        # the objective cut at the incumbent, unless a rule above cut the
+        # center; j indexes the ring as scanned, so the round's new
+        # halfspaces join it only after
+        G, A = -C, best - vals
+        G[free], A[free] = ring.rows[j[free], :n], v[free]
+        G[far], A[far] = D[far] / r[far, None], r[far] - body.outer_radius
+        if cut.size:
+            G[cut], A[cut] = U, dep
+            ring.add(np.column_stack([U, np.einsum("bi,bi->b", U, Z[cut])
+                                      - np.maximum(dep, 0.0)]))
+            own = min(own + cut.size, _POOL_CAP)
         Z, P = _cut(Z, P, G, A)
 
     raise IterationCapError(
@@ -888,7 +886,7 @@ def wopt_from_wmem(oracle: WeakMembershipOracle, body: CenteredBody, c,
     c = np.asarray(c, dtype=float)
     lo, hi, witness, cuts, _ = support_batch(oracle, body, c[None], err)
     return WoptResult(witness[0], float(c @ witness[0]),
-                      Interval(float(lo[0]), float(hi[0])), int(cuts[0]), "gap")
+                      Interval(float(lo[0]), float(hi[0])), int(cuts[0]))
 
 
 def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: float,

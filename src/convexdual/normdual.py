@@ -372,6 +372,8 @@ class DualBallOracle(WeakMembershipOracle):
     centres.
     """
 
+    stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
+
     def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor):
         body = CenteredBody(np.zeros(desc.n), desc.k_lo, desc.k_hi)
         super().__init__(self._screen, body, label="dual-ball")
@@ -379,7 +381,6 @@ class DualBallOracle(WeakMembershipOracle):
         self.primal_descriptor = desc
         self.r = max(1.0, 2.0 * desc.k_hi)
         self._scaled_oracle = rescale_norm(primal, desc, 1.0 / self.r)[0]
-        self.stragglers = 0  # always 0 (the cap raises); perfbench's layer trace reads it
         self._net = _net_directions(desc.n)
         self._net_hi = None  # per net direction v, hi(v) >= h_B(v), once built
         self._witness = None  # per net direction, its witness w_v

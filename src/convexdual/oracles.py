@@ -44,7 +44,8 @@ class WeakMembershipOracle:
     fn : callable (X, delta) -> bool array
         The row-wise verdict function: maps an (m, n) array of points and a
         slack to m booleans, True meaning IN_THICKENED. Must honor the weak
-        contract for the body on every row.
+        contract for the body on every row. Each call from the package gets
+        its own array, which no later call overwrites, so fn may keep it.
     body : CenteredBody
         Centering data B(center, inner) <= K <= B(center, outer); cones use
         outer = inf.

@@ -106,6 +106,33 @@ def test_gauge_batch_rejects_bad_points_and_anchors_before_querying():
     assert oracle.calls.count == 0
 
 
+@pytest.mark.parametrize("p,n", [(3.0, 2), (1.0, 2), (3.0, 3), (math.inf, 3)],
+                         ids=["l3-r2", "l1-r2", "l3-r3", "linf-r3"])
+def test_verdict_function_may_keep_its_input(p, n):
+    """Each call of a verdict function gets its own array: a function that
+    keeps every X it is handed, with a copy, finds each kept batch equal to
+    its copy after gauge_batch, approx_separator and support_batch have
+    returned, the bisection rounds that followed it included."""
+    norm = ReferenceNorm.lp(p, n)
+    body = norm.ball()
+    kept = []
+
+    def keeping(X, delta):
+        kept.append((X, X.copy()))
+        return norm.eval_batch(X) <= 1.0
+
+    oracle = WeakMembershipOracle(keeping, body)
+    rng = rng_stream(54, n)
+    X = rng.normal(size=(6, n))
+    X *= (1.5 / norm.eval_batch(X))[:, None]
+    gauge_batch(oracle, body, X, _gauge_tol(body))
+    approx_separator(oracle, body, X, 1e-3)
+    support_batch(oracle, body, rng.normal(size=(6, n)), 0.05)
+    assert len(kept) > 20
+    changed = sum(not np.array_equal(Y, copy) for Y, copy in kept)
+    assert changed == 0, f"{changed} of {len(kept)} batches changed after the call"
+
+
 def _separator_tolerances(body):
     step = _fd_step(body)
     return step, min(_gauge_tol(body), 1e-3 * step)
