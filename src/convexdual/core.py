@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -239,8 +240,13 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct stream indices give statistically independent streams, and the
     mapping is pure, so any partition of work across streams reproduces
-    exactly regardless of scheduling.
+    exactly regardless of scheduling. A seed or stream index that is not an
+    integer (a bool included; numpy integers are integers) raises
+    ValueError, as does one outside a Philox key word.
     """
+    for key in (seed, stream):
+        if isinstance(key, bool) or not isinstance(key, numbers.Integral):
+            raise ValueError(f"seed and stream index must be integers, got {key!r}")
     if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
         raise ValueError("seed and stream index must lie in [0, 2^64 - 1], "
                          "the range of a Philox key word")

@@ -513,15 +513,17 @@ def gauge_batch(oracle: WeakMembershipOracle, body: CenteredBody, points,
     return out, np.where(left, hz + 0.5 * tol, math.inf)
 
 
-def _gauge_tol(body: CenteredBody) -> float:
-    """Gauge bisection tolerance of a separator: 1e-8 of the outer radius."""
-    return 1e-8 * body.outer_radius
-
-
-def _fd_step(body: CenteredBody) -> float:
-    """Finite-difference step of a separator: 1e-4 of the inner radius,
-    at least 1e-5."""
-    return max(1e-5, body.inner_radius * 1e-4)
+def _separator_scales(body: CenteredBody) -> tuple[float, float]:
+    """Finite-difference step and gauge tolerance of a gauge separator
+    (approx_separator). The step is 1e-4 of the inner radius, at least
+    1e-5, and the tolerance min(1e-8 outer, 1e-3 step,
+    step / (16 sqrt(n) outer)): the last term keeps the quotient noise
+    2 sqrt(n) tol / step under 1/(8 outer) and the flat-gauge floor, twice
+    that, at most 1/(4 outer), against the least the exact quotients can
+    be, 1/outer (module header)."""
+    step = max(1e-5, body.inner_radius * 1e-4)
+    return step, min(1e-8 * body.outer_radius, 1e-3 * step,
+                     step / (16.0 * math.sqrt(body.n) * body.outer_radius))
 
 
 def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, X, delta: float,
@@ -539,13 +541,8 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, X, delta:
     An oracle built with its own separator answers through it, at the slack
     delta of its verdicts (module header, value separators). Every other
     oracle takes forward differences of the gauge, and delta is not read:
-    both tolerances derive from the body. The step is _fd_step,
-    max(1e-5, 1e-4 inner), and the gauge tolerance
-    min(_gauge_tol, 1e-3 step, step / (16 sqrt(n) outer)),
-    _gauge_tol being 1e-8 outer; the last term keeps the quotient noise
-    2 sqrt(n) tol / step under 1/(8 outer) and the flat-gauge floor, twice
-    that, at most 1/(4 outer), against the least the exact quotients can be,
-    1/outer (module header). The n + 1 probes x and x +/- step e_i of every
+    the step and the gauge tolerance derive from the body
+    (_separator_scales). The n + 1 probes x and x +/- step e_i of every
     point, each stepping away from the center, share one gauge_batch call
     anchored at the points, where x is its own probe at offset 0: each
     point's gauge is bisected to tol, and the n other probes are bisected
@@ -571,7 +568,7 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, X, delta:
     delta = positive_finite(delta, "delta")
     if oracle.separator is not None:
         return oracle.separator(X, delta)
-    step = _fd_step(body)
+    step, tol = _separator_scales(body)
     m, n = X.shape
     if (C is None) != (exits is None):
         raise ValueError("objectives and exits come together")
@@ -584,10 +581,6 @@ def approx_separator(oracle: WeakMembershipOracle, body: CenteredBody, X, delta:
         room = np.broadcast_to(np.asarray(exits, dtype=float), (m,)) - C @ body.center
         cD = np.einsum("bi,bi->b", C, D)
         np.divide(cD, room, out=levels, where=(cD > 0.0) & (room > 0.0))
-    # gauge noise must sit below the difference quotient, and the
-    # flat-gauge floor below the least gradient norm, 1/outer_radius
-    tol = min(_gauge_tol(body), 1e-3 * step,
-              step / (16.0 * math.sqrt(n) * body.outer_radius))
     # each probe steps away from the center along its axis
     hs = np.where(X >= body.center, step, -step)
     probes = np.repeat(X[:, None, :], n + 1, axis=1)

@@ -166,8 +166,12 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     repeat from call to call. The half-width combines the two
     independent estimates by first-order error propagation. cfg supplies
     the seed: the primal run samples the streams of cfg.rng_seed, the polar
-    run those of cfg.rng_seed + 1.
+    run those of cfg.rng_seed + 1. Both seeds are checked (rng_stream)
+    before the first call, so a seed that keys no stream raises ValueError
+    at no cost.
     """
+    rng_stream(cfg.rng_seed)
+    rng_stream(cfg.rng_seed + 1)
     dual_oracle = DualBallOracle(oracle, desc)
     screened = WeakMembershipOracle(dual_oracle._primal_screen, oracle.body,
                                     label=f"{oracle.calls.label}@net")

@@ -103,9 +103,10 @@ _SAME_DIRECTION = 1.0 - 1e-12  # cosine above which a new direction repeats one
 
 
 def _net_directions(n: int) -> np.ndarray:
-    """The dual ball's first net of unit directions: +-e_i in R^2 and R^3,
-    where the net then grows (DualBallOracle), and elsewhere the fixed 2 n^2
-    directions +-e_i and (+-e_i +-e_j)/sqrt(2), i < j."""
+    """The directions that the dual ball's empty net is first built from:
+    +-e_i in R^2 and R^3, where the net then grows (DualBallOracle), and
+    elsewhere the fixed 2 n^2 directions +-e_i and (+-e_i +-e_j)/sqrt(2),
+    i < j."""
     eye = np.eye(n)
     if n <= 3:
         return np.vstack([eye, -eye])
@@ -211,86 +212,68 @@ class _Hull:
         return self.facets[keep] - 1, self.normals[keep] / self.offsets[keep, None]
 
 
-@dataclass(frozen=True)
-class _Generators:
-    """One generator set of the gauge certificate (_gauge_bound): rows G
-    with gauge bounds g, gauge(G_i) <= g_i, and a residual constant L with
-    gauge(e) <= L |e| for every e. In R^2 and R^3 a row's n generators are
-    the facet of the hull of the scaled generators G_i / g_i (_Hull) that
-    its ray meets first: facets holds each facet's indices,
-    planes its H, and inverse the inverse of its matrix G_F^T. Elsewhere
-    (the 2 n^2 net) the three are None, and a row's n generators are those
-    of largest c . G_i.
-    """
-
-    G: np.ndarray
-    g: np.ndarray
-    L: float
-    facets: np.ndarray | None = None
-    planes: np.ndarray | None = None
-    inverse: np.ndarray | None = None
-
-
-def _generators(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None) -> _Generators:
-    if hull is None:  # the 2 n^2 net: no hull
-        return _Generators(G, g, L)
-    facets, planes = hull.planes()
-    return _Generators(G, g, L, facets, planes,
-                       np.linalg.inv(G[facets].transpose(0, 2, 1)))
-
-
-def _gauge_bound(gen: _Generators, pts: np.ndarray,
-                 nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
+                 pts: np.ndarray, nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Per row c, nrm holding |c|, an upper bound on its gauge from the
-    generator set, and in R^2 and R^3 the facet of the hull that gave it.
+    generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
+    constant L, gauge(e) <= L |e| for every e; and, where hull has facets,
+    per row the plane H of the facet that gave it (else None).
 
-    c is written c = sum lam_i G_i + e over the row's n generators (the
-    pick of _Generators), lam solving the n x n system and clipped to
-    lam >= 0, and e the residual. A gauge is sublinear, so
-    gauge(c) <= sum lam_i g_i + L |e|; where that is at most 1, c lies in
-    the body and IN_THICKENED is legal at every slack. The residual makes
-    the bound hold for any lam and any n-subset, so neither the pick nor
-    the solve needs to be right, only the bound computed with care: each
-    computed term errs by a few n machine epsilons of |c| + sum lam_i |G_i|,
-    relative to the constants that multiply it, so |e| is padded by rho
-    times that and the whole bound raised by the factor 1 + rho. Rows
-    whose n nearest generators are linearly dependent, or nearly so
-    relative to the generators' size (the 2 n^2 net has such n-tuples),
-    get no bound (inf), and so does every row of a hull with no facet.
+    c is written c = sum lam_i G_i + e over the row's n generators, lam
+    solving the n x n system and clipped to lam >= 0, and e the residual. A
+    gauge is sublinear, so gauge(c) <= sum lam_i g_i + L |e|; where that is
+    at most 1, c lies in the body and IN_THICKENED is legal at every slack.
+    The residual makes the bound hold for any lam and any n-subset, so
+    neither the pick nor the solve needs to be right, only the bound
+    computed with care: each computed term errs by a few n machine epsilons
+    of |c| + sum lam_i |G_i|, relative to the constants that multiply it, so
+    |e| is padded by rho times that and the whole bound raised by the
+    factor 1 + rho.
 
-    A row's facet is the one its ray meets first, the facet of largest
-    H . c, where its lam is nonnegative.
+    hull is the hull of the scaled generators G_i / g_i (_Hull) in R^2 and
+    R^3, and None elsewhere (the 2 n^2 net, and R^1). With a hull, a row's n
+    generators are the facet its ray meets first, the facet of largest
+    H . c (_Hull.planes), where its lam is nonnegative; the planes and the
+    inverses of the facet matrices G_F^T are read from the hull on every
+    call. A hull with no facet gives no row a bound (inf). Without one, a
+    row's n generators are those of largest c . G_i, and rows whose n are
+    linearly dependent, or nearly so relative to the generators' size (the
+    2 n^2 net has such n-tuples), get no bound.
     """
     n = pts.shape[1]
     rho = 16 * n * np.finfo(float).eps
-    length = np.linalg.norm(gen.G, axis=1)
+    length = np.linalg.norm(G, axis=1)
     tiny = 1e-9 * length.max() ** n
     bound = np.full(len(pts), np.inf)
-    facet = np.zeros(len(pts), dtype=int)
-    if gen.facets is not None and not len(gen.facets):
-        return bound, facet
+    H = None
+    if hull is not None:
+        facets, planes = hull.planes()
+        if not len(facets):
+            return bound, None
+        inverse = np.linalg.inv(G[facets].transpose(0, 2, 1))
+        H = np.zeros((len(pts), n))
     for lo in range(0, len(pts), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         C = pts[rows]
-        if gen.facets is None:
-            pick = np.argpartition(C @ gen.G.T, -n, axis=1)[:, -n:]
-            A = gen.G[pick]  # rows G_i of each row's system
+        if hull is None:
+            pick = np.argpartition(C @ G.T, -n, axis=1)[:, -n:]
+            A = G[pick]  # rows G_i of each row's system
             ok = np.abs(np.linalg.det(A)) > tiny
             lam = np.zeros((len(C), n))
             lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
         else:
-            met = np.argmax(C @ gen.planes.T, axis=1)  # the plane the ray meets first
-            facet[rows] = met
-            pick = gen.facets[met]
-            A = gen.G[pick]
+            met = np.argmax(C @ planes.T, axis=1)  # the plane the ray meets first
+            H[rows] = planes[met]
+            pick = facets[met]
+            A = G[pick]
             ok = True
-            lam = np.einsum("bij,bj->bi", gen.inverse[met], C)
+            lam = np.einsum("bij,bj->bi", inverse[met], C)
         lam = np.maximum(lam, 0.0)
         res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
         scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
-        value = np.einsum("bi,bi->b", lam, gen.g[pick]) + gen.L * (res + rho * scale)
+        value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
         bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
-    return bound, facet
+    return bound, H
 
 
 class DualBallOracle(WeakMembershipOracle):
@@ -326,23 +309,26 @@ class DualBallOracle(WeakMembershipOracle):
     within s of b in B_nu has nu(w) <= nu(b) + k_hi s. The bound holds for
     any choice of the n generators; in R^2 and R^3 each row takes the facet
     of the generators' hull (_Hull) that its ray meets first, where its lam
-    is nonnegative and its residual is rounding.
+    is nonnegative and its residual is rounding. The net's arrays and the
+    two hulls are all the oracle keeps: each certificate is read from them
+    when it is asked for (_upper).
 
-    The net starts at _net_directions: +-e_i in R^2 and R^3. The first
-    batch, of the polar run or of the primal one (_primal_screen), that
-    leaves more rows than the net has directions builds it. In R^2 and R^3
-    the net then grows where its two approximations of the body disagree,
-    as in the sandwich algorithm of polyhedral approximation (Rote 1992;
-    Bronstein 2008): each round adds the directions that the batch's
-    unsettled rows pay for (_new_directions), by one more support run, and
-    the hulls take the new points. Rows that pay for no direction are asked.
+    The net is empty until the first batch, of the polar run or of the
+    primal one (_primal_screen), that leaves more rows than
+    _net_directions has directions (+-e_i in R^2 and R^3) builds it from
+    those. In R^2 and R^3 the net then grows where its two approximations
+    of the body disagree, as in the sandwich algorithm of polyhedral
+    approximation (Rote 1992; Bronstein 2008): each round adds the
+    directions that the batch's unsettled rows pay for (_new_directions),
+    by one more support run, and the hulls take the new points. Rows that
+    pay for no direction are asked.
 
     Every rule trusts hi(v) and s as support_batch certifies them, so the
     caveat of the cutting module header (the separator's sigma is not
     charged to the support interval) covers the primal verdicts as it
     covers the polar ones. All bounds are padded for rounding
     (_polar_lower, _primal_lower, _gauge_bound). Smaller batches leave the
-    net unbuilt and cost what the validity run, or the primal oracle, costs.
+    net empty and cost what the validity run, or the primal oracle, costs.
 
     The polar rows all screens leave go to one lockstep validity run over
     the primal ball, which is what makes million-point volume sampling
@@ -381,12 +367,10 @@ class DualBallOracle(WeakMembershipOracle):
         self.primal_descriptor = desc
         self.r = max(1.0, 2.0 * desc.k_hi)
         self._scaled_oracle = rescale_norm(primal, desc, 1.0 / self.r)[0]
-        self._net = _net_directions(desc.n)
-        self._net_hi = None  # per net direction v, hi(v) >= h_B(v), once built
-        self._witness = None  # per net direction, its witness w_v
-        self._witness_slack = None  # s: every witness lies within s of B_nu
-        self._polar_gen = None  # the polar certificate's generators: V
-        self._primal_gen = None  # the primal certificate's: the witnesses
+        self._net = np.zeros((0, desc.n))  # the net's unit directions V
+        self._net_hi = np.zeros(0)  # per net direction v, hi(v) >= h_B(v)
+        self._witness = np.zeros((0, desc.n))  # per net direction, its witness w_v
+        self._witness_slack = 0.0  # s: every witness lies within s of B_nu
         # in R^2 and R^3, the hulls of the points V / hi and W / g (in R^1 a
         # hull has no facet to form, and rows take their nearest generators)
         self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
@@ -430,15 +414,14 @@ class DualBallOracle(WeakMembershipOracle):
         return out
 
     def _grow(self, V: np.ndarray) -> None:
-        """Add the unit directions V to the net (all of it, the first time):
-        hi(v) and the witness w_v for each from one support run over the
-        primal ball at width _NET_REL_ERR / k_hi, and both hulls and
-        certificates grown with them. Each run's centre slack, at most the
-        net's cap (class docstring), bounds its witnesses' distance to B_nu,
-        so the largest bounds them all. The run gets a fresh pool, so it
-        reads no halfspace of another run, and what it writes goes to the
-        oracle's pool, scaled to r B_nu. Its primal calls per direction
-        price the next direction."""
+        """Append the unit directions V to the net: hi(v) and the witness
+        w_v for each from one support run over the primal ball at width
+        _NET_REL_ERR / k_hi, and both hulls grown with them. Each run's
+        centre slack, at most the net's cap (class docstring), bounds its
+        witnesses' distance to B_nu, so the largest bounds them all. The run
+        gets a fresh pool, so it reads no halfspace of another run, and what
+        it writes goes to the oracle's pool, scaled to r B_nu. Its primal
+        calls per direction price the next direction."""
         desc = self.primal_descriptor
         before = self.primal.calls.count
         made = CutPool(desc.n)
@@ -447,27 +430,33 @@ class DualBallOracle(WeakMembershipOracle):
         self._direction_calls = (self.primal.calls.count - before) / len(V)
         made.rows[:, -1] *= self.r  # u . y <= beta over B_nu is u . y <= r beta over r B_nu
         self._pool.add(made.rows)
-        if self._net_hi is None:
-            self._net, self._net_hi, self._witness, self._witness_slack = V, hi, W, s
-        else:
-            self._net = np.vstack([self._net, V])
-            self._net_hi = np.concatenate([self._net_hi, hi])
-            self._witness = np.vstack([self._witness, W])
-            self._witness_slack = max(self._witness_slack, s)
-        g = 1.0 + desc.k_hi * self._witness_slack
-        polar_hull, primal_hull = self._hulls or (None, None)
+        self._net = np.vstack([self._net, V])
+        self._net_hi = np.concatenate([self._net_hi, hi])
+        self._witness = np.vstack([self._witness, W])
+        self._witness_slack = max(self._witness_slack, s)
         if self._hulls is not None:
-            polar_hull.add(V / hi[:, None])
-            primal_hull.add(W / g)
-        self._polar_gen = _generators(self._net, self._net_hi, 1.0 / desc.k_lo, polar_hull)
-        self._primal_gen = _generators(self._witness, np.full(len(self._witness), g),
-                                       desc.k_hi, primal_hull)
+            self._hulls[0].add(V / hi[:, None])
+            self._hulls[1].add(W / (1.0 + desc.k_hi * self._witness_slack))
+
+    def _upper(self, C: np.ndarray, nrm: np.ndarray,
+               primal: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """_gauge_bound of the rows C, nrm holding their norms, on the
+        primal ball or (primal False) on the dual one, over that side's
+        generators and hull (class docstring): the witnesses with
+        g = 1 + k_hi s and L = k_hi, or V with g = hi and L = 1 / k_lo."""
+        desc = self.primal_descriptor
+        hull = None if self._hulls is None else self._hulls[int(primal)]
+        if primal:
+            g = np.full(len(self._witness), 1.0 + desc.k_hi * self._witness_slack)
+            return _gauge_bound(self._witness, g, desc.k_hi, hull, C, nrm)
+        return _gauge_bound(self._net, self._net_hi, 1.0 / desc.k_lo, hull, C, nrm)
 
     def _new_directions(self, C: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                        facet: np.ndarray, primal: bool) -> tuple[np.ndarray, np.ndarray]:
+                        H: np.ndarray, primal: bool) -> tuple[np.ndarray, np.ndarray]:
         """The directions that the unsettled rows C pay for, and which rows
         lie in a face that got none. lower < 1 < upper bound each row's
-        gauge, and facet is the certificate hull's facet its ray meets first.
+        gauge, and H is the plane of the certificate hull's facet that its
+        ray meets first (_gauge_bound).
 
         Rows are grouped by the face of that facet (coplanar facets share
         it). A face gets a direction when its rows would cost more than the
@@ -485,13 +474,11 @@ class DualBallOracle(WeakMembershipOracle):
         desc = self.primal_descriptor
         err_s = _NET_REL_ERR / desc.k_hi + self._witness_slack
         if primal:
-            gen, row, thinnest = self._primal_gen, 1.0, desc.k_hi * err_s * lower
+            row, thinnest = 1.0, desc.k_hi * err_s * lower
         else:
-            gen = self._polar_gen
             row = self._direction_calls if self._row_calls is None else self._row_calls
             thinnest = np.linalg.norm(C, axis=1) * err_s
         share = np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0)
-        H = gen.planes[facet]
         normal = H / np.linalg.norm(H, axis=1)[:, None]
         _, first, face = np.unique(np.round(normal, 9), axis=0, return_index=True,
                                    return_inverse=True)
@@ -511,34 +498,37 @@ class DualBallOracle(WeakMembershipOracle):
         """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
         on the primal ball or (primal False) on the dual one: refuted, then
         certified, by the net, and the rest asked of the primal oracle or of
-        the validity run. A batch that leaves more rows than the net has
-        directions builds the net first, and its delta fixes the cap on the
-        net's centre slack (class docstring): until a run has measured them,
-        a row and a direction are priced alike. In R^2 and R^3 the net then
-        grows in rounds (_new_directions). While no validity run has priced
-        a polar row, the rows of faces that pay for no direction are asked
-        at once, which prices the next round's rows; the other rows left
-        are asked together after the last round."""
-        if self._net_hi is None and len(pts) > len(self._net):
-            self._net_dq = validity_centre_slack(self._scaled_oracle.body,
-                                                 self._slack(delta)) / self.r
-            self._grow(self._net)
+        the validity run. While the net is empty, a batch that leaves more
+        rows than _net_directions has directions builds it from those first,
+        and its delta fixes the cap on the net's centre slack (class
+        docstring): until a run has measured them, a row and a direction are
+        priced alike. In R^2 and R^3 the net then grows in rounds
+        (_new_directions), where _upper gives each row's facet plane. While
+        no validity run has priced a polar row, the rows of faces that pay
+        for no direction are asked at once, which prices the next round's
+        rows; the other rows left are asked together after the last
+        round."""
+        if not len(self._net):
+            first = _net_directions(self.body.n)
+            if len(pts) > len(first):
+                self._net_dq = validity_centre_slack(self._scaled_oracle.body,
+                                                     self._slack(delta)) / self.r
+                self._grow(first)
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))  # rows that no rule has settled
         lower_bound = self._primal_lower if primal else self._polar_lower
         ask = self.primal.query_batch if primal else self._polar_ask
-        while self._net_hi is not None and len(todo):
-            gen = self._primal_gen if primal else self._polar_gen
+        while len(self._net) and len(todo):
             C = pts[todo]
             lower = lower_bound(C, nrm[todo])
-            upper, facet = _gauge_bound(gen, C, nrm[todo])
+            upper, H = self._upper(C, nrm[todo], primal)
             out[todo] = (lower <= 1.0) & (upper <= 1.0)
             left = (lower <= 1.0) & (upper > 1.0)
             todo = todo[left]
-            if self._hulls is None or not len(gen.facets) or not len(todo):
+            if H is None or not len(todo):
                 break
             new, stay = self._new_directions(C[left], lower[left], upper[left],
-                                             facet[left], primal)
+                                             H[left], primal)
             if not primal and self._row_calls is None and np.any(stay):
                 out[todo[stay]] = ask(pts[todo[stay]], delta)  # measures the price
                 todo = todo[~stay]

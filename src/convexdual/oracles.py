@@ -183,14 +183,13 @@ class ReferenceNorm:
 
     def __init__(self, kind: str, n: int, *, p: float | None = None,
                  weights: np.ndarray | None = None, generators: np.ndarray | None = None,
-                 k_lo: float | None = None, k_hi: float | None = None,
-                 dual_tag: str | None = None):
+                 k_lo: float | None = None, k_hi: float | None = None):
         self.kind = kind
         self.n = n
         self.p = p
         self.weights = weights
         self.generators = generators
-        self._dual_tag = dual_tag
+        self._dual_tag = None  # "box" or "cross": the polyhedral kinds with a closed dual
         if k_lo is None or k_hi is None:
             raise ValueError("constants are set by the factory methods")
         self.descriptor = NormDescriptor(n, k_lo, k_hi)
@@ -214,7 +213,7 @@ class ReferenceNorm:
                    k_lo=_round_down(float(w.min())), k_hi=_round_up(float(w.max())))
 
     @classmethod
-    def polyhedral(cls, generators, dual_tag: str | None = None) -> "ReferenceNorm":
+    def polyhedral(cls, generators) -> "ReferenceNorm":
         C = np.atleast_2d(np.asarray(generators, dtype=float))
         m, n = C.shape
         if not np.all(np.isfinite(C)):
@@ -225,12 +224,14 @@ class ReferenceNorm:
         k = smin / math.sqrt(m)          # max_i |c_i.x| >= |Cx|_2 / sqrt(m)
         K = float(np.linalg.norm(C, axis=1).max())
         return cls("polyhedral", n, generators=C,
-                   k_lo=_round_down(k), k_hi=_round_up(K), dual_tag=dual_tag)
+                   k_lo=_round_down(k), k_hi=_round_up(K))
 
     @classmethod
     def box(cls, n: int) -> "ReferenceNorm":
         """Max norm, built as the polyhedral norm of the coordinate generators."""
-        return cls.polyhedral(np.eye(n), dual_tag="box")
+        norm = cls.polyhedral(np.eye(n))
+        norm._dual_tag = "box"
+        return norm
 
     @classmethod
     def cross(cls, n: int) -> "ReferenceNorm":
@@ -239,7 +240,9 @@ class ReferenceNorm:
             raise ValueError("sign-pattern generators blow up past n = 12")
         rows = np.array([[(1.0 if (i >> j) & 1 == 0 else -1.0) for j in range(n)]
                          for i in range(2 ** (n - 1))])
-        return cls.polyhedral(rows, dual_tag="cross")
+        norm = cls.polyhedral(rows)
+        norm._dual_tag = "cross"
+        return norm
 
     # -- evaluation --------------------------------------------------------
 

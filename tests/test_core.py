@@ -15,7 +15,7 @@ from convexdual.core import (
     rng_stream,
     safe_norm,
 )
-from convexdual.cutting import _fd_step, _gauge_tol
+from convexdual.cutting import _separator_scales
 
 
 def test_as_vector_accepts_lists_and_checks_dim():
@@ -131,8 +131,9 @@ def test_tolerance_config_derived_values():
     tolerance and step derive from the body."""
     assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rng_seed"]
     body = CenteredBody(np.zeros(2), 0.5, 4.0)
-    assert _gauge_tol(body) == pytest.approx(4e-8)
-    assert _fd_step(body) == pytest.approx(max(1e-5, 0.5e-4))
+    step, tol = _separator_scales(body)
+    assert step == pytest.approx(max(1e-5, 0.5e-4))
+    assert tol == pytest.approx(4e-8)
 
 
 def test_rng_stream_reproducible_and_disjoint():
@@ -157,6 +158,17 @@ def test_rng_stream_keys_span_one_philox_word():
     for seed, stream in [(top + 1, 0), (0, top + 1)]:
         with pytest.raises(ValueError):
             rng_stream(seed, stream)
+
+
+def test_rng_stream_keys_are_integers():
+    """A seed or stream index that is not an integer, a bool included,
+    raises ValueError, where 1.5 used to key stream 1's numbers; numpy
+    integers key the same stream as Python ones."""
+    for seed, stream in [(1.5, 0), (True, 0), (0, 1.0), (0, False)]:
+        with pytest.raises(ValueError, match="integers"):
+            rng_stream(seed, stream)
+    np.testing.assert_array_equal(rng_stream(np.int64(3), np.uint64(2)).normal(size=3),
+                                  rng_stream(3, 2).normal(size=3))
 
 
 def test_safe_norm_stays_finite_where_the_plain_norm_overflows():

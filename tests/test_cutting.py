@@ -11,8 +11,7 @@ from convexdual.cutting import (
     CutPool,
     IterationCapError,
     WvalVerdict,
-    _fd_step,
-    _gauge_tol,
+    _separator_scales,
     approx_separator,
     gauge_batch,
     support_batch,
@@ -31,7 +30,7 @@ def _ball_oracle(p, n):
 def test_gauge_matches_norm_on_rays():
     norm, oracle, body = _ball_oracle(2.0, 2)
     g = gauge_batch(oracle, body, [[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]],
-                    _gauge_tol(body))
+                    _separator_scales(body)[1])
     np.testing.assert_allclose(g[:2], [2.0, 0.5], atol=1e-6)
     assert g[2] == 0.0  # the center
 
@@ -41,7 +40,7 @@ def test_gauge_handles_shifted_center():
     body = CenteredBody(center, 0.9, 1.1)  # loose sandwich forces bisection
     oracle = exact_to_weak(lambda X: np.linalg.norm(X - center, axis=1) <= 1.0, body)
     assert oracle.calls.count == 0
-    g = gauge_batch(oracle, body, [center + [3.0, 0.0]], _gauge_tol(body))
+    g = gauge_batch(oracle, body, [center + [3.0, 0.0]], _separator_scales(body)[1])
     assert g[0] == pytest.approx(3.0, abs=1e-6)
     assert oracle.calls.count > 0
 
@@ -125,17 +124,12 @@ def test_verdict_function_may_keep_its_input(p, n):
     rng = rng_stream(54, n)
     X = rng.normal(size=(6, n))
     X *= (1.5 / norm.eval_batch(X))[:, None]
-    gauge_batch(oracle, body, X, _gauge_tol(body))
+    gauge_batch(oracle, body, X, _separator_scales(body)[1])
     approx_separator(oracle, body, X, 1e-3)
     support_batch(oracle, body, rng.normal(size=(6, n)), 0.05)
     assert len(kept) > 20
     changed = sum(not np.array_equal(Y, copy) for Y, copy in kept)
     assert changed == 0, f"{changed} of {len(kept)} batches changed after the call"
-
-
-def _separator_tolerances(body):
-    step = _fd_step(body)
-    return step, min(_gauge_tol(body), 1e-3 * step)
 
 
 def _check_separator_cost(x, rounds, cold):
@@ -147,7 +141,7 @@ def _check_separator_cost(x, rounds, cold):
     x = np.array(x)
     n = x.size
     _, oracle, body = _ball_oracle(3.0, n)
-    step, tol = _separator_tolerances(body)
+    step, tol = _separator_scales(body)
     width = float(np.linalg.norm(x)) * (1.0 / body.inner_radius - 1.0 / body.outer_radius)
     anchor = math.ceil(math.log2(width / tol))
     # the window: the anchor's gauge -/+ (tol + step/inner)
@@ -205,7 +199,7 @@ def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, fir
     radius = ball.outer_radius + d
     body = CenteredBody(ball.center, ball.inner_radius, ball.outer_radius,
                         (e, radius * radius * np.eye(n)))
-    step, tol = _separator_tolerances(body)
+    step, tol = _separator_scales(body)
     assert tol <= step / (16.0 * math.sqrt(n) * body.outer_radius)  # the separator's tol
     lo, w = d / body.outer_radius, d / body.inner_radius - d / body.outer_radius
 
@@ -265,7 +259,7 @@ def _check_anchored_gauges(p, n, side, offsets):
     rng = rng_stream(25, n)
     X = rng.normal(size=(40, n))
     X *= (rng.uniform(0.3, 3.0, size=40) / np.linalg.norm(X, axis=1))[:, None]
-    step, tol = _separator_tolerances(body)
+    step, tol = _separator_scales(body)
     probes = (X[:, None, :] + step * offsets).reshape(-1, n)
     g = gauge_batch(oracle, body, probes, tol, anchors=X)
     assert float(np.max(np.abs(g - norm.eval_batch(probes)))) <= tol
@@ -321,7 +315,7 @@ def test_separator_points_outward():
     # glo, a certified lower bound on each point's gauge g within 2 tol of it
     gauges = np.array([2.0, 1.5 * math.sqrt(2.0)])
     ux = np.einsum("bi,bi->b", H, X)
-    tol = _separator_tolerances(body)[1]
+    tol = _separator_scales(body)[1]
     assert np.all(depth <= (1.0 - 1.0 / gauges) * ux)
     assert np.all(depth >= (1.0 - 1.0 / (gauges - 2.0 * tol)) * ux)
 
@@ -395,7 +389,7 @@ def test_separator_slack_within_documented_sigma(body_name, side):
     oracle = norm.oracle() if side is None else band_adversary(norm, side)
     body = oracle.body
     n = body.n
-    h, tol = _separator_tolerances(body)
+    h, tol = _separator_scales(body)
     X = _near_kink_points(G, h, 12, rng_stream(27, 0))
     U, _, _ = approx_separator(oracle, body, X, 0.01)
     V = _vertices(G)
@@ -432,7 +426,7 @@ def test_separator_witnesses_lie_in_the_body(case, side):
     rng = rng_stream(28, len(case))
     if case.startswith("kink-"):
         norm, G = _kink_body(case[5:])
-        X = _near_kink_points(G, _fd_step(norm.ball()), 12, rng)
+        X = _near_kink_points(G, _separator_scales(norm.ball())[0], 12, rng)
     else:
         p, n = BAND_BALLS[WITNESS_CASES.index(case)]
         norm = ReferenceNorm.lp(p, n)
@@ -446,7 +440,7 @@ def test_separator_witnesses_lie_in_the_body(case, side):
     assert float(np.max(nu)) <= 1.0 + 1e-12
     # and no deeper than the boundary point x/g(x) allows, g~ + tol <= g + 2 tol
     gx = norm.eval_batch(X)
-    assert np.all(nu >= gx / (gx + 2.0 * _gauge_tol(oracle.body)) - 1e-12)
+    assert np.all(nu >= gx / (gx + 2.0 * _separator_scales(oracle.body)[1]) - 1e-12)
 
 
 def _central_cut_reference(Z, P, G):

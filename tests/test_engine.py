@@ -338,9 +338,7 @@ def _check_witnesses_settle_at_their_exits(oracle, inside, n, gauge=None):
     if gauge is not None:
         # the same points again, each at the level g + tol/2 of its closed-form
         # gauge g, which only an IN end at or below g reaches
-        step = cutting._fd_step(body)
-        tol = min(cutting._gauge_tol(body), 1e-3 * step,
-                  step / (16.0 * math.sqrt(n) * body.outer_radius))
+        tol = cutting._separator_scales(body)[1]
         X, D, C = np.vstack([X, X]), np.vstack([D, D]), np.vstack([C, C])
         level = np.concatenate([level, gauge(X[:24]) + tol / 2.0])
     exits = C @ body.center + np.einsum("bi,bi->b", C, D) / level

@@ -104,6 +104,14 @@ def test_generic_polyhedral_has_no_closed_dual():
         norm.dual()
 
 
+def test_polyhedral_cannot_claim_a_closed_dual():
+    """Only box and cross set their closed-form dual; polyhedral takes no
+    tag, so a generic generator matrix cannot claim the l1 dual."""
+    G = rng_stream(8, 0).normal(size=(5, 2))
+    with pytest.raises(TypeError):
+        ReferenceNorm.polyhedral(G, dual_tag="box")
+
+
 def test_reference_dual_norm_helper():
     dual = ReferenceNorm.lp(2.0, 2).dual()
     assert dual.eval([3.0, 4.0]) == pytest.approx(5.0)
