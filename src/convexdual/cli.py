@@ -47,6 +47,17 @@ def _integer(spec: dict, key: str) -> int:
     return value
 
 
+def _exponent(spec: dict) -> float:
+    """The spec's p read as a JSON number or as "inf" or "Infinity": a bool,
+    any other string and NaN are refused, not converted."""
+    value = _require(spec, "p")
+    if value in ("inf", "Infinity"):
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise SpecError(f"'p' must be a number or \"inf\", got {value!r}")
+    return float(value)
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -63,9 +74,7 @@ def load_spec(path: str) -> dict:
 def norm_from_spec(spec: dict) -> ReferenceNorm:
     kind = spec["kind"]
     if kind == "lp_norm":
-        p = _require(spec, "p")
-        p = math.inf if p in ("inf", "Infinity") else float(p)
-        return ReferenceNorm.lp(p, _integer(spec, "n"))
+        return ReferenceNorm.lp(_exponent(spec), _integer(spec, "n"))
     if kind == "weighted_l2":
         return ReferenceNorm.weighted_l2(_require(spec, "weights"))
     if kind == "polyhedral_norm":

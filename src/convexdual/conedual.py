@@ -120,7 +120,8 @@ class DualConeOracle(WeakMembershipOracle):
     (c + tau*b) / (1 + tau), a large value refutes it through
     (c - 2*tau*b) / (1 - 2*tau). The run takes the row minimum of the
     per-row validity slacks: a verdict at a smaller slack is legal at a
-    larger one.
+    larger one. A single query whose slice is 2- or 3-dimensional makes a
+    run of one row, which takes hull centres (cutting module header).
 
     The slice oracle _kb_oracle answers in frame coordinates of
     {b . z = 1}; its verdict function _slice_verdicts is the section

@@ -10,6 +10,9 @@ separators, below).
 
 There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
 centers and (m, n, n) shape matrices, and a scalar call is a batch of one.
+A run of one objective in R^2 or R^3 whose oracle has no separator of its
+own takes the vertices of its cut polytope as centres instead of the
+ellipsoid's (hull centres, below); every rule around the centre is the same.
 _cut_loop checks every run's input once, before any oracle call: a bounded
 body, the slack and the centre slack, a finite (m, n) stack of nonzero
 objectives (core.as_stack); an empty stack returns empty results at no call.
@@ -303,6 +306,58 @@ Policy where a row is not decided cleanly, the same for every caller:
   the rims of both end discs. Its cap runs to 15 times R, and there
   B(a, hypot(R, 1.25 cap)) spends most of its volume far from the
   cylinder, so the early cuts of a run from the ball trim empty space.
+- Hull centres: a run of one objective c over a body in R^2 or R^3 whose
+  oracle has no separator of its own, every dual-norm run and every single
+  dual-ball or dual-cone query, takes as each centre the vertex z of max c . y over its
+  cut polytope Q (Kelley, "The cutting-plane method for solving convex
+  programs", J. SIAM 8, 1960). Q starts as the tangent halfspaces of
+  B(a, outer) at the axis directions +-e_i, which make its box, and at the
+  2^n diagonal directions (+-1, ..., +-1)/sqrt(n); it holds the run's ring,
+  the caller's pool with it, and it takes each round's cut. A tangent
+  holds B(a, outer), which holds K, and a ring halfspace holds K_dq up to
+  sigma (pooled cuts), so max c . y over Q bounds c . y over K_dq up to
+  the same sigma as the ellipsoid's bound does, and it is the run's
+  certified bound in its place, with the bound c . a + |c| outer of
+  B(a, outer) before any cut. The gap, the support interval and the
+  validity verdicts read only that bound and the incumbent, so their
+  proofs carry over unchanged.
+  Polar duality solves the linear program without a solver. In the units
+  y' = (y - a)/outer, a halfspace u . y <= beta with beta > u . a is
+  p . y' <= 1 at p = outer u/(beta - u . a), so Q is the polar of the
+  hull of the origin and the points p, held by one _Hull. A facet of that
+  hull with plane H . p = 1 is the vertex y' = H of Q, so z = a + outer H
+  for the facet of largest H . c, and the value max c . y' over Q is the
+  gauge of c over the hull, which _gauge_bound bounds from above with its
+  padding for rounding, as it does for normdual's net. A new halfspace is
+  one add and a centre one argmax. A halfspace that does not keep a
+  strictly inside has no point p and is left out, which only keeps Q
+  larger, and so its bound sound.
+  At z the rules of the ellipsoid's centres apply. A vertex inside
+  B(a, inner), answered IN, or with c . z <= best has closed its gap,
+  since its value is the bound. The hull holds every halfspace of the
+  ring already, so no pooled cut is scanned. A vertex more than
+  _TANGENT_SHARE outer beyond B(a, outer) is cut at no call by the ball's
+  tangent along z - a (sandwich centers), which joins Q; a nearer one is
+  asked, because a tangent there cuts off little, and one answered OUT
+  buys a separator cut, whose halfspace joins the ring and Q.
+  Termination: Q only shrinks, so in exact arithmetic no vertex comes
+  back once it is cut off. A far vertex is cut off by
+  |z - a| - outer > _TANGENT_SHARE outer. An asked vertex answered OUT is
+  cut off, or its witness closes the gap: a depth clipped to 0 (deep
+  cuts) means g~(z) - tol <= 1, and then the witness
+  W = a + (z - a)/(g~(z) + tol) has c . (z - W) <= 2 tol c . (z - a), so
+  the gap closes wherever eps/2 exceeds that and the bound's rounding
+  padding. Where neither holds, or where rounding leaves the hull
+  unchanged, the vertex comes back. A vertex that comes back, at any
+  later round, sends the row to the ellipsoid: its localizer starts at
+  the start ellipsoid, reads the ring as pooled cuts, and keeps the bound
+  and the incumbent the hull run reached.
+  Every other run takes the ellipsoid, bit for bit, for measured reasons.
+  A prototype with one hull per row of a batch raised mahler's seed-1
+  calls per sample from 0.007175 to 0.009635. On the truncated epigraph,
+  whose value separator costs only n + 1 evaluations, hull centres saved
+  2 % of the conjugate workload's calls (seed 1: 14.222 to 13.889), and
+  a pass took 1.5 to 2.3 times as long. R^1 and R^4 and up have no hull.
 - Validity slack: wval_batch at slack eps runs the engine at eps/2, with
   exits at gamma -/+ eps/2, and queries its centres at
   dq = min(eps/16, eps inner/(2 outer), inner/4). LARGE_VALUE_EXISTS
@@ -362,7 +417,10 @@ Policy where a row is not decided cleanly, the same for every caller:
 
 from __future__ import annotations
 
+import copy
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -375,6 +433,15 @@ _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
 _MAX_DEPTH = 0.9  # clip of a cut's normalized depth (module header)
 _POOL_CAP = 256  # separator halfspaces a run pools for free cuts (module header)
 _SCAN_ROWS = 512  # centers per pool scan: a 1 MB violation matrix at _POOL_CAP
+_BLOCK = 1024  # rows per block of a gauge certificate (_gauge_bound)
+# share of outer beyond B(a, outer) past which a hull vertex takes the ball's
+# tangent at no call; a nearer one is asked (module header, hull centres). At
+# 1e-3, 1e-2 and 3e-2 seed-1 dualnorm read 106.1, 102.7 and 111.1 calls per
+# op, and a dualcone pass 7,410, 5,267 and 4,093 hull rounds at 41.25, 41.23
+# and 41.56 calls per op: nearer tangents cut off little, farther vertices
+# buy separators
+_TANGENT_SHARE = 1e-2
+_HULL_TOL = 1e-9  # a point this share of the hull's scale beyond a plane sees it
 
 
 class BracketError(RuntimeError):
@@ -690,6 +757,203 @@ def _raise_incumbent(best: np.ndarray, best_wit: np.ndarray, k: np.ndarray,
     best[k[up]], best_wit[k[up]] = wv[up], W[up]
 
 
+class _Hull:
+    """The hull of a growing point set together with the origin, in R^2 or
+    R^3, by beneath-beyond insertion (Clarkson and Shor 1989). The dual
+    ball's net keeps two (normdual.DualBallOracle), and a hull run of the
+    engine keeps the polar of its cut polytope in one (module header, hull
+    centres).
+
+    The origin and the first points that span the space make a simplex.
+    Each later point removes the facets it sees and cones their horizon:
+    the ridges of the seen facets that only one of them has. So a point
+    costs one product with the facets' planes, and the hull grows with its
+    points. A point sees a facet when it lies more than _HULL_TOL of the
+    scale beyond its plane, so a point on or near a face triangulates that
+    face instead of adding slivers, and a repeated point is skipped. Facets
+    are sorted rows of vertex indices, point i being row i + 1 (row 0 is
+    the origin), with unit normals pointing away from the first simplex's
+    centroid, which every later hull contains, and offsets.
+    """
+
+    def __init__(self, n: int):
+        self.points = np.zeros((1, n))
+        self.facets = np.zeros((0, n), dtype=int)
+        self.normals = np.zeros((0, n))
+        self.offsets = np.zeros(0)
+        self.inside = None  # the first simplex's centroid, once there is one
+        self.tol = 0.0
+
+    def _planes(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit outward normals and offsets of the facets F."""
+        V = self.points[F]
+        a, b = V[:, 1] - V[:, 0], V[:, -1] - V[:, 0]
+        if V.shape[2] == 3:
+            N = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+        else:
+            N = a[:, ::-1] * [1.0, -1.0]
+        N /= np.sqrt((N * N).sum(axis=1))[:, None]
+        N *= np.sign(((V[:, 0] - self.inside) * N).sum(axis=1))[:, None]  # outward
+        return N, (N * V[:, 0]).sum(axis=1)
+
+    def _simplex(self) -> list | None:
+        """The origin and, n times, the point farthest from the span of
+        those picked; None while every point lies within tol of a span of
+        fewer than n of them."""
+        pick = [0]
+        for _ in range(self.points.shape[1]):
+            R = self.points
+            if len(pick) > 1:
+                Q = np.linalg.qr(self.points[pick[1:]].T)[0]
+                R = R - (R @ Q) @ Q.T
+            dist = np.linalg.norm(R, axis=1)
+            if dist.max() <= self.tol:
+                return None
+            pick.append(int(np.argmax(dist)))
+        return pick
+
+    def add(self, P: np.ndarray) -> None:
+        """Insert the rows of P, in order."""
+        first = len(self.points)
+        self.points = np.vstack([self.points, P])
+        self.tol = _HULL_TOL * np.linalg.norm(self.points, axis=1).max()
+        todo = range(first, len(self.points))
+        if self.inside is None:
+            simplex = self._simplex()
+            if simplex is None:
+                return
+            self.inside = self.points[simplex].mean(axis=0)
+            self.facets = np.sort(list(itertools.combinations(simplex, len(simplex) - 1)))
+            self.normals, self.offsets = self._planes(self.facets)
+            todo = [i for i in range(1, len(self.points)) if i not in simplex]
+        m = len(self.points)
+        for i in todo:
+            seen = self.normals @ self.points[i] - self.offsets > self.tol
+            if not np.any(seen):
+                continue
+            F = self.facets[seen]
+            if F.shape[1] == 3:  # a ridge is an edge (a, b), a < b, coded a m + b
+                code = np.concatenate([F[:, 0] * m + F[:, 1], F[:, 0] * m + F[:, 2],
+                                       F[:, 1] * m + F[:, 2]])
+            else:  # a ridge is a vertex
+                code = F.ravel()
+            code, count = np.unique(code, return_counts=True)
+            horizon = code[count == 1]
+            ridges = (np.column_stack([horizon // m, horizon % m]) if F.shape[1] == 3
+                      else horizon[:, None])
+            new = np.sort(np.column_stack([ridges, np.full(len(ridges), i)]), axis=1)
+            N, d = self._planes(new)
+            self.facets = np.vstack([self.facets[~seen], new])
+            self.normals = np.vstack([self.normals[~seen], N])
+            self.offsets = np.concatenate([self.offsets[~seen], d])
+
+    def planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The facets whose plane keeps the origin strictly on its inner
+        side, as rows of point indices, and per facet its plane H, with
+        H . P_i = 1 for i in the facet and H . P_j <= 1 up to tol for every
+        point j."""
+        keep = self.offsets > self.tol
+        return self.facets[keep] - 1, self.normals[keep] / self.offsets[keep, None]
+
+
+def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
+                 pts: np.ndarray, nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row c, nrm holding |c|, an upper bound on its gauge from the
+    generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
+    constant L, gauge(e) <= L |e| for every e; and, where hull has facets,
+    per row the plane H of the facet that gave it (else None).
+
+    c is written c = sum lam_i G_i + e over the row's n generators, lam
+    solving the n x n system and clipped to lam >= 0, and e the residual. A
+    gauge is sublinear, so gauge(c) <= sum lam_i g_i + L |e|; where that is
+    at most 1, c lies in the body and IN_THICKENED is legal at every slack.
+    The residual makes the bound hold for any lam and any n-subset, so
+    neither the pick nor the solve needs to be right, only the bound
+    computed with care: each computed term errs by a few n machine epsilons
+    of |c| + sum lam_i |G_i|, relative to the constants that multiply it, so
+    |e| is padded by rho times that and the whole bound raised by the
+    factor 1 + rho.
+
+    The engine's hull runs read the value of their cut polytope from it,
+    with G its polar points, g = 1 and L = sqrt(n) in the units of its box
+    (module header, hull centres).
+
+    hull is the hull of the scaled generators G_i / g_i (_Hull) in R^2 and
+    R^3, and None elsewhere (the dual ball's 2 n^2 net, and R^1). With a
+    hull, a row's n generators are the facet its ray meets first, the facet
+    of largest H . c (_Hull.planes), where its lam is nonnegative; the
+    planes and the inverses of the facet matrices G_F^T are read from the
+    hull on every call, one inverse per facet, or per row where there are
+    fewer rows than facets (each inverse is the same either way). A hull
+    with no facet gives no row a bound (inf). Without one, a
+    row's n generators are those of largest c . G_i, and rows whose n are
+    linearly dependent, or nearly so relative to the generators' size (the
+    2 n^2 net has such n-tuples), get no bound.
+    """
+    n = pts.shape[1]
+    rho = 16 * n * np.finfo(float).eps
+    length = np.linalg.norm(G, axis=1)
+    tiny = 1e-9 * length.max() ** n
+    bound = np.full(len(pts), np.inf)
+    H = None
+    if hull is not None:
+        facets, planes = hull.planes()
+        if not len(facets):
+            return bound, None
+        # one inverse per facet, or per row where there are fewer rows
+        inverse = (np.linalg.inv(G[facets].transpose(0, 2, 1))
+                   if len(pts) >= len(facets) else None)
+        H = np.zeros((len(pts), n))
+    for lo in range(0, len(pts), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        C = pts[rows]
+        if hull is None:
+            pick = np.argpartition(C @ G.T, -n, axis=1)[:, -n:]
+            A = G[pick]  # rows G_i of each row's system
+            ok = np.abs(np.linalg.det(A)) > tiny
+            lam = np.zeros((len(C), n))
+            lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
+        else:
+            met = np.argmax(C @ planes.T, axis=1)  # the plane the ray meets first
+            H[rows] = planes[met]
+            pick = facets[met]
+            A = G[pick]
+            ok = True
+            lam = np.einsum("bij,bj->bi", np.linalg.inv(A.transpose(0, 2, 1))
+                            if inverse is None else inverse[met], C)
+        lam = np.maximum(lam, 0.0)
+        res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
+        scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
+        value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
+        bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
+    return bound, H
+
+
+def _add_polar(hull: _Hull, rows: np.ndarray, body: CenteredBody) -> None:
+    """Add to hull, the polar of a cut polytope in the units
+    y' = (y - a)/outer, the points outer u / (beta - u . a) of the
+    halfspaces u . y <= beta held as rows (u, beta). A halfspace that does
+    not keep a strictly inside has no such point and is left out, which
+    only keeps the polytope larger (module header, hull centres)."""
+    room = (rows[:, -1] - rows[:, :-1] @ body.center) / body.outer_radius
+    keep = room > 0.0
+    if keep.any():
+        hull.add(rows[keep, :-1] / room[keep, None])
+
+
+@functools.cache
+def _start_hull(n: int) -> _Hull:
+    """The polar hull of a run's start polytope, in the units of _add_polar:
+    the tangent halfspaces of the unit ball at the 2n axis directions +-e_i,
+    which make the box, and at the 2^n diagonal ones (+-1, ..., +-1)/sqrt(n).
+    Every hull run starts from a shallow copy, which add never changes in
+    place."""
+    S = np.array(list(itertools.product((1.0, -1.0), repeat=n))) / math.sqrt(n)
+    hull = _Hull(n)
+    hull.add(np.vstack([np.eye(n), -np.eye(n), S]))
+    return hull
+
+
 class CutPool:
     """Separator halfspaces u . y <= beta, held as rows (u, beta), the newest
     last, at most _POOL_CAP of them (module header, pooled cuts). A caller's
@@ -745,7 +1009,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     incumbent, at no call, pools nothing, and leaves at the next check
     (module header, witness-first separators).
     Every cut's direction and depth is set once per round, after the
-    separator and before the ring takes the round's halfspaces. The caller
+    separator and before the ring takes the round's halfspaces.
+    A run of one row in R^2 or R^3 whose oracle has no separator of its own
+    takes hull centres instead (module header): each centre is the vertex
+    of max c . x over the run's cut polytope, whose value is the row's
+    certified bound, read from one _Hull of its polar, and a far vertex, or
+    one answered OUT, adds its halfspace to the polytope where the
+    ellipsoid would cut. A vertex more than _TANGENT_SHARE of the outer
+    radius beyond the outer ball takes its tangent; a nearer one is asked.
+    A vertex that comes back sends the row to the ellipsoid, from its
+    start. Every other run is bit for bit as before. The caller
     picks dq (module header, membership slack). pool, a CutPool of
     halfspaces that hold the body, seeds the run's ring, and on return
     takes the run's own halfspaces, the newest of the ring, moved out to
@@ -762,7 +1035,8 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     """
     _bounded(body)
     C = as_stack(C, body.n)
-    if np.any(np.linalg.norm(C, axis=1) == 0.0):
+    nc = np.linalg.norm(C, axis=1)
+    if np.any(nc == 0.0):
         raise ValueError("objective must be nonzero")
     positive_finite(eps, "engine slack")
     positive_finite(dq, "centre slack")
@@ -789,11 +1063,33 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     if pool is not None:
         ring.rows = pool.rows
     own = 0
+    # one objective in R^2 or R^3, over an oracle with no separator of its
+    # own, takes hull centres: the polar hull of the start polytope and of
+    # the ring grows with each round's cut (module header, hull centres)
+    hull = None
+    if m == 1 and n in (2, 3) and oracle.separator is None:
+        hull = copy.copy(_start_hull(n))
+        _add_polar(hull, ring.rows, body)
+        ub_run = best + nc * body.outer_radius  # the bound of B(a, outer)
+        vertices = np.empty((0, n))  # the vertices asked or cut so far
 
     for it in range(_MAX_CUTS):
+        if hull is not None:
+            # the vertex of max c . y and its certified value; a vertex that
+            # comes back sends the row to the ellipsoid, from its start
+            bound, H = _gauge_bound(hull.points[1:], np.ones(len(hull.points) - 1),
+                                    math.sqrt(n), hull, C, nc)
+            if (vertices == H).all(axis=1).any():
+                hull = None
+                Z = np.tile(start, (len(C), 1))
+            else:
+                vertices = np.vstack([vertices, H])
+                Z = body.center + body.outer_radius * H
+                ub_run = np.minimum(ub_run, C @ body.center + body.outer_radius * bound)
         vals = np.einsum("bi,bi->b", C, Z)
-        quad = np.einsum("bi,bij,bj->b", C, P, C)
-        ub_run = np.minimum(ub_run, vals + np.sqrt(np.maximum(quad, 0.0)))
+        if hull is None:
+            quad = np.einsum("bi,bij,bj->b", C, P, C)
+            ub_run = np.minimum(ub_run, vals + np.sqrt(np.maximum(quad, 0.0)))
         gap = np.maximum(ub_run - best, 0.0)
         done = (gap <= eps / 2.0) | (best >= stop_above) | (ub_run <= stop_ub_below)
         if done.any():
@@ -815,11 +1111,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         # a pooled halfspace that the center violates is a free cut, and so
         # is the sandwich: a center outside B(a, outer) is out, one inside
         # B(a, inner) is in (module header, sandwich centers)
-        j, v = _most_violated(Z, ring.rows)
+        # (the hull holds every halfspace of the ring already)
+        j, v = _most_violated(Z, ring.rows if hull is None else ring.rows[:0])
         free = v > 0.0
         D = Z - body.center
         r = np.linalg.norm(D, axis=1)
-        far = ~free & (r > body.outer_radius)
+        far = ~free & (r > body.outer_radius * (1.0 if hull is None
+                                                else 1.0 + _TANGENT_SHARE))
         inside = ~free & (r < body.inner_radius)
         # a center with c . z <= best can raise nothing: its objective cut
         # is free (module header, objective cuts below the incumbent)
@@ -855,7 +1153,15 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
             ring.add(np.column_stack([U, np.einsum("bi,bi->b", U, Z[cut])
                                       - np.maximum(dep, 0.0)]))
             own = min(own + cut.size, _POOL_CAP)
-        Z, P = _cut(Z, P, G, A)
+        if hull is None:
+            Z, P = _cut(Z, P, G, A)
+        else:
+            # a far vertex's tangent and a separator's halfspace join the
+            # polytope; a vertex answered IN, or left unasked, closed its gap
+            k = far.copy()
+            k[cut] = True
+            _add_polar(hull, np.column_stack([G[k], np.einsum("bi,bi->b", G[k], Z[k])
+                                              - np.maximum(A[k], 0.0)]), body)
 
     raise IterationCapError(
         f"no certified gap <= {eps / 2:.3g} within {_MAX_CUTS} cuts "
@@ -900,7 +1206,10 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     max_dq caps dq; a smaller centre slack only narrows the interval.
     pool, a CutPool over the body, seeds the run's ring and takes its
     separator halfspaces, moved out to hold the body (module header, pooled
-    cuts).
+    cuts). A C of one row in R^2 or R^3, over an oracle with no separator
+    of its own, runs on hull centres, the vertices of its cut polytope, and
+    its interval reads the polytope's certified bound (module header, hull
+    centres); its proof is the same.
     """
     err = positive_finite(err, "err")
     # axis -1, so that a C of the wrong rank reaches the engine's check
@@ -941,7 +1250,10 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
     (module header, validity slack). C and eps are checked by the engine
     (_cut_loop); an empty C costs no call. pool, a CutPool over the body,
     seeds the run's ring and takes its separator halfspaces, moved out to
-    hold the body (module header, pooled cuts).
+    hold the body (module header, pooled cuts). A C of one row in R^2 or
+    R^3, over an oracle with no separator of its own, a single dual-ball or
+    dual-cone query among them, runs on hull centres, and its exits read
+    the cut polytope's certified bound (module header, hull centres).
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")

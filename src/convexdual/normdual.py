@@ -39,8 +39,9 @@ from .core import (
     positive_finite,
     safe_norm,
 )
-from .cutting import (CutPool, support_batch, validity_centre_slack, wopt_from_wmem,
-                      wval_batch)
+from . import cutting
+from .cutting import (_BLOCK, CutPool, _gauge_bound, _Hull, support_batch,
+                      validity_centre_slack, wval_batch)
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
 from .oracles import FunctionApproxOracle, WeakMembershipOracle
@@ -91,14 +92,12 @@ def rescale_norm(oracle: WeakMembershipOracle, desc: NormDescriptor,
                                 label=f"{oracle.calls.label}*{r:.3g}"), desc_r
 
 
-_BLOCK = 1024  # rows per block of every rows x directions product
 # width of a net support interval over 1/k_hi, a lower bound on h_B. Over
 # 1e-2, 3e-3, 1e-3, 3e-4 and 1e-4 the grown net's seed-1 mahler calls per
 # sample fall, 0.167 to 0.0096, but at 1e-4 the smooth l3/R^3 ball costs
 # more (786,373 calls at 50,000 samples) than 64 fixed directions did
 # (775,871); 3e-4 is the tightest width that stays below
 _NET_REL_ERR = 3e-4
-_HULL_TOL = 1e-9  # a point this share of the hull's scale beyond a plane sees it
 _SAME_DIRECTION = 1.0 - 1e-12  # cosine above which a new direction repeats one
 
 
@@ -114,166 +113,6 @@ def _net_directions(n: int) -> np.ndarray:
              for i, j in itertools.combinations(range(n), 2)
              for si in (1.0, -1.0) for sj in (1.0, -1.0)]
     return np.vstack([eye, -eye, *pairs])
-
-
-class _Hull:
-    """The hull of a growing point set together with the origin, in R^2 or
-    R^3, by beneath-beyond insertion (Clarkson and Shor 1989).
-
-    The origin and the first points that span the space make a simplex.
-    Each later point removes the facets it sees and cones their horizon:
-    the ridges of the seen facets that only one of them has. So a point
-    costs one product with the facets' planes, and the hull grows with its
-    points. A point sees a facet when it lies more than _HULL_TOL of the
-    scale beyond its plane, so a point on or near a face triangulates that
-    face instead of adding slivers, and a repeated point is skipped. Facets
-    are sorted rows of vertex indices, point i being row i + 1 (row 0 is
-    the origin), with unit normals pointing away from the first simplex's
-    centroid, which every later hull contains, and offsets.
-    """
-
-    def __init__(self, n: int):
-        self.points = np.zeros((1, n))
-        self.facets = np.zeros((0, n), dtype=int)
-        self.normals = np.zeros((0, n))
-        self.offsets = np.zeros(0)
-        self.inside = None  # the first simplex's centroid, once there is one
-        self.tol = 0.0
-
-    def _planes(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unit outward normals and offsets of the facets F."""
-        V = self.points[F]
-        a, b = V[:, 1] - V[:, 0], V[:, -1] - V[:, 0]
-        if V.shape[2] == 3:
-            N = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
-        else:
-            N = a[:, ::-1] * [1.0, -1.0]
-        N /= np.sqrt((N * N).sum(axis=1))[:, None]
-        N *= np.sign(((V[:, 0] - self.inside) * N).sum(axis=1))[:, None]  # outward
-        return N, (N * V[:, 0]).sum(axis=1)
-
-    def _simplex(self) -> list | None:
-        """The origin and, n times, the point farthest from the span of
-        those picked; None while every point lies within tol of a span of
-        fewer than n of them."""
-        pick = [0]
-        for _ in range(self.points.shape[1]):
-            R = self.points
-            if len(pick) > 1:
-                Q = np.linalg.qr(self.points[pick[1:]].T)[0]
-                R = R - (R @ Q) @ Q.T
-            dist = np.linalg.norm(R, axis=1)
-            if dist.max() <= self.tol:
-                return None
-            pick.append(int(np.argmax(dist)))
-        return pick
-
-    def add(self, P: np.ndarray) -> None:
-        """Insert the rows of P, in order."""
-        first = len(self.points)
-        self.points = np.vstack([self.points, P])
-        self.tol = _HULL_TOL * np.linalg.norm(self.points, axis=1).max()
-        todo = range(first, len(self.points))
-        if self.inside is None:
-            simplex = self._simplex()
-            if simplex is None:
-                return
-            self.inside = self.points[simplex].mean(axis=0)
-            self.facets = np.sort(list(itertools.combinations(simplex, len(simplex) - 1)))
-            self.normals, self.offsets = self._planes(self.facets)
-            todo = [i for i in range(1, len(self.points)) if i not in simplex]
-        m = len(self.points)
-        for i in todo:
-            seen = self.normals @ self.points[i] - self.offsets > self.tol
-            if not np.any(seen):
-                continue
-            F = self.facets[seen]
-            if F.shape[1] == 3:  # a ridge is an edge (a, b), a < b, coded a m + b
-                code = np.concatenate([F[:, 0] * m + F[:, 1], F[:, 0] * m + F[:, 2],
-                                       F[:, 1] * m + F[:, 2]])
-            else:  # a ridge is a vertex
-                code = F.ravel()
-            code, count = np.unique(code, return_counts=True)
-            horizon = code[count == 1]
-            ridges = (np.column_stack([horizon // m, horizon % m]) if F.shape[1] == 3
-                      else horizon[:, None])
-            new = np.sort(np.column_stack([ridges, np.full(len(ridges), i)]), axis=1)
-            N, d = self._planes(new)
-            self.facets = np.vstack([self.facets[~seen], new])
-            self.normals = np.vstack([self.normals[~seen], N])
-            self.offsets = np.concatenate([self.offsets[~seen], d])
-
-    def planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The facets whose plane keeps the origin strictly on its inner
-        side, as rows of point indices, and per facet its plane H, with
-        H . P_i = 1 for i in the facet and H . P_j <= 1 up to tol for every
-        point j."""
-        keep = self.offsets > self.tol
-        return self.facets[keep] - 1, self.normals[keep] / self.offsets[keep, None]
-
-
-def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
-                 pts: np.ndarray, nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per row c, nrm holding |c|, an upper bound on its gauge from the
-    generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
-    constant L, gauge(e) <= L |e| for every e; and, where hull has facets,
-    per row the plane H of the facet that gave it (else None).
-
-    c is written c = sum lam_i G_i + e over the row's n generators, lam
-    solving the n x n system and clipped to lam >= 0, and e the residual. A
-    gauge is sublinear, so gauge(c) <= sum lam_i g_i + L |e|; where that is
-    at most 1, c lies in the body and IN_THICKENED is legal at every slack.
-    The residual makes the bound hold for any lam and any n-subset, so
-    neither the pick nor the solve needs to be right, only the bound
-    computed with care: each computed term errs by a few n machine epsilons
-    of |c| + sum lam_i |G_i|, relative to the constants that multiply it, so
-    |e| is padded by rho times that and the whole bound raised by the
-    factor 1 + rho.
-
-    hull is the hull of the scaled generators G_i / g_i (_Hull) in R^2 and
-    R^3, and None elsewhere (the 2 n^2 net, and R^1). With a hull, a row's n
-    generators are the facet its ray meets first, the facet of largest
-    H . c (_Hull.planes), where its lam is nonnegative; the planes and the
-    inverses of the facet matrices G_F^T are read from the hull on every
-    call. A hull with no facet gives no row a bound (inf). Without one, a
-    row's n generators are those of largest c . G_i, and rows whose n are
-    linearly dependent, or nearly so relative to the generators' size (the
-    2 n^2 net has such n-tuples), get no bound.
-    """
-    n = pts.shape[1]
-    rho = 16 * n * np.finfo(float).eps
-    length = np.linalg.norm(G, axis=1)
-    tiny = 1e-9 * length.max() ** n
-    bound = np.full(len(pts), np.inf)
-    H = None
-    if hull is not None:
-        facets, planes = hull.planes()
-        if not len(facets):
-            return bound, None
-        inverse = np.linalg.inv(G[facets].transpose(0, 2, 1))
-        H = np.zeros((len(pts), n))
-    for lo in range(0, len(pts), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        C = pts[rows]
-        if hull is None:
-            pick = np.argpartition(C @ G.T, -n, axis=1)[:, -n:]
-            A = G[pick]  # rows G_i of each row's system
-            ok = np.abs(np.linalg.det(A)) > tiny
-            lam = np.zeros((len(C), n))
-            lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
-        else:
-            met = np.argmax(C @ planes.T, axis=1)  # the plane the ray meets first
-            H[rows] = planes[met]
-            pick = facets[met]
-            A = G[pick]
-            ok = True
-            lam = np.einsum("bij,bj->bi", inverse[met], C)
-        lam = np.maximum(lam, 0.0)
-        res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
-        scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
-        value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
-        bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
-    return bound, H
 
 
 class DualBallOracle(WeakMembershipOracle):
@@ -678,7 +517,8 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
 
     nu*(y) = |y| h_B(u) at u = y/|y|. One wopt_from_wmem run over the
     primal ball at err = 2 delta / 3 certifies an interval for h_B(u), and its
-    midpoint, scaled by |y|, is within delta |y| / 3 of nu*(y). The
+    midpoint, scaled by |y|, is within delta |y| / 3 of nu*(y). In R^2 and
+    R^3 that run takes hull centres (cutting module header). The
     sandwich alone puts h_B(u) in [1/k_hi, 1/k_lo]; where that is no wider
     than 2 delta / 3 (k_lo == k_hi up to rounding, as for l2), it answers
     at no call, and so does nu*(0) = 0.
@@ -690,6 +530,6 @@ def dual_norm_eval(primal: WeakMembershipOracle, desc: NormDescriptor, y,
     if factor == 0.0 or 1.0 / desc.k_lo - 1.0 / desc.k_hi <= err:
         interval = Interval(factor / desc.k_hi, factor / desc.k_lo)
         return DualNormResult(interval.mid, factor, interval, 0)
-    res = wopt_from_wmem(primal, desc.ball(), v / factor, err)
+    res = cutting.wopt_from_wmem(primal, desc.ball(), v / factor, err)
     interval = Interval(factor * res.interval.lo, factor * res.interval.hi)
     return DualNormResult(interval.mid, factor, interval, res.iterations)

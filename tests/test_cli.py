@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ def test_exit_2_on_a_dimension_that_is_not_an_integer(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert f"{key!r} must be an integer" in err
+
+
+@pytest.mark.parametrize("bad", [True, False, "2", "1.5", "infinity", None, [2], "NaN"],
+                         ids=["true", "false", "str-2", "str-1.5", "infinity", "null", "list",
+                              "str-nan"])
+def test_exit_2_on_an_exponent_that_is_not_a_number(capsys, tmp_path, bad):
+    """p is a JSON number, "inf" or "Infinity": true is not the l1 norm, and
+    a numeric string is not read as its number."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "lp_norm", "p": bad, "n": 2}))
+    code, out, err = _run(capsys, ["dual-norm", "--spec", str(path), "--point", "1,0"])
+    assert code == 2
+    assert out == ""
+    assert "'p' must be a number" in err
+
+
+@pytest.mark.parametrize("p,want", [(1, 1.0), (1.5, 1.5), ("inf", math.inf),
+                                    ("Infinity", math.inf)],
+                         ids=["1", "1.5", "inf", "Infinity"])
+def test_exponent_takes_numbers_and_infinity(p, want):
+    assert cli.norm_from_spec({"kind": "lp_norm", "p": p, "n": 2}).p == want
 
 
 @pytest.mark.parametrize("error", [BracketError, FlatGaugeError, IterationCapError,

@@ -177,10 +177,13 @@ SETTLED_CASES = [(1.0, [0.9, 0.3], 4), (1.0, [0.9, 0.3], 12), (3.0, [0.95, 0.6, 
 
 @pytest.mark.parametrize("p,e,first", SETTLED_CASES, ids=["l1-r2-k4", "l1-r2-k12", "l3-r3-k8"])
 def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, first):
-    """A one-row wval_batch whose first separator's witness clears
-    gamma - eps/2 costs its centre queries plus k anchor rounds, and no
-    probe call. The body states an ellipsoid centred at e, so e is the
-    first centre, asked and answered OUT: its one centre query. Under the
+    """A wval_batch row whose first separator's witness clears
+    gamma - eps/2 costs its centre query plus k anchor rounds, and no
+    probe call. The run has two equal rows, so it takes the ellipsoid (a
+    run of one row in R^2 or R^3 takes hull centres, which the stated
+    ellipsoid does not place). The body states an ellipsoid centred at e,
+    so e is each row's first centre, asked and answered OUT: one centre
+    query per row, and the two anchors share each round. Under the
     exact oracle the anchor bisection of e's gauge g from the centering
     bracket [d/outer, d/inner], w wide, has the IN end
     hi_r = d/outer + w ceil(2^r (g - d/outer)/w) / 2^r after r rounds. k is
@@ -222,13 +225,13 @@ def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, fir
         return out
 
     monkeypatch.setattr(cutting, "approx_separator", recording_separator)
-    assert not wval_batch(oracle, body, c[None], gamma, eps)[0]
+    assert not wval_batch(oracle, body, np.vstack([c, c]), gamma, eps).any()
     ((X, (U, depth, W), cost),) = separated
-    np.testing.assert_array_equal(X, [e])
-    assert cost == k and oracle.calls.count == 1 + k
+    np.testing.assert_array_equal(X, [e, e])
+    assert cost == 2 * k and oracle.calls.count == 2 * (1 + k)
     assert np.isnan(U).all() and np.isnan(depth).all()
-    assert c @ W[0] >= gamma - eps / 2.0
-    assert norm.eval_batch(W)[0] <= 1.0
+    assert np.all(W @ c >= gamma - eps / 2.0)
+    assert np.all(norm.eval_batch(W) <= 1.0)
 
 
 def test_points_at_their_anchors_cost_no_query():
@@ -778,13 +781,15 @@ def test_wopt_weighted_ball_frozen_supports():
 
 def test_wopt_threshold_exits():
     """The engine's validity exits: the incumbent reaching stop_above, and
-    the certified bound falling to stop_ub_below."""
+    the certified bound falling to stop_ub_below. The first run is a hull
+    run, whose first witness already lies near h = 1, so at the slack 0.01
+    its gap exit would fire with the threshold; at 1e-6 it cannot."""
     _, oracle, body = _ball_oracle(2.0, 2)
     C = np.array([[1.0, 0.0]])
-    value, _, gap, _ = cutting._cut_loop(oracle, body, C, 0.01, 0.01 / 8.0,
+    value, _, gap, _ = cutting._cut_loop(oracle, body, C, 1e-6, 1e-6 / 8.0,
                                          stop_above=0.2)
     assert value[0] >= 0.2
-    assert gap[0] > 0.005  # not the gap exit
+    assert gap[0] > 5e-7  # not the gap exit
     _, _, gap, iterations = cutting._cut_loop(oracle, body, C, 0.01, 0.01 / 8.0,
                                               stop_ub_below=2.0)
     assert gap[0] > 0.005

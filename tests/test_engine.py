@@ -220,6 +220,68 @@ def test_iteration_cap_raises_on_scalar_and_batched_paths(monkeypatch):
     assert err.value.witness is not None
 
 
+HULL_BODIES = [(p, n) for p in (1.0, 3.0, math.inf) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
+@pytest.mark.parametrize("err", [1e-2, 1e-3], ids=["err1e-2", "err1e-3"])
+@pytest.mark.parametrize("p,n", HULL_BODIES,
+                         ids=[f"l{p:g}-r{n}" for p, n in HULL_BODIES])
+def test_hull_and_ellipsoid_runs_hold_the_support(monkeypatch, p, n, err, side):
+    """The same row on both sides of the engine's selection: alone, a run of
+    one objective in R^2 or R^3 takes hull centres, and in a batch of two
+    equal rows it takes the ellipsoid. Every interval contains h_B(c), the
+    dual norm of c, and is no wider than err, over the exact oracle and
+    over band adversaries."""
+    norm = ReferenceNorm.lp(p, n)
+    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    cuts, cut = [], cutting._cut
+
+    def counting_cut(Z, P, G, A):
+        cuts.append(len(Z))
+        return cut(Z, P, G, A)
+
+    monkeypatch.setattr(cutting, "_cut", counting_cut)
+    C = rng_stream(61, n).normal(size=(4, n))
+    h = norm.dual().eval_batch(C)
+    for c, hc in zip(C, h):
+        for rows in (c[None], np.vstack([c, c])):
+            del cuts[:]
+            lo, hi, _, _, _ = support_batch(oracle, norm.ball(), rows, err)
+            assert np.all((lo <= hc) & (hc <= hi)), (rows, lo, hi, hc)
+            assert np.all(hi - lo <= err * (1.0 + 1e-9))
+            assert (len(cuts) > 0) == (len(rows) == 2)  # the ellipsoid runs the batch
+
+
+def test_a_vertex_that_returns_sends_the_run_to_the_ellipsoid(monkeypatch):
+    """A separator that only claims the central cut through the vertex, with
+    the body center as its witness, leaves the vertex where it was: the
+    hull run then goes over to the ellipsoid, from its start, and its
+    interval still holds h_B(c)."""
+    norm = ReferenceNorm.lp(3.0, 2)
+    body = norm.ball()
+    separator, cut = cutting.approx_separator, cutting._cut
+    cuts = []
+
+    def central_separator(oracle, body, X, delta, *rest):
+        U, depth, _ = separator(oracle, body, X, delta)
+        return U, np.minimum(depth, 0.0), np.tile(body.center, (len(X), 1))
+
+    def recording_cut(Z, P, G, A):
+        cuts.append(Z[0])
+        return cut(Z, P, G, A)
+
+    monkeypatch.setattr(cutting, "approx_separator", central_separator)
+    monkeypatch.setattr(cutting, "_cut", recording_cut)
+    c = np.array([1.0, 0.4])
+    lo, hi, _, _, _ = support_batch(norm.oracle(), body, c[None], 1e-2)
+    h = norm.dual().eval_batch(c[None])[0]
+    # the ball states no ellipsoid, so the localizer starts at B(a, outer)
+    np.testing.assert_array_equal(cuts[0], body.center)
+    assert lo[0] <= h <= hi[0]
+    assert hi[0] - lo[0] <= 1e-2 * (1.0 + 1e-9)
+
+
 def _band_edge_rows(norm, count, delta):
     """The rows, of count random directions scaled to dual-norm values on
     the edges of the 2*delta band, where the slack accounting has no room

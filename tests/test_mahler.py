@@ -9,8 +9,9 @@ import pytest
 from adversaries import band_adversary
 from convexdual import cutting, mahler, normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
+from convexdual.cutting import _Hull
 from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
-from convexdual.normdual import DualBallOracle, _Hull, _net_directions, rescale_norm
+from convexdual.normdual import DualBallOracle, _net_directions, rescale_norm
 from convexdual.oracles import ReferenceNorm, WeakMembershipOracle
 
 
