@@ -113,15 +113,17 @@ class DualConeOracle(WeakMembershipOracle):
     1 / eps_a); the rest are scaled onto |c0| = 3/4, at slack
     delta * min(1, 3/(4|c|)), and lifted to the dual slice {a . c = 1} as
     S = c0 / (a . c0), at that slack over a . c0; rows on the ray of b,
-    interior to the dual cone, are IN. The rows left go to one lockstep
-    validity run of -S against gamma = 1 (a . S = 1 by construction) over
+    interior to the dual cone, are IN. The rows left go to one validity
+    run of -S against gamma = 1 (a . S = 1 by construction) over
     the primal slice body K_b = P_b - a, in the frame of {b . z = 1}: an
     upper bound certifies membership through the shift
     (c + tau*b) / (1 + tau), a large value refutes it through
     (c - 2*tau*b) / (1 - 2*tau). The run takes the row minimum of the
     per-row validity slacks: a verdict at a smaller slack is legal at a
-    larger one. A single query whose slice is 2- or 3-dimensional makes a
-    run of one row, which takes hull centres (cutting module header).
+    larger one. Where the slice is 2- or 3-dimensional the run takes hull
+    centres (cutting module header): a single query makes a run of one
+    row, and the rows of a batch run in turn on one cut polytope; on
+    larger slices the rows run in lockstep on the ellipsoid.
 
     The slice oracle _kb_oracle answers in frame coordinates of
     {b . z = 1}; its verdict function _slice_verdicts is the section

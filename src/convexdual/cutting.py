@@ -12,7 +12,8 @@ There is one engine: _cut_loop runs m objectives in lockstep on (m, n)
 centers and (m, n, n) shape matrices, and a scalar call is a batch of one.
 A run of one objective in R^2 or R^3 whose oracle has no separator of its
 own takes the vertices of its cut polytope as centres instead of the
-ellipsoid's (hull centres, below); every rule around the centre is the same.
+ellipsoid's, and a validity batch there runs its rows in turn on one such
+polytope (hull centres, below); every rule around the centre is the same.
 _cut_loop checks every run's input once, before any oracle call: a bounded
 body, the slack and the centre slack, a finite (m, n) stack of nonzero
 objectives (core.as_stack); an empty stack returns empty results at no call.
@@ -307,8 +308,9 @@ Policy where a row is not decided cleanly, the same for every caller:
   B(a, hypot(R, 1.25 cap)) spends most of its volume far from the
   cylinder, so the early cuts of a run from the ball trim empty space.
 - Hull centres: a run of one objective c over a body in R^2 or R^3 whose
-  oracle has no separator of its own, every dual-norm run and every single
-  dual-ball or dual-cone query, takes as each centre the vertex z of max c . y over its
+  oracle has no separator of its own, every dual-norm run, every single
+  dual-ball or dual-cone query and every row of a validity batch over such
+  a body, takes as each centre the vertex z of max c . y over its
   cut polytope Q (Kelley, "The cutting-plane method for solving convex
   programs", J. SIAM 8, 1960). Q starts as the tangent halfspaces of
   B(a, outer) at the axis directions +-e_i, which make its box, and at the
@@ -335,7 +337,9 @@ Policy where a row is not decided cleanly, the same for every caller:
   At z the rules of the ellipsoid's centres apply. A vertex inside
   B(a, inner), answered IN, or with c . z <= best has closed its gap,
   since its value is the bound. The hull holds every halfspace of the
-  ring already, so no pooled cut is scanned. A vertex more than
+  ring already, or, for one that an earlier row of a validity batch
+  (below) moved out to the pool, the halfspace it was moved from, so no
+  pooled cut is scanned. A vertex more than
   _TANGENT_SHARE outer beyond B(a, outer) is cut at no call by the ball's
   tangent along z - a (sandwich centers), which joins Q; a nearer one is
   asked, because a tangent there cuts off little, and one answered OUT
@@ -352,12 +356,32 @@ Policy where a row is not decided cleanly, the same for every caller:
   later round, sends the row to the ellipsoid: its localizer starts at
   the start ellipsoid, reads the ring as pooled cuts, and keeps the bound
   and the incumbent the hull run reached.
+  Validity batches share one hull. wval_batch over such a body and oracle
+  runs its rows one after another, each a hull run of one row, and all of
+  them on one polar hull: it starts as the start polytope and the
+  caller's pool, built once per run, and each row continues from the hull
+  that the row before it left. Every halfspace in it holds the run's
+  K_dq: the tangents hold B(a, outer), the pool's halfspaces hold K, and
+  each separator halfspace holds K_dq up to sigma, as the ring's do. dq,
+  and with it K_dq, is the run's, and no halfspace reads the objective of
+  the row that made it (pooled cuts), so the bound each row reads from the
+  hull is certified as on a hull of its own. Each row still hands its own
+  halfspaces, moved out, to the caller's pool on return, and a vertex
+  that comes back sends only its own row to the ellipsoid; the hull stays
+  for the rows after it. Run in turn, the rows no longer share query
+  batches, so such a run makes more and smaller batches for fewer calls.
   Every other run takes the ellipsoid, bit for bit, for measured reasons.
-  A prototype with one hull per row of a batch raised mahler's seed-1
-  calls per sample from 0.007175 to 0.009635. On the truncated epigraph,
-  whose value separator costs only n + 1 evaluations, hull centres saved
-  2 % of the conjugate workload's calls (seed 1: 14.222 to 13.889), and
-  a pass took 1.5 to 2.3 times as long. R^1 and R^4 and up have no hull.
+  One hull per row of every batch raised mahler's seed-1 calls per sample
+  from 0.007175 to 0.009635. Split by run, per-row hulls on the net's
+  support runs alone read 0.00968, and one shared hull on the validity
+  runs alone 0.00571, so a support batch, and any run of many rows
+  through _cut_loop, keeps the ellipsoid. On the truncated epigraph, whose
+  value separator costs only n + 1 evaluations, hull centres saved 2 % of
+  the conjugate workload's calls (seed 1: 14.222 to 13.889), and a pass
+  took 1.5 to 2.3 times as long. R^1 and R^4 and up have no hull: _Hull
+  inserts in R^2 and R^3 only. A prototype hull in R^5, on the dual
+  cone's slice of psd(3), raised the psd ops' calls from 48.98 to 50.96
+  each and their time from 1.0 to 6.8 s a pass.
 - Validity slack: wval_batch at slack eps runs the engine at eps/2, with
   exits at gamma -/+ eps/2, and queries its centres at
   dq = min(eps/16, eps inner/(2 outer), inner/4). LARGE_VALUE_EXISTS
@@ -499,6 +523,8 @@ def _ray_search(oracle: WeakMembershipOracle, body: CenteredBody, rays: np.ndarr
                 act = np.flatnonzero(hi > stop)
                 if act.size == 0:
                     break
+                if act.size == hi.size:
+                    act = slice(None)
             t = 0.5 * (lo[act] + hi[act])
             inside = oracle.query_batch(rays[act] / t[:, None] + body.center, dq)
             hi[act] = np.where(inside, t, hi[act])
@@ -816,7 +842,7 @@ class _Hull:
         """Insert the rows of P, in order."""
         first = len(self.points)
         self.points = np.vstack([self.points, P])
-        self.tol = _HULL_TOL * np.linalg.norm(self.points, axis=1).max()
+        self.tol = max(self.tol, _HULL_TOL * np.linalg.norm(P, axis=1).max(initial=0.0))
         todo = range(first, len(self.points))
         if self.inside is None:
             simplex = self._simplex()
@@ -831,7 +857,7 @@ class _Hull:
             seen = self.normals @ self.points[i] - self.offsets > self.tol
             if not np.any(seen):
                 continue
-            F = self.facets[seen]
+            F = self.facets.compress(seen, axis=0)
             if F.shape[1] == 3:  # a ridge is an edge (a, b), a < b, coded a m + b
                 code = np.concatenate([F[:, 0] * m + F[:, 1], F[:, 0] * m + F[:, 2],
                                        F[:, 1] * m + F[:, 2]])
@@ -843,9 +869,10 @@ class _Hull:
                       else horizon[:, None])
             new = np.sort(np.column_stack([ridges, np.full(len(ridges), i)]), axis=1)
             N, d = self._planes(new)
-            self.facets = np.vstack([self.facets[~seen], new])
-            self.normals = np.vstack([self.normals[~seen], N])
-            self.offsets = np.concatenate([self.offsets[~seen], d])
+            kept = ~seen
+            self.facets = np.vstack([self.facets.compress(kept, axis=0), new])
+            self.normals = np.vstack([self.normals.compress(kept, axis=0), N])
+            self.offsets = np.concatenate([self.offsets[kept], d])
 
     def planes(self) -> tuple[np.ndarray, np.ndarray]:
         """The facets whose plane keeps the origin strictly on its inner
@@ -853,7 +880,8 @@ class _Hull:
         H . P_i = 1 for i in the facet and H . P_j <= 1 up to tol for every
         point j."""
         keep = self.offsets > self.tol
-        return self.facets[keep] - 1, self.normals[keep] / self.offsets[keep, None]
+        return (self.facets.compress(keep, axis=0) - 1,
+                self.normals.compress(keep, axis=0) / self.offsets[keep][:, None])
 
 
 def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
@@ -941,6 +969,21 @@ def _add_polar(hull: _Hull, rows: np.ndarray, body: CenteredBody) -> None:
         hull.add(rows[keep, :-1] / room[keep, None])
 
 
+def _takes_hull(oracle: WeakMembershipOracle, body: CenteredBody) -> bool:
+    """Whether a run of one row over the body takes hull centres: in R^2
+    and R^3, where the oracle has no separator of its own (module header,
+    hull centres)."""
+    return body.n in (2, 3) and oracle.separator is None
+
+
+def _seed_hull(body: CenteredBody, rows: np.ndarray) -> _Hull:
+    """The polar hull of a hull run's start polytope and of the halfspaces
+    rows, held as rows (u, beta), that hold its K_dq (_add_polar)."""
+    hull = copy.copy(_start_hull(body.n))
+    _add_polar(hull, rows, body)
+    return hull
+
+
 @functools.cache
 def _start_hull(n: int) -> _Hull:
     """The polar hull of a run's start polytope, in the units of _add_polar:
@@ -969,9 +1012,23 @@ class CutPool:
         self.rows = np.vstack([self.rows, rows])[-_POOL_CAP:]
 
 
+def _checked(body: CenteredBody, C, eps: float, dq: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stack C of a run and its row norms, once the body, C, the slack
+    and the centre slack have passed _cut_loop's checks."""
+    _bounded(body)
+    C = as_stack(C, body.n)
+    nc = np.linalg.norm(C, axis=1)
+    if np.any(nc == 0.0):
+        raise ValueError("objective must be nonzero")
+    positive_finite(eps, "engine slack")
+    positive_finite(dq, "centre slack")
+    return C, nc
+
+
 def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
               dq: float, stop_above: float = math.inf,
-              stop_ub_below: float = -math.inf, pool: CutPool | None = None):
+              stop_ub_below: float = -math.inf, pool: CutPool | None = None,
+              hull: _Hull | None = None):
     """Maximize c . x over the body for every row c of C, all rows in lockstep.
 
     Each row runs its own ellipsoid localizer with deep cuts (module
@@ -1018,12 +1075,16 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     ellipsoid would cut. A vertex more than _TANGENT_SHARE of the outer
     radius beyond the outer ball takes its tangent; a nearer one is asked.
     A vertex that comes back sends the row to the ellipsoid, from its
-    start. Every other run is bit for bit as before. The caller
-    picks dq (module header, membership slack). pool, a CutPool of
-    halfspaces that hold the body, seeds the run's ring, and on return
-    takes the run's own halfspaces, the newest of the ring, moved out to
-    hold the body (module header, pooled cuts); without one the run pools
-    only its own cuts.
+    start. hull, a _Hull that the earlier rows of a validity batch left
+    (wval_batch), is the polytope such a run of one row continues on, in
+    place of a fresh one seeded with its ring; its halfspaces hold the
+    run's K_dq, and the run's cuts join it in place. A run of many rows
+    takes the ellipsoid, and so does every other run, bit for bit as
+    before. The caller picks dq (module header, membership slack). pool,
+    a CutPool of halfspaces that hold the body, seeds the run's ring, and
+    on return takes the run's own halfspaces, the newest of the ring,
+    moved out to hold the body (module header, pooled cuts); without one
+    the run pools only its own cuts.
 
     Returns per-row arrays (value, witness, gap, iterations); iterations
     counts every cut, free or paid. Raises IterationCapError, carrying the
@@ -1033,14 +1094,7 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     (m, n) stack of nonzero rows; an empty C returns empty arrays at no
     call.
     """
-    _bounded(body)
-    C = as_stack(C, body.n)
-    nc = np.linalg.norm(C, axis=1)
-    if np.any(nc == 0.0):
-        raise ValueError("objective must be nonzero")
-    positive_finite(eps, "engine slack")
-    positive_finite(dq, "centre slack")
-
+    C, nc = _checked(body, C, eps, dq)
     m, n = C.shape
     value, gap_out = np.empty(m), np.empty(m)
     witness = np.empty((m, n))
@@ -1065,11 +1119,11 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     own = 0
     # one objective in R^2 or R^3, over an oracle with no separator of its
     # own, takes hull centres: the polar hull of the start polytope and of
-    # the ring grows with each round's cut (module header, hull centres)
-    hull = None
-    if m == 1 and n in (2, 3) and oracle.separator is None:
-        hull = copy.copy(_start_hull(n))
-        _add_polar(hull, ring.rows, body)
+    # the ring, or the one an earlier row of the run left, grows with each
+    # round's cut (module header, hull centres)
+    if hull is None and m == 1 and _takes_hull(oracle, body):
+        hull = _seed_hull(body, ring.rows)
+    if hull is not None:
         ub_run = best + nc * body.outer_radius  # the bound of B(a, outer)
         vertices = np.empty((0, n))  # the vertices asked or cut so far
 
@@ -1209,7 +1263,9 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     cuts). A C of one row in R^2 or R^3, over an oracle with no separator
     of its own, runs on hull centres, the vertices of its cut polytope, and
     its interval reads the polytope's certified bound (module header, hull
-    centres); its proof is the same.
+    centres); its proof is the same. A C of more rows takes the ellipsoid
+    in lockstep, as the rows' own hulls cost the net's support runs more
+    calls.
     """
     err = positive_finite(err, "err")
     # axis -1, so that a C of the wrong rank reaches the engine's check
@@ -1242,24 +1298,36 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
                eps: float, pool: CutPool | None = None) -> np.ndarray:
     """Weak validity of c . x <= gamma over the body for every row c of C.
 
-    Returns a bool array, True where UPPER_BOUND_HOLDS, from one lockstep run
-    of the engine at slack eps/2 that exits early at the two thresholds
+    Returns a bool array, True where UPPER_BOUND_HOLDS, from one run of the
+    engine at slack eps/2 that exits early at the two thresholds
     gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. Its
     centres are queried at dq = min(eps/16, eps inner/(2 outer), inner/4),
     so that K_dq loses at most eps |c|/2 of support whatever the sandwich
-    (module header, validity slack). C and eps are checked by the engine
-    (_cut_loop); an empty C costs no call. pool, a CutPool over the body,
-    seeds the run's ring and takes its separator halfspaces, moved out to
-    hold the body (module header, pooled cuts). A C of one row in R^2 or
-    R^3, over an oracle with no separator of its own, a single dual-ball or
-    dual-cone query among them, runs on hull centres, and its exits read
-    the cut polytope's certified bound (module header, hull centres).
+    (module header, validity slack). C and eps pass the engine's checks
+    (_cut_loop) before any row runs; an empty C costs no call. pool, a
+    CutPool over the body, seeds the run's ring and takes its separator
+    halfspaces, moved out to hold the body (module header, pooled cuts).
+    In R^2 and R^3, over an oracle with no separator of its own, the rows
+    run in turn, each on hull centres, and all on one cut polytope, whose
+    polar hull is built once per run from the start polytope and the pool;
+    each row continues from the hull the row before it left, its exits
+    read the polytope's certified bound, and it hands its own halfspaces,
+    moved out, to the pool (module header, hull centres). Elsewhere the
+    rows run in lockstep on the ellipsoid.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    value = _cut_loop(oracle, body, C, eps / 2.0, validity_centre_slack(body, eps),
-                      stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0,
-                      pool=pool)[0]
+    dq = validity_centre_slack(body, eps)
+    C = _checked(body, C, eps / 2.0, dq)[0]
+    exits = dict(stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0, pool=pool)
+    if _takes_hull(oracle, body):
+        # the rows in turn, each a hull run on the one polar hull that the
+        # rows before it left (module header, hull centres)
+        hull = _seed_hull(body, (pool or CutPool(body.n)).rows)
+        value = np.array([_cut_loop(oracle, body, c[None], eps / 2.0, dq, hull=hull,
+                                    **exits)[0][0] for c in C])
+    else:
+        value = _cut_loop(oracle, body, C, eps / 2.0, dq, **exits)[0]
     return value < gamma - eps / 2.0
 
 

@@ -169,9 +169,12 @@ class DualBallOracle(WeakMembershipOracle):
     (_polar_lower, _primal_lower, _gauge_bound). Smaller batches leave the
     net empty and cost what the validity run, or the primal oracle, costs.
 
-    The polar rows all screens leave go to one lockstep validity run over
-    the primal ball, which is what makes million-point volume sampling
-    feasible. It decides the rescaled norm mu = r * nu* with
+    The polar rows all screens leave go to one validity run over the
+    primal ball, which is what makes million-point volume sampling
+    feasible. In R^2 and R^3 its rows run in turn on hull centres, all on
+    one cut polytope that starts from the oracle's pool and keeps every
+    row's cuts for the rows after it; elsewhere they run in lockstep on
+    the ellipsoid (cutting.wval_batch). It decides the rescaled norm mu = r * nu* with
     r = max(1, 2 k_hi), so that mu's sandwich constant k_lo = r / k_hi is at
     least 2; x is in B_(nu*) iff x / r is in B_mu, and the run is over
     B_(mu*) = r B_nu at slack delta / r, clamped below 1/2. With k_lo >= 2
@@ -403,8 +406,9 @@ class DualBallOracle(WeakMembershipOracle):
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """Verdicts of the rows the screens leave, True = IN_THICKENED: one
-        validity run of c = x / r against gamma = 1 over r B_nu, all rows in
-        lockstep, that reads the oracle's pool and writes to it."""
+        validity run of c = x / r against gamma = 1 over r B_nu, its rows on
+        one shared cut polytope in R^2 and R^3 and in lockstep elsewhere,
+        that reads the oracle's pool and writes to it."""
         return wval_batch(self._scaled_oracle, self._scaled_oracle.body,
                           pts / self.r, 1.0, self._slack(delta), pool=self._pool)
 

@@ -177,11 +177,12 @@ SETTLED_CASES = [(1.0, [0.9, 0.3], 4), (1.0, [0.9, 0.3], 12), (3.0, [0.95, 0.6, 
 
 @pytest.mark.parametrize("p,e,first", SETTLED_CASES, ids=["l1-r2-k4", "l1-r2-k12", "l3-r3-k8"])
 def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, first):
-    """A wval_batch row whose first separator's witness clears
+    """A validity row whose first separator's witness clears
     gamma - eps/2 costs its centre query plus k anchor rounds, and no
-    probe call. The run has two equal rows, so it takes the ellipsoid (a
-    run of one row in R^2 or R^3 takes hull centres, which the stated
-    ellipsoid does not place). The body states an ellipsoid centred at e,
+    probe call. The run is the engine's (_cut_loop) at wval_batch's slack,
+    centre slack and exits, with two equal rows, so it takes the ellipsoid:
+    wval_batch itself runs rows in turn on hull centres in R^2 and R^3,
+    which the stated ellipsoid does not place. The body states an ellipsoid centred at e,
     so e is each row's first centre, asked and answered OUT: one centre
     query per row, and the two anchors share each round. Under the
     exact oracle the anchor bisection of e's gauge g from the centering
@@ -225,7 +226,10 @@ def test_settled_row_costs_its_anchor_rounds_and_no_probe(monkeypatch, p, e, fir
         return out
 
     monkeypatch.setattr(cutting, "approx_separator", recording_separator)
-    assert not wval_batch(oracle, body, np.vstack([c, c]), gamma, eps).any()
+    value = cutting._cut_loop(oracle, body, np.vstack([c, c]), eps / 2.0,
+                              cutting.validity_centre_slack(body, eps),
+                              stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)[0]
+    assert not (value < gamma - eps / 2.0).any()  # wval_batch's verdict rule
     ((X, (U, depth, W), cost),) = separated
     np.testing.assert_array_equal(X, [e, e])
     assert cost == 2 * k and oracle.calls.count == 2 * (1 + k)
@@ -713,10 +717,12 @@ def test_pooled_halfspaces_hold_the_body(p, n):
 
 def test_validity_run_reads_the_pool():
     """A validity run handed the pool of a support run over the same body
-    seeds its ring with it: on rows whose support value lies more than
-    2.5 eps from gamma, where the verdict is forced, it gives the verdicts
-    of a run with no pool at under half its primal calls, and it appends
-    its own halfspaces after the ones it read."""
+    seeds its hull with it (rows in turn on hull centres, in R^3): on rows
+    whose support value lies more than 2.5 eps from gamma, where the
+    verdict is forced, it gives the verdicts of a run with no pool at under
+    half its primal calls, and at no more than the 584 calls that the same
+    run made when it took the ellipsoid, the pool seeding its ring; the
+    pool keeps the halfspaces it held first."""
     norm, _, body = _ball_oracle(1.0, 3)
     eps = 0.02
     C = rng_stream(53, 3).normal(size=(100, 3))
@@ -734,7 +740,7 @@ def test_validity_run_reads_the_pool():
     np.testing.assert_array_equal(wval_batch(pooled, body, C, gamma, eps, pool=pool),
                                   h <= gamma)
     assert 0 < pooled.calls.count < 0.5 * plain.calls.count
-    assert len(pool.rows) > len(seeded)
+    assert pooled.calls.count <= 584
     np.testing.assert_array_equal(pool.rows[:len(seeded)], seeded)
 
 

@@ -114,7 +114,10 @@ def test_sandwich_centers_are_never_asked(monkeypatch, case):
     open inner ball or outside the outer ball: the centering data decides
     those at no call. Every row's first cut center is the centre of the
     body's stated ellipsoid, the body center where it states none, and
-    every row's first incumbent is the body center, at no call."""
+    every row's first incumbent is the body center, at no call. The
+    validity run is the engine's (_cut_loop) at wval_batch's slack, centre
+    slack and exits: its rows run in lockstep on the ellipsoid, where
+    wval_batch runs them in turn on hull centres in R^2 and R^3."""
     oracle = SANDWICH_CASES[case]()
     body = oracle.body
     sent, cut_centers, busy = [], [], []
@@ -147,7 +150,9 @@ def test_sandwich_centers_are_never_asked(monkeypatch, case):
     assert cut_centers[0].shape == C.shape
     assert np.all(cut_centers[0] == start)
     cut_centers.clear()
-    wval_batch(oracle, body, C, float(np.max(C @ body.center)) + 0.5, 0.02)
+    gamma, eps = float(np.max(C @ body.center)) + 0.5, 0.02
+    cutting._cut_loop(oracle, body, C, eps / 2.0, cutting.validity_centre_slack(body, eps),
+                      stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0)
     assert np.all(cut_centers[0] == start)
     X = np.vstack(sent)
     r = np.linalg.norm(X - body.center, axis=1)
@@ -282,6 +287,42 @@ def test_a_vertex_that_returns_sends_the_run_to_the_ellipsoid(monkeypatch):
     assert hi[0] - lo[0] <= 1e-2 * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("p,n", HULL_BODIES, ids=[f"l{p:g}-r{n}" for p, n in HULL_BODIES])
+def test_shared_hull_stays_convex(monkeypatch, p, n):
+    """A dual ball's validity run, seeded with the pool that its net and a
+    first polar batch filled, takes its rows in turn on one polar hull.
+    After the run every point of that hull lies within _HULL_TOL of its
+    scale inside every facet plane, so crowded insertions left no facet
+    that a point sees, and the run's verdicts are the closed-form ones at
+    nu*(c) = 1 -/+ 1.5 delta/k_lo. On the l3 balls the rows' cuts join the
+    hull; on the polytopes the pool's facets decide every row without
+    one."""
+    norm = ReferenceNorm.lp(p, n)
+    desc, delta = norm.descriptor, 1e-3
+    oracle = DualBallOracle(norm.oracle(), desc)
+    rng = rng_stream(62, n)
+    oracle.query_batch(rng.uniform(-desc.k_hi, desc.k_hi, size=(2000, n)), delta)
+    assert len(oracle._net) and len(oracle._pool.rows)
+    hulls, seed = [], cutting._seed_hull
+
+    def recording_seed(body, rows):
+        hull = seed(body, rows)
+        hulls.append((hull, len(hull.points)))
+        return hull
+
+    monkeypatch.setattr(cutting, "_seed_hull", recording_seed)
+    U = rng.normal(size=(60, n))
+    U /= norm.dual().eval_batch(U)[:, None]
+    band = 1.5 * delta / desc.k_lo
+    C = np.vstack([(1.0 - band) * U, (1.0 + band) * U])
+    np.testing.assert_array_equal(oracle._lockstep(C, delta), norm.dual().eval_batch(C) <= 1.0)
+    ((hull, seeded),) = hulls
+    assert seeded > len(cutting._start_hull(n).points)  # the pool's halfspaces
+    assert (len(hull.points) > seeded) == (p == 3.0)  # the rows' cuts
+    beyond = hull.normals @ hull.points.T - hull.offsets[:, None]
+    assert beyond.max() <= cutting._HULL_TOL * np.linalg.norm(hull.points, axis=1).max()
+
+
 def _band_edge_rows(norm, count, delta):
     """The rows, of count random directions scaled to dual-norm values on
     the edges of the 2*delta band, where the slack accounting has no room
@@ -315,12 +356,14 @@ def test_dual_ball_tolerates_band_adversaries(side):
 
 @pytest.mark.parametrize("side", [0.9, -0.9], ids=["generous", "stingy"])
 def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
-    """Hundreds of rows of one lockstep validity run, every one on the edge
-    of the 2*delta band of the l-infinity dual norm, all get the closed-form
-    verdict over an adversarial primal, with every row's free cuts drawn
-    from one pool of all rows' separator halfspaces, which wraps. The run is
-    driven directly: through query_batch the net certificate would settle
-    every one of these rows."""
+    """Hundreds of rows of one validity run, every one on the edge of the
+    2*delta band of the l-infinity dual norm, all get the closed-form
+    verdict over an adversarial primal: through the dual ball's run, whose
+    rows take turns on one shared hull, and through the engine's lockstep
+    run at the same slack, centre slack and exits, which keeps the
+    ellipsoid and draws every row's free cuts from one pool of all rows'
+    separator halfspaces, which wraps. The run is driven directly: through
+    query_batch the net certificate would settle every one of these rows."""
     delta = 0.02
     norm = ReferenceNorm.lp(1.0, 2)
     oracle = DualBallOracle(band_adversary(norm, side), norm.descriptor)
@@ -341,6 +384,13 @@ def test_wide_dual_ball_run_tolerates_band_adversaries(monkeypatch, side):
     monkeypatch.setattr(cutting, "approx_separator", counting_separator)
     np.testing.assert_array_equal(oracle._lockstep(pts, delta), want)
     assert runs == [want.size]
+    separated.clear()
+    eps, body = oracle._slack(delta), oracle._scaled_oracle.body
+    value = cutting._cut_loop(oracle._scaled_oracle, body, pts / oracle.r, eps / 2.0,
+                              cutting.validity_centre_slack(body, eps),
+                              stop_above=1.0 - eps / 2.0, stop_ub_below=1.0 + eps / 2.0,
+                              pool=cutting.CutPool(norm.n))[0]
+    np.testing.assert_array_equal(value < 1.0 - eps / 2.0, want)  # wval_batch's rule
     assert sum(separated) > cutting._POOL_CAP
 
 

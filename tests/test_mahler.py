@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adversaries import band_adversary
-from convexdual import cutting, mahler, normdual
+from convexdual import mahler, normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
 from convexdual.cutting import _Hull
 from convexdual.mahler import _CHUNK, _sandwich_query, linear_image, mahler_volume, volume_mc
@@ -217,8 +217,8 @@ def test_seeds_are_checked_before_any_call():
 
 
 # case -> primal calls of mahler_volume at 50,000 samples and seed 2
-SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 24_258), "l3-R3": (3.0, 3, 698_269),
-                    "l1.5-R3": (1.5, 3, 670_647)}
+SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 22_848), "l3-R3": (3.0, 3, 495_753),
+                    "l1.5-R3": (1.5, 3, 421_889)}
 
 
 @pytest.mark.parametrize("case", list(SMOOTH_NET_COSTS))
@@ -529,26 +529,24 @@ def test_shared_cut_verdicts_are_legal_under_band_adversary(case, side):
         np.testing.assert_array_equal(oracle._lockstep(C, delta), dual(C) <= 1.0)
 
 
-@pytest.mark.parametrize("p,n", [(1.0, 2), (1.0, 3), (math.inf, 2), (math.inf, 3)],
+# (p, n, the primal calls of the pooled validity run when its rows took the
+# ellipsoid in lockstep, the pool seeding its ring)
+REUSE_CASES = [(1.0, 2, 1423), (1.0, 3, 2555), (math.inf, 2, 1403), (math.inf, 3, 2753)]
+
+
+@pytest.mark.parametrize("p,n,lockstep_calls", REUSE_CASES,
                          ids=["l1-R2", "l1-R3", "linf-R2", "linf-R3"])
-def test_validity_runs_reuse_the_nets_cuts(p, n, monkeypatch):
+def test_validity_runs_reuse_the_nets_cuts(p, n, lockstep_calls):
     """Once a batch has built the net, whose support runs pool their
     separator halfspaces moved out to hold the primal ball, a validity run
-    on rows 1 % either side of the dual sphere has every centre outside the
-    ball cut by a pooled halfspace: it separates no centre, where the same
-    run on an oracle with an empty pool separates dozens, and it costs under
-    half that run's primal calls, with the same closed-form verdicts. Two
+    on rows 1 % either side of the dual sphere, which seeds its shared hull
+    with that pool, costs fewer primal calls than the same run on an oracle
+    with an empty pool, and no more than it cost when its rows took the
+    ellipsoid in lockstep, with the same closed-form verdicts. Two
     mahler_volume calls on one primal oracle, each with its own polar
     oracle and pool, cost the same calls."""
     norm = ReferenceNorm.lp(p, n)
     desc, delta = norm.descriptor, 1e-3
-    separated, separator = [], cutting.approx_separator
-
-    def counting_separator(oracle, body, X, delta, *rest):
-        separated.append(len(X))
-        return separator(oracle, body, X, delta, *rest)
-
-    monkeypatch.setattr(cutting, "approx_separator", counting_separator)
     rng = rng_stream(51, n)
     primal, fresh = norm.oracle(), norm.oracle()
     oracle = DualBallOracle(primal, desc)
@@ -558,14 +556,12 @@ def test_validity_runs_reuse_the_nets_cuts(p, n, monkeypatch):
     U /= norm.dual().eval_batch(U)[:, None]
     C = np.vstack([0.99 * U, 1.01 * U])
     want = norm.dual().eval_batch(C) <= 1.0
-    separated.clear()
     before = primal.calls.count
     np.testing.assert_array_equal(oracle._lockstep(C, delta), want)
     calls = primal.calls.count - before
-    assert sum(separated) == 0
     np.testing.assert_array_equal(DualBallOracle(fresh, desc)._lockstep(C, delta), want)
-    assert sum(separated) > 20
-    assert 0 < calls < 0.5 * fresh.calls.count
+    assert 0 < calls < fresh.calls.count
+    assert calls <= lockstep_calls
     primal = norm.oracle()
     mahler_volume(primal, desc, 20_000)
     first = primal.calls.count
