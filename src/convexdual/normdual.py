@@ -11,9 +11,9 @@ primal ball gives weak validity of linear functionals over it
 membership in the dual ball (the k >= 2 lemma, after rescaling:
 rescale_norm and DualBallOracle, which also serves both Mahler runs,
 and settles most of their rows at no call from support_batch runs over a
-net of directions that grows where their rows are: its bounds refute
-primal rows and certify polar ones, and its witnesses certify primal
-rows and refute polar ones);
+net of directions that grows where their rows are, each unsettled row of
+either run priced at one call: its bounds refute primal rows and certify
+polar ones, and its witnesses certify primal rows and refute polar ones);
 and an interval bisection turns ball membership into an additive-error
 norm value with a certificate (approx_from_wmem and its BisectionTrace).
 
@@ -159,8 +159,11 @@ class DualBallOracle(WeakMembershipOracle):
     of the body disagree, as in the sandwich algorithm of polyhedral
     approximation (Rote 1992; Bronstein 2008): each round adds the
     directions that the batch's unsettled rows pay for (_new_directions),
-    by one more support run, and the hulls take the new points. Rows that
-    pay for no direction are asked.
+    by one more support run, and the hulls take the new points. An
+    unsettled row is priced at one call on either side, and a direction at
+    the last support run's calls per direction, so a face buys a direction
+    only where many of its rows would pay for it. The rows that pay for no
+    direction are asked together after the last round.
 
     Every rule trusts hi(v) and s as support_batch certifies them, so the
     caveat of the cutting module header (the separator's sigma is not
@@ -217,7 +220,6 @@ class DualBallOracle(WeakMembershipOracle):
         # hull has no facet to form, and rows take their nearest generators)
         self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
         self._direction_calls = None  # primal calls per direction, last support run
-        self._row_calls = None  # primal calls per row, last validity run
         # separator halfspaces over r B_nu, where the validity runs work: they
         # read and write it, and the net's support runs write to it
         self._pool = CutPool(desc.n)
@@ -294,20 +296,17 @@ class DualBallOracle(WeakMembershipOracle):
         return _gauge_bound(self._net, self._net_hi, 1.0 / desc.k_lo, hull, C, nrm)
 
     def _new_directions(self, C: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                        H: np.ndarray, primal: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The directions that the unsettled rows C pay for, and which rows
-        lie in a face that got none. lower < 1 < upper bound each row's
-        gauge, and H is the plane of the certificate hull's facet that its
-        ray meets first (_gauge_bound).
+                        H: np.ndarray, primal: bool) -> np.ndarray:
+        """The directions that the unsettled rows C pay for. lower < 1 < upper
+        bound each row's gauge, and H is the plane of the certificate hull's
+        facet that its ray meets first (_gauge_bound).
 
         Rows are grouped by the face of that facet (coplanar facets share
         it). A face gets a direction when its rows would cost more than the
-        direction. A primal row costs one call, a polar row the last
-        validity run's calls per row, and a direction the last support run's
-        calls per direction; until a validity run has measured it, a polar
-        row is priced as a direction. Each row counts with the share of its
-        sandwich upper - lower that one support run could remove: a
-        direction through the row leaves a sandwich about
+        direction: a row costs one call on either side, and a direction the
+        last support run's calls per direction. Each row counts with the
+        share of its sandwich upper - lower that one support run could
+        remove: a direction through the row leaves a sandwich about
         |x| (err + s) thick on the polar side and k_hi (err + s) nu(x) on the
         primal one, err being the run's width, so a row already that thin
         counts for nothing. A primal face's direction is its normal, a polar
@@ -315,11 +314,7 @@ class DualBallOracle(WeakMembershipOracle):
         one of the net is not added."""
         desc = self.primal_descriptor
         err_s = _NET_REL_ERR / desc.k_hi + self._witness_slack
-        if primal:
-            row, thinnest = 1.0, desc.k_hi * err_s * lower
-        else:
-            row = self._direction_calls if self._row_calls is None else self._row_calls
-            thinnest = np.linalg.norm(C, axis=1) * err_s
+        thinnest = desc.k_hi * err_s * lower if primal else np.linalg.norm(C, axis=1) * err_s
         share = np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0)
         normal = H / np.linalg.norm(H, axis=1)[:, None]
         _, first, face = np.unique(np.round(normal, 9), axis=0, return_index=True,
@@ -331,25 +326,20 @@ class DualBallOracle(WeakMembershipOracle):
             U = np.zeros((len(first), C.shape[1]))
             np.add.at(U, face, C / np.linalg.norm(C, axis=1)[:, None])
             U /= np.linalg.norm(U, axis=1)[:, None]
-        pays = ((np.bincount(face, weights=share) * row > self._direction_calls)
+        pays = ((np.bincount(face, weights=share) > self._direction_calls)
                 & (np.max(U @ self._net.T, axis=1) < _SAME_DIRECTION))
-        return U[pays], ~pays[face]
+        return U[pays]
 
     def _net_query(self, pts: np.ndarray, nrm: np.ndarray, delta: float,
                    primal: bool) -> np.ndarray:
         """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
         on the primal ball or (primal False) on the dual one: refuted, then
-        certified, by the net, and the rest asked of the primal oracle or of
-        the validity run. While the net is empty, a batch that leaves more
-        rows than _net_directions has directions builds it from those first,
-        and its delta fixes the cap on the net's centre slack (class
-        docstring): until a run has measured them, a row and a direction are
-        priced alike. In R^2 and R^3 the net then grows in rounds
-        (_new_directions), where _upper gives each row's facet plane. While
-        no validity run has priced a polar row, the rows of faces that pay
-        for no direction are asked at once, which prices the next round's
-        rows; the other rows left are asked together after the last
-        round."""
+        certified, by the net, and the rest asked together, of the primal
+        oracle or of the validity run. While the net is empty, a batch that
+        leaves more rows than _net_directions has directions builds it from
+        those first, and its delta fixes the cap on the net's centre slack
+        (class docstring). In R^2 and R^3 the net then grows in rounds
+        (_new_directions), where _upper gives each row's facet plane."""
         if not len(self._net):
             first = _net_directions(self.body.n)
             if len(pts) > len(first):
@@ -359,7 +349,6 @@ class DualBallOracle(WeakMembershipOracle):
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))  # rows that no rule has settled
         lower_bound = self._primal_lower if primal else self._polar_lower
-        ask = self.primal.query_batch if primal else self._polar_ask
         while len(self._net) and len(todo):
             C = pts[todo]
             lower = lower_bound(C, nrm[todo])
@@ -369,24 +358,13 @@ class DualBallOracle(WeakMembershipOracle):
             todo = todo[left]
             if H is None or not len(todo):
                 break
-            new, stay = self._new_directions(C[left], lower[left], upper[left],
-                                             H[left], primal)
-            if not primal and self._row_calls is None and np.any(stay):
-                out[todo[stay]] = ask(pts[todo[stay]], delta)  # measures the price
-                todo = todo[~stay]
+            new = self._new_directions(C[left], lower[left], upper[left], H[left], primal)
             if not len(new):
                 break
             self._grow(new)
         if len(todo):
+            ask = self.primal.query_batch if primal else self._lockstep
             out[todo] = ask(pts[todo], delta)
-        return out
-
-    def _polar_ask(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        """The validity run's verdicts (_lockstep); its primal calls per row
-        price the next polar row."""
-        before = self.primal.calls.count
-        out = self._lockstep(pts, delta)
-        self._row_calls = (self.primal.calls.count - before) / len(pts)
         return out
 
     def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:

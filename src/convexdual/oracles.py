@@ -216,6 +216,8 @@ class ReferenceNorm:
     def polyhedral(cls, generators) -> "ReferenceNorm":
         C = np.atleast_2d(np.asarray(generators, dtype=float))
         m, n = C.shape
+        if C.size == 0:
+            raise ValueError("generator matrix must not be empty")
         if not np.all(np.isfinite(C)):
             raise ValueError("generators must be finite")
         smin = float(np.linalg.svd(C, compute_uv=False)[-1])
@@ -229,6 +231,8 @@ class ReferenceNorm:
     @classmethod
     def box(cls, n: int) -> "ReferenceNorm":
         """Max norm, built as the polyhedral norm of the coordinate generators."""
+        if n < 1:
+            raise ValueError("dimension must be positive")
         norm = cls.polyhedral(np.eye(n))
         norm._dual_tag = "box"
         return norm
@@ -236,6 +240,8 @@ class ReferenceNorm:
     @classmethod
     def cross(cls, n: int) -> "ReferenceNorm":
         """Sum norm, built from all sign-pattern generators (cross-polytope ball)."""
+        if n < 1:
+            raise ValueError("dimension must be positive")
         if n > 12:
             raise ValueError("sign-pattern generators blow up past n = 12")
         rows = np.array([[(1.0 if (i >> j) & 1 == 0 else -1.0) for j in range(n)]

@@ -263,6 +263,23 @@ def test_exit_2_on_an_exponent_that_is_not_a_number(capsys, tmp_path, bad):
     assert "'p' must be a number" in err
 
 
+@pytest.mark.parametrize("spec", [{"kind": "box", "n": 0}, {"kind": "cross", "n": 0},
+                                  {"kind": "cross", "n": -1},
+                                  {"kind": "polyhedral_norm", "generators": []},
+                                  {"kind": "polyhedral_norm", "generators": [[]]}],
+                         ids=["box-0", "cross-0", "cross-minus-1", "polyhedral-empty",
+                              "polyhedral-empty-row"])
+def test_exit_2_on_a_degenerate_polyhedral_norm(capsys, tmp_path, spec):
+    """A norm spec with no dimension, or with no generator, is a spec error
+    (exit 2), not a traceback."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, ["dual-norm", "--spec", str(path), "--point", "1"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("p,want", [(1, 1.0), (1.5, 1.5), ("inf", math.inf),
                                     ("Infinity", math.inf)],
                          ids=["1", "1.5", "inf", "Infinity"])

@@ -217,20 +217,39 @@ def test_seeds_are_checked_before_any_call():
 
 
 # case -> primal calls of mahler_volume at 50,000 samples and seed 2
-SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 22_848), "l3-R3": (3.0, 3, 495_753),
-                    "l1.5-R3": (1.5, 3, 421_889)}
+SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 10_174), "l3-R3": (3.0, 3, 90_282),
+                    "l1.5-R3": (1.5, 3, 84_007)}
 
 
 @pytest.mark.parametrize("case", list(SMOOTH_NET_COSTS))
 def test_net_cost_on_smooth_bodies(case):
     """On smooth non-Euclidean balls, which no benchmark workload samples,
     the grown net keeps mahler_volume's primal calls within 2 % of the
-    measured counts. Pricing a polar row as a direction, or growing the
-    net on the primal side only, costs 6-17 % and 13-53 % more on R^3."""
+    measured counts. Pricing a polar row as a direction in the net's growth
+    rounds cost 2.2 to 5.5 times as many calls."""
     p, n, calls = SMOOTH_NET_COSTS[case]
     norm = ReferenceNorm.lp(p, n)
     primal = norm.oracle()
     mahler_volume(primal, norm.descriptor, 50_000, dataclasses.replace(DEFAULT_CONFIG, rng_seed=2))
+    assert 0 < primal.calls.count <= 1.02 * calls
+
+
+# case -> primal calls of volume_mc on the dual ball alone at 50,000
+# samples and seed 3, with no primal run to grow the net
+POLAR_NET_COSTS = {"l3-R2": (3.0, 2, 8_980), "l1-R3": (1.0, 3, 955),
+                   "linf-R3": (math.inf, 3, 2_013)}
+
+
+@pytest.mark.parametrize("case", list(POLAR_NET_COSTS))
+def test_net_cost_of_polar_sampling(case):
+    """Sampling the dual ball alone, whose polar rows are all that grow the
+    net, keeps its primal calls within 2 % of the measured counts. Pricing a
+    polar row as a direction cost 2.5 and 2.7 times as many calls on l3/R^2
+    and l1/R^3; without polar growth the cube's 2,013 calls were 48,820."""
+    p, n, calls = POLAR_NET_COSTS[case]
+    norm = ReferenceNorm.lp(p, n)
+    primal = norm.oracle()
+    volume_mc(DualBallOracle(primal, norm.descriptor), norm.descriptor.k_hi, 50_000, 3)
     assert 0 < primal.calls.count <= 1.02 * calls
 
 
@@ -437,14 +456,16 @@ def _net_body(case, side):
     return image, desc, lambda X: norm.eval_batch(X @ inv.T), lambda C: dual(C @ A)
 
 
-def _grown_net(case, side):
+def _grown_net(case, side, polar_only=False):
     """A dual-ball oracle of a net case whose net grew from its own rows,
     and the rows: 2000 polar rows strictly between the sandwich radii and
     2000 within 2 % of the unit sphere of nu*, and the same of primal rows
     for nu. The primal rows go through _net_query first, as in
     mahler_volume, then the polar ones; each side's shell rows build the
-    net, grow it in R^2 and R^3, and are answered. Returns the oracle, the
-    closed-form gauge and dual norm, the descriptor and both row sets."""
+    net, grow it in R^2 and R^3, and are answered. With polar_only the
+    primal rows are not asked, so the polar rows alone build and grow the
+    net. Returns the oracle, the closed-form gauge and dual norm, the
+    descriptor and both row sets."""
     primal, desc, gauge, dual = _net_body(case, side)
     oracle = DualBallOracle(primal, desc)
     rng = rng_stream(45, desc.n)
@@ -458,33 +479,51 @@ def _grown_net(case, side):
     primal_rows = U * r[:, None]
     for C, inner, outer, is_primal in ((primal_rows, 1.0 / desc.k_hi, 1.0 / desc.k_lo, True),
                                        (polar_rows, desc.k_lo, desc.k_hi, False)):
+        if polar_only and is_primal:
+            continue
         nrm = np.linalg.norm(C, axis=1)
         shell = (nrm > inner) & (nrm < outer)
         oracle._net_query(C[shell], nrm[shell], 0.01, is_primal)
     return oracle, gauge, dual, desc, polar_rows, primal_rows
 
 
-@pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])
-@pytest.mark.parametrize("case", list(NET_BODIES))
-def test_net_verdicts_are_legal_under_band_adversary(case, side):
+SIDES = {"exact": None, "generous": 0.9, "stingy": -0.9}
+# a polar-only net on the cube puts directions near its vertices, where the
+# support runs' bounds hi(v) fall below h_B(v) by up to 2.7e-4 (its
+# verdicts stay legal)
+VERTEX_SIGMA = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 7: net bounds at cube vertices carry an uncharged sigma")
+NET_LEGALITY_CASES = (
+    [pytest.param(case, side, False, id=f"{case}-{name}")
+     for case in NET_BODIES for name, side in SIDES.items()]
+    + [pytest.param(case, side, True, id=f"{case}-{name}-polar-only",
+                    marks=VERTEX_SIGMA if case == "linf-R3" else ())
+       for case, (_, n, _) in NET_BODIES.items() if n <= 3 for name, side in SIDES.items()])
+
+
+@pytest.mark.parametrize("case,side,polar_only", NET_LEGALITY_CASES)
+def test_net_verdicts_are_legal_under_band_adversary(case, side, polar_only):
     """On a net grown from its own rows under the adversary (_grown_net),
-    every net bound hi(v) is at least the closed-form support value
-    h_B(v) = nu*(v). On the polar side, every row the net certifies has
-    nu*(c) <= 1 and every row that a witness refutes has nu*(c) > 1; on the
-    primal side, every row that hi refutes has nu(x) > 1 and every row the
-    witnesses certify has nu(x) <= 1. In R^2 and R^3, where the net grew
-    beyond +-e_i, each rule settles more than half of the rows 5 % beyond
-    its side of the unit sphere; in R^4 each settles some. Half the rows
-    lie within 2 % of the sphere. The polar side also has one row per net
-    direction v at nu*(c) = 1 - 1e-7, where a witness that the generous
-    adversary admits outside B refutes c unless its slack is counted in
-    full; the primal side one row per witness w at nu(x) = 1 + 1e-7 on the
-    ray through w, which the witnesses certify if w is outside B and its
-    gauge bound leaves out the slack."""
-    oracle, gauge, dual, desc, polar_rows, primal_rows = _grown_net(case, side)
+    on the polar side, every row the net certifies has nu*(c) <= 1 and
+    every row that a witness refutes has nu*(c) > 1; on the primal side,
+    every row that hi refutes has nu(x) > 1 and every row the witnesses
+    certify has nu(x) <= 1. In R^2 and R^3 the net grew beyond +-e_i, and
+    each rule settles more than half of the rows 5 % beyond its side of the
+    unit sphere; in R^4 each settles some. Half the rows lie within 2 % of
+    the sphere. The polar side also has one row per net direction v at
+    nu*(c) = 1 - 1e-7, where a witness that the generous adversary admits
+    outside B refutes c unless its slack is counted in full; the primal
+    side one row per witness w at nu(x) = 1 + 1e-7 on the ray through w,
+    which the witnesses certify if w is outside B and its gauge bound
+    leaves out the slack. Last, every net bound hi(v) is at least the
+    closed-form support value h_B(v) = nu*(v).
+
+    A polar-only net, which polar rows alone built and grew, is checked on
+    the polar side, and not for settling half: at one call a row, its
+    4000 rows buy only the directions that many of them pay for."""
+    oracle, gauge, dual, desc, polar_rows, primal_rows = _grown_net(case, side, polar_only)
     if desc.n <= 3:
         assert len(oracle._net) > 2 * desc.n
-    assert np.all(oracle._net_hi >= dual(oracle._net))
     tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
     W = oracle._witness
     sides = [  # rows, closed form, sandwich radii, lower bound, primal side
@@ -493,7 +532,7 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side):
         (np.vstack([primal_rows, (1.0 + 1e-7) * W / gauge(W)[:, None]]), gauge,
          1.0 / desc.k_hi, 1.0 / desc.k_lo, oracle._primal_lower, True),
     ]
-    for C, closed, inner, outer, lower, primal in sides:
+    for C, closed, inner, outer, lower, primal in sides[:1] if polar_only else sides:
         nrm = np.linalg.norm(C, axis=1)
         keep = (nrm > inner) & (nrm < outer)  # rows no sandwich settles
         C, nrm = C[keep], nrm[keep]
@@ -503,9 +542,10 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side):
         assert np.all(nu[certified] <= 1.0)
         assert np.all(nu[refuted] > 1.0)
         assert np.any(certified) and np.any(refuted)
-        if desc.n <= 3:  # the 2 n^2 net of R^4 is too coarse to settle half
+        if desc.n <= 3 and not polar_only:  # the 2 n^2 net of R^4 is too coarse
             assert np.count_nonzero(certified) > 0.5 * np.count_nonzero(nu < 0.95)
             assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(nu > 1.05)
+    assert np.all(oracle._net_hi >= dual(oracle._net))
 
 
 @pytest.mark.parametrize("side", [None, 0.9, -0.9], ids=["exact", "generous", "stingy"])

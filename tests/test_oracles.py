@@ -112,6 +112,20 @@ def test_polyhedral_cannot_claim_a_closed_dual():
         ReferenceNorm.polyhedral(G, dual_tag="box")
 
 
+@pytest.mark.parametrize("build", [lambda: ReferenceNorm.box(0), lambda: ReferenceNorm.cross(0),
+                                   lambda: ReferenceNorm.cross(-1),
+                                   lambda: ReferenceNorm.polyhedral([]),
+                                   lambda: ReferenceNorm.polyhedral([[]])],
+                         ids=["box-0", "cross-0", "cross-minus-1", "polyhedral-empty",
+                              "polyhedral-empty-row"])
+def test_degenerate_polyhedral_norms_raise_value_error(build):
+    """A box or cross norm in no dimension, and an empty generator matrix,
+    raise ValueError, not an IndexError or TypeError from the factory's
+    arithmetic."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_reference_dual_norm_helper():
     dual = ReferenceNorm.lp(2.0, 2).dual()
     assert dual.eval([3.0, 4.0]) == pytest.approx(5.0)
