@@ -24,8 +24,9 @@ shell rows of both runs. A bound hi(v) refutes primal samples and
 certifies polar ones; a witness near the body certifies primal samples
 and refutes polar ones. In R^2 and R^3 the net grows, one support run per
 round, where the rows it leaves unsettled, at one call each on either
-side, pay for a new direction. So each run costs a fraction of a primal
-call per shell sample. The polar
+side, pay for a new direction. There each run asks one direction of each
++- pair and enters its answer for both, as the ball is symmetric. So each
+run costs a fraction of a primal call per shell sample. The polar
 oracle also keeps one cut pool for its life: its validity runs cut the
 centres outside the primal ball with the separator halfspaces that the
 net's support runs and earlier validity runs bought, at no call.

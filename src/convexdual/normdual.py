@@ -161,9 +161,18 @@ class DualBallOracle(WeakMembershipOracle):
     directions that the batch's unsettled rows pay for (_new_directions),
     by one more support run, and the hulls take the new points. An
     unsettled row is priced at one call on either side, and a direction at
-    the last support run's calls per direction, so a face buys a direction
+    the last support run's calls per row it ran, so a face buys a direction
     only where many of its rows would pay for it. The rows that pay for no
     direction are asked together after the last round.
+
+    In R^2 and R^3 the net is symmetric: a support run asks one direction
+    of each +- pair and enters its answer for both (_grow). Each mirrored
+    datum is certified for every legal primal oracle, as the symmetry is
+    the ball's, B_nu = -B_nu, not the oracle's answers': hi(v) >= h_B(v) =
+    h_B(-v); a witness w within s of b in B_nu puts -w within s of -b in
+    B_nu; and a halfspace u . y <= beta that holds r B_nu gives
+    -u . y <= beta, which holds -r B_nu = r B_nu. Beyond R^3 the fixed net
+    asks every direction, as mirroring it there measured more calls.
 
     Every rule trusts hi(v) and s as support_batch certifies them, so the
     caveat of the cutting module header (the separator's sigma is not
@@ -219,7 +228,7 @@ class DualBallOracle(WeakMembershipOracle):
         # in R^2 and R^3, the hulls of the points V / hi and W / g (in R^1 a
         # hull has no facet to form, and rows take their nearest generators)
         self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
-        self._direction_calls = None  # primal calls per direction, last support run
+        self._direction_calls = None  # primal calls per row of the last support run
         # separator halfspaces over r B_nu, where the validity runs work: they
         # read and write it, and the net's support runs write to it
         self._pool = CutPool(desc.n)
@@ -260,20 +269,35 @@ class DualBallOracle(WeakMembershipOracle):
     def _grow(self, V: np.ndarray) -> None:
         """Append the unit directions V to the net: hi(v) and the witness
         w_v for each from one support run over the primal ball at width
-        _NET_REL_ERR / k_hi, and both hulls grown with them. Each run's
-        centre slack, at most the net's cap (class docstring), bounds its
-        witnesses' distance to B_nu, so the largest bounds them all. The run
-        gets a fresh pool, so it reads no halfspace of another run, and what
-        it writes goes to the oracle's pool, scaled to r B_nu. Its primal
-        calls per direction price the next direction."""
+        _NET_REL_ERR / k_hi, and both hulls grown with them. In R^2 and R^3
+        the run is one per +- pair: it asks only the rows of V that neither
+        repeat nor mirror a direction of the net or a row kept before them,
+        and enters each answer twice, v with hi(v) and w_v and -v with hi(v)
+        and -w_v, its halfspaces (u, beta) beside (-u, beta) (class
+        docstring). Each run's centre slack, at most the net's cap, bounds
+        its witnesses' distance to B_nu, so the largest bounds them all. The
+        run gets a fresh pool, so it reads no halfspace of another run, and
+        what it writes goes to the oracle's pool, scaled to r B_nu. Its
+        primal calls per row it ran price the next direction."""
         desc = self.primal_descriptor
+        mirror = self._hulls is not None  # in R^2 and R^3
+        if mirror:
+            kept = self._net
+            for v in V:
+                if np.max(np.abs(kept @ v), initial=0.0) < _SAME_DIRECTION:
+                    kept = np.vstack([kept, v])
+            V = kept[len(self._net):]
         before = self.primal.calls.count
         made = CutPool(desc.n)
         _, hi, W, _, s = support_batch(self.primal, desc.ball(), V, _NET_REL_ERR / desc.k_hi,
                                        pool=made, max_dq=self._net_dq)
         self._direction_calls = (self.primal.calls.count - before) / len(V)
-        made.rows[:, -1] *= self.r  # u . y <= beta over B_nu is u . y <= r beta over r B_nu
-        self._pool.add(made.rows)
+        pooled = made.rows
+        pooled[:, -1] *= self.r  # u . y <= beta over B_nu is u . y <= r beta over r B_nu
+        if mirror:
+            V, hi, W = np.vstack([V, -V]), np.concatenate([hi, hi]), np.vstack([W, -W])
+            pooled = np.vstack([pooled, pooled * np.append(-np.ones(desc.n), 1.0)])
+        self._pool.add(pooled)
         self._net = np.vstack([self._net, V])
         self._net_hi = np.concatenate([self._net_hi, hi])
         self._witness = np.vstack([self._witness, W])
@@ -304,7 +328,7 @@ class DualBallOracle(WeakMembershipOracle):
         Rows are grouped by the face of that facet (coplanar facets share
         it). A face gets a direction when its rows would cost more than the
         direction: a row costs one call on either side, and a direction the
-        last support run's calls per direction. Each row counts with the
+        last support run's calls per row it ran. Each row counts with the
         share of its sandwich upper - lower that one support run could
         remove: a direction through the row leaves a sandwich about
         |x| (err + s) thick on the polar side and k_hi (err + s) nu(x) on the

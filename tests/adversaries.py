@@ -26,6 +26,22 @@ def band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
         norm.ball(), label="adversary")
 
 
+def lopsided_band_adversary(norm: ReferenceNorm, side: float) -> WeakMembershipOracle:
+    """Unit-ball oracle answering IN iff
+    nu(x) <= 1 + side * sign(x_1) * k_lo * delta.
+
+    Legal for |side| < 1, as band_adversary is: each point's threshold lies
+    strictly between 1 - k_lo*delta and 1 + k_lo*delta. Unlike the ball, it
+    is not symmetric: for side > 0 it admits points outside the ball on
+    x_1 > 0 (generous) and refutes points inside it on x_1 < 0 (stingy), so
+    a point and its mirror can get opposite verdicts.
+    """
+    k_lo = norm.descriptor.k_lo
+    return WeakMembershipOracle(
+        lambda X, delta: norm.eval_batch(X) <= 1.0 + side * np.sign(X[:, 0]) * k_lo * delta,
+        norm.ball(), label="lopsided-adversary")
+
+
 def cone_band_adversary(cone: ReferenceCone, side: float) -> WeakMembershipOracle:
     """Cone oracle answering IN iff boundary_margin(x) >= -side * delta.
 

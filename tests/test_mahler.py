@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from adversaries import band_adversary
+from adversaries import band_adversary, lopsided_band_adversary
 from convexdual import mahler, normdual
 from convexdual.core import DEFAULT_CONFIG, CenteredBody, WeakVerdict, rng_stream
 from convexdual.cutting import _Hull
@@ -217,16 +217,17 @@ def test_seeds_are_checked_before_any_call():
 
 
 # case -> primal calls of mahler_volume at 50,000 samples and seed 2
-SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 10_174), "l3-R3": (3.0, 3, 90_282),
-                    "l1.5-R3": (1.5, 3, 84_007)}
+SMOOTH_NET_COSTS = {"l3-R2": (3.0, 2, 8_704), "l3-R3": (3.0, 3, 79_104),
+                    "l1.5-R3": (1.5, 3, 80_885)}
 
 
 @pytest.mark.parametrize("case", list(SMOOTH_NET_COSTS))
 def test_net_cost_on_smooth_bodies(case):
     """On smooth non-Euclidean balls, which no benchmark workload samples,
     the grown net keeps mahler_volume's primal calls within 2 % of the
-    measured counts. Pricing a polar row as a direction in the net's growth
-    rounds cost 2.2 to 5.5 times as many calls."""
+    measured counts. A net that ran one support row per direction, not one
+    per +- pair, cost 10,174, 90,282 and 84,007 calls; pricing a polar row
+    as a direction in its growth rounds cost 2.2 to 5.5 times as many."""
     p, n, calls = SMOOTH_NET_COSTS[case]
     norm = ReferenceNorm.lp(p, n)
     primal = norm.oracle()
@@ -236,21 +237,38 @@ def test_net_cost_on_smooth_bodies(case):
 
 # case -> primal calls of volume_mc on the dual ball alone at 50,000
 # samples and seed 3, with no primal run to grow the net
-POLAR_NET_COSTS = {"l3-R2": (3.0, 2, 8_980), "l1-R3": (1.0, 3, 955),
-                   "linf-R3": (math.inf, 3, 2_013)}
+POLAR_NET_COSTS = {"l3-R2": (3.0, 2, 8_801), "l1-R3": (1.0, 3, 836),
+                   "linf-R3": (math.inf, 3, 1_600)}
 
 
 @pytest.mark.parametrize("case", list(POLAR_NET_COSTS))
 def test_net_cost_of_polar_sampling(case):
     """Sampling the dual ball alone, whose polar rows are all that grow the
-    net, keeps its primal calls within 2 % of the measured counts. Pricing a
-    polar row as a direction cost 2.5 and 2.7 times as many calls on l3/R^2
-    and l1/R^3; without polar growth the cube's 2,013 calls were 48,820."""
+    net, keeps its primal calls within 2 % of the measured counts. A net
+    that ran one support row per direction, not one per +- pair, cost
+    8,980, 955 and 2,013 calls. On that net, pricing a polar row as a
+    direction cost 2.5 and 2.7 times as many calls on l3/R^2 and l1/R^3,
+    and without polar growth the cube's 2,013 calls were 48,820."""
     p, n, calls = POLAR_NET_COSTS[case]
     norm = ReferenceNorm.lp(p, n)
     primal = norm.oracle()
     volume_mc(DualBallOracle(primal, norm.descriptor), norm.descriptor.k_hi, 50_000, 3)
     assert 0 < primal.calls.count <= 1.02 * calls
+
+
+def test_net_beyond_r3_asks_every_direction(monkeypatch):
+    """Beyond R^3 the net keeps its fixed 2 n^2 directions, each asked of
+    its support run: l1/R^4 at 5,000 samples and seed 2 keeps
+    mahler_volume's primal calls within 2 % of the measured 7,251. One run
+    per +- pair there, with the answers mirrored, cost 8,399, as its
+    validity runs cost 5,903 calls, not 3,783."""
+    made = _record_dual_balls(monkeypatch)
+    norm = ReferenceNorm.lp(1.0, 4)
+    primal = norm.oracle()
+    mahler_volume(primal, norm.descriptor, 5_000, dataclasses.replace(DEFAULT_CONFIG, rng_seed=2))
+    assert 0 < primal.calls.count <= 1.02 * 7_251
+    (oracle,) = made
+    assert len(oracle._net) == 2 * 4 ** 2
 
 
 def test_disc_mahler_costs_no_primal_call():
@@ -382,20 +400,26 @@ def test_primal_certificate_tight_probe(monkeypatch):
     sum lam = 0.962 and nu(x) = 0.962 (1 + 0.85 s) > 1: only the gauge
     bound 1 + k_hi s that the net gives each witness keeps the certificate
     from putting x inside, where a slack of delta forbids IN_THICKENED. A
-    bound of 1 + k_hi s / 2 = 1 + 0.71 s would certify it. The witnesses
-    answer the net's first support run, over its 2n directions +-e_i."""
+    bound of 1 + k_hi s / 2 = 1 + 0.71 s would certify it. The net's first
+    support run, over the rows e_1 and e_2 of its directions +-e_i that it
+    asks, is answered with these witnesses, and their mirrors enter the net
+    with them, so it holds all four."""
     slack, delta = 0.05, 1e-3
     norm = ReferenceNorm.lp(1.0, 2)
     adversary = band_adversary(norm, 0.9)
     W = (1.0 + 0.85 * slack) * np.vstack([np.eye(2), -np.eye(2)])
     assert np.all(adversary.query_batch(W, slack))  # outside B, yet IN
     oracle = DualBallOracle(adversary, norm.descriptor)
-    V = _net_directions(2)
-    hi = norm.dual().eval_batch(V)  # h_B(v), exactly
-    # the net's support run, answered with these witnesses at this slack
-    monkeypatch.setattr(normdual, "support_batch",
-                        lambda *args, **kw: (hi, hi, W, None, slack))
-    oracle._grow(V)
+
+    def answer(primal, body, C, *args, **kw):
+        """The net's support run on the rows C it asks: h_B(c), exactly,
+        and the witness (1 + 0.85 s) c at this slack."""
+        hi = norm.dual().eval_batch(C)
+        return hi, hi, (1.0 + 0.85 * slack) * C, None, slack
+
+    monkeypatch.setattr(normdual, "support_batch", answer)
+    oracle._grow(_net_directions(2))
+    np.testing.assert_array_equal(oracle._witness, W)
     k_hi = norm.descriptor.k_hi
     x = 0.962 * 0.5 * (W[0] + W[1])
     assert 0.962 * (1.0 + k_hi * slack / 2) < 1.0 < norm.eval(x)
@@ -438,16 +462,17 @@ NET_BODIES = {
 }
 
 
-def _net_body(case, side):
+def _net_body(case, side, adversary=band_adversary):
     """Primal oracle, descriptor and closed-form norm and dual norm of a net
     case: an lp ball, or its image A B under linear_image, whose norm is
     x -> nu(A^-1 x) and dual norm c -> nu*(A^T c). side None is the exact
-    oracle, else the band adversary of that side. The image of the disc
-    never reaches its base (equal radii), so only the image of a
-    non-Euclidean ball puts the adversary behind linear_image's pullback."""
+    oracle, else the adversary (band_adversary or lopsided_band_adversary)
+    of that side. The image of the disc never reaches its base (equal
+    radii), so only the image of a non-Euclidean ball puts the adversary
+    behind linear_image's pullback."""
     p, n, A = NET_BODIES[case]
     norm = ReferenceNorm.lp(p, n)
-    oracle = norm.oracle() if side is None else band_adversary(norm, side)
+    oracle = norm.oracle() if side is None else adversary(norm, side)
     dual = norm.dual().eval_batch
     if A is None:
         return oracle, norm.descriptor, norm.eval_batch, dual
@@ -456,7 +481,7 @@ def _net_body(case, side):
     return image, desc, lambda X: norm.eval_batch(X @ inv.T), lambda C: dual(C @ A)
 
 
-def _grown_net(case, side, polar_only=False):
+def _grown_net(case, side, polar_only=False, adversary=band_adversary):
     """A dual-ball oracle of a net case whose net grew from its own rows,
     and the rows: 2000 polar rows strictly between the sandwich radii and
     2000 within 2 % of the unit sphere of nu*, and the same of primal rows
@@ -466,7 +491,7 @@ def _grown_net(case, side, polar_only=False):
     primal rows are not asked, so the polar rows alone build and grow the
     net. Returns the oracle, the closed-form gauge and dual norm, the
     descriptor and both row sets."""
-    primal, desc, gauge, dual = _net_body(case, side)
+    primal, desc, gauge, dual = _net_body(case, side, adversary)
     oracle = DualBallOracle(primal, desc)
     rng = rng_stream(45, desc.n)
     U = rng.normal(size=(2000, desc.n))
@@ -494,15 +519,21 @@ SIDES = {"exact": None, "generous": 0.9, "stingy": -0.9}
 VERTEX_SIGMA = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 7: net bounds at cube vertices carry an uncharged sigma")
 NET_LEGALITY_CASES = (
-    [pytest.param(case, side, False, id=f"{case}-{name}")
+    [pytest.param(case, side, False, band_adversary, id=f"{case}-{name}")
      for case in NET_BODIES for name, side in SIDES.items()]
-    + [pytest.param(case, side, True, id=f"{case}-{name}-polar-only",
+    + [pytest.param(case, side, True, band_adversary, id=f"{case}-{name}-polar-only",
                     marks=VERTEX_SIGMA if case == "linf-R3" else ())
-       for case, (_, n, _) in NET_BODIES.items() if n <= 3 for name, side in SIDES.items()])
+       for case, (_, n, _) in NET_BODIES.items() if n <= 3 for name, side in SIDES.items()]
+    # an oracle generous on x_1 > 0 and stingy on x_1 < 0, whose answers
+    # are not symmetric where the ball is
+    + [pytest.param(case, 0.9, polar_only, lopsided_band_adversary,
+                    id=f"{case}-lopsided" + ("-polar-only" if polar_only else ""),
+                    marks=VERTEX_SIGMA if case == "linf-R3" and polar_only else ())
+       for case, (_, n, _) in NET_BODIES.items() if n <= 3 for polar_only in (False, True)])
 
 
-@pytest.mark.parametrize("case,side,polar_only", NET_LEGALITY_CASES)
-def test_net_verdicts_are_legal_under_band_adversary(case, side, polar_only):
+@pytest.mark.parametrize("case,side,polar_only,adversary", NET_LEGALITY_CASES)
+def test_net_verdicts_are_legal_under_band_adversary(case, side, polar_only, adversary):
     """On a net grown from its own rows under the adversary (_grown_net),
     on the polar side, every row the net certifies has nu*(c) <= 1 and
     every row that a witness refutes has nu*(c) > 1; on the primal side,
@@ -518,12 +549,22 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side, polar_only):
     leaves out the slack. Last, every net bound hi(v) is at least the
     closed-form support value h_B(v) = nu*(v).
 
+    In R^2 and R^3 the net is symmetric, each -v in it with hi(v) and -w_v,
+    also under the lopsided adversary, whose answers are not: the mirrors
+    are certified by the ball's symmetry.
+
     A polar-only net, which polar rows alone built and grew, is checked on
     the polar side, and not for settling half: at one call a row, its
     4000 rows buy only the directions that many of them pay for."""
-    oracle, gauge, dual, desc, polar_rows, primal_rows = _grown_net(case, side, polar_only)
+    oracle, gauge, dual, desc, polar_rows, primal_rows = _grown_net(case, side, polar_only,
+                                                                    adversary)
     if desc.n <= 3:
         assert len(oracle._net) > 2 * desc.n
+        # the net is symmetric: each -v is in it, with hi(v) and -w_v
+        mirror = np.argmin(oracle._net @ oracle._net.T, axis=1)
+        np.testing.assert_array_equal(oracle._net[mirror], -oracle._net)
+        np.testing.assert_array_equal(oracle._net_hi[mirror], oracle._net_hi)
+        np.testing.assert_array_equal(oracle._witness[mirror], -oracle._witness)
     tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
     W = oracle._witness
     sides = [  # rows, closed form, sandwich radii, lower bound, primal side
