@@ -46,7 +46,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     if n is not None and v.size != n:
         raise ValueError(f"expected dimension {n}, got {v.size}")

@@ -457,7 +457,7 @@ _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
 _MAX_DEPTH = 0.9  # clip of a cut's normalized depth (module header)
 _POOL_CAP = 256  # separator halfspaces a run pools for free cuts (module header)
 _SCAN_ROWS = 512  # centers per pool scan: a 1 MB violation matrix at _POOL_CAP
-_BLOCK = 1024  # rows per block of a gauge certificate (_gauge_bound)
+_BLOCK = 1024  # rows per block of a row-wise temporary (gauges, net screens, sandwiches)
 # share of outer beyond B(a, outer) past which a hull vertex takes the ball's
 # tangent at no call; a nearer one is asked (module header, hull centres). At
 # 1e-3, 1e-2 and 3e-2 seed-1 dualnorm read 106.1, 102.7 and 111.1 calls per
@@ -885,11 +885,13 @@ class _Hull:
 
 
 def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
-                 pts: np.ndarray, nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                 pts: np.ndarray, nrm: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Per row c, nrm holding |c|, an upper bound on its gauge from the
     generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
     constant L, gauge(e) <= L |e| for every e; and, where hull has facets,
-    per row the plane H of the facet that gave it (else None).
+    per row the index of the facet that gave it, together with the planes
+    H of the hull's facets that index reads (else None and None).
 
     c is written c = sum lam_i G_i + e over the row's n generators, lam
     solving the n x n system and clipped to lam >= 0, and e the residual. A
@@ -923,15 +925,15 @@ def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
     length = np.linalg.norm(G, axis=1)
     tiny = 1e-9 * length.max() ** n
     bound = np.full(len(pts), np.inf)
-    H = None
+    met = planes = None
     if hull is not None:
         facets, planes = hull.planes()
         if not len(facets):
-            return bound, None
+            return bound, None, None
         # one inverse per facet, or per row where there are fewer rows
         inverse = (np.linalg.inv(G[facets].transpose(0, 2, 1))
                    if len(pts) >= len(facets) else None)
-        H = np.zeros((len(pts), n))
+        met = np.empty(len(pts), dtype=int)
     for lo in range(0, len(pts), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         C = pts[rows]
@@ -942,19 +944,19 @@ def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
             lam = np.zeros((len(C), n))
             lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
         else:
-            met = np.argmax(C @ planes.T, axis=1)  # the plane the ray meets first
-            H[rows] = planes[met]
-            pick = facets[met]
+            f = np.argmax(C @ planes.T, axis=1)  # the facet the ray meets first
+            met[rows] = f
+            pick = facets[f]
             A = G[pick]
             ok = True
             lam = np.einsum("bij,bj->bi", np.linalg.inv(A.transpose(0, 2, 1))
-                            if inverse is None else inverse[met], C)
+                            if inverse is None else inverse[f], C)
         lam = np.maximum(lam, 0.0)
         res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
         scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
         value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
         bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
-    return bound, H
+    return bound, met, planes
 
 
 def _add_polar(hull: _Hull, rows: np.ndarray, body: CenteredBody) -> None:
@@ -1131,8 +1133,9 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         if hull is not None:
             # the vertex of max c . y and its certified value; a vertex that
             # comes back sends the row to the ellipsoid, from its start
-            bound, H = _gauge_bound(hull.points[1:], np.ones(len(hull.points) - 1),
-                                    math.sqrt(n), hull, C, nc)
+            bound, met, planes = _gauge_bound(hull.points[1:], np.ones(len(hull.points) - 1),
+                                              math.sqrt(n), hull, C, nc)
+            H = planes[met]
             if (vertices == H).all(axis=1).any():
                 hull = None
                 Z = np.tile(start, (len(C), 1))

@@ -42,6 +42,7 @@ import numpy as np
 
 from .core import (DEFAULT_CONFIG, NormDescriptor, ToleranceConfig, positive_finite,
                    rng_stream)
+from .cutting import _BLOCK
 from .normdual import DualBallOracle
 from .oracles import WeakMembershipOracle
 
@@ -77,12 +78,15 @@ def _sandwich_query(oracle: WeakMembershipOracle, pts: np.ndarray,
     rounding of |x - a|. Only the rows asked reach oracle.query_batch, so
     its call counter, and any tracer on it, count exactly those; pts is
     released before the query, so a caller that hands over its only
-    reference frees the rows during it."""
+    reference frees the rows during it. The distances are summed in blocks
+    of _BLOCK rows, so the squares take one block's temporary, not one the
+    size of pts; each row's sum is the same either way."""
     body = oracle.body
-    sq = pts - body.center
-    sq *= sq  # in place: one temporary the size of pts, not two
-    dist = np.sqrt(sq.sum(axis=1))
-    del sq
+    dist = np.empty(len(pts))
+    for lo in range(0, len(pts), _BLOCK):
+        sq = pts[lo:lo + _BLOCK] - body.center
+        sq *= sq
+        dist[lo:lo + _BLOCK] = np.sqrt(sq.sum(axis=1))
     out = dist <= body.inner_radius
     ask = ~out & (dist <= body.outer_radius)
     asked = pts[ask]

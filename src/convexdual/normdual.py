@@ -306,8 +306,8 @@ class DualBallOracle(WeakMembershipOracle):
             self._hulls[0].add(V / hi[:, None])
             self._hulls[1].add(W / (1.0 + desc.k_hi * self._witness_slack))
 
-    def _upper(self, C: np.ndarray, nrm: np.ndarray,
-               primal: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _upper(self, C: np.ndarray, nrm: np.ndarray, primal: bool
+               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """_gauge_bound of the rows C, nrm holding their norms, on the
         primal ball or (primal False) on the dual one, over that side's
         generators and hull (class docstring): the witnesses with
@@ -320,32 +320,34 @@ class DualBallOracle(WeakMembershipOracle):
         return _gauge_bound(self._net, self._net_hi, 1.0 / desc.k_lo, hull, C, nrm)
 
     def _new_directions(self, C: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                        H: np.ndarray, primal: bool) -> np.ndarray:
+                        met: np.ndarray, planes: np.ndarray, primal: bool) -> np.ndarray:
         """The directions that the unsettled rows C pay for. lower < 1 < upper
-        bound each row's gauge, and H is the plane of the certificate hull's
-        facet that its ray meets first (_gauge_bound).
+        bound each row's gauge, and met indexes the planes of the certificate
+        hull's facets at the facet that its ray meets first (_gauge_bound).
 
-        Rows are grouped by the face of that facet (coplanar facets share
-        it). A face gets a direction when its rows would cost more than the
-        direction: a row costs one call on either side, and a direction the
-        last support run's calls per row it ran. Each row counts with the
-        share of its sandwich upper - lower that one support run could
-        remove: a direction through the row leaves a sandwich about
-        |x| (err + s) thick on the polar side and k_hi (err + s) nu(x) on the
-        primal one, err being the run's width, so a row already that thin
-        counts for nothing. A primal face's direction is its normal, a polar
-        face's the mean direction of its rows, and a direction that repeats
-        one of the net is not added."""
+        Rows are grouped by the face of that facet: the hull's facets are
+        grouped by their unit normals, rounded, so coplanar facets share a
+        face, and the faces that rows meet are taken in the order of those
+        rounded normals, each with its first row. A face gets a direction when
+        its rows would cost more than the direction: a row costs one call on
+        either side, and a direction the last support run's calls per row it
+        ran. Each row counts with the share of its sandwich upper - lower that
+        one support run could remove: a direction through the row leaves a
+        sandwich about |x| (err + s) thick on the polar side and
+        k_hi (err + s) nu(x) on the primal one, err being the run's width, so
+        a row already that thin counts for nothing. A primal face's direction is its
+        normal, a polar face's the mean direction of its rows, and a direction
+        that repeats one of the net is not added."""
         desc = self.primal_descriptor
         err_s = _NET_REL_ERR / desc.k_hi + self._witness_slack
         thinnest = desc.k_hi * err_s * lower if primal else np.linalg.norm(C, axis=1) * err_s
         share = np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0)
-        normal = H / np.linalg.norm(H, axis=1)[:, None]
-        _, first, face = np.unique(np.round(normal, 9), axis=0, return_index=True,
+        normal = planes / np.linalg.norm(planes, axis=1)[:, None]
+        _, facet_face = np.unique(np.round(normal, 9), axis=0, return_inverse=True)
+        _, first, face = np.unique(facet_face.ravel()[met], return_index=True,
                                    return_inverse=True)
-        face = face.ravel()
         if primal:
-            U = normal[first]
+            U = normal[met[first]]
         else:
             U = np.zeros((len(first), C.shape[1]))
             np.add.at(U, face, C / np.linalg.norm(C, axis=1)[:, None])
@@ -363,7 +365,7 @@ class DualBallOracle(WeakMembershipOracle):
         leaves more rows than _net_directions has directions builds it from
         those first, and its delta fixes the cap on the net's centre slack
         (class docstring). In R^2 and R^3 the net then grows in rounds
-        (_new_directions), where _upper gives each row's facet plane."""
+        (_new_directions), where _upper gives each row's facet."""
         if not len(self._net):
             first = _net_directions(self.body.n)
             if len(pts) > len(first):
@@ -376,13 +378,14 @@ class DualBallOracle(WeakMembershipOracle):
         while len(self._net) and len(todo):
             C = pts[todo]
             lower = lower_bound(C, nrm[todo])
-            upper, H = self._upper(C, nrm[todo], primal)
+            upper, met, planes = self._upper(C, nrm[todo], primal)
             out[todo] = (lower <= 1.0) & (upper <= 1.0)
             left = (lower <= 1.0) & (upper > 1.0)
             todo = todo[left]
-            if H is None or not len(todo):
+            if met is None or not len(todo):
                 break
-            new = self._new_directions(C[left], lower[left], upper[left], H[left], primal)
+            new = self._new_directions(C[left], lower[left], upper[left], met[left], planes,
+                                       primal)
             if not len(new):
                 break
             self._grow(new)

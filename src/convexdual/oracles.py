@@ -351,14 +351,79 @@ def smat(v) -> np.ndarray:
     return M
 
 
-def _psd_min_eigs(X: np.ndarray, d: int) -> np.ndarray:
-    """Smallest eigenvalue of smat(x) for every row x, in one batched call."""
+def _smat_stack(X: np.ndarray, d: int) -> np.ndarray:
+    """smat of every row of the finite (m, d(d+1)/2) stack X, unchecked."""
     i, j, scale = _svec_layout(d)
     vals = X / scale
     M = np.zeros((X.shape[0], d, d))
     M[:, i, j] = vals
     M[:, j, i] = vals
-    return np.linalg.eigvalsh(M)[:, 0]
+    return M
+
+
+def _psd_min_eigs(X: np.ndarray, d: int) -> np.ndarray:
+    """Smallest eigenvalue of smat(x) for every row x, in one batched call."""
+    return np.linalg.eigvalsh(_smat_stack(X, d))[:, 0]
+
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT27 = math.sqrt(27.0)
+_THIRD_TURN = 2.0 * math.pi / 3.0
+
+
+def _sym3_eigs(a: float, b: float, c: float, d: float, e: float,
+               f: float) -> tuple[float, float, float]:
+    """Eigenvalues, largest first, of the symmetric matrix
+    [[a, b, c], [b, d, e], [c, e, f]], in closed form (O. K. Smith,
+    "Eigenvalues of a symmetric 3 x 3 matrix", CACM 4(4), 1961).
+
+    With q the mean of the diagonal and S = A - q I, the eigenvalues are
+    q + 2 p cos(theta + 2 pi k / 3), k = 0, 1, 2, where p = sqrt(J2 / 3),
+    J2 = tr(S^2) / 2, and 3 theta is the angle in [0, pi] whose cosine is
+    J3 / (2 p^3), J3 = det S. Smith reads the angle from that cosine by
+    acos, but near a double eigenvalue the cosine is near +-1, where acos
+    turns a rounding error eps into an angle error of sqrt(eps). So the
+    angle is read by atan2 from the cosine and the sine, whose square is
+    D / (108 p^6): D = 4 J2^3 - 27 J3^2 = prod_{i<j} (s_i - s_j)^2 is the
+    discriminant, which is computed not as that difference but as the
+    determinant of the Gram matrix of I, S and S^2, a sum of squares by
+    Cauchy-Binet (Parlett, "The (matrix) discriminant as a determinant",
+    LAA 355, 2002). Every term then errs by a few eps of |S|^3, so the
+    angle by a few eps, and every eigenvalue by a few eps of the largest
+    entry of A. A is first divided by that entry, so no square or cube
+    overflows or underflows at any finite scale.
+    """
+    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0
+    a, b, c, d, e, f = a / scale, b / scale, c / scale, d / scale, e / scale, f / scale
+    q = (a + d + f) / 3.0
+    x, y, z = a - q, d - q, f - q  # the diagonal of S; b, c, e are its off-diagonal
+    bb, cc, ee = b * b, c * c, e * e
+    j2 = (x * x + y * y + z * z) / 2.0 + bb + cc + ee
+    if j2 == 0.0:
+        q *= scale
+        return q, q, q
+    j3 = x * (y * z - ee) - b * (b * z - c * e) + c * (b * e - c * y)
+    # the Gram determinant sums the squared 3 x 3 minors of the six rows
+    # (1, s_ii, t_ii), on the diagonal, and sqrt(2) (0, s_ij, t_ij), i < j,
+    # off it, with T = S^2: the minor of the three diagonal rows; the nine
+    # of two diagonal rows and one off it, where rows (i, j) give
+    # m_j - m_i; and the three pairs of off-diagonal rows, each with any
+    # of the three diagonal rows
+    tx, ty, tz = x * x + bb + cc, bb + y * y + ee, cc + ee + z * z
+    tb, tc, te = b * (x + y) + c * e, c * (x + z) + b * e, e * (y + z) + b * c
+    sy, sz, ty, tz = y - x, z - x, ty - tx, tz - tx  # the rows less the first
+    disc = (sy * tz - sz * ty) ** 2
+    for s, t in ((b, tb), (c, tc), (e, te)):
+        my, mz = sy * t - ty * s, sz * t - tz * s
+        disc += 2.0 * (my * my + mz * mz + (mz - my) ** 2)
+    disc += 12.0 * ((b * tc - c * tb) ** 2 + (b * te - e * tb) ** 2 + (c * te - e * tc) ** 2)
+    theta = math.atan2(math.sqrt(disc), _SQRT27 * j3) / 3.0
+    r = 2.0 * math.sqrt(j2 / 3.0)
+    return (scale * (q + r * math.cos(theta)),
+            scale * (q + r * math.cos(theta - _THIRD_TURN)),
+            scale * (q + r * math.cos(theta + _THIRD_TURN)))
 
 
 class ReferenceCone:
@@ -419,22 +484,41 @@ class ReferenceCone:
         return bool(self.member_batch(as_vector(x, self.n)[None, :])[0])
 
     def boundary_margin(self, x) -> float:
-        """Signed Euclidean distance to the cone boundary (negative outside)."""
+        """Signed Euclidean distance to the cone boundary (negative outside).
+
+        x is checked once (as_vector), and the closed forms run on Python
+        floats:
+        - orthant: the least coordinate, exactly, or minus the
+          root-sum-square of the negative coordinates (math.hypot), to an
+          ulp;
+        - soc: (t - |u|)/sqrt(2) for x = (u, t), or -|x| where t <= -|u|
+          (the polar cone), |u| by math.hypot, to a few ulps of |x|;
+        - psd: the least eigenvalue of smat(x), or minus the
+          root-sum-square of the negative ones. For 3 x 3 matrices the
+          eigenvalues come from Smith's trigonometric closed form
+          (_sym3_eigs), to a few eps of the largest entry at any scale;
+          the tests hold it to 1e-13 max(1, |x|) of numpy's eigvalsh. Every
+          other size takes eigvalsh.
+        """
         v = as_vector(x, self.n)
-        if self.kind == "orthant":
-            neg = np.minimum(v, 0.0)
-            if np.any(neg < 0.0):
-                return -float(np.linalg.norm(neg))
-            return float(v.min())
         if self.kind == "soc":
-            u, t = float(np.linalg.norm(v[:-1])), float(v[-1])
-            if t <= -u:
-                return -float(np.linalg.norm(v))
-            return (t - u) / math.sqrt(2.0)
-        eigs = np.linalg.eigvalsh(smat(v))
-        if eigs[0] >= 0.0:
-            return float(eigs[0])
-        return -float(np.linalg.norm(np.minimum(eigs, 0.0)))
+            *u, t = v.tolist()
+            r = math.hypot(*u)
+            if t <= -r:
+                return -math.hypot(r, t)
+            return (t - r) / _SQRT2
+        # the orthant's coordinates, or the eigenvalues of smat(x)
+        if self.kind == "orthant":
+            vals = v.tolist()
+        elif self.d == 3:
+            a, b, c, d, e, f = v.tolist()  # svec order (_svec_layout)
+            vals = _sym3_eigs(a, b / _SQRT2, c / _SQRT2, d, e / _SQRT2, f)
+        else:
+            vals = np.linalg.eigvalsh(_smat_stack(v[None, :], self.d)[0]).tolist()
+        low = min(vals)
+        if low >= 0.0:
+            return low
+        return -math.hypot(*[w for w in vals if w < 0.0])
 
     def dual(self) -> "ReferenceCone":
         return self  # all reference kinds are self-dual

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -775,6 +776,23 @@ def test_growth_is_paid_for(monkeypatch):
     assert primal.calls.count - before == 10
     oracle.query_batch(U / norm.dual().eval_batch(U)[:, None] * (1.0 - 1e-9), 1e-6)
     assert len(oracle._net) == 14
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["l1-R2", "l1-R3"])
+def test_mahler_working_set(n):
+    """One mahler_volume call at 50,000 samples holds at most 4.25 times a
+    sample chunk's bytes at its peak (tracemalloc). Building a copy of the
+    facet plane per row for the net's growth, and squaring a whole chunk at
+    once in the sandwich screen, read 4.80 and 4.97 chunks."""
+    norm = ReferenceNorm.lp(1.0, n)
+    tracemalloc.start()
+    try:
+        mahler_volume(norm.oracle(), norm.descriptor, 50_000,
+                      dataclasses.replace(DEFAULT_CONFIG, rng_seed=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 50_000 * n * 8
 
 
 def _brute_hull(P):

@@ -264,6 +264,95 @@ def test_psd_membership_margin_is_min_eigenvalue():
     assert cone.boundary_margin(indef) == pytest.approx(-0.5)
 
 
+def _numpy_margin(cone, x):
+    """The cone's boundary margin in numpy, the reference of its closed forms."""
+    v = np.asarray(x, dtype=float)
+    if cone.kind == "orthant":
+        neg = np.minimum(v, 0.0)
+        return -float(np.linalg.norm(neg)) if np.any(neg < 0.0) else float(v.min())
+    if cone.kind == "soc":
+        u, t = float(np.linalg.norm(v[:-1])), float(v[-1])
+        return -float(np.linalg.norm(v)) if t <= -u else (t - u) / math.sqrt(2.0)
+    eigs = np.linalg.eigvalsh(smat(v))
+    return float(eigs[0]) if eigs[0] >= 0.0 else -float(np.linalg.norm(np.minimum(eigs, 0.0)))
+
+
+# spectra of rotated 3 x 3 matrices, from two positive magnitudes l and m
+PSD3_SPECTRA = {
+    "double-positive": lambda l, m: [l, l, m], "double-negative": lambda l, m: [-l, -l, m],
+    "double-mixed": lambda l, m: [l, l, -m], "near-double": lambda l, m: [l, l * (1 + 1e-14), -m],
+    "identity": lambda l, m: [l, l, l], "negative-identity": lambda l, m: [-l, -l, -l],
+    "rank-1": lambda l, m: [l, 0.0, 0.0], "rank-1-negative": lambda l, m: [-l, 0.0, 0.0],
+    "rank-2": lambda l, m: [l, -m, 0.0], "rank-2-positive": lambda l, m: [l, m, 0.0],
+}
+PSD3_FAMILIES = ["random", "diagonal", "subnormal-off-diagonal", *PSD3_SPECTRA]
+
+
+def _psd3_points(family):
+    """svec points of one family of symmetric 3 x 3 matrices."""
+    rng = rng_stream(15, PSD3_FAMILIES.index(family))
+    if family == "random":
+        return rng.normal(size=(200, 6))
+    if family == "diagonal":
+        return np.array([svec(np.diag(rng.normal(size=3))) for _ in range(20)])
+    if family == "subnormal-off-diagonal":
+        X = np.array([svec(np.diag(rng.normal(size=3))) for _ in range(20)])
+        X[:, [1, 2, 4]] = 1e-310 * rng.normal(size=(20, 3))
+        return X
+    out = []
+    for l, m in np.abs(rng.normal(size=(10, 2))) + 0.1:
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        M = Q @ np.diag(PSD3_SPECTRA[family](l, m)) @ Q.T
+        out.append(svec((M + M.T) / 2.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("family", PSD3_FAMILIES)
+def test_psd3_margin_closed_form_matches_eigvalsh(family, scale):
+    """The 3 x 3 closed form gives eigvalsh's margin to 1e-13 max(1, |x|)
+    at every scale, double and triple eigenvalues, singular matrices and
+    subnormal entries included."""
+    cone = ReferenceCone("psd", 3)
+    for x in scale * _psd3_points(family):
+        want = _numpy_margin(cone, x)
+        assert abs(cone.boundary_margin(x) - want) <= 1e-13 * max(1.0, np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("kind,n", [("orthant", 4), ("soc", 4), ("soc", 2), ("psd", 2),
+                                    ("psd", 4)])
+def test_cone_margin_matches_numpy_forms(kind, n):
+    """Orthant and soc margins equal their numpy forms to a few ulps of |x|,
+    on both sides of the cone and in the soc's polar region; psd(2) and
+    psd(4), which take eigvalsh, to rounding."""
+    cone = ReferenceCone(kind, n)
+    X = rng_stream(16, n).normal(size=(300, cone.n)) * np.logspace(-150, 150, 300)[:, None]
+    X[::3] = np.abs(X[::3])  # a third inside the orthant
+    for x in X:
+        want = _numpy_margin(cone, x)
+        assert abs(cone.boundary_margin(x) - want) <= 8 * np.finfo(float).eps * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("d,asks", [(2, True), (3, False), (4, True)])
+def test_psd_margin_takes_eigvalsh_except_for_3x3(monkeypatch, d, asks):
+    asked = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: asked.append(M) or eigvalsh(M))
+    cone = ReferenceCone("psd", d)
+    assert cone.boundary_margin(cone.a) == pytest.approx(1.0 / math.sqrt(d))
+    assert bool(asked) is asks
+
+
+@pytest.mark.parametrize("kind,n", [("orthant", 3), ("soc", 3), ("psd", 2), ("psd", 3)])
+def test_cone_margin_rejects_bad_points(kind, n):
+    cone = ReferenceCone(kind, n)
+    good = np.ones(cone.n)
+    for bad in (np.append(good[1:], np.nan), np.append(good[1:], np.inf),
+                np.append(good[1:], -np.inf), good[1:], np.append(good, 1.0), good[None, :]):
+        with pytest.raises(ValueError):
+            cone.boundary_margin(bad)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_psd_min_eigs_match_one_matrix_at_a_time(d):
     """The batched eigenvalues equal those of smat row by row, bit for bit,
