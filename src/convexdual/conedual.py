@@ -53,10 +53,9 @@ class ConeDescriptor:
 
 
 def normalize_cone(desc: ConeDescriptor) -> ConeDescriptor:
-    """Rescale a so that b . a = 1; eps_a and the slice bound follow the scale."""
+    """Rescale a so that b . a = 1; eps_a and the slice bound follow the scale.
+    b . a > 0, as ConeDescriptor holds it."""
     ba = float(desc.b @ desc.a)
-    if ba <= 0.0:
-        raise ValueError("cannot normalize: b . a <= 0")
     if abs(ba - 1.0) <= 1e-12:
         return desc
     a_new = desc.a / ba

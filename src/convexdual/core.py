@@ -126,7 +126,7 @@ class CenteredBody:
     """Well-bounded convex body data: B(center, inner) <= K <= B(center, outer).
 
     outer_radius may be math.inf for cones; bounded pipelines check for it.
-    inner_radius must be finite.
+    inner_radius must be finite, and no radius NaN.
 
     ellipsoid, when given, is a pair (e, Q): a centre e and a symmetric
     positive-definite shape Q with K <= {y : (y - e)' Q^-1 (y - e) <= 1}.
@@ -148,8 +148,6 @@ class CenteredBody:
             raise ValueError(
                 f"need 0 < inner <= outer, got ({self.inner_radius}, {self.outer_radius})"
             )
-        if math.isnan(self.outer_radius):
-            raise ValueError("outer radius is NaN")
         if self.ellipsoid is not None:
             e, Q = self.ellipsoid
             e = as_vector(e, self.n)

@@ -466,6 +466,7 @@ _BLOCK = 1024  # rows per block of a row-wise temporary (gauges, net screens, sa
 # buy separators
 _TANGENT_SHARE = 1e-2
 _HULL_TOL = 1e-9  # a point this share of the hull's scale beyond a plane sees it
+_HULL_DIMS = (2, 3)  # dimensions that take hull centres and grow nets (module header)
 
 
 class BracketError(RuntimeError):
@@ -975,7 +976,7 @@ def _takes_hull(oracle: WeakMembershipOracle, body: CenteredBody) -> bool:
     """Whether a run of one row over the body takes hull centres: in R^2
     and R^3, where the oracle has no separator of its own (module header,
     hull centres)."""
-    return body.n in (2, 3) and oracle.separator is None
+    return body.n in _HULL_DIMS and oracle.separator is None
 
 
 def _seed_hull(body: CenteredBody, rows: np.ndarray) -> _Hull:

@@ -25,11 +25,30 @@ class CertificateError(RuntimeError):
     """A caller-supplied certificate contradicts what the run observed."""
 
 
+def _threshold(holds, lo: float, hi: float, rounds: int) -> float:
+    """A point where holds is true, for a predicate that stays true once it
+    turns true: hi is doubled until holds(hi), and then [lo, hi] is
+    bisected the given number of rounds, keeping holds(hi) true. Returns
+    that hi, within (hi - lo) / 2^rounds of the turn when it lies in
+    [lo, hi]."""
+    while not holds(hi):
+        hi *= 2.0
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class GrowthCertificate:
     """Two-sided power growth of a convex function outside a ball.
 
-    Asserts k_lo |x|^s <= f(x) <= k_hi |x|^t whenever |x| >= r. Only the
+    Asserts k_lo |x|^s <= f(x) <= k_hi |x|^t whenever |x| >= r, with
+    1 < s <= t and a sandwich that is nonempty from r on:
+    k_lo / k_hi <= r^(t - s), which at s = t reads k_lo <= k_hi. Only the
     holder can vouch for it; the evaluation routines consume it to pick
     localization radii and caps.
     """
@@ -43,10 +62,10 @@ class GrowthCertificate:
     def __post_init__(self):
         for name in ("k_lo", "k_hi", "s", "t", "r"):
             positive_finite(getattr(self, name), name)
-        if not self.k_lo <= self.k_hi:
-            raise ValueError("need 0 < k_lo <= k_hi")
         if not 1.0 < self.s <= self.t:
             raise ValueError("need exponents 1 < s <= t")
+        if not self.k_lo / self.k_hi <= self.r ** (self.t - self.s):
+            raise ValueError("need a nonempty sandwich from r on: k_lo r^s <= k_hi r^t")
 
     def lower(self, radius):
         return self.k_lo * np.asarray(radius, dtype=float) ** self.s
@@ -312,18 +331,8 @@ def dual_growth_constants(cert: GrowthCertificate,
     z_min = (r / (K_star * t_star)) ** (1.0 / (t_star - 1.0))
     if g(z_min) > 0.0:
         r1 = 0.0
-    else:
-        hi = max(z_min, 1.0)
-        while g(hi) <= 0.0:
-            hi *= 2.0
-        lo = z_min
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r1 = hi
+    else:  # a NaN g ends the search as g > 0 does
+        r1 = _threshold(lambda z: not g(z) <= 0.0, z_min, max(z_min, 1.0), 200)
     r_prime = max(r1, K * t * r ** (t - 1.0))
     return GrowthCertificate(k_star, K_star, s_star, t_star, r_prime)
 
@@ -381,17 +390,8 @@ def fenchel_eval(values: FunctionApproxOracle, cert: GrowthCertificate, y,
     def excluded(rad):
         return rad * (cert.k_lo * rad ** (cert.s - 1.0) - ny) > threshold
 
-    rho = max(cert.r, 1.0, ((ny + 1.0) / cert.k_lo) ** (1.0 / (cert.s - 1.0)))
-    while not excluded(rho):
-        rho *= 2.0
-    lo, hi = cert.r, rho
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if excluded(mid):
-            hi = mid
-        else:
-            lo = mid
-    radius = hi
+    radius = _threshold(excluded, cert.r,
+                        max(cert.r, 1.0, ((ny + 1.0) / cert.k_lo) ** (1.0 / (cert.s - 1.0))), 60)
 
     with np.errstate(over="ignore"):
         f_sphere = float(cert.upper(radius))

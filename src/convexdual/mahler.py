@@ -34,6 +34,7 @@ net's support runs and earlier validity runs bought, at no call.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -165,11 +166,11 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     The primal ball lives in the box of radius 1 / k_lo, the polar ball in
     the box of radius k_hi; the polar's oracle is derived from the primal
     one, so the product is computed from a single membership routine. The
-    primal run asks through the polar oracle's net
-    (DualBallOracle._primal_screen), so the primal oracle sees only the
-    shell samples that the net leaves. The polar oracle, and with it its
-    net and cut pool, lives for this call only, so the calls of a call
-    repeat from call to call. The half-width combines the two
+    primal run asks through the polar oracle's net (DualBallOracle._net_query
+    with primal=True), so the primal oracle sees only the shell samples
+    that the net leaves. The polar oracle, and with it its net and cut
+    pool, lives for this call only, so the calls of a call repeat from call
+    to call. The half-width combines the two
     independent estimates by first-order error propagation. cfg supplies
     the seed: the primal run samples the streams of cfg.rng_seed, the polar
     run those of cfg.rng_seed + 1. Both seeds are checked (rng_stream)
@@ -179,8 +180,8 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
     rng_stream(cfg.rng_seed)
     rng_stream(cfg.rng_seed + 1)
     dual_oracle = DualBallOracle(oracle, desc)
-    screened = WeakMembershipOracle(dual_oracle._primal_screen, oracle.body,
-                                    label=f"{oracle.calls.label}@net")
+    screened = WeakMembershipOracle(functools.partial(dual_oracle._net_query, primal=True),
+                                    oracle.body, label=f"{oracle.calls.label}@net")
     primal = volume_mc(screened, 1.0 / desc.k_lo, samples, cfg.rng_seed)
     dual = volume_mc(dual_oracle, desc.k_hi, samples, cfg.rng_seed + 1)
     value = primal.value * dual.value

@@ -40,7 +40,7 @@ from .core import (
     safe_norm,
 )
 from . import cutting
-from .cutting import (_BLOCK, CutPool, _gauge_bound, _Hull, support_batch,
+from .cutting import (_BLOCK, _HULL_DIMS, CutPool, _gauge_bound, _Hull, support_batch,
                       validity_centre_slack, wval_batch)
 # not called here; kept because perfbench's layer trace patches these names
 from .cutting import gauge_batch, wval_from_wmem  # noqa: F401
@@ -107,7 +107,7 @@ def _net_directions(n: int) -> np.ndarray:
     elsewhere the fixed 2 n^2 directions +-e_i and (+-e_i +-e_j)/sqrt(2),
     i < j."""
     eye = np.eye(n)
-    if n <= 3:
+    if n in _HULL_DIMS:
         return np.vstack([eye, -eye])
     pairs = [(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
              for i, j in itertools.combinations(range(n), 2)
@@ -152,8 +152,9 @@ class DualBallOracle(WeakMembershipOracle):
     two hulls are all the oracle keeps: each certificate is read from them
     when it is asked for (_upper).
 
-    The net is empty until the first batch, of the polar run or of the
-    primal one (_primal_screen), that leaves more rows than
+    Both sides ask through _net_query, with one refutation (_lower) and
+    one certificate (_upper) over the side's generators. The net is empty
+    until the first batch of either side that leaves more rows than
     _net_directions has directions (+-e_i in R^2 and R^3) builds it from
     those. In R^2 and R^3 the net then grows where its two approximations
     of the body disagree, as in the sandwich algorithm of polyhedral
@@ -177,9 +178,9 @@ class DualBallOracle(WeakMembershipOracle):
     Every rule trusts hi(v) and s as support_batch certifies them, so the
     caveat of the cutting module header (the separator's sigma is not
     charged to the support interval) covers the primal verdicts as it
-    covers the polar ones. All bounds are padded for rounding
-    (_polar_lower, _primal_lower, _gauge_bound). Smaller batches leave the
-    net empty and cost what the validity run, or the primal oracle, costs.
+    covers the polar ones. All bounds are padded for rounding (_lower,
+    _gauge_bound). Smaller batches leave the net empty and cost what the
+    validity run, or the primal oracle, costs.
 
     The polar rows all screens leave go to one validity run over the
     primal ball, which is what makes million-point volume sampling
@@ -227,7 +228,7 @@ class DualBallOracle(WeakMembershipOracle):
         self._witness_slack = 0.0  # s: every witness lies within s of B_nu
         # in R^2 and R^3, the hulls of the points V / hi and W / g (in R^1 a
         # hull has no facet to form, and rows take their nearest generators)
-        self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in (2, 3) else None
+        self._hulls = (_Hull(desc.n), _Hull(desc.n)) if desc.n in _HULL_DIMS else None
         self._direction_calls = None  # primal calls per row of the last support run
         # separator halfspaces over r B_nu, where the validity runs work: they
         # read and write it, and the net's support runs write to it
@@ -237,33 +238,25 @@ class DualBallOracle(WeakMembershipOracle):
     def _slack(self, delta: float) -> float:
         return min(delta / self.r, 0.49)
 
-    def _polar_lower(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Per polar row x, a lower bound on nu*(x): the largest
-        x.w - |x| s over the witnesses w (class docstring), so a row above 1
-        is refuted. The rounding of x.w and |x| s is at most a few n machine
-        epsilons of |x| (|w| + s), so s is padded by rho (|w| + s) and the
-        bound divided by 1 + rho."""
-        W = self._witness
+    def _lower(self, C: np.ndarray, nrm: np.ndarray, primal: bool) -> np.ndarray:
+        """Per row x of C, nrm holding the norms, a lower bound on its gauge
+        on the primal ball or (primal False) the dual one, so a row above 1
+        is refuted (class docstring): the largest (x.g - |x| pad) / div over
+        the side's generators g. Primal: v.x / hi(v) over the net, as
+        v.x <= nu(x) hi(v). Polar: x.w - |x| s over the witnesses. rho pads
+        for a rounding of a few n machine epsilons: primal, pad = rho and
+        div = hi(v) (1 + rho); polar, pad = s (1 + rho) + rho |w| and
+        div = 1 + rho."""
         rho = 16 * self.body.n * np.finfo(float).eps
-        pad = self._witness_slack * (1.0 + rho) + rho * np.linalg.norm(W, axis=1)
-        out = np.zeros(len(pts))
-        for lo in range(0, len(pts), _BLOCK):
+        if primal:
+            G, pad, div = self._net, rho, self._net_hi * (1.0 + rho)
+        else:
+            G, div = self._witness, 1.0 + rho
+            pad = self._witness_slack * (1.0 + rho) + rho * np.linalg.norm(G, axis=1)
+        out = np.zeros(len(C))
+        for lo in range(0, len(C), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            out[rows] = (pts[rows] @ W.T - nrm[rows, None] * pad).max(axis=1)
-        return out / (1.0 + rho)
-
-    def _primal_lower(self, pts: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        """Per primal row x, a lower bound on nu(x): the largest v.x / hi(v)
-        over the net, as v.x <= nu(x) h_B(v) <= nu(x) hi(v), so a row above
-        1 is refuted (class docstring). The rounding of v.x is at most a few
-        n machine epsilons of |x|, and of hi(v) and the quotient a few of
-        theirs, so v.x is lowered by rho |x| and hi(v) raised by 1 + rho."""
-        rho = 16 * self.body.n * np.finfo(float).eps
-        hi = self._net_hi * (1.0 + rho)
-        out = np.zeros(len(pts))
-        for lo in range(0, len(pts), _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            out[rows] = ((pts[rows] @ self._net.T - rho * nrm[rows, None]) / hi).max(axis=1)
+            out[rows] = ((C[rows] @ G.T - nrm[rows, None] * pad) / div).max(axis=1)
         return out
 
     def _grow(self, V: np.ndarray) -> None:
@@ -356,28 +349,29 @@ class DualBallOracle(WeakMembershipOracle):
                 & (np.max(U @ self._net.T, axis=1) < _SAME_DIRECTION))
         return U[pays]
 
-    def _net_query(self, pts: np.ndarray, nrm: np.ndarray, delta: float,
-                   primal: bool) -> np.ndarray:
+    def _net_query(self, pts: np.ndarray, delta: float, primal: bool) -> np.ndarray:
         """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
         on the primal ball or (primal False) on the dual one: refuted, then
         certified, by the net, and the rest asked together, of the primal
-        oracle or of the validity run. While the net is empty, a batch that
-        leaves more rows than _net_directions has directions builds it from
-        those first, and its delta fixes the cap on the net's centre slack
-        (class docstring). In R^2 and R^3 the net then grows in rounds
-        (_new_directions), where _upper gives each row's facet."""
+        oracle or of the validity run. mahler_volume sends its primal run's
+        shell here (primal True), so only the rows the net leaves reach the
+        primal oracle. While the net is empty, a batch that leaves more rows
+        than _net_directions has directions builds it from those first, and
+        its delta fixes the cap on the net's centre slack (class docstring).
+        In R^2 and R^3 the net then grows in rounds (_new_directions), where
+        _upper gives each row's facet."""
         if not len(self._net):
             first = _net_directions(self.body.n)
             if len(pts) > len(first):
                 self._net_dq = validity_centre_slack(self._scaled_oracle.body,
                                                      self._slack(delta)) / self.r
                 self._grow(first)
+        nrm = np.linalg.norm(pts, axis=1)
         out = np.zeros(len(pts), dtype=bool)
         todo = np.arange(len(pts))  # rows that no rule has settled
-        lower_bound = self._primal_lower if primal else self._polar_lower
         while len(self._net) and len(todo):
             C = pts[todo]
-            lower = lower_bound(C, nrm[todo])
+            lower = self._lower(C, nrm[todo], primal)
             upper, met, planes = self._upper(C, nrm[todo], primal)
             out[todo] = (lower <= 1.0) & (upper <= 1.0)
             left = (lower <= 1.0) & (upper > 1.0)
@@ -399,15 +393,8 @@ class DualBallOracle(WeakMembershipOracle):
         out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
         work = (~out) & (nrm < self.primal_descriptor.k_hi)
         if np.any(work):
-            out[work] = self._net_query(pts[work], nrm[work], delta, primal=False)
+            out[work] = self._net_query(pts[work], delta, primal=False)
         return out
-
-    def _primal_screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        """Primal verdicts, True = IN_THICKENED, of rows that the primal
-        ball's sandwich leaves (mahler_volume's primal run sends its shell
-        here): the net decides what it can, and only the rest reach the
-        primal oracle."""
-        return self._net_query(pts, np.linalg.norm(pts, axis=1), delta, primal=True)
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """Verdicts of the rows the screens leave, True = IN_THICKENED: one

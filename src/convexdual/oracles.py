@@ -73,8 +73,10 @@ class WeakMembershipOracle:
     query_batch validates, counts and calls fn; query is the same call on
     one row. Both count one call per point and raise ValueError, before
     counting, on a bad slack or on points that are not finite rows of
-    dimension n. An empty (0, n) stack gets an empty result at no call:
-    fn is not called, so no verdict function handles an empty stack.
+    dimension n, and after it when fn answers m rows with anything but m
+    verdicts, shape (m,) (_asked). An empty (0, n) stack gets an empty
+    result at no call: fn is not called, so no verdict function handles an
+    empty stack.
     """
 
     def __init__(self, fn, body: CenteredBody, label: str = "wmem", separator=None,
@@ -89,9 +91,9 @@ class WeakMembershipOracle:
         delta = positive_finite(delta, "delta")
         v = as_vector(x, self.body.n)
         self.calls.add(1)
-        # fn itself, not self.query_batch: a tracer that wraps both entry
-        # points would otherwise see this point twice
-        if self._fn(v[None, :], delta)[0]:
+        # fn (through _asked), not self.query_batch: a tracer that wraps
+        # both entry points would otherwise see this point twice
+        if self._asked(v[None, :], delta)[0]:
             return WeakVerdict.IN_THICKENED
         return WeakVerdict.NOT_IN_SHRUNK
 
@@ -102,7 +104,17 @@ class WeakMembershipOracle:
         if pts.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         self.calls.add(pts.shape[0])
-        return np.asarray(self._fn(pts, delta), dtype=bool)
+        return self._asked(pts, delta)
+
+    def _asked(self, pts: np.ndarray, delta: float) -> np.ndarray:
+        """fn's verdicts on the m rows of pts, as m booleans. Any other
+        shape raises ValueError: numpy would broadcast a scalar or a single
+        verdict to every row it is assigned to."""
+        out = np.asarray(self._fn(pts, delta), dtype=bool)
+        if out.shape != (len(pts),):
+            raise ValueError(f"verdict function answered {len(pts)} rows with shape "
+                             f"{out.shape}, not ({len(pts)},)")
+        return out
 
 
 class FunctionApproxOracle:
@@ -338,17 +350,13 @@ def svec(M) -> np.ndarray:
 
 
 def smat(v) -> np.ndarray:
-    """Inverse of svec."""
+    """Inverse of svec: the checked one-row case of _smat_stack. v must be
+    a finite vector of triangular length d (d + 1) / 2."""
     x = as_vector(v)
     d = int((math.isqrt(8 * x.size + 1) - 1) // 2)
     if d * (d + 1) // 2 != x.size:
         raise ValueError(f"length {x.size} is not a triangular number")
-    i, j, scale = _svec_layout(d)
-    vals = x / scale
-    M = np.zeros((d, d))
-    M[i, j] = vals
-    M[j, i] = vals
-    return M
+    return _smat_stack(x[None, :], d)[0]
 
 
 def _smat_stack(X: np.ndarray, d: int) -> np.ndarray:

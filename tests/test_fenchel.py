@@ -576,6 +576,39 @@ def test_dual_growth_sandwich_holds_for_quartic():
         assert dual.lower(z) - 1e-9 <= exact <= dual.upper(z) + 1e-9
 
 
+def test_dual_growth_constants_take_growth_with_s_below_t():
+    """f(x) = 0.75 |x|^3 satisfies (k_lo, k_hi, s, t, r) = (0.75, 0.75, 2, 4,
+    1). Its conjugate constants (0.5200, 0.3333, 4/3, 2, r' = 3) have
+    k_lo > k_hi, a valid sandwich with s < t, and conjugating them gives
+    back (0.75, 0.75, 2, 4). The dual sandwich holds the closed form
+    f*(y) = (4/9) |y|^(3/2) on [r', r' + 30]. Every primal certificate
+    with a nonempty sandwich from r on, of 2,000 random ones with s < t and
+    k_lo <= k_hi, has a conjugate certificate."""
+    dual = dual_growth_constants(GrowthCertificate(0.75, 0.75, 2.0, 4.0, 1.0), 0.0)
+    np.testing.assert_allclose((dual.k_lo, dual.k_hi, dual.s, dual.t, dual.r),
+                               (0.75 / 3.0 ** (1.0 / 3.0), 1.0 / 3.0, 4.0 / 3.0, 2.0, 3.0),
+                               rtol=1e-9)
+    assert dual.k_lo > dual.k_hi
+    back = dual_growth_constants(dual, 0.0)
+    np.testing.assert_allclose((back.k_lo, back.k_hi, back.s, back.t),
+                               (0.75, 0.75, 2.0, 4.0), rtol=1e-9)
+    z = np.linspace(dual.r, dual.r + 30.0, 200)
+    exact = 4.0 / 9.0 * z ** 1.5
+    assert np.all(dual.lower(z) <= exact) and np.all(exact <= dual.upper(z))
+    rng = np.random.default_rng(5)
+    s = 1.0 + rng.uniform(0.05, 3.0, 2000)
+    t = s + rng.uniform(0.0, 3.0, 2000)
+    k_lo = rng.uniform(0.05, 3.0, 2000)
+    k_hi = k_lo * rng.uniform(1.0, 4.0, 2000)
+    r = rng.uniform(0.01, 5.0, 2000)
+    nonempty = k_lo * r ** s <= k_hi * r ** t
+    assert np.count_nonzero(nonempty) > 1000
+    for cert in zip(k_lo[nonempty], k_hi[nonempty], s[nonempty], t[nonempty], r[nonempty]):
+        dual_growth_constants(GrowthCertificate(*map(float, cert)), 0.0)
+    with pytest.raises(ValueError, match="nonempty sandwich"):
+        GrowthCertificate(2.0, 1.0, 2.0, 3.0, 1.5)   # 2 r^2 > r^3 at r = 1.5
+
+
 CONJ_CASES = [
     ("half_square_norm", 2, [0.6, -0.8]),
     ("half_square_norm", 2, [0.0, 0.0]),

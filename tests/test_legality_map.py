@@ -16,6 +16,12 @@ err / k_hi for each of 200 unit rows c, for the same six balls at err
 from 1e-2 down to 1e-5. Each interval must hold the closed-form support
 value h_B(c) = nu*(c).
 
+Both columns also run under three adversaries that answer inside the
+ambiguity band wherever the weak contract allows (tests/adversaries.py):
+band_adversary at side +0.99 (generous) and -0.99 (stingy), and
+lopsided_band_adversary at 0.99, generous on x_1 > 0 and stingy on
+x_1 < 0. Those cells take the widths 1e-2 and 1e-4.
+
 A cell that fails today is a strict xfail naming the item that will
 repair it, so that a repair must take its mark off.
 """
@@ -25,6 +31,7 @@ import math
 import numpy as np
 import pytest
 
+from adversaries import band_adversary, lopsided_band_adversary
 from convexdual import cutting
 from convexdual.core import rng_stream
 from convexdual.normdual import DualBallOracle
@@ -48,12 +55,17 @@ def test_dual_ball_validity_verdicts_are_legal(p, n, delta):
     """Every verdict of one validity run over 100 rows just inside and 100
     just outside the dual sphere is the closed-form one."""
     norm = ReferenceNorm.lp(p, n)
-    desc = norm.descriptor
+    _assert_validity_legal(norm, norm.oracle(), delta)
+
+
+def _assert_validity_legal(norm, primal, delta):
+    """One validity cell, primal being an oracle of norm's unit ball."""
+    n, desc = norm.n, norm.descriptor
     U = rng_stream(12, n).normal(size=(100, n))
     U /= norm.dual().eval_batch(U)[:, None]
     band = 1.5 * delta / desc.k_lo
     X = np.vstack([(1.0 - band) * U, (1.0 + band) * U])
-    got = DualBallOracle(norm.oracle(), desc)._lockstep(X, delta)
+    got = DualBallOracle(primal, desc)._lockstep(X, delta)
     np.testing.assert_array_equal(got, norm.dual().eval_batch(X) <= 1.0)
 
 
@@ -74,9 +86,53 @@ def test_support_intervals_hold_the_support_value(p, n, err):
     """Every interval of one support run over 200 unit rows holds the
     closed-form support value."""
     norm = ReferenceNorm.lp(p, n)
-    C = rng_stream(12, n).normal(size=(200, n))
+    _assert_support_held(norm, norm.oracle(), err)
+
+
+def _assert_support_held(norm, primal, err):
+    """One support cell, primal being an oracle of norm's unit ball."""
+    C = rng_stream(12, norm.n).normal(size=(200, norm.n))
     C /= np.linalg.norm(C, axis=1)[:, None]
-    lo, hi, _, _, _ = cutting.support_batch(norm.oracle(), norm.ball(), C,
+    lo, hi, _, _, _ = cutting.support_batch(primal, norm.ball(), C,
                                             err / norm.descriptor.k_hi)
     h = norm.dual().eval_batch(C)
     assert np.all(lo <= h) and np.all(h <= hi)
+
+
+ADVERSARIES = {
+    "generous": lambda norm: band_adversary(norm, 0.99),
+    "stingy": lambda norm: band_adversary(norm, -0.99),
+    "lopsided": lambda norm: lopsided_band_adversary(norm, 0.99),
+}
+ADVERSARY_WIDTHS = [1e-2, 1e-4]
+# validity cells with illegal verdicts, of 200: l-infinity in R^3 at 1e-4,
+# 16 generous, 3 stingy and 28 lopsided
+ADVERSARY_ILLEGAL = {(math.inf, 3, 1e-4, name) for name in ADVERSARIES}
+# support cells whose intervals miss h_B, of 200 rows: l-infinity in R^2
+# and R^3 at 1e-4 under every adversary (200 and 199), and l1 in R^2 at
+# 1e-4 under the stingy band (16), where the exact oracle holds all 200
+ADVERSARY_MISSED = ({(math.inf, n, 1e-4, name) for n in (2, 3) for name in ADVERSARIES}
+                    | {(1.0, 2, 1e-4, "stingy")})
+
+
+def _adversary_cells(failing):
+    return [pytest.param(p, n, width, name,
+                         marks=UNCHARGED_SIGMA if (p, n, width, name) in failing else (),
+                         id=f"l{p:g}-R{n}-{width:g}-{name}")
+            for p, n in BODIES for width in ADVERSARY_WIDTHS for name in ADVERSARIES]
+
+
+@pytest.mark.parametrize("p,n,delta,adversary", _adversary_cells(ADVERSARY_ILLEGAL))
+def test_dual_ball_validity_verdicts_are_legal_under_adversaries(p, n, delta, adversary):
+    """The validity cell of test_dual_ball_validity_verdicts_are_legal, its
+    primal oracle the adversary."""
+    norm = ReferenceNorm.lp(p, n)
+    _assert_validity_legal(norm, ADVERSARIES[adversary](norm), delta)
+
+
+@pytest.mark.parametrize("p,n,err,adversary", _adversary_cells(ADVERSARY_MISSED))
+def test_support_intervals_hold_the_support_value_under_adversaries(p, n, err, adversary):
+    """The support cell of test_support_intervals_hold_the_support_value,
+    its primal oracle the adversary."""
+    norm = ReferenceNorm.lp(p, n)
+    _assert_support_held(norm, ADVERSARIES[adversary](norm), err)

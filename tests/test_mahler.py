@@ -363,7 +363,7 @@ def test_pooled_refutations_are_legal_under_band_adversary(p, n):
     W = rng.uniform(-1.2, 1.2, size=(20_000, n)) / norm.descriptor.k_lo
     oracle._witness, oracle._witness_slack = W[adversary.query_batch(W, slack)], slack
     C = _band_rows(norm.descriptor, rng, 4000)
-    refuted = oracle._polar_lower(C, np.linalg.norm(C, axis=1)) > 1.0
+    refuted = oracle._lower(C, np.linalg.norm(C, axis=1), False) > 1.0
     dual = norm.dual().eval_batch(C)
     assert np.count_nonzero(refuted) > 0.5 * np.count_nonzero(dual > 1.1)
     assert np.all(dual[refuted] > 1.0)
@@ -384,7 +384,7 @@ def test_pool_tight_probe():
     assert 1.0 < c @ w < 1.0 + np.linalg.norm(c) * slack
     oracle = DualBallOracle(adversary, norm.descriptor)
     oracle._witness, oracle._witness_slack = w[None, :], slack
-    assert oracle._polar_lower(c[None, :], np.linalg.norm(c, keepdims=True))[0] <= 1.0
+    assert oracle._lower(c[None, :], np.linalg.norm(c, keepdims=True), False)[0] <= 1.0
     # c + B(0, delta) lies in the dual ball, so NOT_IN_SHRUNK is illegal here
     assert oracle.query(c, delta) is WeakVerdict.IN_THICKENED
 
@@ -442,7 +442,7 @@ def test_pool_refutations_cost_no_primal_calls():
     C = _band_rows(norm.descriptor, rng, 2000)
     C = C[norm.dual().eval_batch(C) > 1.4][:200]
     assert len(C) == 200
-    assert np.all(oracle._polar_lower(C, np.linalg.norm(C, axis=1)) > 1.0)
+    assert np.all(oracle._lower(C, np.linalg.norm(C, axis=1), False) > 1.0)
     before = primal.calls.count
     np.testing.assert_array_equal(oracle.query_batch(C, 0.01), np.zeros(200, bool))
     assert oracle.query(C[0], 0.01) is WeakVerdict.NOT_IN_SHRUNK
@@ -509,7 +509,7 @@ def _grown_net(case, side, polar_only=False, adversary=band_adversary):
             continue
         nrm = np.linalg.norm(C, axis=1)
         shell = (nrm > inner) & (nrm < outer)
-        oracle._net_query(C[shell], nrm[shell], 0.01, is_primal)
+        oracle._net_query(C[shell], 0.01, is_primal)
     return oracle, gauge, dual, desc, polar_rows, primal_rows
 
 
@@ -568,18 +568,17 @@ def test_net_verdicts_are_legal_under_band_adversary(case, side, polar_only, adv
         np.testing.assert_array_equal(oracle._witness[mirror], -oracle._witness)
     tight = (1.0 - 1e-7) * oracle._net / dual(oracle._net)[:, None]
     W = oracle._witness
-    sides = [  # rows, closed form, sandwich radii, lower bound, primal side
-        (np.vstack([polar_rows, tight]), dual, desc.k_lo, desc.k_hi,
-         oracle._polar_lower, False),
+    sides = [  # rows, closed form, sandwich radii, primal side
+        (np.vstack([polar_rows, tight]), dual, desc.k_lo, desc.k_hi, False),
         (np.vstack([primal_rows, (1.0 + 1e-7) * W / gauge(W)[:, None]]), gauge,
-         1.0 / desc.k_hi, 1.0 / desc.k_lo, oracle._primal_lower, True),
+         1.0 / desc.k_hi, 1.0 / desc.k_lo, True),
     ]
-    for C, closed, inner, outer, lower, primal in sides[:1] if polar_only else sides:
+    for C, closed, inner, outer, primal in sides[:1] if polar_only else sides:
         nrm = np.linalg.norm(C, axis=1)
         keep = (nrm > inner) & (nrm < outer)  # rows no sandwich settles
         C, nrm = C[keep], nrm[keep]
         certified = _certified(oracle, C, primal)
-        refuted = lower(C, nrm) > 1.0
+        refuted = oracle._lower(C, nrm, primal) > 1.0
         nu = closed(C)
         assert np.all(nu[certified] <= 1.0)
         assert np.all(nu[refuted] > 1.0)
@@ -665,7 +664,7 @@ def test_pool_holds_the_scaled_ball(p, n):
     """Every pooled halfspace u . y <= beta of a DualBallOracle holds r B_nu,
     the body of its validity runs: r nu*(u) <= beta. It is checked once the
     net is built, by the shell rows of 50,000 box samples sent through
-    _primal_screen as in mahler_volume, whose support runs pool their
+    _net_query(primal=True) as in mahler_volume, whose support runs pool their
     halfspaces with beta scaled by r, and again after one polar batch of
     50,000 box samples through query_batch, whose validity runs pool theirs.
     On the l1 balls this pins _grow's unit change; on the cube and the l3
@@ -684,8 +683,8 @@ def test_pool_holds_the_scaled_ball(p, n):
 
     X = rng.uniform(-1.0 / desc.k_lo, 1.0 / desc.k_lo, size=(50_000, n))
     nrm = np.linalg.norm(X, axis=1)
-    oracle._primal_screen(X[(nrm > 1.0 / desc.k_hi) & (nrm < 1.0 / desc.k_lo)],
-                          1e-6 / desc.k_lo)
+    oracle._net_query(X[(nrm > 1.0 / desc.k_hi) & (nrm < 1.0 / desc.k_lo)],
+                      1e-6 / desc.k_lo, primal=True)
     assert len(oracle._net)
     assert_pool_holds()
     oracle.query_batch(rng.uniform(-desc.k_hi, desc.k_hi, size=(50_000, n)), 1e-6 * desc.k_hi)
@@ -731,11 +730,11 @@ def test_small_batches_never_build_the_net():
     U = rng.normal(size=(size + 1, desc.n))
     X = U * (rng.uniform(1.0 / desc.k_hi, 1.0 / desc.k_lo, size=size + 1)
              / np.linalg.norm(U, axis=1))[:, None]
-    got = oracle._primal_screen(X[1:], 0.01)
+    got = oracle._net_query(X[1:], 0.01, primal=True)
     assert not len(oracle._net)
     assert primal.calls.count == size
     np.testing.assert_array_equal(got, norm.eval_batch(X[1:]) <= 1.0)
-    oracle._primal_screen(X, 0.01)
+    oracle._net_query(X, 0.01, primal=True)
     assert len(oracle._net)
 
 
@@ -772,7 +771,7 @@ def test_growth_is_paid_for(monkeypatch):
     assert np.all((diagonals @ oracle._net.T).max(axis=1) > 1.0 - 1e-12)
     U = rng_stream(49, 0).normal(size=(10, 3))
     before = primal.calls.count
-    oracle._primal_screen(U / norm.eval_batch(U)[:, None] * (1.0 + 1e-9), 1e-6)
+    oracle._net_query(U / norm.eval_batch(U)[:, None] * (1.0 + 1e-9), 1e-6, primal=True)
     assert primal.calls.count - before == 10
     oracle.query_batch(U / norm.dual().eval_batch(U)[:, None] * (1.0 - 1e-9), 1e-6)
     assert len(oracle._net) == 14

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from convexdual import normdual
 from convexdual.core import CenteredBody, WeakVerdict, rng_stream
 from convexdual.oracles import (
     FunctionApproxOracle,
     ReferenceCone,
     ReferenceNorm,
+    WeakMembershipOracle,
     _psd_min_eigs,
     exact_to_weak,
     smat,
@@ -187,6 +189,30 @@ def test_weak_oracle_rejects_bad_points_before_counting():
         with pytest.raises(ValueError):
             oracle.query(bad, 0.01)
     assert oracle.calls.count == 0
+
+
+def test_weak_oracle_rejects_verdicts_of_the_wrong_shape():
+    """A verdict function must answer m rows with m verdicts, shape (m,).
+    A scalar, a single verdict or an (m, 1) column raises ValueError from
+    query_batch, from query and from a pipeline that asks the oracle
+    (dual_norm_eval), where numpy would broadcast the first two to every
+    row asked and refuse the column deep inside the engine. For query's one
+    row a single verdict is the right shape."""
+    norm = ReferenceNorm.lp(1.0, 2)
+    answers = {
+        "scalar": lambda X, delta: norm.eval_batch(X)[0] <= 1.0,
+        "single": lambda X, delta: (norm.eval_batch(X) <= 1.0)[:1],
+        "column": lambda X, delta: (norm.eval_batch(X) <= 1.0)[:, None],
+    }
+    for name, fn in answers.items():
+        oracle = WeakMembershipOracle(fn, norm.ball())
+        with pytest.raises(ValueError, match="verdict function"):
+            oracle.query_batch(np.full((3, 2), 0.2), 0.01)
+        with pytest.raises(ValueError, match="verdict function"):
+            normdual.dual_norm_eval(oracle, norm.descriptor, [0.3, 0.7], 0.01)
+        if name != "single":
+            with pytest.raises(ValueError, match="verdict function"):
+                oracle.query([0.2, 0.2], 0.01)
 
 
 def test_function_approx_oracle_rejects_nonfinite():
