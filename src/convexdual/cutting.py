@@ -14,19 +14,19 @@ A run of one objective in R^2 or R^3 whose oracle has no separator of its
 own takes the vertices of its cut polytope as centres instead of the
 ellipsoid's, and a validity batch there runs its rows in turn on one such
 polytope (hull centres, below); every rule around the centre is the same.
-_cut_loop checks every run's input once, before any oracle call: a bounded
-body, the slack and the centre slack, a finite (m, n) stack of nonzero
-objectives (core.as_stack); an empty stack returns empty results at no call.
 It has two entries, the two questions of Groetschel, Lovasz and Schrijver
-(1988, ch. 4). support_batch is weak optimization over many objectives: it
-picks the engine slack and the centre slack from the accuracy asked for and
-turns each row's run into a certified interval for h_K(c), the one place
-those slacks are proved, and wopt_from_wmem is support_batch on one row.
-wval_batch is weak validity over many objectives, and wval_from_wmem is
-wval_batch on one row, so the gamma -/+ eps/2 exits, the eps/2 slack, the
-centre slack and the tie rule live in wval_batch alone. gauge_batch and
-approx_separator take stacks too; gauge_batch anchors points passed without
-anchors at themselves.
+(1988, ch. 4), and each checks its input once, before any oracle call: a
+bounded body, a positive and finite err or eps, and a finite (m, n) stack of
+nonzero objectives (core.as_stack). _cut_loop trusts them, and an empty
+stack returns empty results at no call. support_batch is weak optimization
+over many objectives: it picks the engine slack and the centre slack from
+the accuracy asked for and turns each row's run into a certified interval
+for h_K(c), the one place those slacks are proved, and wopt_from_wmem is
+support_batch on one row. wval_batch is weak validity over many objectives,
+and wval_from_wmem is wval_batch on one row, so the gamma -/+ eps/2 exits,
+the eps/2 slack, the centre slack and the tie rule live in wval_batch alone.
+gauge_batch and approx_separator take stacks too; gauge_batch anchors points
+passed without anchors at themselves.
 
 Accuracy model (documented slack): membership queries run at the slack
 delta of the first rule below; a cut through an approximate separator
@@ -456,8 +456,9 @@ from .oracles import WeakMembershipOracle
 _MAX_CUTS = 4000  # cuts per engine run before IterationCapError
 _MAX_DEPTH = 0.9  # clip of a cut's normalized depth (module header)
 _POOL_CAP = 256  # separator halfspaces a run pools for free cuts (module header)
-_SCAN_ROWS = 512  # centers per pool scan: a 1 MB violation matrix at _POOL_CAP
-_BLOCK = 1024  # rows per block of a row-wise temporary (gauges, net screens, sandwiches)
+# rows per block of a row-wise temporary (gauges, net screens, sandwiches, and
+# pool scans, whose violation matrix takes 2 MB at _POOL_CAP)
+_BLOCK = 1024
 # share of outer beyond B(a, outer) past which a hull vertex takes the ball's
 # tangent at no call; a nearer one is asked (module header, hull centres). At
 # 1e-3, 1e-2 and 3e-2 seed-1 dualnorm read 106.1, 102.7 and 111.1 calls per
@@ -761,17 +762,17 @@ def _most_violated(Z: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Per center z of Z, the index j of the halfspace u . y <= beta that z
     violates most among the rows (u, beta) of pool, and its violation
     v = u . z - beta; an empty pool is violated nowhere, v = -inf. The
-    centers are scanned _SCAN_ROWS at a time, so the violation matrix stays
-    within (_SCAN_ROWS, _POOL_CAP)."""
+    centers are scanned _BLOCK at a time, so the violation matrix stays
+    within (_BLOCK, _POOL_CAP)."""
     j = np.zeros(len(Z), dtype=int)
     v = np.full(len(Z), -math.inf)
     if len(pool):
-        for lo in range(0, len(Z), _SCAN_ROWS):
-            V = Z[lo:lo + _SCAN_ROWS] @ pool[:, :-1].T
+        for lo in range(0, len(Z), _BLOCK):
+            V = Z[lo:lo + _BLOCK] @ pool[:, :-1].T
             V -= pool[:, -1]
             jb = V.argmax(axis=1)
-            j[lo:lo + _SCAN_ROWS] = jb
-            v[lo:lo + _SCAN_ROWS] = V[np.arange(len(V)), jb]
+            j[lo:lo + _BLOCK] = jb
+            v[lo:lo + _BLOCK] = V[np.arange(len(V)), jb]
     return j, v
 
 
@@ -853,21 +854,18 @@ class _Hull:
             self.facets = np.sort(list(itertools.combinations(simplex, len(simplex) - 1)))
             self.normals, self.offsets = self._planes(self.facets)
             todo = [i for i in range(1, len(self.points)) if i not in simplex]
-        m = len(self.points)
+        m, n = self.points.shape
+        # a ridge is a facet less one vertex, its sorted indices coded as the
+        # digits of one base-m number
+        ridge = np.array(list(itertools.combinations(range(n), n - 1)))
+        place = m ** np.arange(n - 2, -1, -1)
         for i in todo:
             seen = self.normals @ self.points[i] - self.offsets > self.tol
             if not np.any(seen):
                 continue
             F = self.facets.compress(seen, axis=0)
-            if F.shape[1] == 3:  # a ridge is an edge (a, b), a < b, coded a m + b
-                code = np.concatenate([F[:, 0] * m + F[:, 1], F[:, 0] * m + F[:, 2],
-                                       F[:, 1] * m + F[:, 2]])
-            else:  # a ridge is a vertex
-                code = F.ravel()
-            code, count = np.unique(code, return_counts=True)
-            horizon = code[count == 1]
-            ridges = (np.column_stack([horizon // m, horizon % m]) if F.shape[1] == 3
-                      else horizon[:, None])
+            code, count = np.unique(F[:, ridge] @ place, return_counts=True)
+            ridges = code[count == 1, None] // place % m
             new = np.sort(np.column_stack([ridges, np.full(len(ridges), i)]), axis=1)
             N, d = self._planes(new)
             kept = ~seen
@@ -1015,16 +1013,14 @@ class CutPool:
         self.rows = np.vstack([self.rows, rows])[-_POOL_CAP:]
 
 
-def _checked(body: CenteredBody, C, eps: float, dq: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stack C of a run and its row norms, once the body, C, the slack
-    and the centre slack have passed _cut_loop's checks."""
+def _checked(body: CenteredBody, C) -> tuple[np.ndarray, np.ndarray]:
+    """The stack C of an entry's run and its row norms; ValueError unless
+    the body is bounded and C a finite (m, n) stack of nonzero rows."""
     _bounded(body)
     C = as_stack(C, body.n)
     nc = np.linalg.norm(C, axis=1)
     if np.any(nc == 0.0):
         raise ValueError("objective must be nonzero")
-    positive_finite(eps, "engine slack")
-    positive_finite(dq, "centre slack")
     return C, nc
 
 
@@ -1069,7 +1065,8 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     incumbent, at no call, pools nothing, and leaves at the next check
     (module header, witness-first separators).
     Every cut's direction and depth is set once per round, after the
-    separator and before the ring takes the round's halfspaces.
+    separator, and the halfspace of each far or separator cut is formed
+    from them once, for the ring and the hull.
     A run of one row in R^2 or R^3 whose oracle has no separator of its own
     takes hull centres instead (module header): each centre is the vertex
     of max c . x over the run's cut polytope, whose value is the row's
@@ -1089,15 +1086,13 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
     moved out to hold the body (module header, pooled cuts); without one
     the run pools only its own cuts.
 
-    Returns per-row arrays (value, witness, gap, iterations); iterations
-    counts every cut, free or paid. Raises IterationCapError, carrying the
-    incumbent of the first undecided row, if any row is undecided after
-    _MAX_CUTS cuts. Raises ValueError, before any oracle call, on an
-    unbounded body, a bad slack or centre slack, or a C that is not a finite
-    (m, n) stack of nonzero rows; an empty C returns empty arrays at no
-    call.
+    The entries have checked the body, C, eps and dq (support_batch,
+    wval_batch). Returns per-row arrays (value, witness, gap, iterations);
+    iterations counts every cut, free or paid, and an empty C returns empty
+    arrays at no call. Raises IterationCapError, carrying the incumbent of
+    the first undecided row, if any row is undecided after _MAX_CUTS cuts.
     """
-    C, nc = _checked(body, C, eps, dq)
+    nc = np.linalg.norm(C, axis=1)
     m, n = C.shape
     value, gap_out = np.empty(m), np.empty(m)
     witness = np.empty((m, n))
@@ -1182,10 +1177,9 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         ask = ~(free | far | inside) & (vals > best)
         if ask.any():
             inside[ask] = oracle.query_batch(Z[ask], dq)
-        gain = inside & (vals > best)
-        if gain.any():
-            best = np.where(gain, vals, best)
-            best_wit[gain] = Z[gain]
+        if inside.any():  # a center in K_dq is an incumbent as it stands
+            ki = np.flatnonzero(inside)
+            _raise_incumbent(best, best_wit, ki, C[ki], Z[ki])
         if oracle.witnesses is not None and (ask & inside).any():
             # a verdict's own witness (module header, separator witnesses)
             ki = np.flatnonzero(ask & inside)
@@ -1208,18 +1202,20 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         G[far], A[far] = D[far] / r[far, None], r[far] - body.outer_radius
         if cut.size:
             G[cut], A[cut] = U, dep
-            ring.add(np.column_stack([U, np.einsum("bi,bi->b", U, Z[cut])
-                                      - np.maximum(dep, 0.0)]))
+        # the halfspace u . y <= u . z - max(alpha, 0) of each far and
+        # separator cut, formed once: the ring takes the separator's, and the
+        # hull both, as a vertex answered IN, or left unasked, closed its gap
+        k = far.copy()
+        k[cut] = True
+        if k.any():
+            made = np.column_stack([G[k], np.einsum("bi,bi->b", G[k], Z[k])
+                                    - np.maximum(A[k], 0.0)])
+            ring.add(made[~far[k]])
             own = min(own + cut.size, _POOL_CAP)
+            if hull is not None:
+                _add_polar(hull, made, body)
         if hull is None:
             Z, P = _cut(Z, P, G, A)
-        else:
-            # a far vertex's tangent and a separator's halfspace join the
-            # polytope; a vertex answered IN, or left unasked, closed its gap
-            k = far.copy()
-            k[cut] = True
-            _add_polar(hull, np.column_stack([G[k], np.einsum("bi,bi->b", G[k], Z[k])
-                                              - np.maximum(A[k], 0.0)]), body)
 
     raise IterationCapError(
         f"no certified gap <= {eps / 2:.3g} within {_MAX_CUTS} cuts "
@@ -1259,7 +1255,10 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     [lo, hi] that contains h_K(c) with hi - lo <= err (the support interval
     of the module header), the incumbent, a point within dq of the body with
     c . witness in [lo, hi], and the row's cut count, free cuts at pooled
-    halfspaces included. C is checked by the engine (_cut_loop).
+    halfspaces included. Raises ValueError, before any oracle call, on an
+    unbounded body, an err that is not positive and finite, or a C that is
+    not a finite (m, n) stack of nonzero rows; an empty C returns empty
+    arrays at no call.
 
     max_dq caps dq; a smaller centre slack only narrows the interval.
     pool, a CutPool over the body, seeds the run's ring and takes its
@@ -1272,13 +1271,12 @@ def support_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, err: floa
     calls.
     """
     err = positive_finite(err, "err")
-    # axis -1, so that a C of the wrong rank reaches the engine's check
-    nc = np.linalg.norm(np.asarray(C, dtype=float), axis=-1)
+    C, nc = _checked(body, C)
     inner, outer = body.inner_radius, body.outer_radius
     x = float(np.max(nc, initial=0.0)) * (1.0 + outer / inner)
     e = max(err / (0.5 + x / 8.0), err)
     dq = min(e / 8.0, inner / 4.0, max_dq)
-    if x > 0.0:  # else C is empty, which costs no call, or zero, which the engine rejects
+    if x > 0.0:  # else C is empty, which costs no call
         dq = min(dq, err / (2.0 * x))
     value, witness, gap, cuts = _cut_loop(oracle, body, C, e, dq, pool=pool)
     return value - nc * dq, value + gap + (dq / inner) * nc * outer, witness, cuts, dq
@@ -1307,10 +1305,11 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
     gamma -/+ eps/2; ties at gamma - eps/2 prefer LARGE_VALUE_EXISTS. Its
     centres are queried at dq = min(eps/16, eps inner/(2 outer), inner/4),
     so that K_dq loses at most eps |c|/2 of support whatever the sandwich
-    (module header, validity slack). C and eps pass the engine's checks
-    (_cut_loop) before any row runs; an empty C costs no call. pool, a
-    CutPool over the body, seeds the run's ring and takes its separator
-    halfspaces, moved out to hold the body (module header, pooled cuts).
+    (module header, validity slack). Raises ValueError before any oracle
+    call where support_batch does, eps in place of err, or on a gamma that
+    is not finite; an empty C costs no call. pool, a CutPool over the body,
+    seeds the run's ring and takes its separator halfspaces, moved out to
+    hold the body (module header, pooled cuts).
     In R^2 and R^3, over an oracle with no separator of its own, the rows
     run in turn, each on hull centres, and all on one cut polytope, whose
     polar hull is built once per run from the start polytope and the pool;
@@ -1321,8 +1320,9 @@ def wval_batch(oracle: WeakMembershipOracle, body: CenteredBody, C, gamma: float
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
+    eps = positive_finite(eps, "eps")
+    C = _checked(body, C)[0]
     dq = validity_centre_slack(body, eps)
-    C = _checked(body, C, eps / 2.0, dq)[0]
     exits = dict(stop_above=gamma - eps / 2.0, stop_ub_below=gamma + eps / 2.0, pool=pool)
     if _takes_hull(oracle, body):
         # the rows in turn, each a hull run on the one polar hull that the

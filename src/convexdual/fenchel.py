@@ -314,8 +314,11 @@ def dual_growth_constants(cert: GrowthCertificate,
     f_lower_bound is a lower bound for f on the ball B(0, r) where the power
     sandwich is silent. The conjugate obeys the returned sandwich: the upper
     constant comes from the primal lower bound and vice versa, with the dual
-    exponents s / (s - 1) and t / (t - 1).
+    exponents s / (s - 1) and t / (t - 1). A bound that is not finite
+    raises ValueError.
     """
+    if not math.isfinite(f_lower_bound):
+        raise ValueError(f"f_lower_bound must be finite, got {f_lower_bound}")
     k, K, s, t, r = cert.k_lo, cert.k_hi, cert.s, cert.t, cert.r
     K_star = (s - 1.0) / (s * (k * s) ** (1.0 / (s - 1.0)))
     t_star = s / (s - 1.0)

@@ -115,7 +115,6 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
     p = 1) that share of the box or more, all N samples would miss it with
     chance at most 0.025.
     """
-    chunk = _CHUNK
     n = oracle.body.n
     if n > _MAX_DIM:
         raise ValueError(f"box sampling is limited to dimension {_MAX_DIM}")
@@ -126,17 +125,12 @@ def volume_mc(oracle: WeakMembershipOracle, box_radius: float, samples: int,
     positive_finite(box_radius, "box radius")
     delta = box_radius * 1e-6
     hits = 0
-    done = 0
-    stream = 0
-    while done < samples:
-        take = min(chunk, samples - done)
+    for start in range(0, samples, _CHUNK):
         # the chunk goes in unnamed, so it is freed during the query
-        inside = _sandwich_query(
-            oracle, rng_stream(seed, stream).uniform(-box_radius, box_radius, size=(take, n)),
-            delta)
+        size = (min(_CHUNK, samples - start), n)
+        inside = _sandwich_query(oracle, rng_stream(seed, start // _CHUNK).uniform(
+            -box_radius, box_radius, size=size), delta)
         hits += int(np.count_nonzero(inside))
-        done += take
-        stream += 1
     p = hits / samples
     cube = (2.0 * box_radius) ** n
     if 0 < hits < samples:
@@ -165,17 +159,18 @@ def mahler_volume(oracle: WeakMembershipOracle, desc: NormDescriptor,
 
     The primal ball lives in the box of radius 1 / k_lo, the polar ball in
     the box of radius k_hi; the polar's oracle is derived from the primal
-    one, so the product is computed from a single membership routine. The
-    primal run asks through the polar oracle's net (DualBallOracle._net_query
-    with primal=True), so the primal oracle sees only the shell samples
-    that the net leaves. The polar oracle, and with it its net and cut
-    pool, lives for this call only, so the calls of a call repeat from call
-    to call. The half-width combines the two
-    independent estimates by first-order error propagation. cfg supplies
-    the seed: the primal run samples the streams of cfg.rng_seed, the polar
-    run those of cfg.rng_seed + 1. Both seeds are checked (rng_stream)
-    before the first call, so a seed that keys no stream raises ValueError
-    at no cost.
+    one, so the product is computed from a single membership routine. Each
+    run asks one side of the polar oracle's entry (DualBallOracle._net_query),
+    whose sandwich and net settle what they can: the primal run through
+    primal=True, so the primal oracle sees only the shell samples that the
+    net leaves, and the polar run through the oracle's verdict function.
+    The polar oracle, and with it its net and cut pool, lives for this call
+    only, so the calls of a call repeat from call to call. The half-width
+    combines the two independent estimates by first-order error
+    propagation. cfg supplies the seed: the primal run samples the streams
+    of cfg.rng_seed, the polar run those of cfg.rng_seed + 1. Both seeds are
+    checked (rng_stream) before the first call, so a seed that keys no
+    stream raises ValueError at no cost.
     """
     rng_stream(cfg.rng_seed)
     rng_stream(cfg.rng_seed + 1)

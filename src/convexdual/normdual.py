@@ -24,6 +24,7 @@ B_(nu_r); the conjugate of nu_r is nu* / r.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,20 +108,20 @@ def _net_directions(n: int) -> np.ndarray:
     elsewhere the fixed 2 n^2 directions +-e_i and (+-e_i +-e_j)/sqrt(2),
     i < j."""
     eye = np.eye(n)
-    if n in _HULL_DIMS:
-        return np.vstack([eye, -eye])
-    pairs = [(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
-             for i, j in itertools.combinations(range(n), 2)
-             for si in (1.0, -1.0) for sj in (1.0, -1.0)]
-    return np.vstack([eye, -eye, *pairs])
+    return np.vstack([eye, -eye, *[(si * eye[i] + sj * eye[j]) / math.sqrt(2.0)
+                                   for i, j in itertools.combinations(range(n), 2)
+                                   if n not in _HULL_DIMS
+                                   for si in (1.0, -1.0) for sj in (1.0, -1.0)]])
 
 
 class DualBallOracle(WeakMembershipOracle):
     """Weak membership oracle for the dual unit ball, derived from the primal.
 
-    Every query, one point or many, runs one path. The sandwich screen
-    settles the rows it can for free: |x| <= k_lo is inside the dual ball,
-    |x| >= k_hi outside it.
+    Every query, one point or many, runs one path, _net_query on the polar
+    side; mahler_volume's primal run asks its primal side. Each side first
+    settles for free what its own sandwich decides from the row norms:
+    |x| <= k_lo is inside the dual ball and |x| >= k_hi outside it, and the
+    primal side reads the radii 1/k_hi and 1/k_lo.
 
     The rows the sandwich leaves meet the net, once it exists. The net is a
     set V of unit directions with, per direction v, a bound hi(v) >= h_B(v)
@@ -152,19 +153,19 @@ class DualBallOracle(WeakMembershipOracle):
     two hulls are all the oracle keeps: each certificate is read from them
     when it is asked for (_upper).
 
-    Both sides ask through _net_query, with one refutation (_lower) and
-    one certificate (_upper) over the side's generators. The net is empty
-    until the first batch of either side that leaves more rows than
-    _net_directions has directions (+-e_i in R^2 and R^3) builds it from
-    those. In R^2 and R^3 the net then grows where its two approximations
-    of the body disagree, as in the sandwich algorithm of polyhedral
-    approximation (Rote 1992; Bronstein 2008): each round adds the
-    directions that the batch's unsettled rows pay for (_new_directions),
-    by one more support run, and the hulls take the new points. An
-    unsettled row is priced at one call on either side, and a direction at
-    the last support run's calls per row it ran, so a face buys a direction
-    only where many of its rows would pay for it. The rows that pay for no
-    direction are asked together after the last round.
+    Both sides ask through _net_query, with one sandwich, one refutation
+    (_lower) and one certificate (_upper) over the side's generators. The
+    net is empty until the first batch of either side whose sandwich leaves
+    more rows than _net_directions has directions (+-e_i in R^2 and R^3)
+    builds it from those. In R^2 and R^3 the net then grows where its two
+    approximations of the body disagree, as in the sandwich algorithm of
+    polyhedral approximation (Rote 1992; Bronstein 2008): each round adds
+    the directions that the batch's unsettled rows pay for
+    (_new_directions), by one more support run, and the hulls take the new
+    points. An unsettled row is priced at one call on either side, and a
+    direction at the last support run's calls per row it ran, so a face buys
+    a direction only where many of its rows would pay for it. The rows that
+    pay for no direction are asked together after the last round.
 
     In R^2 and R^3 the net is symmetric: a support run asks one direction
     of each +- pair and enters its answer for both (_grow). Each mirrored
@@ -217,7 +218,7 @@ class DualBallOracle(WeakMembershipOracle):
 
     def __init__(self, primal: WeakMembershipOracle, desc: NormDescriptor):
         body = CenteredBody(np.zeros(desc.n), desc.k_lo, desc.k_hi)
-        super().__init__(self._screen, body, label="dual-ball")
+        super().__init__(functools.partial(self._net_query, primal=False), body, label="dual-ball")
         self.primal = primal
         self.primal_descriptor = desc
         self.r = max(1.0, 2.0 * desc.k_hi)
@@ -350,25 +351,31 @@ class DualBallOracle(WeakMembershipOracle):
         return U[pays]
 
     def _net_query(self, pts: np.ndarray, delta: float, primal: bool) -> np.ndarray:
-        """Verdicts, True = IN_THICKENED, of rows that no sandwich settles,
-        on the primal ball or (primal False) on the dual one: refuted, then
-        certified, by the net, and the rest asked together, of the primal
-        oracle or of the validity run. mahler_volume sends its primal run's
-        shell here (primal True), so only the rows the net leaves reach the
-        primal oracle. While the net is empty, a batch that leaves more rows
-        than _net_directions has directions builds it from those first, and
-        its delta fixes the cap on the net's centre slack (class docstring).
-        In R^2 and R^3 the net then grows in rounds (_new_directions), where
-        _upper gives each row's facet."""
+        """Verdicts, True = IN_THICKENED, of the rows pts on the primal ball
+        or (primal False) on the dual one. The side's sandwich settles first,
+        from the row norms, at no call: a row no longer than 1/k_hi (primal)
+        or k_lo (polar) is IN, and one no shorter than 1/k_lo or k_hi is
+        OUT. The rows it leaves are refuted, then certified, by the net, and
+        the rest asked together, of the primal oracle or of the validity
+        run. The polar side is the oracle's verdict function, and
+        mahler_volume's primal run asks the primal side, so only the rows
+        the net leaves reach the primal oracle. While the net is empty, a
+        batch whose sandwich leaves more rows than _net_directions has
+        directions builds it from those first, and its delta fixes the cap
+        on the net's centre slack (class docstring). In R^2 and R^3 the net
+        then grows in rounds (_new_directions), where _upper gives each
+        row's facet."""
+        desc = self.primal_descriptor
+        inner, outer = (1.0 / desc.k_hi, 1.0 / desc.k_lo) if primal else (desc.k_lo, desc.k_hi)
+        nrm = np.linalg.norm(pts, axis=1)
+        out = nrm <= inner
+        todo = np.flatnonzero(~out & (nrm < outer))  # rows that no rule has settled
         if not len(self._net):
             first = _net_directions(self.body.n)
-            if len(pts) > len(first):
+            if len(todo) > len(first):
                 self._net_dq = validity_centre_slack(self._scaled_oracle.body,
                                                      self._slack(delta)) / self.r
                 self._grow(first)
-        nrm = np.linalg.norm(pts, axis=1)
-        out = np.zeros(len(pts), dtype=bool)
-        todo = np.arange(len(pts))  # rows that no rule has settled
         while len(self._net) and len(todo):
             C = pts[todo]
             lower = self._lower(C, nrm[todo], primal)
@@ -386,14 +393,6 @@ class DualBallOracle(WeakMembershipOracle):
         if len(todo):
             ask = self.primal.query_batch if primal else self._lockstep
             out[todo] = ask(pts[todo], delta)
-        return out
-
-    def _screen(self, pts: np.ndarray, delta: float) -> np.ndarray:
-        nrm = np.linalg.norm(pts, axis=1)
-        out = nrm <= self.primal_descriptor.k_lo  # inside the inscribed ball
-        work = (~out) & (nrm < self.primal_descriptor.k_hi)
-        if np.any(work):
-            out[work] = self._net_query(pts[work], delta, primal=False)
         return out
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:

@@ -213,6 +213,8 @@ class ReferenceNorm:
     def lp(cls, p: float, n: int) -> "ReferenceNorm":
         if p < 1.0:
             raise ValueError("lp norms need p >= 1")
+        if n < 1:
+            raise ValueError("dimension must be positive")
         k, K = _lp_constants(float(p), n)
         return cls("lp", n, p=float(p), k_lo=_round_down(k), k_hi=_round_up(K))
 
@@ -278,9 +280,9 @@ class ReferenceNorm:
     def eval(self, x) -> float:
         return float(self.eval_batch(as_vector(x, self.n)[None, :])[0])
 
-    def _sample_check(self, samples: int = 200) -> None:
+    def _sample_check(self) -> None:
         rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-        U = rng.normal(size=(samples, self.n))
+        U = rng.normal(size=(200, self.n))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         vals = self.eval_batch(U)
         d = self.descriptor

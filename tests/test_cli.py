@@ -266,12 +266,14 @@ def test_exit_2_on_an_exponent_that_is_not_a_number(capsys, tmp_path, bad):
 @pytest.mark.parametrize("spec", [{"kind": "box", "n": 0}, {"kind": "cross", "n": 0},
                                   {"kind": "cross", "n": -1},
                                   {"kind": "polyhedral_norm", "generators": []},
-                                  {"kind": "polyhedral_norm", "generators": [[]]}],
+                                  {"kind": "polyhedral_norm", "generators": [[]]},
+                                  {"kind": "lp_norm", "p": 3, "n": 0},
+                                  {"kind": "lp_norm", "p": "inf", "n": 0}],
                          ids=["box-0", "cross-0", "cross-minus-1", "polyhedral-empty",
-                              "polyhedral-empty-row"])
+                              "polyhedral-empty-row", "l3-0", "linf-0"])
 def test_exit_2_on_a_degenerate_polyhedral_norm(capsys, tmp_path, spec):
     """A norm spec with no dimension, or with no generator, is a spec error
-    (exit 2), not a traceback."""
+    (exit 2), not a traceback; lp norms with p > 2 included."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = _run(capsys, ["dual-norm", "--spec", str(path), "--point", "1"])

@@ -565,6 +565,15 @@ def test_dual_growth_constants_frozen(primal, want):
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dual_growth_constants_refuse_a_bound_that_is_not_finite(bound):
+    """A lower bound on f that is not finite raises ValueError: NaN and +inf
+    would return a certificate with r' = 1.0, where -1 gives r' = 2.732,
+    and -inf would double its search radius until it overflows."""
+    with pytest.raises(ValueError, match="f_lower_bound"):
+        dual_growth_constants(GrowthCertificate(0.5, 0.5, 2.0, 2.0, 1.0), bound)
+
+
 def test_dual_growth_sandwich_holds_for_quartic():
     """Conjugate constants from a deliberately slack primal certificate still
     sandwich the exact conjugate beyond the dual radius."""

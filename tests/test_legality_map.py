@@ -22,6 +22,13 @@ band_adversary at side +0.99 (generous) and -0.99 (stingy), and
 lopsided_band_adversary at 0.99, generous on x_1 > 0 and stingy on
 x_1 < 0. Those cells take the widths 1e-2 and 1e-4.
 
+The entry column: the dual ball's full entry (DualBallOracle.query_batch:
+its sandwich, its net, then the validity run) decides the rows of a
+validity cell at delta 1e-2 and 1e-4, once the oracle's primal side has
+built the net, and grown it in R^2 and R^3, as mahler_volume's primal run
+does, for the same six balls under the exact oracle and the three
+adversaries below.
+
 A cell that fails today is a strict xfail naming the item that will
 repair it, so that a repair must take its mark off.
 """
@@ -58,14 +65,19 @@ def test_dual_ball_validity_verdicts_are_legal(p, n, delta):
     _assert_validity_legal(norm, norm.oracle(), delta)
 
 
+def _validity_rows(norm, delta):
+    """The rows of a validity cell: 100 just inside and 100 just outside
+    the dual sphere, at nu*(x) = 1 -/+ 1.5 delta/k_lo."""
+    U = rng_stream(12, norm.n).normal(size=(100, norm.n))
+    U /= norm.dual().eval_batch(U)[:, None]
+    band = 1.5 * delta / norm.descriptor.k_lo
+    return np.vstack([(1.0 - band) * U, (1.0 + band) * U])
+
+
 def _assert_validity_legal(norm, primal, delta):
     """One validity cell, primal being an oracle of norm's unit ball."""
-    n, desc = norm.n, norm.descriptor
-    U = rng_stream(12, n).normal(size=(100, n))
-    U /= norm.dual().eval_batch(U)[:, None]
-    band = 1.5 * delta / desc.k_lo
-    X = np.vstack([(1.0 - band) * U, (1.0 + band) * U])
-    got = DualBallOracle(primal, desc)._lockstep(X, delta)
+    X = _validity_rows(norm, delta)
+    got = DualBallOracle(primal, norm.descriptor)._lockstep(X, delta)
     np.testing.assert_array_equal(got, norm.dual().eval_batch(X) <= 1.0)
 
 
@@ -136,3 +148,23 @@ def test_support_intervals_hold_the_support_value_under_adversaries(p, n, err, a
     its primal oracle the adversary."""
     norm = ReferenceNorm.lp(p, n)
     _assert_support_held(norm, ADVERSARIES[adversary](norm), err)
+
+
+ORACLES = {"exact": lambda norm: norm.oracle(), **ADVERSARIES}
+
+
+@pytest.mark.parametrize("p,n,delta,oracle", [
+    pytest.param(p, n, delta, name, id=f"l{p:g}-R{n}-{delta:g}-{name}")
+    for p, n in BODIES for delta in ADVERSARY_WIDTHS for name in ORACLES])
+def test_dual_ball_entry_is_legal_after_the_primal_side_built_the_net(p, n, delta, oracle):
+    """Once 5,000 box samples of the primal ball have built the net through
+    _net_query(primal=True), at mahler_volume's slack, the dual ball's full
+    entry gives the closed-form verdict on every row of the validity cell."""
+    norm = ReferenceNorm.lp(p, n)
+    desc = norm.descriptor
+    dual = DualBallOracle(ORACLES[oracle](norm), desc)
+    X = rng_stream(55, n).uniform(-1.0 / desc.k_lo, 1.0 / desc.k_lo, size=(5000, n))
+    dual._net_query(X, 1e-6 / desc.k_lo, primal=True)
+    assert len(dual._net)
+    C = _validity_rows(norm, delta)
+    np.testing.assert_array_equal(dual.query_batch(C, delta), norm.dual().eval_batch(C) <= 1.0)

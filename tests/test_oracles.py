@@ -117,12 +117,15 @@ def test_polyhedral_cannot_claim_a_closed_dual():
 @pytest.mark.parametrize("build", [lambda: ReferenceNorm.box(0), lambda: ReferenceNorm.cross(0),
                                    lambda: ReferenceNorm.cross(-1),
                                    lambda: ReferenceNorm.polyhedral([]),
-                                   lambda: ReferenceNorm.polyhedral([[]])],
+                                   lambda: ReferenceNorm.polyhedral([[]]),
+                                   lambda: ReferenceNorm.lp(3.0, 0),
+                                   lambda: ReferenceNorm.lp(math.inf, 0)],
                          ids=["box-0", "cross-0", "cross-minus-1", "polyhedral-empty",
-                              "polyhedral-empty-row"])
+                              "polyhedral-empty-row", "l3-0", "linf-0"])
 def test_degenerate_polyhedral_norms_raise_value_error(build):
-    """A box or cross norm in no dimension, and an empty generator matrix,
-    raise ValueError, not an IndexError or TypeError from the factory's
+    """A box or cross norm in no dimension, an empty generator matrix, and
+    an lp norm with p > 2 in no dimension raise ValueError, not an
+    IndexError, TypeError or ZeroDivisionError from the factory's
     arithmetic."""
     with pytest.raises(ValueError):
         build()
