@@ -883,14 +883,13 @@ class _Hull:
                 self.normals.compress(keep, axis=0) / self.offsets[keep][:, None])
 
 
-def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
-                 pts: np.ndarray, nrm: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Per row c, nrm holding |c|, an upper bound on its gauge from the
-    generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
-    constant L, gauge(e) <= L |e| for every e; and, where hull has facets,
-    per row the index of the facet that gave it, together with the planes
-    H of the hull's facets that index reads (else None and None).
+def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float,
+                 planes: tuple[np.ndarray, np.ndarray] | None, pts: np.ndarray,
+                 nrm: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row c of pts, nrm holding |c|, an upper bound on its gauge from
+    the generators G, with gauge bounds gauge(G_i) <= g_i, and the residual
+    constant L, gauge(e) <= L |e| for every e; and, where planes has
+    facets, per row the index of the facet that gave it (else None).
 
     c is written c = sum lam_i G_i + e over the row's n generators, lam
     solving the n x n system and clipped to lam >= 0, and e the residual. A
@@ -907,55 +906,46 @@ def _gauge_bound(G: np.ndarray, g: np.ndarray, L: float, hull: _Hull | None,
     with G its polar points, g = 1 and L = sqrt(n) in the units of its box
     (module header, hull centres).
 
-    hull is the hull of the scaled generators G_i / g_i (_Hull) in R^2 and
-    R^3, and None elsewhere (the dual ball's 2 n^2 net, and R^1). With a
-    hull, a row's n generators are the facet its ray meets first, the facet
-    of largest H . c (_Hull.planes), where its lam is nonnegative; the
-    planes and the inverses of the facet matrices G_F^T are read from the
-    hull on every call, one inverse per facet, or per row where there are
-    fewer rows than facets (each inverse is the same either way). A hull
-    with no facet gives no row a bound (inf). Without one, a
-    row's n generators are those of largest c . G_i, and rows whose n are
-    linearly dependent, or nearly so relative to the generators' size (the
-    2 n^2 net has such n-tuples), get no bound.
+    planes is (facets, H) of the hull of the scaled generators G_i / g_i
+    (_Hull.planes) in R^2 and R^3, read once by a caller that asks about
+    many blocks of rows over one hull, and None elsewhere (the dual ball's
+    2 n^2 net, and R^1). With planes, a row's n generators are the facet
+    its ray meets first, the facet of largest H . c, where its lam is
+    nonnegative; the inverses of the facet matrices G_F^T are taken one per
+    facet, or one per row where there are fewer rows than facets (each
+    inverse is the same either way). Planes with no facet give no row a
+    bound (inf). Without planes, a row's n generators are those of largest
+    c . G_i, and rows whose n are linearly dependent, or nearly so relative
+    to the generators' size (the 2 n^2 net has such n-tuples), get no
+    bound. Every temporary is a few times the size of pts, so the callers
+    hand over at most _BLOCK rows at a time.
     """
     n = pts.shape[1]
     rho = 16 * n * np.finfo(float).eps
     length = np.linalg.norm(G, axis=1)
-    tiny = 1e-9 * length.max() ** n
-    bound = np.full(len(pts), np.inf)
-    met = planes = None
-    if hull is not None:
-        facets, planes = hull.planes()
+    met = None
+    if planes is None:
+        pick = np.argpartition(pts @ G.T, -n, axis=1)[:, -n:]
+        A = G[pick]  # rows G_i of each row's system
+        ok = np.abs(np.linalg.det(A)) > 1e-9 * length.max() ** n
+        lam = np.zeros((len(pts), n))
+        lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), pts[ok][:, :, None])[:, :, 0]
+    else:
+        facets, H = planes
         if not len(facets):
-            return bound, None, None
-        # one inverse per facet, or per row where there are fewer rows
-        inverse = (np.linalg.inv(G[facets].transpose(0, 2, 1))
-                   if len(pts) >= len(facets) else None)
-        met = np.empty(len(pts), dtype=int)
-    for lo in range(0, len(pts), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        C = pts[rows]
-        if hull is None:
-            pick = np.argpartition(C @ G.T, -n, axis=1)[:, -n:]
-            A = G[pick]  # rows G_i of each row's system
-            ok = np.abs(np.linalg.det(A)) > tiny
-            lam = np.zeros((len(C), n))
-            lam[ok] = np.linalg.solve(A[ok].transpose(0, 2, 1), C[ok][:, :, None])[:, :, 0]
-        else:
-            f = np.argmax(C @ planes.T, axis=1)  # the facet the ray meets first
-            met[rows] = f
-            pick = facets[f]
-            A = G[pick]
-            ok = True
-            lam = np.einsum("bij,bj->bi", np.linalg.inv(A.transpose(0, 2, 1))
-                            if inverse is None else inverse[f], C)
-        lam = np.maximum(lam, 0.0)
-        res = np.linalg.norm(C - np.einsum("bi,bij->bj", lam, A), axis=1)
-        scale = nrm[rows] + np.einsum("bi,bi->b", lam, length[pick])
-        value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
-        bound[rows] = np.where(ok, value * (1.0 + rho), np.inf)
-    return bound, met, planes
+            return np.full(len(pts), np.inf), None
+        met = np.argmax(pts @ H.T, axis=1)  # the facet the ray meets first
+        pick = facets[met]
+        A = G[pick]
+        ok = True
+        inverse = (np.linalg.inv(G[facets].transpose(0, 2, 1))[met] if len(pts) >= len(facets)
+                   else np.linalg.inv(A.transpose(0, 2, 1)))
+        lam = np.einsum("bij,bj->bi", inverse, pts)
+    lam = np.maximum(lam, 0.0)
+    res = np.linalg.norm(pts - np.einsum("bi,bij->bj", lam, A), axis=1)
+    scale = nrm + np.einsum("bi,bi->b", lam, length[pick])
+    value = np.einsum("bi,bi->b", lam, g[pick]) + L * (res + rho * scale)
+    return np.where(ok, value * (1.0 + rho), np.inf), met
 
 
 def _add_polar(hull: _Hull, rows: np.ndarray, body: CenteredBody) -> None:
@@ -1129,9 +1119,10 @@ def _cut_loop(oracle: WeakMembershipOracle, body: CenteredBody, C, eps: float,
         if hull is not None:
             # the vertex of max c . y and its certified value; a vertex that
             # comes back sends the row to the ellipsoid, from its start
-            bound, met, planes = _gauge_bound(hull.points[1:], np.ones(len(hull.points) - 1),
-                                              math.sqrt(n), hull, C, nc)
-            H = planes[met]
+            planes = hull.planes()
+            bound, met = _gauge_bound(hull.points[1:], np.ones(len(hull.points) - 1),
+                                      math.sqrt(n), planes, C, nc)
+            H = planes[1][met]
             if (vertices == H).all(axis=1).any():
                 hull = None
                 Z = np.tile(start, (len(C), 1))

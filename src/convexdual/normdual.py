@@ -247,18 +247,15 @@ class DualBallOracle(WeakMembershipOracle):
         v.x <= nu(x) hi(v). Polar: x.w - |x| s over the witnesses. rho pads
         for a rounding of a few n machine epsilons: primal, pad = rho and
         div = hi(v) (1 + rho); polar, pad = s (1 + rho) + rho |w| and
-        div = 1 + rho."""
+        div = 1 + rho. Its temporaries are the size of C times the net, so
+        the rounds hand it one block of _BLOCK rows at a time (_round)."""
         rho = 16 * self.body.n * np.finfo(float).eps
         if primal:
             G, pad, div = self._net, rho, self._net_hi * (1.0 + rho)
         else:
             G, div = self._witness, 1.0 + rho
             pad = self._witness_slack * (1.0 + rho) + rho * np.linalg.norm(G, axis=1)
-        out = np.zeros(len(C))
-        for lo in range(0, len(C), _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            out[rows] = ((C[rows] @ G.T - nrm[rows, None] * pad) / div).max(axis=1)
-        return out
+        return ((C @ G.T - nrm[:, None] * pad) / div).max(axis=1)
 
     def _grow(self, V: np.ndarray) -> None:
         """Append the unit directions V to the net: hi(v) and the witness
@@ -300,53 +297,53 @@ class DualBallOracle(WeakMembershipOracle):
             self._hulls[0].add(V / hi[:, None])
             self._hulls[1].add(W / (1.0 + desc.k_hi * self._witness_slack))
 
-    def _upper(self, C: np.ndarray, nrm: np.ndarray, primal: bool
-               ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def _planes(self, primal: bool) -> tuple[np.ndarray, np.ndarray] | None:
+        """The facets and planes of the certificate hull of the primal side
+        or (primal False) of the polar one (_Hull.planes), None beyond R^3."""
+        return None if self._hulls is None else self._hulls[int(primal)].planes()
+
+    def _upper(self, C: np.ndarray, nrm: np.ndarray, primal: bool,
+               planes: tuple[np.ndarray, np.ndarray] | None
+               ) -> tuple[np.ndarray, np.ndarray | None]:
         """_gauge_bound of the rows C, nrm holding their norms, on the
         primal ball or (primal False) on the dual one, over that side's
-        generators and hull (class docstring): the witnesses with
-        g = 1 + k_hi s and L = k_hi, or V with g = hi and L = 1 / k_lo."""
+        generators and the planes of its hull (_planes; class docstring):
+        the witnesses with g = 1 + k_hi s and L = k_hi, or V with g = hi and
+        L = 1 / k_lo."""
         desc = self.primal_descriptor
-        hull = None if self._hulls is None else self._hulls[int(primal)]
         if primal:
             g = np.full(len(self._witness), 1.0 + desc.k_hi * self._witness_slack)
-            return _gauge_bound(self._witness, g, desc.k_hi, hull, C, nrm)
-        return _gauge_bound(self._net, self._net_hi, 1.0 / desc.k_lo, hull, C, nrm)
+            return _gauge_bound(self._witness, g, desc.k_hi, planes, C, nrm)
+        return _gauge_bound(self._net, self._net_hi, 1.0 / desc.k_lo, planes, C, nrm)
 
-    def _new_directions(self, C: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                        met: np.ndarray, planes: np.ndarray, primal: bool) -> np.ndarray:
-        """The directions that the unsettled rows C pay for. lower < 1 < upper
-        bound each row's gauge, and met indexes the planes of the certificate
-        hull's facets at the facet that its ray meets first (_gauge_bound).
+    def _new_directions(self, normal: np.ndarray, paid: np.ndarray, first: np.ndarray,
+                        summed: np.ndarray, primal: bool) -> np.ndarray:
+        """The directions that one growth round's open rows pay for, read
+        from its per-face totals (_round). normal holds the unit normals of
+        the certificate hull's facets, which are grouped into faces by those
+        normals, rounded, so coplanar facets share one, and the faces are
+        taken in the order of the rounded normals. Per face, paid sums the shares of the open rows
+        whose ray meets it first, first is the facet that its first such row
+        met (-1 where none did), and on the polar side summed adds up those
+        rows' unit directions.
 
-        Rows are grouped by the face of that facet: the hull's facets are
-        grouped by their unit normals, rounded, so coplanar facets share a
-        face, and the faces that rows meet are taken in the order of those
-        rounded normals, each with its first row. A face gets a direction when
-        its rows would cost more than the direction: a row costs one call on
-        either side, and a direction the last support run's calls per row it
-        ran. Each row counts with the share of its sandwich upper - lower that
-        one support run could remove: a direction through the row leaves a
-        sandwich about |x| (err + s) thick on the polar side and
-        k_hi (err + s) nu(x) on the primal one, err being the run's width, so
-        a row already that thin counts for nothing. A primal face's direction is its
-        normal, a polar face's the mean direction of its rows, and a direction
-        that repeats one of the net is not added."""
-        desc = self.primal_descriptor
-        err_s = _NET_REL_ERR / desc.k_hi + self._witness_slack
-        thinnest = desc.k_hi * err_s * lower if primal else np.linalg.norm(C, axis=1) * err_s
-        share = np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0)
-        normal = planes / np.linalg.norm(planes, axis=1)[:, None]
-        _, facet_face = np.unique(np.round(normal, 9), axis=0, return_inverse=True)
-        _, first, face = np.unique(facet_face.ravel()[met], return_index=True,
-                                   return_inverse=True)
+        A face gets a direction when its rows would cost more than the
+        direction: a row costs one call on either side, and a direction the
+        last support run's calls per row it ran. Each row counts with the
+        share of its sandwich upper - lower that one support run could
+        remove: a direction through the row leaves a sandwich about
+        |x| (err + s) thick on the polar side and k_hi (err + s) nu(x) on the
+        primal one, err being the run's width, so a row already that thin
+        counts for nothing. A primal face's direction is the normal of its
+        first row's facet, a polar face's the mean direction of its rows,
+        and a direction that repeats one of the net is not added."""
+        met = np.flatnonzero(first >= 0)
         if primal:
-            U = normal[met[first]]
+            U = normal[first[met]]
         else:
-            U = np.zeros((len(first), C.shape[1]))
-            np.add.at(U, face, C / np.linalg.norm(C, axis=1)[:, None])
+            U = summed[met]
             U /= np.linalg.norm(U, axis=1)[:, None]
-        pays = ((np.bincount(face, weights=share) > self._direction_calls)
+        pays = ((paid[met] > self._direction_calls)
                 & (np.max(U @ self._net.T, axis=1) < _SAME_DIRECTION))
         return U[pays]
 
@@ -362,31 +359,27 @@ class DualBallOracle(WeakMembershipOracle):
         the net leaves reach the primal oracle. While the net is empty, a
         batch whose sandwich leaves more rows than _net_directions has
         directions builds it from those first, and its delta fixes the cap
-        on the net's centre slack (class docstring). In R^2 and R^3 the net
-        then grows in rounds (_new_directions), where _upper gives each
-        row's facet."""
+        on the net's centre slack (class docstring). Then the net settles
+        the open rows in rounds (_round), and in R^2 and R^3 it grows by the
+        directions each round's open rows pay for, until a round buys none.
+        The norms are taken, and every round passes over the open rows, in
+        blocks of _BLOCK rows, so beside pts the query holds one norm and
+        one index per row and block-sized temporaries."""
         desc = self.primal_descriptor
         inner, outer = (1.0 / desc.k_hi, 1.0 / desc.k_lo) if primal else (desc.k_lo, desc.k_hi)
-        nrm = np.linalg.norm(pts, axis=1)
+        nrm = np.empty(len(pts))
+        for lo in range(0, len(pts), _BLOCK):
+            nrm[lo:lo + _BLOCK] = np.linalg.norm(pts[lo:lo + _BLOCK], axis=1)
         out = nrm <= inner
         todo = np.flatnonzero(~out & (nrm < outer))  # rows that no rule has settled
         if not len(self._net):
-            first = _net_directions(self.body.n)
-            if len(todo) > len(first):
+            start = _net_directions(self.body.n)
+            if len(todo) > len(start):
                 self._net_dq = validity_centre_slack(self._scaled_oracle.body,
                                                      self._slack(delta)) / self.r
-                self._grow(first)
+                self._grow(start)
         while len(self._net) and len(todo):
-            C = pts[todo]
-            lower = self._lower(C, nrm[todo], primal)
-            upper, met, planes = self._upper(C, nrm[todo], primal)
-            out[todo] = (lower <= 1.0) & (upper <= 1.0)
-            left = (lower <= 1.0) & (upper > 1.0)
-            todo = todo[left]
-            if met is None or not len(todo):
-                break
-            new = self._new_directions(C[left], lower[left], upper[left], met[left], planes,
-                                       primal)
+            todo, new = self._round(pts, nrm, out, todo, primal)
             if not len(new):
                 break
             self._grow(new)
@@ -394,6 +387,57 @@ class DualBallOracle(WeakMembershipOracle):
             ask = self.primal.query_batch if primal else self._lockstep
             out[todo] = ask(pts[todo], delta)
         return out
+
+    def _round(self, pts: np.ndarray, nrm: np.ndarray, out: np.ndarray, todo: np.ndarray,
+               primal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """One pass of the net over the open rows todo of pts, nrm holding
+        the norms of pts, on the primal side or (primal False) the polar
+        one: each block of _BLOCK open rows is refuted (_lower) and
+        certified (_upper) on the net as the round found it, with the
+        side's hull planes read once for the round, and out takes the
+        block's settled verdicts. Returns the rows left open, compacted in
+        place at the front of todo, and the directions they pay for
+        (_new_directions; none beyond R^3). A block adds its open rows to
+        the per-face totals that _new_directions reads, its shares summed
+        by np.add.at in row order, so the totals, and the directions, are
+        the same whatever the blocks."""
+        desc = self.primal_descriptor
+        planes = self._planes(primal)
+        grows = planes is not None and len(planes[0]) > 0
+        if grows:
+            normal = planes[1] / np.linalg.norm(planes[1], axis=1)[:, None]
+            face = np.unique(np.round(normal, 9), axis=0, return_inverse=True)[1].ravel()
+            paid = np.zeros(face.max() + 1)
+            first = np.full(len(paid), -1)
+            summed = np.zeros((len(paid), desc.n))
+            thin = _NET_REL_ERR / desc.k_hi + self._witness_slack  # err + s
+        kept = 0
+        for lo in range(0, len(todo), _BLOCK):
+            rows = todo[lo:lo + _BLOCK]
+            C, C_nrm = pts[rows], nrm[rows]
+            lower = self._lower(C, C_nrm, primal)
+            upper, met = self._upper(C, C_nrm, primal, planes)
+            out[rows] = (lower <= 1.0) & (upper <= 1.0)
+            left = (lower <= 1.0) & (upper > 1.0)
+            # rows[left] is copied before it is written back, at kept <= lo
+            count = np.count_nonzero(left)
+            todo[kept:kept + count] = rows[left]
+            kept += count
+            if not grows:
+                continue
+            lower, upper, met = lower[left], upper[left], met[left]
+            thinnest = desc.k_hi * thin * lower if primal else C_nrm[left] * thin
+            f = face[met]
+            np.add.at(paid, f, np.clip(1.0 - thinnest / (upper - lower), 0.0, 1.0))
+            faces, at = np.unique(f, return_index=True)
+            fresh = first[faces] < 0
+            first[faces[fresh]] = met[at[fresh]]
+            if not primal:
+                np.add.at(summed, f, C[left] / C_nrm[left, None])
+        todo = todo[:kept]
+        if not grows or not len(todo):
+            return todo, np.zeros((0, desc.n))
+        return todo, self._new_directions(normal, paid, first, summed, primal)
 
     def _lockstep(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """Verdicts of the rows the screens leave, True = IN_THICKENED: one

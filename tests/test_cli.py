@@ -304,6 +304,21 @@ def test_exit_3_on_numerical_failure(capsys, monkeypatch, specs, error):
     assert "numerical failure: pipeline gave up" in err
 
 
+@pytest.mark.parametrize("weights", [[1e-110, 2e-110, 1e-110], [1e110, 2e110, 1e110]],
+                         ids=["overflow", "underflow"])
+def test_exit_2_on_a_sampling_box_whose_volume_is_not_a_normal_float(capsys, tmp_path,
+                                                                      weights):
+    """The primal box 1/k_lo is 1e110 or 1e-110, and its cube overflows or
+    underflows: an error that names the box (exit 2), where the overflow
+    was a traceback (exit 1)."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "weighted_l2", "weights": weights}))
+    code, out, err = _run(capsys, ["mahler", "--spec", str(path), "--samples", "2000"])
+    assert code == 2
+    assert out == ""
+    assert "sampling box" in err
+
+
 def test_exit_2_on_a_seed_past_the_philox_key(capsys, specs):
     """The polar run samples the streams of seed + 1, which must fit a
     Philox key word too."""
